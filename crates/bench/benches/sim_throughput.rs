@@ -1,32 +1,33 @@
-//! Engine-throughput bench, three comparisons:
+//! Engine-throughput bench. Sections, in run order:
 //!
-//! 1. **Packed plane vs. seed engine** — the packed message plane against
-//!    the seed-style `Vec<Option<Msg>>` slabs ([`congest_sim::baseline`]).
-//! 2. **Sharded plane vs. PR 1 engine** — the shard-owned deliver/metering
-//!    plane (bit-sliced congestion counters, ring-buffer multiplexer)
-//!    against the frozen PR 1 round loop ([`congest_sim::pr1`]), at
-//!    `n = 10^6` across 1/2/4/8 shards on dense, sparse, and multiplexed
-//!    traffic. The headline metric is the dense-traffic geomean speedup at
-//!    ≥ 4 shards.
+//! 1. **Shard scaling** — the live engine's ns-per-round curve at
+//!    1/2/4/8 shards, `n = 10^6`, on dense, sparse, and multiplexed
+//!    traffic; every timed configuration is first cross-checked against
+//!    the one-shard serial run at a small scale.
+//! 2. **Churn repair**, **wide batch**, **wide tail**, **serve** — each a
+//!    ratio against a cross-checked arm with a `REGRESSION-MARKER` gate.
+//! 3. **Packed plane vs. seed engine** — the packed message plane against
+//!    the seed-style `Vec<Option<Msg>>` reference interpreter
+//!    ([`congest_sim::baseline`]); full runs only.
 //!
-//! Each workload implements the live trait plus the comparison-arm traits
-//! with identical logic, so measured differences are pure engine. Results
-//! are printed as criterion-style lines and exported to `BENCH_sim.json`
-//! at the workspace root so later changes have a perf trajectory to
-//! compare against.
+//! Workloads that race the reference interpreter implement its trait
+//! alongside the live one with identical logic, so measured differences
+//! are pure engine. Results are printed as criterion-style lines and
+//! exported to `BENCH_sim.json` at the workspace root. End-to-end numbers
+//! (Theorem 1 wall clock, serve jobs/s) live in `benchmark/`, measured
+//! against the parent commit; the arms this file used to race inside one
+//! binary are recorded in DESIGN.md, "Retired comparison arms".
 //!
 //! **Smoke mode** (`SIM_BENCH_SMOKE=1`): shrinks every dimension so CI can
 //! execute the whole bench in seconds. Smoke runs keep all cross-checks
-//! (panicking on any engine disagreement), print `REGRESSION-MARKER` if
-//! the sharded engine fails to beat the PR 1 engine, and do **not**
-//! rewrite `BENCH_sim.json`.
+//! (panicking on any disagreement), print `REGRESSION-MARKER` if a gated
+//! ratio falls below its bar, and do **not** rewrite `BENCH_sim.json`.
 
 use congest_graph::generators::{complete, harary};
-use congest_graph::Graph;
+use congest_graph::{Graph, Node};
 use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
-use congest_sim::pr1::{run_pr1, Pr1Multiplexed, Pr1NodeCtx, Pr1Protocol};
 use congest_sim::sched::{random_delays, Multiplexed};
-use congest_sim::{run_protocol, EngineConfig, NodeCtx, PhaseHost, Protocol};
+use congest_sim::{run_protocol, EngineConfig, NodeCtx, Protocol};
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::fmt::Write as _;
 use std::time::Instant;
@@ -76,21 +77,6 @@ impl BaselineProtocol for DenseChatter {
     type Output = u64;
     fn round(&mut self, ctx: &mut BaselineCtx<'_, u64>) {
         let sum = ctx.inbox().map(|(_, &m)| m).fold(0u64, u64::wrapping_add);
-        match self.step(ctx.round, sum) {
-            Some(m) => ctx.send_all(m),
-            None => ctx.set_done(true),
-        }
-    }
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
-impl Pr1Protocol for DenseChatter {
-    type Msg = u64;
-    type Output = u64;
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, u64>) {
-        let sum = ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add);
         match self.step(ctx.round, sum) {
             Some(m) => ctx.send_all(m),
             None => ctx.set_done(true),
@@ -165,26 +151,6 @@ impl BaselineProtocol for SparseChatter {
     }
 }
 
-impl Pr1Protocol for SparseChatter {
-    type Msg = u64;
-    type Output = u64;
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, u64>) {
-        self.acc = self
-            .acc
-            .wrapping_add(ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add));
-        if ctx.round < self.until {
-            if self.speaks(ctx.round) {
-                ctx.send_all(self.acc | 1);
-            }
-        } else {
-            ctx.set_done(true);
-        }
-    }
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
 /// Truly sparse **per-port** traffic: ~1/128 of the nodes speak each
 /// round, each on two rotating ports — the regime the engine's worklist
 /// fast path owns (staged totals far below the sparse threshold, so the
@@ -220,30 +186,6 @@ impl Protocol for SparsePorts {
     type Msg = u64;
     type Output = u64;
     fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        self.acc = self
-            .acc
-            .wrapping_add(ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add));
-        if ctx.round < self.until {
-            if self.speaks(ctx.round) {
-                let (p1, p2) = self.ports(ctx.round, ctx.degree());
-                ctx.send(p1, self.acc | 1);
-                if p2 != p1 {
-                    ctx.send(p2, self.acc | 3);
-                }
-            }
-        } else {
-            ctx.set_done(true);
-        }
-    }
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
-impl Pr1Protocol for SparsePorts {
-    type Msg = u64;
-    type Output = u64;
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, u64>) {
         self.acc = self
             .acc
             .wrapping_add(ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add));
@@ -300,20 +242,6 @@ impl Protocol for DenseWave {
     }
 }
 
-impl Pr1Protocol for DenseWave {
-    type Msg = u64;
-    type Output = u64;
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, u64>) {
-        match self.step(ctx.round, ctx.inbox_len() as u64) {
-            Some(m) => ctx.send_all(m),
-            None => ctx.set_done(true),
-        }
-    }
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
 /// Wide dense broadcast: the pipelined-broadcast message shape — 96-bit
 /// `(id, payload)` pairs in `u128` slabs — broadcast by every node every
 /// round and fully read by receivers.
@@ -356,23 +284,6 @@ impl Protocol for WideBcast {
     }
 }
 
-impl Pr1Protocol for WideBcast {
-    type Msg = (u32, u64);
-    type Output = u64;
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, (u32, u64)>) {
-        let fold = ctx
-            .inbox()
-            .fold(0u64, |a, (_, (id, p))| a.wrapping_add(id as u64 ^ p));
-        match self.step(ctx.round, fold) {
-            Some(m) => ctx.send_all(m),
-            None => ctx.set_done(true),
-        }
-    }
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
 /// Multiplexed-dense traffic: `k` rotating chatter sub-protocols per node
 /// (sub `i` speaks on virtual rounds ≡ `i` mod `k`), hosted by the
 /// random-delay scheduler — the workload that exercises port queues every
@@ -400,21 +311,6 @@ impl Protocol for RotChatter {
     type Msg = u64;
     type Output = u64;
     fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        let sum = ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add);
-        if let Some(m) = self.step(ctx.round, sum) {
-            ctx.send_all(m);
-        }
-        ctx.set_done(self.done(ctx.round));
-    }
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
-impl Pr1Protocol for RotChatter {
-    type Msg = u64;
-    type Output = u64;
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, u64>) {
         let sum = ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add);
         if let Some(m) = self.step(ctx.round, sum) {
             ctx.send_all(m);
@@ -691,13 +587,12 @@ where
 {
     // Correctness cross-check before timing: both engines must agree.
     let packed = run_protocol(g, |v, _| make(v), EngineConfig::serial()).unwrap();
-    let base = run_baseline::<P, _>(g, |v, _| make(v), 10 * ROUNDS);
+    let base = run_baseline::<P, _>(g, |v, _| make(v), 10 * ROUNDS, None);
     assert_eq!(
         packed.outputs, base.outputs,
         "{name}/{gname} outputs differ"
     );
-    assert_eq!(packed.stats.rounds, base.rounds);
-    assert_eq!(packed.stats.total_messages, base.total_messages);
+    assert_eq!(packed.stats, base.stats, "{name}/{gname} stats differ");
 
     let samples = 7;
     let packed_serial_ns = best_of(samples, || {
@@ -713,7 +608,9 @@ where
             .total_messages
     });
     let baseline_ns = best_of(samples, || {
-        run_baseline::<P, _>(g, |v, _| make(v), 10 * ROUNDS).total_messages
+        run_baseline::<P, _>(g, |v, _| make(v), 10 * ROUNDS, None)
+            .stats
+            .total_messages
     });
     Measurement {
         workload: name,
@@ -725,39 +622,17 @@ where
     }
 }
 
-/// One workload row of the shard-scaling comparison: the frozen PR 1
-/// engine vs. the sharded engine at several shard counts. All numbers are
-/// **ns per round**, measured as the delta between two run horizons so
-/// per-node setup (protocol construction, slab allocation) cancels out —
-/// the metric is the round loop itself.
+/// One workload row of the shard-scaling curve: the live engine at
+/// several shard counts. All numbers are **ns per round**, measured as
+/// the delta between two run horizons so per-node setup (protocol
+/// construction, slab allocation) cancels out — the metric is the round
+/// loop itself.
 struct ScalingRow {
     workload: &'static str,
     graph: String,
     arcs: usize,
-    pr1_ns: u128,
     /// `(shards, ns per round)` per shard count, ascending.
-    new_by_shards: Vec<(usize, u128)>,
-}
-
-/// One timed invocation, in ns.
-fn time_once(run: &mut dyn FnMut(u64) -> u64, rounds: u64) -> u128 {
-    let t = Instant::now();
-    criterion::black_box(run(rounds));
-    t.elapsed().as_nanos()
-}
-
-impl ScalingRow {
-    fn new_ns_at(&self, shards: usize) -> u128 {
-        self.new_by_shards
-            .iter()
-            .find(|&&(s, _)| s == shards)
-            .map(|&(_, ns)| ns)
-            .expect("shard count measured")
-    }
-
-    fn speedup_at(&self, shards: usize) -> f64 {
-        self.pr1_ns as f64 / self.new_ns_at(shards) as f64
-    }
+    ns_by_shards: Vec<(usize, u128)>,
 }
 
 fn geomean(vals: impl IntoIterator<Item = f64>) -> f64 {
@@ -782,18 +657,113 @@ fn pool_for(shards: usize) -> usize {
 
 const SHARD_SWEEP: [usize; 4] = [1, 2, 4, 8];
 
-/// The shard-scaling + PR 1 comparison section. Cross-checks engine
-/// agreement at a small scale first (panicking on any mismatch — that is
-/// what CI's smoke lane guards), then times the big runs. Returns the
-/// rows plus the dense and sparse geomean speedups at 4 shards.
-fn bench_shard_scaling() -> (Vec<ScalingRow>, f64, f64) {
-    let (n_big, n_mux, rounds, mux_rounds, samples) = if smoke() {
-        (60_000usize, 20_000usize, 16u64, 16u64, 2usize)
-    } else {
-        (1_000_000usize, 200_000usize, 24u64, 24u64, 3usize)
+/// One timed configuration of the curve: `make(v, g, until)` on `g` at
+/// `shards` shards under the pool width that shard count gets.
+fn run_sharded<P, F>(
+    g: &Graph,
+    shards: usize,
+    until: u64,
+    make: F,
+) -> congest_sim::RunOutcome<P::Output>
+where
+    P: Protocol,
+    F: Fn(Node, &Graph, u64) -> P,
+{
+    congest_par::with_threads(pool_for(shards), || {
+        run_protocol(
+            g,
+            |v, gr| make(v, gr, until),
+            EngineConfig::default().shards(shards),
+        )
+        .unwrap()
+    })
+}
+
+/// Cross-check one workload at small scale: every configuration the curve
+/// times (shard count × its pool width), and the sparse fast path forced
+/// off and on, must reproduce the one-shard serial run bit for bit. That
+/// the engine computes the right thing at all is the proptests' job
+/// (`proptest_engine.rs` holds it to the reference interpreter).
+fn check_sharded<P, F>(workload: &str, g: &Graph, until: u64, make: F)
+where
+    P: Protocol,
+    P::Output: PartialEq + std::fmt::Debug,
+    F: Fn(Node, &Graph, u64) -> P + Copy,
+{
+    let run = |cfg: EngineConfig| run_protocol(g, |v, gr| make(v, gr, until), cfg).unwrap();
+    let reference = run(EngineConfig::serial().shards(1));
+    for shards in SHARD_SWEEP {
+        let live = run_sharded(g, shards, until, make);
+        assert_eq!(
+            live.outputs, reference.outputs,
+            "{workload}: {shards} shards"
+        );
+        assert_eq!(
+            live.stats, reference.stats,
+            "{workload}: {shards} shards stats"
+        );
+    }
+    for thr in [0usize, usize::MAX] {
+        let live = run(EngineConfig::serial().shards(4).sparse_threshold(thr));
+        assert_eq!(live.outputs, reference.outputs, "{workload}: thr {thr}");
+        assert_eq!(live.stats, reference.stats, "{workload}: thr {thr} stats");
+    }
+}
+
+/// Time one workload across [`SHARD_SWEEP`]. Sampling is **interleaved
+/// across configurations**: every sample pass times each shard count back
+/// to back, so slow machine-level drift (DRAM contention on shared hosts
+/// moves costs several-fold between minutes) hits all points of a row
+/// equally and the curve's *shape* stays meaningful.
+fn scaling_row<P, F>(
+    workload: &'static str,
+    graph: &str,
+    g: &Graph,
+    (hi, lo, samples): (u64, u64, usize),
+    make: F,
+) -> ScalingRow
+where
+    P: Protocol,
+    F: Fn(Node, &Graph, u64) -> P + Copy,
+{
+    let time_once = |shards: usize, until: u64| -> u128 {
+        let t = Instant::now();
+        criterion::black_box(run_sharded(g, shards, until, make).stats.total_messages);
+        t.elapsed().as_nanos()
     };
-    let lo_rounds = rounds / 4;
-    let lo_mux = mux_rounds / 4;
+    let mut best_hi = [u128::MAX; SHARD_SWEEP.len()];
+    let mut best_lo = [u128::MAX; SHARD_SWEEP.len()];
+    for _ in 0..samples {
+        for (ci, &shards) in SHARD_SWEEP.iter().enumerate() {
+            best_hi[ci] = best_hi[ci].min(time_once(shards, hi));
+            best_lo[ci] = best_lo[ci].min(time_once(shards, lo));
+        }
+    }
+    ScalingRow {
+        workload,
+        graph: graph.to_string(),
+        arcs: g.num_arcs(),
+        ns_by_shards: SHARD_SWEEP
+            .iter()
+            .enumerate()
+            .map(|(ci, &s)| {
+                let per_round = best_hi[ci].saturating_sub(best_lo[ci]).max(1) / (hi - lo) as u128;
+                (s, per_round)
+            })
+            .collect(),
+    }
+}
+
+/// The shard-scaling section: each workload is cross-checked at a small
+/// scale first (panicking on any mismatch — that is what CI's smoke lane
+/// guards), then timed at the big one.
+fn bench_shard_scaling() -> Vec<ScalingRow> {
+    let (n_big, n_mux, rounds, samples) = if smoke() {
+        (60_000usize, 20_000usize, 16u64, 2usize)
+    } else {
+        (1_000_000usize, 200_000usize, 24u64, 3usize)
+    };
+    let horizons = (rounds, rounds / 4, samples);
     let mux_k = 4usize;
     // Theorem-12 queue bound for this workload: one sub speaks per phase,
     // at most two land on the same phase after the random delays, so port
@@ -801,663 +771,44 @@ fn bench_shard_scaling() -> (Vec<ScalingRow>, f64, f64) {
     // fires in the small-scale cross-check below, keeps this honest).
     let mux_cap = mux_k;
     let mux_delays = random_delays(mux_k, 3, 0xD31A);
-    let make_mux_subs = |until: u64| -> Vec<RotChatter> {
-        (0..mux_k as u64)
+    let mux = |_: Node, gr: &Graph, until: u64| {
+        let subs = (0..mux_k as u64)
             .map(|i| RotChatter {
                 k: mux_k as u64,
                 i,
                 until,
                 acc: 1,
             })
-            .collect()
+            .collect();
+        Multiplexed::new(subs, &mux_delays, gr.degree(0), mux_cap)
     };
+    let dense = |_: Node, _: &Graph, until: u64| DenseChatter::new(until);
+    let wave = |_: Node, _: &Graph, until: u64| DenseWave::new(until);
+    let wide = |v: Node, _: &Graph, until: u64| WideBcast::new(v, until);
+    let sparse = |v: Node, _: &Graph, until: u64| SparseChatter::new(v, until);
+    let ports = |v: Node, _: &Graph, until: u64| SparsePorts::new(v, until);
 
-    // --- Cross-checks at small scale: the sharded engine must agree with
-    // the frozen PR 1 engine bit-for-bit before any timing is trusted.
-    {
-        let g = harary(16, 1500);
-        let check_rounds = 40u64;
-        let live = run_protocol(&g, |_, _| DenseChatter::new(check_rounds), {
-            EngineConfig::serial().shards(4)
-        })
-        .unwrap();
-        let frozen = run_pr1(&g, |_, _| DenseChatter::new(check_rounds), {
-            EngineConfig::serial()
-        })
-        .unwrap();
-        assert_eq!(live.outputs, frozen.outputs, "dense: sharded vs PR 1");
-        assert_eq!(live.stats, frozen.stats, "dense: sharded vs PR 1 stats");
+    let g_check = harary(16, 1500);
+    let check_rounds = 40u64;
+    check_sharded("dense_u64", &g_check, check_rounds, dense);
+    check_sharded("dense_wave", &g_check, check_rounds, wave);
+    check_sharded("dense_wide_u128", &g_check, check_rounds, wide);
+    check_sharded("sparse_u64", &g_check, check_rounds, sparse);
+    check_sharded("sparse_ports", &g_check, check_rounds, ports);
+    check_sharded("mux_dense", &g_check, check_rounds, mux);
 
-        let live = run_protocol(&g, |_, _| DenseWave::new(check_rounds), {
-            EngineConfig::serial().shards(4)
-        })
-        .unwrap();
-        let frozen = run_pr1(&g, |_, _| DenseWave::new(check_rounds), {
-            EngineConfig::serial()
-        })
-        .unwrap();
-        assert_eq!(live.outputs, frozen.outputs, "wave: sharded vs PR 1");
-        assert_eq!(live.stats, frozen.stats, "wave: sharded vs PR 1 stats");
-
-        let live = run_protocol(
-            &g,
-            |v, _| SparseChatter::new(v, check_rounds),
-            EngineConfig::serial().shards(4),
-        )
-        .unwrap();
-        let frozen = run_pr1(
-            &g,
-            |v, _| SparseChatter::new(v, check_rounds),
-            EngineConfig::serial(),
-        )
-        .unwrap();
-        assert_eq!(live.outputs, frozen.outputs, "sparse: sharded vs PR 1");
-        assert_eq!(live.stats, frozen.stats, "sparse: sharded vs PR 1 stats");
-
-        let live = run_protocol(
-            &g,
-            |v, _| WideBcast::new(v, check_rounds),
-            EngineConfig::serial().shards(4),
-        )
-        .unwrap();
-        let frozen = run_pr1(
-            &g,
-            |v, _| WideBcast::new(v, check_rounds),
-            EngineConfig::serial(),
-        )
-        .unwrap();
-        assert_eq!(live.outputs, frozen.outputs, "wide: sharded vs PR 1");
-        assert_eq!(live.stats, frozen.stats, "wide: sharded vs PR 1 stats");
-
-        // Sparse per-port traffic, with the fast path forced on and off:
-        // both must match PR 1 before the sparse arm's numbers count.
-        let frozen = run_pr1(
-            &g,
-            |v, _| SparsePorts::new(v, check_rounds),
-            EngineConfig::serial(),
-        )
-        .unwrap();
-        for thr in [0usize, usize::MAX] {
-            let live = run_protocol(
-                &g,
-                |v, _| SparsePorts::new(v, check_rounds),
-                EngineConfig::serial().shards(4).sparse_threshold(thr),
-            )
-            .unwrap();
-            assert_eq!(live.outputs, frozen.outputs, "sparse_ports: thr {thr}");
-            assert_eq!(live.stats, frozen.stats, "sparse_ports: thr {thr} stats");
-        }
-
-        let live = run_protocol(
-            &g,
-            |_, gr: &Graph| {
-                Multiplexed::new(
-                    make_mux_subs(check_rounds),
-                    &mux_delays,
-                    gr.degree(0),
-                    mux_cap,
-                )
-            },
-            EngineConfig::serial().shards(4),
-        )
-        .unwrap();
-        let frozen = run_pr1(
-            &g,
-            |_, gr: &Graph| {
-                Pr1Multiplexed::new(make_mux_subs(check_rounds), &mux_delays, gr.degree(0))
-            },
-            EngineConfig::serial(),
-        )
-        .unwrap();
-        assert_eq!(live.outputs, frozen.outputs, "mux: rings vs VecDeque");
-        assert_eq!(live.stats, frozen.stats, "mux: rings vs VecDeque stats");
-    }
-
-    // --- Big runs.
     let gname = format!("harary16_{n_big}");
     let g_dense = harary(16, n_big);
     let gname_mux = format!("harary8_{n_mux}");
     let g_mux = harary(8, n_mux);
-
-    let mut rows = Vec::new();
-    // Sampling is **interleaved across configurations**: every sample pass
-    // times the PR 1 arm and each shard count back to back, so slow
-    // machine-level drift (DRAM contention on shared hosts moves the PR 1
-    // arm's cost several-fold between minutes) hits all arms of a row
-    // equally and the reported *ratios* stay meaningful.
-    let mut push_row = |workload: &'static str,
-                        graph: String,
-                        g: &Graph,
-                        hi: u64,
-                        lo: u64,
-                        pr1: &mut dyn FnMut(u64) -> u64,
-                        new: &mut dyn FnMut(usize, u64) -> u64| {
-        let n_cfg = 1 + SHARD_SWEEP.len();
-        let mut best_hi = vec![u128::MAX; n_cfg];
-        let mut best_lo = vec![u128::MAX; n_cfg];
-        for _ in 0..samples {
-            for ci in 0..n_cfg {
-                let (t_hi, t_lo) = if ci == 0 {
-                    (time_once(pr1, hi), time_once(pr1, lo))
-                } else {
-                    let s = SHARD_SWEEP[ci - 1];
-                    let mut f = |r: u64| new(s, r);
-                    (time_once(&mut f, hi), time_once(&mut f, lo))
-                };
-                best_hi[ci] = best_hi[ci].min(t_hi);
-                best_lo[ci] = best_lo[ci].min(t_lo);
-            }
-        }
-        let per_round =
-            |ci: usize| best_hi[ci].saturating_sub(best_lo[ci]).max(1) / (hi - lo) as u128;
-        rows.push(ScalingRow {
-            workload,
-            graph,
-            arcs: g.num_arcs(),
-            pr1_ns: per_round(0),
-            new_by_shards: SHARD_SWEEP
-                .iter()
-                .enumerate()
-                .map(|(i, &s)| (s, per_round(i + 1)))
-                .collect(),
-        });
-    };
-
-    push_row(
-        "dense_u64",
-        gname.clone(),
-        &g_dense,
-        rounds,
-        lo_rounds,
-        &mut |r| {
-            run_pr1(
-                &g_dense,
-                |_, _| DenseChatter::new(r),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        },
-        &mut |shards, r| {
-            congest_par::with_threads(pool_for(shards), || {
-                run_protocol(
-                    &g_dense,
-                    |_, _| DenseChatter::new(r),
-                    EngineConfig::default().shards(shards),
-                )
-                .unwrap()
-                .stats
-                .total_messages
-            })
-        },
-    );
-    push_row(
-        "dense_wave",
-        gname.clone(),
-        &g_dense,
-        rounds,
-        lo_rounds,
-        &mut |r| {
-            run_pr1(&g_dense, |_, _| DenseWave::new(r), EngineConfig::default())
-                .unwrap()
-                .stats
-                .total_messages
-        },
-        &mut |shards, r| {
-            congest_par::with_threads(pool_for(shards), || {
-                run_protocol(
-                    &g_dense,
-                    |_, _| DenseWave::new(r),
-                    EngineConfig::default().shards(shards),
-                )
-                .unwrap()
-                .stats
-                .total_messages
-            })
-        },
-    );
-    push_row(
-        "dense_wide_u128",
-        gname.clone(),
-        &g_dense,
-        rounds,
-        lo_rounds,
-        &mut |r| {
-            run_pr1(
-                &g_dense,
-                |v, _| WideBcast::new(v, r),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        },
-        &mut |shards, r| {
-            congest_par::with_threads(pool_for(shards), || {
-                run_protocol(
-                    &g_dense,
-                    |v, _| WideBcast::new(v, r),
-                    EngineConfig::default().shards(shards),
-                )
-                .unwrap()
-                .stats
-                .total_messages
-            })
-        },
-    );
-    push_row(
-        "sparse_u64",
-        gname.clone(),
-        &g_dense,
-        rounds,
-        lo_rounds,
-        &mut |r| {
-            run_pr1(
-                &g_dense,
-                |v, _| SparseChatter::new(v, r),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        },
-        &mut |shards, r| {
-            congest_par::with_threads(pool_for(shards), || {
-                run_protocol(
-                    &g_dense,
-                    |v, _| SparseChatter::new(v, r),
-                    EngineConfig::default().shards(shards),
-                )
-                .unwrap()
-                .stats
-                .total_messages
-            })
-        },
-    );
-    push_row(
-        "sparse_ports",
-        gname.clone(),
-        &g_dense,
-        rounds,
-        lo_rounds,
-        &mut |r| {
-            run_pr1(
-                &g_dense,
-                |v, _| SparsePorts::new(v, r),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        },
-        &mut |shards, r| {
-            congest_par::with_threads(pool_for(shards), || {
-                run_protocol(
-                    &g_dense,
-                    |v, _| SparsePorts::new(v, r),
-                    EngineConfig::default().shards(shards),
-                )
-                .unwrap()
-                .stats
-                .total_messages
-            })
-        },
-    );
-    push_row(
-        "mux_dense",
-        gname_mux.clone(),
-        &g_mux,
-        mux_rounds,
-        lo_mux,
-        &mut |r| {
-            run_pr1(
-                &g_mux,
-                |_, gr: &Graph| Pr1Multiplexed::new(make_mux_subs(r), &mux_delays, gr.degree(0)),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        },
-        &mut |shards, r| {
-            congest_par::with_threads(pool_for(shards), || {
-                run_protocol(
-                    &g_mux,
-                    |_, gr: &Graph| {
-                        Multiplexed::new(make_mux_subs(r), &mux_delays, gr.degree(0), mux_cap)
-                    },
-                    EngineConfig::default().shards(shards),
-                )
-                .unwrap()
-                .stats
-                .total_messages
-            })
-        },
-    );
-
-    // Headline: dense-traffic geomean speedup over the PR 1 engine at
-    // 4 shards (the acceptance bar of the sharded-plane rework), plus the
-    // **sparse-parity** geomean over the sparse arms — the bar the sparse
-    // fast path must clear (≥ 1.0: no regression behind the PR 1 loop on
-    // the traffic regime Theorem 12 spends most rounds in).
-    let dense_geomean = geomean(
-        rows.iter()
-            .filter(|r| matches!(r.workload, "dense_u64" | "dense_wave" | "dense_wide_u128"))
-            .map(|r| r.speedup_at(4)),
-    );
-    let sparse_geomean = geomean(
-        rows.iter()
-            .filter(|r| matches!(r.workload, "sparse_u64" | "sparse_ports"))
-            .map(|r| r.speedup_at(4)),
-    );
-    (rows, dense_geomean, sparse_geomean)
-}
-
-/// One row of the multiplexer comparison: the live arm (two-tier rings
-/// on the live engine) vs a frozen arm — either the PR 2 single-tier
-/// ring layout on the same engine (isolating the queue layout), or the
-/// whole PR 1-hosted multiplexer (isolating the live engine's per-node
-/// context weight, the ROADMAP's host-mode gap item). `cap` is the
-/// declared Theorem-12 capacity.
-struct MuxRingRow {
-    workload: &'static str,
-    graph: String,
-    cap: usize,
-    /// What the live arm is racing: the frozen comparison arm's name.
-    frozen_arm: &'static str,
-    live_ns: u128,
-    frozen_ns: u128,
-}
-
-impl MuxRingRow {
-    fn speedup(&self) -> f64 {
-        self.frozen_ns as f64 / self.live_ns as f64
-    }
-}
-
-/// Race the live multiplexer against the frozen PR 2 single-tier rings
-/// (layout isolation) and against the PR 1-hosted `VecDeque` multiplexer
-/// (host isolation — the dense-mux gap the NodeCtx slimming targets).
-fn bench_mux_rings() -> Vec<MuxRingRow> {
-    use congest_sim::pr2::Pr2Multiplexed;
-    let (n_mux, rounds, samples) = if smoke() {
-        (10_000usize, 16u64, 2usize)
-    } else {
-        (100_000usize, 24u64, 3usize)
-    };
-    let lo_rounds = rounds / 4;
-    let k = 4usize;
-    let delays = random_delays(k, 3, 0xD31A);
-    let mk_subs = |until: u64| -> Vec<RotChatter> {
-        (0..k as u64)
-            .map(|i| RotChatter {
-                k: k as u64,
-                i,
-                until,
-                acc: 1,
-            })
-            .collect()
-    };
-    // Cross-check: the two ring layouts must agree bit-for-bit (layout
-    // change, not a schedule change) before any timing counts.
-    {
-        let g = harary(8, 1200);
-        for cap in [k, 64] {
-            let live = run_protocol(
-                &g,
-                |_, gr: &Graph| Multiplexed::new(mk_subs(30), &delays, gr.degree(0), cap),
-                EngineConfig::serial().shards(4),
-            )
-            .unwrap();
-            let frozen = run_protocol(
-                &g,
-                |_, gr: &Graph| Pr2Multiplexed::new(mk_subs(30), &delays, gr.degree(0), cap),
-                EngineConfig::serial().shards(4),
-            )
-            .unwrap();
-            assert_eq!(live.outputs, frozen.outputs, "mux rings: cap {cap}");
-            assert_eq!(live.stats, frozen.stats, "mux rings: cap {cap} stats");
-        }
-    }
-    let graph = format!("harary8_{n_mux}");
-    let g = harary(8, n_mux);
-    let mut rows = Vec::new();
-    // `cap` declared at the tight bound (k) and at a conservative 64 —
-    // the latter is where the single-tier slab strides cache-cold while
-    // shallow two-tier queues stay in their inline line.
-    for (workload, cap) in [("mux_tight_cap", k), ("mux_spread_cap64", 64usize)] {
-        let mut two = |r: u64| {
-            run_protocol(
-                &g,
-                |_, gr: &Graph| Multiplexed::new(mk_subs(r), &delays, gr.degree(0), cap),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        };
-        let mut one = |r: u64| {
-            run_protocol(
-                &g,
-                |_, gr: &Graph| Pr2Multiplexed::new(mk_subs(r), &delays, gr.degree(0), cap),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        };
-        // Interleaved sampling, horizon differencing: same protocol as
-        // the shard-scaling rows (per-node setup cancels out).
-        let (mut two_hi, mut two_lo) = (u128::MAX, u128::MAX);
-        let (mut one_hi, mut one_lo) = (u128::MAX, u128::MAX);
-        for _ in 0..samples {
-            two_hi = two_hi.min(time_once(&mut two, rounds));
-            two_lo = two_lo.min(time_once(&mut two, lo_rounds));
-            one_hi = one_hi.min(time_once(&mut one, rounds));
-            one_lo = one_lo.min(time_once(&mut one, lo_rounds));
-        }
-        let per_round =
-            |hi: u128, lo: u128| hi.saturating_sub(lo).max(1) / (rounds - lo_rounds) as u128;
-        rows.push(MuxRingRow {
-            workload,
-            graph: graph.clone(),
-            cap,
-            frozen_arm: "pr2_single_tier_rings",
-            live_ns: per_round(two_hi, two_lo),
-            frozen_ns: per_round(one_hi, one_lo),
-        });
-    }
-    // --- Host comparison: the live engine hosting the two-tier
-    // multiplexer vs the frozen PR 1 engine hosting its `VecDeque`
-    // multiplexer, on dense mux traffic. Before the host-mode NodeCtx
-    // slimming the live host trailed by ~20% here (ROADMAP item); this
-    // row tracks that gap.
-    {
-        let mut live = |r: u64| {
-            run_protocol(
-                &g,
-                |_, gr: &Graph| Multiplexed::new(mk_subs(r), &delays, gr.degree(0), k),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        };
-        let mut pr1_host = |r: u64| {
-            run_pr1(
-                &g,
-                |_, gr: &Graph| Pr1Multiplexed::new(mk_subs(r), &delays, gr.degree(0)),
-                EngineConfig::default(),
-            )
-            .unwrap()
-            .stats
-            .total_messages
-        };
-        let (mut live_hi, mut live_lo) = (u128::MAX, u128::MAX);
-        let (mut pr1_hi, mut pr1_lo) = (u128::MAX, u128::MAX);
-        for _ in 0..samples {
-            live_hi = live_hi.min(time_once(&mut live, rounds));
-            live_lo = live_lo.min(time_once(&mut live, lo_rounds));
-            pr1_hi = pr1_hi.min(time_once(&mut pr1_host, rounds));
-            pr1_lo = pr1_lo.min(time_once(&mut pr1_host, lo_rounds));
-        }
-        let per_round =
-            |hi: u128, lo: u128| hi.saturating_sub(lo).max(1) / (rounds - lo_rounds) as u128;
-        rows.push(MuxRingRow {
-            workload: "mux_host_dense",
-            graph: graph.clone(),
-            cap: k,
-            frozen_arm: "pr1_engine_host",
-            live_ns: per_round(live_hi, live_lo),
-            frozen_ns: per_round(pr1_hi, pr1_lo),
-        });
-    }
-    rows
-}
-
-/// One row of the phase-reuse comparison: a whole multi-phase algorithm
-/// executed **session-hosted** (one resident engine for every phase) vs
-/// **per-phase** (a fresh engine per phase — the pre-session
-/// composition). Whole-run wall clock: the difference *is* the
-/// per-phase engine churn.
-struct PhaseReuseRow {
-    workload: &'static str,
-    graph: String,
-    phases: usize,
-    session_ns: u128,
-    per_phase_ns: u128,
-}
-
-impl PhaseReuseRow {
-    fn speedup(&self) -> f64 {
-        self.per_phase_ns as f64 / self.session_ns as f64
-    }
-}
-
-/// Session-hosted vs per-phase composition: the end-to-end six-phase
-/// Theorem 1 broadcast, the exp-search doubling loop, and a
-/// short-phase chatter composition where engine churn dominates.
-fn bench_phase_reuse() -> (Vec<PhaseReuseRow>, f64) {
-    use congest_core::broadcast::{partition_broadcast_with, BroadcastConfig, BroadcastInput};
-    use congest_core::exp_search::exp_search_broadcast;
-    use congest_core::partition::PartitionParams;
-
-    let (n_bcast, n_search, n_chat, samples) = if smoke() {
-        (2_000usize, 1_000usize, 40_000usize, 2usize)
-    } else {
-        (40_000usize, 12_000usize, 400_000usize, 3usize)
-    };
-    let mut rows = Vec::new();
-
-    // --- Theorem 1 end to end (six phases).
-    {
-        let g = harary(16, n_bcast);
-        let input = BroadcastInput::random_spread(&g, n_bcast / 4, 7);
-        let params = PartitionParams::from_lambda(g.n(), 16, 2.0);
-        let run_arm = |resident: bool| {
-            let mut cfg = BroadcastConfig::with_seed(0x7E57);
-            cfg.phase_resident = resident;
-            partition_broadcast_with(&g, &input, params, &cfg).unwrap()
-        };
-        // Cross-check: both compositions must agree bit for bit.
-        let a = run_arm(true);
-        let b = run_arm(false);
-        assert_eq!(a.stats, b.stats, "theorem1: session vs per-phase stats");
-        assert_eq!(a.per_node, b.per_node, "theorem1: session vs per-phase");
-        assert!(a.all_delivered());
-        let (mut ses, mut per) = (u128::MAX, u128::MAX);
-        for _ in 0..samples {
-            let t = Instant::now();
-            criterion::black_box(run_arm(true).total_rounds);
-            ses = ses.min(t.elapsed().as_nanos());
-            let t = Instant::now();
-            criterion::black_box(run_arm(false).total_rounds);
-            per = per.min(t.elapsed().as_nanos());
-        }
-        rows.push(PhaseReuseRow {
-            workload: "theorem1_broadcast_6phase",
-            graph: format!("harary16_{n_bcast}"),
-            phases: 6,
-            session_ns: ses,
-            per_phase_ns: per,
-        });
-    }
-
-    // --- Exponential search (the doubling loop re-pays partition +
-    // subgraph-BFS + validity check per iteration).
-    {
-        let g = harary(8, n_search);
-        let input = BroadcastInput::random_spread(&g, n_search / 4, 3);
-        let run_arm = |resident: bool| {
-            let mut cfg = BroadcastConfig::with_seed(0x5EA);
-            cfg.phase_resident = resident;
-            exp_search_broadcast(&g, &input, &cfg).unwrap()
-        };
-        let (a, ra) = run_arm(true);
-        let (b, rb) = run_arm(false);
-        assert_eq!(a.stats, b.stats, "exp_search: session vs per-phase");
-        assert_eq!(ra, rb, "exp_search: reports diverge");
-        assert!(a.all_delivered());
-        let phases = a.phases.len();
-        let (mut ses, mut per) = (u128::MAX, u128::MAX);
-        for _ in 0..samples {
-            let t = Instant::now();
-            criterion::black_box(run_arm(true).0.total_rounds);
-            ses = ses.min(t.elapsed().as_nanos());
-            let t = Instant::now();
-            criterion::black_box(run_arm(false).0.total_rounds);
-            per = per.min(t.elapsed().as_nanos());
-        }
-        rows.push(PhaseReuseRow {
-            workload: "exp_search_broadcast",
-            graph: format!("harary8_{n_search}"),
-            phases,
-            session_ns: ses,
-            per_phase_ns: per,
-        });
-    }
-
-    // --- Short phases at scale: 12 three-round phases, where engine
-    // (re)construction dominates the rounds themselves.
-    {
-        let g = harary(16, n_chat);
-        let phase_count = 12usize;
-        let run_arm = |resident: bool| -> u64 {
-            let mut host = PhaseHost::new(&g, resident);
-            let mut acc = 0u64;
-            for p in 0..phase_count as u64 {
-                let out = host
-                    .run(
-                        |_, _| DenseChatter::new(3),
-                        EngineConfig::with_seed(congest_sim::rng::phase_seed(0xC0DE, p)),
-                    )
-                    .unwrap();
-                acc ^= out.stats.total_messages;
-            }
-            acc
-        };
-        assert_eq!(run_arm(true), run_arm(false), "short_phases cross-check");
-        let (mut ses, mut per) = (u128::MAX, u128::MAX);
-        for _ in 0..samples {
-            let t = Instant::now();
-            criterion::black_box(run_arm(true));
-            ses = ses.min(t.elapsed().as_nanos());
-            let t = Instant::now();
-            criterion::black_box(run_arm(false));
-            per = per.min(t.elapsed().as_nanos());
-        }
-        rows.push(PhaseReuseRow {
-            workload: "short_phases_12x3rounds",
-            graph: format!("harary16_{n_chat}"),
-            phases: phase_count,
-            session_ns: ses,
-            per_phase_ns: per,
-        });
-    }
-
-    let geo = geomean(rows.iter().map(PhaseReuseRow::speedup));
-    (rows, geo)
+    vec![
+        scaling_row("dense_u64", &gname, &g_dense, horizons, dense),
+        scaling_row("dense_wave", &gname, &g_dense, horizons, wave),
+        scaling_row("dense_wide_u128", &gname, &g_dense, horizons, wide),
+        scaling_row("sparse_u64", &gname, &g_dense, horizons, sparse),
+        scaling_row("sparse_ports", &gname, &g_dense, horizons, ports),
+        scaling_row("mux_dense", &gname_mux, &g_mux, horizons, mux),
+    ]
 }
 
 /// One row of the churn-repair race: a remove batch applied and then
@@ -1689,24 +1040,20 @@ struct WideTailRow {
 /// Staggered-termination job stream through the wide kernel: J
 /// lane-salted rumor floods whose sources linger for staggered spans,
 /// with each 32-job chunk anchored by one job that lingers ~64x the
-/// flood itself. Three arms, all single-core on one resident
+/// flood itself. Two arms, both single-core on one resident
 /// `WideSession`:
 ///
-/// * `chunked_no_compact` — 32-lane `run()` per chunk, compaction off:
-///   the frozen pre-compaction kernel, paying the full-width sweep for
-///   every straggler round.
-/// * `chunked_compact` — the same chunks with lane compaction on: the
-///   sweep narrows as lanes retire, but each chunk still waits for its
-///   slowest lane.
+/// * `chunked` — 32-lane `run()` per chunk: the sweep narrows as lanes
+///   retire, but each chunk still waits for its slowest lane.
 /// * `refill_steady` — one `run_refill` drain over the whole queue:
-///   compaction plus mid-sweep refill, so retired slots keep earning
-///   while stragglers linger.
+///   mid-sweep refill, so retired slots keep earning while stragglers
+///   linger.
 ///
-/// Every job of every arm is cross-checked bit-identical (outputs +
+/// Every job of both arms is cross-checked bit-identical (outputs +
 /// stats) against its isolated sequential `Session` run before any
 /// timing. The acceptance bar: continuous batching (the refill arm)
-/// ≥ 1.5x the non-compacting chunked kernel.
-fn bench_wide_tail() -> (Vec<WideTailRow>, f64, f64) {
+/// ≥ 1.5x the chunked arm.
+fn bench_wide_tail() -> (Vec<WideTailRow>, f64) {
     use congest_sim::{LaneSpec, RunStats, Session, WideSession};
 
     let (n, jobs, samples) = if smoke() {
@@ -1723,7 +1070,7 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64, f64) {
     // Tail lengths are keyed to the measured flood so the mix keeps its
     // shape across graph sizes: lane l of each chunk lingers l/8 floods
     // (staggered termination), and lane 0 anchors the chunk at 64
-    // floods — the straggler the chunked arms must wait out chunk by
+    // floods — the straggler the chunked arm must wait out chunk by
     // chunk, while the refill arm overlaps all the anchors.
     let flood_rounds = {
         let mut sess = Session::new(&g);
@@ -1757,13 +1104,16 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64, f64) {
         .step_by(w)
         .map(|lo| lo..(lo + w).min(jobs))
         .collect();
-    let run_chunked = |wide: &mut WideSession<'_>, compact: bool, check: bool| -> u64 {
-        let cfg = EngineConfig::serial().compact(compact);
+    let run_chunked = |wide: &mut WideSession<'_>, check: bool| -> u64 {
         let mut acc = 0u64;
         for chunk in &chunks {
             let lo = chunk.start;
             let out = wide
-                .run(&specs[chunk.clone()], |v, l, _| mk(v, lo + l), cfg.clone())
+                .run(
+                    &specs[chunk.clone()],
+                    |v, l, _| mk(v, lo + l),
+                    EngineConfig::serial(),
+                )
                 .unwrap();
             for l in 0..chunk.len() {
                 if check {
@@ -1771,13 +1121,13 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64, f64) {
                     assert_eq!(
                         out.outputs(l),
                         &outputs[..],
-                        "wide_tail job {} outputs diverged (compact: {compact})",
+                        "wide_tail job {} outputs diverged",
                         lo + l
                     );
                     assert_eq!(
                         &out.stats(l),
                         stats,
-                        "wide_tail job {} stats diverged (compact: {compact})",
+                        "wide_tail job {} stats diverged",
                         lo + l
                     );
                 }
@@ -1816,28 +1166,21 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64, f64) {
         acc
     };
 
-    // Cross-check all three arms bit-identical before timing anything.
+    // Cross-check both arms bit-identical before timing anything.
     let mut wide = WideSession::new(&g);
     let mut scratch: Vec<u64> = Vec::new();
-    run_chunked(&mut wide, false, true);
-    run_chunked(&mut wide, true, true);
+    run_chunked(&mut wide, true);
     run_refill(&mut wide, &mut scratch, true);
 
-    let baseline_ns = best_of(samples, || run_chunked(&mut wide, false, false));
-    let compact_ns = best_of(samples, || run_chunked(&mut wide, true, false));
+    let chunked_ns = best_of(samples, || run_chunked(&mut wide, false));
     let refill_ns = best_of(samples, || run_refill(&mut wide, &mut scratch, false));
 
     let rate = |ns: u128| jobs as f64 / (ns as f64 / 1e9);
     let rows = vec![
         WideTailRow {
-            arm: "chunked_no_compact",
-            wall_ns: baseline_ns,
-            jobs_per_sec: rate(baseline_ns),
-        },
-        WideTailRow {
-            arm: "chunked_compact",
-            wall_ns: compact_ns,
-            jobs_per_sec: rate(compact_ns),
+            arm: "chunked",
+            wall_ns: chunked_ns,
+            jobs_per_sec: rate(chunked_ns),
         },
         WideTailRow {
             arm: "refill_steady",
@@ -1845,9 +1188,7 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64, f64) {
             jobs_per_sec: rate(refill_ns),
         },
     ];
-    let compact_speedup = baseline_ns as f64 / compact_ns as f64;
-    let refill_speedup = baseline_ns as f64 / refill_ns as f64;
-    (rows, compact_speedup, refill_speedup)
+    (rows, chunked_ns as f64 / refill_ns as f64)
 }
 
 struct ServeRow {
@@ -1981,18 +1322,12 @@ fn bench_serve() -> (Vec<ServeRow>, f64) {
 fn write_json(
     measurements: &[Measurement],
     scaling: &[ScalingRow],
-    mux_rings: &[MuxRingRow],
-    phase_reuse: &[PhaseReuseRow],
     churn_repair: &[ChurnRepairRow],
     wide_batch: &[WideBatchRow],
     wide_tail: &[WideTailRow],
     serve: &[ServeRow],
-    dense_geomean: f64,
-    sparse_geomean: f64,
-    phase_reuse_geomean: f64,
     churn_repair_geomean: f64,
     wide_batch_speedup_32: f64,
-    wide_tail_compact: f64,
     wide_tail_refill: f64,
     serve_speedup: f64,
     path: &std::path::Path,
@@ -2035,10 +1370,10 @@ fn write_json(
         .exp();
     let _ = writeln!(s, "  \"min_speedup\": {min:.3},");
     let _ = writeln!(s, "  \"geomean_speedup\": {geomean:.3},");
-    // --- Shard-scaling section: sharded engine vs the frozen PR 1 engine.
+    // --- Shard-scaling section: the live engine's ns-per-round curve.
     let _ = writeln!(
         s,
-        "  \"shard_scaling_note\": \"sharded deliver/metering plane + ring-buffer multiplexer vs the frozen PR 1 round loop (congest_sim::pr1); values are ns per round via horizon differencing (setup cancels); pool width = min(shards, cores)\","
+        "  \"shard_scaling_note\": \"live engine (sharded deliver/metering plane, ring-buffer multiplexer) at 1/2/4/8 shards; values are ns per round via horizon differencing (setup cancels); pool width = min(shards, cores); every timed configuration cross-checked bit-identical to the one-shard serial run at small scale\","
     );
     let _ = writeln!(
         s,
@@ -2052,113 +1387,17 @@ fn write_json(
         let _ = writeln!(s, "    {{");
         let _ = writeln!(s, "      \"workload\": \"{}\",", r.workload);
         let _ = writeln!(s, "      \"graph\": \"{}\",", r.graph);
-        let _ = writeln!(s, "      \"arcs\": {},", r.arcs);
-        let _ = writeln!(s, "      \"pr1_ns_per_round\": {},", r.pr1_ns);
-        for &(shards, ns) in &r.new_by_shards {
-            let _ = writeln!(s, "      \"sharded_ns_per_round_{shards}\": {ns},");
+        let _ = write!(s, "      \"arcs\": {}", r.arcs);
+        for &(shards, ns) in &r.ns_by_shards {
+            let _ = write!(s, ",\n      \"sharded_ns_per_round_{shards}\": {ns}");
         }
-        for &(shards, _) in &r.new_by_shards {
-            let _ = writeln!(
-                s,
-                "      \"speedup_vs_pr1_{shards}_shards\": {:.3}{}",
-                r.speedup_at(shards),
-                if shards == *SHARD_SWEEP.last().unwrap() {
-                    ""
-                } else {
-                    ","
-                }
-            );
-        }
-        let _ = writeln!(s, "    }}{}", if i + 1 < scaling.len() { "," } else { "" });
-    }
-    let _ = writeln!(s, "  ],");
-    let _ = writeln!(
-        s,
-        "  \"pr1_dense_geomean_speedup_4_shards\": {dense_geomean:.3},"
-    );
-    // --- Sparse-parity section: the sparse fast path's acceptance bar.
-    let _ = writeln!(
-        s,
-        "  \"sparse_parity_note\": \"sparse per-port traffic vs the frozen PR 1 engine; the worklist fast path must keep the live engine at parity or better (geomean >= 1.0 at 4 shards)\","
-    );
-    let _ = writeln!(s, "  \"sparse_parity\": {{");
-    let _ = writeln!(s, "    \"workloads\": [");
-    let sparse_rows: Vec<&ScalingRow> = scaling
-        .iter()
-        .filter(|r| matches!(r.workload, "sparse_u64" | "sparse_ports"))
-        .collect();
-    for (i, r) in sparse_rows.iter().enumerate() {
-        let _ = writeln!(s, "      {{");
-        let _ = writeln!(s, "        \"workload\": \"{}\",", r.workload);
-        let _ = writeln!(s, "        \"graph\": \"{}\",", r.graph);
-        let _ = writeln!(s, "        \"pr1_ns_per_round\": {},", r.pr1_ns);
-        let _ = writeln!(s, "        \"sharded_ns_per_round_4\": {},", r.new_ns_at(4));
         let _ = writeln!(
             s,
-            "        \"speedup_vs_pr1_4_shards\": {:.3}",
-            r.speedup_at(4)
-        );
-        let _ = writeln!(
-            s,
-            "      }}{}",
-            if i + 1 < sparse_rows.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "    ],");
-    let _ = writeln!(s, "    \"geomean_vs_pr1_4_shards\": {sparse_geomean:.3}");
-    let _ = writeln!(s, "  }},");
-    // --- Multiplexer comparisons: the live arm (two-tier rings on the
-    // live engine) vs each frozen arm — the PR 2 single-tier rings
-    // (layout isolation) and the PR 1 engine host (host-mode context
-    // isolation; the ROADMAP's dense-mux gap item).
-    let _ = writeln!(
-        s,
-        "  \"mux_ring_compare_note\": \"live arm = two-tier (inline head + spill arena) port queues hosted on the live engine; frozen_arm names the comparison: pr2_single_tier_rings (same engine, PR 2 ring layout) or pr1_engine_host (whole PR 1-hosted VecDeque multiplexer); ns per round via horizon differencing\","
-    );
-    let _ = writeln!(s, "  \"mux_ring_compare\": [");
-    for (i, r) in mux_rings.iter().enumerate() {
-        let _ = writeln!(s, "    {{");
-        let _ = writeln!(s, "      \"workload\": \"{}\",", r.workload);
-        let _ = writeln!(s, "      \"graph\": \"{}\",", r.graph);
-        let _ = writeln!(s, "      \"declared_capacity\": {},", r.cap);
-        let _ = writeln!(s, "      \"frozen_arm\": \"{}\",", r.frozen_arm);
-        let _ = writeln!(s, "      \"live_ns_per_round\": {},", r.live_ns);
-        let _ = writeln!(s, "      \"frozen_ns_per_round\": {},", r.frozen_ns);
-        let _ = writeln!(s, "      \"speedup_live\": {:.3}", r.speedup());
-        let _ = writeln!(
-            s,
-            "    }}{}",
-            if i + 1 < mux_rings.len() { "," } else { "" }
+            "\n    }}{}",
+            if i + 1 < scaling.len() { "," } else { "" }
         );
     }
     let _ = writeln!(s, "  ],");
-    // --- Phase-reuse section: session-hosted vs per-phase composition.
-    let _ = writeln!(
-        s,
-        "  \"phase_reuse_note\": \"whole multi-phase algorithms executed on one resident congest_sim::Session vs a fresh engine per phase (the pre-session run_protocol composition); whole-run wall clock, best of N; both arms cross-checked bit-identical before timing\","
-    );
-    let _ = writeln!(s, "  \"phase_reuse\": {{");
-    let _ = writeln!(s, "    \"workloads\": [");
-    for (i, r) in phase_reuse.iter().enumerate() {
-        let _ = writeln!(s, "      {{");
-        let _ = writeln!(s, "        \"workload\": \"{}\",", r.workload);
-        let _ = writeln!(s, "        \"graph\": \"{}\",", r.graph);
-        let _ = writeln!(s, "        \"phases\": {},", r.phases);
-        let _ = writeln!(s, "        \"session_ns\": {},", r.session_ns);
-        let _ = writeln!(s, "        \"per_phase_ns\": {},", r.per_phase_ns);
-        let _ = writeln!(s, "        \"speedup_session\": {:.3}", r.speedup());
-        let _ = writeln!(
-            s,
-            "      }}{}",
-            if i + 1 < phase_reuse.len() { "," } else { "" }
-        );
-    }
-    let _ = writeln!(s, "    ],");
-    let _ = writeln!(
-        s,
-        "    \"geomean_session_vs_per_phase\": {phase_reuse_geomean:.3}"
-    );
-    let _ = writeln!(s, "  }},");
     // --- Churn-repair section: incremental phase-boundary repair vs
     // full rebuild, the dynamic-graph acceptance bar.
     let _ = writeln!(
@@ -2226,7 +1465,7 @@ fn write_json(
     // --- Wide-tail section: continuous batching vs chunked full-width.
     let _ = writeln!(
         s,
-        "  \"wide_tail_note\": \"staggered-termination rumor mix on harary(6, n): sources linger pulsing one port for staggered spans, each 32-job chunk anchored by a straggler lingering ~64 floods; chunked_no_compact = 32-lane WideSession::run per chunk with lane compaction off, chunked_compact = same chunks with compaction on, refill_steady = one run_refill drain (compaction + mid-sweep refill from the job queue); single-core, whole-stream wall clock, best of N; every job of every arm cross-checked bit-identical (outputs + stats) against its isolated sequential Session run before timing; acceptance bar: refill_steady >= 1.5x chunked_no_compact\","
+        "  \"wide_tail_note\": \"staggered-termination rumor mix on harary(6, n): sources linger pulsing one port for staggered spans, each 32-job chunk anchored by a straggler lingering ~64 floods; chunked = 32-lane WideSession::run per chunk, refill_steady = one run_refill drain (mid-sweep refill from the job queue); single-core, whole-stream wall clock, best of N; every job of both arms cross-checked bit-identical (outputs + stats) against its isolated sequential Session run before timing; acceptance bar: refill_steady >= 1.5x chunked\","
     );
     let _ = writeln!(s, "  \"wide_tail\": {{");
     let _ = writeln!(s, "    \"arms\": [");
@@ -2244,11 +1483,7 @@ fn write_json(
     let _ = writeln!(s, "    ],");
     let _ = writeln!(
         s,
-        "    \"speedup_compact_vs_no_compact\": {wide_tail_compact:.3},"
-    );
-    let _ = writeln!(
-        s,
-        "    \"speedup_refill_vs_no_compact\": {wide_tail_refill:.3}"
+        "    \"speedup_refill_vs_chunked\": {wide_tail_refill:.3}"
     );
     let _ = writeln!(s, "  }},");
     // --- Serving layer: PoolServer batching drain vs session-per-job.
@@ -2277,8 +1512,8 @@ fn write_json(
 
 /// Print the wide-tail section and emit its regression marker; returns
 /// the rows + speedups for the JSON export.
-fn run_wide_tail_section() -> (Vec<WideTailRow>, f64, f64) {
-    let (wide_tail, wide_tail_compact, wide_tail_refill) = bench_wide_tail();
+fn run_wide_tail_section() -> (Vec<WideTailRow>, f64) {
+    let (wide_tail, wide_tail_refill) = bench_wide_tail();
     println!("\n| wide-tail arm | wall clock | jobs/sec |");
     println!("|---|---|---|");
     for r in &wide_tail {
@@ -2289,22 +1524,17 @@ fn run_wide_tail_section() -> (Vec<WideTailRow>, f64, f64) {
             r.jobs_per_sec
         );
     }
-    println!(
-        "wide-tail speedup vs the non-compacting chunked kernel: \
-         compaction {wide_tail_compact:.2}x, compaction+refill {wide_tail_refill:.2}x"
-    );
+    println!("wide-tail speedup, mid-sweep refill vs chunked runs: {wide_tail_refill:.2}x");
     // Continuous batching's acceptance bar: on a staggered-termination
-    // mix, refilling retired slots from the queue (with the sweep
-    // compacted) must beat chunked full-width runs by a wide margin,
-    // smoke lane included.
+    // mix, refilling retired slots from the queue must beat chunked
+    // runs by a wide margin, smoke lane included.
     if wide_tail_refill < 1.5 {
         println!(
             "REGRESSION-MARKER: wide-tail speedup {wide_tail_refill:.3} < 1.5 — continuous \
-             lane batching (compaction + refill) lost its advantage over the non-compacting \
-             chunked kernel"
+             lane batching (mid-sweep refill) lost its advantage over chunked runs"
         );
     }
-    (wide_tail, wide_tail_compact, wide_tail_refill)
+    (wide_tail, wide_tail_refill)
 }
 
 /// Print the serve section and emit its regression marker; returns the
@@ -2349,82 +1579,18 @@ fn bench_engine(c: &mut Criterion) {
         println!("section mode: skipping remaining sections and BENCH_sim.json rewrite");
         return;
     }
-    // --- Shard-scaling vs PR 1 (always runs; the smoke lane's guard).
-    let (scaling, dense_geomean, sparse_geomean) = bench_shard_scaling();
-    println!("\nper-round cost (ms/round), PR 1 engine vs sharded engine:");
-    println!("\n| workload | graph | arcs | pr1 | 1 shard | 2 shards | 4 shards | 8 shards | speedup@4 |");
-    println!("|---|---|---|---|---|---|---|---|---|");
+    // --- Shard scaling (always runs; its cross-checks are the smoke
+    // lane's guard).
+    let scaling = bench_shard_scaling();
+    println!("\nper-round cost (ms/round) of the live engine by shard count:");
+    println!("\n| workload | graph | arcs | 1 shard | 2 shards | 4 shards | 8 shards |");
+    println!("|---|---|---|---|---|---|---|");
     for r in &scaling {
-        print!(
-            "| {} | {} | {} | {:.3} |",
-            r.workload,
-            r.graph,
-            r.arcs,
-            r.pr1_ns as f64 / 1e6
-        );
-        for &(_, ns) in &r.new_by_shards {
+        print!("| {} | {} | {} |", r.workload, r.graph, r.arcs);
+        for &(_, ns) in &r.ns_by_shards {
             print!(" {:.3} |", ns as f64 / 1e6);
         }
-        println!(" {:.2}x |", r.speedup_at(4));
-    }
-    println!("\ndense-traffic geomean speedup vs PR 1 engine @ 4 shards: {dense_geomean:.2}x");
-    println!("sparse-traffic geomean speedup vs PR 1 engine @ 4 shards: {sparse_geomean:.2}x");
-    let bar = if smoke() { 1.0 } else { 1.5 };
-    if dense_geomean < bar {
-        println!(
-            "REGRESSION-MARKER: dense geomean {dense_geomean:.3} < {bar:.1} vs the PR 1 engine"
-        );
-    }
-    // Sparse parity is the fast path's acceptance bar; the smoke lane
-    // gets slack for small-n noise but still trips on real regressions.
-    let sparse_bar = if smoke() { 0.8 } else { 1.0 };
-    if sparse_geomean < sparse_bar {
-        println!(
-            "REGRESSION-MARKER: sparse geomean {sparse_geomean:.3} < {sparse_bar:.1} vs the PR 1 engine"
-        );
-    }
-    // --- Mux comparisons: ring layout and engine host.
-    let mux_rings = bench_mux_rings();
-    println!("\n| mux workload | graph | cap | frozen arm | live | frozen | speedup |");
-    println!("|---|---|---|---|---|---|---|");
-    for r in &mux_rings {
-        println!(
-            "| {} | {} | {} | {} | {:.3} ms | {:.3} ms | {:.2}x |",
-            r.workload,
-            r.graph,
-            r.cap,
-            r.frozen_arm,
-            r.live_ns as f64 / 1e6,
-            r.frozen_ns as f64 / 1e6,
-            r.speedup()
-        );
-    }
-    // --- Phase-reuse: session-hosted vs per-phase composition.
-    let (phase_reuse, phase_reuse_geomean) = bench_phase_reuse();
-    println!("\n| phase-reuse workload | graph | phases | session | per-phase | speedup |");
-    println!("|---|---|---|---|---|---|");
-    for r in &phase_reuse {
-        println!(
-            "| {} | {} | {} | {:.3} ms | {:.3} ms | {:.2}x |",
-            r.workload,
-            r.graph,
-            r.phases,
-            r.session_ns as f64 / 1e6,
-            r.per_phase_ns as f64 / 1e6,
-            r.speedup()
-        );
-    }
-    println!(
-        "phase-reuse geomean speedup (session-hosted vs per-phase): {phase_reuse_geomean:.2}x"
-    );
-    // Session hosting must never lose to per-phase composition; the
-    // smoke lane gets slack for small-n noise on shared runners.
-    let reuse_bar = if smoke() { 0.85 } else { 1.0 };
-    if phase_reuse_geomean < reuse_bar {
-        println!(
-            "REGRESSION-MARKER: phase-reuse geomean {phase_reuse_geomean:.3} < {reuse_bar:.2} — \
-             session hosting lost to per-phase engine rebuilds"
-        );
+        println!();
     }
     // --- Churn repair: incremental phase-boundary repair vs full rebuild.
     let (churn_repair, churn_repair_geomean) = bench_churn_repair();
@@ -2476,7 +1642,7 @@ fn bench_engine(c: &mut Criterion) {
         );
     }
     // --- Wide tail: staggered-termination stream, chunked vs continuous.
-    let (wide_tail, wide_tail_compact, wide_tail_refill) = run_wide_tail_section();
+    let (wide_tail, wide_tail_refill) = run_wide_tail_section();
     // --- Serving layer: pool-batched job stream vs session-per-job.
     let (serve, serve_speedup) = run_serve_section();
     if smoke() {
@@ -2549,18 +1715,12 @@ fn bench_engine(c: &mut Criterion) {
     write_json(
         &measurements,
         &scaling,
-        &mux_rings,
-        &phase_reuse,
         &churn_repair,
         &wide_batch,
         &wide_tail,
         &serve,
-        dense_geomean,
-        sparse_geomean,
-        phase_reuse_geomean,
         churn_repair_geomean,
         wide_batch_speedup_32,
-        wide_tail_compact,
         wide_tail_refill,
         serve_speedup,
         &root,

@@ -96,12 +96,6 @@ pub struct BroadcastConfig {
     pub record_payloads: bool,
     /// Engine round limit per phase.
     pub max_rounds: u64,
-    /// Host every phase on one resident [`congest_sim::Session`]
-    /// (default) instead of building a fresh engine per phase. Results
-    /// are bit-identical either way — the per-phase composition is kept
-    /// selectable for the differential tests and the `phase_reuse`
-    /// bench arm.
-    pub phase_resident: bool,
 }
 
 impl Default for BroadcastConfig {
@@ -110,7 +104,6 @@ impl Default for BroadcastConfig {
             seed: 0xB10C,
             record_payloads: false,
             max_rounds: 4_000_000,
-            phase_resident: true,
         }
     }
 }
@@ -218,15 +211,15 @@ pub fn partition_broadcast(
 }
 
 /// Theorem 1 with explicit parameters. See the module docs for the phase
-/// structure. Builds a phase host per `cfg.phase_resident` and delegates
-/// to [`partition_broadcast_hosted`].
+/// structure. Builds one resident phase host and delegates to
+/// [`partition_broadcast_hosted`].
 pub fn partition_broadcast_with(
     g: &Graph,
     input: &BroadcastInput,
     params: PartitionParams,
     cfg: &BroadcastConfig,
 ) -> Result<BroadcastOutcome, BroadcastError> {
-    let mut host = PhaseHost::new(g, cfg.phase_resident);
+    let mut host = PhaseHost::resident(g);
     partition_broadcast_hosted(&mut host, input, params, cfg)
 }
 
@@ -387,7 +380,7 @@ pub fn partition_broadcast_retrying(
     cfg: &BroadcastConfig,
     attempts: usize,
 ) -> Result<(BroadcastOutcome, usize), BroadcastError> {
-    let mut host = PhaseHost::new(g, cfg.phase_resident);
+    let mut host = PhaseHost::resident(g);
     partition_broadcast_retrying_hosted(&mut host, input, params, cfg, attempts)
 }
 
@@ -864,31 +857,41 @@ mod tests {
         }
     }
 
-    /// The session-hosted composition must reproduce the per-phase
-    /// composition bit for bit: same per-phase log, same stats, same
-    /// per-node deliveries. This pins the drivers' `phase_resident`
-    /// default against the pre-session behavior.
+    /// Nothing leaks across broadcasts on one resident host: the same
+    /// `partition_broadcast_hosted` call run second on an already-used
+    /// host must equal the call on a fresh host — per-phase rounds,
+    /// messages and all six state hashes, deliveries, tree heights.
     #[test]
-    fn phase_resident_and_per_phase_compositions_agree() {
+    fn second_broadcast_on_a_used_host_matches_a_fresh_host() {
         let g = harary(16, 48);
         let input = BroadcastInput::random_spread(&g, 96, 5);
         let params = PartitionParams::from_lambda(g.n(), 16, DEFAULT_PARTITION_C);
         let mut cfg = BroadcastConfig::with_seed(17);
         cfg.record_payloads = true;
-        assert!(cfg.phase_resident, "resident hosting is the default");
-        let resident = partition_broadcast_with(&g, &input, params, &cfg).unwrap();
-        cfg.phase_resident = false;
-        let per_phase = partition_broadcast_with(&g, &input, params, &cfg).unwrap();
-        assert_eq!(resident.total_rounds, per_phase.total_rounds);
-        assert_eq!(resident.stats, per_phase.stats);
-        assert_eq!(resident.num_subgraphs, per_phase.num_subgraphs);
-        assert_eq!(resident.subgraph_heights, per_phase.subgraph_heights);
-        assert_eq!(resident.per_node, per_phase.per_node);
-        assert_eq!(resident.expected, per_phase.expected);
-        assert_eq!(resident.phases.len(), per_phase.phases.len());
-        for ((na, sa), (nb, sb)) in resident.phases.phases().zip(per_phase.phases.phases()) {
+        let mut used = PhaseHost::resident(&g);
+        // A different broadcast first (other placement, seed and k), so
+        // every buffer the second call touches has been written before.
+        let warmup = BroadcastInput::random_spread(&g, 40, 9);
+        partition_broadcast_hosted(&mut used, &warmup, params, &BroadcastConfig::with_seed(3))
+            .unwrap();
+        let second = partition_broadcast_hosted(&mut used, &input, params, &cfg).unwrap();
+        let fresh =
+            partition_broadcast_hosted(&mut PhaseHost::resident(&g), &input, params, &cfg).unwrap();
+        assert_eq!(second.total_rounds, fresh.total_rounds);
+        assert_eq!(second.stats, fresh.stats);
+        assert_eq!(second.num_subgraphs, fresh.num_subgraphs);
+        assert_eq!(second.subgraph_heights, fresh.subgraph_heights);
+        assert_eq!(second.per_node, fresh.per_node);
+        assert_eq!(second.expected, fresh.expected);
+        assert_eq!(second.phases.len(), 6);
+        assert_eq!(second.phases.len(), fresh.phases.len());
+        for ((na, sa), (nb, sb)) in second.phases.phases().zip(fresh.phases.phases()) {
             assert_eq!(na, nb);
             assert_eq!(sa, sb, "phase {na}");
+        }
+        for ((na, ha), (_, hb)) in second.phases.hashes().zip(fresh.phases.hashes()) {
+            assert!(ha.is_some(), "phase {na} records a state hash");
+            assert_eq!(ha, hb, "state hash after phase {na}");
         }
     }
 

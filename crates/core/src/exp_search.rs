@@ -49,7 +49,7 @@ pub fn exp_search_broadcast(
     input: &BroadcastInput,
     cfg: &BroadcastConfig,
 ) -> Result<(BroadcastOutcome, ExpSearchReport), ExpSearchError> {
-    let mut host = PhaseHost::new(g, cfg.phase_resident);
+    let mut host = PhaseHost::resident(g);
     let n = g.n();
     let k = input.k() as u64;
     let mut phases = PhaseLog::new();

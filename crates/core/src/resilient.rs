@@ -165,7 +165,7 @@ pub fn resilient_broadcast(
     faults: Option<FaultPlan>,
     cfg: &BroadcastConfig,
 ) -> Result<ResilientOutcome, BroadcastError> {
-    let mut host = PhaseHost::new(g, cfg.phase_resident);
+    let mut host = PhaseHost::resident(g);
     resilient_broadcast_hosted(&mut host, input, params, replication, faults, cfg)
 }
 

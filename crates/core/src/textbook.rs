@@ -60,7 +60,7 @@ pub fn textbook_broadcast_with(
 ) -> Result<TextbookOutcome, EngineError> {
     let n = g.n();
     let k = input.k() as u64;
-    let mut host = congest_sim::PhaseHost::new(g, cfg.phase_resident);
+    let mut host = congest_sim::PhaseHost::resident(g);
     let mut phases = PhaseLog::new();
 
     let engine = |phase: u64| {

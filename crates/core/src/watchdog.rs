@@ -247,7 +247,7 @@ pub fn partition_broadcast_degrading(
     cfg: &BroadcastConfig,
     policy: &DegradePolicy,
 ) -> Result<(BroadcastOutcome, DegradeLog), BroadcastError> {
-    let mut host = PhaseHost::new(g, cfg.phase_resident);
+    let mut host = PhaseHost::resident(g);
     partition_broadcast_degrading_hosted(&mut host, input, params, cfg, policy)
 }
 
@@ -341,7 +341,7 @@ pub fn resilient_broadcast_degrading(
     cfg: &BroadcastConfig,
     policy: &DegradePolicy,
 ) -> Result<(ResilientOutcome, DegradeLog), BroadcastError> {
-    let mut host = PhaseHost::new(g, cfg.phase_resident);
+    let mut host = PhaseHost::resident(g);
     resilient_broadcast_degrading_hosted(&mut host, input, params, replication, faults, cfg, policy)
 }
 

@@ -1,21 +1,27 @@
-//! The seed-style engine, kept as a measurement arm.
+//! The seed-style engine: the **one reference interpreter** the packed
+//! engine is held to.
 //!
 //! This is (a compact copy of) the engine this workspace shipped with
 //! before the packed message plane: inboxes and outboxes are
 //! `Vec<Option<M>>` slabs, every round pays an O(arcs) `Option` clear,
-//! and delivery is a clear-then-clone pass through the reverse-arc table.
-//! `benches/sim_throughput.rs` races it against the packed engine and
-//! records the ratio in `BENCH_sim.json`; nothing else should use it.
+//! and delivery is a clear-then-clone pass through the reverse-arc table
+//! — no bitsets, no planes, no shards, no fast paths, so what it computes
+//! is plainly the model. The differential tests compare the live engine
+//! against it (outputs, stats, traces, per-edge meters, with and without
+//! a fault adversary) and `benches/sim_throughput.rs` races it against
+//! the packed engine; nothing else should use it.
 //!
 //! It drives [`BaselineProtocol`] rather than [`crate::Protocol`] because
-//! the two engines expose different context types; benchmark workloads
-//! implement both traits with identical logic so the comparison measures
-//! the message plane, not the workload.
+//! the two engines expose different context types; workloads implement
+//! both traits with identical logic so a comparison measures the message
+//! plane, not the workload.
 
+use crate::engine::RunStats;
+use crate::fault::FaultPlan;
 use crate::message::MsgBits;
 use congest_graph::{Graph, Node, Port};
 
-/// Node program for the baseline engine (bench workloads only).
+/// Node program for the baseline engine (bench and test workloads only).
 pub trait BaselineProtocol: Send {
     type Msg: Clone + Send + Sync + MsgBits;
     type Output: Send;
@@ -69,28 +75,32 @@ impl<M: Clone> BaselineCtx<'_, M> {
     }
 }
 
-/// Outcome mirror of [`crate::RunOutcome`], reduced to what the bench
-/// and the differential harness compare.
+/// Outcome mirror of [`crate::RunOutcome`]: what the bench and the
+/// differential harness compare against the packed engine's, field for
+/// field.
 pub struct BaselineOutcome<O> {
     pub outputs: Vec<O>,
-    pub rounds: u64,
-    pub total_messages: u64,
-    pub max_message_bits: usize,
+    pub stats: RunStats,
+    /// Messages delivered per round, trimmed to the last round that
+    /// delivered anything — what [`crate::RunOutcome::trace`] holds.
+    pub trace: Vec<u64>,
     /// Per-edge congestion (both directions summed), indexed by edge id —
     /// the seed engine's own `arc_traffic` counters folded exactly the
-    /// way the packed engines fold theirs, so the three-way differential
-    /// harness can assert the meters bit-identical.
+    /// way the packed engine folds its own, so the differential harness
+    /// can assert the meters bit-identical.
     pub edge_congestion: Vec<u64>,
-    pub max_edge_congestion: u64,
 }
 
 /// Run the seed-style engine (serial — the seed's parallel path brought
 /// the same O(arcs) clears and clones, so the serial arm is the honest
-/// per-core comparison).
+/// per-core comparison). `faults` is the same mobile edge adversary
+/// [`crate::EngineConfig::faults`] hands the packed engine: a message
+/// staged on an edge the plan blocks this round is dropped, not delivered.
 pub fn run_baseline<P, F>(
     graph: &Graph,
     mut factory: F,
     max_rounds: u64,
+    faults: Option<FaultPlan>,
 ) -> BaselineOutcome<P::Output>
 where
     P: BaselineProtocol,
@@ -105,9 +115,8 @@ where
     // Per-arc congestion counters, exactly as the seed engine kept them.
     let mut arc_traffic: Vec<u64> = vec![0; arcs];
 
-    let mut rounds = 0u64;
-    let mut total_messages = 0u64;
-    let mut max_message_bits = 0usize;
+    let mut stats = RunStats::default();
+    let mut trace: Vec<u64> = Vec::new();
     let mut round = 0u64;
     loop {
         assert!(round < max_rounds, "baseline round limit exceeded");
@@ -134,26 +143,39 @@ where
             };
             state.round(&mut ctx);
         }
-        // Deliver: clear-then-clone through the reverse-arc table.
+        // Deliver: clear-then-clone through the reverse-arc table. The
+        // adversary destroys what was staged on a blocked edge; a
+        // destroyed message still counts toward the size meter (it was
+        // sent), as the packed engine meters sizes at send time.
+        let blocked = faults.map(|plan| plan.blocked_mask(round, graph.m()));
         let mut delivered = 0u64;
-        for arc in 0..arcs {
-            match &outbox[graph.reverse_arc(arc)] {
-                Some(msg) => {
-                    max_message_bits = max_message_bits.max(msg.bits());
+        for v in 0..n as Node {
+            let lo = graph.arc_offset(v);
+            for (i, &e) in graph.incident_edges(v).iter().enumerate() {
+                let arc = lo + i;
+                inbox[arc] = None;
+                let Some(msg) = &outbox[graph.reverse_arc(arc)] else {
+                    continue;
+                };
+                stats.max_message_bits = stats.max_message_bits.max(msg.bits());
+                if blocked.as_ref().is_some_and(|b| b[e as usize]) {
+                    stats.dropped_messages += 1;
+                } else {
                     inbox[arc] = Some(msg.clone());
                     arc_traffic[arc] += 1;
                     delivered += 1;
                 }
-                None => inbox[arc] = None,
             }
         }
         outbox.iter_mut().for_each(|s| *s = None);
-        total_messages += delivered;
+        stats.total_messages += delivered;
+        trace.push(delivered);
         round += 1;
         if delivered > 0 {
-            rounds = round;
+            stats.rounds = round;
         }
         if delivered == 0 && done.iter().all(|&d| d) {
+            stats.iterations = round;
             break;
         }
     }
@@ -166,14 +188,13 @@ where
             per_edge[e as usize] += arc_traffic[lo + i];
         }
     }
-    let max_edge_congestion = per_edge.iter().copied().max().unwrap_or(0);
+    stats.max_edge_congestion = per_edge.iter().copied().max().unwrap_or(0);
+    trace.truncate(stats.rounds as usize);
     BaselineOutcome {
         outputs: states.into_iter().map(|s| s.finish()).collect(),
-        rounds,
-        total_messages,
-        max_message_bits,
+        stats,
+        trace,
         edge_congestion: per_edge,
-        max_edge_congestion,
     }
 }
 
@@ -224,10 +245,8 @@ mod tests {
         let g = torus2d(6, 7);
         let packed =
             run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::serial()).unwrap();
-        let base = run_baseline::<Flood, _>(&g, |_, _| Flood { heard_at: None }, 10_000);
+        let base = run_baseline::<Flood, _>(&g, |_, _| Flood { heard_at: None }, 10_000, None);
         assert_eq!(packed.outputs, base.outputs);
-        assert_eq!(packed.stats.rounds, base.rounds);
-        assert_eq!(packed.stats.total_messages, base.total_messages);
-        assert_eq!(packed.stats.max_message_bits, base.max_message_bits);
+        assert_eq!(packed.stats, base.stats);
     }
 }

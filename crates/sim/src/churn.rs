@@ -19,7 +19,7 @@
 //!
 //! The repaired engine is **bit-identical** to a freshly built one:
 //! `tests/proptest_churn.rs` pins mutate-then-run against
-//! rebuild-then-run across churn schedules × shard counts × meter modes.
+//! rebuild-then-run across churn schedules × shard counts.
 //! Phases between batches keep the resident engine's steady-state
 //! contract — a warm churn cycle (queue → apply → run) allocates nothing
 //! (pinned by `tests/zero_alloc.rs`); only a repair that *grows* an
@@ -628,17 +628,9 @@ impl ChurnSession {
     pub fn with_host<R>(&mut self, f: impl FnOnce(&mut PhaseHost<'_>) -> R) -> R {
         self.heal();
         let state = std::mem::take(&mut self.state);
-        let mut host = PhaseHost::Resident(Session::from_state(&self.graph, state));
+        let mut host = PhaseHost(Session::from_state(&self.graph, state));
         let r = f(&mut host);
-        self.state = match host {
-            PhaseHost::Resident(s) => s.into_state(),
-            // The closure swapped hosts out from under us; fall back to a
-            // fresh engine (correct, just not reuse-optimal).
-            PhaseHost::PerPhase { current, .. } => match current {
-                Some(s) => s.into_state(),
-                None => SessionState::new(&self.graph),
-            },
-        };
+        self.state = host.0.into_state();
         r
     }
 }

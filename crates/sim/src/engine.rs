@@ -41,15 +41,14 @@
 //!
 //! ## Bit-sliced congestion metering
 //!
-//! The default [`MeterMode::BitPlanes`] accumulates per-arc delivery
-//! counts in **bit-sliced counters**: six plane words per occupancy word
-//! (word-major, one cache line) hold each arc's count in binary; adding a
-//! round's delivery bits is a ripple-carry costing ~2 word ops amortized
-//! instead of up to 64 `u32` increments. Planes are flushed into the
-//! `u32` per-arc totals every 63 rounds (and once at the end), keeping
-//! overflow impossible. [`MeterMode::ArcCounters`] keeps the PR 1
-//! increment-per-round scheme for cross-checking and benchmarking; both
-//! modes produce identical [`RunStats`].
+//! Per-arc delivery counts accumulate in **bit-sliced counters**: six
+//! plane words per occupancy word (word-major, one cache line) hold each
+//! arc's count in binary; adding a round's delivery bits is a
+//! ripple-carry costing ~2 word ops amortized instead of up to 64 `u32`
+//! increments. Planes are flushed into the `u32` per-arc totals every 63
+//! rounds (and once at the end), keeping overflow impossible; the
+//! reference interpreter's plain `u64` counters pin the totals across
+//! flush boundaries.
 //!
 //! The round loop performs **zero heap allocation** after setup (enforced
 //! by `tests/zero_alloc.rs`; enabling `collect_trace` appends one `u64`
@@ -66,18 +65,6 @@
 use crate::protocol::Protocol;
 use crate::session::Session;
 use congest_graph::{Graph, Node};
-
-/// How per-arc congestion is accumulated during the deliver sweep.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum MeterMode {
-    /// Bit-sliced plane counters flushed every 63 rounds (default; ~2 word
-    /// ops per 64 arcs per round).
-    #[default]
-    BitPlanes,
-    /// The PR 1 scheme: one `u32` increment per delivered arc per round.
-    /// Kept as a cross-checked comparison arm; results are identical.
-    ArcCounters,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -96,8 +83,6 @@ pub struct EngineConfig {
     /// the pool width (serial runs use one shard). Any value produces
     /// identical results; this only shapes parallel granularity.
     pub shards: Option<usize>,
-    /// Congestion metering implementation (results identical either way).
-    pub meter: MeterMode,
     /// Sparse-round fast-path threshold: rounds whose staged per-arc send
     /// count is at most this take the worklist deliver path instead of
     /// the full shard-region sweep. `None` derives a heuristic from the
@@ -112,13 +97,6 @@ pub struct EngineConfig {
     /// Optional mobile edge adversary (paper §1.2 / \[FP23\] model; see
     /// [`crate::fault::FaultPlan`]).
     pub faults: Option<crate::fault::FaultPlan>,
-    /// Wide runs only: repack live lanes into the low bits when at most
-    /// half the sweep width is still running, so tail rounds index
-    /// narrower lane strides (see `congest_sim::wide`). Results are
-    /// identical either way — outputs, stats, and traces are always
-    /// reported under original lane ids — so this is purely a
-    /// performance policy; the differential tests pin both settings.
-    pub compact_lanes: bool,
 }
 
 impl Default for EngineConfig {
@@ -128,11 +106,9 @@ impl Default for EngineConfig {
             max_rounds: 1_000_000,
             parallel: true,
             shards: None,
-            meter: MeterMode::default(),
             sparse_threshold: None,
             collect_trace: false,
             faults: None,
-            compact_lanes: true,
         }
     }
 }
@@ -173,11 +149,6 @@ impl EngineConfig {
         self
     }
 
-    pub fn meter(mut self, meter: MeterMode) -> Self {
-        self.meter = meter;
-        self
-    }
-
     /// Pin the sparse fast-path threshold (see
     /// [`EngineConfig::sparse_threshold`]).
     pub fn sparse_threshold(mut self, threshold: usize) -> Self {
@@ -187,13 +158,6 @@ impl EngineConfig {
 
     pub fn with_faults(mut self, plan: crate::fault::FaultPlan) -> Self {
         self.faults = Some(plan);
-        self
-    }
-
-    /// Enable or disable mid-run lane compaction (see
-    /// [`EngineConfig::compact_lanes`]; on by default).
-    pub fn compact(mut self, compact_lanes: bool) -> Self {
-        self.compact_lanes = compact_lanes;
         self
     }
 }
@@ -365,15 +329,21 @@ mod tests {
     }
 
     #[test]
-    fn meter_modes_agree_across_flush_boundaries() {
+    fn plane_meters_match_reference_counters_across_flush_boundaries() {
+        use crate::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
         /// Chatter that spans several flush periods (> 63 rounds).
         struct LongPulse;
+        impl LongPulse {
+            fn speaks(node: Node, round: u64) -> bool {
+                !(node as u64 + round).is_multiple_of(3)
+            }
+        }
         impl Protocol for LongPulse {
             type Msg = u32;
             type Output = ();
             fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
                 if ctx.round < 150 {
-                    if !(ctx.node as u64 + ctx.round).is_multiple_of(3) {
+                    if Self::speaks(ctx.node, ctx.round) {
                         ctx.send_all(5);
                     }
                 } else {
@@ -382,19 +352,26 @@ mod tests {
             }
             fn finish(self) {}
         }
+        impl BaselineProtocol for LongPulse {
+            type Msg = u32;
+            type Output = ();
+            fn round(&mut self, ctx: &mut BaselineCtx<'_, u32>) {
+                if ctx.round < 150 {
+                    if Self::speaks(ctx.node, ctx.round) {
+                        ctx.send_all(5);
+                    }
+                } else {
+                    ctx.set_done(true);
+                }
+            }
+            fn finish(self) {}
+        }
+        // The bit planes flush into the `u32` totals every 63 rounds; the
+        // reference interpreter bumps one plain `u64` per delivery.
         let g = harary(6, 64);
-        let planes = run_protocol(
-            &g,
-            |_, _| LongPulse,
-            EngineConfig::serial().meter(MeterMode::BitPlanes),
-        )
-        .unwrap();
-        let counters = run_protocol(
-            &g,
-            |_, _| LongPulse,
-            EngineConfig::serial().meter(MeterMode::ArcCounters),
-        )
-        .unwrap();
+        let planes = run_protocol(&g, |_, _| LongPulse, EngineConfig::serial()).unwrap();
+        let counters = run_baseline::<LongPulse, _>(&g, |_, _| LongPulse, 1_000, None);
+        assert_eq!(planes.edge_congestion, counters.edge_congestion);
         assert_eq!(planes.stats, counters.stats);
         assert!(planes.stats.max_edge_congestion > 63, "spans a flush");
     }

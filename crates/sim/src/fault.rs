@@ -107,11 +107,11 @@ impl FaultPlan {
 
     /// [`FaultPlan::blocked_edges`] into a caller-owned buffer. Keeps the
     /// legacy `O(budget²)` linear dedup scan — fine at classic adversary
-    /// scale, and allocation-free for the frozen comparison engines
-    /// (`pr1`) that call it per round with only a `Vec` of scratch. The
-    /// session engine uses [`FaultPlan::blocked_edges_into_marked`],
-    /// which replaces the scan with an `O(1)`-per-draw mark-bitset;
-    /// `proptest_fault` pins the two bit-identical.
+    /// scale, and what the reference interpreter ([`crate::baseline`])
+    /// draws its blocked set through. The session engine uses
+    /// [`FaultPlan::blocked_edges_into_marked`], which replaces the scan
+    /// with an `O(1)`-per-draw mark-bitset; `proptest_fault` pins the two
+    /// bit-identical.
     pub fn blocked_edges_into(&self, round: u64, m: usize, out: &mut Vec<Edge>) {
         out.clear();
         if round < self.start_round || self.edges_per_round == 0 || m == 0 {

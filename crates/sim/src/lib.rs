@@ -32,10 +32,10 @@
 //! the round loop allocates nothing (see [`engine`]). Rounds whose staged
 //! traffic is sparse take a worklist fast path — deliver cost is
 //! O(traffic), not O(arcs) (see [`engine::EngineConfig::sparse_threshold`]).
-//! The pre-packing `Vec<Option<Msg>>` engine survives in [`baseline`],
-//! the PR 1 round loop in [`pr1`], and the PR 2 single-tier ring
-//! multiplexer in [`pr2`] — the frozen comparison arms of
-//! `benches/sim_throughput.rs` and the differential test harnesses.
+//! The pre-packing `Vec<Option<Msg>>` engine survives in [`baseline`] as
+//! the one reference interpreter: the differential test harnesses hold
+//! the live engine to it, faults included, and
+//! `benches/sim_throughput.rs` races the two.
 //!
 //! Per-node randomness comes from a counter-based RNG seeded by
 //! `mix(run_seed, node_id)` ([`rng::node_rng`]), making whole runs
@@ -60,8 +60,6 @@ pub mod fault;
 pub mod message;
 pub mod phase;
 pub mod pool;
-pub mod pr1;
-pub mod pr2;
 pub mod protocol;
 pub mod rng;
 pub mod sched;
@@ -71,7 +69,7 @@ pub mod snapshot;
 pub mod wide;
 
 pub use churn::{ChurnError, ChurnReport, ChurnSession, ChurnStats, Mutation, MutationQueue};
-pub use engine::{run_protocol, EngineConfig, EngineError, MeterMode, RunOutcome, RunStats};
+pub use engine::{run_protocol, EngineConfig, EngineError, RunOutcome, RunStats};
 pub use fault::{ChurnPlan, EdgeMarks, FaultPlan};
 pub use message::{MsgBits, MsgWord, PackedMsg};
 pub use phase::PhaseLog;

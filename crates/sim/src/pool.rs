@@ -28,16 +28,13 @@
 //! executes them on [`PoolServer::drain`]. Batching policy:
 //!
 //! * jobs group by **(graph key, protocol family)**;
-//! * a wide-worthy (quiescent) group runs **continuously batched** by
-//!   default ([`PoolServer::set_refill`]): one
+//! * a wide-worthy (quiescent) group runs **continuously batched**: one
 //!   [`WideSession::run_refill`] sweep at most [`MAX_LANES`] wide, where
 //!   every lane that finishes frees a slot that is refilled from the
 //!   group's tail mid-sweep — so a group of hundreds of jobs keeps the
 //!   sweep full instead of draining batch by batch. Each job keeps its
 //!   own seed and fault plan via [`LaneSpec`], and rounds are
-//!   lane-local, so a refilled job is oblivious to when it was admitted.
-//!   With refill disabled the group is chunked into fixed
-//!   [`MAX_LANES`]-wide [`WideSession::run`] batches;
+//!   lane-local, so a refilled job is oblivious to when it was admitted;
 //! * singletons and dense (non-quiescent) families fall back to a
 //!   sequential [`crate::Session`] — a dense lane would step every round
 //!   anyway, so it only dilutes the shared sweep.
@@ -687,10 +684,6 @@ pub struct PoolServer {
     queue: VecDeque<(JobId, Job)>,
     capacity: usize,
     config: EngineConfig,
-    /// Steady-state continuous batching: run each wide-worthy group as
-    /// one [`WideSession::run_refill`] sweep (any size), refilling freed
-    /// slots mid-sweep, instead of chunked [`WideSession::run`] batches.
-    refill: bool,
     next_id: u64,
     meters: HashMap<Tenant, TenantMeter>,
     batched_jobs: u64,
@@ -701,8 +694,7 @@ pub struct PoolServer {
 impl PoolServer {
     /// A server whose runs share `config` (each job's `seed`/`faults`
     /// supersede the config's) and whose queue holds at most
-    /// `queue_capacity` pending jobs. Continuous batching
-    /// ([`PoolServer::set_refill`]) is on by default.
+    /// `queue_capacity` pending jobs.
     pub fn new(config: EngineConfig, queue_capacity: usize) -> PoolServer {
         assert!(queue_capacity > 0, "queue capacity must be positive");
         PoolServer {
@@ -710,7 +702,6 @@ impl PoolServer {
             queue: VecDeque::with_capacity(queue_capacity),
             capacity: queue_capacity,
             config,
-            refill: true,
             next_id: 0,
             meters: HashMap::new(),
             batched_jobs: 0,
@@ -734,25 +725,6 @@ impl PoolServer {
     /// [`SessionPool::set_warm_limit`] and [`SessionPool::set_policy`].
     pub fn pool_mut(&mut self) -> &mut SessionPool {
         &mut self.pool
-    }
-
-    /// Toggle continuous batching. On (the default), each wide-worthy
-    /// group drains as **one** [`WideSession::run_refill`] sweep — lanes
-    /// that finish free slots that are refilled from the group
-    /// mid-sweep, and a lane that blows the round budget retires alone
-    /// (per-lane failure) instead of failing its whole batch. Off, the
-    /// group is chunked into fixed [`MAX_LANES`]-wide [`WideSession::run`]
-    /// batches with the whole-batch-fail + solo-retry fallback. Results
-    /// are bit-identical either way (both are pinned to the isolated
-    /// oracle); the difference is throughput under staggered
-    /// termination and how failures are executed.
-    pub fn set_refill(&mut self, refill: bool) {
-        self.refill = refill;
-    }
-
-    /// Whether continuous batching is enabled.
-    pub fn refill_enabled(&self) -> bool {
-        self.refill
     }
 
     /// Jobs waiting in the queue.
@@ -796,13 +768,19 @@ impl PoolServer {
     }
 
     /// Admit `job`, draining the backlog into `completed` first if the
-    /// queue is full — the blocking face of the bounded queue.
+    /// queue is full — the blocking face of the bounded queue. The graph
+    /// key is validated again after that drain: its eviction pass may age
+    /// out the job's own graph, and a job must never be queued for a key
+    /// the pool no longer holds.
     pub fn submit(&mut self, job: Job, completed: &mut Vec<JobOutput>) -> Result<JobId, PoolError> {
         if !self.pool.contains(job.graph) {
             return Err(PoolError::UnknownGraph(job.graph));
         }
         if self.queue.len() >= self.capacity {
             self.drain(completed);
+            if !self.pool.contains(job.graph) {
+                return Err(PoolError::UnknownGraph(job.graph));
+            }
         }
         Ok(self.enqueue(job))
     }
@@ -855,19 +833,11 @@ impl PoolServer {
                 for job in group {
                     self.run_solo(job, out);
                 }
-            } else if self.refill {
+            } else {
                 // Continuous batching: the whole group — even past
                 // MAX_LANES — is one sweep whose freed slots refill from
                 // the group's tail.
                 self.run_refill_group(group, out);
-            } else {
-                for chunk in group.chunks(MAX_LANES) {
-                    if chunk.len() == 1 {
-                        self.run_solo(&chunk[0], out);
-                    } else {
-                        self.run_wide_chunk(chunk, out);
-                    }
-                }
             }
             i = j;
         }
@@ -887,38 +857,6 @@ impl PoolServer {
             .with_session(job.graph, |s| run_spec_on_session(s, &spec, cfg));
         self.solo_jobs += 1;
         self.record(*id, job, res, false, false, out);
-    }
-
-    fn run_wide_chunk(&mut self, chunk: &[(JobId, Job)], out: &mut Vec<JobOutput>) {
-        let lanes: Vec<LaneSpec> = chunk
-            .iter()
-            .map(|(_, j)| LaneSpec {
-                seed: j.seed,
-                faults: j.faults,
-            })
-            .collect();
-        let specs: Vec<JobSpec> = chunk.iter().map(|(_, j)| j.protocol.clone()).collect();
-        let cfg = self.config.clone();
-        let res = self
-            .pool
-            .with_wide(chunk[0].1.graph, |w| run_specs_wide(w, &lanes, &specs, cfg));
-        match res {
-            Ok(results) => {
-                for ((id, job), r) in chunk.iter().zip(results) {
-                    self.batched_jobs += 1;
-                    self.record(*id, job, Ok(r), true, false, out);
-                }
-            }
-            Err(_) => {
-                // One lane blowing the shared round budget fails the
-                // whole wide run; retry each job alone so unaffected
-                // tenants still complete and the offender fails exactly
-                // as its isolated run would.
-                for job in chunk {
-                    self.run_solo(job, out);
-                }
-            }
-        }
     }
 
     /// Run one wide-worthy group as a single continuously batched sweep:
@@ -1086,43 +1024,6 @@ fn run_spec_on_session(
             let stats = ph.stats;
             Ok((ph.take_outputs(), stats))
         }
-    }
-}
-
-fn run_specs_wide(
-    w: &mut WideSession<'_>,
-    lanes: &[LaneSpec],
-    specs: &[JobSpec],
-    cfg: EngineConfig,
-) -> Result<Vec<(Vec<u64>, RunStats)>, EngineError> {
-    match specs[0].family() {
-        Family::FloodMax => {
-            let mut o = w.run(lanes, |v, _, _| FloodMax { best: v as u64 }, cfg)?;
-            Ok((0..o.lanes())
-                .map(|l| (o.take_lane_outputs(l), o.stats(l)))
-                .collect())
-        }
-        Family::Rumor => {
-            let sources: Vec<Node> = specs
-                .iter()
-                .map(|s| match s {
-                    JobSpec::Rumor { source } => *source,
-                    _ => unreachable!("mixed families in one lane group"),
-                })
-                .collect();
-            let mut o = w.run(
-                lanes,
-                |v, l, _| Rumor {
-                    is_source: v == sources[l],
-                    heard: u64::MAX,
-                },
-                cfg,
-            )?;
-            Ok((0..o.lanes())
-                .map(|l| (o.take_lane_outputs(l), o.stats(l)))
-                .collect())
-        }
-        Family::Gossip => unreachable!("dense families never batch wide"),
     }
 }
 
@@ -1374,9 +1275,8 @@ mod tests {
 
     #[test]
     fn round_limit_fails_per_job_not_per_batch() {
-        // Two lanes whose isolated runs terminate inside the budget and
-        // one that cannot: the wide run fails, the fallback retries each
-        // alone, and only the offender reports RoundLimit.
+        // Two jobs whose isolated runs terminate inside the budget and
+        // one that cannot: only the offender reports RoundLimit.
         let mut cfg = EngineConfig::serial();
         cfg.max_rounds = 8;
         let mut server = PoolServer::new(cfg, 8);
@@ -1405,37 +1305,10 @@ mod tests {
     }
 
     #[test]
-    fn wide_group_failure_falls_back_to_solo() {
-        // The legacy chunked path (refill off): FloodMax on a long cycle
-        // needs ~n/2 rounds; a 3-round budget fails the wide group, and
-        // the per-job fallback then fails each job exactly as its
-        // isolated run would.
-        let mut cfg = EngineConfig::serial();
-        cfg.max_rounds = 3;
-        let mut server = PoolServer::new(cfg, 8);
-        server.set_refill(false);
-        let k = server.register_graph(cycle(32));
-        for s in 0..3 {
-            server
-                .try_submit(mk_job(k, JobSpec::FloodMax, s, 0))
-                .unwrap();
-        }
-        let mut out = Vec::new();
-        server.drain(&mut out);
-        assert_eq!(out.len(), 3);
-        for o in &out {
-            assert_eq!(o.status, JobStatus::RoundLimit { limit: 3 });
-            assert!(!o.batched);
-        }
-        assert_eq!(server.batched_jobs(), 0);
-        assert_eq!(server.solo_jobs(), 3);
-    }
-
-    #[test]
     fn refill_drain_fails_round_limit_lanes_alone() {
-        // Same blown-budget group under continuous batching (the
-        // default): every lane retires as its own RoundLimit — same
-        // statuses as the fallback path, but no solo re-runs.
+        // FloodMax on a long cycle needs ~n/2 rounds; under a 3-round
+        // budget every lane of the group retires as its own RoundLimit,
+        // exactly as its isolated run would fail — no solo re-runs.
         let mut cfg = EngineConfig::serial();
         cfg.max_rounds = 3;
         let mut server = PoolServer::new(cfg, 8);
@@ -1623,6 +1496,47 @@ mod tests {
                 .try_submit(mk_job(ka, JobSpec::FloodMax, 3, 0))
                 .unwrap();
         }
+    }
+
+    #[test]
+    fn submit_rechecks_the_graph_after_its_inline_drain() {
+        // Capacity 1 and `max_graphs = 1`: every `submit` on the full
+        // queue drains inline, and that drain's eviction pass ages out
+        // whichever graph was not just used — the one being submitted.
+        // The job must be refused, not queued for an unregistered key
+        // (which made the next drain panic in `entry_index`).
+        let mut server = PoolServer::new(EngineConfig::serial(), 1);
+        let (ga, gb) = (harary(4, 16), cycle(10));
+        let ka = server.register_graph(ga.clone());
+        let kb = server.register_graph(gb.clone());
+        server.pool_mut().set_policy(EvictionPolicy {
+            max_graphs: 1,
+            max_warm_bytes: usize::MAX,
+        });
+        let mut out = Vec::new();
+        server
+            .submit(mk_job(ka, JobSpec::FloodMax, 0, 0), &mut out)
+            .unwrap();
+        for turn in 1..=4u64 {
+            let (key, graph, other) = if turn % 2 == 1 {
+                (kb, &gb, ka)
+            } else {
+                (ka, &ga, kb)
+            };
+            let job = mk_job(key, JobSpec::FloodMax, turn, 0);
+            assert_eq!(
+                server.submit(job.clone(), &mut out),
+                Err(PoolError::UnknownGraph(key)),
+                "turn {turn}: the inline drain evicted the submitted graph"
+            );
+            assert_eq!(server.queued(), 0);
+            assert!(server.pool().contains(other));
+            assert_eq!(server.register_graph(graph.clone()), key);
+            server.submit(job, &mut out).unwrap();
+        }
+        server.drain(&mut out);
+        assert_eq!(out.len(), 5);
+        assert!(out.iter().all(|o| o.status == JobStatus::Done));
     }
 
     #[test]

@@ -30,10 +30,7 @@
 //! `n × capacity` the resident footprint is one line per port, not the
 //! whole slab. Exceeding the declared capacity panics with the observed
 //! port — an honest signal that the congestion bound fed to the scheduler
-//! was wrong. (The PR 1 `VecDeque`-queue multiplexer survives as
-//! [`crate::pr1::Pr1Multiplexed`] and the PR 2 single-tier ring
-//! multiplexer as [`crate::pr2::Pr2Multiplexed`] — the bench comparison
-//! arms.)
+//! was wrong.
 //!
 //! Sub-protocols run against node-local **packed** buffers (the same word
 //! slab + occupancy bitset shape the engine uses, via

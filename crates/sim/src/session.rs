@@ -38,13 +38,13 @@
 //! message word than any before it, a phase whose shard count differs
 //! from the cached [`congest_graph::ShardPlan`], a phase whose
 //! node-cell/output/trace footprint exceeds the session's high-water
-//! mark, and the session's first `BitPlanes` phase (meter planes) /
-//! first unfaulted phase (broadcast-plane bookkeeping).
+//! mark, and the session's first phase (meter planes) / first unfaulted
+//! phase (broadcast-plane bookkeeping).
 //!
 //! [`crate::run_protocol`] is a thin one-phase wrapper: it builds a
 //! session, runs the protocol, and returns an owned outcome.
 
-use crate::engine::{EngineConfig, EngineError, MeterMode, RunOutcome, RunStats};
+use crate::engine::{EngineConfig, EngineError, RunOutcome, RunStats};
 use crate::message::{MsgWord, PackedMsg};
 use crate::protocol::{BcastIn, BcastOut, InSlot, NodeCtx, OutSlot, Protocol};
 use crate::rng::node_rng;
@@ -358,9 +358,8 @@ impl SessionState {
             out_mask: vec![0; arcs],
             arc_traffic: vec![0; arcs],
             // Meter planes and broadcast-plane bookkeeping are sized
-            // lazily by the first phase that needs them (a BitPlanes /
-            // unfaulted phase respectively), mirroring the conditional
-            // allocations the pre-session engine made per call.
+            // lazily by the first phase that needs them (any phase / an
+            // unfaulted phase respectively).
             planes: Vec::new(),
             bcast_stage: Vec::new(),
             bcast_occ: Vec::new(),
@@ -433,11 +432,11 @@ impl SessionState {
     ///
     /// Only **nonzero** words contribute (tagged by buffer and index),
     /// which makes the hash invariant across serial/parallel execution,
-    /// shard counts, meter modes, lazily-sized buffers, and resident vs
-    /// per-phase hosting — everything the differential oracles prove
-    /// irrelevant to results. `bcast_occ` is excluded outright: its
-    /// contents are unspecified at rest (readers are gated on a
-    /// per-phase flag), exactly why [`SessionState::scrub`] skips it.
+    /// shard counts, lazily-sized buffers, and a reused vs a fresh engine
+    /// — everything the differential oracles prove irrelevant to
+    /// results. `bcast_occ` is excluded outright: its contents are
+    /// unspecified at rest (readers are gated on a per-phase flag),
+    /// exactly why [`SessionState::scrub`] skips it.
     /// The buffer sizes that *are* semantic (arcs, edges) and the
     /// clean flag are folded in as a prefix.
     pub(crate) fn state_hash(&self) -> u64 {
@@ -451,7 +450,9 @@ impl SessionState {
             }
             h
         }
-        let mut h = Self::hash_base(self.out_mask.len(), self.per_edge.len(), self.clean);
+        let mut h = mix64(0x5348_0001 ^ self.out_mask.len() as u64)
+            ^ mix64(0x5348_0002 ^ self.per_edge.len() as u64)
+            ^ mix64(0x5348_0003 ^ self.clean as u64);
         h = fold(h, 1, self.in_occ.iter().copied());
         h = fold(h, 2, self.out_mask.iter().map(|&b| b as u64));
         h = fold(h, 3, self.arc_traffic.iter().map(|&w| w as u64));
@@ -462,21 +463,6 @@ impl SessionState {
         h = fold(h, 8, self.per_edge.iter().copied());
         h = fold(h, 9, self.trace_buf.iter().copied());
         mix64(h)
-    }
-
-    /// The hash prefix shared by [`SessionState::state_hash`] and
-    /// [`SessionState::fresh_hash`].
-    fn hash_base(arcs: usize, m: usize, clean: bool) -> u64 {
-        use crate::rng::mix64;
-        mix64(0x5348_0001 ^ arcs as u64)
-            ^ mix64(0x5348_0002 ^ m as u64)
-            ^ mix64(0x5348_0003 ^ clean as u64)
-    }
-
-    /// What a freshly built (all-zero, clean) state for `graph` hashes
-    /// to, without building one.
-    pub(crate) fn fresh_hash(graph: &Graph) -> u64 {
-        crate::rng::mix64(Self::hash_base(graph.num_arcs(), graph.m(), true))
     }
 
     /// The cached shard-plan key (0 = no plan cached). The plan itself
@@ -650,11 +636,9 @@ impl SessionState {
         let bcast_enabled = config.faults.is_none();
 
         // --- Lazily size the meter planes and broadcast-plane
-        // bookkeeping on first use (an ArcCounters or faulted phase
-        // never pays for them — matching the conditional allocations
-        // the pre-session engine made per call). Growth happens at most
-        // once per buffer per session.
-        if config.meter == MeterMode::BitPlanes && self.planes.len() < occ_words * slab::PLANES {
+        // bookkeeping on first use (a faulted phase never pays for the
+        // latter). Growth happens at most once per buffer per session.
+        if self.planes.len() < occ_words * slab::PLANES {
             self.planes.resize(occ_words * slab::PLANES, 0);
         }
         if bcast_enabled {
@@ -663,9 +647,7 @@ impl SessionState {
                 self.bcast_occ.resize(node_words, 0);
                 self.node_traffic.resize(n, 0);
             }
-            if config.meter == MeterMode::BitPlanes
-                && self.node_planes.len() < node_words * slab::PLANES
-            {
+            if self.node_planes.len() < node_words * slab::PLANES {
                 self.node_planes.resize(node_words * slab::PLANES, 0);
             }
         }
@@ -759,16 +741,10 @@ impl SessionState {
         let in_occ: &mut [u64] = in_occ;
         let out_mask: &mut [u8] = out_mask;
         let arc_traffic: &mut [u32] = arc_traffic;
-        let planes: &mut [u64] = match config.meter {
-            MeterMode::BitPlanes => planes,
-            MeterMode::ArcCounters => &mut [],
-        };
+        let planes: &mut [u64] = planes;
         let bcast_stage: &mut [u8] = &mut bcast_stage[..bcast_len];
         let bcast_occ: &mut [u64] = &mut bcast_occ[..if bcast_enabled { node_words } else { 0 }];
-        let node_planes: &mut [u64] = match config.meter {
-            MeterMode::BitPlanes if bcast_enabled => node_planes,
-            _ => &mut [],
-        };
+        let node_planes: &mut [u64] = if bcast_enabled { node_planes } else { &mut [] };
         let node_traffic: &mut [u32] = &mut node_traffic[..bcast_len];
         let meters: &mut [ShardMeter] = meters;
         let agg_buf: &mut [RoundAgg] = agg_buf;
@@ -929,8 +905,7 @@ impl SessionState {
             // `crate::engine` for the invariants.
             std::mem::swap(&mut in_words, &mut out_words);
             std::mem::swap(&mut bcast_in_words, &mut bcast_out_words);
-            let flush_now = config.meter == MeterMode::BitPlanes
-                && rounds_since_flush + 1 == slab::FLUSH_PERIOD;
+            let flush_now = rounds_since_flush + 1 == slab::FLUSH_PERIOD;
             let staged_total: u64 = meters.iter().map(|m| m.staged as u64).sum();
             let fold_bcast = use_plane && meters.iter().any(|m| m.bcast_used);
             let wl_overflow = meters
@@ -1020,17 +995,10 @@ impl SessionState {
                         }
                         in_occ[w] |= bit;
                         sparse_delivered += 1;
-                        match config.meter {
-                            MeterMode::BitPlanes => {
-                                slab::planes_add(
-                                    &mut planes[w * slab::PLANES..(w + 1) * slab::PLANES],
-                                    bit,
-                                );
-                            }
-                            MeterMode::ArcCounters => {
-                                arc_traffic[dest] = arc_traffic[dest].saturating_add(1);
-                            }
-                        }
+                        slab::planes_add(
+                            &mut planes[w * slab::PLANES..(w + 1) * slab::PLANES],
+                            bit,
+                        );
                     }
                 }
                 if !set_words.is_empty() {
@@ -1047,7 +1015,6 @@ impl SessionState {
                 let racy_node_planes = RacyCells::new(&mut *node_planes);
                 let racy_node_traffic = RacyCells::new(&mut *node_traffic);
                 let racy_meters = RacyCells::new(&mut *meters);
-                let meter_mode = config.meter;
                 let deliver_shard = |s: usize| {
                     let words = plan.words(s);
                     let arcs_range = plan.arcs_of(s);
@@ -1064,53 +1031,22 @@ impl SessionState {
                     };
                     let mut delivered = 0u64;
                     if run_full_sweep {
-                        match meter_mode {
-                            MeterMode::BitPlanes => {
-                                let planes_s = unsafe {
-                                    racy_planes.slice_mut(w_lo * slab::PLANES, w_hi * slab::PLANES)
-                                };
-                                for (i, occ_word) in occ_s.iter_mut().enumerate() {
-                                    let lo = w_lo * 64 + i * 64;
-                                    let hi = (lo + 64).min(a_hi);
-                                    let mask = &mut mask_s[lo - a_lo..hi - a_lo];
-                                    let bits = slab::pack_bytes(mask);
-                                    *occ_word = bits;
-                                    if bits != 0 {
-                                        mask.fill(0);
-                                        delivered += bits.count_ones() as u64;
-                                        slab::planes_add(
-                                            &mut planes_s[i * slab::PLANES..(i + 1) * slab::PLANES],
-                                            bits,
-                                        );
-                                    }
-                                }
-                            }
-                            MeterMode::ArcCounters => {
-                                let traffic_s = unsafe { racy_traffic.slice_mut(a_lo, a_hi) };
-                                for (i, occ_word) in occ_s.iter_mut().enumerate() {
-                                    let lo = w_lo * 64 + i * 64;
-                                    let hi = (lo + 64).min(a_hi);
-                                    let mask = &mut mask_s[lo - a_lo..hi - a_lo];
-                                    let traffic = &mut traffic_s[lo - a_lo..hi - a_lo];
-                                    let bits = slab::pack_bytes(mask);
-                                    *occ_word = bits;
-                                    if bits != 0 {
-                                        mask.fill(0);
-                                        delivered += bits.count_ones() as u64;
-                                        if bits == u64::MAX {
-                                            for t in traffic.iter_mut() {
-                                                *t = t.saturating_add(1);
-                                            }
-                                        } else {
-                                            let mut b = bits;
-                                            while b != 0 {
-                                                let t = &mut traffic[b.trailing_zeros() as usize];
-                                                *t = t.saturating_add(1);
-                                                b &= b - 1;
-                                            }
-                                        }
-                                    }
-                                }
+                        let planes_s = unsafe {
+                            racy_planes.slice_mut(w_lo * slab::PLANES, w_hi * slab::PLANES)
+                        };
+                        for (i, occ_word) in occ_s.iter_mut().enumerate() {
+                            let lo = w_lo * 64 + i * 64;
+                            let hi = (lo + 64).min(a_hi);
+                            let mask = &mut mask_s[lo - a_lo..hi - a_lo];
+                            let bits = slab::pack_bytes(mask);
+                            *occ_word = bits;
+                            if bits != 0 {
+                                mask.fill(0);
+                                delivered += bits.count_ones() as u64;
+                                slab::planes_add(
+                                    &mut planes_s[i * slab::PLANES..(i + 1) * slab::PLANES],
+                                    bits,
+                                );
                             }
                         }
                     }
@@ -1160,33 +1096,19 @@ impl SessionState {
                                     b &= b - 1;
                                     delivered += graph.degree(v as Node) as u64;
                                 }
-                                match meter_mode {
-                                    MeterMode::BitPlanes => {
-                                        let planes_w = unsafe {
-                                            racy_node_planes.slice_mut(
-                                                (nw.start + i) * slab::PLANES,
-                                                (nw.start + i + 1) * slab::PLANES,
-                                            )
-                                        };
-                                        slab::planes_add(planes_w, bits);
-                                    }
-                                    MeterMode::ArcCounters => {
-                                        let traffic =
-                                            unsafe { racy_node_traffic.slice_mut(lo, hi) };
-                                        let mut b = bits;
-                                        while b != 0 {
-                                            let t = &mut traffic[b.trailing_zeros() as usize];
-                                            *t = t.saturating_add(1);
-                                            b &= b - 1;
-                                        }
-                                    }
-                                }
+                                let planes_w = unsafe {
+                                    racy_node_planes.slice_mut(
+                                        (nw.start + i) * slab::PLANES,
+                                        (nw.start + i + 1) * slab::PLANES,
+                                    )
+                                };
+                                slab::planes_add(planes_w, bits);
                             }
                         }
                     }
                     // Node-plane flush runs on the arc-plane cadence
                     // whether or not this round folded the plane.
-                    if bcast_enabled && flush_now && meter_mode == MeterMode::BitPlanes {
+                    if bcast_enabled && flush_now {
                         let nw = plan.node_words(s);
                         let b_hi = plan.node_word_nodes(s).end;
                         for w in nw {
@@ -1256,7 +1178,7 @@ impl SessionState {
 
         // Final plane flush so `arc_traffic`/`node_traffic` hold exact
         // totals (and the planes return to all-zero for the next phase).
-        if config.meter == MeterMode::BitPlanes && rounds_since_flush > 0 {
+        if rounds_since_flush > 0 {
             for w in 0..occ_words {
                 let lo = w * 64;
                 let hi = (lo + 64).min(arcs);
@@ -1358,8 +1280,8 @@ impl<'g> Session<'g> {
 
     /// Hash of the resident engine state — eight bytes that sign the
     /// state a continuation would start from. Invariant across
-    /// serial/parallel execution, shard counts, meter modes, and
-    /// resident vs per-phase hosting; see [`crate::snapshot`].
+    /// serial/parallel execution, shard counts, and a reused vs a fresh
+    /// engine; see [`crate::snapshot`].
     pub fn state_hash(&self) -> u64 {
         self.state.state_hash()
     }
@@ -1453,7 +1375,8 @@ impl<'g> Session<'g> {
     /// session-resident equivalent of [`crate::run_protocol`], reusing
     /// every buffer of the previous phase. Per-node RNGs are re-derived
     /// from `config.seed` exactly as `run_protocol` derives them, so a
-    /// session-hosted composition is bit-identical to the per-phase one.
+    /// session-hosted composition is bit-identical to one `run_protocol`
+    /// call per phase.
     ///
     /// # Example
     ///
@@ -1507,96 +1430,37 @@ impl<'g> Session<'g> {
     }
 }
 
-/// How a multi-phase driver hosts its engine: one **resident** session
-/// reused by every phase (the default — zero engine churn between
-/// phases), or a **fresh engine per phase** (exactly the pre-session
-/// `run_protocol` composition, kept selectable so differential tests and
-/// the `phase_reuse` bench can race the two compositions bit-for-bit).
-pub enum PhaseHost<'g> {
-    /// One session owns the engine state for the whole composition.
-    Resident(Session<'g>),
-    /// Every phase rebuilds the engine from scratch (slabs, bitsets,
-    /// planes, plan), like a standalone `run_protocol` call does. The
-    /// previous phase's engine is dropped when the next phase starts.
-    PerPhase {
-        graph: &'g Graph,
-        current: Option<Session<'g>>,
-    },
-}
+/// The engine host the multi-phase drivers thread through their phases:
+/// one resident [`Session`] reused by every phase. Kept as a name of its
+/// own because `benchmark/` and the drivers' `*_hosted` signatures spell
+/// it; it adds nothing to the session it wraps.
+pub struct PhaseHost<'g>(pub(crate) Session<'g>);
 
 impl<'g> PhaseHost<'g> {
     /// A host backed by one resident session.
     pub fn resident(graph: &'g Graph) -> Self {
-        PhaseHost::Resident(Session::new(graph))
-    }
-
-    /// A host that rebuilds the engine for every phase.
-    pub fn per_phase(graph: &'g Graph) -> Self {
-        PhaseHost::PerPhase {
-            graph,
-            current: None,
-        }
-    }
-
-    /// Pick a host per `phase_resident` (the drivers' config knob).
-    pub fn new(graph: &'g Graph, phase_resident: bool) -> Self {
-        if phase_resident {
-            Self::resident(graph)
-        } else {
-            Self::per_phase(graph)
-        }
+        PhaseHost(Session::new(graph))
     }
 
     /// The graph this host executes on.
     pub fn graph(&self) -> &'g Graph {
-        match self {
-            PhaseHost::Resident(s) => s.graph(),
-            PhaseHost::PerPhase { graph, .. } => graph,
-        }
+        self.0.graph()
     }
 
-    /// [`Session::state_hash`] of the hosted engine. Because the hash
-    /// folds only nonzero state, both host modes report the **same**
-    /// value at every phase boundary (a per-phase host's fresh engine
-    /// ends a phase with exactly the state a resident one carries
-    /// forward); before any phase has run it equals the fresh-state
-    /// hash. Drivers record this into their [`crate::PhaseLog`] via
+    /// [`Session::state_hash`] of the hosted engine. Drivers record this
+    /// into their [`crate::PhaseLog`] via
     /// [`crate::PhaseLog::record_hashed`] — the checkpoint signal.
     pub fn state_hash(&self) -> u64 {
-        match self {
-            PhaseHost::Resident(s) => s.state_hash(),
-            PhaseHost::PerPhase {
-                current: Some(s), ..
-            } => s.state_hash(),
-            PhaseHost::PerPhase { graph, .. } => SessionState::fresh_hash(graph),
-        }
+        self.0.state_hash()
     }
 
     /// Snapshot the hosted engine at the current phase boundary (see
-    /// [`Session::snapshot_into`]). Returns `false` — leaving `out`
-    /// empty — when the host holds no engine yet (a per-phase host
-    /// before its first phase has nothing to checkpoint).
-    pub fn snapshot_into(&self, out: &mut Vec<u8>) -> bool {
-        match self {
-            PhaseHost::Resident(s) => {
-                s.snapshot_into(out);
-                true
-            }
-            PhaseHost::PerPhase {
-                current: Some(s), ..
-            } => {
-                s.snapshot_into(out);
-                true
-            }
-            PhaseHost::PerPhase { .. } => {
-                out.clear();
-                false
-            }
-        }
+    /// [`Session::snapshot_into`]).
+    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
+        self.0.snapshot_into(out)
     }
 
-    /// Run one phase. Identical semantics to [`Session::run`]; the
-    /// per-phase variant pays a fresh engine build first.
+    /// Run one phase; identical semantics to [`Session::run`].
     pub fn run<'s, P, F>(
         &'s mut self,
         factory: F,
@@ -1606,14 +1470,6 @@ impl<'g> PhaseHost<'g> {
         P: Protocol,
         F: FnMut(Node, &Graph) -> P,
     {
-        match self {
-            PhaseHost::Resident(s) => s.run(factory, config),
-            PhaseHost::PerPhase { graph, current } => {
-                // Drop the previous phase's engine, build a fresh one —
-                // the allocation/zeroing churn the resident host avoids.
-                *current = None;
-                current.insert(Session::new(graph)).run(factory, config)
-            }
-        }
+        self.0.run(factory, config)
     }
 }

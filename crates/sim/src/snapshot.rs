@@ -70,8 +70,8 @@
 //! buffers (tagged by buffer and index) through the same splitmix64
 //! finalizer the graph fingerprint uses. Folding only nonzero words
 //! makes the hash invariant across everything that must not matter:
-//! serial vs parallel execution, shard counts, meter modes, lazily-sized
-//! buffers, and resident vs per-phase hosting. At a clean phase boundary
+//! serial vs parallel execution, shard counts, lazily-sized buffers, and
+//! a reused vs a fresh engine. At a clean phase boundary
 //! the breadcrumb-zero contract means the hash effectively signs the
 //! last phase's per-edge congestion profile and trace — recorded into
 //! [`crate::PhaseLog`] via [`crate::PhaseLog::record_hashed`], two hosts

@@ -47,7 +47,7 @@
 //! (never the broadcast plane) — the engine's adaptive plane fallback
 //! already guarantees that substitution is result-identical, and
 //! `tests/proptest_wide.rs` pins the equivalence across shard counts ×
-//! meter modes × per-lane fault plans.
+//! per-lane fault plans.
 //!
 //! ## What a wide round costs
 //!
@@ -68,13 +68,13 @@
 //! alive for one straggler each. Two mechanisms close that gap
 //! (DESIGN.md §9):
 //!
-//! * **Lane compaction** (on by default, [`EngineConfig::compact_lanes`]):
-//!   whenever at most half the current width is still live, live lanes
-//!   are repacked into the low slot bits — slab blocks, lane words,
-//!   per-slot RNG/fault state, and meter columns move from stride `W` to
-//!   stride `W′` in place — so tail rounds index narrower strides. A
-//!   slot→job remap keeps every result reported under its original
-//!   admission id; results are bit-identical with compaction on or off.
+//! * **Lane compaction**: whenever at most half the current width is
+//!   still live, live lanes are repacked into the low slot bits — slab
+//!   blocks, lane words, per-slot RNG/fault state, and meter columns move
+//!   from stride `W` to stride `W′` in place — so tail rounds index
+//!   narrower strides. A slot→job remap keeps every result reported
+//!   under its original admission id; no bit of a repack reaches a
+//!   result (the per-lane sequential oracle pins it).
 //! * **Lane refill** ([`WideSession::run_refill`]): a retiring lane frees
 //!   its slot for the next job from a caller-supplied source, mid-sweep,
 //!   with per-job seeds/faults from its [`LaneSpec`] and lane-*local*
@@ -86,7 +86,7 @@
 //!   job is only ever admitted into a pristine slot; nothing is migrated
 //!   *between* sweeps.
 
-use crate::engine::{EngineConfig, EngineError, MeterMode, RunStats};
+use crate::engine::{EngineConfig, EngineError, RunStats};
 use crate::fault::FaultPlan;
 use crate::message::{MsgWord, PackedMsg};
 use crate::protocol::{InSlot, NodeCtx, OutSlot, Protocol};
@@ -103,7 +103,7 @@ pub const MAX_LANES: usize = 64;
 
 /// One lane's identity: the RNG seed its nodes derive from and the fault
 /// plan (if any) it runs under. Everything else — graph, protocol, round
-/// limit, meter mode, shard count — is shared across the batch.
+/// limit, shard count — is shared across the batch.
 #[derive(Debug, Clone, Default)]
 pub struct LaneSpec {
     /// Per-node RNGs of this lane derive from this seed exactly as a
@@ -443,13 +443,13 @@ impl<'g> WideSession<'g> {
     /// [`crate::Session::run`] with
     /// `EngineConfig { seed: lanes[l].seed, faults: lanes[l].faults, ..config }`.
     ///
-    /// Of the shared `config`, wide honors `max_rounds`, `meter`,
-    /// `collect_trace`, `parallel`, and `shards`; `seed` and `faults` are
-    /// superseded by the per-lane specs, and `sparse_threshold` does not
-    /// apply (the lane-word sweep has no separate sparse path — idleness
-    /// is skipped per (node, lane) instead). If `max_rounds` elapses while
-    /// *any* lane is still active the whole run fails, exactly as that
-    /// lane's sequential run would.
+    /// Of the shared `config`, wide honors `max_rounds`, `collect_trace`,
+    /// `parallel`, and `shards`; `seed` and `faults` are superseded by
+    /// the per-lane specs, and `sparse_threshold` does not apply (the
+    /// lane-word sweep has no separate sparse path — idleness is skipped
+    /// per (node, lane) instead). If `max_rounds` elapses while *any*
+    /// lane is still active the whole run fails, exactly as that lane's
+    /// sequential run would.
     pub fn run<'s, P, F>(
         &'s mut self,
         lanes: &[LaneSpec],
@@ -484,7 +484,7 @@ impl<'g> WideSession<'g> {
     ///   this returns a count, not a `Result`.
     ///
     /// Concurrency never exceeds `init.len()`; when the source runs dry
-    /// the sweep narrows via lane compaction (if enabled) and drains.
+    /// the sweep narrows via lane compaction and drains.
     pub fn run_refill<P, F, R, S>(
         &mut self,
         init: &[LaneSpec],
@@ -611,7 +611,6 @@ impl SessionState {
         let n = graph.n();
         let arcs = graph.num_arcs();
         let m = graph.m();
-        let use_planes = config.meter == MeterMode::BitPlanes;
 
         // --- Shard plan (same derivation and cache as the sequential
         // round loop, so alternating sequential/wide phases share it).
@@ -677,7 +676,7 @@ impl SessionState {
             undone.resize(n, 0);
         }
         lane_traffic.resize(arcs * w0, 0);
-        if use_planes && lane_planes.len() < arcs * slab::PLANES {
+        if lane_planes.len() < arcs * slab::PLANES {
             lane_planes.resize(arcs * slab::PLANES, 0);
         }
         if scratch_occ.len() < s_count * 2 * sow {
@@ -837,7 +836,7 @@ impl SessionState {
                 // report it failed, exactly as its isolated run would
                 // have errored. Planes hold mixed-lane counts, so flush
                 // (count-preserving) before discarding this column.
-                if use_planes && rounds_since_flush > 0 {
+                if rounds_since_flush > 0 {
                     for a in 0..arcs {
                         slab::planes_flush(
                             &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],
@@ -1052,13 +1051,12 @@ impl SessionState {
             // ripple-carry add with lane-bit semantics.
             std::mem::swap(&mut in_words, &mut out_words);
             std::mem::swap(in_lane, out_lane);
-            let flush_now = use_planes && rounds_since_flush + 1 == slab::FLUSH_PERIOD;
+            let flush_now = rounds_since_flush + 1 == slab::FLUSH_PERIOD;
             {
                 let racy_in_lane = RacyCells::new(&mut in_lane[..arcs]);
                 let racy_planes = RacyCells::new(&mut lane_planes[..]);
                 let racy_traffic = RacyCells::new(&mut lane_traffic[..arcs * w_cur]);
                 let racy_sd = RacyCells::new(&mut shard_delivered[..s_count * MAX_LANES]);
-                let meter_mode = config.meter;
                 let deliver_shard = |s: usize| {
                     // Sound: shard arc regions are disjoint by plan
                     // construction; the per-shard delivered block is ours.
@@ -1067,32 +1065,15 @@ impl SessionState {
                     for a in plan.arcs_of(s) {
                         let bits = unsafe { racy_in_lane.read(a) };
                         if bits != 0 {
-                            match meter_mode {
-                                MeterMode::BitPlanes => {
-                                    let planes_a = unsafe {
-                                        racy_planes
-                                            .slice_mut(a * slab::PLANES, (a + 1) * slab::PLANES)
-                                    };
-                                    slab::planes_add(planes_a, bits);
-                                    let mut b = bits;
-                                    while b != 0 {
-                                        let l = b.trailing_zeros() as usize;
-                                        b &= b - 1;
-                                        sd[l] += 1;
-                                    }
-                                }
-                                MeterMode::ArcCounters => {
-                                    let traffic_a = unsafe {
-                                        racy_traffic.slice_mut(a * w_cur, (a + 1) * w_cur)
-                                    };
-                                    let mut b = bits;
-                                    while b != 0 {
-                                        let l = b.trailing_zeros() as usize;
-                                        b &= b - 1;
-                                        sd[l] += 1;
-                                        traffic_a[l] = traffic_a[l].saturating_add(1);
-                                    }
-                                }
+                            let planes_a = unsafe {
+                                racy_planes.slice_mut(a * slab::PLANES, (a + 1) * slab::PLANES)
+                            };
+                            slab::planes_add(planes_a, bits);
+                            let mut b = bits;
+                            while b != 0 {
+                                let l = b.trailing_zeros() as usize;
+                                b &= b - 1;
+                                sd[l] += 1;
                             }
                         }
                         // Flush cadence is traffic-independent: the
@@ -1151,7 +1132,7 @@ impl SessionState {
                 trace_bufs[l].truncate(slot_stats[l].rounds as usize);
                 // Final plane flush first (count-preserving, so flushing
                 // early for one lane never perturbs the others' totals).
-                if use_planes && rounds_since_flush > 0 {
+                if rounds_since_flush > 0 {
                     for a in 0..arcs {
                         slab::planes_flush(
                             &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],
@@ -1256,13 +1237,13 @@ impl SessionState {
             // (a·w′ + j) are visited in strictly increasing order and
             // every source index is ≥ its destination.
             let live = active.count_ones() as usize;
-            if config.compact_lanes && live <= w_cur / 2 {
+            if live <= w_cur / 2 {
                 let w_new = live;
                 let live_mask = active;
                 // Pending plane counts flush at the old stride first;
                 // after this the planes are all-zero, so only the flat
                 // traffic columns move.
-                if use_planes && rounds_since_flush > 0 {
+                if rounds_since_flush > 0 {
                     for a in 0..arcs {
                         slab::planes_flush(
                             &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],

@@ -8,8 +8,7 @@
 //! ids) to a freshly built one, and a phase run on the repaired engine is
 //! **bit-identical** — outputs, stats, traces, per-edge congestion — to
 //! the same phase on a freshly constructed session over the rebuilt
-//! graph, across shard counts × meter modes × faulted and unfaulted
-//! phases.
+//! graph, across shard counts × faulted and unfaulted phases.
 //!
 //! The rebuild arm tracks churn with an independent model (a plain edge
 //! set plus crash/parked-edge bookkeeping), so a bug in the incremental
@@ -18,8 +17,8 @@
 use congest_graph::{Graph, GraphBuilder, Node};
 use congest_sim::rng::phase_seed;
 use congest_sim::{
-    ChurnPlan, ChurnSession, EngineConfig, FaultPlan, MeterMode, Mutation, NodeCtx, Protocol,
-    RunStats, Session,
+    ChurnPlan, ChurnSession, EngineConfig, FaultPlan, Mutation, NodeCtx, Protocol, RunStats,
+    Session,
 };
 use proptest::prelude::*;
 use std::collections::BTreeSet;
@@ -166,11 +165,10 @@ impl Model {
     }
 }
 
-fn engine(seed: u64, epoch: u64, shards: usize, meter: MeterMode, faulted: bool) -> EngineConfig {
+fn engine(seed: u64, epoch: u64, shards: usize, faulted: bool) -> EngineConfig {
     let cfg = EngineConfig::serial()
         .seed(phase_seed(seed, epoch))
         .shards(shards)
-        .meter(meter)
         .trace();
     if faulted {
         cfg.with_faults(FaultPlan::new(2, seed ^ 0xFA17))
@@ -192,7 +190,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
     /// Across random churn schedules (edge adds/removes + crash/revive),
-    /// shard counts, meter modes, and alternating faulted phases:
+    /// shard counts, and alternating faulted phases:
     /// after every epoch the incrementally repaired graph equals a fresh
     /// rebuild, and the phase run on the long-lived session is
     /// bit-identical to one on a fresh session over the rebuilt graph.
@@ -206,39 +204,37 @@ proptest! {
     ) {
         let plan = ChurnPlan::new(adds, removes, seed ^ 0xC42).node_ops(node_ops);
         for &shards in &[1usize, 5] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                let mut churn = ChurnSession::new(g.clone());
-                let mut model = Model::of(&g);
-                for epoch in 0..5u64 {
-                    let muts = plan.mutations(epoch, churn.graph(), churn.crashed());
-                    // Both arms consume the identical mutation batch.
-                    churn.queue_mut().extend(muts.iter().copied());
-                    model.apply(&muts);
-                    let faulted = epoch.is_multiple_of(2);
-                    let mk = || Chatter { rounds: 6, salt: 1 + epoch, heard: 0 };
-                    let live = observe(
-                        churn
-                            .run(|_, _| mk(), engine(seed, epoch, shards, meter, faulted))
-                            .unwrap(),
-                    );
-                    let rebuilt = model.build();
-                    prop_assert_eq!(
-                        &rebuilt, churn.graph(),
-                        "epoch {} (shards={} meter={:?}): repaired CSR diverged from rebuild",
-                        epoch, shards, meter
-                    );
-                    let mut fresh = Session::new(&rebuilt);
-                    let reference = observe(
-                        fresh
-                            .run(|_, _| mk(), engine(seed, epoch, shards, meter, faulted))
-                            .unwrap(),
-                    );
-                    prop_assert_eq!(
-                        &live, &reference,
-                        "epoch {} (shards={} meter={:?} faulted={})",
-                        epoch, shards, meter, faulted
-                    );
-                }
+            let mut churn = ChurnSession::new(g.clone());
+            let mut model = Model::of(&g);
+            for epoch in 0..5u64 {
+                let muts = plan.mutations(epoch, churn.graph(), churn.crashed());
+                // Both arms consume the identical mutation batch.
+                churn.queue_mut().extend(muts.iter().copied());
+                model.apply(&muts);
+                let faulted = epoch.is_multiple_of(2);
+                let mk = || Chatter { rounds: 6, salt: 1 + epoch, heard: 0 };
+                let live = observe(
+                    churn
+                        .run(|_, _| mk(), engine(seed, epoch, shards, faulted))
+                        .unwrap(),
+                );
+                let rebuilt = model.build();
+                prop_assert_eq!(
+                    &rebuilt, churn.graph(),
+                    "epoch {} (shards={}): repaired CSR diverged from rebuild",
+                    epoch, shards
+                );
+                let mut fresh = Session::new(&rebuilt);
+                let reference = observe(
+                    fresh
+                        .run(|_, _| mk(), engine(seed, epoch, shards, faulted))
+                        .unwrap(),
+                );
+                prop_assert_eq!(
+                    &live, &reference,
+                    "epoch {} (shards={} faulted={})",
+                    epoch, shards, faulted
+                );
             }
         }
     }
@@ -261,14 +257,14 @@ proptest! {
             churn.apply_pending().unwrap();
             let mk = || Chatter { rounds: 5, salt: epoch, heard: 0 };
             let live = churn.with_host(|host| {
-                observe(host.run(|_, _| mk(), engine(seed, epoch, 3, MeterMode::BitPlanes, false)).unwrap())
+                observe(host.run(|_, _| mk(), engine(seed, epoch, 3, false)).unwrap())
             });
             let rebuilt = model.build();
             prop_assert_eq!(&rebuilt, churn.graph(), "epoch {}", epoch);
             let mut fresh = Session::new(&rebuilt);
             let reference = observe(
                 fresh
-                    .run(|_, _| mk(), engine(seed, epoch, 3, MeterMode::BitPlanes, false))
+                    .run(|_, _| mk(), engine(seed, epoch, 3, false))
                     .unwrap(),
             );
             prop_assert_eq!(&live, &reference, "epoch {}", epoch);

@@ -1,17 +1,16 @@
 //! Property-based tests for the CONGEST engine: message conservation,
 //! determinism across execution modes, metering consistency for
-//! arbitrary (randomized) chatter protocols, and the **three-way
-//! differential harness** — the live engine raced against the frozen
-//! PR 1 engine *and* the seed-style baseline over sparse/dense/mixed
-//! traffic × fault plans × shard counts, with the sparse fast path
-//! forced both on and off, asserting bit-identical inboxes (via the
-//! inbox-folding outputs) and identical per-arc congestion meters.
+//! arbitrary (randomized) chatter protocols, and the **differential
+//! harness** — the live engine held to the seed-style reference
+//! interpreter over sparse/dense/mixed traffic × fault plans × shard
+//! counts, with the sparse fast path forced both on and off, asserting
+//! bit-identical inboxes (via the inbox-folding outputs) and identical
+//! per-arc congestion meters.
 
 use congest_graph::{Graph, GraphBuilder};
-use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
-use congest_sim::pr1::{run_pr1, Pr1NodeCtx, Pr1Protocol};
+use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineOutcome, BaselineProtocol};
 use congest_sim::rng::node_rng;
-use congest_sim::{run_protocol, EngineConfig, FaultPlan, MeterMode, NodeCtx, Protocol};
+use congest_sim::{run_protocol, EngineConfig, FaultPlan, NodeCtx, Protocol};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -188,38 +187,10 @@ impl Protocol for MixedChatter {
     }
 }
 
-impl Pr1Protocol for MixedChatter {
-    type Msg = u64;
-    type Output = (u64, u64);
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, u64>) {
-        let fold = ctx.inbox().fold(0u64, |a, (p, m)| {
-            a.wrapping_mul(17).wrapping_add(m ^ p as u64)
-        });
-        let count = ctx.inbox_len() as u64;
-        let deg = ctx.degree();
-        match self.drive(ctx.round, deg, fold, count, ctx.rng()) {
-            MixedAction::Broadcast(m) => ctx.send_all(m),
-            MixedAction::Ports(mask) => {
-                for p in 0..deg.min(64) as u32 {
-                    if mask >> p & 1 == 1 {
-                        ctx.send(p, mask.wrapping_add(p as u64));
-                        self.sent += 1;
-                    }
-                }
-            }
-            MixedAction::Quiet => {}
-        }
-        ctx.set_done(ctx.round >= self.rounds);
-    }
-    fn finish(self) -> (u64, u64) {
-        (self.sent, self.heard)
-    }
-}
-
-/// The seed-engine arm of the three-way harness: the baseline context has
-/// no engine-provided RNG, so this wrapper carries the node's own
-/// [`node_rng`] stream — seeded exactly as the packed engines seed
-/// theirs, so all three arms draw identical per-node randomness.
+/// The reference arm of the harness: the baseline context has no
+/// engine-provided RNG, so this wrapper carries the node's own
+/// [`node_rng`] stream — seeded exactly as the packed engine seeds its
+/// own, so both arms draw identical per-node randomness.
 struct BaselineMixed {
     inner: MixedChatter,
     rng: SmallRng,
@@ -254,31 +225,43 @@ impl BaselineProtocol for BaselineMixed {
     }
 }
 
+/// [`MixedChatter`] on the reference interpreter: what every live
+/// configuration below must reproduce bit for bit.
+fn reference(
+    g: &Graph,
+    seed: u64,
+    mk: impl Fn() -> MixedChatter,
+    faults: Option<FaultPlan>,
+) -> BaselineOutcome<(u64, u64)> {
+    run_baseline::<BaselineMixed, _>(
+        g,
+        |v, _| BaselineMixed {
+            inner: mk(),
+            rng: node_rng(seed, v),
+        },
+        10_000,
+        faults,
+    )
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
     /// The broadcast-plane oracle: random mixes of `send_all`, per-port
     /// `send`, and silence must produce results and stats **identical to
-    /// the frozen PR 1 engine** (which scatters everything per arc), in
-    /// serial and parallel, under both meter modes.
+    /// the reference interpreter** (which has no broadcast plane at all),
+    /// in serial and parallel.
     #[test]
-    fn mixed_broadcast_traffic_matches_pr1(
+    fn mixed_broadcast_traffic_matches_baseline(
         g in arb_connected_graph(24),
         seed in any::<u64>(),
     ) {
         let mk = || MixedChatter { rounds: 9, sent: 0, heard: 0, profile: PROFILE_MIXED };
-        let frozen = run_pr1(&g, |_, _| mk(), EngineConfig::with_seed(seed).trace()).unwrap();
-        for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-            let live = run_protocol(
-                &g,
-                |_, _| mk(),
-                EngineConfig::with_seed(seed).meter(meter).trace(),
-            )
-            .unwrap();
-            prop_assert_eq!(&live.outputs, &frozen.outputs, "meter {:?}", meter);
-            prop_assert_eq!(live.stats, frozen.stats, "meter {:?}", meter);
-            prop_assert_eq!(&live.trace, &frozen.trace, "meter {:?}", meter);
-        }
+        let base = reference(&g, seed, mk, None);
+        let live = run_protocol(&g, |_, _| mk(), EngineConfig::with_seed(seed).trace()).unwrap();
+        prop_assert_eq!(&live.outputs, &base.outputs);
+        prop_assert_eq!(live.stats, base.stats);
+        prop_assert_eq!(live.trace.as_ref(), Some(&base.trace));
         let par = congest_par::with_threads(4, || {
             run_protocol(
                 &g,
@@ -287,20 +270,20 @@ proptest! {
             )
             .unwrap()
         });
-        prop_assert_eq!(&par.outputs, &frozen.outputs);
-        prop_assert_eq!(par.stats, frozen.stats);
+        prop_assert_eq!(&par.outputs, &base.outputs);
+        prop_assert_eq!(par.stats, base.stats);
     }
 
     /// Same oracle above the parallel threshold: the sharded parallel
-    /// broadcast fold must match the frozen PR 1 engine bit-for-bit.
+    /// broadcast fold must match the reference interpreter bit-for-bit.
     #[test]
-    fn mixed_broadcast_traffic_matches_pr1_parallel(
+    fn mixed_broadcast_traffic_matches_baseline_parallel(
         n in 256usize..330,
         seed in any::<u64>(),
     ) {
         let g = congest_graph::generators::harary(8, n);
         let mk = || MixedChatter { rounds: 8, sent: 0, heard: 0, profile: PROFILE_MIXED };
-        let frozen = run_pr1(&g, |_, _| mk(), EngineConfig::with_seed(seed).trace()).unwrap();
+        let base = reference(&g, seed, mk, None);
         for threads in [2usize, 4] {
             let par = congest_par::with_threads(threads, || {
                 run_protocol(
@@ -310,9 +293,9 @@ proptest! {
                 )
                 .unwrap()
             });
-            prop_assert_eq!(&par.outputs, &frozen.outputs, "threads {}", threads);
-            prop_assert_eq!(par.stats, frozen.stats, "threads {}", threads);
-            prop_assert_eq!(&par.trace, &frozen.trace, "threads {}", threads);
+            prop_assert_eq!(&par.outputs, &base.outputs, "threads {}", threads);
+            prop_assert_eq!(par.stats, base.stats, "threads {}", threads);
+            prop_assert_eq!(par.trace.as_ref(), Some(&base.trace), "threads {}", threads);
         }
     }
 
@@ -422,8 +405,8 @@ proptest! {
     }
 
     /// The sharded deliver+metering plane: byte-identical outputs, stats,
-    /// and traces at every (pool width × shard count × meter mode)
-    /// combination, against the one-shard serial reference. This is the
+    /// and traces at every (pool width × shard count) combination,
+    /// against the one-shard serial reference. This is the
     /// determinism contract of the shard-owned round phases.
     #[test]
     fn sharded_deliver_identical_at_every_width_and_shard_count(
@@ -441,85 +424,62 @@ proptest! {
             .unwrap()
         };
         let reference = run(EngineConfig::serial().seed(seed).shards(1));
-        for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-            for &shards in &[1usize, 2, 5, 8, 64] {
-                // Serial at this shard count.
-                let ser = run(EngineConfig::serial().seed(seed).shards(shards).meter(meter));
-                prop_assert_eq!(&ser.outputs, &reference.outputs,
-                    "serial shards={} meter={:?}", shards, meter);
-                prop_assert_eq!(ser.stats, reference.stats,
-                    "serial shards={} meter={:?}", shards, meter);
-                prop_assert_eq!(&ser.trace, &reference.trace,
-                    "serial shards={} meter={:?}", shards, meter);
-                // Parallel at several pool widths, same shard count.
-                for threads in [2usize, 4] {
-                    let par = congest_par::with_threads(threads, || {
-                        run(EngineConfig::with_seed(seed).shards(shards).meter(meter))
-                    });
-                    prop_assert_eq!(&par.outputs, &reference.outputs,
-                        "threads={} shards={} meter={:?}", threads, shards, meter);
-                    prop_assert_eq!(par.stats, reference.stats,
-                        "threads={} shards={} meter={:?}", threads, shards, meter);
-                    prop_assert_eq!(&par.trace, &reference.trace,
-                        "threads={} shards={} meter={:?}", threads, shards, meter);
-                }
+        for &shards in &[1usize, 2, 5, 8, 64] {
+            // Serial at this shard count.
+            let ser = run(EngineConfig::serial().seed(seed).shards(shards));
+            prop_assert_eq!(&ser.outputs, &reference.outputs, "serial shards={}", shards);
+            prop_assert_eq!(ser.stats, reference.stats, "serial shards={}", shards);
+            prop_assert_eq!(&ser.trace, &reference.trace, "serial shards={}", shards);
+            // Parallel at several pool widths, same shard count.
+            for threads in [2usize, 4] {
+                let par = congest_par::with_threads(threads, || {
+                    run(EngineConfig::with_seed(seed).shards(shards))
+                });
+                prop_assert_eq!(&par.outputs, &reference.outputs,
+                    "threads={} shards={}", threads, shards);
+                prop_assert_eq!(par.stats, reference.stats,
+                    "threads={} shards={}", threads, shards);
+                prop_assert_eq!(&par.trace, &reference.trace,
+                    "threads={} shards={}", threads, shards);
             }
         }
     }
 }
 
-/// Thresholds the three-way harness pins: fast path off (`0`), fast path
-/// forced for every scattering round (`usize::MAX`), and the default
+/// Thresholds the differential harness pins: fast path off (`0`), fast
+/// path forced for every scattering round (`usize::MAX`), and the default
 /// heuristic.
 const THRESHOLDS: [Option<usize>; 3] = [Some(0), Some(usize::MAX), None];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// The **three-way differential harness**: the live engine (sparse
-    /// fast path forced on, forced off, and on its heuristic; several
-    /// shard counts; both meter modes; serial and parallel) vs the frozen
-    /// PR 1 engine vs the seed-style baseline, over sparse, dense, and
-    /// mixed traffic. Inboxes must be bit-identical (the outputs fold
-    /// every delivered `(port, message)` pair) and the per-arc congestion
-    /// meters must agree edge for edge, not just in their max.
+    /// The **differential harness**: the live engine (sparse fast path
+    /// forced on, forced off, and on its heuristic; several shard counts;
+    /// serial and parallel) vs the seed-style reference interpreter, over
+    /// sparse, dense, and mixed traffic. Inboxes must be bit-identical
+    /// (the outputs fold every delivered `(port, message)` pair) and the
+    /// per-arc congestion meters must agree edge for edge, not just in
+    /// their max.
     #[test]
-    fn three_way_differential_harness(
+    fn differential_harness(
         g in arb_connected_graph(22),
         seed in any::<u64>(),
         profile in 0u8..3,
     ) {
         let mk = || MixedChatter { rounds: 8, sent: 0, heard: 0, profile };
-        let frozen = run_pr1(&g, |_, _| mk(), EngineConfig::with_seed(seed).trace()).unwrap();
-        // Arm 2: the seed-style baseline (no packed plane at all).
-        let base = run_baseline::<BaselineMixed, _>(
-            &g,
-            |v, _| BaselineMixed { inner: mk(), rng: node_rng(seed, v) },
-            10_000,
-        );
-        prop_assert_eq!(&base.outputs, &frozen.outputs, "baseline vs pr1 outputs");
-        prop_assert_eq!(base.rounds, frozen.stats.rounds);
-        prop_assert_eq!(base.total_messages, frozen.stats.total_messages);
-        prop_assert_eq!(base.max_message_bits, frozen.stats.max_message_bits);
-        prop_assert_eq!(&base.edge_congestion, &frozen.edge_congestion,
-            "baseline vs pr1 per-edge meters");
-        prop_assert_eq!(base.max_edge_congestion, frozen.stats.max_edge_congestion);
-        // Arm 3: the live engine across the config grid.
+        let base = reference(&g, seed, mk, None);
         for &thr in &THRESHOLDS {
             for &shards in &[1usize, 5] {
-                for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                    let mut cfg = EngineConfig::serial().seed(seed).shards(shards).meter(meter).trace();
-                    cfg.sparse_threshold = thr;
-                    let live = run_protocol(&g, |_, _| mk(), cfg).unwrap();
-                    prop_assert_eq!(&live.outputs, &frozen.outputs,
-                        "thr={:?} shards={} meter={:?}", thr, shards, meter);
-                    prop_assert_eq!(live.stats, frozen.stats,
-                        "thr={:?} shards={} meter={:?}", thr, shards, meter);
-                    prop_assert_eq!(&live.trace, &frozen.trace,
-                        "thr={:?} shards={} meter={:?}", thr, shards, meter);
-                    prop_assert_eq!(&live.edge_congestion, &frozen.edge_congestion,
-                        "per-edge meters: thr={:?} shards={} meter={:?}", thr, shards, meter);
-                }
+                let mut cfg = EngineConfig::serial().seed(seed).shards(shards).trace();
+                cfg.sparse_threshold = thr;
+                let live = run_protocol(&g, |_, _| mk(), cfg).unwrap();
+                prop_assert_eq!(&live.outputs, &base.outputs, "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(live.stats, base.stats, "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(live.trace.as_ref(), Some(&base.trace),
+                    "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(&live.edge_congestion, &base.edge_congestion,
+                    "per-edge meters: thr={:?} shards={}", thr, shards);
             }
             // One parallel run per threshold (pool width 4, 6 shards).
             let par = congest_par::with_threads(4, || {
@@ -527,21 +487,20 @@ proptest! {
                 cfg.sparse_threshold = thr;
                 run_protocol(&g, |_, _| mk(), cfg).unwrap()
             });
-            prop_assert_eq!(&par.outputs, &frozen.outputs, "parallel thr={:?}", thr);
-            prop_assert_eq!(par.stats, frozen.stats, "parallel thr={:?}", thr);
-            prop_assert_eq!(&par.edge_congestion, &frozen.edge_congestion,
+            prop_assert_eq!(&par.outputs, &base.outputs, "parallel thr={:?}", thr);
+            prop_assert_eq!(par.stats, base.stats, "parallel thr={:?}", thr);
+            prop_assert_eq!(&par.edge_congestion, &base.edge_congestion,
                 "parallel per-edge meters thr={:?}", thr);
         }
     }
 
     /// The faulted wing of the harness: the same profiles under a mobile
     /// edge adversary (which disables the broadcast plane, so every
-    /// `send_all` takes the scatter fallback). The baseline engine has no
-    /// fault support, so this wing is two-way — live vs PR 1 — asserting
-    /// identical drops and per-edge meters with the fast path forced both
-    /// ways.
+    /// `send_all` takes the scatter fallback), against the reference
+    /// interpreter under the same plan — identical drops and per-edge
+    /// meters with the fast path forced both ways, serial and parallel.
     #[test]
-    fn three_way_differential_harness_faulted(
+    fn differential_harness_faulted(
         g in arb_connected_graph(20),
         seed in any::<u64>(),
         profile in 0u8..3,
@@ -550,33 +509,33 @@ proptest! {
     ) {
         let plan = FaultPlan::new(budget, fseed);
         let mk = || MixedChatter { rounds: 8, sent: 0, heard: 0, profile };
-        let frozen = run_pr1(
-            &g,
-            |_, _| mk(),
-            EngineConfig::with_seed(seed).trace().with_faults(plan),
-        )
-        .unwrap();
+        let base = reference(&g, seed, mk, Some(plan));
         for &thr in &THRESHOLDS {
             for &shards in &[1usize, 4] {
-                for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                    let mut cfg = EngineConfig::serial()
-                        .seed(seed)
-                        .shards(shards)
-                        .meter(meter)
-                        .trace()
-                        .with_faults(plan);
-                    cfg.sparse_threshold = thr;
-                    let live = run_protocol(&g, |_, _| mk(), cfg).unwrap();
-                    prop_assert_eq!(&live.outputs, &frozen.outputs,
-                        "thr={:?} shards={} meter={:?}", thr, shards, meter);
-                    prop_assert_eq!(live.stats, frozen.stats,
-                        "thr={:?} shards={} meter={:?}", thr, shards, meter);
-                    prop_assert_eq!(&live.trace, &frozen.trace,
-                        "thr={:?} shards={} meter={:?}", thr, shards, meter);
-                    prop_assert_eq!(&live.edge_congestion, &frozen.edge_congestion,
-                        "per-edge meters: thr={:?} shards={} meter={:?}", thr, shards, meter);
-                }
+                let mut cfg = EngineConfig::serial()
+                    .seed(seed)
+                    .shards(shards)
+                    .trace()
+                    .with_faults(plan);
+                cfg.sparse_threshold = thr;
+                let live = run_protocol(&g, |_, _| mk(), cfg).unwrap();
+                prop_assert_eq!(&live.outputs, &base.outputs, "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(live.stats, base.stats, "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(live.trace.as_ref(), Some(&base.trace),
+                    "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(&live.edge_congestion, &base.edge_congestion,
+                    "per-edge meters: thr={:?} shards={}", thr, shards);
             }
+            // One parallel run per threshold, as in the unfaulted wing.
+            let par = congest_par::with_threads(4, || {
+                let mut cfg = EngineConfig::with_seed(seed).shards(6).trace().with_faults(plan);
+                cfg.sparse_threshold = thr;
+                run_protocol(&g, |_, _| mk(), cfg).unwrap()
+            });
+            prop_assert_eq!(&par.outputs, &base.outputs, "parallel thr={:?}", thr);
+            prop_assert_eq!(par.stats, base.stats, "parallel thr={:?}", thr);
+            prop_assert_eq!(&par.edge_congestion, &base.edge_congestion,
+                "parallel per-edge meters thr={:?}", thr);
         }
     }
 }

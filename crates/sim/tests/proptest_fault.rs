@@ -2,7 +2,7 @@
 //! plus the regression tests for the adversary's interaction with the
 //! broadcast plane's adaptive scatter fallback in sparse rounds.
 
-use congest_sim::pr1::{run_pr1, Pr1NodeCtx, Pr1Protocol};
+use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
 use congest_sim::{run_protocol, EdgeMarks, EngineConfig, FaultPlan, NodeCtx, Protocol};
 use proptest::prelude::*;
 
@@ -145,11 +145,11 @@ impl Protocol for SparseBeacon {
     }
 }
 
-impl Pr1Protocol for SparseBeacon {
+impl BaselineProtocol for SparseBeacon {
     type Msg = u64;
     type Output = u64;
-    fn round(&mut self, ctx: &mut Pr1NodeCtx<'_, u64>) {
-        for (p, m) in ctx.inbox() {
+    fn round(&mut self, ctx: &mut BaselineCtx<'_, u64>) {
+        for (p, &m) in ctx.inbox() {
             self.acc = self.acc.wrapping_mul(31).wrapping_add(m ^ p as u64);
         }
         if self.speaks(ctx.round) {
@@ -165,8 +165,9 @@ impl Pr1Protocol for SparseBeacon {
 /// Regression: a round that is **sparse and faulted** must take the
 /// scatter fallback (the adversary disables the broadcast plane) and
 /// still meter blocked arcs correctly — dropped messages are counted but
-/// never metered as traffic, identically to the frozen PR 1 engine, with
-/// the sparse fast path forced on, forced off, and on its heuristic.
+/// never metered as traffic, identically to the reference interpreter
+/// under the same plan, with the sparse fast path forced on, forced off,
+/// and on its heuristic.
 #[test]
 fn sparse_faulted_rounds_scatter_and_meter_blocked_arcs() {
     let g = congest_graph::generators::harary(6, 40);
@@ -178,25 +179,20 @@ fn sparse_faulted_rounds_scatter_and_meter_blocked_arcs() {
     };
     for fault_budget in [1usize, 3] {
         let plan = FaultPlan::new(fault_budget, 0xFA_17);
-        let frozen = run_pr1(
-            &g,
-            |v, _| mk(v),
-            EngineConfig::with_seed(9).trace().with_faults(plan),
-        )
-        .unwrap();
+        let base = run_baseline::<SparseBeacon, _>(&g, |v, _| mk(v), 10_000, Some(plan));
         assert!(
-            frozen.stats.dropped_messages > 0,
+            base.stats.dropped_messages > 0,
             "the adversary must catch some staged broadcast arcs"
         );
         for thr in [Some(0), Some(usize::MAX), None] {
             let mut cfg = EngineConfig::with_seed(9).trace().with_faults(plan);
             cfg.sparse_threshold = thr;
             let live = run_protocol(&g, |v, _| mk(v), cfg).unwrap();
-            assert_eq!(live.outputs, frozen.outputs, "thr {thr:?}");
-            assert_eq!(live.stats, frozen.stats, "thr {thr:?}");
-            assert_eq!(live.trace, frozen.trace, "thr {thr:?}");
+            assert_eq!(live.outputs, base.outputs, "thr {thr:?}");
+            assert_eq!(live.stats, base.stats, "thr {thr:?}");
+            assert_eq!(live.trace.as_ref(), Some(&base.trace), "thr {thr:?}");
             assert_eq!(
-                live.edge_congestion, frozen.edge_congestion,
+                live.edge_congestion, base.edge_congestion,
                 "blocked arcs must meter identically (thr {thr:?})"
             );
         }
@@ -205,7 +201,8 @@ fn sparse_faulted_rounds_scatter_and_meter_blocked_arcs() {
 
 /// Regression: the same sparse beacon **without** faults goes through the
 /// adaptive fallback branch (`send_all` in a plane-disabled sparse round
-/// scatters per arc) and must agree with PR 1 on everything metered.
+/// scatters per arc) and must agree with the reference interpreter on
+/// everything metered.
 #[test]
 fn sparse_unfaulted_broadcast_takes_adaptive_fallback() {
     let g = congest_graph::generators::harary(6, 40);
@@ -214,14 +211,14 @@ fn sparse_unfaulted_broadcast_takes_adaptive_fallback() {
         until: 20,
         acc: 1,
     };
-    let frozen = run_pr1(&g, |v, _| mk(v), EngineConfig::with_seed(4).trace()).unwrap();
+    let base = run_baseline::<SparseBeacon, _>(&g, |v, _| mk(v), 10_000, None);
     for thr in [Some(0), Some(usize::MAX), None] {
         let mut cfg = EngineConfig::with_seed(4).trace();
         cfg.sparse_threshold = thr;
         let live = run_protocol(&g, |v, _| mk(v), cfg).unwrap();
-        assert_eq!(live.outputs, frozen.outputs, "thr {thr:?}");
-        assert_eq!(live.stats, frozen.stats, "thr {thr:?}");
-        assert_eq!(live.trace, frozen.trace, "thr {thr:?}");
-        assert_eq!(live.edge_congestion, frozen.edge_congestion, "thr {thr:?}");
+        assert_eq!(live.outputs, base.outputs, "thr {thr:?}");
+        assert_eq!(live.stats, base.stats, "thr {thr:?}");
+        assert_eq!(live.trace.as_ref(), Some(&base.trace), "thr {thr:?}");
+        assert_eq!(live.edge_congestion, base.edge_congestion, "thr {thr:?}");
     }
 }

@@ -3,7 +3,7 @@
 //! alone on a fresh [`Session`]** (`run_job_isolated`), regardless of
 //! how the batching policy grouped jobs onto wide lane groups or the
 //! sequential fallback, across queue capacities × drain points × shard
-//! counts × meter modes × per-job fault plans.
+//! counts × per-job fault plans.
 //!
 //! This is the property that makes the pool *transparent*: a tenant can
 //! never observe that its run shared a sweep, a warm state, or a drain
@@ -11,8 +11,7 @@
 
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::{
-    run_job_isolated, EngineConfig, FaultPlan, Job, JobOutput, JobSpec, JobStatus, MeterMode,
-    PoolServer,
+    run_job_isolated, EngineConfig, FaultPlan, Job, JobOutput, JobSpec, JobStatus, PoolServer,
 };
 use proptest::prelude::*;
 
@@ -140,25 +139,23 @@ proptest! {
         shards in 1usize..4,
     ) {
         let graphs = [g0, g1];
-        for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-            let config = EngineConfig::serial().shards(shards).meter(meter);
-            let out = serve_all(&raws, &graphs, &config, capacity);
-            prop_assert_eq!(out.len(), raws.len());
-            for (raw, o) in raws.iter().zip(&out) {
-                let g = &graphs[raw.graph];
-                let (outputs, stats) = run_job_isolated(
-                    g,
-                    &spec_for(raw, g),
-                    raw.seed,
-                    faults_for(raw),
-                    &config,
-                )
-                .expect("isolated run terminates");
-                prop_assert_eq!(o.status, JobStatus::Done);
-                prop_assert_eq!(o.tenant, raw.tenant);
-                prop_assert_eq!(&o.outputs, &outputs, "outputs of job {:?}", o.id);
-                prop_assert_eq!(o.stats, stats, "stats of job {:?}", o.id);
-            }
+        let config = EngineConfig::serial().shards(shards);
+        let out = serve_all(&raws, &graphs, &config, capacity);
+        prop_assert_eq!(out.len(), raws.len());
+        for (raw, o) in raws.iter().zip(&out) {
+            let g = &graphs[raw.graph];
+            let (outputs, stats) = run_job_isolated(
+                g,
+                &spec_for(raw, g),
+                raw.seed,
+                faults_for(raw),
+                &config,
+            )
+            .expect("isolated run terminates");
+            prop_assert_eq!(o.status, JobStatus::Done);
+            prop_assert_eq!(o.tenant, raw.tenant);
+            prop_assert_eq!(&o.outputs, &outputs, "outputs of job {:?}", o.id);
+            prop_assert_eq!(o.stats, stats, "stats of job {:?}", o.id);
         }
     }
 

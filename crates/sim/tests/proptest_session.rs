@@ -1,21 +1,21 @@
 //! The session differential harness: a multi-phase composition executed
 //! on one **resident** [`Session`] must be bit-identical — outputs,
 //! stats, traces, per-edge congestion meters, and the accumulated
-//! [`PhaseLog`] — to the same composition run **per-phase** (a fresh
-//! engine per phase, exactly what `run_protocol` composition did before
-//! sessions), sweeping shard counts × pool widths × meter modes × fault
-//! plans, with the sparse fast path forced both ways and a `u64` phase
-//! reusing a `u128` phase's slab.
+//! [`PhaseLog`] — to the same composition run on a **fresh engine per
+//! phase** (one `run_protocol` call each, which builds and drops its own
+//! session), sweeping shard counts × pool widths × fault plans, with the
+//! sparse fast path forced both ways and a `u64` phase reusing a `u128`
+//! phase's slab.
 //!
 //! Per-phase RNG seeds are derived through `phase_seed` exactly as the
 //! drivers' `cfg.engine(k)` discipline derives them, so this is the
-//! contract that lets every driver switch hosts without changing one
-//! bit of any result.
+//! contract that nothing a phase leaves behind in a resident session
+//! changes one bit of any later result.
 
-use congest_graph::{Graph, GraphBuilder};
+use congest_graph::{Graph, GraphBuilder, Node};
 use congest_sim::rng::phase_seed;
 use congest_sim::{
-    EngineConfig, FaultPlan, MeterMode, NodeCtx, PhaseHost, PhaseLog, Protocol, RunStats,
+    run_protocol, EngineConfig, FaultPlan, NodeCtx, PhaseHost, PhaseLog, Protocol, RunStats,
 };
 use proptest::prelude::*;
 
@@ -116,14 +116,65 @@ struct PhaseObs {
     edge_congestion: Vec<u64>,
 }
 
+/// Where a composition's phases get their engine: the one resident
+/// session reused by every phase, or — with none — a fresh engine built
+/// (and dropped) per phase by `run_protocol`, the reference that cannot
+/// carry anything across a phase boundary.
+struct Host<'g> {
+    graph: &'g Graph,
+    resident: Option<PhaseHost<'g>>,
+}
+
+impl<'g> Host<'g> {
+    fn resident(graph: &'g Graph) -> Self {
+        Host {
+            graph,
+            resident: Some(PhaseHost::resident(graph)),
+        }
+    }
+
+    fn fresh_each_phase(graph: &'g Graph) -> Self {
+        Host {
+            graph,
+            resident: None,
+        }
+    }
+
+    fn run<P, F>(&mut self, factory: F, config: EngineConfig) -> PhaseObs
+    where
+        P: Protocol<Output = u64>,
+        F: FnMut(Node, &Graph) -> P,
+    {
+        match &mut self.resident {
+            Some(host) => {
+                let out = host.run(factory, config).unwrap();
+                PhaseObs {
+                    stats: out.stats,
+                    trace: out.trace().unwrap().to_vec(),
+                    edge_congestion: out.edge_congestion().to_vec(),
+                    outputs: out.take_outputs(),
+                }
+            }
+            None => {
+                let out = run_protocol(self.graph, factory, config).unwrap();
+                PhaseObs {
+                    outputs: out.outputs,
+                    stats: out.stats,
+                    trace: out.trace.unwrap(),
+                    edge_congestion: out.edge_congestion,
+                }
+            }
+        }
+    }
+}
+
 /// Run the five-phase composition on `host` and capture everything
 /// observable. Phase seeds follow the drivers' `cfg.engine(k)`
 /// discipline (`phase_seed(seed, k)`).
 fn run_composition(
-    host: &mut PhaseHost<'_>,
+    host: &mut Host<'_>,
     seed: u64,
     shards: usize,
-    meter: MeterMode,
     fault_budget: usize,
     fseed: u64,
 ) -> (Vec<PhaseObs>, PhaseLog) {
@@ -133,79 +184,62 @@ fn run_composition(
         EngineConfig::serial()
             .seed(phase_seed(seed, k))
             .shards(shards)
-            .meter(meter)
             .trace()
     };
-    let push = |name: &str, log: &mut PhaseLog, out: congest_sim::PhaseOutcome<'_, u64>| {
-        log.record(name.to_string(), out.stats);
-        let obs = PhaseObs {
-            stats: out.stats,
-            trace: out.trace().unwrap().to_vec(),
-            edge_congestion: out.edge_congestion().to_vec(),
-            outputs: out.take_outputs(),
-        };
+    let push = |name: &str, log: &mut PhaseLog, obs: PhaseObs| {
+        log.record(name.to_string(), obs.stats);
         obs
     };
     // 1. dense-ish u64 chatter.
-    let out = host
-        .run(
-            |_, _| Chatter {
-                rounds: 6,
-                salt: 1,
-                heard: 0,
-            },
-            engine(1),
-        )
-        .unwrap();
+    let out = host.run(
+        |_, _| Chatter {
+            rounds: 6,
+            salt: 1,
+            heard: 0,
+        },
+        engine(1),
+    );
     all.push(push("phase-1", &mut log, out));
     // 2. wide u128 phase.
-    let out = host
-        .run(
-            |_, _| WideChatter {
-                rounds: 5,
-                heard: 1,
-            },
-            engine(2),
-        )
-        .unwrap();
+    let out = host.run(
+        |_, _| WideChatter {
+            rounds: 5,
+            heard: 1,
+        },
+        engine(2),
+    );
     all.push(push("phase-2", &mut log, out));
     // 3. u64 phase straight after the u128 one, sparse path forced on.
-    let out = host
-        .run(
-            |_, _| Chatter {
-                rounds: 6,
-                salt: 3,
-                heard: 0,
-            },
-            engine(3).sparse_threshold(usize::MAX),
-        )
-        .unwrap();
+    let out = host.run(
+        |_, _| Chatter {
+            rounds: 6,
+            salt: 3,
+            heard: 0,
+        },
+        engine(3).sparse_threshold(usize::MAX),
+    );
     all.push(push("phase-3", &mut log, out));
     // 4. faulted phase (fast path forced off), when the plan has budget.
-    let out = host
-        .run(
-            |_, _| Chatter {
-                rounds: 7,
-                salt: 4,
-                heard: 0,
-            },
-            engine(4)
-                .sparse_threshold(0)
-                .with_faults(FaultPlan::new(fault_budget, fseed)),
-        )
-        .unwrap();
+    let out = host.run(
+        |_, _| Chatter {
+            rounds: 7,
+            salt: 4,
+            heard: 0,
+        },
+        engine(4)
+            .sparse_threshold(0)
+            .with_faults(FaultPlan::new(fault_budget, fseed)),
+    );
     all.push(push("phase-4", &mut log, out));
     // 5. mixed u64 phase on the default threshold.
-    let out = host
-        .run(
-            |_, _| Chatter {
-                rounds: 6,
-                salt: 5,
-                heard: 0,
-            },
-            engine(5),
-        )
-        .unwrap();
+    let out = host.run(
+        |_, _| Chatter {
+            rounds: 6,
+            salt: 5,
+            heard: 0,
+        },
+        engine(5),
+    );
     all.push(push("phase-5", &mut log, out));
     (all, log)
 }
@@ -221,46 +255,39 @@ fn logs_equal(a: &PhaseLog, b: &PhaseLog) -> bool {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Resident-session composition ≡ per-phase composition, across the
-    /// config grid.
+    /// Resident-session composition ≡ fresh-engine-per-phase
+    /// composition, across the config grid.
     #[test]
-    fn session_composition_matches_per_phase(
+    fn session_composition_matches_a_fresh_engine_each_phase(
         g in arb_connected_graph(22),
         seed in any::<u64>(),
         fault_budget in 0usize..3,
         fseed in any::<u64>(),
     ) {
         for &shards in &[1usize, 5] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                let mut resident = PhaseHost::resident(&g);
-                let (res, res_log) =
-                    run_composition(&mut resident, seed, shards, meter, fault_budget, fseed);
-                let mut fresh = PhaseHost::per_phase(&g);
-                let (per, per_log) =
-                    run_composition(&mut fresh, seed, shards, meter, fault_budget, fseed);
-                prop_assert_eq!(&res, &per, "shards={} meter={:?}", shards, meter);
-                prop_assert!(logs_equal(&res_log, &per_log),
-                    "phase logs diverge: shards={} meter={:?}", shards, meter);
-            }
+            let mut resident = Host::resident(&g);
+            let (res, res_log) = run_composition(&mut resident, seed, shards, fault_budget, fseed);
+            let (per, per_log) =
+                run_composition(&mut Host::fresh_each_phase(&g), seed, shards, fault_budget, fseed);
+            prop_assert_eq!(&res, &per, "shards={}", shards);
+            prop_assert!(logs_equal(&res_log, &per_log), "phase logs diverge: shards={}", shards);
         }
     }
 
     /// Same equivalence with the step/deliver planes genuinely parallel:
-    /// several pool widths, the resident arm parallel vs the per-phase
-    /// arm serial (and vice versa) — host choice and execution mode are
-    /// both irrelevant to results.
+    /// several pool widths, the resident arm parallel vs the fresh-engine
+    /// arm serial — engine reuse and execution mode are both irrelevant
+    /// to results.
     #[test]
     fn session_composition_matches_across_pool_widths(
         g in arb_connected_graph(18),
         seed in any::<u64>(),
     ) {
-        let mut fresh = PhaseHost::per_phase(&g);
-        let (reference, ref_log) =
-            run_composition(&mut fresh, seed, 4, MeterMode::BitPlanes, 1, seed ^ 0xF);
+        let (reference, ref_log) = run_composition(&mut Host::fresh_each_phase(&g), seed, 4, 1, seed ^ 0xF);
         for threads in [2usize, 4] {
             let (par, par_log) = congest_par::with_threads(threads, || {
-                let mut resident = PhaseHost::resident(&g);
-                run_composition(&mut resident, seed, 4, MeterMode::BitPlanes, 1, seed ^ 0xF)
+                let mut resident = Host::resident(&g);
+                run_composition(&mut resident, seed, 4, 1, seed ^ 0xF)
             });
             prop_assert_eq!(&par, &reference, "threads={}", threads);
             prop_assert!(logs_equal(&par_log, &ref_log), "threads={}", threads);
@@ -303,7 +330,7 @@ proptest! {
             edge_congestion: after.edge_congestion().to_vec(),
             outputs: after.take_outputs(),
         };
-        let fresh = congest_sim::run_protocol(&g, |_, _| mk(), cfg()).unwrap();
+        let fresh = run_protocol(&g, |_, _| mk(), cfg()).unwrap();
         prop_assert_eq!(after_obs.outputs, fresh.outputs);
         prop_assert_eq!(after_obs.stats, fresh.stats);
         prop_assert_eq!(Some(after_obs.trace), fresh.trace);

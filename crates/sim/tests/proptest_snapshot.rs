@@ -3,7 +3,7 @@
 //! session (standing in for a fresh process), continue — must be
 //! bit-identical to the uninterrupted run: outputs, stats, traces,
 //! per-edge congestion, and the per-phase state hashes, across
-//! checkpoint positions × shard counts × meter modes × fault plans.
+//! checkpoint positions × shard counts × fault plans.
 //!
 //! Alongside the oracle: state-hash invariance across serial/parallel ×
 //! shard counts (the hash folds only nonzero words, so execution
@@ -15,8 +15,8 @@
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::rng::phase_seed;
 use congest_sim::{
-    ChurnSession, EngineConfig, FaultPlan, MeterMode, Mutation, NodeCtx, Protocol, RunStats,
-    Session, SessionPool, SnapshotError,
+    ChurnSession, EngineConfig, FaultPlan, Mutation, NodeCtx, Protocol, RunStats, Session,
+    SessionPool, SnapshotError,
 };
 use proptest::prelude::*;
 
@@ -130,14 +130,12 @@ fn run_phase(
     k: u64,
     seed: u64,
     shards: usize,
-    meter: MeterMode,
     fault_budget: usize,
     fseed: u64,
 ) -> PhaseObs {
     let engine = EngineConfig::serial()
         .seed(phase_seed(seed, k))
         .shards(shards)
-        .meter(meter)
         .trace();
     let observe = |out: congest_sim::PhaseOutcome<'_, u64>| {
         (
@@ -241,36 +239,32 @@ proptest! {
         fseed in any::<u64>(),
     ) {
         for &shards in &[1usize, 5] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                // Uninterrupted reference.
-                let mut reference = Session::new(&g);
-                let expected: Vec<PhaseObs> = (1..=PHASES)
-                    .map(|k| run_phase(&mut reference, k, seed, shards, meter, fault_budget, fseed))
-                    .collect();
+            // Uninterrupted reference.
+            let mut reference = Session::new(&g);
+            let expected: Vec<PhaseObs> = (1..=PHASES)
+                .map(|k| run_phase(&mut reference, k, seed, shards, fault_budget, fseed))
+                .collect();
 
-                // Interrupted arm: run to the cut, checkpoint, restore.
-                let mut first = Session::new(&g);
-                let mut got: Vec<PhaseObs> = (1..=cut)
-                    .map(|k| run_phase(&mut first, k, seed, shards, meter, fault_budget, fseed))
-                    .collect();
-                let bytes = first.snapshot();
-                drop(first);
+            // Interrupted arm: run to the cut, checkpoint, restore.
+            let mut first = Session::new(&g);
+            let mut got: Vec<PhaseObs> = (1..=cut)
+                .map(|k| run_phase(&mut first, k, seed, shards, fault_budget, fseed))
+                .collect();
+            let bytes = first.snapshot();
+            drop(first);
 
-                let header = congest_sim::snapshot::peek(&bytes).unwrap();
-                prop_assert_eq!(header.fingerprint, g.fingerprint());
-                prop_assert!(header.clean);
-                prop_assert!(!header.has_churn);
+            let header = congest_sim::snapshot::peek(&bytes).unwrap();
+            prop_assert_eq!(header.fingerprint, g.fingerprint());
+            prop_assert!(header.clean);
+            prop_assert!(!header.has_churn);
 
-                let mut resumed = Session::restore(&g, &bytes).unwrap();
-                prop_assert_eq!(resumed.state_hash(), header.state_hash);
-                got.extend(
-                    (cut + 1..=PHASES).map(|k| {
-                        run_phase(&mut resumed, k, seed, shards, meter, fault_budget, fseed)
-                    }),
-                );
-                prop_assert_eq!(&got, &expected,
-                    "cut={} shards={} meter={:?}", cut, shards, meter);
-            }
+            let mut resumed = Session::restore(&g, &bytes).unwrap();
+            prop_assert_eq!(resumed.state_hash(), header.state_hash);
+            got.extend(
+                (cut + 1..=PHASES)
+                    .map(|k| run_phase(&mut resumed, k, seed, shards, fault_budget, fseed)),
+            );
+            prop_assert_eq!(&got, &expected, "cut={} shards={}", cut, shards);
         }
     }
 
@@ -289,8 +283,7 @@ proptest! {
                     .map(|k| {
                         let mut cfg = EngineConfig::serial()
                             .seed(phase_seed(seed, k))
-                            .shards(shards)
-                            .meter(MeterMode::BitPlanes);
+                            .shards(shards);
                         cfg.parallel = parallel;
                         let out = s
                             .run(
@@ -372,13 +365,15 @@ proptest! {
 
     /// Compaction-straddling arm: a staggered wide run whose sweep
     /// repacks mid-run must leave the engine state indistinguishable
-    /// from the same run without compaction — the state hash after the
-    /// wide phase, the parked snapshot frame taken *between* the
-    /// compacted run and the next phase, and the restored session's
-    /// next-phase outputs and hash must all be identical across
-    /// `compact(true)` and `compact(false)` (wide lane buffers are zero
-    /// at rest and excluded from the hash, so a mid-run repack may not
-    /// leak one bit into what a snapshot carries).
+    /// from a wide run that cannot repack — the same lanes at one equal
+    /// duration retire in the same round, so the live count falls from
+    /// `w` straight to 0 and never meets the `live <= w/2` trigger. The
+    /// state hash after the wide phase, the parked snapshot frame taken
+    /// *between* the wide run and the next phase, and the restored
+    /// session's next-phase outputs and hash must all be identical
+    /// across the two (wide lane buffers are zero at rest and excluded
+    /// from the hash, so a mid-run repack may not leak one bit into what
+    /// a snapshot carries).
     #[test]
     fn snapshot_straddling_a_compaction_is_compaction_invariant(
         g in arb_connected_graph(18),
@@ -386,14 +381,16 @@ proptest! {
         w in 5usize..9,
     ) {
         let lanes = congest_sim::LaneSpec::batch(seed, w);
-        // Staggered durations: lanes retire one by one, so live drops
-        // through the `live <= w/2` threshold and the sweep compacts.
-        let mk = |_: u32, l: usize, _: &Graph| Chatter {
-            rounds: 1 + (l as u64 * 5) % 9,
-            salt: l as u64 + 1,
-            heard: 0,
-        };
-        let arm = |compact: bool| {
+        let arm = |staggered: bool| {
+            // Staggered durations: lanes retire one by one, so live drops
+            // through the `live <= w/2` threshold and the sweep compacts.
+            // Equal durations: `Chatter` is undone until its last round,
+            // so every lane retires in round 9 and nothing ever repacks.
+            let mk = |_: u32, l: usize, _: &Graph| Chatter {
+                rounds: if staggered { 1 + (l as u64 * 5) % 9 } else { 9 },
+                salt: l as u64 + 1,
+                heard: 0,
+            };
             let mut pool = SessionPool::new();
             let key = pool.register(g.clone());
             // Phase 1 (plain session): warm the engine state.
@@ -406,15 +403,9 @@ proptest! {
                     .unwrap();
                 drop(out);
             });
-            // Phase 2 (wide, staggered): compaction per arm.
+            // Phase 2 (wide): repacking per arm.
             let hash_mid = pool.with_wide(key, |ws| {
-                let out = ws
-                    .run(
-                        &lanes,
-                        mk,
-                        EngineConfig::serial().trace().compact(compact),
-                    )
-                    .unwrap();
+                let out = ws.run(&lanes, mk, EngineConfig::serial().trace()).unwrap();
                 drop(out);
                 ws.state_hash()
             });
@@ -437,9 +428,12 @@ proptest! {
             });
             (hash_mid, frames, fin)
         };
-        let on = arm(true);
-        let off = arm(false);
-        prop_assert_eq!(&on, &off, "compaction leaked into hash/snapshot/continuation");
+        let compacting = arm(true);
+        let never_compacts = arm(false);
+        prop_assert_eq!(
+            &compacting, &never_compacts,
+            "compaction leaked into hash/snapshot/continuation"
+        );
     }
 
     /// Pool arm: park a pool's warm states as frames, restore them into

@@ -1,7 +1,7 @@
 //! The wide-batch differential harness: a W-lane [`WideSession`] run must
 //! be **bit-identical, lane by lane, to W sequential [`Session`] runs** —
 //! outputs, [`RunStats`], round traces, and per-edge congestion meters —
-//! sweeping shard counts × meter modes × per-lane fault plans × pool
+//! sweeping shard counts × per-lane fault plans × pool
 //! widths, with the sequential arm's sparse fast path forced both ways
 //! (the wide kernel has no sparse path, so equivalence across both
 //! sequential modes proves it sits in the same result class).
@@ -12,9 +12,7 @@
 //! changing one bit of any result.
 
 use congest_graph::{Graph, GraphBuilder};
-use congest_sim::{
-    EngineConfig, FaultPlan, LaneSpec, MeterMode, NodeCtx, Protocol, Session, WideSession,
-};
+use congest_sim::{EngineConfig, FaultPlan, LaneSpec, NodeCtx, Protocol, Session, WideSession};
 use proptest::prelude::*;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -220,7 +218,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// Non-quiescent RNG-driven chatter: wide ≡ sequential per lane,
-    /// across shard counts × meter modes × faulted lanes, with the
+    /// across shard counts × faulted lanes, with the
     /// sequential arm's sparse fast path forced both off and on.
     #[test]
     fn wide_chatter_matches_sequential(
@@ -233,16 +231,11 @@ proptest! {
         let lanes = mixed_lanes(seed, w, fault_budget, fseed);
         let mk = |_: u32, l: usize, _: &Graph| Chatter { rounds: 6, salt: l as u64 + 1, heard: 0 };
         for &shards in &[1usize, 5] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                let config = EngineConfig::serial().shards(shards).meter(meter).trace();
-                let wide = wide_obs(&g, &lanes, mk, config.clone());
-                for &st in &[0usize, usize::MAX] {
-                    let seq = seq_obs(&g, &lanes, mk, config.clone().sparse_threshold(st));
-                    prop_assert_eq!(
-                        &wide, &seq,
-                        "shards={} meter={:?} sparse_threshold={}", shards, meter, st
-                    );
-                }
+            let config = EngineConfig::serial().shards(shards).trace();
+            let wide = wide_obs(&g, &lanes, mk, config.clone());
+            for &st in &[0usize, usize::MAX] {
+                let seq = seq_obs(&g, &lanes, mk, config.clone().sparse_threshold(st));
+                prop_assert_eq!(&wide, &seq, "shards={} sparse_threshold={}", shards, st);
             }
         }
     }
@@ -262,12 +255,10 @@ proptest! {
             token: (v as u64).wrapping_mul(0x9E37_79B9).rotate_left(l as u32),
         };
         for &shards in &[1usize, 4] {
-            for &meter in &[MeterMode::BitPlanes, MeterMode::ArcCounters] {
-                let config = EngineConfig::serial().shards(shards).meter(meter).trace();
-                let wide = wide_obs(&g, &lanes, mk, config.clone());
-                let seq = seq_obs(&g, &lanes, mk, config);
-                prop_assert_eq!(&wide, &seq, "shards={} meter={:?}", shards, meter);
-            }
+            let config = EngineConfig::serial().shards(shards).trace();
+            let wide = wide_obs(&g, &lanes, mk, config.clone());
+            let seq = seq_obs(&g, &lanes, mk, config);
+            prop_assert_eq!(&wide, &seq, "shards={}", shards);
         }
     }
 
@@ -312,11 +303,11 @@ proptest! {
     /// Lane compaction at adversarial points: per-lane durations drawn
     /// by proptest stagger retirements so the live count repeatedly
     /// crosses the `live <= w/2` threshold and the sweep repacks
-    /// mid-run. Compaction on, compaction off, and the sequential
-    /// oracle must all agree bit-for-bit — outputs, stats, traces, and
-    /// per-edge congestion.
+    /// mid-run. The compacting sweep and the per-lane sequential oracle
+    /// (which has no lanes to repack) must agree bit-for-bit — outputs,
+    /// stats, traces, and per-edge congestion.
     #[test]
-    fn staggered_compaction_matches_compact_off_and_sequential(
+    fn staggered_compaction_matches_sequential(
         g in arb_connected_graph(20),
         seed in any::<u64>(),
         w in 4usize..13,
@@ -331,11 +322,9 @@ proptest! {
             heard: 0,
         };
         let config = EngineConfig::serial().shards(2).trace();
-        let on = wide_obs(&g, &lanes, mk, config.clone());
-        let off = wide_obs(&g, &lanes, mk, config.clone().compact(false));
+        let wide = wide_obs(&g, &lanes, mk, config.clone());
         let seq = seq_obs(&g, &lanes, mk, config);
-        prop_assert_eq!(&on, &off, "compaction changed results");
-        prop_assert_eq!(&on, &seq, "wide (compacting) diverged from sequential");
+        prop_assert_eq!(&wide, &seq, "wide (compacting) diverged from sequential");
     }
 
     /// A lane blowing the round budget *after* the sweep has compacted
@@ -343,8 +332,8 @@ proptest! {
     /// lanes retire early (forcing compaction), the survivor chatters
     /// forever, and the batch errors with the same
     /// [`EngineError::RoundLimitExceeded`] the lone sequential run
-    /// reports — with or without compaction. The session must come back
-    /// clean afterwards (post-compaction dirty scrub).
+    /// reports. The session must come back clean afterwards
+    /// (post-compaction dirty scrub).
     #[test]
     fn round_limit_in_compacted_tail_fails_like_isolated(
         g in arb_connected_graph(14),
@@ -376,13 +365,11 @@ proptest! {
         };
         prop_assert_eq!(&isolated, &congest_sim::EngineError::RoundLimitExceeded { limit: 12 });
         let mut session = WideSession::new(&g);
-        for compact in [true, false] {
-            let err = match session.run(&lanes, mk, config.clone().compact(compact)) {
-                Err(e) => e,
-                Ok(_) => panic!("compacted tail must blow the budget"),
-            };
-            prop_assert_eq!(&err, &isolated, "compact={}", compact);
-        }
+        let err = match session.run(&lanes, mk, config) {
+            Err(e) => e,
+            Ok(_) => panic!("compacted tail must blow the budget"),
+        };
+        prop_assert_eq!(&err, &isolated);
         // The failed, compacted session scrubs back to a clean slate.
         let mk2 = |_: u32, l: usize, _: &Graph| Chatter { rounds: 4, salt: l as u64, heard: 0 };
         let cfg2 = EngineConfig::serial().shards(2).trace();

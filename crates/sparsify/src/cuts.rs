@@ -160,7 +160,7 @@ pub fn theorem7_all_cuts(
     let params =
         PartitionParams::from_lambda(n, lambda, congest_core::broadcast::DEFAULT_PARTITION_C);
     // The broadcast (and its retries) runs all six Theorem 1 phases on
-    // one resident engine session (`BroadcastConfig::phase_resident`).
+    // one resident engine session.
     let (bc, _) = partition_broadcast_retrying(
         g.graph(),
         &input,
