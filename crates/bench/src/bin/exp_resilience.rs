@@ -10,9 +10,9 @@
 use congest_bench::Table;
 use congest_core::broadcast::{BroadcastConfig, BroadcastInput};
 use congest_core::partition::PartitionParams;
-use congest_core::resilient::resilient_broadcast;
+use congest_core::resilient::resilient_broadcast_hosted;
 use congest_graph::generators::harary;
-use congest_sim::FaultPlan;
+use congest_sim::{FaultPlan, PhaseHost};
 
 fn main() {
     println!("# E13 — broadcast vs a mobile edge adversary (replication over the packing)");
@@ -21,6 +21,7 @@ fn main() {
     let g = harary(24, 96);
     let input = BroadcastInput::random_spread(&g, 96, 0xE13);
     let params = PartitionParams::explicit(4);
+    let mut host = PhaseHost::resident(&g);
 
     let mut t = Table::new(
         "starved nodes (out of 96) after routing under attack — 3 seeds each",
@@ -36,8 +37,8 @@ fn main() {
                 // fresh partition seed, like the plain broadcast wrapper.
                 let out = (0..20u64)
                     .find_map(|attempt| {
-                        resilient_broadcast(
-                            &g,
+                        resilient_broadcast_hosted(
+                            &mut host,
                             &input,
                             params,
                             *r,

@@ -19,16 +19,28 @@
 //!
 //! Every phase is executed as real message passing and its round count
 //! recorded in a [`PhaseLog`]; the total is the number Theorem 1 bounds.
+//!
+//! **One driver.** The composition is written once, as stages over `L`
+//! lanes in the crate-private `stages` module: (a) leader + BFS,
+//! (b) numbering — the only control phase that depends on who holds the
+//! messages —, (c) partition + per-class BFS + the spanning check,
+//! (d) routing, (e) checksums and outcome. [`partition_broadcast_hosted`]
+//! is its one-lane spelling, [`partition_broadcast_wide`] the `W`-lane
+//! one; [`crate::resilient`] and [`crate::exp_search`] run the same
+//! stages under their own seeds, and every retry is the one ladder of
+//! [`crate::watchdog()`]. Surface rule: only [`partition_broadcast`],
+//! [`partition_broadcast_retrying`] and the wide driver (which owns its
+//! [`WideSession`]) take a `&Graph`; every other driver of the family
+//! takes the caller's [`PhaseHost`].
 
-use crate::bfs::{BfsProtocol, SubgraphBfs};
-use crate::convergecast::{Numbering, TreeView};
-use crate::leader::FloodMax;
-use crate::partition::{EdgePartitionProtocol, PartitionParams};
-use crate::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult};
+use crate::partition::PartitionParams;
+use crate::pipeline::{PipeCore, PipeMsg, PipeResult};
+use crate::stages::{Composition, PhaseLanes, CLASS_PHASES};
+use crate::watchdog::{partition_broadcast_degrading_hosted, DegradePolicy};
 use congest_graph::{Graph, Node, Port};
 use congest_sim::{
-    EngineConfig, EngineError, LaneSpec, MsgBits, NodeCtx, PackedMsg, PhaseHost, PhaseLog,
-    Protocol, RunStats, WideSession,
+    EngineConfig, EngineError, MsgBits, NodeCtx, PackedMsg, PhaseHost, PhaseLog, Protocol,
+    RunStats, WideSession,
 };
 
 /// The broadcast problem instance: `k` messages, message `i` initially at
@@ -116,8 +128,12 @@ impl BroadcastConfig {
         }
     }
 
-    fn engine(&self, phase: u64) -> EngineConfig {
-        EngineConfig::with_seed(congest_sim::rng::phase_seed(self.seed, phase))
+    /// The engine configuration of phase number `phase` of a run seeded
+    /// `seed` (`self.seed`, or a wide lane's own): every driver of the
+    /// family derives its per-phase seeds this way, each from its own
+    /// phase-number range.
+    pub(crate) fn engine(&self, seed: u64, phase: u64) -> EngineConfig {
+        EngineConfig::with_seed(congest_sim::rng::phase_seed(seed, phase))
             .max_rounds(self.max_rounds)
     }
 }
@@ -199,7 +215,8 @@ impl BroadcastOutcome {
 pub const DEFAULT_PARTITION_C: f64 = 2.0;
 
 /// Theorem 1 with the paper's parameter choice `λ′ = max(1, ⌊λ/(C·ln n)⌋)`
-/// at the default `C` ([`DEFAULT_PARTITION_C`]).
+/// at the default `C` ([`DEFAULT_PARTITION_C`]): one attempt on a host of
+/// its own.
 pub fn partition_broadcast(
     g: &Graph,
     input: &BroadcastInput,
@@ -207,172 +224,32 @@ pub fn partition_broadcast(
     seed: u64,
 ) -> Result<BroadcastOutcome, BroadcastError> {
     let params = PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C);
-    partition_broadcast_with(g, input, params, &BroadcastConfig::with_seed(seed))
-}
-
-/// Theorem 1 with explicit parameters. See the module docs for the phase
-/// structure. Builds one resident phase host and delegates to
-/// [`partition_broadcast_hosted`].
-pub fn partition_broadcast_with(
-    g: &Graph,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-) -> Result<BroadcastOutcome, BroadcastError> {
     let mut host = PhaseHost::resident(g);
-    partition_broadcast_hosted(&mut host, input, params, cfg)
+    partition_broadcast_hosted(&mut host, input, params, &BroadcastConfig::with_seed(seed))
 }
 
-/// Theorem 1 on a caller-provided engine host. Drivers that compose
-/// several broadcasts (the BCC simulation, APSP, the sparsifier
+/// Theorem 1, one attempt with explicit parameters on the caller's engine
+/// host — the one-lane instantiation of the composition. Drivers that
+/// compose several broadcasts (the BCC simulation, APSP, the sparsifier
 /// pipeline) pass one resident host so every broadcast — and every phase
-/// inside it — reuses the same preallocated engine.
+/// inside it — reuses the same preallocated engine. Every phase is logged
+/// with the host's post-phase state hash (the snapshot/replay checkpoint
+/// signal).
 pub fn partition_broadcast_hosted(
     host: &mut PhaseHost<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     cfg: &BroadcastConfig,
 ) -> Result<BroadcastOutcome, BroadcastError> {
-    let g = host.graph();
-    let n = g.n();
-    let k = input.k() as u64;
-    let lp = params.num_subgraphs;
-    let mut phases = PhaseLog::new();
-
-    // Phase stats are recorded together with the engine's post-phase
-    // state hash (the snapshot/replay checkpoint signal), which needs
-    // the host back — so each phase captures its stats, releases the
-    // outcome, then records.
-
-    // Phase 1: leader election.
-    let leaders = host.run(|v, _| FloodMax::new(v), cfg.engine(1))?;
-    let st = leaders.stats;
-    let root = leaders.outputs()[0].leader;
-    drop(leaders);
-    phases.record_hashed("leader-election", st, host.state_hash());
-
-    // Phase 2: BFS on G from the leader.
-    let bfs = host.run(|v, _| BfsProtocol::new(root, v), cfg.engine(2))?;
-    let st = bfs.stats;
-    let views: Vec<TreeView> = bfs.outputs().iter().map(TreeView::from_bfs).collect();
-    drop(bfs);
-    phases.record_hashed("bfs", st, host.state_hash());
-
-    // Phase 3: Lemma 3 numbering of the k messages.
-    let payloads = input.payloads_by_node(n);
-    let numbering = host.run(
-        |v, _| Numbering::new(views[v as usize].clone(), payloads[v as usize].len() as u64),
-        cfg.engine(3),
-    )?;
-    let numbering_stats = numbering.stats;
-    debug_assert!(numbering.outputs().iter().all(|&(_, total)| total == k));
-
-    // Locally at each node: message j (input order) gets id start_v + j.
-    let ids_by_node: Vec<Vec<u32>> = (0..n)
-        .map(|v| {
-            let (start, _) = numbering.outputs()[v];
-            (0..payloads[v].len() as u64)
-                .map(|j| (start + j) as u32)
-                .collect()
-        })
-        .collect();
-    drop(numbering);
-    phases.record_hashed("numbering", numbering_stats, host.state_hash());
-
-    // Phase 4: edge partition (one round).
-    let part_protocol = host.run(
-        |v, gr| EdgePartitionProtocol::new(v, cfg.seed, lp, gr.degree(v)),
-        cfg.engine(4),
-    )?;
-    let st = part_protocol.stats;
-    let port_colors: Vec<Vec<u32>> = part_protocol.take_outputs();
-    phases.record_hashed("edge-partition", st, host.state_hash());
-
-    // Phase 5: parallel BFS in every class.
-    let sub_bfs_run = host.run(
-        |v, _| SubgraphBfs::new(root, v, port_colors[v as usize].clone(), lp),
-        cfg.engine(5),
-    )?;
-    let st = sub_bfs_run.stats;
-    let sub_bfs = sub_bfs_run.take_outputs();
-    phases.record_hashed("subgraph-bfs", st, host.state_hash());
-    // Verify Theorem 2's event: every class spans.
-    for c in 0..lp {
-        let unreached = sub_bfs.iter().filter(|infos| !infos[c].reached).count();
-        if unreached > 0 {
-            return Err(BroadcastError::NotSpanning {
-                subgraph: c as u32,
-                unreached,
-            });
-        }
-    }
-    let subgraph_heights: Vec<u32> = (0..lp)
-        .map(|c| (0..n).map(|v| sub_bfs[v][c].depth).max().unwrap_or(0))
-        .collect();
-
-    // Phase 6: parallel pipelined routing. Message id j → class ⌊j/K⌋.
-    let cap = ceil_div(k.max(1), lp as u64);
-    let color_of_id = |id: u32| ((id as u64 / cap).min(lp as u64 - 1)) as usize;
-    let mut k_per_class = vec![0u64; lp];
-    for ids in &ids_by_node {
-        for &id in ids {
-            k_per_class[color_of_id(id)] += 1;
-        }
-    }
-    let routing = host.run(
-        |v, _| {
-            let vi = v as usize;
-            let cores = (0..lp)
-                .map(|c| {
-                    let own: Vec<PipeMsg> = ids_by_node[vi]
-                        .iter()
-                        .zip(payloads[vi].iter())
-                        .filter(|(&id, _)| color_of_id(id) == c)
-                        .map(|(&id, &payload)| PipeMsg { id, payload })
-                        .collect();
-                    PipeCore::new(
-                        TreeView::from_bfs(&sub_bfs[vi][c]),
-                        k_per_class[c],
-                        own,
-                        cfg.record_payloads,
-                    )
-                })
-                .collect();
-            ParallelPipeline::new(cores)
-        },
-        cfg.engine(6),
-    )?;
-    let st = routing.stats;
-    let per_node = routing.take_outputs();
-    phases.record_hashed("parallel-routing", st, host.state_hash());
-
-    // Expected checksums from the id assignment.
-    let all_msgs: Vec<(u32, u64)> = (0..n)
-        .flat_map(|v| {
-            ids_by_node[v]
-                .iter()
-                .zip(payloads[v].iter())
-                .map(|(&id, &p)| (id, p))
-                .collect::<Vec<_>>()
-        })
-        .collect();
-    let expected = expected_checksums(all_msgs.iter());
-
-    let stats = phases.total();
-    Ok(BroadcastOutcome {
-        total_rounds: phases.total_rounds(),
-        phases,
-        stats,
-        num_subgraphs: lp,
-        subgraph_heights,
-        per_node,
-        expected,
-        k,
-    })
+    theorem1(host, input, params, cfg, &[cfg.seed])?
+        .pop()
+        .expect("one lane in, one result out")
 }
 
 /// Retry wrapper: Theorem 2 succeeds w.h.p., so on the rare `NotSpanning`
-/// event re-randomize (fresh seed) up to `attempts` times.
+/// event re-randomize (fresh seed) up to `attempts` times on one host.
+/// This is the ladder of [`crate::watchdog()`] with the flat policy
+/// ([`DegradePolicy::flat`]): no watchdog, no level below `params`.
 pub fn partition_broadcast_retrying(
     g: &Graph,
     input: &BroadcastInput,
@@ -380,47 +257,24 @@ pub fn partition_broadcast_retrying(
     cfg: &BroadcastConfig,
     attempts: usize,
 ) -> Result<(BroadcastOutcome, usize), BroadcastError> {
+    let policy = DegradePolicy::flat(attempts, params);
     let mut host = PhaseHost::resident(g);
-    partition_broadcast_retrying_hosted(&mut host, input, params, cfg, attempts)
-}
-
-/// [`partition_broadcast_retrying`] on a caller-provided host: retries
-/// (and the broadcasts composed around them) all share one engine.
-pub fn partition_broadcast_retrying_hosted(
-    host: &mut PhaseHost<'_>,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-    attempts: usize,
-) -> Result<(BroadcastOutcome, usize), BroadcastError> {
-    let mut last_err = None;
-    for attempt in 0..attempts.max(1) {
-        let mut c = cfg.clone();
-        c.seed = cfg.seed.wrapping_add(attempt as u64 * 0x9E37_79B9);
-        match partition_broadcast_hosted(host, input, params, &c) {
-            Ok(outcome) => return Ok((outcome, attempt + 1)),
-            Err(e @ BroadcastError::NotSpanning { .. }) => last_err = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last_err.expect("at least one attempt"))
-}
-
-#[inline]
-fn ceil_div(a: u64, b: u64) -> u64 {
-    a.div_ceil(b)
+    let (outcome, log) =
+        partition_broadcast_degrading_hosted(&mut host, input, params, cfg, &policy)?;
+    Ok((outcome, log.total_attempts()))
 }
 
 /// Theorem 1, **W independent instances in one sweep**: lane `l` runs the
 /// whole six-phase composition under broadcast seed `seeds[l]`, with all
 /// lanes advancing through each phase in lockstep on one
-/// [`WideSession`]. Lane `l`'s result — phase log, stats, deliveries —
-/// is bit-identical to
-/// `partition_broadcast_with(g, input, params, &BroadcastConfig { seed: seeds[l], ..cfg })`,
-/// which is exactly the seed-sweep the retry wrapper
-/// ([`partition_broadcast_retrying`]) performs one at a time: the wide
-/// driver explores all candidate seeds concurrently, paying the arc
-/// sweep once per round instead of once per seed.
+/// [`WideSession`] — the W-lane instantiation of the composition. Lane
+/// `l`'s result — phase log, stats, deliveries — is bit-identical to
+/// [`partition_broadcast_hosted`] at `BroadcastConfig { seed: seeds[l], ..cfg }`
+/// (state hashes aside: a wide session records none), which is exactly
+/// the seed-sweep the retry wrapper ([`partition_broadcast_retrying`])
+/// performs one at a time: the wide driver explores all candidate seeds
+/// concurrently, paying the arc sweep once per round instead of once per
+/// seed.
 ///
 /// **Lane compaction:** lanes whose partition fails the phase-5 spanning
 /// check (Theorem 2's low-probability failure event) drop out and are
@@ -440,205 +294,42 @@ pub fn partition_broadcast_wide(
         "1..={} broadcast lanes, got {w}",
         congest_sim::MAX_LANES
     );
-    let n = g.n();
-    let k = input.k() as u64;
-    let lp = params.num_subgraphs;
-    let mut session = WideSession::new(g);
-    let econf = EngineConfig::with_seed(0).max_rounds(cfg.max_rounds);
-    // Per-phase lane seeds follow the sequential drivers' `cfg.engine(k)`
-    // discipline: lane l, phase p runs under `phase_seed(seeds[l], p)`.
-    let lane_specs = |phase: u64, lane_seeds: &[u64]| -> Vec<LaneSpec> {
-        lane_seeds
-            .iter()
-            .map(|&s| LaneSpec::new(congest_sim::rng::phase_seed(s, phase)))
-            .collect()
-    };
-    let mut logs: Vec<PhaseLog> = (0..w).map(|_| PhaseLog::new()).collect();
+    theorem1(&mut WideSession::new(g), input, params, cfg, seeds)
+}
 
-    // Phase 1: leader election, all lanes.
-    let roots: Vec<Node> = {
-        let out = session.run(
-            &lane_specs(1, seeds),
-            |v, _, _| FloodMax::new(v),
-            econf.clone(),
-        )?;
-        (0..w)
-            .map(|l| {
-                logs[l].record("leader-election", out.stats(l));
-                out.outputs(l)[0].leader
-            })
-            .collect()
-    };
-
-    // Phase 2: BFS on G from each lane's leader.
-    let views: Vec<Vec<TreeView>> = {
-        let out = session.run(
-            &lane_specs(2, seeds),
-            |v, l, _| BfsProtocol::new(roots[l], v),
-            econf.clone(),
-        )?;
-        (0..w)
-            .map(|l| {
-                logs[l].record("bfs", out.stats(l));
-                out.outputs(l).iter().map(TreeView::from_bfs).collect()
-            })
-            .collect()
-    };
-
-    // Phase 3: Lemma 3 numbering, per lane.
-    let payloads = input.payloads_by_node(n);
-    let ids_by_node: Vec<Vec<Vec<u32>>> = {
-        let out = session.run(
-            &lane_specs(3, seeds),
-            |v, l, _| {
-                Numbering::new(
-                    views[l][v as usize].clone(),
-                    payloads[v as usize].len() as u64,
-                )
-            },
-            econf.clone(),
-        )?;
-        (0..w)
-            .map(|l| {
-                logs[l].record("numbering", out.stats(l));
-                debug_assert!(out.outputs(l).iter().all(|&(_, total)| total == k));
-                (0..n)
-                    .map(|v| {
-                        let (start, _) = out.outputs(l)[v];
-                        (0..payloads[v].len() as u64)
-                            .map(|j| (start + j) as u32)
-                            .collect()
-                    })
-                    .collect()
-            })
-            .collect()
-    };
-
-    // Phase 4: edge partition — lane l colors with its own broadcast
-    // seed, exactly as the sequential driver uses `cfg.seed`.
-    let port_colors: Vec<Vec<Vec<u32>>> = {
-        let mut out = session.run(
-            &lane_specs(4, seeds),
-            |v, l, gr: &Graph| EdgePartitionProtocol::new(v, seeds[l], lp, gr.degree(v)),
-            econf.clone(),
-        )?;
-        (0..w)
-            .map(|l| {
-                logs[l].record("edge-partition", out.stats(l));
-                out.take_lane_outputs(l)
-            })
-            .collect()
-    };
-
-    // Phase 5: parallel BFS in every class, per lane, then the spanning
-    // check — failing lanes compact out here.
-    let sub_bfs: Vec<Vec<crate::bfs::SubgraphBfsInfo>> = {
-        let mut out = session.run(
-            &lane_specs(5, seeds),
-            |v, l, _| SubgraphBfs::new(roots[l], v, port_colors[l][v as usize].clone(), lp),
-            econf.clone(),
-        )?;
-        (0..w)
-            .map(|l| {
-                logs[l].record("subgraph-bfs", out.stats(l));
-                out.take_lane_outputs(l)
-            })
-            .collect()
-    };
-    let mut failed: Vec<Option<BroadcastError>> = (0..w).map(|_| None).collect();
-    for l in 0..w {
-        for c in 0..lp {
-            let unreached = sub_bfs[l].iter().filter(|infos| !infos[c].reached).count();
-            if unreached > 0 {
-                failed[l] = Some(BroadcastError::NotSpanning {
-                    subgraph: c as u32,
-                    unreached,
-                });
-                break;
-            }
-        }
-    }
-    let alive: Vec<usize> = (0..w).filter(|&l| failed[l].is_none()).collect();
-
-    // Phase 6: parallel pipelined routing on the compacted lane set.
-    let cap = ceil_div(k.max(1), lp as u64);
-    let color_of_id = |id: u32| ((id as u64 / cap).min(lp as u64 - 1)) as usize;
-    let k_per_class: Vec<Vec<u64>> = (0..w)
-        .map(|l| {
-            let mut per = vec![0u64; lp];
-            for ids in &ids_by_node[l] {
-                for &id in ids {
-                    per[color_of_id(id)] += 1;
-                }
-            }
-            per
-        })
-        .collect();
-    let mut per_node: Vec<Option<Vec<PipeResult>>> = (0..w).map(|_| None).collect();
-    if !alive.is_empty() {
-        let routing_seeds: Vec<u64> = alive.iter().map(|&l| seeds[l]).collect();
-        let mut out = session.run(
-            &lane_specs(6, &routing_seeds),
-            |v, li, _| {
-                let l = alive[li];
-                let vi = v as usize;
-                let cores = (0..lp)
-                    .map(|c| {
-                        let own: Vec<PipeMsg> = ids_by_node[l][vi]
-                            .iter()
-                            .zip(payloads[vi].iter())
-                            .filter(|(&id, _)| color_of_id(id) == c)
-                            .map(|(&id, &payload)| PipeMsg { id, payload })
-                            .collect();
-                        PipeCore::new(
-                            TreeView::from_bfs(&sub_bfs[l][vi][c]),
-                            k_per_class[l][c],
-                            own,
-                            cfg.record_payloads,
-                        )
-                    })
-                    .collect();
-                ParallelPipeline::new(cores)
-            },
-            econf.clone(),
-        )?;
-        for (li, &l) in alive.iter().enumerate() {
-            logs[l].record("parallel-routing", out.stats(li));
-            per_node[l] = Some(out.take_lane_outputs(li));
-        }
-    }
-
-    // Assemble per-lane results.
-    Ok((0..w)
-        .map(|l| {
-            if let Some(err) = failed[l].take() {
-                return Err(err);
-            }
-            let subgraph_heights: Vec<u32> = (0..lp)
-                .map(|c| (0..n).map(|v| sub_bfs[l][v][c].depth).max().unwrap_or(0))
-                .collect();
-            let all_msgs: Vec<(u32, u64)> = (0..n)
-                .flat_map(|v| {
-                    ids_by_node[l][v]
-                        .iter()
-                        .zip(payloads[v].iter())
-                        .map(|(&id, &p)| (id, p))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let expected = expected_checksums(all_msgs.iter());
-            let phases = std::mem::take(&mut logs[l]);
-            let stats = phases.total();
-            Ok(BroadcastOutcome {
-                total_rounds: phases.total_rounds(),
-                phases,
-                stats,
-                num_subgraphs: lp,
-                subgraph_heights,
-                per_node: per_node[l].take().expect("alive lane routed"),
-                expected,
-                k,
-            })
+/// The six phases of the module docs on `seeds.len()` lanes, lane `l`
+/// being the broadcast `BroadcastConfig { seed: seeds[l], ..cfg }`.
+fn theorem1<R: PhaseLanes>(
+    runner: &mut R,
+    input: &BroadcastInput,
+    params: PartitionParams,
+    cfg: &BroadcastConfig,
+    seeds: &[u64],
+) -> Result<Vec<Result<BroadcastOutcome, BroadcastError>>, BroadcastError> {
+    let mut comp = Composition::new(runner, input, seeds.len(), |l, phase| {
+        cfg.engine(seeds[l], phase)
+    });
+    comp.tree()?;
+    comp.number(3)?;
+    comp.class_trees(CLASS_PHASES, params.num_subgraphs, |l| seeds[l])?;
+    let verdicts: Vec<_> = (0..seeds.len()).map(|l| comp.spanning(l)).collect();
+    comp.retain(|l| verdicts[l].is_ok());
+    let mut routed = comp
+        .route(
+            (6, "parallel-routing"),
+            1,
+            cfg.record_payloads,
+            |cores, _| ParallelPipeline::new(cores),
+        )?
+        .into_iter();
+    Ok(verdicts
+        .into_iter()
+        .enumerate()
+        .map(|(l, verdict)| {
+            verdict?;
+            let (lane, per_node) = routed.next().expect("every spanning lane routed");
+            debug_assert_eq!(lane, l);
+            Ok(comp.outcome(l, per_node))
         })
         .collect())
 }
@@ -676,6 +367,15 @@ impl PackedMsg for ColoredPipeMsg {
     }
 }
 
+/// One round's transmissions of every class core, each tagged with its
+/// class and sent on that class's own tree ports.
+pub(crate) fn transmit_classes(cores: &mut [PipeCore], ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
+    for (c, core) in cores.iter_mut().enumerate() {
+        let color = c as u16;
+        core.transmit(|port, inner| ctx.send(port, ColoredPipeMsg { color, inner }));
+    }
+}
+
 /// λ′ pipelined broadcasts running concurrently, one per partition class,
 /// each confined to its own class's tree edges.
 pub struct ParallelPipeline {
@@ -697,30 +397,7 @@ impl Protocol for ParallelPipeline {
         for (p, m) in arrivals {
             self.cores[m.color as usize].on_receive(p, m.inner);
         }
-        for c in 0..self.cores.len() {
-            let (up, down) = self.cores[c].emit();
-            if let Some(m) = up {
-                let pp = self.cores[c].tree().parent_port.expect("non-root sends up");
-                ctx.send(
-                    pp,
-                    ColoredPipeMsg {
-                        color: c as u16,
-                        inner: m,
-                    },
-                );
-            }
-            if let Some(m) = down {
-                for &child in &self.cores[c].tree().children_ports.clone() {
-                    ctx.send(
-                        child,
-                        ColoredPipeMsg {
-                            color: c as u16,
-                            inner: m,
-                        },
-                    );
-                }
-            }
-        }
+        transmit_classes(&mut self.cores, ctx);
         ctx.set_done(self.cores.iter().all(|c| c.complete()));
     }
 
@@ -809,8 +486,8 @@ mod tests {
         // span; must report NotSpanning (never silently mis-deliver).
         let g = congest_graph::generators::cycle(16);
         let input = BroadcastInput::random_spread(&g, 8, 0);
-        let err = partition_broadcast_with(
-            &g,
+        let err = partition_broadcast_hosted(
+            &mut PhaseHost::resident(&g),
             &input,
             PartitionParams::explicit(16),
             &BroadcastConfig::with_seed(0),
@@ -823,18 +500,24 @@ mod tests {
     fn retrying_succeeds_on_borderline_partition() {
         let g = clique_chain(3, 12, 6);
         let input = BroadcastInput::random_spread(&g, 40, 4);
-        // λ = 6; two classes is borderline but should succeed within a few
-        // seeds.
-        let (out, attempts) = partition_broadcast_retrying(
-            &g,
-            &input,
-            PartitionParams::explicit(2),
-            &BroadcastConfig::with_seed(77),
-            20,
-        )
-        .unwrap();
+        let params = PartitionParams::explicit(2);
+        // λ = 6; two classes is borderline. This member of the
+        // `77 + a·0x9E37_79B9` family fails to span under its own seed
+        // and spans under the next one, so the retry path really runs.
+        let cfg = BroadcastConfig::with_seed(77 + 3 * 0x9E37_79B9);
+        let (out, attempts) = partition_broadcast_retrying(&g, &input, params, &cfg, 20).unwrap();
         assert!(out.all_delivered());
-        assert!(attempts >= 1);
+        assert_eq!(attempts, 2);
+        // Attempt `a` of the ladder is one plain broadcast at seed
+        // `cfg.seed + a·0x9E37_79B9`, on a host earlier attempts used.
+        let mut host = PhaseHost::resident(&g);
+        let attempt = |host: &mut PhaseHost<'_>, a: u64| {
+            let seed = cfg.seed.wrapping_add(a * 0x9E37_79B9);
+            partition_broadcast_hosted(host, &input, params, &BroadcastConfig::with_seed(seed))
+        };
+        let first = attempt(&mut host, 0).unwrap_err();
+        assert!(matches!(first, BroadcastError::NotSpanning { .. }));
+        assert_same_run(&out, &attempt(&mut host, 1).unwrap(), true, "attempt 1");
     }
 
     #[test]
@@ -843,7 +526,9 @@ mod tests {
         let input = BroadcastInput::random_spread(&g, 20, 6);
         let mut cfg = BroadcastConfig::with_seed(8);
         cfg.record_payloads = true;
-        let out = partition_broadcast_with(&g, &input, PartitionParams::explicit(2), &cfg).unwrap();
+        let mut host = PhaseHost::resident(&g);
+        let out = partition_broadcast_hosted(&mut host, &input, PartitionParams::explicit(2), &cfg)
+            .unwrap();
         assert!(out.all_delivered());
         for r in &out.per_node {
             let rec = r.recorded.as_ref().unwrap();
@@ -877,22 +562,66 @@ mod tests {
         let second = partition_broadcast_hosted(&mut used, &input, params, &cfg).unwrap();
         let fresh =
             partition_broadcast_hosted(&mut PhaseHost::resident(&g), &input, params, &cfg).unwrap();
-        assert_eq!(second.total_rounds, fresh.total_rounds);
-        assert_eq!(second.stats, fresh.stats);
-        assert_eq!(second.num_subgraphs, fresh.num_subgraphs);
-        assert_eq!(second.subgraph_heights, fresh.subgraph_heights);
-        assert_eq!(second.per_node, fresh.per_node);
-        assert_eq!(second.expected, fresh.expected);
         assert_eq!(second.phases.len(), 6);
-        assert_eq!(second.phases.len(), fresh.phases.len());
-        for ((na, sa), (nb, sb)) in second.phases.phases().zip(fresh.phases.phases()) {
-            assert_eq!(na, nb);
-            assert_eq!(sa, sb, "phase {na}");
+        assert_same_run(&second, &fresh, true, "second vs fresh");
+    }
+
+    /// Two outcomes of the same broadcast: totals, λ′, tree heights,
+    /// deliveries, checksums and the per-phase log — with `hashed`, also
+    /// a recorded and equal state hash after every phase.
+    fn assert_same_run(a: &BroadcastOutcome, b: &BroadcastOutcome, hashed: bool, what: &str) {
+        assert_eq!(a.total_rounds, b.total_rounds, "{what}");
+        assert_eq!(a.stats, b.stats, "{what}");
+        assert_eq!(a.num_subgraphs, b.num_subgraphs, "{what}");
+        assert_eq!(a.subgraph_heights, b.subgraph_heights, "{what}");
+        assert_eq!(a.per_node, b.per_node, "{what}");
+        assert_eq!((a.expected, a.k), (b.expected, b.k), "{what}");
+        assert_eq!(a.phases.len(), b.phases.len(), "{what}");
+        for ((na, sa), (nb, sb)) in a.phases.phases().zip(b.phases.phases()) {
+            assert_eq!(na, nb, "{what}");
+            assert_eq!(sa, sb, "{what} phase {na}");
         }
-        for ((na, ha), (_, hb)) in second.phases.hashes().zip(fresh.phases.hashes()) {
-            assert!(ha.is_some(), "phase {na} records a state hash");
-            assert_eq!(ha, hb, "state hash after phase {na}");
+        for ((na, ha), (_, hb)) in a.phases.hashes().zip(b.phases.hashes()) {
+            assert!(!hashed || ha.is_some(), "{what}: {na} records a state hash");
+            assert!(!hashed || ha == hb, "{what}: state hash after phase {na}");
         }
+    }
+
+    /// The wide driver's oracle: lane `l` against one sequential
+    /// broadcast at `seeds[l]`, bit for bit (a wide session records no
+    /// state hashes). Returns `(spanning, failed)` lane counts.
+    fn assert_wide_matches_sequential(
+        g: &Graph,
+        input: &BroadcastInput,
+        params: PartitionParams,
+        cfg: &BroadcastConfig,
+        seeds: &[u64],
+    ) -> (usize, usize) {
+        let wide = partition_broadcast_wide(g, input, params, cfg, seeds).unwrap();
+        assert_eq!(wide.len(), seeds.len());
+        let mut host = PhaseHost::resident(g);
+        let (mut ok, mut failed) = (0, 0);
+        for (l, &seed) in seeds.iter().enumerate() {
+            let seq_cfg = BroadcastConfig {
+                seed,
+                ..cfg.clone()
+            };
+            let seq = partition_broadcast_hosted(&mut host, input, params, &seq_cfg);
+            match (&wide[l], &seq) {
+                (Ok(wo), Ok(so)) => {
+                    ok += 1;
+                    assert!(wo.all_delivered(), "lane {l}");
+                    assert_same_run(wo, so, false, &format!("lane {l}"));
+                }
+                (Err(we), Err(se)) => {
+                    failed += 1;
+                    assert_eq!(we, se, "lane {l}");
+                    assert!(matches!(we, BroadcastError::NotSpanning { .. }));
+                }
+                (w, s) => panic!("lane {l} diverged: wide {w:?} vs sequential {s:?}"),
+            }
+        }
+        (ok, failed)
     }
 
     /// One sequential broadcast per seed is the oracle for the wide
@@ -906,34 +635,12 @@ mod tests {
         let mut cfg = BroadcastConfig::with_seed(0); // superseded per lane
         cfg.record_payloads = true;
         let seeds = [5u64, 17, 23, 42, 0xB10C];
-        let wide = partition_broadcast_wide(&g, &input, params, &cfg, &seeds).unwrap();
-        assert_eq!(wide.len(), seeds.len());
-        for (l, &seed) in seeds.iter().enumerate() {
-            let seq_cfg = BroadcastConfig {
-                seed,
-                ..cfg.clone()
-            };
-            let seq = partition_broadcast_with(&g, &input, params, &seq_cfg);
-            match (&wide[l], &seq) {
-                (Ok(wo), Ok(so)) => {
-                    assert_eq!(wo.total_rounds, so.total_rounds, "lane {l}");
-                    assert_eq!(wo.stats, so.stats, "lane {l}");
-                    assert_eq!(wo.num_subgraphs, so.num_subgraphs);
-                    assert_eq!(wo.subgraph_heights, so.subgraph_heights, "lane {l}");
-                    assert_eq!(wo.per_node, so.per_node, "lane {l}");
-                    assert_eq!(wo.expected, so.expected);
-                    assert_eq!(wo.k, so.k);
-                    assert!(wo.all_delivered(), "lane {l}");
-                    assert_eq!(wo.phases.len(), so.phases.len());
-                    for ((na, sa), (nb, sb)) in wo.phases.phases().zip(so.phases.phases()) {
-                        assert_eq!(na, nb);
-                        assert_eq!(sa, sb, "lane {l} phase {na}");
-                    }
-                }
-                (Err(we), Err(se)) => assert_eq!(we, se, "lane {l}"),
-                (w, s) => panic!("lane {l} diverged: wide {w:?} vs sequential {s:?}"),
-            }
-        }
+        let (ok, failed) = assert_wide_matches_sequential(&g, &input, params, &cfg, &seeds);
+        assert_eq!(
+            (ok, failed),
+            (seeds.len(), 0),
+            "λ′ = 2 on harary(16, 48) spans"
+        );
     }
 
     /// Mixed outcomes: on a borderline partition some seeds fail the
@@ -950,31 +657,7 @@ mod tests {
         let seeds: Vec<u64> = (0..12u64)
             .map(|a| 77u64.wrapping_add(a * 0x9E37_79B9))
             .collect();
-        let wide = partition_broadcast_wide(&g, &input, params, &cfg, &seeds).unwrap();
-        let mut ok = 0usize;
-        let mut failed = 0usize;
-        for (l, &seed) in seeds.iter().enumerate() {
-            let seq_cfg = BroadcastConfig {
-                seed,
-                ..cfg.clone()
-            };
-            let seq = partition_broadcast_with(&g, &input, params, &seq_cfg);
-            match (&wide[l], &seq) {
-                (Ok(wo), Ok(so)) => {
-                    ok += 1;
-                    assert!(wo.all_delivered(), "lane {l}");
-                    assert_eq!(wo.total_rounds, so.total_rounds, "lane {l}");
-                    assert_eq!(wo.stats, so.stats, "lane {l}");
-                    assert_eq!(wo.per_node, so.per_node, "lane {l}");
-                }
-                (Err(we), Err(se)) => {
-                    failed += 1;
-                    assert_eq!(we, se, "lane {l}");
-                    assert!(matches!(we, BroadcastError::NotSpanning { .. }));
-                }
-                (w, s) => panic!("lane {l} diverged: wide {w:?} vs sequential {s:?}"),
-            }
-        }
+        let (ok, failed) = assert_wide_matches_sequential(&g, &input, params, &cfg, &seeds);
         assert!(ok > 0, "seed family produced no spanning partition");
         assert!(
             failed > 0,

@@ -12,15 +12,20 @@
 //! classes reached everyone. The first valid guess proceeds to the routing
 //! phase. Total extra cost is a geometric sum dominated by the last
 //! (successful) iteration — the `O(log(δ/λ))` factor the paper notes.
+//!
+//! Leader + BFS, numbering, each iteration's partition + per-class BFS and
+//! the routing phase are the shared stages of Theorem 1's composition
+//! ([`crate::broadcast`]); only the learn-δ phase, the validity
+//! convergecast and the halving loop live here.
 
-use crate::bfs::{BfsProtocol, SubgraphBfs};
-use crate::broadcast::{BroadcastConfig, BroadcastInput, BroadcastOutcome, ParallelPipeline};
-use crate::convergecast::{AggOp, Aggregate, Numbering, TreeView};
-use crate::leader::FloodMax;
-use crate::partition::{EdgePartitionProtocol, PartitionParams};
-use crate::pipeline::{expected_checksums, PipeCore, PipeMsg};
+use crate::broadcast::{
+    BroadcastConfig, BroadcastInput, BroadcastOutcome, ParallelPipeline, DEFAULT_PARTITION_C,
+};
+use crate::convergecast::{AggOp, Aggregate, TreeView};
+use crate::partition::PartitionParams;
+use crate::stages::Composition;
 use congest_graph::Graph;
-use congest_sim::{EngineConfig, PhaseHost, PhaseLog};
+use congest_sim::PhaseHost;
 
 /// Trace of the exponential search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,163 +46,75 @@ pub struct ExpSearchReport {
 pub type ExpSearchError = congest_sim::EngineError;
 
 /// k-broadcast with no knowledge of λ. The whole search — shared
-/// prologue plus every doubling iteration's partition/BFS/check — runs
-/// on one phase host, so with a resident session the dozens of phases
-/// reuse one preallocated engine.
+/// prologue plus every halving iteration's partition/BFS/check — runs
+/// on one phase host, so the dozens of phases reuse one preallocated
+/// engine.
 pub fn exp_search_broadcast(
     g: &Graph,
     input: &BroadcastInput,
     cfg: &BroadcastConfig,
 ) -> Result<(BroadcastOutcome, ExpSearchReport), ExpSearchError> {
     let mut host = PhaseHost::resident(g);
-    let n = g.n();
-    let k = input.k() as u64;
-    let mut phases = PhaseLog::new();
-    let engine = |p: u64| {
-        EngineConfig::with_seed(congest_sim::rng::phase_seed(cfg.seed, 0xE59 + p))
-            .max_rounds(cfg.max_rounds)
-    };
+    let mut comp = Composition::new(&mut host, input, 1, |_, phase| {
+        cfg.engine(cfg.seed, 0xE59 + phase)
+    });
+    // What the root of the main BFS tree (= every node) learned from a
+    // one-lane convergecast phase.
+    let at_root = |runs: Vec<(usize, Vec<u64>)>| runs[0].1[0];
 
     // Leader + BFS + learn δ + numbering (shared across iterations).
-    let leaders = host.run(|v, _| FloodMax::new(v), engine(1))?;
-    phases.record("leader-election", leaders.stats);
-    let root = leaders.outputs()[0].leader;
-    drop(leaders);
+    comp.tree()?;
+    let delta = at_root(comp.phases.run((3, "learn-delta"), |v, _, gr| {
+        let view = TreeView::from_bfs(&comp.lanes[0].tree[v as usize]);
+        Aggregate::new(view, AggOp::Min, gr.degree(v) as u64)
+    })?) as usize;
+    comp.number(4)?;
 
-    let bfs = host.run(|v, _| BfsProtocol::new(root, v), engine(2))?;
-    phases.record("bfs", bfs.stats);
-    let views: Vec<TreeView> = bfs.outputs().iter().map(TreeView::from_bfs).collect();
-    drop(bfs);
-
-    let delta_run = host.run(
-        |v, gr| Aggregate::new(views[v as usize].clone(), AggOp::Min, gr.degree(v) as u64),
-        engine(3),
-    )?;
-    phases.record("learn-delta", delta_run.stats);
-    let delta = delta_run.outputs()[0] as usize;
-    drop(delta_run);
-
-    let payloads = input.payloads_by_node(n);
-    let numbering = host.run(
-        |v, _| Numbering::new(views[v as usize].clone(), payloads[v as usize].len() as u64),
-        engine(4),
-    )?;
-    phases.record("numbering", numbering.stats);
-    let ids_by_node: Vec<Vec<u32>> = (0..n)
-        .map(|v| {
-            let (start, _) = numbering.outputs()[v];
-            (0..payloads[v].len() as u64)
-                .map(|j| (start + j) as u32)
-                .collect()
-        })
-        .collect();
-    drop(numbering);
-
-    // Exponential search over λ̃.
+    // Exponential search over λ̃; iteration `i` owns phases 10+4i .. 13+4i.
     let mut tried = Vec::new();
     let mut lambda_tilde = delta.max(1);
     let mut iter = 0u64;
     loop {
         tried.push(lambda_tilde);
-        let params =
-            PartitionParams::from_lambda(n, lambda_tilde, crate::broadcast::DEFAULT_PARTITION_C);
-        let lp = params.num_subgraphs;
+        let lp =
+            PartitionParams::from_lambda(g.n(), lambda_tilde, DEFAULT_PARTITION_C).num_subgraphs;
         let part_seed = congest_sim::rng::phase_seed(cfg.seed, 0xA11CE + iter);
+        let first = 10 + 4 * iter;
+        let class_phases = [
+            (first, &*format!("partition(λ̃={lambda_tilde})")),
+            (first + 1, &*format!("subgraph-bfs(λ̃={lambda_tilde})")),
+        ];
+        comp.class_trees(class_phases, lp, |_| part_seed)?;
 
-        let part = host.run(
-            |v, gr| EdgePartitionProtocol::new(v, part_seed, lp, gr.degree(v)),
-            engine(10 + 4 * iter),
-        )?;
-        phases.record(format!("partition(λ̃={lambda_tilde})"), part.stats);
-        let port_colors = part.take_outputs();
-
-        let sub_bfs_run = host.run(
-            |v, _| SubgraphBfs::new(root, v, port_colors[v as usize].clone(), lp),
-            engine(11 + 4 * iter),
-        )?;
-        phases.record(format!("subgraph-bfs(λ̃={lambda_tilde})"), sub_bfs_run.stats);
-        let sub_bfs = sub_bfs_run.take_outputs();
-
-        // Distributed validity check: AND over "all my classes reached me"
-        // = Min over indicator bits, convergecast on the main BFS tree.
-        let ok_local: Vec<u64> = (0..n)
-            .map(|v| sub_bfs[v].iter().all(|i| i.reached) as u64)
-            .collect();
-        let check = host.run(
-            |v, _| Aggregate::new(views[v as usize].clone(), AggOp::Min, ok_local[v as usize]),
-            engine(12 + 4 * iter),
-        )?;
-        phases.record(format!("validity-check(λ̃={lambda_tilde})"), check.stats);
-        let valid = check.outputs()[0] == 1;
-        drop(check);
+        // Distributed validity check in place of the drivers' local one:
+        // AND over "all my classes reached me" = Min over indicator bits,
+        // convergecast on the main BFS tree.
+        let check = (first + 2, &*format!("validity-check(λ̃={lambda_tilde})"));
+        let valid = at_root(comp.phases.run(check, |v, _, _| {
+            let lane = &comp.lanes[0];
+            let ok = lane.class_trees[v as usize].iter().all(|i| i.reached);
+            let view = TreeView::from_bfs(&lane.tree[v as usize]);
+            Aggregate::new(view, AggOp::Min, ok as u64)
+        })?) == 1;
 
         if valid {
             // Routing phase, identical to Theorem 1's phase 6.
-            let cap = k.max(1).div_ceil(lp as u64);
-            let color_of_id = |id: u32| ((id as u64 / cap).min(lp as u64 - 1)) as usize;
-            let mut k_per_class = vec![0u64; lp];
-            for ids in &ids_by_node {
-                for &id in ids {
-                    k_per_class[color_of_id(id)] += 1;
-                }
-            }
-            let routing = host.run(
-                |v, _| {
-                    let vi = v as usize;
-                    let cores = (0..lp)
-                        .map(|c| {
-                            let own: Vec<PipeMsg> = ids_by_node[vi]
-                                .iter()
-                                .zip(payloads[vi].iter())
-                                .filter(|(&id, _)| color_of_id(id) == c)
-                                .map(|(&id, &payload)| PipeMsg { id, payload })
-                                .collect();
-                            PipeCore::new(
-                                TreeView::from_bfs(&sub_bfs[vi][c]),
-                                k_per_class[c],
-                                own,
-                                cfg.record_payloads,
-                            )
-                        })
-                        .collect();
-                    ParallelPipeline::new(cores)
-                },
-                engine(13 + 4 * iter),
-            )?;
-            phases.record("parallel-routing", routing.stats);
-            let per_node = routing.take_outputs();
-
-            let subgraph_heights: Vec<u32> = (0..lp)
-                .map(|c| (0..n).map(|v| sub_bfs[v][c].depth).max().unwrap_or(0))
-                .collect();
-            let all_msgs: Vec<(u32, u64)> = (0..n)
-                .flat_map(|v| {
-                    ids_by_node[v]
-                        .iter()
-                        .zip(payloads[v].iter())
-                        .map(|(&id, &p)| (id, p))
-                        .collect::<Vec<_>>()
-                })
-                .collect();
-            let expected = expected_checksums(all_msgs.iter());
-            let stats = phases.total();
-            let outcome = BroadcastOutcome {
-                total_rounds: phases.total_rounds(),
-                phases,
-                stats,
-                num_subgraphs: lp,
-                subgraph_heights,
-                per_node,
-                expected,
-                k,
-            };
+            let (_, per_node) = comp
+                .route(
+                    (first + 3, "parallel-routing"),
+                    1,
+                    cfg.record_payloads,
+                    |cores, _| ParallelPipeline::new(cores),
+                )?
+                .pop()
+                .expect("one lane");
             let report = ExpSearchReport {
                 delta,
                 accepted: lambda_tilde,
                 tried,
                 num_subgraphs: lp,
             };
-            return Ok((outcome, report));
+            return Ok((comp.outcome(0, per_node), report));
         }
 
         // Halve and retry. λ̃ = 1 gives λ' = 1 = the whole graph, which

@@ -48,11 +48,11 @@ impl Protocol for FloodMax {
     const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
-        for (_, id) in ctx.inbox() {
-            if id > self.best {
-                self.best = id;
-                self.dirty = true;
-            }
+        // The composition's busiest loop: `fold` is the inbox's fast path.
+        let best = ctx.inbox().fold(self.best, |best, (_, id)| best.max(id));
+        if best > self.best {
+            self.best = best;
+            self.dirty = true;
         }
         if self.dirty {
             ctx.send_all(self.best);

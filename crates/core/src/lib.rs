@@ -12,13 +12,18 @@
 //! | Lemma 1 | [`pipeline`] | pipelined `O(depth + k)` tree gather + broadcast with `O(k)` congestion |
 //! | textbook | [`textbook`] | the `O(D + k)` baseline: BFS tree + pipelined broadcast |
 //! | Theorem 2 | [`partition`] | the communication-free random edge partition into `λ′` edge-disjoint spanning subgraphs |
-//! | Theorem 1 | [`broadcast`] | the `O((n log n)/δ + (k log n)/λ)` k-broadcast |
+//! | Theorem 1 | [`broadcast`] | the `O((n log n)/δ + (k log n)/λ)` k-broadcast: the six-phase composition, written once as stages and spelled by every driver of the family |
 //! | Remark §1.1 | [`exp_search`] | broadcast **without knowing λ** via exponential search |
 //! | Lemma 4 | [`knowledge`] | learning δ in `O(D)` rounds (λ-learning substituted per DESIGN.md §2) |
 //! | Theorems 3 & 8 | [`lower_bounds`] | information-theoretic universal lower-bound calculators |
 //! | §1.2 | [`congested_clique`] | simulating rounds of the broadcast congested clique \[DKO14\] |
 //! | §1.2 / \[FP23\] | [`resilient`] | replicated broadcast surviving a mobile edge adversary |
-//! | robustness (DESIGN.md §3) | [`mod@watchdog`] | phase-boundary connectivity watchdog + retry-and-degrade broadcast under churn |
+//! | robustness (DESIGN.md §3) | [`mod@watchdog`] | phase-boundary connectivity watchdog + the family's one retry-and-degrade ladder |
+//!
+//! Surface rule for the Theorem 1 family: [`partition_broadcast`],
+//! [`broadcast::partition_broadcast_retrying`] and
+//! [`broadcast::partition_broadcast_wide`] take a `&Graph`; every other
+//! driver takes the caller's [`congest_sim::PhaseHost`].
 //!
 //! All protocols are *message-driven* (progress on arrival rather than on
 //! round counting), which makes them tolerant of the random-delay
@@ -37,6 +42,7 @@ pub mod lower_bounds;
 pub mod partition;
 pub mod pipeline;
 pub mod resilient;
+mod stages;
 pub mod textbook;
 pub mod watchdog;
 
@@ -44,6 +50,6 @@ pub use broadcast::{partition_broadcast, BroadcastInput, BroadcastOutcome};
 pub use partition::{EdgePartition, PartitionParams};
 pub use textbook::textbook_broadcast;
 pub use watchdog::{
-    partition_broadcast_degrading, resilient_broadcast_degrading, watchdog, DegradeLog,
-    DegradePolicy, SalvageAttempt, WatchdogMode, WatchdogReport,
+    partition_broadcast_degrading_hosted, resilient_broadcast_degrading_hosted, watchdog,
+    DegradeLog, DegradePolicy, SalvageAttempt, WatchdogMode, WatchdogReport,
 };

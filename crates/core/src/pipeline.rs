@@ -172,16 +172,20 @@ impl PipeCore {
         }
     }
 
-    /// What to transmit this round: at most one message up (to the parent)
-    /// and one message down (replicated to every child port).
-    pub fn emit(&mut self) -> (Option<PipeMsg>, Option<PipeMsg>) {
-        let up = if self.is_root() {
-            None
-        } else {
-            self.up_queue.pop_front()
-        };
-        let down = self.down_queue.pop_front();
-        (up, down)
+    /// Hand this round's transmissions to `send`: at most one message up
+    /// (to the parent) and one message down (replicated to every child
+    /// port).
+    pub fn transmit(&mut self, mut send: impl FnMut(Port, PipeMsg)) {
+        if let Some(parent) = self.tree.parent_port {
+            if let Some(m) = self.up_queue.pop_front() {
+                send(parent, m);
+            }
+        }
+        if let Some(m) = self.down_queue.pop_front() {
+            for &child in &self.tree.children_ports {
+                send(child, m);
+            }
+        }
     }
 
     /// Nothing queued for transmission.
@@ -192,10 +196,6 @@ impl PipeCore {
     /// All `k` messages delivered and nothing left to send.
     pub fn complete(&self) -> bool {
         self.delivered >= self.k && self.quiescent()
-    }
-
-    pub fn tree(&self) -> &TreeView {
-        &self.tree
     }
 
     pub fn into_result(self) -> PipeResult {
@@ -230,15 +230,7 @@ impl Protocol for TreePipeline {
         for (p, m) in arrivals {
             self.core.on_receive(p, m);
         }
-        let (up, down) = self.core.emit();
-        if let Some(m) = up {
-            ctx.send(self.core.tree.parent_port.unwrap(), m);
-        }
-        if let Some(m) = down {
-            for &c in &self.core.tree.children_ports.clone() {
-                ctx.send(c, m);
-            }
-        }
+        self.core.transmit(|p, m| ctx.send(p, m));
         ctx.set_done(self.core.complete());
     }
 

@@ -8,13 +8,12 @@
 //! it as soon as `k` dominates `D` — experiments E3/E4 locate the
 //! crossover empirically.
 
-use crate::bfs::BfsProtocol;
 use crate::broadcast::{BroadcastConfig, BroadcastInput};
 use crate::convergecast::TreeView;
-use crate::leader::FloodMax;
 use crate::pipeline::{expected_checksums, PipeMsg, PipeResult, TreePipeline};
+use crate::stages::Composition;
 use congest_graph::Graph;
-use congest_sim::{EngineError, PhaseLog, RunStats};
+use congest_sim::{EngineError, PhaseHost, PhaseLog, RunStats};
 
 /// Outcome of the baseline run (same verification interface as
 /// [`crate::broadcast::BroadcastOutcome`]).
@@ -58,50 +57,32 @@ pub fn textbook_broadcast_with(
     input: &BroadcastInput,
     cfg: &BroadcastConfig,
 ) -> Result<TextbookOutcome, EngineError> {
-    let n = g.n();
     let k = input.k() as u64;
-    let mut host = congest_sim::PhaseHost::resident(g);
-    let mut phases = PhaseLog::new();
+    let mut host = PhaseHost::resident(g);
+    let mut comp = Composition::new(&mut host, input, 1, |_, phase| {
+        cfg.engine(cfg.seed, 0x7B00 + phase)
+    });
 
-    let engine = |phase: u64| {
-        congest_sim::EngineConfig::with_seed(congest_sim::rng::phase_seed(cfg.seed, 0x7B00 + phase))
-            .max_rounds(cfg.max_rounds)
-    };
-
-    // Phase 1: leader election.
-    let leaders = host.run(|v, _| FloodMax::new(v), engine(1))?;
-    phases.record("leader-election", leaders.stats);
-    let root = leaders.outputs()[0].leader;
-    drop(leaders);
-
-    // Phase 2: BFS tree.
-    let bfs = host.run(|v, _| BfsProtocol::new(root, v), engine(2))?;
-    phases.record("bfs", bfs.stats);
-    let views: Vec<TreeView> = bfs.outputs().iter().map(TreeView::from_bfs).collect();
-    let tree_height = bfs.outputs().iter().map(|i| i.depth).max().unwrap_or(0);
-    drop(bfs);
+    // Phases 1 and 2: leader election and the BFS tree — stage a of
+    // Theorem 1's composition.
+    comp.tree()?;
+    let tree = &comp.lanes[0].tree;
+    let tree_height = tree.iter().map(|i| i.depth).max().unwrap_or(0);
 
     // Phase 3: single-tree pipeline with all k messages.
-    let mut own: Vec<Vec<PipeMsg>> = vec![Vec::new(); n];
+    let mut own: Vec<Vec<PipeMsg>> = vec![Vec::new(); g.n()];
     for (i, &(v, payload)) in input.messages.iter().enumerate() {
         own[v as usize].push(PipeMsg {
             id: i as u32,
             payload,
         });
     }
-    let routing = host.run(
-        |v, _| {
-            TreePipeline::new(
-                views[v as usize].clone(),
-                k,
-                own[v as usize].clone(),
-                cfg.record_payloads,
-            )
-        },
-        engine(3),
-    )?;
-    phases.record("tree-pipeline", routing.stats);
-    let per_node = routing.take_outputs();
+    let routing = comp.phases.run((3, "tree-pipeline"), |v, _, _| {
+        let view = TreeView::from_bfs(&tree[v as usize]);
+        TreePipeline::new(view, k, own[v as usize].clone(), cfg.record_payloads)
+    })?;
+    let (_, per_node) = routing.into_iter().next().expect("one lane");
+    let phases = comp.take_log(0);
 
     let all: Vec<(u32, u64)> = input
         .messages

@@ -13,14 +13,20 @@
 //!   re-measures connectivity (cheap `δ ≥ λ` upper bound by default,
 //!   exact λ via [`congest_graph::algo::edge_connectivity`] on demand)
 //!   and recomputes the λ′ the *current* graph supports;
-//! * a **degradation ladder** ([`partition_broadcast_degrading`],
-//!   [`resilient_broadcast_degrading`]): retry with fresh seeds at the
-//!   current λ′, and on persistent `NotSpanning` halve the subgraph count
-//!   instead of failing — at λ′ = 1 the algorithm *is* the textbook
+//! * a **degradation ladder** ([`partition_broadcast_degrading_hosted`],
+//!   [`resilient_broadcast_degrading_hosted`]): retry with fresh seeds at
+//!   the current λ′, and on persistent `NotSpanning` halve the subgraph
+//!   count instead of failing — at λ′ = 1 the algorithm *is* the textbook
 //!   single-tree broadcast, which spans any connected graph. Only a
 //!   genuinely disconnected graph (reported cleanly as
 //!   [`BroadcastError::Disconnected`]) or an exhausted budget still
 //!   errors.
+//!
+//! The ladder is the family's only retry loop: attempt `a`, counted
+//! across levels, is one broadcast on the caller's host at seed
+//! `cfg.seed + a·⌊2³²/φ⌋`, and
+//! [`crate::broadcast::partition_broadcast_retrying`] is the ladder under
+//! the flat policy ([`DegradePolicy::flat`]).
 //!
 //! The resilient variant additionally tolerates partial delivery: under
 //! an active edge adversary a run can complete with starved nodes, so the
@@ -113,6 +119,19 @@ pub struct DegradePolicy {
     pub partition_c: f64,
 }
 
+impl DegradePolicy {
+    /// The flat ladder — plain retrying: `attempts` fresh seeds at
+    /// `params`' subgraph count, no watchdog, no level below it.
+    pub fn flat(attempts: usize, params: PartitionParams) -> Self {
+        DegradePolicy {
+            attempts_per_level: attempts,
+            min_subgraphs: params.num_subgraphs,
+            watchdog: WatchdogMode::Off,
+            partition_c: DEFAULT_PARTITION_C,
+        }
+    }
+}
+
 impl Default for DegradePolicy {
     fn default() -> Self {
         DegradePolicy {
@@ -171,20 +190,34 @@ impl DegradeLog {
     }
 }
 
-/// The subgraph count the ladder starts at, after the optional watchdog
-/// veto, plus the started log.
-fn ladder_start(
-    g: &Graph,
-    requested: usize,
+/// The one retry-and-degrade loop. `attempt(host, params, cfg)` runs one
+/// broadcast; the ladder re-rolls `cfg.seed` `attempts_per_level` times
+/// at each λ′ and halves λ′ on persistent `NotSpanning`, starting from
+/// what the watchdog (if any) says the host's graph supports. `partial`
+/// is the salvage hook: it names the
+/// starved nodes and the drop count of a completed run that did not
+/// fully deliver — such a run is logged, the one with the fewest starved
+/// nodes (earliest on ties) is kept, and it is what the ladder returns if
+/// the budget runs out.
+fn ladder<O>(
+    host: &mut PhaseHost<'_>,
+    params: PartitionParams,
+    cfg: &BroadcastConfig,
     policy: &DegradePolicy,
-) -> Result<(usize, DegradeLog), BroadcastError> {
+    mut attempt: impl FnMut(
+        &mut PhaseHost<'_>,
+        PartitionParams,
+        &BroadcastConfig,
+    ) -> Result<O, BroadcastError>,
+    partial: impl Fn(&O) -> Option<(Vec<usize>, u64)>,
+) -> Result<(O, DegradeLog), BroadcastError> {
     let mut log = DegradeLog::default();
+    let requested = params.num_subgraphs;
     let floor = policy.min_subgraphs.max(1);
     let mut lp = requested.max(floor);
     if policy.watchdog != WatchdogMode::Off {
-        let report = watchdog(g, lp, policy.watchdog, policy.partition_c);
+        let report = watchdog(host.graph(), lp, policy.watchdog, policy.partition_c);
         if report.disconnected {
-            log.watchdog = Some(report);
             return Err(BroadcastError::Disconnected);
         }
         if report.degrade_needed {
@@ -195,35 +228,39 @@ fn ladder_start(
         }
         log.watchdog = Some(report);
     }
-    Ok((lp, log))
-}
-
-/// Theorem 1 with retry-and-degrade instead of hard failure; see the
-/// module docs. Per-host variant: every attempt at every level reuses
-/// the caller's engine.
-pub fn partition_broadcast_degrading_hosted(
-    host: &mut PhaseHost<'_>,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-    policy: &DegradePolicy,
-) -> Result<(BroadcastOutcome, DegradeLog), BroadcastError> {
-    let (mut lp, mut log) = ladder_start(host.graph(), params.num_subgraphs, policy)?;
-    let floor = policy.min_subgraphs.max(1);
+    let mut cfg = cfg.clone();
+    let base_seed = cfg.seed;
     let mut total_attempt: u64 = 0;
     let mut last_err = None;
+    // The best partial delivery so far: its level, its outcome, and its
+    // index in `log.salvage`.
+    let mut best: Option<(usize, O, usize)> = None;
     loop {
         let mut attempts_here = 0usize;
         for _ in 0..policy.attempts_per_level.max(1) {
-            let mut c = cfg.clone();
-            c.seed = cfg.seed.wrapping_add(total_attempt * 0x9E37_79B9);
+            cfg.seed = base_seed.wrapping_add(total_attempt * 0x9E37_79B9);
             total_attempt += 1;
             attempts_here += 1;
-            match partition_broadcast_hosted(host, input, PartitionParams::explicit(lp), &c) {
+            match attempt(host, PartitionParams::explicit(lp), &cfg) {
                 Ok(out) => {
-                    log.levels.push((lp, attempts_here));
-                    log.final_subgraphs = lp;
-                    return Ok((out, log));
+                    let Some((starved, dropped)) = partial(&out) else {
+                        log.levels.push((lp, attempts_here));
+                        log.final_subgraphs = lp;
+                        return Ok((out, log));
+                    };
+                    let fewest = best
+                        .as_ref()
+                        .map_or(usize::MAX, |&(.., at)| log.salvage[at].starved.len());
+                    if starved.len() < fewest {
+                        best = Some((lp, out, log.salvage.len()));
+                    }
+                    log.salvage.push(SalvageAttempt {
+                        subgraphs: lp,
+                        attempt: total_attempt - 1,
+                        starved,
+                        dropped,
+                        salvaged: false,
+                    });
                 }
                 Err(e @ BroadcastError::NotSpanning { .. }) => last_err = Some(e),
                 Err(e) => return Err(e),
@@ -232,23 +269,32 @@ pub fn partition_broadcast_degrading_hosted(
         log.levels.push((lp, attempts_here));
         if lp <= floor {
             log.exhausted = true;
-            return Err(last_err.expect("at least one attempt ran"));
+            // Budget gone: degrade gracefully to the best partial
+            // delivery, if there was one, instead of erroring.
+            let (level, out, at) = best.ok_or_else(|| last_err.expect("an attempt ran"))?;
+            log.final_subgraphs = level;
+            log.salvage[at].salvaged = true;
+            return Ok((out, log));
         }
         lp = (lp / 2).max(floor);
         log.degraded = true;
     }
 }
 
-/// [`partition_broadcast_degrading_hosted`] owning its host.
-pub fn partition_broadcast_degrading(
-    g: &Graph,
+/// Theorem 1 with retry-and-degrade instead of hard failure; see the
+/// module docs. Every attempt at every level is one
+/// [`partition_broadcast_hosted`] on the caller's engine.
+pub fn partition_broadcast_degrading_hosted(
+    host: &mut PhaseHost<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     cfg: &BroadcastConfig,
     policy: &DegradePolicy,
 ) -> Result<(BroadcastOutcome, DegradeLog), BroadcastError> {
-    let mut host = PhaseHost::resident(g);
-    partition_broadcast_degrading_hosted(&mut host, input, params, cfg, policy)
+    let attempt = |host: &mut PhaseHost<'_>, params, cfg: &BroadcastConfig| {
+        partition_broadcast_hosted(host, input, params, cfg)
+    };
+    ladder(host, params, cfg, policy, attempt, |_| None)
 }
 
 /// Resilient broadcast with retry-and-degrade **and** partial-delivery
@@ -266,83 +312,13 @@ pub fn resilient_broadcast_degrading_hosted(
     cfg: &BroadcastConfig,
     policy: &DegradePolicy,
 ) -> Result<(ResilientOutcome, DegradeLog), BroadcastError> {
-    let (mut lp, mut log) = ladder_start(host.graph(), params.num_subgraphs, policy)?;
-    let floor = policy.min_subgraphs.max(1);
-    let mut total_attempt: u64 = 0;
-    let mut last_err = None;
-    let mut best: Option<(usize, usize, ResilientOutcome)> = None; // (starved, level, outcome)
-    let mut best_salvage = 0usize; // index into log.salvage of the current best
-    loop {
-        let mut attempts_here = 0usize;
-        for _ in 0..policy.attempts_per_level.max(1) {
-            let mut c = cfg.clone();
-            c.seed = cfg.seed.wrapping_add(total_attempt * 0x9E37_79B9);
-            total_attempt += 1;
-            attempts_here += 1;
-            match resilient_broadcast_hosted(
-                host,
-                input,
-                PartitionParams::explicit(lp),
-                replication,
-                faults,
-                &c,
-            ) {
-                Ok(out) => {
-                    let starved = out.starved_nodes();
-                    if starved.is_empty() {
-                        log.levels.push((lp, attempts_here));
-                        log.final_subgraphs = lp;
-                        return Ok((out, log));
-                    }
-                    log.salvage.push(SalvageAttempt {
-                        subgraphs: lp,
-                        attempt: total_attempt - 1,
-                        dropped: out.dropped,
-                        salvaged: false,
-                        starved,
-                    });
-                    let starved = log.salvage.last().expect("just pushed").starved.len();
-                    if best.as_ref().is_none_or(|(s, ..)| starved < *s) {
-                        best = Some((starved, lp, out));
-                        best_salvage = log.salvage.len() - 1;
-                    }
-                }
-                Err(e @ BroadcastError::NotSpanning { .. }) => last_err = Some(e),
-                Err(e) => return Err(e),
-            }
-        }
-        log.levels.push((lp, attempts_here));
-        if lp <= floor {
-            log.exhausted = true;
-            return match best {
-                // Budget gone: degrade gracefully to the best partial
-                // delivery instead of erroring.
-                Some((_, level, out)) => {
-                    log.final_subgraphs = level;
-                    log.salvage[best_salvage].salvaged = true;
-                    Ok((out, log))
-                }
-                None => Err(last_err.expect("at least one attempt ran")),
-            };
-        }
-        lp = (lp / 2).max(floor);
-        log.degraded = true;
-    }
-}
-
-/// [`resilient_broadcast_degrading_hosted`] owning its host.
-#[allow(clippy::too_many_arguments)]
-pub fn resilient_broadcast_degrading(
-    g: &Graph,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    replication: usize,
-    faults: Option<FaultPlan>,
-    cfg: &BroadcastConfig,
-    policy: &DegradePolicy,
-) -> Result<(ResilientOutcome, DegradeLog), BroadcastError> {
-    let mut host = PhaseHost::resident(g);
-    resilient_broadcast_degrading_hosted(&mut host, input, params, replication, faults, cfg, policy)
+    let attempt = |host: &mut PhaseHost<'_>, params, cfg: &BroadcastConfig| {
+        resilient_broadcast_hosted(host, input, params, replication, faults, cfg)
+    };
+    ladder(host, params, cfg, policy, attempt, |out| {
+        let starved = out.starved_nodes();
+        (!starved.is_empty()).then_some((starved, out.dropped))
+    })
 }
 
 #[cfg(test)]
@@ -350,6 +326,35 @@ mod tests {
     use super::*;
     use congest_graph::generators::{cycle, harary};
     use congest_graph::GraphBuilder;
+
+    /// One attempt per level, no watchdog: the ladder itself must work.
+    fn one_shot_levels() -> DegradePolicy {
+        DegradePolicy {
+            attempts_per_level: 1,
+            watchdog: WatchdogMode::Off,
+            ..Default::default()
+        }
+    }
+
+    /// The resilient ladder from λ′ = 4 on `harary(24, 72)`, k = 72, seed
+    /// `0x52`: `r` copies per message against `faults` edge faults a round.
+    fn resilient_ladder(
+        r: usize,
+        faults: usize,
+        policy: &DegradePolicy,
+    ) -> (ResilientOutcome, DegradeLog) {
+        let g = harary(24, 72);
+        resilient_broadcast_degrading_hosted(
+            &mut PhaseHost::resident(&g),
+            &BroadcastInput::random_spread(&g, 72, 3),
+            PartitionParams::explicit(4),
+            r,
+            Some(FaultPlan::new(faults, 0xBAD)),
+            &BroadcastConfig::with_seed(0x52),
+            policy,
+        )
+        .unwrap()
+    }
 
     #[test]
     fn watchdog_modes_agree_on_healthy_graphs() {
@@ -404,8 +409,8 @@ mod tests {
         let rep = watchdog(&g, 1, WatchdogMode::Exact, DEFAULT_PARTITION_C);
         assert!(rep.disconnected);
         let input = BroadcastInput::at_single_node(&g, 0, 4);
-        let err = partition_broadcast_degrading(
-            &g,
+        let err = partition_broadcast_degrading_hosted(
+            &mut PhaseHost::resident(&g),
             &input,
             PartitionParams::explicit(1),
             &BroadcastConfig::with_seed(1),
@@ -425,17 +430,12 @@ mod tests {
         // wrapper walks down and delivers on one tree.
         let g = cycle(16);
         let input = BroadcastInput::random_spread(&g, 8, 0);
-        let policy = DegradePolicy {
-            watchdog: WatchdogMode::Off, // force the ladder itself to work
-            attempts_per_level: 1,
-            ..Default::default()
-        };
-        let (out, log) = partition_broadcast_degrading(
-            &g,
+        let (out, log) = partition_broadcast_degrading_hosted(
+            &mut PhaseHost::resident(&g),
             &input,
             PartitionParams::explicit(16),
             &BroadcastConfig::with_seed(0),
-            &policy,
+            &one_shot_levels(),
         )
         .unwrap();
         assert!(out.all_delivered());
@@ -451,24 +451,7 @@ mod tests {
         // ladder level completes but starves someone. The budget runs
         // out and the wrapper returns the *best* partial outcome instead
         // of an error — degraded service, honestly labelled.
-        let g = harary(24, 72);
-        let input = BroadcastInput::random_spread(&g, 72, 3);
-        let faults = congest_sim::FaultPlan::new(12, 0xBAD);
-        let policy = DegradePolicy {
-            attempts_per_level: 1,
-            watchdog: WatchdogMode::Off,
-            ..Default::default()
-        };
-        let (out, log) = resilient_broadcast_degrading(
-            &g,
-            &input,
-            PartitionParams::explicit(4),
-            1,
-            Some(faults),
-            &BroadcastConfig::with_seed(0x52),
-            &policy,
-        )
-        .unwrap();
+        let (out, log) = resilient_ladder(1, 12, &one_shot_levels());
         assert!(log.exhausted, "no attempt fully delivered: {log:?}");
         assert!(out.dropped > 0, "the adversary must have acted");
         assert!(!out.all_delivered());
@@ -494,24 +477,7 @@ mod tests {
         // the outcome the caller actually got. Multi-tenant callers
         // attribute degraded service from these records, not from the
         // winner's global starved set alone.
-        let g = harary(24, 72);
-        let input = BroadcastInput::random_spread(&g, 72, 3);
-        let faults = congest_sim::FaultPlan::new(12, 0xBAD);
-        let policy = DegradePolicy {
-            attempts_per_level: 1,
-            watchdog: WatchdogMode::Off,
-            ..Default::default()
-        };
-        let (out, log) = resilient_broadcast_degrading(
-            &g,
-            &input,
-            PartitionParams::explicit(4),
-            1,
-            Some(faults),
-            &BroadcastConfig::with_seed(0x52),
-            &policy,
-        )
-        .unwrap();
+        let (out, log) = resilient_ladder(1, 12, &one_shot_levels());
         assert!(log.exhausted);
         // One attempt per level, all partial: three salvage records in
         // run order with replayable attempt indices.
@@ -539,25 +505,12 @@ mod tests {
             .take_while(|s| !s.salvaged)
             .all(|s| s.starved.len() > min));
         // A run that fully delivers leaves no salvage records behind.
-        let ok_faults = congest_sim::FaultPlan::new(3, 0xBAD);
-        let (_, ok_log) = resilient_broadcast_degrading(
-            &g,
-            &input,
-            PartitionParams::explicit(4),
-            3,
-            Some(ok_faults),
-            &BroadcastConfig::with_seed(0x52),
-            &policy,
-        )
-        .unwrap();
+        let (_, ok_log) = resilient_ladder(3, 3, &one_shot_levels());
         assert!(ok_log.salvage.is_empty());
     }
 
     #[test]
     fn resilient_degrading_stops_at_first_full_delivery() {
-        let g = harary(24, 72);
-        let input = BroadcastInput::random_spread(&g, 72, 3);
-        let faults = congest_sim::FaultPlan::new(3, 0xBAD);
         // Watchdog off: harary(24,72) only supports λ′ = 2 by the
         // formula, and this test wants the undegraded r=3 run (pinned
         // all-delivered in resilient.rs) to return on attempt one.
@@ -565,16 +518,7 @@ mod tests {
             watchdog: WatchdogMode::Off,
             ..Default::default()
         };
-        let (out, log) = resilient_broadcast_degrading(
-            &g,
-            &input,
-            PartitionParams::explicit(4),
-            3,
-            Some(faults),
-            &BroadcastConfig::with_seed(0x52),
-            &policy,
-        )
-        .unwrap();
+        let (out, log) = resilient_ladder(3, 3, &policy);
         assert!(out.all_delivered(), "starved: {:?}", out.starved_nodes());
         assert!(!log.exhausted);
         assert_eq!(log.final_subgraphs, 4, "no degradation needed");
@@ -585,8 +529,8 @@ mod tests {
     fn watchdog_jumps_ladder_straight_to_viable_level() {
         let g = cycle(16);
         let input = BroadcastInput::random_spread(&g, 8, 0);
-        let (out, log) = partition_broadcast_degrading(
-            &g,
+        let (out, log) = partition_broadcast_degrading_hosted(
+            &mut PhaseHost::resident(&g),
             &input,
             PartitionParams::explicit(16),
             &BroadcastConfig::with_seed(0),

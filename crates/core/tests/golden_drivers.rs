@@ -1,0 +1,401 @@
+//! Golden pins for the Theorem 1 driver family.
+//!
+//! Every constant below was captured by running this file at commit
+//! `c3127e4` — the last commit where the six-phase composition was written
+//! out four times — so it holds any rewrite of the drivers to the numbers
+//! the four copies produced: per-phase rounds and message counts, the
+//! post-phase state hashes of the drivers that recorded them there (the
+//! plain and degrading ones), attempt counts, ladder levels, salvage
+//! records, class-tree heights and checksums.
+//!
+//! A pin that moves means observable behaviour changed at equal seeds.
+//! That is never a refactor; do not re-capture to make this file pass.
+
+use congest_core::broadcast::{
+    partition_broadcast_retrying, BroadcastConfig, BroadcastInput, BroadcastOutcome,
+    DEFAULT_PARTITION_C,
+};
+use congest_core::exp_search::exp_search_broadcast;
+use congest_core::partition::PartitionParams;
+use congest_core::resilient::{resilient_broadcast_hosted, ResilientOutcome};
+use congest_core::watchdog::{
+    partition_broadcast_degrading_hosted, resilient_broadcast_degrading_hosted, DegradePolicy,
+    WatchdogMode,
+};
+use congest_graph::generators::{clique_chain, harary};
+use congest_graph::Graph;
+use congest_sim::{FaultPlan, PhaseHost, PhaseLog};
+
+/// `(phase name, rounds, total messages, post-phase state hash)`.
+type PhasePin = (&'static str, u64, u64, Option<u64>);
+
+/// Compare a phase log to its pins. Drivers that recorded no state hash
+/// at the capture commit are pinned with `None` and compared hash-blind
+/// (`hashed = false`): gaining a hash is the one permitted difference.
+fn assert_phases(what: &str, log: &PhaseLog, hashed: bool, want: &[PhasePin]) {
+    let got: Vec<(String, u64, u64, Option<u64>)> = log
+        .phases()
+        .zip(log.hashes())
+        .map(|((name, st), (_, hash))| {
+            (
+                name.to_string(),
+                st.rounds,
+                st.total_messages,
+                hash.filter(|_| hashed),
+            )
+        })
+        .collect();
+    let want: Vec<(String, u64, u64, Option<u64>)> = want
+        .iter()
+        .map(|&(name, rounds, msgs, hash)| (name.to_string(), rounds, msgs, hash))
+        .collect();
+    assert_eq!(got, want, "{what}: phase log");
+}
+
+/// The parts of a Theorem 1 outcome that are not in the phase log.
+fn assert_outcome(
+    what: &str,
+    out: &BroadcastOutcome,
+    num_subgraphs: usize,
+    heights: &[u32],
+    expected: (u64, u64),
+) {
+    assert!(out.all_delivered(), "{what}: delivery");
+    assert_eq!(out.num_subgraphs, num_subgraphs, "{what}: λ′");
+    assert_eq!(out.subgraph_heights, heights, "{what}: class-tree heights");
+    assert_eq!(out.expected, expected, "{what}: checksums");
+    assert_eq!(out.total_rounds, out.phases.total_rounds(), "{what}");
+    assert_eq!(out.stats, out.phases.total(), "{what}");
+}
+
+/// `harary(16, 48)`, k = 96, λ′ from the paper's formula (= 2).
+fn dense() -> (Graph, BroadcastInput, PartitionParams) {
+    let g = harary(16, 48);
+    let input = BroadcastInput::random_spread(&g, 96, 5);
+    let params = PartitionParams::from_lambda(g.n(), 16, DEFAULT_PARTITION_C);
+    (g, input, params)
+}
+
+/// `clique_chain(3, 12, 6)`, k = 40, λ′ = 2: a borderline split on which
+/// some seeds fail Theorem 2's spanning check.
+fn borderline() -> (Graph, BroadcastInput, PartitionParams) {
+    let g = clique_chain(3, 12, 6);
+    let input = BroadcastInput::random_spread(&g, 40, 4);
+    (g, input, PartitionParams::explicit(2))
+}
+
+/// `(xor, sum)` checksums of the [`dense`] / [`borderline`] message sets.
+/// Lemma 3's id assignment is deterministic in the graph, so every driver
+/// agrees on them whatever its seeds.
+const DENSE_CHECKSUMS: (u64, u64) = (0x11129060bc39b97a, 0xe95ceee076b7f2e8);
+const BORDERLINE_CHECKSUMS: (u64, u64) = (0xb682ae8347554d16, 0x365eeffba61f630a);
+
+/// The plain driver on [`dense`] at seed 17 (reached by the retrying
+/// driver on attempt one and by the ladder after the watchdog's jump).
+const DENSE_SEED_17: &[PhasePin] = &[
+    ("leader-election", 4, 2256, Some(0x834666d521dc64dc)),
+    ("bfs", 4, 768, Some(0x63ae86c91fdedf97)),
+    ("numbering", 6, 94, Some(0x3bc0c332125b6240)),
+    ("edge-partition", 1, 384, Some(0x5015ca278ce8d199)),
+    ("subgraph-bfs", 5, 768, Some(0x63ae86c91fdedf97)),
+    ("parallel-routing", 52, 4723, Some(0x78d6ec1db5d3712f)),
+];
+
+/// A seed whose own partition fails to span on [`borderline`] while its
+/// successor in the retry family (`+ 0x9E37_79B9`) succeeds.
+const FAILS_FIRST: u64 = 77 + 3 * 0x9E37_79B9;
+
+/// `(unique, duplicates)` summed over nodes, plus the starved set.
+fn dedup_summary(out: &ResilientOutcome) -> (u64, u64, Vec<usize>) {
+    (
+        out.per_node.iter().map(|r| r.unique).sum(),
+        out.per_node.iter().map(|r| r.duplicates).sum(),
+        out.starved_nodes(),
+    )
+}
+
+#[test]
+fn retrying_first_attempt() {
+    let (g, input, params) = dense();
+    let (out, attempts) =
+        partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(17), 5)
+            .unwrap();
+    assert_eq!(attempts, 1);
+    assert_phases("retrying/dense", &out.phases, true, DENSE_SEED_17);
+    assert_outcome("retrying/dense", &out, 2, &[4, 4], DENSE_CHECKSUMS);
+}
+
+#[test]
+fn retrying_second_attempt() {
+    let (g, input, params) = borderline();
+    let (out, attempts) = partition_broadcast_retrying(
+        &g,
+        &input,
+        params,
+        &BroadcastConfig::with_seed(FAILS_FIRST),
+        5,
+    )
+    .unwrap();
+    assert_eq!(attempts, 2);
+    assert_phases(
+        "retrying/borderline",
+        &out.phases,
+        true,
+        &[
+            ("leader-election", 5, 1359, Some(0x96c608b670d42fbd)),
+            ("bfs", 5, 420, Some(0x3e557653fa8aedf9)),
+            ("numbering", 8, 70, Some(0xedfcfcec387319af)),
+            ("edge-partition", 1, 210, Some(0x486bcac88d581686)),
+            ("subgraph-bfs", 8, 420, Some(0x3e557653fa8aedf9)),
+            ("parallel-routing", 28, 1557, Some(0xc3fa510d4b3133f5)),
+        ],
+    );
+    assert_outcome(
+        "retrying/borderline",
+        &out,
+        2,
+        &[5, 7],
+        BORDERLINE_CHECKSUMS,
+    );
+}
+
+#[test]
+fn degrading_ladder() {
+    // Watchdog off, one attempt per level: the failing seed burns level
+    // λ′ = 2 and the ladder lands on the single tree.
+    let (g, input, params) = borderline();
+    let policy = DegradePolicy {
+        attempts_per_level: 1,
+        watchdog: WatchdogMode::Off,
+        ..Default::default()
+    };
+    let (out, log) = partition_broadcast_degrading_hosted(
+        &mut PhaseHost::resident(&g),
+        &input,
+        params,
+        &BroadcastConfig::with_seed(FAILS_FIRST),
+        &policy,
+    )
+    .unwrap();
+    assert_eq!(log.levels, vec![(2, 1), (1, 1)]);
+    assert_eq!(
+        (log.final_subgraphs, log.degraded, log.exhausted),
+        (1, true, false)
+    );
+    assert!(log.watchdog.is_none() && log.salvage.is_empty());
+    assert_phases(
+        "degrading/borderline",
+        &out.phases,
+        true,
+        &[
+            ("leader-election", 5, 1359, Some(0x96c608b670d42fbd)),
+            ("bfs", 5, 420, Some(0x3e557653fa8aedf9)),
+            ("numbering", 8, 70, Some(0xedfcfcec387319af)),
+            ("edge-partition", 1, 210, Some(0x486bcac88d581686)),
+            ("subgraph-bfs", 5, 420, Some(0x3e557653fa8aedf9)),
+            ("parallel-routing", 44, 1504, Some(0x54c607c9d4b12b6a)),
+        ],
+    );
+    assert_outcome("degrading/borderline", &out, 1, &[4], BORDERLINE_CHECKSUMS);
+
+    // Default policy (δ watchdog) asked for twice the λ′ the graph
+    // supports: the watchdog jumps to λ′ = 2 before any attempt runs, so
+    // the run equals the retrying driver's at the same seed.
+    let (g, input, _) = dense();
+    let (out, log) = partition_broadcast_degrading_hosted(
+        &mut PhaseHost::resident(&g),
+        &input,
+        PartitionParams::explicit(4),
+        &BroadcastConfig::with_seed(17),
+        &DegradePolicy::default(),
+    )
+    .unwrap();
+    assert_eq!(log.levels, vec![(2, 1)]);
+    assert_eq!(
+        (log.final_subgraphs, log.degraded, log.exhausted),
+        (2, true, false)
+    );
+    let report = log.watchdog.expect("δ watchdog ran");
+    assert_eq!((report.min_degree, report.recommended_subgraphs), (16, 2));
+    assert_phases("degrading/dense", &out.phases, true, DENSE_SEED_17);
+    assert_outcome("degrading/dense", &out, 2, &[4, 4], DENSE_CHECKSUMS);
+}
+
+#[test]
+fn resilient_under_faults() {
+    let (g, input, _) = dense();
+    let out = resilient_broadcast_hosted(
+        &mut PhaseHost::resident(&g),
+        &input,
+        PartitionParams::explicit(3),
+        2,
+        Some(FaultPlan::new(2, 0xBAD)),
+        &BroadcastConfig::with_seed(0x52),
+    )
+    .unwrap();
+    assert_phases(
+        "resilient",
+        &out.phases,
+        false,
+        &[
+            ("leader-election", 4, 2256, None),
+            ("bfs", 4, 768, None),
+            ("numbering", 6, 94, None),
+            ("edge-partition", 1, 384, None),
+            ("subgraph-bfs", 6, 768, None),
+            ("replicated-routing", 68, 9315, None),
+        ],
+    );
+    assert_eq!((out.replication, out.num_subgraphs, out.k), (2, 3, 96));
+    assert_eq!(out.total_rounds, out.phases.total_rounds());
+    assert_eq!(out.dropped, 45);
+    assert_eq!(out.expected, DENSE_CHECKSUMS);
+    assert_eq!(dedup_summary(&out), (4604, 4807, vec![10, 14, 18, 22]));
+}
+
+#[test]
+fn resilient_degrading_exhausts_and_salvages() {
+    // Two copies per message under five faults a round: every attempt
+    // completes with starved nodes, the budget runs out, and the best
+    // partial run (the second, by one node) is the one returned.
+    let (g, input, _) = dense();
+    let policy = DegradePolicy {
+        attempts_per_level: 2,
+        watchdog: WatchdogMode::Off,
+        ..Default::default()
+    };
+    let (out, log) = resilient_broadcast_degrading_hosted(
+        &mut PhaseHost::resident(&g),
+        &input,
+        PartitionParams::explicit(3),
+        2,
+        Some(FaultPlan::new(5, 0xBAD)),
+        &BroadcastConfig::with_seed(0x52),
+        &policy,
+    )
+    .unwrap();
+    assert_eq!(log.levels, vec![(3, 2), (1, 2)]);
+    assert_eq!(
+        (log.final_subgraphs, log.degraded, log.exhausted),
+        (3, true, true)
+    );
+    // (subgraphs, attempt, starved, dropped, salvaged) per partial run.
+    let salvage: Vec<(usize, u64, Vec<usize>, u64, bool)> = log
+        .salvage
+        .iter()
+        .map(|s| {
+            (
+                s.subgraphs,
+                s.attempt,
+                s.starved.clone(),
+                s.dropped,
+                s.salvaged,
+            )
+        })
+        .collect();
+    let winner = vec![4, 9, 13, 16, 18, 20, 21, 24, 29, 44, 46];
+    let everyone: Vec<usize> = (0..48).collect();
+    assert_eq!(
+        salvage,
+        vec![
+            (
+                3,
+                0,
+                vec![1, 2, 3, 4, 5, 10, 11, 14, 20, 42, 43, 46],
+                108,
+                false
+            ),
+            (3, 1, winner.clone(), 120, true),
+            (1, 2, everyone.clone(), 70, false),
+            (1, 3, everyone, 70, false),
+        ]
+    );
+    assert_phases(
+        "resilient-degrading",
+        &out.phases,
+        false,
+        &[
+            ("leader-election", 4, 2256, None),
+            ("bfs", 4, 768, None),
+            ("numbering", 6, 94, None),
+            ("edge-partition", 1, 384, None),
+            ("subgraph-bfs", 6, 768, None),
+            ("replicated-routing", 67, 8858, None),
+        ],
+    );
+    assert_eq!((out.replication, out.num_subgraphs, out.k), (2, 3, 96));
+    assert_eq!(out.dropped, 120);
+    assert_eq!(out.expected, DENSE_CHECKSUMS);
+    assert_eq!(dedup_summary(&out), (4590, 4364, winner));
+}
+
+#[test]
+fn exp_search() {
+    let (g, input, _) = dense();
+    let (out, report) = exp_search_broadcast(&g, &input, &BroadcastConfig::with_seed(5)).unwrap();
+    assert_eq!(
+        (
+            report.delta,
+            report.tried,
+            report.accepted,
+            report.num_subgraphs
+        ),
+        (16, vec![16], 16, 2)
+    );
+    assert_phases(
+        "exp-search/dense",
+        &out.phases,
+        false,
+        &[
+            ("leader-election", 4, 2256, None),
+            ("bfs", 4, 768, None),
+            ("learn-delta", 6, 94, None),
+            ("numbering", 6, 94, None),
+            ("partition(λ\u{303}=16)", 1, 384, None),
+            ("subgraph-bfs(λ\u{303}=16)", 5, 768, None),
+            ("validity-check(λ\u{303}=16)", 6, 94, None),
+            ("parallel-routing", 52, 4743, None),
+        ],
+    );
+    assert_outcome("exp-search/dense", &out, 2, &[4, 4], DENSE_CHECKSUMS);
+
+    // δ = 23 but λ = 2: at this seed the first guess fails its validity
+    // check and the search halves once (the `10 + 4·iter` seed offsets).
+    let g = clique_chain(3, 24, 2);
+    let input = BroadcastInput::random_spread(&g, 40, 4);
+    let (out, report) = exp_search_broadcast(&g, &input, &BroadcastConfig::with_seed(5)).unwrap();
+    assert_eq!(
+        (
+            report.delta,
+            report.tried,
+            report.accepted,
+            report.num_subgraphs
+        ),
+        (23, vec![23, 11], 11, 1)
+    );
+    assert_phases(
+        "exp-search/descending",
+        &out.phases,
+        false,
+        &[
+            ("leader-election", 5, 5935, None),
+            ("bfs", 5, 1664, None),
+            ("learn-delta", 8, 142, None),
+            ("numbering", 8, 142, None),
+            ("partition(λ\u{303}=23)", 1, 832, None),
+            ("subgraph-bfs(λ\u{303}=23)", 6, 858, None),
+            ("validity-check(λ\u{303}=23)", 8, 142, None),
+            ("partition(λ\u{303}=11)", 1, 832, None),
+            ("subgraph-bfs(λ\u{303}=11)", 5, 1664, None),
+            ("validity-check(λ\u{303}=11)", 8, 142, None),
+            ("parallel-routing", 44, 2957, None),
+        ],
+    );
+    assert_outcome(
+        "exp-search/descending",
+        &out,
+        1,
+        &[4],
+        (0x42649a1533b5e2b7, 0x734f974bc7e3c05b),
+    );
+}

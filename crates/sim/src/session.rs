@@ -1432,8 +1432,8 @@ impl<'g> Session<'g> {
 
 /// The engine host the multi-phase drivers thread through their phases:
 /// one resident [`Session`] reused by every phase. Kept as a name of its
-/// own because `benchmark/` and the drivers' `*_hosted` signatures spell
-/// it; it adds nothing to the session it wraps.
+/// own because `benchmark/` and the host-taking drivers spell it; it
+/// adds nothing to the session it wraps.
 pub struct PhaseHost<'g>(pub(crate) Session<'g>);
 
 impl<'g> PhaseHost<'g> {

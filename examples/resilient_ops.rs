@@ -12,9 +12,9 @@
 
 use fast_broadcast::core::broadcast::{BroadcastConfig, BroadcastInput};
 use fast_broadcast::core::partition::PartitionParams;
-use fast_broadcast::core::resilient::resilient_broadcast;
+use fast_broadcast::core::resilient::resilient_broadcast_hosted;
 use fast_broadcast::graph::generators::harary;
-use fast_broadcast::sim::FaultPlan;
+use fast_broadcast::sim::{FaultPlan, PhaseHost};
 
 fn main() {
     let lambda = 24;
@@ -22,6 +22,7 @@ fn main() {
     let g = harary(lambda, n);
     let input = BroadcastInput::random_spread(&g, 128, 1);
     let params = PartitionParams::explicit(4);
+    let mut host = PhaseHost::resident(&g);
     println!(
         "fleet: n = {n}, λ = {lambda}, {} alerts over 4 edge-disjoint trees\n",
         input.k()
@@ -37,8 +38,8 @@ fn main() {
             // Absorb the rare non-spanning partition with fresh seeds.
             let out = (0..20u64)
                 .find_map(|a| {
-                    resilient_broadcast(
-                        &g,
+                    resilient_broadcast_hosted(
+                        &mut host,
                         &input,
                         params,
                         r,

@@ -7,11 +7,11 @@ use fast_broadcast::apsp::weighted_apsp_approx;
 use fast_broadcast::core::broadcast::{BroadcastConfig, BroadcastInput};
 use fast_broadcast::core::congested_clique::{simulate_bcc, simulate_bcc_round};
 use fast_broadcast::core::partition::PartitionParams;
-use fast_broadcast::core::resilient::resilient_broadcast;
+use fast_broadcast::core::resilient::resilient_broadcast_hosted;
 use fast_broadcast::graph::generators::{decode_theorem9, harary, theorem9_instance};
 use fast_broadcast::packing::matroid::exact_tree_packing;
 use fast_broadcast::packing::scheduled_broadcast::scheduled_packing_broadcast;
-use fast_broadcast::sim::FaultPlan;
+use fast_broadcast::sim::{FaultPlan, PhaseHost};
 
 #[test]
 fn resilient_broadcast_full_matrix() {
@@ -21,8 +21,8 @@ fn resilient_broadcast_full_matrix() {
     let run = |r: usize, f: usize, seed: u64| {
         (0..20u64)
             .find_map(|a| {
-                resilient_broadcast(
-                    &g,
+                resilient_broadcast_hosted(
+                    &mut PhaseHost::resident(&g),
                     &input,
                     params,
                     r,
