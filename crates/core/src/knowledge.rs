@@ -9,7 +9,8 @@
 //!   (a) the paper's own *exponential search* fallback
 //!   ([`crate::exp_search`]), which removes the need to know λ entirely at
 //!   the same asymptotic cost, and
-//!   (b) a centralized oracle ([`lambda_oracle`], Dinic max-flows) used
+//!   (b) a centralized oracle ([`lambda_oracle`], capped unit max-flows
+//!   from one vertex to the rest of a dominating set) used
 //!   only to parameterize experiments.
 
 use crate::bfs::BfsProtocol;

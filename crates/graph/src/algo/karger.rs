@@ -4,7 +4,7 @@
 //! Karger's well-known connectivity under random edge sampling result
 //! \[Kar99\]"*, and Karger's contraction viewpoint underlies the whole
 //! sampling-probability calculus (`p = Θ(log n/λ)`). This module provides
-//! the classic algorithm both as an independent cross-check for the Dinic
+//! the classic algorithm both as an independent cross-check for the max-flow
 //! ground truth and as the Monte-Carlo λ estimator experiments can use on
 //! graphs too large for exact flows.
 //!

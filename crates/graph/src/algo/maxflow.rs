@@ -1,196 +1,181 @@
-//! Dinic's maximum-flow algorithm on integer capacities.
+//! Unit-capacity maximum flow (edge-disjoint paths) on a borrowed [`Graph`],
+//! the kernel under exact edge connectivity ([`crate::algo::connectivity`]).
 //!
-//! Used as ground truth for exact edge connectivity (λ): the paper's bounds
-//! are all parameterized by λ, so experiments verify the generated families
-//! deliver the λ they promise.
-//!
-//! Complexity `O(V²E)` in general, `O(E·√V)` on unit-capacity graphs —
-//! plenty for the verification sizes we run (n up to a few thousand).
+//! The network is the graph's own CSR: arc position `a` carries one unit
+//! each way, its twin is `Graph::reverse_arcs()[a]`, and the only state is
+//! a residual byte per arc (1 at rest; 0 / 2 on an arc and its twin while
+//! the edge carries a unit). Nothing is built or cloned, and nothing is
+//! allocated after [`UnitFlow::new`]. Blocking flows along BFS levels, both
+//! loops iterative: a BFS that stops on reaching the sink, then a cursor DFS
+//! along the level graph; `O(E·min(√E, V^⅔))` per flow, less when the
+//! caller's `limit` stops it early.
 
-/// A directed flow network with residual arcs, built incrementally.
-#[derive(Debug, Clone)]
-pub struct Dinic {
-    /// Arc heads; arc `i^1` is the residual twin of arc `i`.
-    head: Vec<u32>,
-    /// Residual capacities, parallel to `head`.
-    cap: Vec<i64>,
-    /// Per-node adjacency: indices into `head`.
-    adj: Vec<Vec<u32>>,
-    /// BFS level and DFS cursor scratch.
-    level: Vec<i32>,
-    cursor: Vec<usize>,
+use crate::graph::{Graph, Node};
+
+const UNSEEN: u32 = u32::MAX;
+
+/// Reusable unit-flow scratch over one graph.
+#[derive(Debug)]
+pub struct UnitFlow<'g> {
+    g: &'g Graph,
+    residual: Vec<u8>,
+    /// BFS level per node, `UNSEEN` when the last BFS did not reach it.
+    level: Vec<u32>,
+    /// DFS cursor per node: the next arc position to try.
+    cursor: Vec<u32>,
+    /// BFS queue; afterwards, exactly the nodes whose level is set.
+    queue: Vec<Node>,
+    /// Arc positions of the DFS path under construction.
+    path: Vec<u32>,
 }
 
-impl Dinic {
-    pub fn new(n: usize) -> Self {
-        Dinic {
-            head: Vec::new(),
-            cap: Vec::new(),
-            adj: vec![Vec::new(); n],
-            level: vec![0; n],
-            cursor: vec![0; n],
+impl<'g> UnitFlow<'g> {
+    pub fn new(g: &'g Graph) -> Self {
+        UnitFlow {
+            g,
+            residual: vec![1; g.num_arcs()],
+            level: vec![UNSEEN; g.n()],
+            cursor: vec![0; g.n()],
+            queue: Vec::with_capacity(g.n()),
+            path: Vec::with_capacity(g.n()),
         }
     }
 
-    pub fn n(&self) -> usize {
-        self.adj.len()
-    }
-
-    /// Add a directed arc `u → v` with capacity `c` (and its 0-capacity
-    /// residual twin). Returns the arc index.
-    pub fn add_arc(&mut self, u: u32, v: u32, c: i64) -> u32 {
-        assert!(c >= 0);
-        let idx = self.head.len() as u32;
-        self.head.push(v);
-        self.cap.push(c);
-        self.adj[u as usize].push(idx);
-        self.head.push(u);
-        self.cap.push(0);
-        self.adj[v as usize].push(idx + 1);
-        idx
-    }
-
-    /// Add an undirected edge `{u, v}` of capacity `c` (capacity `c` in each
-    /// direction, sharing residual structure).
-    pub fn add_undirected(&mut self, u: u32, v: u32, c: i64) {
-        assert!(c >= 0);
-        let idx = self.head.len() as u32;
-        self.head.push(v);
-        self.cap.push(c);
-        self.adj[u as usize].push(idx);
-        self.head.push(u);
-        self.cap.push(c);
-        self.adj[v as usize].push(idx + 1);
-    }
-
-    fn bfs(&mut self, s: u32, t: u32) -> bool {
-        self.level.iter_mut().for_each(|l| *l = -1);
-        let mut queue = std::collections::VecDeque::new();
+    /// Level the residual network from `s`; `true` as soon as `t` is reached.
+    fn bfs(&mut self, s: Node, t: Node) -> bool {
+        let g = self.g;
+        for v in self.queue.drain(..) {
+            self.level[v as usize] = UNSEEN;
+        }
         self.level[s as usize] = 0;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &a in &self.adj[v as usize] {
-                let u = self.head[a as usize];
-                if self.cap[a as usize] > 0 && self.level[u as usize] < 0 {
+        self.cursor[s as usize] = g.offsets[s as usize];
+        self.queue.push(s);
+        let mut next = 0;
+        while let Some(&v) = self.queue.get(next) {
+            next += 1;
+            for a in g.offsets[v as usize]..g.offsets[v as usize + 1] {
+                let u = g.adj_node[a as usize];
+                if self.residual[a as usize] > 0 && self.level[u as usize] == UNSEEN {
                     self.level[u as usize] = self.level[v as usize] + 1;
-                    queue.push_back(u);
+                    self.cursor[u as usize] = g.offsets[u as usize];
+                    self.queue.push(u);
+                    if u == t {
+                        return true;
+                    }
                 }
             }
         }
-        self.level[t as usize] >= 0
+        false
     }
 
-    fn dfs(&mut self, v: u32, t: u32, pushed: i64) -> i64 {
-        if v == t || pushed == 0 {
-            return pushed;
-        }
-        while self.cursor[v as usize] < self.adj[v as usize].len() {
-            let a = self.adj[v as usize][self.cursor[v as usize]];
-            let u = self.head[a as usize];
-            if self.cap[a as usize] > 0 && self.level[u as usize] == self.level[v as usize] + 1 {
-                let d = self.dfs(u, t, pushed.min(self.cap[a as usize]));
-                if d > 0 {
-                    self.cap[a as usize] -= d;
-                    self.cap[(a ^ 1) as usize] += d;
-                    return d;
+    /// Push up to `room` unit paths along the current level graph.
+    fn augment(&mut self, s: Node, t: Node, room: usize) -> usize {
+        let g = self.g;
+        let sink_depth = self.level[t as usize];
+        let (mut found, mut v) = (0, s);
+        while found < room {
+            if v == t {
+                for a in self.path.drain(..) {
+                    self.residual[a as usize] -= 1;
+                    self.residual[g.reverse_arc[a as usize] as usize] += 1;
                 }
+                (found, v) = (found + 1, s);
+                continue;
             }
-            self.cursor[v as usize] += 1;
+            // Nodes the BFS did not expand (`t`'s depth, bar `t`) lead nowhere.
+            let depth = self.level[v as usize] + 1;
+            let ahead = |&a: &u32| {
+                let u = g.adj_node[a as usize];
+                self.residual[a as usize] > 0
+                    && self.level[u as usize] == depth
+                    && (depth < sink_depth || u == t)
+            };
+            if let Some(a) = (self.cursor[v as usize]..g.offsets[v as usize + 1]).find(ahead) {
+                self.cursor[v as usize] = a;
+                self.path.push(a);
+                v = g.adj_node[a as usize];
+            } else if let Some(a) = self.path.pop() {
+                self.level[v as usize] = UNSEEN; // dead end: never enter it again
+                v = g.adj_node[g.reverse_arc[a as usize] as usize];
+            } else {
+                break;
+            }
         }
-        0
+        found
     }
 
-    /// Maximum `s`–`t` flow. Destroys capacities (run on a clone to reuse).
-    pub fn max_flow(&mut self, s: u32, t: u32) -> i64 {
+    /// `min(limit, maximum s–t flow)`: the number of edge-disjoint `s`–`t`
+    /// paths, not counted past `limit`. Starts from a clean network.
+    pub fn max_flow(&mut self, s: Node, t: Node, limit: usize) -> usize {
         assert_ne!(s, t);
+        self.residual.fill(1);
         let mut flow = 0;
-        while self.bfs(s, t) {
-            self.cursor.iter_mut().for_each(|c| *c = 0);
-            loop {
-                let pushed = self.dfs(s, t, i64::MAX);
-                if pushed == 0 {
-                    break;
-                }
-                flow += pushed;
-            }
+        while flow < limit && self.bfs(s, t) {
+            flow += self.augment(s, t, limit - flow);
         }
         flow
     }
 
-    /// After [`Dinic::max_flow`], the source side of a minimum cut: nodes
-    /// still reachable from `s` in the residual network.
-    pub fn min_cut_side(&self, s: u32) -> Vec<bool> {
-        let mut side = vec![false; self.n()];
-        let mut queue = std::collections::VecDeque::new();
-        side[s as usize] = true;
-        queue.push_back(s);
-        while let Some(v) = queue.pop_front() {
-            for &a in &self.adj[v as usize] {
-                let u = self.head[a as usize];
-                if self.cap[a as usize] > 0 && !side[u as usize] {
-                    side[u as usize] = true;
-                    queue.push_back(u);
-                }
-            }
-        }
-        side
+    /// After a [`UnitFlow::max_flow`] that returned less than its `limit`,
+    /// the source side of a minimum `s`–`t` cut: the nodes the final BFS
+    /// still reached in the residual network.
+    pub fn source_side(&self) -> Vec<bool> {
+        self.level.iter().map(|&l| l != UNSEEN).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn classic_network() {
-        // s=0, t=5; CLRS-style example, max flow 23.
-        let mut d = Dinic::new(6);
-        d.add_arc(0, 1, 16);
-        d.add_arc(0, 2, 13);
-        d.add_arc(1, 2, 10);
-        d.add_arc(2, 1, 4);
-        d.add_arc(1, 3, 12);
-        d.add_arc(3, 2, 9);
-        d.add_arc(2, 4, 14);
-        d.add_arc(4, 3, 7);
-        d.add_arc(3, 5, 20);
-        d.add_arc(4, 5, 4);
-        assert_eq!(d.max_flow(0, 5), 23);
-    }
+    use crate::builder::GraphBuilder;
+    use crate::generators::cycle;
 
     #[test]
     fn undirected_unit_edges_give_edge_disjoint_paths() {
         // 4-cycle: two edge-disjoint paths between opposite corners.
-        let mut d = Dinic::new(4);
-        d.add_undirected(0, 1, 1);
-        d.add_undirected(1, 2, 1);
-        d.add_undirected(2, 3, 1);
-        d.add_undirected(3, 0, 1);
-        assert_eq!(d.max_flow(0, 2), 2);
+        let g = cycle(4);
+        let mut f = UnitFlow::new(&g);
+        assert_eq!(f.max_flow(0, 2, usize::MAX), 2);
+        assert_eq!(f.max_flow(0, 2, 1), 1, "stops at the limit");
+        assert_eq!(
+            f.max_flow(1, 3, usize::MAX),
+            2,
+            "scratch resets between targets"
+        );
     }
 
     #[test]
-    fn min_cut_side_matches_flow() {
-        let mut d = Dinic::new(4);
-        d.add_arc(0, 1, 3);
-        d.add_arc(1, 2, 1); // bottleneck
-        d.add_arc(2, 3, 3);
-        assert_eq!(d.max_flow(0, 3), 1);
-        let side = d.min_cut_side(0);
-        assert_eq!(side, vec![true, true, false, false]);
+    fn source_side_is_the_cut_the_flow_found() {
+        // Two triangles joined by the edge {2, 3}.
+        let g = GraphBuilder::new(6)
+            .edges([(0, 1), (1, 2), (0, 2), (2, 3), (3, 4), (4, 5), (3, 5)])
+            .build()
+            .unwrap();
+        let mut f = UnitFlow::new(&g);
+        assert_eq!(f.max_flow(0, 5, 2), 1);
+        assert_eq!(f.source_side(), vec![true, true, true, false, false, false]);
     }
 
     #[test]
     fn zero_flow_when_disconnected() {
-        let mut d = Dinic::new(3);
-        d.add_arc(0, 1, 5);
-        assert_eq!(d.max_flow(0, 2), 0);
+        let g = GraphBuilder::new(3).edge(0, 1).build().unwrap();
+        let mut f = UnitFlow::new(&g);
+        assert_eq!(f.max_flow(0, 2, usize::MAX), 0);
+        assert_eq!(f.source_side(), vec![true, true, false]);
+    }
+
+    /// The recursive DFS this kernel replaced used one stack frame per hop
+    /// of the augmenting path; test threads run on the default 2 MiB stack.
+    #[test]
+    fn long_augmenting_paths_do_not_recurse() {
+        let g = cycle(200_000);
+        assert_eq!(UnitFlow::new(&g).max_flow(0, 100_000, usize::MAX), 2);
     }
 
     #[test]
     fn brute_force_cross_check_small_random() {
-        // Compare Dinic against brute-force min cut enumeration on small
-        // random undirected unit graphs (max-flow-min-cut).
+        // Compare against brute-force min cut enumeration on small random
+        // graphs (max-flow-min-cut).
         use rand::rngs::SmallRng;
         use rand::{Rng, SeedableRng};
         let mut rng = SmallRng::seed_from_u64(11);
@@ -209,14 +194,14 @@ mod tests {
             }
             let s = 0u32;
             let t = (n - 1) as u32;
-            let mut d = Dinic::new(n);
-            for &(u, v) in &edges {
-                d.add_undirected(u, v, 1);
-            }
-            let flow = d.max_flow(s, t);
+            let g = GraphBuilder::new(n)
+                .edges(edges.iter().copied())
+                .build()
+                .unwrap();
+            let flow = UnitFlow::new(&g).max_flow(s, t, usize::MAX);
             // Brute force: min over subsets containing s but not t of the
             // number of crossing edges.
-            let mut best = i64::MAX;
+            let mut best = usize::MAX;
             for mask in 0..(1u32 << n) {
                 if mask & 1 == 0 || mask >> (n - 1) & 1 == 1 {
                     continue;
@@ -224,7 +209,7 @@ mod tests {
                 let cut = edges
                     .iter()
                     .filter(|&&(u, v)| (mask >> u & 1) != (mask >> v & 1))
-                    .count() as i64;
+                    .count();
                 best = best.min(cut);
             }
             assert_eq!(flow, best, "trial {trial}: flow != brute-force cut");

@@ -1,9 +1,11 @@
 //! Centralized ground-truth algorithms.
 //!
 //! Everything the experiments use to *verify* distributed results lives
-//! here: BFS/DFS, exact diameters, components, max-flow and exact edge
-//! connectivity, Stoer–Wagner global min cut, exact APSP (unweighted and
-//! weighted), and greedy bounded-length edge-disjoint path certificates.
+//! here: BFS/DFS, exact diameters, components, unit-capacity max-flow on the
+//! graph's own CSR and the exact edge connectivity built on it (one capped
+//! flow per dominating-set vertex), Stoer–Wagner global min cut, exact APSP
+//! (unweighted and weighted), and greedy bounded-length edge-disjoint path
+//! certificates.
 //!
 //! These are classical algorithms implemented with flat, allocation-light
 //! data structures; the all-pairs computations parallelize over sources
@@ -29,6 +31,6 @@ pub use connectivity::edge_connectivity;
 pub use dfs::{dfs_order, dfs_walk_first_visit};
 pub use diameter::{diameter_exact, eccentricity, two_sweep_lower_bound};
 pub use karger::{karger_min_cut, karger_whp_repetitions};
-pub use maxflow::Dinic;
+pub use maxflow::UnitFlow;
 pub use paths::greedy_disjoint_paths;
 pub use stoer_wagner::stoer_wagner_min_cut;

@@ -2,7 +2,7 @@
 //!
 //! The paper's bounds are parameterized by `(n, δ, λ, D)`; experiments need
 //! families where the **edge connectivity λ is known by construction** so
-//! sweeps can control it directly (and the Dinic ground truth in
+//! sweeps can control it directly (and the max-flow ground truth in
 //! [`crate::algo::connectivity`] spot-checks it).
 //!
 //! Families:

@@ -89,7 +89,7 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Graph {
 /// repair converges in O(bad edges) expected swaps. `n·d` must be even.
 ///
 /// Random regular graphs are expanders w.h.p., so δ = λ = d w.h.p. —
-/// verified by the Dinic ground truth in tests.
+/// verified by the max-flow ground truth in tests.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
     assert!(d < n, "d must be < n");
     assert!((n * d).is_multiple_of(2), "n*d must be even");

@@ -17,7 +17,8 @@
 //!   GK13-style lower-bound family from Appendix B).
 //! * [`algo`] — centralized ground-truth algorithms used to validate every
 //!   distributed result: BFS, exact/estimated diameter, DFS, components,
-//!   Dinic max-flow, exact edge connectivity, Stoer–Wagner global min cut,
+//!   unit-capacity max-flow on the CSR, exact edge connectivity (one capped
+//!   flow per dominating-set vertex), Stoer–Wagner global min cut,
 //!   exact APSP (unweighted and weighted), and greedy bounded-length
 //!   edge-disjoint path certificates for (k,d)-connectivity (Lemma 9).
 //!

@@ -3,9 +3,14 @@
 //! reference computations on arbitrary graphs.
 
 use congest_graph::algo::components::{connected_components, is_connected, UnionFind};
-use congest_graph::algo::connectivity::{edge_connectivity, min_edge_cut};
+use congest_graph::algo::connectivity::{dominating_set, edge_connectivity, min_edge_cut};
 use congest_graph::algo::diameter::{diameter_exact, two_sweep_lower_bound};
 use congest_graph::algo::stoer_wagner::stoer_wagner_min_cut;
+use congest_graph::algo::UnitFlow;
+use congest_graph::generators::{
+    barbell, clique_chain, clique_ring, gk13_lower_bound, gnp, random_regular, theorem9_instance,
+    thick_path,
+};
 use congest_graph::{Graph, GraphBuilder, WeightedGraph};
 use proptest::prelude::*;
 
@@ -24,6 +29,54 @@ fn arb_graph(max_n: usize) -> impl Strategy<Value = Graph> {
         }
         b.build().unwrap()
     })
+}
+
+/// Graphs on which λ is settled in different ways: G(n,p) (possibly
+/// disconnected) and random regular graphs, where usually λ = δ and the
+/// degree bound answers, and the families with λ < δ, where the minimum
+/// cut is only found because the dominating set meets both of its sides.
+///
+/// Node ids are shuffled, because the greedy dominating set goes by id: in
+/// generator order each family would always offer the same source and the
+/// same few targets in the same order.
+fn arb_family() -> impl Strategy<Value = Graph> {
+    (0u32..8, 2usize..6, 3usize..7, any::<u64>()).prop_map(|(kind, a, b, seed)| {
+        let pick = |upto: usize| 1 + (seed % upto as u64) as usize;
+        let g = match kind {
+            0 => gnp(6 * a + b, 0.1 * (a + 1) as f64, seed),
+            1 => random_regular(2 * (a + b), b, seed),
+            2 => clique_chain(a, b + 1, pick(b)),
+            3 => clique_ring(a + 1, 2 * b, pick(b)),
+            4 => barbell(b, a),
+            5 => thick_path(a, b),
+            6 => gk13_lower_bound(a + 2, b).0,
+            _ => theorem9_instance(a + b + 4, a, 3.0, 2.0, seed)
+                .graph
+                .graph()
+                .clone(),
+        };
+        let mut id: Vec<u32> = (0..g.n() as u32).collect();
+        for i in (1..id.len()).rev() {
+            let j = congest_sim_free_mix::mix64(seed ^ i as u64) % (i as u64 + 1);
+            id.swap(i, j as usize);
+        }
+        GraphBuilder::new(g.n())
+            .edges(
+                g.edge_list()
+                    .map(|(_, u, v)| (id[u as usize], id[v as usize])),
+            )
+            .build()
+            .unwrap()
+    })
+}
+
+/// λ the long way round: the same kernel, uncapped, to every other node.
+fn all_targets_lambda(g: &Graph) -> usize {
+    let mut net = UnitFlow::new(g);
+    (1..g.n() as u32)
+        .map(|t| net.max_flow(0, t, usize::MAX))
+        .min()
+        .unwrap_or(0)
 }
 
 /// Local SplitMix64 copy so this test crate needs no sim dependency.
@@ -77,30 +130,6 @@ proptest! {
         }
     }
 
-    /// Dinic-based edge connectivity equals Stoer–Wagner's min cut on
-    /// unit weights (two independent algorithms).
-    #[test]
-    fn dinic_equals_stoer_wagner(g in arb_graph(14)) {
-        prop_assume!(is_connected(&g) && g.n() >= 2);
-        let lam = edge_connectivity(&g);
-        let (sw, _) = stoer_wagner_min_cut(&WeightedGraph::unit(g.clone())).unwrap();
-        prop_assert_eq!(lam as f64, sw);
-    }
-
-    /// The cut returned with λ really has λ crossing edges.
-    #[test]
-    fn min_cut_side_is_consistent(g in arb_graph(14)) {
-        prop_assume!(is_connected(&g) && g.n() >= 2);
-        let (lam, side) = min_edge_cut(&g);
-        let crossing = g
-            .edge_list()
-            .filter(|&(_, u, v)| side[u as usize] != side[v as usize])
-            .count();
-        prop_assert_eq!(crossing, lam);
-        prop_assert!(side.iter().any(|&x| x));
-        prop_assert!(side.iter().any(|&x| !x));
-    }
-
     /// Two-sweep is a genuine lower bound within factor 2.
     #[test]
     fn two_sweep_bounds_diameter(g in arb_graph(20)) {
@@ -118,6 +147,60 @@ proptest! {
         let lam = edge_connectivity(&g);
         prop_assert!(lam <= g.min_degree());
         prop_assert!(g.min_degree() as f64 <= g.avg_degree() + 1e-9);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Flow-based edge connectivity (one capped flow per dominating-set
+    /// vertex) equals one uncapped flow per node with the same kernel, and
+    /// equals Stoer–Wagner's min cut on unit weights, an independent
+    /// algorithm — in particular where λ < δ and the lemma carries the answer.
+    #[test]
+    fn dinic_equals_stoer_wagner(g in arb_graph(14), f in arb_family()) {
+        for g in [g, f] {
+            let lam = edge_connectivity(&g);
+            prop_assert_eq!(lam, all_targets_lambda(&g));
+            if is_connected(&g) {
+                let (sw, _) = stoer_wagner_min_cut(&WeightedGraph::unit(g.clone())).unwrap();
+                prop_assert_eq!(lam as f64, sw);
+            }
+        }
+    }
+
+    /// Every node is in the greedy dominating set or next to a member.
+    #[test]
+    fn dominating_set_dominates(g in arb_graph(24), f in arb_family()) {
+        for g in [g, f] {
+            let mut member = vec![false; g.n()];
+            for v in dominating_set(&g) {
+                member[v as usize] = true;
+            }
+            for v in 0..g.n() as u32 {
+                prop_assert!(member[v as usize] || g.neighbors(v).iter().any(|&u| member[u as usize]));
+            }
+        }
+    }
+
+    /// The cut returned with λ is proper and really has λ crossing edges,
+    /// whether a flow found it (λ < δ) or it is one minimum-degree vertex.
+    #[test]
+    fn min_cut_side_is_consistent(g in arb_graph(14), f in arb_family()) {
+        for g in [g, f] {
+            if !is_connected(&g) {
+                continue;
+            }
+            let (lam, side) = min_edge_cut(&g);
+            let crossing = g
+                .edge_list()
+                .filter(|&(_, u, v)| side[u as usize] != side[v as usize])
+                .count();
+            prop_assert_eq!(crossing, lam);
+            let inside = side.iter().filter(|&&x| x).count();
+            prop_assert!(0 < inside && inside < g.n());
+            prop_assert!(lam < g.min_degree() || inside == 1);
+        }
     }
 }
 

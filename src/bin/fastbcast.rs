@@ -198,7 +198,7 @@ fn cmd_params(spec: &str) -> Result<(), String> {
     println!("n           : {}", p.n);
     println!("m           : {}", p.m);
     println!("min degree δ: {}", p.delta);
-    println!("edge conn λ : {} (exact, Dinic)", p.lambda);
+    println!("edge conn λ : {} (exact, max-flow)", p.lambda);
     if g.n() <= 64 {
         let (mc, _) = karger_min_cut(&g, karger_whp_repetitions(g.n()).min(20_000), 7);
         println!("  karger λ̂  : {mc} (Monte-Carlo cross-check)");

@@ -85,7 +85,7 @@ proptest! {
     }
 
     /// λ never exceeds δ on any graph (paper §2 preliminaries), and the
-    /// Dinic implementation respects that.
+    /// flow-based implementation respects that.
     #[test]
     fn lambda_at_most_delta(g in arb_connected_graph(40)) {
         prop_assert!(edge_connectivity(&g) <= g.min_degree());
