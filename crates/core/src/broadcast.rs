@@ -16,6 +16,12 @@
 //!    `⌊j/K⌋`, `K = ⌈k/λ′⌉`, and each class runs Lemma 1 on its own tree
 //!    concurrently ([`ParallelPipeline`]) —
 //!    `O(max_i (depth_i + k_i)) = O((n log n)/δ + (k log n)/λ)` rounds.
+//!    This phase is where the rounds and the wall clock go when `k ≳ n`,
+//!    so a node's round is kept to two passes that allocate nothing: the
+//!    inbox folded straight into the λ′ [`PipeCore`]s, then one walk over
+//!    them that transmits and gathers the done flag; a node whose cores
+//!    were all drained leaves as soon as its inbox turns out empty (the
+//!    idle bit of [`crate::pipeline`], the `n ≫ k` case).
 //!
 //! Every phase is executed as real message passing and its round count
 //! recorded in a [`PhaseLog`]; the total is the number Theorem 1 bounds.
@@ -37,7 +43,7 @@ use crate::partition::PartitionParams;
 use crate::pipeline::{PipeCore, PipeMsg, PipeResult};
 use crate::stages::{Composition, PhaseLanes, CLASS_PHASES};
 use crate::watchdog::{partition_broadcast_degrading_hosted, DegradePolicy};
-use congest_graph::{Graph, Node, Port};
+use congest_graph::{Graph, Node};
 use congest_sim::{
     EngineConfig, EngineError, MsgBits, NodeCtx, PackedMsg, PhaseHost, PhaseLog, Protocol,
     RunStats, WideSession,
@@ -367,61 +373,82 @@ impl PackedMsg for ColoredPipeMsg {
     }
 }
 
-/// One round's transmissions of every class core, each tagged with its
-/// class and sent on that class's own tree ports.
-pub(crate) fn transmit_classes(cores: &mut [PipeCore], ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
-    for (c, core) in cores.iter_mut().enumerate() {
-        let color = c as u16;
-        core.transmit(|port, inner| ctx.send(port, ColoredPipeMsg { color, inner }));
-    }
-}
-
 /// λ′ pipelined broadcasts running concurrently, one per partition class,
 /// each confined to its own class's tree edges.
 pub struct ParallelPipeline {
     cores: Vec<PipeCore>,
+    /// Every core was quiescent when the previous round ended (the idle
+    /// bit of [`crate::pipeline`]): no mail then means no work.
+    idle: bool,
 }
 
 impl ParallelPipeline {
     pub fn new(cores: Vec<PipeCore>) -> Self {
-        ParallelPipeline { cores }
+        ParallelPipeline { cores, idle: false }
+    }
+
+    /// One round, the body this protocol shares with
+    /// [`crate::resilient::ReplicatedPipeline`]: fold the inbox straight
+    /// into the cores (`on_arrival` sees every message first), then one
+    /// walk that transmits each core's messages — tagged with its class,
+    /// on that class's own tree ports — and gathers `finished` into the
+    /// done flag.
+    pub(crate) fn round_with(
+        &mut self,
+        ctx: &mut NodeCtx<'_, ColoredPipeMsg>,
+        mut on_arrival: impl FnMut(PipeMsg),
+        finished: impl Fn(&PipeCore) -> bool,
+    ) {
+        let mail = ctx.inbox().fold(false, |_, (port, m)| {
+            on_arrival(m.inner);
+            self.cores[m.color as usize].on_receive(port, m.inner);
+            true
+        });
+        if self.idle && !mail {
+            return;
+        }
+        self.idle = true;
+        let mut done = true;
+        for (c, core) in self.cores.iter_mut().enumerate() {
+            let color = c as u16;
+            core.transmit(|port, inner| ctx.send(port, ColoredPipeMsg { color, inner }));
+            self.idle &= core.quiescent();
+            done &= finished(core);
+        }
+        ctx.set_done(done);
     }
 }
 
 impl Protocol for ParallelPipeline {
     type Msg = ColoredPipeMsg;
     type Output = PipeResult;
+    /// Done means every core complete, hence quiescent, hence `idle` set
+    /// in that same round: a done round with an empty inbox returns before
+    /// it touches a core, the wire or the flag.
+    const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
-        let arrivals: Vec<(Port, ColoredPipeMsg)> = ctx.inbox().collect();
-        for (p, m) in arrivals {
-            self.cores[m.color as usize].on_receive(p, m.inner);
-        }
-        transmit_classes(&mut self.cores, ctx);
-        ctx.set_done(self.cores.iter().all(|c| c.complete()));
+        self.round_with(ctx, |_| {}, PipeCore::complete);
     }
 
     fn finish(self) -> PipeResult {
         // Fold per-class results into one node-level result.
-        let mut delivered = 0;
-        let mut xor_check = 0u64;
-        let mut sum_check = 0u64;
-        let mut recorded: Option<Vec<(u32, u64)>> = None;
+        let mut total = PipeResult {
+            delivered: 0,
+            xor_check: 0,
+            sum_check: 0,
+            recorded: None,
+        };
         for core in self.cores {
             let r = core.into_result();
-            delivered += r.delivered;
-            xor_check ^= r.xor_check;
-            sum_check = sum_check.wrapping_add(r.sum_check);
+            total.delivered += r.delivered;
+            total.xor_check ^= r.xor_check;
+            total.sum_check = total.sum_check.wrapping_add(r.sum_check);
             if let Some(mut rec) = r.recorded {
-                recorded.get_or_insert_with(Vec::new).append(&mut rec);
+                total.recorded.get_or_insert_with(Vec::new).append(&mut rec);
             }
         }
-        PipeResult {
-            delivered,
-            xor_check,
-            sum_check,
-            recorded,
-        }
+        total
     }
 }
 

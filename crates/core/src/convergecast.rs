@@ -144,7 +144,7 @@ impl Protocol for Aggregate {
         }
         if let (Some(r), false) = (self.result, self.forwarded_down) {
             self.forwarded_down = true;
-            for &c in &self.tree.children_ports.clone() {
+            for &c in &self.tree.children_ports {
                 ctx.send(c, UpDown::Down(r));
             }
         }
@@ -164,7 +164,9 @@ pub struct Numbering {
     tree: TreeView,
     x: u64,
     /// Subtree counts reported by children, aligned with `children_ports`.
-    child_counts: Vec<Option<u64>>,
+    child_counts: Vec<u64>,
+    /// Children that have not reported yet.
+    pending_children: usize,
     sent_up: bool,
     assigned: Option<(u64, u64)>,
     forwarded_down: bool,
@@ -229,20 +231,12 @@ impl Numbering {
         Numbering {
             tree,
             x: items,
-            child_counts: vec![None; k],
+            child_counts: vec![0; k],
+            pending_children: k,
             sent_up: false,
             assigned: None,
             forwarded_down: false,
         }
-    }
-
-    fn subtree_total(&self) -> u64 {
-        self.x
-            + self
-                .child_counts
-                .iter()
-                .map(|c| c.unwrap_or(0))
-                .sum::<u64>()
     }
 }
 
@@ -255,26 +249,28 @@ impl Protocol for Numbering {
     const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, NumberingMsg>) {
+        let children = &self.tree.children_ports;
         for (port, msg) in ctx.inbox() {
             match msg {
                 NumberingMsg::Up(count) => {
-                    let idx = self
-                        .tree
-                        .children_ports
-                        .iter()
-                        .position(|&c| c == port)
+                    // BFS lists children in ascending port order; a tree
+                    // view that does not falls back to the scan.
+                    let idx = children
+                        .binary_search(&port)
+                        .ok()
+                        .or_else(|| children.iter().position(|&c| c == port))
                         .expect("Up message must come from a child");
-                    self.child_counts[idx] = Some(count);
+                    self.child_counts[idx] = count;
+                    self.pending_children -= 1;
                 }
                 NumberingMsg::Down(start, total) => {
                     self.assigned = Some((start, total));
                 }
             }
         }
-        let all_children_in = self.child_counts.iter().all(|c| c.is_some());
-        if all_children_in && !self.sent_up {
+        if self.pending_children == 0 && !self.sent_up {
             self.sent_up = true;
-            let total = self.subtree_total();
+            let total = self.x + self.child_counts.iter().sum::<u64>();
             match self.tree.parent_port {
                 Some(p) => ctx.send(p, NumberingMsg::Up(total)),
                 None => self.assigned = Some((0, total)), // root starts at 0
@@ -285,8 +281,7 @@ impl Protocol for Numbering {
             // Own items take [start, start + x); children follow in port
             // order, each child's subtree occupying a contiguous block.
             let mut cursor = start + self.x;
-            for (i, &c) in self.tree.children_ports.clone().iter().enumerate() {
-                let cnt = self.child_counts[i].expect("counts complete");
+            for (&c, &cnt) in children.iter().zip(&self.child_counts) {
                 ctx.send(c, NumberingMsg::Down(cursor, total));
                 cursor += cnt;
             }

@@ -12,10 +12,30 @@
 //! The two directions overlap freely (full-duplex edges), which is what
 //! makes the complexity `O(depth + k)` rather than `O(depth · k)`.
 //!
-//! The state machine is factored out as [`PipeCore`] so that
-//! [`TreePipeline`] (one tree — the textbook baseline) and the
-//! per-subgraph parallel version in [`crate::broadcast`] (λ′ trees at
-//! once, Theorem 1) share identical logic.
+//! The state machine is [`PipeCore`], written once and hosted three times:
+//! [`TreePipeline`] (one tree — the textbook baseline),
+//! [`crate::broadcast::ParallelPipeline`] (λ′ trees at once, Theorem 1)
+//! and [`crate::resilient::ReplicatedPipeline`] (the same under faults).
+//!
+//! **One queue and a forward slot.** A node only ever *waits* in one
+//! direction. The root never gathers up, so its queue is the down stream
+//! (its own messages, then whatever the children deliver). Every other
+//! node queues the up stream, and forwards a down message in the very
+//! round it arrives: down messages come over the single parent edge, an
+//! edge carries at most one message per round, and `transmit` empties the
+//! slot every round — so one `Option` is the whole down "queue". That
+//! holds under the fault adversary (which only removes arrivals) and under
+//! [`congest_sim::sched::Multiplexed`] (which also serves at most one
+//! message per port per round).
+//!
+//! **The idle bit.** A round with nothing queued and nothing arriving
+//! changes no state and sends nothing, and the done flag it would store is
+//! the one it stored last time. Each host keeps one `bool` — "every core
+//! was quiescent when my previous round ended" — folds its inbox straight
+//! into the cores, and returns as soon as that inbox turns out empty.
+//! Done implies quiescent, so a done node with an empty inbox always takes
+//! that exit: this is [`Protocol::QUIESCENT`]'s contract, and all three
+//! hosts declare it.
 //!
 //! Delivery accounting uses order-independent checksums (xor + sum) rather
 //! than storing every payload at every node, so large sweeps stay in
@@ -88,18 +108,26 @@ pub fn expected_checksums<'a, I: IntoIterator<Item = &'a (u32, u64)>>(msgs: I) -
     (x, s)
 }
 
-/// The per-tree pipelined gather+broadcast state machine.
+/// `PipeCore::parent` at the root: no node has this many ports.
+const NO_PARENT: Port = Port::MAX;
+
+/// The per-tree pipelined gather+broadcast state machine (see the module
+/// docs for why one queue and one slot are enough).
 #[derive(Debug)]
 pub struct PipeCore {
-    tree: TreeView,
+    /// Port to the parent, `NO_PARENT` at the root.
+    parent: Port,
+    children: Box<[Port]>,
     /// Total messages this tree must deliver.
     k: u64,
-    delivered: u64,
-    xor_check: u64,
-    sum_check: u64,
-    recorded: Option<Vec<(u32, u64)>>,
-    up_queue: VecDeque<PipeMsg>,
-    down_queue: VecDeque<PipeMsg>,
+    /// What has been delivered locally so far.
+    result: PipeResult,
+    /// What waits for its turn on the wire: the down stream at the root,
+    /// the up stream everywhere else.
+    queue: VecDeque<PipeMsg>,
+    /// Non-root: the down message that arrived this round, on its way to
+    /// the children. Empty between rounds.
+    forward: Option<PipeMsg>,
 }
 
 impl PipeCore {
@@ -107,82 +135,84 @@ impl PipeCore {
     /// this tree. `record` retains full payload lists (tests only).
     pub fn new(tree: TreeView, k: u64, own: Vec<PipeMsg>, record: bool) -> Self {
         let mut core = PipeCore {
-            tree,
+            parent: tree.parent_port.unwrap_or(NO_PARENT),
+            children: tree.children_ports.into_boxed_slice(),
             k,
-            delivered: 0,
-            xor_check: 0,
-            sum_check: 0,
-            recorded: record.then(Vec::new),
-            up_queue: VecDeque::new(),
-            down_queue: VecDeque::new(),
+            result: PipeResult {
+                delivered: 0,
+                xor_check: 0,
+                sum_check: 0,
+                recorded: record.then(Vec::new),
+            },
+            queue: VecDeque::new(),
+            forward: None,
         };
-        let is_root = core.tree.parent_port.is_none();
-        for m in own {
-            if is_root {
-                // Root delivers its own messages immediately and seeds the
-                // down stream with them.
-                core.deliver(m);
-                core.enqueue_down(m);
-            } else {
-                core.up_queue.push_back(m);
-            }
+        if core.is_root() {
+            // The root delivers its own messages immediately and seeds the
+            // down stream with them.
+            own.iter().for_each(|&m| core.deliver(m));
+        }
+        // Everyone else queues them for the parent; only the root of a
+        // one-node tree has nobody to send to.
+        if !(core.is_root() && core.children.is_empty()) {
+            core.queue = own.into();
         }
         core
     }
 
-    #[inline]
     fn is_root(&self) -> bool {
-        self.tree.parent_port.is_none()
+        self.parent == NO_PARENT
     }
 
     fn deliver(&mut self, m: PipeMsg) {
-        self.delivered += 1;
         let f = fingerprint(m.id, m.payload);
-        self.xor_check ^= f;
-        self.sum_check = self.sum_check.wrapping_add(f);
-        if let Some(rec) = &mut self.recorded {
+        self.result.delivered += 1;
+        self.result.xor_check ^= f;
+        self.result.sum_check = self.result.sum_check.wrapping_add(f);
+        if let Some(rec) = &mut self.result.recorded {
             rec.push((m.id, m.payload));
-        }
-    }
-
-    fn enqueue_down(&mut self, m: PipeMsg) {
-        if !self.tree.children_ports.is_empty() {
-            self.down_queue.push_back(m);
         }
     }
 
     /// Process one arrived message. `port` must be a tree port of this
     /// core's tree.
+    #[inline]
     pub fn on_receive(&mut self, port: Port, m: PipeMsg) {
-        if self.tree.parent_port == Some(port) {
-            // Down stream: deliver locally, forward to children.
+        if port == self.parent {
+            // Down stream: deliver locally, forward to the children when
+            // this round transmits.
+            debug_assert!(self.forward.is_none(), "two down messages in one round");
             self.deliver(m);
-            self.enqueue_down(m);
+            self.forward = Some(m);
         } else {
             debug_assert!(
-                self.tree.children_ports.contains(&port),
+                self.children.contains(&port),
                 "pipeline message on non-tree port {port}"
             );
+            // Up stream: the root delivers it and turns it around, every
+            // other node passes it on toward the root.
             if self.is_root() {
                 self.deliver(m);
-                self.enqueue_down(m);
-            } else {
-                self.up_queue.push_back(m);
             }
+            self.queue.push_back(m);
         }
     }
 
     /// Hand this round's transmissions to `send`: at most one message up
     /// (to the parent) and one message down (replicated to every child
     /// port).
+    #[inline]
     pub fn transmit(&mut self, mut send: impl FnMut(Port, PipeMsg)) {
-        if let Some(parent) = self.tree.parent_port {
-            if let Some(m) = self.up_queue.pop_front() {
-                send(parent, m);
+        let down = if self.is_root() {
+            self.queue.pop_front()
+        } else {
+            if let Some(m) = self.queue.pop_front() {
+                send(self.parent, m);
             }
-        }
-        if let Some(m) = self.down_queue.pop_front() {
-            for &child in &self.tree.children_ports {
+            self.forward.take()
+        };
+        if let Some(m) = down {
+            for &child in self.children.iter() {
                 send(child, m);
             }
         }
@@ -190,33 +220,31 @@ impl PipeCore {
 
     /// Nothing queued for transmission.
     pub fn quiescent(&self) -> bool {
-        self.up_queue.is_empty() && self.down_queue.is_empty()
+        self.queue.is_empty() && self.forward.is_none()
     }
 
     /// All `k` messages delivered and nothing left to send.
     pub fn complete(&self) -> bool {
-        self.delivered >= self.k && self.quiescent()
+        self.result.delivered >= self.k && self.quiescent()
     }
 
     pub fn into_result(self) -> PipeResult {
-        PipeResult {
-            delivered: self.delivered,
-            xor_check: self.xor_check,
-            sum_check: self.sum_check,
-            recorded: self.recorded,
-        }
+        self.result
     }
 }
 
 /// Lemma 1 as a standalone protocol on a single tree.
 pub struct TreePipeline {
     core: PipeCore,
+    /// The core was quiescent when the previous round ended.
+    idle: bool,
 }
 
 impl TreePipeline {
     pub fn new(tree: TreeView, k: u64, own: Vec<PipeMsg>, record: bool) -> Self {
         TreePipeline {
             core: PipeCore::new(tree, k, own, record),
+            idle: false,
         }
     }
 }
@@ -224,13 +252,22 @@ impl TreePipeline {
 impl Protocol for TreePipeline {
     type Msg = PipeMsg;
     type Output = PipeResult;
+    /// Done means complete, complete means quiescent, and a quiescent
+    /// core sets `idle` in the same round: the next round with an empty
+    /// inbox returns before it touches the core, the wire or the done
+    /// flag.
+    const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, PipeMsg>) {
-        let arrivals: Vec<(Port, PipeMsg)> = ctx.inbox().collect();
-        for (p, m) in arrivals {
-            self.core.on_receive(p, m);
+        let mail = ctx.inbox().fold(false, |_, (port, m)| {
+            self.core.on_receive(port, m);
+            true
+        });
+        if self.idle && !mail {
+            return;
         }
-        self.core.transmit(|p, m| ctx.send(p, m));
+        self.core.transmit(|port, m| ctx.send(port, m));
+        self.idle = self.core.quiescent();
         ctx.set_done(self.core.complete());
     }
 

@@ -23,12 +23,11 @@
 //! it takes the caller's [`PhaseHost`].
 
 use crate::broadcast::{
-    transmit_classes, BroadcastConfig, BroadcastError, BroadcastInput, ColoredPipeMsg,
+    BroadcastConfig, BroadcastError, BroadcastInput, ColoredPipeMsg, ParallelPipeline,
 };
 use crate::partition::PartitionParams;
 use crate::pipeline::{expected_checksums, PipeCore};
 use crate::stages::{Composition, CLASS_PHASES};
-use congest_graph::Port;
 use congest_sim::{FaultPlan, NodeCtx, PhaseHost, PhaseLog, Protocol};
 use std::collections::HashMap;
 
@@ -47,7 +46,7 @@ pub struct DedupResult {
 
 /// λ′ pipeline cores plus an id-level deduplication layer.
 pub struct ReplicatedPipeline {
-    cores: Vec<PipeCore>,
+    routes: ParallelPipeline,
     seen: HashMap<u32, u64>,
     duplicates: u64,
 }
@@ -56,20 +55,10 @@ impl ReplicatedPipeline {
     /// `own` must list this node's initial messages once per replica
     /// (i.e. already expanded to (class, msg) pairs).
     pub fn new(cores: Vec<PipeCore>, own_unique: &[(u32, u64)]) -> Self {
-        let mut seen = HashMap::new();
-        for &(id, payload) in own_unique {
-            seen.insert(id, payload);
-        }
         ReplicatedPipeline {
-            cores,
-            seen,
+            routes: ParallelPipeline::new(cores),
+            seen: own_unique.iter().copied().collect(),
             duplicates: 0,
-        }
-    }
-
-    fn record(&mut self, id: u32, payload: u64) {
-        if self.seen.insert(id, payload).is_some() {
-            self.duplicates += 1;
         }
     }
 }
@@ -77,18 +66,20 @@ impl ReplicatedPipeline {
 impl Protocol for ReplicatedPipeline {
     type Msg = ColoredPipeMsg;
     type Output = DedupResult;
+    /// Done is quiescence here, which is exactly the routes' idle bit: a
+    /// done round with an empty inbox returns before it touches a core,
+    /// the dedup table, the wire or the flag.
+    const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
-        let arrivals: Vec<(Port, ColoredPipeMsg)> = ctx.inbox().collect();
-        for (p, m) in arrivals {
-            self.record(m.inner.id, m.inner.payload);
-            self.cores[m.color as usize].on_receive(p, m.inner);
-        }
-        transmit_classes(&mut self.cores, ctx);
         // Under faults a core may stall forever short of its k_c; local
         // termination is therefore quiescence, and delivery is judged
         // post-hoc by the driver.
-        ctx.set_done(self.cores.iter().all(|c| c.quiescent()));
+        self.routes.round_with(
+            ctx,
+            |m| self.duplicates += u64::from(self.seen.insert(m.id, m.payload).is_some()),
+            PipeCore::quiescent,
+        );
     }
 
     fn finish(self) -> DedupResult {

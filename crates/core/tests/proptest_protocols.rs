@@ -4,10 +4,11 @@
 use congest_core::bfs::BfsProtocol;
 use congest_core::convergecast::{AggOp, Aggregate, Numbering, TreeView};
 use congest_core::partition::{EdgePartition, EdgePartitionProtocol, PartitionParams};
-use congest_core::pipeline::{expected_checksums, PipeMsg, TreePipeline};
-use congest_graph::{Graph, GraphBuilder, Node};
-use congest_sim::{run_protocol, EngineConfig};
+use congest_core::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult, TreePipeline};
+use congest_graph::{Graph, GraphBuilder, Node, Port};
+use congest_sim::{run_protocol, EngineConfig, LaneSpec, Session, WideSession};
 use proptest::prelude::*;
+use std::collections::VecDeque;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (3..max_n, any::<u64>()).prop_map(|(n, seed)| {
@@ -45,8 +46,211 @@ fn bfs_views(g: &Graph, root: Node) -> Vec<TreeView> {
         .collect()
 }
 
+/// The two-queue Lemma 1 state machine [`PipeCore`] replaced, kept as the
+/// reference model: an up queue and a down queue at every node, nothing
+/// forwarded before it has been queued.
+struct TwoQueueCore {
+    tree: TreeView,
+    k: u64,
+    delivered: Vec<(u32, u64)>,
+    up: VecDeque<PipeMsg>,
+    down: VecDeque<PipeMsg>,
+}
+
+impl TwoQueueCore {
+    fn new(tree: TreeView, k: u64, own: Vec<PipeMsg>) -> Self {
+        let mut core = TwoQueueCore {
+            tree,
+            k,
+            delivered: Vec::new(),
+            up: VecDeque::new(),
+            down: VecDeque::new(),
+        };
+        for m in own {
+            if core.tree.parent_port.is_none() {
+                core.deliver_and_stream_down(m);
+            } else {
+                core.up.push_back(m);
+            }
+        }
+        core
+    }
+
+    fn deliver_and_stream_down(&mut self, m: PipeMsg) {
+        self.delivered.push((m.id, m.payload));
+        if !self.tree.children_ports.is_empty() {
+            self.down.push_back(m);
+        }
+    }
+
+    fn on_receive(&mut self, port: Port, m: PipeMsg) {
+        if self.tree.parent_port == Some(port) || self.tree.parent_port.is_none() {
+            self.deliver_and_stream_down(m);
+        } else {
+            self.up.push_back(m);
+        }
+    }
+
+    fn transmit(&mut self) -> Vec<(Port, PipeMsg)> {
+        let mut sent = Vec::new();
+        if let Some(parent) = self.tree.parent_port {
+            if let Some(m) = self.up.pop_front() {
+                sent.push((parent, m));
+            }
+        }
+        if let Some(m) = self.down.pop_front() {
+            sent.extend(self.tree.children_ports.iter().map(|&child| (child, m)));
+        }
+        sent
+    }
+
+    fn quiescent(&self) -> bool {
+        self.up.is_empty() && self.down.is_empty()
+    }
+
+    fn complete(&self) -> bool {
+        self.delivered.len() as u64 >= self.k && self.quiescent()
+    }
+
+    fn into_result(self) -> PipeResult {
+        let (xor_check, sum_check) = expected_checksums(self.delivered.iter());
+        PipeResult {
+            delivered: self.delivered.len() as u64,
+            xor_check,
+            sum_check,
+            recorded: Some(self.delivered),
+        }
+    }
+}
+
+/// `k` messages over `n` nodes: everything at `root` (shape 0),
+/// everything at one leaf (shape 1), or scattered by `seed`.
+fn place(views: &[TreeView], root: Node, k: usize, shape: u8, seed: u64) -> Vec<Vec<PipeMsg>> {
+    let n = views.len();
+    let leaf = (0..n)
+        .rev()
+        .find(|&v| views[v].children_ports.is_empty())
+        .expect("a tree has a leaf");
+    let mut own = vec![Vec::new(); n];
+    for i in 0..k {
+        let holder = match shape {
+            0 => root as usize,
+            1 => leaf,
+            _ => (congest_sim::rng::mix64(seed ^ i as u64) % n as u64) as usize,
+        };
+        own[holder].push(PipeMsg {
+            id: i as u32,
+            payload: congest_sim::rng::mix64(seed.wrapping_add(i as u64)),
+        });
+    }
+    own
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// [`PipeCore`] (one queue + a forward slot) against the two-queue
+    /// model, node by node and round by round on a hand-rolled synchronous
+    /// network that loses `loss`/8 of all deliveries — the regime
+    /// `ReplicatedPipeline` runs in: same transmissions on the same ports,
+    /// same `quiescent` / `complete`, same result. A non-root model's down
+    /// queue must be empty whenever a down message arrives: that is the
+    /// invariant the forward slot rests on (`PipeCore::on_receive` also
+    /// debug-asserts it on its own slot).
+    #[test]
+    fn pipe_core_matches_the_two_queue_model(
+        g in arb_connected_graph(16),
+        root_pick in any::<u32>(),
+        k in 0usize..40,
+        shape in 0u8..4,
+        loss in 0u64..3,
+        seed in any::<u64>(),
+    ) {
+        let n = g.n();
+        let root = root_pick % n as u32;
+        let views = bfs_views(&g, root);
+        let own = place(&views, root, k, shape, seed);
+        let mut cores: Vec<PipeCore> = (0..n)
+            .map(|v| PipeCore::new(views[v].clone(), k as u64, own[v].clone(), true))
+            .collect();
+        let mut models: Vec<TwoQueueCore> = (0..n)
+            .map(|v| TwoQueueCore::new(views[v].clone(), k as u64, own[v].clone()))
+            .collect();
+        let mut inboxes: Vec<Vec<(Port, PipeMsg)>> = vec![Vec::new(); n];
+        for round in 0u64.. {
+            prop_assert!(round < 4 * (n + k) as u64 + 8, "Lemma 1 is O(depth + k)");
+            let mut next: Vec<Vec<(Port, PipeMsg)>> = vec![Vec::new(); n];
+            for v in 0..n {
+                // The engine delivers in ascending port order.
+                inboxes[v].sort_unstable_by_key(|&(port, _)| port);
+                for &(port, m) in &inboxes[v] {
+                    if views[v].parent_port == Some(port) {
+                        prop_assert!(models[v].down.is_empty(), "node {} round {}", v, round);
+                    }
+                    cores[v].on_receive(port, m);
+                    models[v].on_receive(port, m);
+                }
+                let mut sent = Vec::new();
+                cores[v].transmit(|port, m| sent.push((port, m)));
+                prop_assert_eq!(&sent, &models[v].transmit(), "node {} round {}", v, round);
+                prop_assert_eq!(cores[v].quiescent(), models[v].quiescent());
+                prop_assert_eq!(cores[v].complete(), models[v].complete());
+                for (port, m) in sent {
+                    let coin = congest_sim::rng::mix64(
+                        seed ^ round << 40 ^ (v as u64) << 20 ^ port as u64,
+                    );
+                    if coin % 8 >= loss {
+                        let u = g.neighbor_at(v as Node, port);
+                        let back = g.port_to(u, v as Node).expect("edges are symmetric");
+                        next[u as usize].push((back, m));
+                    }
+                }
+            }
+            inboxes = next;
+            if inboxes.iter().all(Vec::is_empty) && cores.iter().all(PipeCore::quiescent) {
+                break;
+            }
+        }
+        for (core, model) in cores.into_iter().zip(models) {
+            prop_assert!(loss > 0 || core.complete(), "lossless runs deliver everything");
+            prop_assert_eq!(core.into_result(), model.into_result());
+        }
+    }
+
+    /// `TreePipeline` promises `Protocol::QUIESCENT`, so a `WideSession`
+    /// skips its done nodes' idle rounds; every lane must still equal the
+    /// same run through a `Session`, outputs and `RunStats`.
+    #[test]
+    fn tree_pipeline_wide_lanes_match_sessions(
+        g in arb_connected_graph(16),
+        root_pick in any::<u32>(),
+        k in 0usize..24,
+        seed in any::<u64>(),
+    ) {
+        let root = root_pick % g.n() as u32;
+        let views = bfs_views(&g, root);
+        // Lane l: placement shape l, 5·l more messages — lanes end apart.
+        let lanes = LaneSpec::batch(seed, 4);
+        let owns: Vec<_> = (0..lanes.len())
+            .map(|l| place(&views, root, k + 5 * l, l as u8, seed))
+            .collect();
+        let pipeline = |v: Node, l: usize| {
+            let own = owns[l][v as usize].clone();
+            TreePipeline::new(views[v as usize].clone(), (k + 5 * l) as u64, own, true)
+        };
+        let mut wide = WideSession::new(&g);
+        let wide = wide
+            .run(&lanes, |v, l, _| pipeline(v, l), EngineConfig::default())
+            .unwrap();
+        let mut session = Session::new(&g);
+        for (l, lane) in lanes.iter().enumerate() {
+            let seq = session
+                .run(|v, _| pipeline(v, l), EngineConfig::with_seed(lane.seed))
+                .unwrap();
+            prop_assert_eq!(wide.outputs(l), seq.outputs(), "lane {}", l);
+            prop_assert_eq!(wide.stats(l), seq.stats, "lane {}", l);
+        }
+    }
 
     /// Distributed numbering assigns disjoint covering ranges whatever the
     /// item distribution.

@@ -226,6 +226,11 @@ fn cmd_broadcast(args: &[String]) -> Result<(), String> {
     let spec = args.first().ok_or("broadcast needs a <family>")?;
     let g = parse_family(spec)?;
     let k = opt(args, "--k", 2 * g.n())?;
+    if k == 0 {
+        // Theorem 3's bound is 0 at k = 0: the optimality ratios would
+        // divide by it.
+        return Err("--k must be at least 1".into());
+    }
     let seed: u64 = opt(args, "--seed", 42u64)?;
     let lambda = fast_broadcast::graph::algo::edge_connectivity(&g);
     if lambda == 0 {

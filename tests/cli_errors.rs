@@ -41,6 +41,10 @@ fn bad_invocations_fail_with_usage_on_stderr() {
             "bad value for --k",
         ),
         (
+            &["broadcast", "harary:4,32", "--k", "0"],
+            "--k must be at least 1",
+        ),
+        (
             &["broadcast", "harary:4,32", "--seed"],
             "--seed needs a value",
         ),
