@@ -2,8 +2,8 @@
 //!
 //! One binary per experiment (E1–E10, see DESIGN.md §5 and
 //! EXPERIMENTS.md), each regenerating the series its theorem predicts and
-//! printing a markdown table; plus Criterion wall-clock benches for the
-//! heavy kernels.
+//! printing a markdown table; plus the four CI gates
+//! (`benches/gates.rs`).
 //!
 //! Run e.g. `cargo run --release -p congest-bench --bin exp_e3_broadcast`.
 

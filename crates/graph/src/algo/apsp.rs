@@ -7,17 +7,13 @@
 use crate::algo::bfs::bfs_distances;
 use crate::graph::{Graph, Node};
 use crate::weighted::WeightedGraph;
-use rayon::prelude::*;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
 /// Dense distance matrix for unweighted APSP; `dist[u][v] = u32::MAX`
 /// when unreachable. `O(n·m)` via n parallel BFS.
 pub fn apsp_unweighted(g: &Graph) -> Vec<Vec<u32>> {
-    (0..g.n() as Node)
-        .into_par_iter()
-        .map(|s| bfs_distances(g, s))
-        .collect()
+    congest_par::par_map_collect(g.n(), |s| bfs_distances(g, s as Node))
 }
 
 /// Dijkstra distances from `src` on a weighted graph.
@@ -47,10 +43,7 @@ pub fn dijkstra(g: &WeightedGraph, src: Node) -> Vec<f64> {
 /// Dense distance matrix for weighted APSP; `f64::INFINITY` when
 /// unreachable. `O(n·m log n)` via n parallel Dijkstras.
 pub fn apsp_weighted(g: &WeightedGraph) -> Vec<Vec<f64>> {
-    (0..g.n() as Node)
-        .into_par_iter()
-        .map(|s| dijkstra(g, s))
-        .collect()
+    congest_par::par_map_collect(g.n(), |s| dijkstra(g, s as Node))
 }
 
 /// Measured `(α, β)` approximation quality of an estimate matrix against

@@ -6,7 +6,6 @@
 
 use crate::algo::bfs::{bfs_distances, UNREACHABLE};
 use crate::graph::{Graph, Node};
-use rayon::prelude::*;
 
 /// Eccentricity of `v` (max BFS distance), or `None` if some node is
 /// unreachable from `v`.
@@ -29,10 +28,9 @@ pub fn diameter_exact(g: &Graph) -> Option<u32> {
     if n == 0 {
         return None;
     }
-    (0..n as Node)
-        .into_par_iter()
-        .map(|v| eccentricity(g, v))
-        .try_reduce(|| 0, |a, b| Some(a.max(b)))
+    congest_par::par_map_collect(n, |v| eccentricity(g, v as Node))
+        .into_iter()
+        .try_fold(0, |max, ecc| Some(max.max(ecc?)))
 }
 
 /// Exact diameter of the subgraph on the same nodes induced by the edges
@@ -42,17 +40,12 @@ pub fn diameter_exact_restricted(g: &Graph, allow: &[bool]) -> Option<u32> {
     if n == 0 {
         return None;
     }
-    (0..n as Node)
-        .into_par_iter()
-        .map(|src| {
-            let t = crate::algo::bfs::bfs_tree_restricted(g, src, |e| allow[e as usize]);
-            if t.is_spanning() {
-                Some(t.height())
-            } else {
-                None
-            }
-        })
-        .try_reduce(|| 0, |a, b| Some(a.max(b)))
+    congest_par::par_map_collect(n, |src| {
+        let t = crate::algo::bfs::bfs_tree_restricted(g, src as Node, |e| allow[e as usize]);
+        t.is_spanning().then(|| t.height())
+    })
+    .into_iter()
+    .try_fold(0, |max, height| Some(max.max(height?)))
 }
 
 /// 2-sweep on the subgraph induced by `allowed` edges. **Exact** when that

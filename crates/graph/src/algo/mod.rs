@@ -9,7 +9,8 @@
 //!
 //! These are classical algorithms implemented with flat, allocation-light
 //! data structures; the all-pairs computations parallelize over sources
-//! with rayon (deterministic: each source writes only its own row).
+//! on the `congest_par` pool (deterministic: each source writes only its
+//! own row, and reductions fold the rows in index order).
 
 pub mod apsp;
 pub mod bfs;

@@ -3,7 +3,7 @@
 //! Layout follows the data-oriented idioms of the hpc-parallel guides: all
 //! adjacency data lives in three flat arrays (`offsets`, `adj_node`,
 //! `adj_edge`), so per-node neighbor scans are contiguous and the whole
-//! structure is trivially shareable across rayon workers (`&Graph` is `Sync`).
+//! structure is trivially shareable across pool workers (`&Graph` is `Sync`).
 
 use std::fmt;
 

@@ -8,20 +8,19 @@
 //! — no bitsets, no planes, no shards, no fast paths, so what it computes
 //! is plainly the model. The differential tests compare the live engine
 //! against it (outputs, stats, traces, per-edge meters, with and without
-//! a fault adversary) and `benches/sim_throughput.rs` races it against
-//! the packed engine; nothing else should use it.
+//! a fault adversary); nothing else should use it.
 //!
 //! It drives [`BaselineProtocol`] rather than [`crate::Protocol`] because
-//! the two engines expose different context types; workloads implement
-//! both traits with identical logic so a comparison measures the message
-//! plane, not the workload.
+//! the two engines expose different context types; test workloads
+//! implement both traits with identical logic so a comparison holds the
+//! message plane, not the workload, to account.
 
 use crate::engine::RunStats;
 use crate::fault::FaultPlan;
 use crate::message::MsgBits;
 use congest_graph::{Graph, Node, Port};
 
-/// Node program for the baseline engine (bench and test workloads only).
+/// Node program for the baseline engine (test workloads only).
 pub trait BaselineProtocol: Send {
     type Msg: Clone + Send + Sync + MsgBits;
     type Output: Send;

@@ -34,8 +34,7 @@
 //! O(traffic), not O(arcs) (see [`engine::EngineConfig::sparse_threshold`]).
 //! The pre-packing `Vec<Option<Msg>>` engine survives in [`baseline`] as
 //! the one reference interpreter: the differential test harnesses hold
-//! the live engine to it, faults included, and
-//! `benches/sim_throughput.rs` races the two.
+//! the live engine to it, faults included.
 //!
 //! Per-node randomness comes from a counter-based RNG seeded by
 //! `mix(run_seed, node_id)` ([`rng::node_rng`]), making whole runs

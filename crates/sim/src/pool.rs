@@ -557,7 +557,7 @@ impl JobSpec {
     /// Within the quiescent families the win is activity-shaped:
     /// thin-wavefront runs (rumor spreading) amortize the arc sweep
     /// across mostly-idle lanes (measured ~3.7x at 32 lanes on
-    /// `harary(6, 1024)` in the `serve_throughput` bench), while
+    /// `harary(6, 1024)` by the `serve` gate, `benches/gates.rs`), while
     /// dense-head runs (flood-max's first few rounds, where every lane
     /// is hot simultaneously) batch roughly latency-neutral. Flood-max
     /// stays wide-worthy — results are identical either way and one
@@ -599,7 +599,16 @@ pub enum JobStatus {
     /// Exceeded the server's shared `max_rounds` budget (its isolated
     /// run would too); `outputs` is empty and `stats` zeroed.
     RoundLimit { limit: u64 },
+    /// The job's graph was evicted between submission and drain (an
+    /// eviction pass the caller ran through [`PoolServer::pool_mut`]
+    /// while the job sat in the queue), so the job never ran; `outputs`
+    /// is empty and `stats` zeroed. Re-register the graph and resubmit.
+    GraphEvicted,
 }
+
+/// What a job hands [`PoolServer`]'s bookkeeping when it retires: its
+/// outputs and stats, or the status it failed with.
+type JobResult = Result<(Vec<u64>, RunStats), JobStatus>;
 
 /// One completed job: per-node outputs (a family-specific `u64` per
 /// node) plus the run's meters — bit-identical to what the job's
@@ -624,7 +633,8 @@ pub struct JobOutput {
 /// Aggregate congestion/bit meters for one tenant, summed over its jobs.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TenantMeter {
-    /// Jobs completed (including round-limit failures).
+    /// Jobs retired (including round-limit failures and jobs whose
+    /// graph was evicted before they ran).
     pub jobs: u64,
     /// Total CONGEST rounds across the tenant's jobs.
     pub rounds: u64,
@@ -809,7 +819,8 @@ impl PoolServer {
     /// policy ([`SessionPool::enforce_eviction`]) while the queue is
     /// empty. Grouping, chunking, and execution order are deterministic
     /// functions of the queue contents, and every output is
-    /// bit-identical to the job's isolated run.
+    /// bit-identical to the job's isolated run. A job whose graph is no
+    /// longer registered retires as [`JobStatus::GraphEvicted`].
     pub fn drain(&mut self, out: &mut Vec<JobOutput>) {
         let start = out.len();
         let mut jobs: Vec<(JobId, Job)> = self.queue.drain(..).collect();
@@ -829,7 +840,11 @@ impl PoolServer {
                 j += 1;
             }
             let group = &jobs[i..j];
-            if !group[0].1.protocol.wide_worthy() || group.len() == 1 {
+            if !self.pool.contains(graph) {
+                for (id, job) in group {
+                    self.record(*id, job, Err(JobStatus::GraphEvicted), false, false, out);
+                }
+            } else if !group[0].1.protocol.wide_worthy() || group.len() == 1 {
                 for job in group {
                     self.run_solo(job, out);
                 }
@@ -854,7 +869,8 @@ impl PoolServer {
         let spec = job.protocol.clone();
         let res = self
             .pool
-            .with_session(job.graph, |s| run_spec_on_session(s, &spec, cfg));
+            .with_session(job.graph, |s| run_spec_on_session(s, &spec, cfg))
+            .map_err(|EngineError::RoundLimitExceeded { limit }| JobStatus::RoundLimit { limit });
         self.solo_jobs += 1;
         self.record(*id, job, res, false, false, out);
     }
@@ -876,17 +892,16 @@ impl PoolServer {
         let cfg = self.config.clone();
         // Staged per-job results, filled by the sink under admission
         // index (= group index, since refill admits in group order).
-        let mut results: Vec<Option<(JobStatus, Vec<u64>, RunStats)>> = vec![None; group.len()];
+        let mut results: Vec<Option<JobResult>> = vec![None; group.len()];
         let sink = |mut r: LaneRetire<'_, u64>| {
-            let (status, outputs) = match r.limit {
-                Some(limit) => (JobStatus::RoundLimit { limit }, Vec::new()),
+            results[r.job] = Some(match r.limit {
+                Some(limit) => Err(JobStatus::RoundLimit { limit }),
                 None => {
                     let mut outputs = Vec::new();
                     r.take_outputs_into(&mut outputs);
-                    (JobStatus::Done, outputs)
+                    Ok((outputs, r.stats))
                 }
-            };
-            results[r.job] = Some((status, outputs, r.stats));
+            });
         };
         let admitted = match group[0].1.protocol.family() {
             Family::FloodMax => self.pool.with_wide(group[0].1.graph, |w| {
@@ -923,11 +938,7 @@ impl PoolServer {
         };
         debug_assert_eq!(admitted, group.len(), "refill drains the whole group");
         for (i, ((id, job), res)) in group.iter().zip(results).enumerate() {
-            let (status, outputs, stats) = res.expect("every admitted job retires");
-            let res = match status {
-                JobStatus::Done => Ok((outputs, stats)),
-                JobStatus::RoundLimit { limit } => Err(EngineError::RoundLimitExceeded { limit }),
-            };
+            let res = res.expect("every admitted job retires");
             self.batched_jobs += 1;
             let refilled = i >= init_w;
             if refilled {
@@ -941,18 +952,14 @@ impl PoolServer {
         &mut self,
         id: JobId,
         job: &Job,
-        res: Result<(Vec<u64>, RunStats), EngineError>,
+        res: JobResult,
         batched: bool,
         refilled: bool,
         out: &mut Vec<JobOutput>,
     ) {
         let (outputs, stats, status) = match res {
             Ok((o, s)) => (o, s, JobStatus::Done),
-            Err(EngineError::RoundLimitExceeded { limit }) => (
-                Vec::new(),
-                RunStats::default(),
-                JobStatus::RoundLimit { limit },
-            ),
+            Err(failed) => (Vec::new(), RunStats::default(), failed),
         };
         let meter = self.meters.entry(job.tenant).or_default();
         meter.absorb(&stats);
@@ -973,7 +980,7 @@ impl PoolServer {
 
 /// Run one job alone on a **fresh** [`Session`] — the oracle the pool is
 /// held to (`tests/proptest_pool.rs`) and the "one-Session-per-job" arm
-/// of the `serve_throughput` bench. Per-job `seed`/`faults` supersede
+/// of the `serve` gate (`benches/gates.rs`). Per-job `seed`/`faults` supersede
 /// `config`'s exactly as the server's runs do.
 pub fn run_job_isolated(
     graph: &Graph,
@@ -1537,6 +1544,65 @@ mod tests {
         server.drain(&mut out);
         assert_eq!(out.len(), 5);
         assert!(out.iter().all(|o| o.status == JobStatus::Done));
+    }
+
+    #[test]
+    fn drain_retires_jobs_whose_graph_was_evicted_while_queued() {
+        // A job is queued for `ka`, then the caller tightens the policy
+        // and enforces it by hand: `ka` is the least recently used entry
+        // and ages out under the job. The drain must retire that job
+        // with a typed status instead of checking out an unregistered
+        // key (`entry_index` panics on one), run the rest of the queue,
+        // and leave the server serving.
+        let mut server = PoolServer::new(EngineConfig::serial(), 8);
+        let (ga, gb) = (harary(4, 16), cycle(10));
+        let ka = server.register_graph(ga.clone());
+        let kb = server.register_graph(gb.clone());
+        let mut out = Vec::new();
+        server
+            .submit(mk_job(kb, JobSpec::FloodMax, 0, 7), &mut out)
+            .unwrap();
+        server.drain(&mut out); // stamps `kb` as the recently used entry
+        let lost = [
+            server
+                .try_submit(mk_job(ka, JobSpec::FloodMax, 1, 7))
+                .unwrap(),
+            server
+                .try_submit(mk_job(ka, JobSpec::FloodMax, 2, 7))
+                .unwrap(),
+        ];
+        let kept = server
+            .try_submit(mk_job(kb, JobSpec::Rumor { source: 3 }, 3, 7))
+            .unwrap();
+        server.pool_mut().set_policy(EvictionPolicy {
+            max_graphs: 1,
+            max_warm_bytes: usize::MAX,
+        });
+        server.pool_mut().enforce_eviction();
+        assert!(!server.pool().contains(ka) && server.pool().contains(kb));
+
+        out.clear();
+        server.drain(&mut out);
+        assert_eq!(out.len(), 3);
+        for o in &out {
+            if lost.contains(&o.id) {
+                assert_eq!(o.status, JobStatus::GraphEvicted);
+                assert!(o.outputs.is_empty() && !o.batched);
+                assert_eq!(o.stats, RunStats::default());
+            } else {
+                assert_eq!((o.id, o.status), (kept, JobStatus::Done));
+            }
+        }
+        // Metered like a round-limited job: counted, nothing else moves.
+        assert_eq!(server.meter(7).jobs, 4);
+        assert_eq!((server.batched_jobs(), server.solo_jobs()), (0, 2));
+
+        assert_eq!(server.register_graph(ga), ka);
+        server
+            .submit(mk_job(ka, JobSpec::FloodMax, 1, 7), &mut out)
+            .unwrap();
+        server.drain(&mut out);
+        assert_eq!(out.last().unwrap().status, JobStatus::Done);
     }
 
     #[test]

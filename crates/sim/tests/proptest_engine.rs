@@ -7,10 +7,11 @@
 //! bit-identical inboxes (via the inbox-folding outputs) and identical
 //! per-arc congestion meters.
 
-use congest_graph::{Graph, GraphBuilder};
+use congest_graph::{Graph, GraphBuilder, Node};
 use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineOutcome, BaselineProtocol};
 use congest_sim::rng::node_rng;
-use congest_sim::{run_protocol, EngineConfig, FaultPlan, NodeCtx, Protocol};
+use congest_sim::sched::{random_delays, Multiplexed};
+use congest_sim::{run_protocol, EngineConfig, FaultPlan, NodeCtx, Protocol, RunOutcome};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -244,6 +245,100 @@ fn reference(
     )
 }
 
+/// Every node broadcasts a `(u32, u64)` pair every round and folds all
+/// it hears: `send_all` on the `u128` slab, the pipelined-broadcast
+/// message shape.
+struct PairChatter {
+    rounds: u64,
+    heard: u64,
+}
+
+impl Protocol for PairChatter {
+    type Msg = (u32, u64);
+    type Output = u64;
+    fn round(&mut self, ctx: &mut NodeCtx<'_, (u32, u64)>) {
+        self.heard = ctx.inbox().fold(self.heard, |a, (p, (id, m))| {
+            a.wrapping_mul(31).wrapping_add(m ^ id as u64 ^ p as u64)
+        });
+        if ctx.round < self.rounds {
+            ctx.send_all((ctx.node, self.heard | 1));
+        } else {
+            ctx.set_done(true);
+        }
+    }
+    fn finish(self) -> u64 {
+        self.heard
+    }
+}
+
+/// Sub-protocol `i` of `k` under [`Multiplexed`]: speaks on virtual
+/// rounds ≡ `i` (mod `k`), so the port queues work every round while
+/// their depth stays bounded.
+struct RotChatter {
+    k: u64,
+    i: u64,
+    until: u64,
+    acc: u64,
+}
+
+impl Protocol for RotChatter {
+    type Msg = u64;
+    type Output = u64;
+    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+        let sum = ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add);
+        self.acc = self.acc.wrapping_add(sum);
+        if ctx.round < self.until && ctx.round % self.k == self.i {
+            ctx.send_all(self.acc | 1);
+        }
+        ctx.set_done(ctx.round >= self.until);
+    }
+    fn finish(self) -> u64 {
+        self.acc
+    }
+}
+
+/// Thresholds the differential harness and the shard sweep pin: fast
+/// path off (`0`), fast path forced for every scattering round
+/// (`usize::MAX`), and the default heuristic.
+const THRESHOLDS: [Option<usize>; 3] = [Some(0), Some(usize::MAX), None];
+
+/// One protocol through the shard sweep: at every shard count, serial
+/// runs at each of [`THRESHOLDS`] and parallel runs at two pool widths
+/// must reproduce the one-shard serial run — outputs, stats, trace and
+/// per-edge congestion.
+fn shard_sweep<P, F>(what: &str, g: &Graph, seed: u64, make: F)
+where
+    P: Protocol,
+    P::Output: PartialEq + std::fmt::Debug,
+    F: Fn(Node, &Graph) -> P,
+{
+    let run = |cfg: EngineConfig| run_protocol(g, &make, cfg.trace()).unwrap();
+    let reference = run(EngineConfig::serial().seed(seed).shards(1));
+    assert!(reference.stats.total_messages > 0, "{what}: no traffic");
+    let check = |live: RunOutcome<P::Output>, at: String| {
+        assert_eq!(live.outputs, reference.outputs, "{what}: {at}");
+        assert_eq!(live.stats, reference.stats, "{what}: {at}");
+        assert_eq!(live.trace, reference.trace, "{what}: {at}");
+        assert_eq!(
+            live.edge_congestion, reference.edge_congestion,
+            "{what}: {at}"
+        );
+    };
+    for shards in [1usize, 2, 5, 8, 64] {
+        for thr in THRESHOLDS {
+            let mut cfg = EngineConfig::serial().seed(seed).shards(shards);
+            cfg.sparse_threshold = thr;
+            check(run(cfg), format!("serial shards={shards} thr={thr:?}"));
+        }
+        for threads in [2usize, 4] {
+            let par = congest_par::with_threads(threads, || {
+                run(EngineConfig::with_seed(seed).shards(shards))
+            });
+            check(par, format!("threads={threads} shards={shards}"));
+        }
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
@@ -405,51 +500,46 @@ proptest! {
     }
 
     /// The sharded deliver+metering plane: byte-identical outputs, stats,
-    /// and traces at every (pool width × shard count) combination,
-    /// against the one-shard serial reference. This is the
-    /// determinism contract of the shard-owned round phases.
+    /// traces and per-edge meters at every (pool width × shard count)
+    /// combination and with the sparse fast path forced both ways,
+    /// against the one-shard serial reference ([`shard_sweep`]). This is
+    /// the determinism contract of the shard-owned round phases, held
+    /// above the parallel threshold for each traffic shape the engine
+    /// has a path for: random per-port sends, the three [`MixedChatter`]
+    /// profiles (`send_all` dense, sparse and mixed, inbox folded and
+    /// counted), `send_all` on the `u128` slab, and [`Multiplexed`]'s
+    /// `Tagged` words with sub-protocols hosted on local out-slots.
     #[test]
     fn sharded_deliver_identical_at_every_width_and_shard_count(
         n in 256usize..380,
         half_delta in 2usize..6,
         seed in any::<u64>(),
+        profile in 0u8..3,
     ) {
         let g = congest_graph::generators::harary(2 * half_delta, n);
-        let run = |cfg: EngineConfig| {
-            run_protocol(
-                &g,
-                |_, _| RandomChatter { rounds: 7, sent: 0, received: 0 },
-                cfg.trace(),
-            )
-            .unwrap()
-        };
-        let reference = run(EngineConfig::serial().seed(seed).shards(1));
-        for &shards in &[1usize, 2, 5, 8, 64] {
-            // Serial at this shard count.
-            let ser = run(EngineConfig::serial().seed(seed).shards(shards));
-            prop_assert_eq!(&ser.outputs, &reference.outputs, "serial shards={}", shards);
-            prop_assert_eq!(ser.stats, reference.stats, "serial shards={}", shards);
-            prop_assert_eq!(&ser.trace, &reference.trace, "serial shards={}", shards);
-            // Parallel at several pool widths, same shard count.
-            for threads in [2usize, 4] {
-                let par = congest_par::with_threads(threads, || {
-                    run(EngineConfig::with_seed(seed).shards(shards))
-                });
-                prop_assert_eq!(&par.outputs, &reference.outputs,
-                    "threads={} shards={}", threads, shards);
-                prop_assert_eq!(par.stats, reference.stats,
-                    "threads={} shards={}", threads, shards);
-                prop_assert_eq!(&par.trace, &reference.trace,
-                    "threads={} shards={}", threads, shards);
-            }
-        }
+        shard_sweep("per-port", &g, seed, |_, _| RandomChatter {
+            rounds: 7,
+            sent: 0,
+            received: 0,
+        });
+        shard_sweep("mixed", &g, seed, |_, _| MixedChatter {
+            rounds: 7,
+            sent: 0,
+            heard: 0,
+            profile,
+        });
+        shard_sweep("u128 send_all", &g, seed, |_, _| PairChatter { rounds: 7, heard: 1 });
+        // k rotating subs under random start delays ≤ 3: all k can land
+        // on one phase, so a port queue holds at most k words plus what
+        // the delay skew lets overlap.
+        let k = 4u64;
+        let delays = random_delays(k as usize, 3, seed);
+        shard_sweep("multiplexed", &g, seed, |v, gr| {
+            let subs = (0..k).map(|i| RotChatter { k, i, until: 12, acc: 1 }).collect();
+            Multiplexed::new(subs, &delays, gr.degree(v), 2 * k as usize + 4)
+        });
     }
 }
-
-/// Thresholds the differential harness pins: fast path off (`0`), fast
-/// path forced for every scattering round (`usize::MAX`), and the default
-/// heuristic.
-const THRESHOLDS: [Option<usize>; 3] = [Some(0), Some(usize::MAX), None];
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]

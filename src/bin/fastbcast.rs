@@ -199,7 +199,8 @@ fn cmd_params(spec: &str) -> Result<(), String> {
     println!("m           : {}", p.m);
     println!("min degree δ: {}", p.delta);
     println!("edge conn λ : {} (exact, max-flow)", p.lambda);
-    if g.n() <= 64 {
+    // Karger contracts down to two super-nodes, so it needs two to start.
+    if (2..=64).contains(&g.n()) {
         let (mc, _) = karger_min_cut(&g, karger_whp_repetitions(g.n()).min(20_000), 7);
         println!("  karger λ̂  : {mc} (Monte-Carlo cross-check)");
     }
@@ -272,6 +273,9 @@ fn cmd_packing(args: &[String]) -> Result<(), String> {
     let g = parse_family(spec)?;
     let lambda = fast_broadcast::graph::algo::edge_connectivity(&g);
     let trees = opt(args, "--trees", (lambda / 2).max(1))?;
+    if trees == 0 {
+        return Err("--trees must be at least 1".into());
+    }
     let seed: u64 = opt(args, "--seed", 7u64)?;
     println!(
         "family {spec}: n = {}, m = {}, λ = {lambda}, requesting {trees} trees",
@@ -329,6 +333,10 @@ fn cmd_cuts(args: &[String]) -> Result<(), String> {
     let spec = args.first().ok_or("cuts needs a <family>")?;
     let g = parse_family(spec)?;
     let eps: f64 = opt(args, "--eps", 0.5f64)?;
+    // Written so that NaN is refused too.
+    if !(eps > 0.0 && eps <= 1.0) {
+        return Err("--eps must be in (0, 1]".into());
+    }
     let seed: u64 = opt(args, "--seed", 9u64)?;
     let lambda = fast_broadcast::graph::algo::edge_connectivity(&g);
     if lambda == 0 {
@@ -460,9 +468,13 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     server.drain(&mut out);
     let secs = t0.elapsed().as_secs_f64();
 
-    let failed = out
+    let limited = out
         .iter()
-        .filter(|o| !matches!(o.status, JobStatus::Done))
+        .filter(|o| matches!(o.status, JobStatus::RoundLimit { .. }))
+        .count();
+    let evicted = out
+        .iter()
+        .filter(|o| o.status == JobStatus::GraphEvicted)
         .count();
     println!(
         "\ndrained     : {} jobs in {secs:.3} s → {:.0} jobs/sec",
@@ -470,7 +482,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         out.len() as f64 / secs.max(1e-9)
     );
     println!(
-        "batching    : {} wide-batched ({} refilled mid-sweep), {} sequential, {failed} round-limited",
+        "batching    : {} wide-batched ({} refilled mid-sweep), {} sequential, {limited} round-limited, {evicted} graph-evicted",
         server.batched_jobs(),
         server.refilled_jobs(),
         server.solo_jobs()

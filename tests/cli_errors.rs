@@ -53,12 +53,36 @@ fn bad_invocations_fail_with_usage_on_stderr() {
             "bad value for --trees",
         ),
         (
+            &["packing", "complete:8", "--trees", "0"],
+            "--trees must be at least 1",
+        ),
+        (
+            &["packing", "complete:8", "--trees", "0", "--exact"],
+            "--trees must be at least 1",
+        ),
+        (
             &["apsp", "harary:4,32", "--seed", "1.5"],
             "bad value for --seed",
         ),
         (
             &["cuts", "harary:4,32", "--eps", "wide"],
             "bad value for --eps",
+        ),
+        (
+            &["cuts", "complete:8", "--eps", "0"],
+            "--eps must be in (0, 1]",
+        ),
+        (
+            &["cuts", "complete:8", "--eps", "-1"],
+            "--eps must be in (0, 1]",
+        ),
+        (
+            &["cuts", "complete:8", "--eps", "2"],
+            "--eps must be in (0, 1]",
+        ),
+        (
+            &["cuts", "complete:8", "--eps", "nan"],
+            "--eps must be in (0, 1]",
         ),
         (&["serve", "--jobs", "many"], "bad value for --jobs"),
         (&["serve", "--jobs", "0"], "--jobs must be at least 1"),
@@ -118,6 +142,8 @@ fn bad_invocations_fail_with_usage_on_stderr() {
 fn good_invocations_still_succeed() {
     for args in [
         &["params", "harary:4,16"][..],
+        // One node: measured without the Karger cross-check (it needs two).
+        &["params", "complete:1"],
         &["help"],
         &[
             "serve",

@@ -62,11 +62,7 @@ fn thread_count_does_not_change_results() {
     )
     .unwrap();
     for threads in [1usize, 2, 4] {
-        let pool = rayon::ThreadPoolBuilder::new()
-            .num_threads(threads)
-            .build()
-            .unwrap();
-        let out = pool.install(|| {
+        let out = congest_par::with_threads(threads, || {
             run_protocol(
                 &g,
                 |v, _| BfsProtocol::new(3, v),
