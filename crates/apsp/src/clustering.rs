@@ -187,7 +187,7 @@ pub fn build_clustering(
     c: f64,
     seed: u64,
 ) -> Result<(ClusterGraph, RunStats), ClusteringError> {
-    let mut host = congest_sim::PhaseHost::resident(g);
+    let mut host = congest_sim::Session::new(g);
     build_clustering_hosted(&mut host, c, seed)
 }
 
@@ -195,7 +195,7 @@ pub fn build_clustering(
 /// pipeline's clustering phase shares the engine its broadcast phases
 /// run on.
 pub fn build_clustering_hosted(
-    host: &mut congest_sim::PhaseHost<'_>,
+    host: &mut congest_sim::Session<'_>,
     c: f64,
     seed: u64,
 ) -> Result<(ClusterGraph, RunStats), ClusteringError> {
@@ -285,13 +285,13 @@ pub fn build_clustering_retrying(
     seed: u64,
     attempts: usize,
 ) -> Result<(ClusterGraph, RunStats), ClusteringError> {
-    let mut host = congest_sim::PhaseHost::resident(g);
+    let mut host = congest_sim::Session::new(g);
     build_clustering_retrying_hosted(&mut host, c, seed, attempts)
 }
 
 /// [`build_clustering_retrying`] on a caller-provided engine host.
 pub fn build_clustering_retrying_hosted(
-    host: &mut congest_sim::PhaseHost<'_>,
+    host: &mut congest_sim::Session<'_>,
     c: f64,
     seed: u64,
     attempts: usize,

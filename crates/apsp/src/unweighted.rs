@@ -65,7 +65,7 @@ pub fn unweighted_apsp_approx(
     let n = g.n();
     // One resident engine serves the clustering phase and every phase of
     // the Theorem 1 broadcast below.
-    let mut host = congest_sim::PhaseHost::resident(g);
+    let mut host = congest_sim::Session::new(g);
     let mut phases = PhaseLog::new();
 
     // 1. Clustering (3 measured rounds).

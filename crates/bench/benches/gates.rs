@@ -4,7 +4,7 @@
 //! | gate | arm vs arm | bar |
 //! |---|---|---|
 //! | `churn_repair` | incremental phase-boundary repair vs `GraphBuilder::build` + `Session::new` | geomean ≥ 1.0 (0.9 in smoke) |
-//! | `wide_batch` | 32 rumor lanes through one `WideSession` sweep vs one sequential `Session` run | ≥ 4× |
+//! | `wide_batch` | 32 rumor lanes through one `Session::run_wide` sweep vs one sequential `Session::run` | ≥ 4× |
 //! | `wide_tail` | one `run_refill` drain vs 32-lane chunked runs on a staggered-termination mix | ≥ 1.5× |
 //! | `serve` | `PoolServer` batching drain vs one fresh `Session` per job | ≥ 2× |
 //!
@@ -324,13 +324,13 @@ struct WideBatchRow {
 }
 
 /// Wide-batch throughput: W independent sparse instances through one
-/// [`congest_sim::WideSession`] sweep vs the same instance on a
-/// sequential `Session`, both single-core. Metric is instances·rounds
+/// [`congest_sim::Session::run_wide`] sweep vs the same instance through
+/// `Session::run`, both single-core. Metric is instances·rounds
 /// per second; the acceptance bar is W=32 ≥ 4× the sequential arm.
 /// All 64 lanes are cross-checked bit-identical (outputs + stats)
 /// against their per-lane sequential runs before any timing.
 fn bench_wide_batch() -> (Vec<WideBatchRow>, f64) {
-    use congest_sim::{LaneSpec, Session, WideSession};
+    use congest_sim::{LaneSpec, Session};
 
     let (n, samples) = if smoke() {
         (1024usize, 2usize)
@@ -344,7 +344,7 @@ fn bench_wide_batch() -> (Vec<WideBatchRow>, f64) {
     let lanes_for =
         |w: usize| -> Vec<LaneSpec> { (0..w).map(|l| LaneSpec::new(lane_seed(l))).collect() };
 
-    let mut wide = WideSession::new(&g);
+    let mut wide = Session::new(&g);
 
     // Cross-check the full width bit-identical before timing anything,
     // and record each lane's true round count for the throughput metric
@@ -352,7 +352,7 @@ fn bench_wide_batch() -> (Vec<WideBatchRow>, f64) {
     let lanes64 = lanes_for(64);
     let lane_rounds: Vec<u64> = {
         let out = wide
-            .run(
+            .run_wide(
                 &lanes64,
                 |v, l, _| LaneRumor::new(v, l as u64, n),
                 wide_cfg.clone(),
@@ -394,7 +394,7 @@ fn bench_wide_batch() -> (Vec<WideBatchRow>, f64) {
         let lanes = lanes_for(w);
         let ns = best_of(samples, || {
             let out = wide
-                .run(
+                .run_wide(
                     &lanes,
                     |v, l, _| LaneRumor::new(v, l as u64, n),
                     wide_cfg.clone(),
@@ -428,10 +428,9 @@ struct WideTailRow {
 /// Staggered-termination job stream through the wide kernel: J
 /// lane-salted rumor floods whose sources linger for staggered spans,
 /// with each 32-job chunk anchored by one job that lingers ~64x the
-/// flood itself. Two arms, both single-core on one resident
-/// `WideSession`:
+/// flood itself. Two arms, both single-core on one resident `Session`:
 ///
-/// * `chunked` — 32-lane `run()` per chunk: the sweep narrows as lanes
+/// * `chunked` — 32-lane `run_wide()` per chunk: the sweep narrows as lanes
 ///   retire, but each chunk still waits for its slowest lane.
 /// * `refill_steady` — one `run_refill` drain over the whole queue:
 ///   mid-sweep refill, so retired slots keep earning while stragglers
@@ -442,7 +441,7 @@ struct WideTailRow {
 /// timing. The acceptance bar: continuous batching (the refill arm)
 /// ≥ 1.5x the chunked arm.
 fn bench_wide_tail() -> (Vec<WideTailRow>, f64) {
-    use congest_sim::{LaneSpec, RunStats, Session, WideSession};
+    use congest_sim::{LaneSpec, RunStats, Session};
 
     let (n, jobs, samples) = if smoke() {
         (256usize, 96usize, 2usize)
@@ -492,12 +491,12 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64) {
         .step_by(w)
         .map(|lo| lo..(lo + w).min(jobs))
         .collect();
-    let run_chunked = |wide: &mut WideSession<'_>, check: bool| -> u64 {
+    let run_chunked = |wide: &mut Session<'_>, check: bool| -> u64 {
         let mut acc = 0u64;
         for chunk in &chunks {
             let lo = chunk.start;
             let out = wide
-                .run(
+                .run_wide(
                     &specs[chunk.clone()],
                     |v, l, _| mk(v, lo + l),
                     EngineConfig::serial(),
@@ -524,7 +523,7 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64) {
         }
         acc
     };
-    let run_refill = |wide: &mut WideSession<'_>, scratch: &mut Vec<u64>, check: bool| -> u64 {
+    let run_refill = |wide: &mut Session<'_>, scratch: &mut Vec<u64>, check: bool| -> u64 {
         let mut acc = 0u64;
         let admitted = wide.run_refill::<TailRumor, _, _, _>(
             &specs[..w],
@@ -555,7 +554,7 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64) {
     };
 
     // Cross-check both arms bit-identical before timing anything.
-    let mut wide = WideSession::new(&g);
+    let mut wide = Session::new(&g);
     let mut scratch: Vec<u64> = Vec::new();
     run_chunked(&mut wide, true);
     run_refill(&mut wide, &mut scratch, true);

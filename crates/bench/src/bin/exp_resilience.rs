@@ -12,7 +12,7 @@ use congest_core::broadcast::{BroadcastConfig, BroadcastInput};
 use congest_core::partition::PartitionParams;
 use congest_core::resilient::resilient_broadcast_hosted;
 use congest_graph::generators::harary;
-use congest_sim::{FaultPlan, PhaseHost};
+use congest_sim::{FaultPlan, Session};
 
 fn main() {
     println!("# E13 — broadcast vs a mobile edge adversary (replication over the packing)");
@@ -21,7 +21,7 @@ fn main() {
     let g = harary(24, 96);
     let input = BroadcastInput::random_spread(&g, 96, 0xE13);
     let params = PartitionParams::explicit(4);
-    let mut host = PhaseHost::resident(&g);
+    let mut host = Session::new(&g);
 
     let mut t = Table::new(
         "starved nodes (out of 96) after routing under attack — 3 seeds each",

@@ -34,19 +34,20 @@
 //! is its one-lane spelling, [`partition_broadcast_wide`] the `W`-lane
 //! one; [`crate::resilient`] and [`crate::exp_search`] run the same
 //! stages under their own seeds, and every retry is the one ladder of
-//! [`crate::watchdog()`]. Surface rule: only [`partition_broadcast`],
-//! [`partition_broadcast_retrying`] and the wide driver (which owns its
-//! [`WideSession`]) take a `&Graph`; every other driver of the family
-//! takes the caller's [`PhaseHost`].
+//! [`crate::watchdog()`]. Both spellings run on a [`Session`], the one
+//! engine host: one lane through its sequential kernel, `W` through its
+//! wide one. Surface rule: only [`partition_broadcast`],
+//! [`partition_broadcast_retrying`] and the wide driver take a `&Graph`
+//! (and build their own session); every other driver of the family takes
+//! the caller's.
 
 use crate::partition::PartitionParams;
 use crate::pipeline::{PipeCore, PipeMsg, PipeResult};
-use crate::stages::{Composition, PhaseLanes, CLASS_PHASES};
+use crate::stages::{Composition, CLASS_PHASES};
 use crate::watchdog::{partition_broadcast_degrading_hosted, DegradePolicy};
 use congest_graph::{Graph, Node};
 use congest_sim::{
-    EngineConfig, EngineError, MsgBits, NodeCtx, PackedMsg, PhaseHost, PhaseLog, Protocol,
-    RunStats, WideSession,
+    EngineConfig, EngineError, MsgBits, NodeCtx, PackedMsg, PhaseLog, Protocol, RunStats, Session,
 };
 
 /// The broadcast problem instance: `k` messages, message `i` initially at
@@ -230,19 +231,19 @@ pub fn partition_broadcast(
     seed: u64,
 ) -> Result<BroadcastOutcome, BroadcastError> {
     let params = PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C);
-    let mut host = PhaseHost::resident(g);
+    let mut host = Session::new(g);
     partition_broadcast_hosted(&mut host, input, params, &BroadcastConfig::with_seed(seed))
 }
 
-/// Theorem 1, one attempt with explicit parameters on the caller's engine
-/// host — the one-lane instantiation of the composition. Drivers that
+/// Theorem 1, one attempt with explicit parameters on the caller's
+/// session — the one-lane instantiation of the composition. Drivers that
 /// compose several broadcasts (the BCC simulation, APSP, the sparsifier
-/// pipeline) pass one resident host so every broadcast — and every phase
+/// pipeline) pass one session so every broadcast — and every phase
 /// inside it — reuses the same preallocated engine. Every phase is logged
 /// with the host's post-phase state hash (the snapshot/replay checkpoint
 /// signal).
 pub fn partition_broadcast_hosted(
-    host: &mut PhaseHost<'_>,
+    host: &mut Session<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     cfg: &BroadcastConfig,
@@ -264,7 +265,7 @@ pub fn partition_broadcast_retrying(
     attempts: usize,
 ) -> Result<(BroadcastOutcome, usize), BroadcastError> {
     let policy = DegradePolicy::flat(attempts, params);
-    let mut host = PhaseHost::resident(g);
+    let mut host = Session::new(g);
     let (outcome, log) =
         partition_broadcast_degrading_hosted(&mut host, input, params, cfg, &policy)?;
     Ok((outcome, log.total_attempts()))
@@ -272,11 +273,13 @@ pub fn partition_broadcast_retrying(
 
 /// Theorem 1, **W independent instances in one sweep**: lane `l` runs the
 /// whole six-phase composition under broadcast seed `seeds[l]`, with all
-/// lanes advancing through each phase in lockstep on one
-/// [`WideSession`] — the W-lane instantiation of the composition. Lane
-/// `l`'s result — phase log, stats, deliveries — is bit-identical to
-/// [`partition_broadcast_hosted`] at `BroadcastConfig { seed: seeds[l], ..cfg }`
-/// (state hashes aside: a wide session records none), which is exactly
+/// lanes advancing through each phase in lockstep as one
+/// [`Session::run_wide`] sweep — the W-lane instantiation of the
+/// composition. Lane `l`'s result — phase log, stats, deliveries — is
+/// bit-identical to [`partition_broadcast_hosted`] at
+/// `BroadcastConfig { seed: seeds[l], ..cfg }` (state hashes aside: wide
+/// lanes record none; a single seed runs as that hosted call, hashes
+/// included), which is exactly
 /// the seed-sweep the retry wrapper ([`partition_broadcast_retrying`])
 /// performs one at a time: the wide driver explores all candidate seeds
 /// concurrently, paying the arc sweep once per round instead of once per
@@ -300,19 +303,19 @@ pub fn partition_broadcast_wide(
         "1..={} broadcast lanes, got {w}",
         congest_sim::MAX_LANES
     );
-    theorem1(&mut WideSession::new(g), input, params, cfg, seeds)
+    theorem1(&mut Session::new(g), input, params, cfg, seeds)
 }
 
 /// The six phases of the module docs on `seeds.len()` lanes, lane `l`
 /// being the broadcast `BroadcastConfig { seed: seeds[l], ..cfg }`.
-fn theorem1<R: PhaseLanes>(
-    runner: &mut R,
+fn theorem1(
+    host: &mut Session<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     cfg: &BroadcastConfig,
     seeds: &[u64],
 ) -> Result<Vec<Result<BroadcastOutcome, BroadcastError>>, BroadcastError> {
-    let mut comp = Composition::new(runner, input, seeds.len(), |l, phase| {
+    let mut comp = Composition::new(host, input, seeds.len(), |l, phase| {
         cfg.engine(seeds[l], phase)
     });
     comp.tree()?;
@@ -514,7 +517,7 @@ mod tests {
         let g = congest_graph::generators::cycle(16);
         let input = BroadcastInput::random_spread(&g, 8, 0);
         let err = partition_broadcast_hosted(
-            &mut PhaseHost::resident(&g),
+            &mut Session::new(&g),
             &input,
             PartitionParams::explicit(16),
             &BroadcastConfig::with_seed(0),
@@ -537,8 +540,8 @@ mod tests {
         assert_eq!(attempts, 2);
         // Attempt `a` of the ladder is one plain broadcast at seed
         // `cfg.seed + a·0x9E37_79B9`, on a host earlier attempts used.
-        let mut host = PhaseHost::resident(&g);
-        let attempt = |host: &mut PhaseHost<'_>, a: u64| {
+        let mut host = Session::new(&g);
+        let attempt = |host: &mut Session<'_>, a: u64| {
             let seed = cfg.seed.wrapping_add(a * 0x9E37_79B9);
             partition_broadcast_hosted(host, &input, params, &BroadcastConfig::with_seed(seed))
         };
@@ -553,7 +556,7 @@ mod tests {
         let input = BroadcastInput::random_spread(&g, 20, 6);
         let mut cfg = BroadcastConfig::with_seed(8);
         cfg.record_payloads = true;
-        let mut host = PhaseHost::resident(&g);
+        let mut host = Session::new(&g);
         let out = partition_broadcast_hosted(&mut host, &input, PartitionParams::explicit(2), &cfg)
             .unwrap();
         assert!(out.all_delivered());
@@ -580,7 +583,7 @@ mod tests {
         let params = PartitionParams::from_lambda(g.n(), 16, DEFAULT_PARTITION_C);
         let mut cfg = BroadcastConfig::with_seed(17);
         cfg.record_payloads = true;
-        let mut used = PhaseHost::resident(&g);
+        let mut used = Session::new(&g);
         // A different broadcast first (other placement, seed and k), so
         // every buffer the second call touches has been written before.
         let warmup = BroadcastInput::random_spread(&g, 40, 9);
@@ -588,7 +591,7 @@ mod tests {
             .unwrap();
         let second = partition_broadcast_hosted(&mut used, &input, params, &cfg).unwrap();
         let fresh =
-            partition_broadcast_hosted(&mut PhaseHost::resident(&g), &input, params, &cfg).unwrap();
+            partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg).unwrap();
         assert_eq!(second.phases.len(), 6);
         assert_same_run(&second, &fresh, true, "second vs fresh");
     }
@@ -615,8 +618,8 @@ mod tests {
     }
 
     /// The wide driver's oracle: lane `l` against one sequential
-    /// broadcast at `seeds[l]`, bit for bit (a wide session records no
-    /// state hashes). Returns `(spanning, failed)` lane counts.
+    /// broadcast at `seeds[l]`, bit for bit (wide lanes record no state
+    /// hashes). Returns `(spanning, failed)` lane counts.
     fn assert_wide_matches_sequential(
         g: &Graph,
         input: &BroadcastInput,
@@ -626,7 +629,7 @@ mod tests {
     ) -> (usize, usize) {
         let wide = partition_broadcast_wide(g, input, params, cfg, seeds).unwrap();
         assert_eq!(wide.len(), seeds.len());
-        let mut host = PhaseHost::resident(g);
+        let mut host = Session::new(g);
         let (mut ok, mut failed) = (0, 0);
         for (l, &seed) in seeds.iter().enumerate() {
             let seq_cfg = BroadcastConfig {

@@ -17,7 +17,7 @@ use crate::broadcast::{BroadcastConfig, BroadcastError, BroadcastInput};
 use crate::partition::PartitionParams;
 use crate::watchdog::{partition_broadcast_degrading_hosted, DegradePolicy};
 use congest_graph::{Graph, Node};
-use congest_sim::{PhaseHost, PhaseLog};
+use congest_sim::{PhaseLog, Session};
 
 /// One node's view after a BCC round: every node's broadcast value,
 /// indexed by node id.
@@ -47,14 +47,14 @@ pub fn simulate_bcc_round(
     lambda: usize,
     seed: u64,
 ) -> Result<(BccView, u64, PhaseLog), BroadcastError> {
-    let mut host = PhaseHost::resident(g);
+    let mut host = Session::new(g);
     simulate_bcc_round_hosted(&mut host, values, lambda, seed)
 }
 
 /// [`simulate_bcc_round`] on a caller-provided engine host, so chained
 /// BCC rounds reuse one preallocated engine.
 pub fn simulate_bcc_round_hosted(
-    host: &mut PhaseHost<'_>,
+    host: &mut Session<'_>,
     values: &[u32],
     lambda: usize,
     seed: u64,
@@ -104,7 +104,7 @@ where
 {
     let n = g.n();
     // One resident engine serves every broadcast of every BCC round.
-    let mut host = PhaseHost::resident(g);
+    let mut host = Session::new(g);
     let mut values: Vec<u32> = initial.to_vec();
     let mut phases = PhaseLog::new();
     let mut per_round = Vec::with_capacity(rounds);

@@ -25,7 +25,7 @@ use crate::convergecast::{AggOp, Aggregate, TreeView};
 use crate::partition::PartitionParams;
 use crate::stages::Composition;
 use congest_graph::Graph;
-use congest_sim::PhaseHost;
+use congest_sim::Session;
 
 /// Trace of the exponential search.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -54,7 +54,7 @@ pub fn exp_search_broadcast(
     input: &BroadcastInput,
     cfg: &BroadcastConfig,
 ) -> Result<(BroadcastOutcome, ExpSearchReport), ExpSearchError> {
-    let mut host = PhaseHost::resident(g);
+    let mut host = Session::new(g);
     let mut comp = Composition::new(&mut host, input, 1, |_, phase| {
         cfg.engine(cfg.seed, 0xE59 + phase)
     });

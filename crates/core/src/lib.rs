@@ -22,8 +22,10 @@
 //!
 //! Surface rule for the Theorem 1 family: [`partition_broadcast`],
 //! [`broadcast::partition_broadcast_retrying`] and
-//! [`broadcast::partition_broadcast_wide`] take a `&Graph`; every other
-//! driver takes the caller's [`congest_sim::PhaseHost`].
+//! [`broadcast::partition_broadcast_wide`] take a `&Graph` and build
+//! their own [`congest_sim::Session`]; every other driver takes the
+//! caller's — the one engine host, which runs one lane through its
+//! sequential kernel and `W` through its wide one.
 //!
 //! All protocols are *message-driven* (progress on arrival rather than on
 //! round counting), which makes them tolerant of the random-delay

@@ -20,7 +20,7 @@
 //! ([`crate::broadcast`]) with `r` copies per message in the routing stage
 //! and [`ReplicatedPipeline`] wrapped around the per-class cores; like
 //! every driver of the family but the two frozen names and the wide one,
-//! it takes the caller's [`PhaseHost`].
+//! it takes the caller's [`Session`].
 
 use crate::broadcast::{
     BroadcastConfig, BroadcastError, BroadcastInput, ColoredPipeMsg, ParallelPipeline,
@@ -28,7 +28,7 @@ use crate::broadcast::{
 use crate::partition::PartitionParams;
 use crate::pipeline::{expected_checksums, PipeCore};
 use crate::stages::{Composition, CLASS_PHASES};
-use congest_sim::{FaultPlan, NodeCtx, PhaseHost, PhaseLog, Protocol};
+use congest_sim::{FaultPlan, NodeCtx, PhaseLog, Protocol, Session};
 use std::collections::HashMap;
 
 /// Per-node result of a replicated broadcast: the deduplicated message
@@ -135,7 +135,7 @@ impl ResilientOutcome {
 /// (clamped to λ′). `faults` applies to the routing phase only: the
 /// control phases — Theorem 1's phases 1–5 — run protected.
 pub fn resilient_broadcast_hosted(
-    host: &mut PhaseHost<'_>,
+    host: &mut Session<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     replication: usize,
@@ -184,7 +184,7 @@ mod tests {
     fn run(r: usize, faults: Option<usize>, seed: u64) -> ResilientOutcome {
         let g = harary(24, 72);
         resilient_broadcast_hosted(
-            &mut PhaseHost::resident(&g),
+            &mut Session::new(&g),
             &BroadcastInput::random_spread(&g, 72, 3),
             PartitionParams::explicit(4),
             r,

@@ -19,11 +19,13 @@
 //! and the node protocol that wraps the per-class cores. The single-tree
 //! baseline ([`crate::textbook`]) borrows stage a and the phase runner.
 //!
-//! The composition runs `L` independent lanes in lockstep through a
-//! [`PhaseLanes`] runner: a [`PhaseHost`] is the one-lane runner (and
-//! records a post-phase state hash), a [`WideSession`] the `W`-lane one.
-//! Lanes only ever leave the live set between stages c and d, when their
-//! partition failed to span.
+//! The composition runs `L` independent lanes in lockstep on the caller's
+//! [`Session`], and the lane count it was built with picks the kernel: one
+//! lane runs each phase through [`Session::run`] and records the post-phase
+//! state hash; more run it through [`Session::run_wide`] on the live lanes
+//! and record none (a wide phase does not move the hash). Lanes only ever
+//! leave the live set between stages c and d, when their partition failed
+//! to span.
 
 use crate::bfs::{BfsNodeInfo, BfsProtocol, SubgraphBfs, SubgraphBfsInfo};
 use crate::broadcast::{BroadcastError, BroadcastInput, BroadcastOutcome};
@@ -32,95 +34,19 @@ use crate::leader::FloodMax;
 use crate::partition::EdgePartitionProtocol;
 use crate::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult};
 use congest_graph::{Graph, Node};
-use congest_sim::{
-    EngineConfig, EngineError, LaneSpec, PhaseHost, PhaseLog, Protocol, RunStats, WideSession,
-};
+use congest_sim::{EngineConfig, EngineError, LaneSpec, PhaseLog, Protocol, Session};
 
 /// Stage c's phase numbers and names in Theorem 1's own numbering.
 pub(crate) const CLASS_PHASES: [(u64, &str); 2] = [(4, "edge-partition"), (5, "subgraph-bfs")];
 
-/// One lane's share of one phase: its cost, every node's output, and the
-/// engine's post-phase state hash where the runner has one to give.
-type LaneRun<O> = (RunStats, Vec<O>, Option<u64>);
-
 /// What a phase hands back: `(lane, per-node outputs)` per live lane.
 type PerLane<O> = Vec<(usize, Vec<O>)>;
 
-/// Something that runs one phase of one protocol on `lanes.len()`
-/// independent lanes, lane `l` under `lanes[l]`'s seed and faults.
-pub(crate) trait PhaseLanes {
-    fn graph(&self) -> &Graph;
-
-    fn run_lanes<P, F>(
-        &mut self,
-        lanes: &[EngineConfig],
-        factory: F,
-    ) -> Result<Vec<LaneRun<P::Output>>, EngineError>
-    where
-        P: Protocol,
-        F: FnMut(Node, usize, &Graph) -> P;
-}
-
-impl PhaseLanes for PhaseHost<'_> {
-    fn graph(&self) -> &Graph {
-        PhaseHost::graph(self)
-    }
-
-    fn run_lanes<P, F>(
-        &mut self,
-        lanes: &[EngineConfig],
-        mut factory: F,
-    ) -> Result<Vec<LaneRun<P::Output>>, EngineError>
-    where
-        P: Protocol,
-        F: FnMut(Node, usize, &Graph) -> P,
-    {
-        let [config] = lanes else {
-            panic!("a phase host runs one lane, got {}", lanes.len());
-        };
-        let run = self.run(|v, g| factory(v, 0, g), config.clone())?;
-        let stats = run.stats;
-        let outputs = run.take_outputs();
-        // Hashed after the outcome released the engine: the checkpoint
-        // signal of the phase boundary.
-        Ok(vec![(stats, outputs, Some(self.state_hash()))])
-    }
-}
-
-impl PhaseLanes for WideSession<'_> {
-    fn graph(&self) -> &Graph {
-        WideSession::graph(self)
-    }
-
-    fn run_lanes<P, F>(
-        &mut self,
-        lanes: &[EngineConfig],
-        factory: F,
-    ) -> Result<Vec<LaneRun<P::Output>>, EngineError>
-    where
-        P: Protocol,
-        F: FnMut(Node, usize, &Graph) -> P,
-    {
-        let specs: Vec<LaneSpec> = lanes
-            .iter()
-            .map(|c| LaneSpec {
-                seed: c.seed,
-                faults: c.faults,
-            })
-            .collect();
-        // Everything but seed and faults is shared by the batch.
-        let mut run = self.run(&specs, factory, lanes[0].clone())?;
-        Ok((0..lanes.len())
-            .map(|l| (run.stats(l), run.take_lane_outputs(l), None))
-            .collect())
-    }
-}
-
-/// The phase-running half of a [`Composition`]: the runner, the caller's
+/// The phase-running half of a [`Composition`]: the host, the caller's
 /// seed discipline, the live lanes and one log per lane. Split from the
 /// lane state so a phase's factory can read that state while it runs.
-pub(crate) struct Phases<'r, R, E> {
-    runner: &'r mut R,
+pub(crate) struct Phases<'r, 'g, E> {
+    host: &'r mut Session<'g>,
     /// `(lane, phase) → EngineConfig`.
     engine: E,
     /// Lanes still running, ascending.
@@ -128,7 +54,7 @@ pub(crate) struct Phases<'r, R, E> {
     logs: Vec<PhaseLog>,
 }
 
-impl<R: PhaseLanes, E: Fn(usize, u64) -> EngineConfig> Phases<'_, R, E> {
+impl<E: Fn(usize, u64) -> EngineConfig> Phases<'_, '_, E> {
     /// Run phase number `phase` on every live lane and record it under
     /// `name`; `factory(v, lane, g)` builds that lane's protocol state at
     /// `v`.
@@ -141,23 +67,41 @@ impl<R: PhaseLanes, E: Fn(usize, u64) -> EngineConfig> Phases<'_, R, E> {
         P: Protocol,
         F: FnMut(Node, usize, &Graph) -> P,
     {
-        if self.live.is_empty() {
+        let Some(&first) = self.live.first() else {
             return Ok(Vec::new());
+        };
+        // Everything but seed and faults is shared by the lanes of a phase.
+        let shared = (self.engine)(first, phase);
+        // Built with one lane: the sequential kernel, hashed.
+        if self.logs.len() == 1 {
+            let run = self.host.run(|v, g| factory(v, first, g), shared)?;
+            let stats = run.stats;
+            let outputs = run.take_outputs();
+            // Hashed after the outcome released the engine: the checkpoint
+            // signal of the phase boundary.
+            self.logs[first].record_hashed(name, stats, self.host.state_hash());
+            return Ok(vec![(first, outputs)]);
         }
         let live = &self.live;
-        let configs: Vec<EngineConfig> = live.iter().map(|&l| (self.engine)(l, phase)).collect();
-        let runs = self
-            .runner
-            .run_lanes(&configs, |v, slot, g| factory(v, live[slot], g))?;
+        let specs: Vec<LaneSpec> = live
+            .iter()
+            .map(|&l| {
+                let config = (self.engine)(l, phase);
+                LaneSpec {
+                    seed: config.seed,
+                    faults: config.faults,
+                }
+            })
+            .collect();
+        let mut run = self
+            .host
+            .run_wide(&specs, |v, slot, g| factory(v, live[slot], g), shared)?;
         Ok(live
             .iter()
-            .zip(runs)
-            .map(|(&l, (stats, outputs, hash))| {
-                match hash {
-                    Some(hash) => self.logs[l].record_hashed(name, stats, hash),
-                    None => self.logs[l].record(name, stats),
-                }
-                (l, outputs)
+            .enumerate()
+            .map(|(slot, &l)| {
+                self.logs[l].record(name, run.stats(slot));
+                (l, run.take_lane_outputs(slot))
             })
             .collect())
     }
@@ -176,8 +120,8 @@ pub(crate) struct Lane {
 }
 
 /// Theorem 1 in progress on `L` lanes; see the module docs.
-pub(crate) struct Composition<'r, R, E> {
-    pub(crate) phases: Phases<'r, R, E>,
+pub(crate) struct Composition<'r, 'g, E> {
+    pub(crate) phases: Phases<'r, 'g, E>,
     pub(crate) lanes: Vec<Lane>,
     /// Payloads by holder — the instance, shared by all lanes.
     payloads: Vec<Vec<u64>>,
@@ -186,12 +130,17 @@ pub(crate) struct Composition<'r, R, E> {
     lp: usize,
 }
 
-impl<'r, R: PhaseLanes, E: Fn(usize, u64) -> EngineConfig> Composition<'r, R, E> {
-    pub(crate) fn new(runner: &'r mut R, input: &BroadcastInput, lanes: usize, engine: E) -> Self {
-        let payloads = input.payloads_by_node(runner.graph().n());
+impl<'r, 'g, E: Fn(usize, u64) -> EngineConfig> Composition<'r, 'g, E> {
+    pub(crate) fn new(
+        host: &'r mut Session<'g>,
+        input: &BroadcastInput,
+        lanes: usize,
+        engine: E,
+    ) -> Self {
+        let payloads = input.payloads_by_node(host.graph().n());
         Composition {
             phases: Phases {
-                runner,
+                host,
                 engine,
                 live: (0..lanes).collect(),
                 logs: vec![PhaseLog::new(); lanes],

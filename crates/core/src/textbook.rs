@@ -13,7 +13,7 @@ use crate::convergecast::TreeView;
 use crate::pipeline::{expected_checksums, PipeMsg, PipeResult, TreePipeline};
 use crate::stages::Composition;
 use congest_graph::Graph;
-use congest_sim::{EngineError, PhaseHost, PhaseLog, RunStats};
+use congest_sim::{EngineError, PhaseLog, RunStats, Session};
 
 /// Outcome of the baseline run (same verification interface as
 /// [`crate::broadcast::BroadcastOutcome`]).
@@ -58,7 +58,7 @@ pub fn textbook_broadcast_with(
     cfg: &BroadcastConfig,
 ) -> Result<TextbookOutcome, EngineError> {
     let k = input.k() as u64;
-    let mut host = PhaseHost::resident(g);
+    let mut host = Session::new(g);
     let mut comp = Composition::new(&mut host, input, 1, |_, phase| {
         cfg.engine(cfg.seed, 0x7B00 + phase)
     });

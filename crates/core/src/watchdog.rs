@@ -41,7 +41,7 @@ use crate::broadcast::{
 use crate::partition::PartitionParams;
 use crate::resilient::{resilient_broadcast_hosted, ResilientOutcome};
 use congest_graph::{algo, Graph};
-use congest_sim::{FaultPlan, PhaseHost};
+use congest_sim::{FaultPlan, Session};
 
 /// How the watchdog measures connectivity at a phase boundary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -202,12 +202,12 @@ impl DegradeLog {
 /// nodes (earliest on ties) is kept, and it is what the ladder returns if
 /// the budget runs out.
 fn ladder<O>(
-    host: &mut PhaseHost<'_>,
+    host: &mut Session<'_>,
     params: PartitionParams,
     cfg: &BroadcastConfig,
     policy: &DegradePolicy,
     mut attempt: impl FnMut(
-        &mut PhaseHost<'_>,
+        &mut Session<'_>,
         PartitionParams,
         &BroadcastConfig,
     ) -> Result<O, BroadcastError>,
@@ -287,13 +287,13 @@ fn ladder<O>(
 /// module docs. Every attempt at every level is one
 /// [`partition_broadcast_hosted`] on the caller's engine.
 pub fn partition_broadcast_degrading_hosted(
-    host: &mut PhaseHost<'_>,
+    host: &mut Session<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     cfg: &BroadcastConfig,
     policy: &DegradePolicy,
 ) -> Result<(BroadcastOutcome, DegradeLog), BroadcastError> {
-    let attempt = |host: &mut PhaseHost<'_>, params, cfg: &BroadcastConfig| {
+    let attempt = |host: &mut Session<'_>, params, cfg: &BroadcastConfig| {
         partition_broadcast_hosted(host, input, params, cfg)
     };
     ladder(host, params, cfg, policy, attempt, |_| None)
@@ -306,7 +306,7 @@ pub fn partition_broadcast_degrading_hosted(
 /// budget. Callers distinguish the cases via
 /// [`ResilientOutcome::all_delivered`] / [`DegradeLog::exhausted`].
 pub fn resilient_broadcast_degrading_hosted(
-    host: &mut PhaseHost<'_>,
+    host: &mut Session<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     replication: usize,
@@ -314,7 +314,7 @@ pub fn resilient_broadcast_degrading_hosted(
     cfg: &BroadcastConfig,
     policy: &DegradePolicy,
 ) -> Result<(ResilientOutcome, DegradeLog), BroadcastError> {
-    let attempt = |host: &mut PhaseHost<'_>, params, cfg: &BroadcastConfig| {
+    let attempt = |host: &mut Session<'_>, params, cfg: &BroadcastConfig| {
         resilient_broadcast_hosted(host, input, params, replication, faults, cfg)
     };
     ladder(host, params, cfg, policy, attempt, |out| {
@@ -347,7 +347,7 @@ mod tests {
     ) -> (ResilientOutcome, DegradeLog) {
         let g = harary(24, 72);
         resilient_broadcast_degrading_hosted(
-            &mut PhaseHost::resident(&g),
+            &mut Session::new(&g),
             &BroadcastInput::random_spread(&g, 72, 3),
             PartitionParams::explicit(4),
             r,
@@ -412,7 +412,7 @@ mod tests {
         assert!(rep.disconnected);
         let input = BroadcastInput::at_single_node(&g, 0, 4);
         let err = partition_broadcast_degrading_hosted(
-            &mut PhaseHost::resident(&g),
+            &mut Session::new(&g),
             &input,
             PartitionParams::explicit(1),
             &BroadcastConfig::with_seed(1),
@@ -433,7 +433,7 @@ mod tests {
         let g = cycle(16);
         let input = BroadcastInput::random_spread(&g, 8, 0);
         let (out, log) = partition_broadcast_degrading_hosted(
-            &mut PhaseHost::resident(&g),
+            &mut Session::new(&g),
             &input,
             PartitionParams::explicit(16),
             &BroadcastConfig::with_seed(0),
@@ -532,7 +532,7 @@ mod tests {
         let g = cycle(16);
         let input = BroadcastInput::random_spread(&g, 8, 0);
         let (out, log) = partition_broadcast_degrading_hosted(
-            &mut PhaseHost::resident(&g),
+            &mut Session::new(&g),
             &input,
             PartitionParams::explicit(16),
             &BroadcastConfig::with_seed(0),

@@ -24,7 +24,7 @@ use congest_core::watchdog::{
 };
 use congest_graph::generators::{clique_chain, harary};
 use congest_graph::Graph;
-use congest_sim::{FaultPlan, PhaseHost, PhaseLog};
+use congest_sim::{FaultPlan, PhaseLog, Session};
 
 /// `(phase name, rounds, total messages, post-phase state hash)`.
 type PhasePin = (&'static str, u64, u64, Option<u64>);
@@ -170,7 +170,7 @@ fn degrading_ladder() {
         ..Default::default()
     };
     let (out, log) = partition_broadcast_degrading_hosted(
-        &mut PhaseHost::resident(&g),
+        &mut Session::new(&g),
         &input,
         params,
         &BroadcastConfig::with_seed(FAILS_FIRST),
@@ -203,7 +203,7 @@ fn degrading_ladder() {
     // the run equals the retrying driver's at the same seed.
     let (g, input, _) = dense();
     let (out, log) = partition_broadcast_degrading_hosted(
-        &mut PhaseHost::resident(&g),
+        &mut Session::new(&g),
         &input,
         PartitionParams::explicit(4),
         &BroadcastConfig::with_seed(17),
@@ -225,7 +225,7 @@ fn degrading_ladder() {
 fn resilient_under_faults() {
     let (g, input, _) = dense();
     let out = resilient_broadcast_hosted(
-        &mut PhaseHost::resident(&g),
+        &mut Session::new(&g),
         &input,
         PartitionParams::explicit(3),
         2,
@@ -265,7 +265,7 @@ fn resilient_degrading_exhausts_and_salvages() {
         ..Default::default()
     };
     let (out, log) = resilient_broadcast_degrading_hosted(
-        &mut PhaseHost::resident(&g),
+        &mut Session::new(&g),
         &input,
         PartitionParams::explicit(3),
         2,

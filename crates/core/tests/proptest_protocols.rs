@@ -6,7 +6,7 @@ use congest_core::convergecast::{AggOp, Aggregate, Numbering, TreeView};
 use congest_core::partition::{EdgePartition, EdgePartitionProtocol, PartitionParams};
 use congest_core::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult, TreePipeline};
 use congest_graph::{Graph, GraphBuilder, Node, Port};
-use congest_sim::{run_protocol, EngineConfig, LaneSpec, Session, WideSession};
+use congest_sim::{run_protocol, EngineConfig, LaneSpec, Session};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -217,9 +217,9 @@ proptest! {
         }
     }
 
-    /// `TreePipeline` promises `Protocol::QUIESCENT`, so a `WideSession`
+    /// `TreePipeline` promises `Protocol::QUIESCENT`, so `Session::run_wide`
     /// skips its done nodes' idle rounds; every lane must still equal the
-    /// same run through a `Session`, outputs and `RunStats`.
+    /// same run through `Session::run`, outputs and `RunStats`.
     #[test]
     fn tree_pipeline_wide_lanes_match_sessions(
         g in arb_connected_graph(16),
@@ -238,9 +238,9 @@ proptest! {
             let own = owns[l][v as usize].clone();
             TreePipeline::new(views[v as usize].clone(), (k + 5 * l) as u64, own, true)
         };
-        let mut wide = WideSession::new(&g);
+        let mut wide = Session::new(&g);
         let wide = wide
-            .run(&lanes, |v, l, _| pipeline(v, l), EngineConfig::default())
+            .run_wide(&lanes, |v, l, _| pipeline(v, l), EngineConfig::default())
             .unwrap();
         let mut session = Session::new(&g);
         for (l, lane) in lanes.iter().enumerate() {

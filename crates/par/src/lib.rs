@@ -16,11 +16,6 @@
 //! * [`par_chunks_mut`] — split a `&mut [T]` into fixed-size chunks and
 //!   process them in parallel (each chunk is touched by exactly one task).
 //! * [`par_map_collect`] — parallel `(0..n).map(f).collect()`.
-//! * [`par_tree_reduce`] — combine a slice of per-task partials in a
-//!   **fixed binary tree order** without allocating: the combine tree is a
-//!   function of the slice length alone, so results are identical at every
-//!   pool width even for non-commutative folds (the engine reduces its
-//!   per-shard meter blocks through this every round).
 //! * [`with_threads`] — run a closure with a temporary pool of an explicit
 //!   width (determinism tests sweep 1/2/4 threads and assert identical
 //!   results).
@@ -317,39 +312,6 @@ pub fn par_chunks_mut<T: Send>(
     });
 }
 
-/// Reduce `items` in place by a **fixed binary combine tree** (pairwise at
-/// stride 1, 2, 4, …), leaving the result in `items[0]` and returning a
-/// reference to it. The tree shape depends only on `items.len()`, never on
-/// the pool width, so any associative `combine` — commutative or not —
-/// produces bit-identical results in serial and parallel execution. Each
-/// level's pairs are disjoint, so they run as one allocation-free
-/// parallel-for over the pool.
-///
-/// `combine(left, right)` must fold `right` into `left`; slots other than
-/// `items[0]` are left in an unspecified (combined-over) state.
-pub fn par_tree_reduce<T: Send>(items: &mut [T], combine: impl Fn(&mut T, &T) + Sync) {
-    let n = items.len();
-    let mut stride = 1usize;
-    while stride < n {
-        let pair_span = 2 * stride;
-        // Pairs (i, i + stride) for i = 0, 2s, 4s, … with a partner in range.
-        let n_pairs = (n - stride).div_ceil(pair_span);
-        let cells = RacyCells::new(items);
-        run(n_pairs, |k| {
-            let i = k * pair_span;
-            let j = i + stride;
-            // Sound: pair `k` is the unique task touching slots `i` and `j`
-            // at this level, and levels are separated by the pool barrier.
-            unsafe {
-                let left = &mut cells.slice_mut(i, i + 1)[0];
-                let right = &cells.slice_mut(j, j + 1)[0];
-                combine(left, right);
-            }
-        });
-        stride = pair_span;
-    }
-}
-
 /// Parallel `(0..n).map(f).collect::<Vec<_>>()`.
 pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
     let mut out: Vec<std::mem::MaybeUninit<T>> = Vec::with_capacity(n);
@@ -500,39 +462,6 @@ mod tests {
                 assert_eq!(v[99], 100);
             });
         }
-    }
-
-    #[test]
-    fn tree_reduce_matches_serial_fold_at_all_widths() {
-        // Non-commutative combine (string-like ordered concat encoded in
-        // u64 via shifting) must agree across pool widths because the tree
-        // shape is fixed.
-        for t in [1usize, 2, 4] {
-            with_threads(t, || {
-                for n in [1usize, 2, 3, 7, 8, 64, 129] {
-                    let mut items: Vec<u64> = (1..=n as u64).collect();
-                    par_tree_reduce(&mut items, |a, b| *a = a.wrapping_mul(31).wrapping_add(*b));
-                    let mut expect: Vec<u64> = (1..=n as u64).collect();
-                    let mut stride = 1;
-                    while stride < n {
-                        let mut i = 0;
-                        while i + stride < n {
-                            expect[i] = expect[i].wrapping_mul(31).wrapping_add(expect[i + stride]);
-                            i += 2 * stride;
-                        }
-                        stride *= 2;
-                    }
-                    assert_eq!(items[0], expect[0], "n {n} threads {t}");
-                }
-            });
-        }
-    }
-
-    #[test]
-    fn tree_reduce_sums() {
-        let mut items: Vec<u64> = (0..1000).collect();
-        par_tree_reduce(&mut items, |a, b| *a += *b);
-        assert_eq!(items[0], 499_500);
     }
 
     #[test]

@@ -43,7 +43,7 @@
 
 use crate::engine::{EngineConfig, EngineError};
 use crate::protocol::Protocol;
-use crate::session::{PhaseHost, PhaseOutcome, Session, SessionState};
+use crate::session::{PhaseOutcome, Session, SessionState};
 use congest_graph::{Graph, MutationError, Node, RepairReport, RepairScratch};
 use std::fmt;
 
@@ -263,22 +263,10 @@ impl ChurnSession {
     pub fn snapshot_into(&self, out: &mut Vec<u8>) {
         use crate::snapshot;
         out.clear();
-        let mut flags = snapshot::FLAG_GRAPH | snapshot::FLAG_CHURN;
-        if self.state.clean {
-            flags |= snapshot::FLAG_CLEAN;
-        }
+        let sections = snapshot::FLAG_GRAPH | snapshot::FLAG_CHURN;
         snapshot::begin(
             out,
-            &snapshot::Frame {
-                flags,
-                fingerprint: self.graph.fingerprint(),
-                n: self.graph.n() as u64,
-                m: self.graph.m() as u64,
-                arcs: self.graph.num_arcs() as u64,
-                plan_key: self.state.plan_key(),
-                state_hash: self.state.state_hash(),
-                capacities: self.state.capacities(),
-            },
+            &snapshot::Frame::of(&self.graph, &self.state, sections),
         );
         snapshot::put_graph(out, &self.graph);
         // Churn section: crash flags, parked edges (per crashed owner,
@@ -358,20 +346,7 @@ impl ChurnSession {
             crashes: r.u64()?,
             revives: r.u64()?,
         };
-        let mut state = SessionState::decode_payload(&graph, &mut r)?;
-        state.clean = header.clean;
-        if header.plan_key != 0 {
-            let k = header.plan_key as usize;
-            state.plan = Some((k, graph.shard_plan(k)));
-        }
-        state.grow_capacities(header.capacities);
-        let rehash = state.state_hash();
-        if rehash != header.state_hash {
-            return Err(SnapshotError::StateHashMismatch {
-                expected: header.state_hash,
-                found: rehash,
-            });
-        }
+        let state = SessionState::restore_payload(&graph, &header, &mut r)?;
         Ok(ChurnSession {
             graph,
             state,
@@ -617,7 +592,7 @@ impl ChurnSession {
             .map_err(ChurnError::Engine)
     }
 
-    /// Lend the engine out as a [`PhaseHost`] for a whole multi-phase
+    /// Lend the engine out as a [`Session`] for a whole multi-phase
     /// driver (e.g. a broadcast) on the *current* topology. Pending
     /// mutations are **not** applied — call
     /// [`ChurnSession::apply_pending`] first; the composition runs on one
@@ -625,12 +600,12 @@ impl ChurnSession {
     ///
     /// A panic inside `f` poisons the lent state; the session self-heals
     /// (rebuilding the engine buffers) on its next use.
-    pub fn with_host<R>(&mut self, f: impl FnOnce(&mut PhaseHost<'_>) -> R) -> R {
+    pub fn with_host<R>(&mut self, f: impl FnOnce(&mut Session<'_>) -> R) -> R {
         self.heal();
         let state = std::mem::take(&mut self.state);
-        let mut host = PhaseHost(Session::from_state(&self.graph, state));
+        let mut host = Session::from_state(&self.graph, state);
         let r = f(&mut host);
-        self.state = host.0.into_state();
+        self.state = host.into_state();
         r
     }
 }

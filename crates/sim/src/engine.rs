@@ -34,9 +34,9 @@
 //!   no atomics, no sharing.
 //!
 //! Each shard writes one private `ShardMeter` block; the per-round
-//! totals (messages delivered, global termination) are combined with
-//! [`congest_par::par_tree_reduce`], an allocation-free fixed-shape tree
-//! reduction, so results are bit-identical at every pool width and shard
+//! totals (messages delivered, global termination) are a serial fold over
+//! those blocks — a sum, an and, an or, so the order cannot reach a
+//! result and they are bit-identical at every pool width and shard
 //! count.
 //!
 //! ## Bit-sliced congestion metering

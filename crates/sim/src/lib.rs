@@ -47,6 +47,19 @@
 //! [`phase::PhaseLog`] chains runs and accumulates the round counts the
 //! same way the proofs sum complexities.
 //!
+//! ## One engine host
+//!
+//! A [`Session`] owns every buffer of the round loop for one graph and
+//! runs any number of phases on them, through either kernel, in any
+//! order: [`Session::run`] is the sequential one ([`session`]),
+//! [`Session::run_wide`] / [`Session::run_refill`] the wide one ([`wide`]:
+//! up to 64 instances per sweep, each bit-identical to its sequential
+//! run). There is no other host: [`run_protocol`] is one phase on a
+//! session of its own, a [`ChurnSession`] and a [`SessionPool`] lend
+//! theirs out as `Session`s ([`ChurnSession::with_host`],
+//! [`SessionPool::with_session`]), and `PhaseHost` is an alias kept for
+//! `benchmark/`.
+//!
 //! The random-delay scheduler of Ghaffari \[Gha15b\] (paper Theorem 12) is
 //! provided by [`sched`]: it multiplexes many *delay-tolerant* protocols
 //! over one network with per-port FIFO queues, realizing
@@ -79,4 +92,4 @@ pub use pool::{
 pub use protocol::{InboxIter, NodeCtx, Protocol};
 pub use session::{PhaseHost, PhaseOutcome, Session};
 pub use snapshot::{SnapshotError, SnapshotHeader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use wide::{LaneRetire, LaneSpec, WideOutcome, WideSession, MAX_LANES};
+pub use wide::{LaneRetire, LaneSpec, WideOutcome, MAX_LANES};

@@ -29,7 +29,7 @@ pub trait Protocol: Send {
     /// that once a node has declared [`NodeCtx::set_done`] and receives an
     /// **empty inbox**, its `round` is a semantic no-op — it sends
     /// nothing, mutates no state (including its RNG), and leaves the done
-    /// flag set. [`crate::wide::WideSession`] then skips the `round` call
+    /// flag set. [`crate::Session::run_wide`] then skips the `round` call
     /// entirely for such (node, lane) pairs, which is where most of the
     /// W-way speedup on sparse workloads comes from. The sequential
     /// engine ignores this flag, and `proptest_wide` pins the skip

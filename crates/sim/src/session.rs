@@ -11,7 +11,11 @@
 //!
 //! A [`Session`] is a **graph-keyed engine instance** that owns all of
 //! that state once and runs any number of protocols to termination on
-//! it, in sequence:
+//! it, in sequence — one instance per phase through [`Session::run`] (the
+//! round loop of this module), or up to 64 at once through
+//! [`Session::run_wide`] / [`Session::run_refill`] (the round loop of
+//! [`crate::wide`], on the same buffers). It is the crate's only engine
+//! host; the pool and the churn session lend theirs out as one.
 //!
 //! * **Slab reuse across message widths.** The arc/broadcast message
 //!   slabs are raw 16-byte-aligned storage keyed by the *widest*
@@ -45,11 +49,12 @@
 //! session, runs the protocol, and returns an owned outcome.
 
 use crate::engine::{EngineConfig, EngineError, RunOutcome, RunStats};
+use crate::fault::{EdgeMarks, FaultPlan};
 use crate::message::{MsgWord, PackedMsg};
 use crate::protocol::{BcastIn, BcastOut, InSlot, NodeCtx, OutSlot, Protocol};
 use crate::rng::node_rng;
 use crate::slab;
-use congest_graph::{Graph, Node, ShardPlan};
+use congest_graph::{Edge, Graph, Node, ShardPlan};
 use congest_par::RacyCells;
 use rand::rngs::SmallRng;
 
@@ -61,20 +66,60 @@ const STAGED: u8 = 1;
 pub(crate) const PARALLEL_MIN_NODES: usize = 256;
 
 /// Cap on auto-derived shard counts (explicit configs may exceed it).
-pub(crate) const MAX_AUTO_SHARDS: usize = 64;
+const MAX_AUTO_SHARDS: usize = 64;
+
+/// The adversary phase's walk, the same in both round kernels: draw the
+/// edges `plan` blocks in `round` and hand `hit` the staging slot of each
+/// direction of each — a message `u → v` is staged in `v`'s in-arc from
+/// `u`. What "staged" means there (a mask byte, a lane bit) is `hit`'s.
+pub(crate) fn for_each_blocked_arc(
+    graph: &Graph,
+    plan: &FaultPlan,
+    round: u64,
+    blocked: &mut Vec<Edge>,
+    marks: &mut EdgeMarks,
+    mut hit: impl FnMut(usize),
+) {
+    if plan.edges_per_round == 0 {
+        return;
+    }
+    plan.blocked_edges_into_marked(round, graph.m(), blocked, marks);
+    for &e in blocked.iter() {
+        let (u, v) = graph.endpoints(e);
+        for (from, to) in [(u, v), (v, u)] {
+            let port = graph
+                .port_to(to, from)
+                .expect("edge endpoints are adjacent");
+            hit(graph.arc_offset(to) + port as usize);
+        }
+    }
+}
 
 /// Per-node hot state, kept together so one cache line serves one node's
-/// step and shards walk nodes without any per-round bookkeeping.
-struct NodeCell<P> {
-    state: P,
-    rng: SmallRng,
-    done: bool,
+/// step and shards walk nodes without any per-round bookkeeping. The wide
+/// kernel keeps one per `(node, lane)`.
+pub(crate) struct NodeCell<P> {
+    pub(crate) state: P,
+    pub(crate) rng: SmallRng,
+    pub(crate) done: bool,
     /// Largest message (in bits) this node sent over the whole run.
-    max_bits: usize,
+    pub(crate) max_bits: usize,
+}
+
+impl<P> NodeCell<P> {
+    /// Node `v`'s cell at the start of a run seeded `seed`.
+    pub(crate) fn new(state: P, seed: u64, v: Node) -> Self {
+        NodeCell {
+            state,
+            rng: node_rng(seed, v),
+            done: false,
+            max_bits: 0,
+        }
+    }
 }
 
 /// One shard's private meter block, written only by the shard that owns it
-/// during a phase and read only between phases / by the tree reduction.
+/// during a phase and read only between phases, by the round's fold.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardMeter {
     /// Messages delivered into this shard's arcs (and out of its
@@ -82,7 +127,8 @@ struct ShardMeter {
     delivered: u64,
     /// Whether every node of this shard reported `done` this round.
     all_done: bool,
-    /// Whether any node in this shard's region broadcast this round.
+    /// Whether any node in this shard's region broadcast this round
+    /// (any shard's flag gates receivers' broadcast scans next round).
     bcast_any: bool,
     /// Messages this shard's nodes staged through the per-arc mask this
     /// round (per-port sends plus scatter-fallback broadcasts). Zero lets
@@ -109,27 +155,19 @@ enum OccState {
     Unknown,
 }
 
-/// The value the per-round tree reduction folds.
-#[derive(Debug, Clone, Copy, Default)]
-struct RoundAgg {
-    delivered: u64,
-    all_done: bool,
-    /// Whether any node broadcast this round (gates receivers' broadcast
-    /// scans next round).
-    bcast_any: bool,
-}
-
-/// Raw 16-byte-aligned storage reused as a `&mut [W]` message slab for
-/// whatever word width the current phase needs. Capacity is keyed in
-/// bytes, so a `u64` phase reuses a slab a `u128` phase grew.
+/// Raw 16-byte-aligned storage that grows to the high-water demand, keyed
+/// in bytes, and then serves every later phase without touching the
+/// allocator — in the two roles the round loops have for it: a message
+/// slab ([`Arena::view`]) and a bump arena for per-phase typed arrays
+/// ([`Arena::alloc`]: node cells, outputs).
 #[derive(Default)]
-pub(crate) struct WordSlab {
+pub(crate) struct Arena {
     buf: Vec<u128>,
 }
 
-impl WordSlab {
-    /// A `len`-word view of the slab, growing the backing storage only
-    /// when `len × size_of::<W>()` exceeds every earlier phase's demand.
+impl Arena {
+    /// A `len`-word message slab for whatever word width the current
+    /// phase needs: a `u64` phase reuses a slab a `u128` phase grew.
     /// Contents are unspecified; the engine only reads word slots whose
     /// occupancy bit was set this phase, so stale words are unreachable.
     pub(crate) fn view<W: MsgWord>(&mut self, len: usize) -> &mut [W] {
@@ -137,50 +175,20 @@ impl WordSlab {
             std::mem::align_of::<W>() <= 16 && std::mem::size_of::<W>() <= 16,
             "message words wider than u128 are not supported"
         );
-        let units = (len * std::mem::size_of::<W>()).div_ceil(16);
-        if self.buf.len() < units {
-            self.buf.resize(units, 0);
-        }
+        self.grow_to_bytes(len * std::mem::size_of::<W>());
         // Sound: the buffer is 16-byte aligned, holds at least
         // `len * size_of::<W>()` bytes, and `W` (u64/u128) is plain old
         // data valid for any bit pattern.
         unsafe { std::slice::from_raw_parts_mut(self.buf.as_mut_ptr() as *mut W, len) }
     }
 
-    /// Current byte high-water mark (what snapshots record).
-    pub(crate) fn byte_capacity(&self) -> usize {
-        self.buf.len() * 16
-    }
-
-    /// Pre-grow to a recorded high-water mark (what restore replays, so
-    /// a migrated warm session stays allocation-free).
-    pub(crate) fn grow_to_bytes(&mut self, bytes: usize) {
-        let units = bytes.div_ceil(16);
-        if self.buf.len() < units {
-            self.buf.resize(units, 0);
-        }
-    }
-}
-
-/// A reusable bump arena for per-phase typed arrays (node cells, outputs).
-/// Grows to the high-water footprint and then serves every later phase
-/// without touching the allocator. The arena hands out raw storage only;
-/// initialization, drop, and non-overlap are the caller's contract.
-#[derive(Default)]
-pub(crate) struct Arena {
-    buf: Vec<u128>,
-}
-
-impl Arena {
-    /// Storage for `n` values of `T`, aligned for `T`.
+    /// Storage for `n` values of `T`, aligned for `T`. Raw storage only:
+    /// initialization, drop, and non-overlap are the caller's contract
+    /// (see [`ArenaRow`]).
     pub(crate) fn alloc<T>(&mut self, n: usize) -> *mut T {
         let align = std::mem::align_of::<T>();
         // Slack so any alignment can be met inside the 16-aligned buffer.
-        let bytes = n * std::mem::size_of::<T>() + align;
-        let units = bytes.div_ceil(16);
-        if self.buf.len() < units {
-            self.buf.resize(units, 0);
-        }
+        self.grow_to_bytes(n * std::mem::size_of::<T>() + align);
         let base = self.buf.as_mut_ptr() as usize;
         ((base + align - 1) & !(align - 1)) as *mut T
     }
@@ -190,13 +198,103 @@ impl Arena {
         self.buf.len() * 16
     }
 
-    /// Pre-grow to a recorded high-water mark (see
-    /// [`WordSlab::grow_to_bytes`]).
+    /// Grow to at least `bytes` (restore replays recorded high-water
+    /// marks through this, so a migrated warm session stays
+    /// allocation-free).
     pub(crate) fn grow_to_bytes(&mut self, bytes: usize) {
         let units = bytes.div_ceil(16);
         if self.buf.len() < units {
             self.buf.resize(units, 0);
         }
+    }
+}
+
+/// `n` initialized values in arena storage, owned until they are moved
+/// out or dropped: the one place a kernel's results stop being raw
+/// pointers. [`PhaseOutcome`] holds one, [`crate::WideOutcome`] one per
+/// lane, [`crate::LaneRetire`] the retiring job's; the sequential loop
+/// keeps its node cells in one, so an early return releases them.
+pub(crate) struct ArenaRow<T> {
+    ptr: *mut T,
+    n: usize,
+}
+
+impl<T> ArenaRow<T> {
+    /// No values — what a lane that blew its round budget retires with.
+    pub(crate) fn empty() -> Self {
+        ArenaRow {
+            ptr: std::ptr::NonNull::dangling().as_ptr(),
+            n: 0,
+        }
+    }
+
+    /// Write `value(0), …, value(n − 1)` to `ptr..ptr + n` and own them.
+    ///
+    /// # Safety
+    /// `ptr` must be valid and aligned for `n` values of `T`, hold nothing
+    /// that still needs dropping, and be left alone by everyone else for
+    /// as long as the row lives (the arena hands a region to one phase at
+    /// a time, and every holder of a row borrows the session mutably). A
+    /// panic in `value` leaks the written prefix.
+    pub(crate) unsafe fn fill(ptr: *mut T, n: usize, mut value: impl FnMut(usize) -> T) -> Self {
+        for i in 0..n {
+            ptr.add(i).write(value(i));
+        }
+        ArenaRow { ptr, n }
+    }
+
+    /// Move every value through `f` into a new row at `dst`. A panic in
+    /// `f` leaks the values not yet moved.
+    ///
+    /// # Safety
+    /// `dst` as `ptr` in [`ArenaRow::fill`], for as many values of `U` as
+    /// this row holds, not overlapping it.
+    pub(crate) unsafe fn map_into<U>(self, dst: *mut U, mut f: impl FnMut(T) -> U) -> ArenaRow<U> {
+        let src = std::mem::ManuallyDrop::new(self);
+        // SAFETY (the reads): slot `i` is initialized, read exactly once,
+        // and `src` is never dropped.
+        ArenaRow::fill(dst, src.n, |i| f(src.ptr.add(i).read()))
+    }
+
+    #[inline]
+    pub(crate) fn as_slice(&self) -> &[T] {
+        // SAFETY: `fill` initialized `ptr..ptr + n` and nothing has moved
+        // out (the consuming methods take `self`).
+        unsafe { std::slice::from_raw_parts(self.ptr, self.n) }
+    }
+
+    #[inline]
+    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+        // SAFETY: as `as_slice`, and the row is the region's only owner.
+        unsafe { std::slice::from_raw_parts_mut(self.ptr, self.n) }
+    }
+
+    /// Move the values into `dst` (cleared first), allocating only if
+    /// `dst`'s retained capacity is too small.
+    pub(crate) fn move_into(self, dst: &mut Vec<T>) {
+        dst.clear();
+        dst.reserve(self.n);
+        // SAFETY: every slot is moved exactly once into reserved
+        // capacity; forgetting `self` keeps `Drop` off the moved values.
+        unsafe {
+            std::ptr::copy_nonoverlapping(self.ptr, dst.as_mut_ptr(), self.n);
+            dst.set_len(self.n);
+        }
+        std::mem::forget(self);
+    }
+
+    /// The values in a `Vec` of their own.
+    pub(crate) fn into_vec(self) -> Vec<T> {
+        let mut out = Vec::new();
+        self.move_into(&mut out);
+        out
+    }
+}
+
+impl<T> Drop for ArenaRow<T> {
+    fn drop(&mut self) {
+        // SAFETY: still owned, so still initialized (see `as_slice`).
+        unsafe { std::ptr::drop_in_place(self.as_mut_slice()) }
     }
 }
 
@@ -207,9 +305,7 @@ impl Arena {
 /// [`PhaseOutcome::take_outputs`]. Dropping the outcome drops any
 /// outputs still in the arena, freeing it for the next phase.
 pub struct PhaseOutcome<'s, O> {
-    outputs: *mut O,
-    n: usize,
-    taken: bool,
+    outputs: ArenaRow<O>,
     /// What the phase cost — the same [`RunStats`] `run_protocol` reports.
     pub stats: RunStats,
     trace: Option<&'s [u64]>,
@@ -221,9 +317,7 @@ impl<'s, O> PhaseOutcome<'s, O> {
     /// Per-node outputs, indexed by node id, in the session arena.
     #[inline]
     pub fn outputs(&self) -> &[O] {
-        // Sound: `outputs..outputs+n` was fully initialized by the run
-        // and `taken` moves happen only in consuming methods.
-        unsafe { std::slice::from_raw_parts(self.outputs, self.n) }
+        self.outputs.as_slice()
     }
 
     /// Messages delivered per round, when the phase collected a trace.
@@ -241,16 +335,8 @@ impl<'s, O> PhaseOutcome<'s, O> {
 
     /// Move the outputs out of the arena into an owned `Vec` (the one
     /// allocation this type can perform).
-    pub fn take_outputs(mut self) -> Vec<O> {
-        let mut out = Vec::with_capacity(self.n);
-        // Sound: each arena slot is moved out exactly once; `taken`
-        // stops Drop from touching them again.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.outputs, out.as_mut_ptr(), self.n);
-            out.set_len(self.n);
-        }
-        self.taken = true;
-        out
+    pub fn take_outputs(self) -> Vec<O> {
+        self.outputs.into_vec()
     }
 
     /// Convert into the owned [`RunOutcome`] shape `run_protocol` returns.
@@ -267,17 +353,6 @@ impl<'s, O> PhaseOutcome<'s, O> {
     }
 }
 
-impl<O> Drop for PhaseOutcome<'_, O> {
-    fn drop(&mut self) {
-        if !self.taken {
-            for i in 0..self.n {
-                // Sound: initialized by the run, not yet moved out.
-                unsafe { std::ptr::drop_in_place(self.outputs.add(i)) };
-            }
-        }
-    }
-}
-
 /// The graph-independent half of a [`Session`]: every buffer the round
 /// loop owns, movable between graphs. A session is `graph + state`; the
 /// churn subsystem ([`crate::churn`]) owns a `SessionState` next to an
@@ -290,11 +365,11 @@ pub(crate) struct SessionState {
     /// kernel ([`crate::wide`]) reuses these byte-keyed for its `arcs × W`
     /// instance-major slabs, so sequential and wide phases on one session
     /// share the same high-water storage.
-    pub(crate) slab_a: WordSlab,
-    pub(crate) slab_b: WordSlab,
+    pub(crate) slab_a: Arena,
+    pub(crate) slab_b: Arena,
     /// Per-node broadcast-plane message slabs (inbox / staging).
-    bcast_slab_a: WordSlab,
-    bcast_slab_b: WordSlab,
+    bcast_slab_a: Arena,
+    bcast_slab_b: Arena,
     /// Word-packed inbox occupancy bitset (one bit per arc).
     in_occ: Vec<u64>,
     /// Staging byte-mask (one byte per arc).
@@ -309,12 +384,11 @@ pub(crate) struct SessionState {
     node_planes: Vec<u64>,
     node_traffic: Vec<u32>,
     /// Fault-adversary scratch (drawn edge ids + dedup mark-bitset).
-    pub(crate) blocked: Vec<congest_graph::Edge>,
-    pub(crate) fault_marks: crate::fault::EdgeMarks,
+    pub(crate) blocked: Vec<Edge>,
+    pub(crate) fault_marks: EdgeMarks,
     /// Shard plan cache, keyed by the clamped requested shard count.
     pub(crate) plan: Option<(usize, ShardPlan)>,
     meters: Vec<ShardMeter>,
-    agg_buf: Vec<RoundAgg>,
     wl_starts: Vec<usize>,
     worklist: Vec<u32>,
     wl_live: Vec<u32>,
@@ -337,12 +411,18 @@ pub(crate) struct SessionState {
 }
 
 /// A graph-keyed engine instance owning all round-loop state for a whole
-/// multi-phase algorithm. See the module docs for the reuse and zeroing
-/// contract.
+/// multi-phase algorithm — the one engine host. [`Session::run`] is the
+/// sequential kernel (one instance per phase); [`Session::run_wide`] and
+/// [`Session::run_refill`] are the wide kernel ([`crate::wide`]: up to 64
+/// instances through one sweep). Both run on the same buffers, in any
+/// order. See the module docs for the reuse and zeroing contract.
 pub struct Session<'g> {
-    graph: &'g Graph,
-    state: SessionState,
+    pub(crate) graph: &'g Graph,
+    pub(crate) state: SessionState,
 }
+
+/// The name `benchmark/` spells the engine host by.
+pub type PhaseHost<'g> = Session<'g>;
 
 impl SessionState {
     /// Freshly sized state for `graph` — what [`Session::new`] allocates.
@@ -350,10 +430,10 @@ impl SessionState {
         let arcs = graph.num_arcs();
         let occ_words = arcs.div_ceil(64);
         SessionState {
-            slab_a: WordSlab::default(),
-            slab_b: WordSlab::default(),
-            bcast_slab_a: WordSlab::default(),
-            bcast_slab_b: WordSlab::default(),
+            slab_a: Arena::default(),
+            slab_b: Arena::default(),
+            bcast_slab_a: Arena::default(),
+            bcast_slab_b: Arena::default(),
             in_occ: vec![0; occ_words],
             out_mask: vec![0; arcs],
             arc_traffic: vec![0; arcs],
@@ -366,10 +446,9 @@ impl SessionState {
             node_planes: Vec::new(),
             node_traffic: Vec::new(),
             blocked: Vec::new(),
-            fault_marks: crate::fault::EdgeMarks::default(),
+            fault_marks: EdgeMarks::default(),
             plan: None,
             meters: Vec::new(),
-            agg_buf: Vec::new(),
             wl_starts: Vec::new(),
             worklist: Vec::new(),
             wl_live: Vec::new(),
@@ -540,9 +619,9 @@ impl SessionState {
 
     /// Decode an engine payload for `graph`, validating every buffer
     /// length against the graph shape (lazily-sized buffers may be
-    /// empty or full-size, nothing else). The caller stamps `clean`,
-    /// the plan, and the capacities from the frame header.
-    pub(crate) fn decode_payload(
+    /// empty or full-size, nothing else). [`SessionState::restore_payload`]
+    /// stamps `clean`, the plan, and the capacities from the frame header.
+    fn decode_payload(
         graph: &Graph,
         r: &mut crate::snapshot::Reader<'_>,
     ) -> Result<SessionState, crate::snapshot::SnapshotError> {
@@ -603,6 +682,61 @@ impl SessionState {
         })
     }
 
+    /// The engine tail of a restore, the same for a plain and a churn
+    /// frame: decode the payload against `graph`, stamp the clean flag,
+    /// recompute the shard plan from its recorded key, replay the
+    /// capacity high-water marks, then re-hash and refuse on mismatch.
+    pub(crate) fn restore_payload(
+        graph: &Graph,
+        header: &crate::snapshot::SnapshotHeader,
+        r: &mut crate::snapshot::Reader<'_>,
+    ) -> Result<SessionState, crate::snapshot::SnapshotError> {
+        let mut state = SessionState::decode_payload(graph, r)?;
+        state.clean = header.clean;
+        if header.plan_key != 0 {
+            let k = header.plan_key as usize;
+            state.plan = Some((k, graph.shard_plan(k)));
+        }
+        state.grow_capacities(header.capacities);
+        let rehash = state.state_hash();
+        if rehash != header.state_hash {
+            return Err(crate::snapshot::SnapshotError::StateHashMismatch {
+                expected: header.state_hash,
+                found: rehash,
+            });
+        }
+        Ok(state)
+    }
+
+    /// What either round kernel does first: scrub what a failed phase
+    /// left behind, mark the state dirty until this phase completes (any
+    /// early exit, error or panic, leaves partially-built state; only a
+    /// completed phase restores the breadcrumb-zero invariant), and make
+    /// the cached shard plan the one `config` asks for — one cache, so
+    /// alternating sequential and wide phases share it. Returns whether
+    /// the phase shards its rounds over the pool.
+    pub(crate) fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> bool {
+        debug_assert!(self.fits(graph), "state sized for a different graph");
+        if !self.clean {
+            self.scrub();
+        }
+        self.clean = false;
+        let n = graph.n();
+        let parallel = config.parallel && n >= PARALLEL_MIN_NODES && congest_par::num_threads() > 1;
+        let s_req = config
+            .shards
+            .unwrap_or(if parallel {
+                (congest_par::num_threads() * 4).min(MAX_AUTO_SHARDS)
+            } else {
+                1
+            })
+            .clamp(1, n.max(1));
+        if self.plan.as_ref().map(|(k, _)| *k) != Some(s_req) {
+            self.plan = Some((s_req, graph.shard_plan(s_req)));
+        }
+        parallel
+    }
+
     /// The round loop: run one protocol instance per node on `graph`
     /// until global termination or the round limit. [`Session::run`] is
     /// the public face; the state-level split is what lets the churn
@@ -621,13 +755,7 @@ impl SessionState {
             P::Msg::WIDTH <= <<P::Msg as PackedMsg>::Word as MsgWord>::BITS,
             "message WIDTH exceeds its storage word"
         );
-        debug_assert!(self.fits(graph), "state sized for a different graph");
-        if !self.clean {
-            self.scrub();
-        }
-        // Any early exit (error or panic) leaves partially-built state;
-        // only a completed phase restores the breadcrumb-zero invariant.
-        self.clean = false;
+        let parallel = self.begin_phase(graph, &config);
 
         let n = graph.n();
         let arcs = graph.num_arcs();
@@ -652,19 +780,6 @@ impl SessionState {
             }
         }
 
-        // --- Shard plan (cached across phases keyed by shard count).
-        let parallel = config.parallel && n >= PARALLEL_MIN_NODES && congest_par::num_threads() > 1;
-        let s_req = config
-            .shards
-            .unwrap_or(if parallel {
-                (congest_par::num_threads() * 4).min(MAX_AUTO_SHARDS)
-            } else {
-                1
-            })
-            .clamp(1, n.max(1));
-        if self.plan.as_ref().map(|(k, _)| *k) != Some(s_req) {
-            self.plan = Some((s_req, graph.shard_plan(s_req)));
-        }
         if let Some(fp) = &config.faults {
             self.blocked.reserve(fp.edges_per_round);
         }
@@ -693,7 +808,6 @@ impl SessionState {
             fault_marks,
             plan,
             meters,
-            agg_buf,
             wl_starts,
             worklist,
             wl_live,
@@ -711,8 +825,6 @@ impl SessionState {
 
         meters.clear();
         meters.resize(s_count, ShardMeter::default());
-        agg_buf.clear();
-        agg_buf.resize(s_count, RoundAgg::default());
         wl_live.clear();
         wl_live.resize(s_count, 0);
         wl_starts.clear();
@@ -747,28 +859,20 @@ impl SessionState {
         let node_planes: &mut [u64] = if bcast_enabled { node_planes } else { &mut [] };
         let node_traffic: &mut [u32] = &mut node_traffic[..bcast_len];
         let meters: &mut [ShardMeter] = meters;
-        let agg_buf: &mut [RoundAgg] = agg_buf;
         let wl_live: &mut [u32] = wl_live;
         let worklist: &mut [u32] = &mut worklist[..wl_starts[s_count]];
 
         // --- Node cells in the bump arena.
-        let cells_ptr: *mut NodeCell<P> = cell_arena.alloc(n);
-        for v in 0..n as Node {
-            // Sound: slot `v` is in-bounds, and a panic in `factory`
-            // leaks only the already-written prefix (the session stays
-            // dirty and the arena is plain bytes to later phases).
-            unsafe {
-                cells_ptr.add(v as usize).write(NodeCell {
-                    state: factory(v, graph),
-                    rng: node_rng(config.seed, v),
-                    done: false,
-                    max_bits: 0,
-                });
-            }
-        }
-        // Sound: all `n` cells initialized above; the arena is not handed
-        // to anyone else while this borrow lives.
-        let cells: &mut [NodeCell<P>] = unsafe { std::slice::from_raw_parts_mut(cells_ptr, n) };
+        // SAFETY: the arena sized the region for `n` cells and hands it to
+        // nobody else during this phase; a panic in `factory` leaks the
+        // written prefix (the session stays dirty, and the arena is plain
+        // bytes to later phases).
+        let mut cells: ArenaRow<NodeCell<P>> = unsafe {
+            ArenaRow::fill(cell_arena.alloc(n), n, |v| {
+                let v = v as Node;
+                NodeCell::new(factory(v, graph), config.seed, v)
+            })
+        };
 
         let mut bcast_any = false;
         // Adaptive plane choice: `send_all` goes through the broadcast
@@ -784,11 +888,8 @@ impl SessionState {
         let mut occ_state = OccState::Clean;
         loop {
             if round >= config.max_rounds {
-                // Drop the cells so their heap state is released; the
-                // session stays marked dirty and scrubs on the next run.
-                for i in 0..n {
-                    unsafe { std::ptr::drop_in_place(cells_ptr.add(i)) };
-                }
+                // The cells drop here; the session stays marked dirty and
+                // scrubs on the next run.
                 return Err(EngineError::RoundLimitExceeded {
                     limit: config.max_rounds,
                 });
@@ -797,7 +898,7 @@ impl SessionState {
             // scatter into the staging slab's destination slots.
             let use_plane = bcast_enabled && 4 * last_delivered >= arcs as u64;
             {
-                let racy_cells = RacyCells::new(&mut *cells);
+                let racy_cells = RacyCells::new(cells.as_mut_slice());
                 let racy_out = RacyCells::new(&mut *out_words);
                 let racy_mask = RacyCells::new(&mut *out_mask);
                 let racy_bcast_out = RacyCells::new(&mut *bcast_out_words);
@@ -883,22 +984,12 @@ impl SessionState {
             // --- Adversary phase: destroy staged messages on blocked
             // edges.
             if let Some(fault_plan) = &config.faults {
-                if fault_plan.edges_per_round > 0 {
-                    fault_plan.blocked_edges_into_marked(round, graph.m(), blocked, fault_marks);
-                    for &e in blocked.iter() {
-                        let (u, v) = graph.endpoints(e);
-                        for (from, to) in [(u, v), (v, u)] {
-                            let port = graph
-                                .port_to(to, from)
-                                .expect("edge endpoints are adjacent");
-                            let dest = graph.arc_offset(to) + port as usize;
-                            if out_mask[dest] == STAGED {
-                                out_mask[dest] = 0;
-                                stats.dropped_messages += 1;
-                            }
-                        }
+                for_each_blocked_arc(graph, fault_plan, round, blocked, fault_marks, |dest| {
+                    if out_mask[dest] == STAGED {
+                        out_mask[dest] = 0;
+                        stats.dropped_messages += 1;
                     }
-                }
+                });
             }
             // --- Deliver phase: identical three-path structure to the
             // engine (skip / sparse worklist / full sweep); see
@@ -1139,26 +1230,11 @@ impl SessionState {
             if run_full_sweep {
                 occ_state = OccState::Unknown;
             }
-            // --- Combine the shard meter blocks.
-            for (agg, m) in agg_buf.iter_mut().zip(meters.iter()) {
-                *agg = RoundAgg {
-                    delivered: m.delivered,
-                    all_done: m.all_done,
-                    bcast_any: m.bcast_any,
-                };
-            }
-            congest_par::par_tree_reduce(agg_buf, |a, b| {
-                a.delivered += b.delivered;
-                a.all_done &= b.all_done;
-                a.bcast_any |= b.bcast_any;
-            });
-            let RoundAgg {
-                delivered,
-                all_done,
-                bcast_any: round_bcast,
-            } = agg_buf[0];
-            let delivered = delivered + sparse_delivered;
-            bcast_any = round_bcast;
+            // --- Combine the shard meter blocks (sum / and / or: the
+            // order of the fold cannot reach a result).
+            let delivered = sparse_delivered + meters.iter().map(|m| m.delivered).sum::<u64>();
+            let all_done = meters.iter().all(|m| m.all_done);
+            bcast_any = meters.iter().any(|m| m.bcast_any);
             last_delivered = delivered;
             stats.total_messages += delivered;
             if config.collect_trace {
@@ -1174,7 +1250,12 @@ impl SessionState {
             }
         }
         trace_buf.truncate(stats.rounds as usize);
-        stats.max_message_bits = cells.iter().map(|c| c.max_bits).max().unwrap_or(0);
+        stats.max_message_bits = cells
+            .as_slice()
+            .iter()
+            .map(|c| c.max_bits)
+            .max()
+            .unwrap_or(0);
 
         // Final plane flush so `arc_traffic`/`node_traffic` hold exact
         // totals (and the planes return to all-zero for the next phase).
@@ -1220,15 +1301,11 @@ impl SessionState {
         stats.max_edge_congestion = per_edge.iter().copied().max().unwrap_or(0);
 
         // Consume the cells into arena-resident outputs.
-        let out_ptr: *mut P::Output = out_arena.alloc(n);
-        for i in 0..n {
-            // Sound: each cell is read (moved) exactly once; a panic in
-            // `finish` leaks the tail, which the dirty flag covers.
-            unsafe {
-                let cell = cells_ptr.add(i).read();
-                out_ptr.add(i).write(cell.state.finish());
-            }
-        }
+        // SAFETY: the output arena sized the region for `n` outputs, the
+        // previous phase's outcome (its last user) is gone, and the two
+        // arenas never overlap; a panic in `finish` leaks the tail, which
+        // the dirty flag covers.
+        let outputs = unsafe { cells.map_into(out_arena.alloc(n), |cell| cell.state.finish()) };
 
         *clean = true;
         let trace: Option<&'s [u64]> = if config.collect_trace {
@@ -1237,9 +1314,7 @@ impl SessionState {
             None
         };
         Ok(PhaseOutcome {
-            outputs: out_ptr,
-            n,
-            taken: false,
+            outputs,
             stats,
             trace,
             edge_congestion: &per_edge[..],
@@ -1260,8 +1335,14 @@ impl<'g> Session<'g> {
         }
     }
 
-    /// Re-marry a (possibly repaired) state with its graph — the churn
-    /// session's way of lending its owned state out as a plain session.
+    /// [`Session::new`], under the name `benchmark/` calls through
+    /// [`PhaseHost`].
+    pub fn resident(graph: &'g Graph) -> Session<'g> {
+        Session::new(graph)
+    }
+
+    /// Re-marry a (possibly repaired) state with its graph — how the
+    /// churn session and the pool lend a state they own out as a session.
     pub(crate) fn from_state(graph: &'g Graph, state: SessionState) -> Session<'g> {
         debug_assert!(state.fits(graph), "state sized for a different graph");
         Session { graph, state }
@@ -1292,23 +1373,7 @@ impl<'g> Session<'g> {
     /// (previously used) buffer allocates nothing.
     pub fn snapshot_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        crate::snapshot::begin(
-            out,
-            &crate::snapshot::Frame {
-                flags: if self.state.clean {
-                    crate::snapshot::FLAG_CLEAN
-                } else {
-                    0
-                },
-                fingerprint: self.graph.fingerprint(),
-                n: self.graph.n() as u64,
-                m: self.graph.m() as u64,
-                arcs: self.graph.num_arcs() as u64,
-                plan_key: self.state.plan_key(),
-                state_hash: self.state.state_hash(),
-                capacities: self.state.capacities(),
-            },
-        );
+        crate::snapshot::begin(out, &crate::snapshot::Frame::of(self.graph, &self.state, 0));
         self.state.encode_payload(out);
         crate::snapshot::finish(out);
     }
@@ -1353,20 +1418,7 @@ impl<'g> Session<'g> {
             // redundant here); skip over it after checking it matches.
             crate::snapshot::read_graph(&mut r, header.fingerprint)?;
         }
-        let mut state = SessionState::decode_payload(graph, &mut r)?;
-        state.clean = header.clean;
-        if header.plan_key != 0 {
-            let k = header.plan_key as usize;
-            state.plan = Some((k, graph.shard_plan(k)));
-        }
-        state.grow_capacities(header.capacities);
-        let rehash = state.state_hash();
-        if rehash != header.state_hash {
-            return Err(SnapshotError::StateHashMismatch {
-                expected: header.state_hash,
-                found: rehash,
-            });
-        }
+        let state = SessionState::restore_payload(graph, &header, &mut r)?;
         Ok(Session::from_state(graph, state))
     }
 
@@ -1427,49 +1479,5 @@ impl<'g> Session<'g> {
         F: FnMut(Node, &Graph) -> P,
     {
         self.state.run_phase(self.graph, factory, config)
-    }
-}
-
-/// The engine host the multi-phase drivers thread through their phases:
-/// one resident [`Session`] reused by every phase. Kept as a name of its
-/// own because `benchmark/` and the host-taking drivers spell it; it
-/// adds nothing to the session it wraps.
-pub struct PhaseHost<'g>(pub(crate) Session<'g>);
-
-impl<'g> PhaseHost<'g> {
-    /// A host backed by one resident session.
-    pub fn resident(graph: &'g Graph) -> Self {
-        PhaseHost(Session::new(graph))
-    }
-
-    /// The graph this host executes on.
-    pub fn graph(&self) -> &'g Graph {
-        self.0.graph()
-    }
-
-    /// [`Session::state_hash`] of the hosted engine. Drivers record this
-    /// into their [`crate::PhaseLog`] via
-    /// [`crate::PhaseLog::record_hashed`] — the checkpoint signal.
-    pub fn state_hash(&self) -> u64 {
-        self.0.state_hash()
-    }
-
-    /// Snapshot the hosted engine at the current phase boundary (see
-    /// [`Session::snapshot_into`]).
-    pub fn snapshot_into(&self, out: &mut Vec<u8>) {
-        self.0.snapshot_into(out)
-    }
-
-    /// Run one phase; identical semantics to [`Session::run`].
-    pub fn run<'s, P, F>(
-        &'s mut self,
-        factory: F,
-        config: EngineConfig,
-    ) -> Result<PhaseOutcome<'s, P::Output>, EngineError>
-    where
-        P: Protocol,
-        F: FnMut(Node, &Graph) -> P,
-    {
-        self.0.run(factory, config)
     }
 }

@@ -366,6 +366,24 @@ pub(crate) struct Frame {
     pub(crate) capacities: [u64; 6],
 }
 
+impl Frame {
+    /// The header of a frame taken now of `state` on `graph`; `sections`
+    /// is [`FLAG_GRAPH`] / [`FLAG_CHURN`] for the body sections the caller
+    /// writes before the engine payload (0 for a plain session frame).
+    pub(crate) fn of(graph: &Graph, state: &crate::session::SessionState, sections: u32) -> Frame {
+        Frame {
+            flags: sections | if state.clean { FLAG_CLEAN } else { 0 },
+            fingerprint: graph.fingerprint(),
+            n: graph.n() as u64,
+            m: graph.m() as u64,
+            arcs: graph.num_arcs() as u64,
+            plan_key: state.plan_key(),
+            state_hash: state.state_hash(),
+            capacities: state.capacities(),
+        }
+    }
+}
+
 /// Write the fixed header with a zero checksum; body bytes follow.
 pub(crate) fn begin(out: &mut Vec<u8>, f: &Frame) {
     put_u64(out, SNAPSHOT_MAGIC);

@@ -4,7 +4,7 @@
 //! ## Why
 //!
 //! The engine already stores arc occupancy as word-packed bitsets and
-//! congestion meters as bit-sliced planes, but a [`crate::Session`] sweeps
+//! congestion meters as bit-sliced planes, but [`Session::run`] sweeps
 //! those words for exactly one run at a time. The representative
 //! heavy-traffic workload for the paper's broadcast algorithms is *many
 //! sparse runs* — seed sweeps, per-lane fault plans, future tenants — and
@@ -15,7 +15,7 @@
 //!
 //! ## Lane layout
 //!
-//! A [`WideSession`] runs `W ≤ 64` **lanes** (instances). Per-arc
+//! [`Session::run_wide`] runs `W ≤ 64` **lanes** (instances). Per-arc
 //! occupancy becomes one **lane word** per arc: bit `l` of `in_lane[a]`
 //! says "lane `l` has a message on arc `a`". Message slabs are
 //! instance-major within each arc block — lane `l`'s word for arc `a`
@@ -40,7 +40,7 @@
 //! ## Oracle discipline
 //!
 //! A wide run is **bit-identical, per lane, to W sequential
-//! [`crate::Session::run`]s**: outputs, [`RunStats`], traces, and
+//! [`Session::run`]s**: outputs, [`RunStats`], traces, and
 //! per-edge congestion all match the run lane `l` would produce alone
 //! with `EngineConfig { seed: lanes[l].seed, faults: lanes[l].faults, ..config }`.
 //! Wide mode always routes `send_all` through the per-arc scatter path
@@ -75,7 +75,7 @@
 //!   narrower strides. A slot→job remap keeps every result reported
 //!   under its original admission id; no bit of a repack reaches a
 //!   result (the per-lane sequential oracle pins it).
-//! * **Lane refill** ([`WideSession::run_refill`]): a retiring lane frees
+//! * **Lane refill** ([`Session::run_refill`]): a retiring lane frees
 //!   its slot for the next job from a caller-supplied source, mid-sweep,
 //!   with per-job seeds/faults from its [`LaneSpec`] and lane-*local*
 //!   rounds (a job admitted at global round `r` sees `ctx.round = 0`
@@ -90,13 +90,11 @@ use crate::engine::{EngineConfig, EngineError, RunStats};
 use crate::fault::FaultPlan;
 use crate::message::{MsgWord, PackedMsg};
 use crate::protocol::{InSlot, NodeCtx, OutSlot, Protocol};
-use crate::rng::{mix64, node_rng};
-use crate::session::WordSlab;
-use crate::session::{SessionState, MAX_AUTO_SHARDS, PARALLEL_MIN_NODES};
+use crate::rng::mix64;
+use crate::session::{for_each_blocked_arc, Arena, ArenaRow, NodeCell, Session, SessionState};
 use crate::slab;
 use congest_graph::{Graph, Node};
 use congest_par::RacyCells;
-use rand::rngs::SmallRng;
 
 /// Maximum lanes per wide run: one bit per lane in a `u64` lane word.
 pub const MAX_LANES: usize = 64;
@@ -152,8 +150,8 @@ pub(crate) struct WideBuffers {
     undone: Vec<u64>,
     /// Per-shard gather/outbox scratch the per-(node, lane) contexts run
     /// against: `max_deg` message words per direction per shard…
-    scratch_in: WordSlab,
-    scratch_out: WordSlab,
+    scratch_in: Arena,
+    scratch_out: Arena,
     /// …plus `ceil(max_deg/64)` occupancy words per direction per shard.
     scratch_occ: Vec<u64>,
     /// Bit-sliced per-arc congestion planes, lane-word semantics: the
@@ -228,30 +226,23 @@ impl WideBuffers {
     }
 }
 
-/// Per-(node, lane) hot state — the wide analog of the sequential
-/// engine's node cell, one per lane within each node's block.
-struct WideCell<P> {
-    state: P,
-    rng: SmallRng,
-    done: bool,
-    max_bits: usize,
-}
-
 /// One completed wide run, borrowing the session's buffers: per-lane
 /// outputs (lane-major in the output arena), stats, traces, and per-edge
 /// congestion. The wide analog of [`crate::PhaseOutcome`].
 pub struct WideOutcome<'s, O> {
-    outputs: *mut O,
+    /// Lane `l`'s outputs; `None` once moved out.
+    rows: LaneRows<O>,
     n: usize,
     lanes: usize,
     m: usize,
-    /// Bit `l` set = lane `l`'s outputs were moved out already.
-    taken: u64,
     stats: [RunStats; MAX_LANES],
     traces: Option<&'s [Vec<u64>]>,
     per_edge: &'s [u64],
     _borrow: std::marker::PhantomData<&'s mut O>,
 }
+
+/// A batch run's harvest: job `j`'s outputs, written when its lane retires.
+type LaneRows<O> = [Option<ArenaRow<O>>; MAX_LANES];
 
 impl<'s, O> WideOutcome<'s, O> {
     /// Number of lanes this run executed.
@@ -278,10 +269,10 @@ impl<'s, O> WideOutcome<'s, O> {
     #[inline]
     pub fn outputs(&self, lane: usize) -> &[O] {
         assert!(lane < self.lanes);
-        assert!(self.taken >> lane & 1 == 0, "lane {lane} outputs taken");
-        // Sound: the lane-major region was fully initialized by the run
-        // and not yet moved out (checked above).
-        unsafe { std::slice::from_raw_parts(self.outputs.add(lane * self.n), self.n) }
+        match &self.rows[lane] {
+            Some(row) => row.as_slice(),
+            None => panic!("lane {lane} outputs taken"),
+        }
     }
 
     /// Lane `l`'s per-round trace, when the run collected traces.
@@ -301,38 +292,15 @@ impl<'s, O> WideOutcome<'s, O> {
     /// Move lane `l`'s outputs out of the arena into an owned `Vec`.
     pub fn take_lane_outputs(&mut self, lane: usize) -> Vec<O> {
         assert!(lane < self.lanes);
-        assert!(self.taken >> lane & 1 == 0, "lane {lane} outputs taken");
-        let mut out = Vec::with_capacity(self.n);
-        // Sound: each lane region is moved out at most once (`taken`).
-        unsafe {
-            std::ptr::copy_nonoverlapping(
-                self.outputs.add(lane * self.n),
-                out.as_mut_ptr(),
-                self.n,
-            );
-            out.set_len(self.n);
-        }
-        self.taken |= 1 << lane;
-        out
-    }
-}
-
-impl<O> Drop for WideOutcome<'_, O> {
-    fn drop(&mut self) {
-        for lane in 0..self.lanes {
-            if self.taken >> lane & 1 == 1 {
-                continue;
-            }
-            for i in 0..self.n {
-                // Sound: initialized by the run, not yet moved out.
-                unsafe { std::ptr::drop_in_place(self.outputs.add(lane * self.n + i)) };
-            }
-        }
+        let Some(row) = self.rows[lane].take() else {
+            panic!("lane {lane} outputs taken");
+        };
+        row.into_vec()
     }
 }
 
 /// One retired job of a streaming wide run, handed to the sink of
-/// [`WideSession::run_refill`] the moment its lane deactivates. Every
+/// [`Session::run_refill`] the moment its lane deactivates. Every
 /// borrowed field points into session scratch that is recycled for the
 /// next retirement, so the sink must consume what it needs before
 /// returning.
@@ -355,92 +323,69 @@ pub struct LaneRetire<'a, O> {
     pub trace: Option<&'a [u64]>,
     /// Per-edge congestion, indexed by edge id (empty when `limit`).
     pub edge_congestion: &'a [u64],
-    outputs: *mut O,
-    n: usize,
-    taken: &'a mut bool,
+    /// `None` once moved out.
+    outputs: Option<ArenaRow<O>>,
 }
 
-/// Borrowed retirement callback threaded through the streaming core
-/// (`None` in batch mode, the caller's sink in refill mode).
-pub(crate) type RetireSink<'a, O> = dyn FnMut(LaneRetire<'_, O>) + 'a;
+/// What the one wide loop does with a job that retires, and with a lane
+/// that runs out of rounds.
+enum Mode<'a, O> {
+    /// [`Session::run_wide`]: the jobs are the initial lanes; each
+    /// retiring job's stats and outputs are harvested under its lane id
+    /// (traces and congestion go to `job_traces` / the `per_edge` matrix),
+    /// and a blown round limit fails the whole run.
+    Batch {
+        stats: &'a mut [RunStats; MAX_LANES],
+        rows: &'a mut LaneRows<O>,
+    },
+    /// [`Session::run_refill`]: every retired job goes to `sink`, the
+    /// round budget is lane-local, and `refill` tops freed slots up
+    /// mid-sweep.
+    Stream {
+        refill: &'a mut dyn FnMut(usize) -> Option<LaneSpec>,
+        sink: &'a mut dyn FnMut(LaneRetire<'_, O>),
+    },
+}
 
 impl<O> LaneRetire<'_, O> {
     /// The job's per-node outputs (empty when `limit` is set).
     #[inline]
     pub fn outputs(&self) -> &[O] {
-        assert!(!*self.taken, "job {} outputs taken", self.job);
-        // Sound: the retiring lane's cells were finished into this row
-        // and not yet moved out (checked above).
-        unsafe { std::slice::from_raw_parts(self.outputs, self.n) }
+        match &self.outputs {
+            Some(row) => row.as_slice(),
+            None => panic!("job {} outputs taken", self.job),
+        }
     }
 
     /// Move the outputs into `dst` (cleared first), allocating only if
     /// `dst`'s retained capacity is too small — the steady-state serving
     /// path stays allocation-free after warmup. If the sink never takes
-    /// the outputs, the engine drops them when the callback returns.
+    /// the outputs, they drop with the `LaneRetire`.
     pub fn take_outputs_into(&mut self, dst: &mut Vec<O>) {
-        assert!(!*self.taken, "job {} outputs taken", self.job);
-        dst.clear();
-        dst.reserve(self.n);
-        // Sound: the row is moved out at most once (`taken`), into
-        // reserved capacity.
-        unsafe {
-            std::ptr::copy_nonoverlapping(self.outputs, dst.as_mut_ptr(), self.n);
-            dst.set_len(self.n);
-        }
-        *self.taken = true;
+        let Some(row) = self.outputs.take() else {
+            panic!("job {} outputs taken", self.job);
+        };
+        row.move_into(dst);
     }
 }
 
-/// A graph-keyed wide-batch engine instance. Structurally a
-/// [`crate::Session`] (it owns the same `SessionState`), plus the lane
-/// buffers; repeated [`WideSession::run`] calls reuse everything grown by
-/// earlier runs (enforced by `tests/zero_alloc.rs`).
-pub struct WideSession<'g> {
-    graph: &'g Graph,
-    state: SessionState,
-}
-
-impl<'g> WideSession<'g> {
-    pub fn new(graph: &'g Graph) -> WideSession<'g> {
-        WideSession {
-            graph,
-            state: SessionState::new(graph),
-        }
-    }
-
-    /// The graph this session is keyed to.
-    #[inline]
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// [`crate::Session::state_hash`] of the shared engine state. Wide
-    /// lane buffers are zero at rest (breadcrumb contract) and excluded
-    /// from the hash, so a wide session and a plain session that ran the
-    /// same phases hash identically.
-    pub fn state_hash(&self) -> u64 {
-        self.state.state_hash()
-    }
-
-    /// Rehost detached engine state on `graph` — the pool checkout path.
-    /// The caller (the session pool) guarantees the state was built for
-    /// an equal graph, so no repair pass is needed.
-    pub(crate) fn from_state(graph: &'g Graph, state: SessionState) -> WideSession<'g> {
-        debug_assert!(state.fits(graph));
-        WideSession { graph, state }
-    }
-
-    /// Detach the engine state for warm reuse (the pool release path).
-    pub(crate) fn into_state(self) -> SessionState {
-        self.state
-    }
-
+/// The wide kernel, on the one engine host: it shares the session's slabs,
+/// arenas, shard-plan cache and fault scratch with [`Session::run`], in any
+/// order, and repeated wide runs reuse everything earlier runs grew
+/// (enforced by `tests/zero_alloc.rs`).
+///
+/// A wide phase leaves [`Session::state_hash`] where it found it — the
+/// lane buffers are zero at rest and outside the hash, and it writes no
+/// hashed buffer — whereas a sequential phase leaves its per-edge
+/// congestion and trace in hashed ones. So the same phase run as one wide
+/// lane and run through `run` ends on different hashes, which is why wide
+/// lanes record no hash in their [`crate::PhaseLog`].
+impl Session<'_> {
     /// Run `lanes.len()` independent instances of `P` to termination in
     /// one interleaved sweep. `factory(v, l, g)` builds lane `l`'s
     /// protocol state for node `v`; lane `l`'s RNGs and faults come from
     /// `lanes[l]`, so the run is bit-identical per lane to a sequential
-    /// [`crate::Session::run`] with
+    /// [`Session::run`] with
     /// `EngineConfig { seed: lanes[l].seed, faults: lanes[l].faults, ..config }`.
     ///
     /// Of the shared `config`, wide honors `max_rounds`, `collect_trace`,
@@ -450,17 +395,96 @@ impl<'g> WideSession<'g> {
     /// per (node, lane) instead). If `max_rounds` elapses while *any*
     /// lane is still active the whole run fails, exactly as that lane's
     /// sequential run would.
-    pub fn run<'s, P, F>(
+    ///
+    /// # Example
+    ///
+    /// Three seeded lanes of a randomized gossip through one sweep; lane 1
+    /// is, bit for bit, the sequential run at lane 1's seed:
+    ///
+    /// ```
+    /// use congest_graph::generators::harary;
+    /// use congest_sim::{EngineConfig, LaneSpec, NodeCtx, Protocol, Session};
+    /// use rand::Rng;
+    ///
+    /// /// Three rounds of mixing a coin into whatever the neighbors sent.
+    /// struct Stir(u64);
+    /// impl Protocol for Stir {
+    ///     type Msg = u64;
+    ///     type Output = u64;
+    ///     fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+    ///         for (port, m) in ctx.inbox() {
+    ///             self.0 = self.0.rotate_left(9) ^ m ^ port as u64;
+    ///         }
+    ///         if ctx.round < 3 {
+    ///             self.0 ^= ctx.rng().gen::<u64>();
+    ///             ctx.send_all(self.0);
+    ///         }
+    ///         ctx.set_done(ctx.round >= 3);
+    ///     }
+    ///     fn finish(self) -> u64 {
+    ///         self.0
+    ///     }
+    /// }
+    ///
+    /// let g = harary(4, 12);
+    /// let lanes = [LaneSpec::new(7), LaneSpec::new(8), LaneSpec::new(9)];
+    /// let mut session = Session::new(&g);
+    /// let (wide_stats, wide_outputs) = {
+    ///     let mut wide = session
+    ///         .run_wide(&lanes, |v, _lane, _| Stir(v as u64), EngineConfig::serial())
+    ///         .unwrap();
+    ///     assert_eq!(wide.lanes(), 3);
+    ///     assert_ne!(wide.outputs(0), wide.outputs(1)); // the seeds matter
+    ///     (wide.stats(1), wide.take_lane_outputs(1))
+    /// };
+    ///
+    /// // The same host runs the sequential kernel next, on the same buffers.
+    /// let solo = session
+    ///     .run(|v, _| Stir(v as u64), EngineConfig::serial().seed(lanes[1].seed))
+    ///     .unwrap();
+    /// assert_eq!(wide_stats, solo.stats);
+    /// assert_eq!(wide_outputs, solo.outputs());
+    /// ```
+    pub fn run_wide<'s, P, F>(
         &'s mut self,
         lanes: &[LaneSpec],
-        factory: F,
+        mut factory: F,
         config: EngineConfig,
     ) -> Result<WideOutcome<'s, P::Output>, EngineError>
     where
         P: Protocol,
         F: FnMut(Node, usize, &Graph) -> P,
     {
-        self.state.run_wide(self.graph, lanes, factory, config)
+        // Batch mode of the one wide loop: `lanes.len()` jobs admitted up
+        // front, no refill, fail-fast on the round limit, results
+        // harvested job-major into the session arenas.
+        let (graph, state) = (self.graph, &mut self.state);
+        let w = lanes.len();
+        let mut stats = [RunStats::default(); MAX_LANES];
+        let mut rows: LaneRows<P::Output> = std::array::from_fn(|_| None);
+        state.run_stream_core::<P>(
+            graph,
+            lanes,
+            &mut |v, l, g| factory(v, l, g),
+            &config,
+            Mode::Batch {
+                stats: &mut stats,
+                rows: &mut rows,
+            },
+        )?;
+        let m = graph.m();
+        let traces: Option<&'s [Vec<u64>]> =
+            config.collect_trace.then_some(&state.wide.job_traces[..w]);
+        Ok(WideOutcome {
+            rows,
+            n: graph.n(),
+            lanes: w,
+            m,
+            stats,
+            traces,
+            per_edge: &state.wide.per_edge[..w * m],
+            _borrow: std::marker::PhantomData,
+        })
     }
 
     /// Continuously batched wide run: starts `init.len()` lanes, then
@@ -476,7 +500,7 @@ impl<'g> WideSession<'g> {
     ///   pristine.
     /// * `sink` receives every retired job as a [`LaneRetire`] —
     ///   bit-identical per job to an isolated sequential
-    ///   [`crate::Session::run`] with that job's seed and faults.
+    ///   [`Session::run`] with that job's seed and faults.
     /// * Rounds are lane-local: each job's `ctx.round`, fault schedule,
     ///   trace, stats, and `max_rounds` budget count from its own
     ///   admission. A job that blows the budget retires alone with
@@ -499,79 +523,27 @@ impl<'g> WideSession<'g> {
         R: FnMut(usize) -> Option<LaneSpec>,
         S: FnMut(LaneRetire<'_, P::Output>),
     {
-        let mut stats = [RunStats::default(); MAX_LANES];
-        let (_, jobs) = self
-            .state
+        self.state
             .run_stream_core::<P>(
                 self.graph,
                 init,
                 &mut |v, job, g| factory(v, job, g),
                 &config,
-                Some(&mut |job| refill(job)),
-                Some(&mut |r| sink(r)),
-                &mut stats,
+                Mode::Stream {
+                    refill: &mut refill,
+                    sink: &mut sink,
+                },
             )
-            .expect("streaming runs retire round-limit lanes instead of failing");
-        jobs
+            .expect("streaming runs retire round-limit lanes instead of failing")
     }
 }
 
 impl SessionState {
-    /// Batch-mode wrapper over [`SessionState::run_stream_core`]:
-    /// `lanes.len()` jobs admitted up front, no refill, fail-fast on the
-    /// round limit, results harvested job-major into the session arenas
-    /// for the [`WideOutcome`] borrow. [`WideSession::run`] is the public
-    /// face.
-    pub(crate) fn run_wide<'s, P, F>(
-        &'s mut self,
-        graph: &Graph,
-        lanes: &[LaneSpec],
-        mut factory: F,
-        config: EngineConfig,
-    ) -> Result<WideOutcome<'s, P::Output>, EngineError>
-    where
-        P: Protocol,
-        F: FnMut(Node, usize, &Graph) -> P,
-    {
-        let w = lanes.len();
-        let mut stats = [RunStats::default(); MAX_LANES];
-        let (out_mat, _) = self.run_stream_core::<P>(
-            graph,
-            lanes,
-            &mut |v, l, g| factory(v, l, g),
-            &config,
-            None,
-            None,
-            &mut stats,
-        )?;
-        let n = graph.n();
-        let m = graph.m();
-        let traces: Option<&'s [Vec<u64>]> =
-            config.collect_trace.then_some(&self.wide.job_traces[..w]);
-        Ok(WideOutcome {
-            outputs: out_mat,
-            n,
-            lanes: w,
-            m,
-            taken: 0,
-            stats,
-            traces,
-            per_edge: &self.wide.per_edge[..w * m],
-            _borrow: std::marker::PhantomData,
-        })
-    }
-
-    /// The wide round loop, shared by batch ([`WideSession::run`]) and
-    /// streaming ([`WideSession::run_refill`]) modes. Lives on
-    /// `SessionState` so it can share the sequential session's slabs,
-    /// arenas, shard-plan cache, and fault scratch.
-    ///
-    /// Mode is selected by `sink`: `None` is batch mode — jobs are the
-    /// initial lanes, results are harvested job-major into the output
-    /// arena / `stats_out` / `job_traces` / the `per_edge` matrix, and a
-    /// blown round limit fails the whole run. `Some(sink)` is streaming
-    /// mode — every retired job goes to the sink, the round budget is
-    /// lane-local, and `refill` (if any) tops freed slots up mid-sweep.
+    /// The wide round loop, shared by batch ([`Session::run_wide`]) and
+    /// streaming ([`Session::run_refill`]) modes — see [`Mode`]. Lives on
+    /// `SessionState` so it shares the sequential loop's slabs, arenas,
+    /// shard-plan cache, and fault scratch. Returns the number of jobs
+    /// admitted.
     ///
     /// Lane ids the caller sees are **admission indices** ("jobs");
     /// internally lanes live in **slots** whose stride `w_cur` narrows
@@ -579,17 +551,14 @@ impl SessionState {
     /// state — cells, lane words, meter columns, traces, fault plans,
     /// join rounds — is permuted together, so the slot→job remap is the
     /// only place the two namespaces meet.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn run_stream_core<P>(
+    fn run_stream_core<P>(
         &mut self,
         graph: &Graph,
         init: &[LaneSpec],
         factory: &mut dyn FnMut(Node, usize, &Graph) -> P,
         config: &EngineConfig,
-        mut refill: Option<&mut dyn FnMut(usize) -> Option<LaneSpec>>,
-        mut sink: Option<&mut RetireSink<'_, P::Output>>,
-        stats_out: &mut [RunStats; MAX_LANES],
-    ) -> Result<(*mut P::Output, usize), EngineError>
+        mut mode: Mode<'_, P::Output>,
+    ) -> Result<usize, EngineError>
     where
         P: Protocol,
     {
@@ -602,30 +571,13 @@ impl SessionState {
             P::Msg::WIDTH <= <<P::Msg as PackedMsg>::Word as MsgWord>::BITS,
             "message WIDTH exceeds its storage word"
         );
-        if !self.clean {
-            self.scrub();
-        }
-        self.clean = false;
-        let batch = sink.is_none();
+        let parallel = self.begin_phase(graph, config);
+        let batch = matches!(mode, Mode::Batch { .. });
 
         let n = graph.n();
         let arcs = graph.num_arcs();
         let m = graph.m();
 
-        // --- Shard plan (same derivation and cache as the sequential
-        // round loop, so alternating sequential/wide phases share it).
-        let parallel = config.parallel && n >= PARALLEL_MIN_NODES && congest_par::num_threads() > 1;
-        let s_req = config
-            .shards
-            .unwrap_or(if parallel {
-                (congest_par::num_threads() * 4).min(MAX_AUTO_SHARDS)
-            } else {
-                1
-            })
-            .clamp(1, n.max(1));
-        if self.plan.as_ref().map(|(k, _)| *k) != Some(s_req) {
-            self.plan = Some((s_req, graph.shard_plan(s_req)));
-        }
         let max_budget = init
             .iter()
             .filter_map(|l| l.faults.as_ref())
@@ -722,7 +674,7 @@ impl SessionState {
         // --- Node cells, node-major blocks of w_cur slots, plus the
         // batch output matrix (streaming retirements reuse the output
         // arena as a one-row scratch instead).
-        let cells_ptr: *mut WideCell<P> = cell_arena.alloc(n * w0);
+        let cells_ptr: *mut NodeCell<P> = cell_arena.alloc(n * w0);
         let out_mat: *mut P::Output = if batch {
             out_arena.alloc(n * w0)
         } else {
@@ -746,9 +698,6 @@ impl SessionState {
         let mut slot_job = [0usize; MAX_LANES];
         let mut slot_stats = [RunStats::default(); MAX_LANES];
         let mut jobs_admitted: usize = 0;
-        // Batch mode: jobs whose finished outputs sit in `out_mat`
-        // (needed to drop them if a later round-limit fails the run).
-        let mut retired_jobs: u64 = 0;
         let mut round: u64 = 0;
         let mut rounds_since_flush: u64 = 0;
 
@@ -765,12 +714,11 @@ impl SessionState {
                 for v in 0..n {
                     // Sound: the slot column is in-bounds and vacant.
                     unsafe {
-                        cells_ptr.add(v * w_cur + slot).write(WideCell {
-                            state: factory(v as Node, job, graph),
-                            rng: node_rng(spec.seed, v as Node),
-                            done: false,
-                            max_bits: 0,
-                        });
+                        cells_ptr.add(v * w_cur + slot).write(NodeCell::new(
+                            factory(v as Node, job, graph),
+                            spec.seed,
+                            v as Node,
+                        ));
                     }
                 }
                 for u in undone[..n].iter_mut() {
@@ -790,6 +738,22 @@ impl SessionState {
         for spec in init {
             admit!(jobs_admitted, spec);
         }
+        // Move the planes' pending counts into the flat traffic columns at
+        // the current stride. Count-preserving, so it may run early for
+        // one lane's sake; the planes are all-zero after it.
+        macro_rules! flush_planes {
+            () => {
+                if rounds_since_flush > 0 {
+                    for a in 0..arcs {
+                        slab::planes_flush(
+                            &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],
+                            &mut lane_traffic[a * w_cur..(a + 1) * w_cur],
+                        );
+                    }
+                    rounds_since_flush = 0;
+                }
+            };
+        }
 
         loop {
             // --- Per-lane round budget, counted from each lane's own
@@ -807,44 +771,28 @@ impl SessionState {
                     }
                 }
             }
-            if blown != 0 && batch {
-                let mut b = active;
-                while b != 0 {
-                    let l = b.trailing_zeros() as usize;
-                    b &= b - 1;
-                    for v in 0..n {
-                        // Sound: live slots hold initialized cells.
-                        unsafe { std::ptr::drop_in_place(cells_ptr.add(v * w_cur + l)) };
-                    }
-                }
-                let mut r = retired_jobs;
-                while r != 0 {
-                    let j = r.trailing_zeros() as usize;
-                    r &= r - 1;
-                    for i in 0..n {
-                        // Sound: retired rows were fully written.
-                        unsafe { std::ptr::drop_in_place(out_mat.add(j * n + i)) };
-                    }
-                }
-                return Err(EngineError::RoundLimitExceeded {
-                    limit: config.max_rounds,
-                });
-            }
             if blown != 0 {
+                let Mode::Stream { sink, .. } = &mut mode else {
+                    let mut b = active;
+                    while b != 0 {
+                        let l = b.trailing_zeros() as usize;
+                        b &= b - 1;
+                        for v in 0..n {
+                            // Sound: live slots hold initialized cells.
+                            unsafe { std::ptr::drop_in_place(cells_ptr.add(v * w_cur + l)) };
+                        }
+                    }
+                    // Rows already harvested drop with the caller's `rows`.
+                    return Err(EngineError::RoundLimitExceeded {
+                        limit: config.max_rounds,
+                    });
+                };
                 // Streaming: scrub each blown lane out of the sweep —
                 // inbox bits, meter column, undone bits, cells — and
                 // report it failed, exactly as its isolated run would
                 // have errored. Planes hold mixed-lane counts, so flush
                 // (count-preserving) before discarding this column.
-                if rounds_since_flush > 0 {
-                    for a in 0..arcs {
-                        slab::planes_flush(
-                            &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],
-                            &mut lane_traffic[a * w_cur..(a + 1) * w_cur],
-                        );
-                    }
-                    rounds_since_flush = 0;
-                }
+                flush_planes!();
                 let mut b = blown;
                 while b != 0 {
                     let l = b.trailing_zeros() as usize;
@@ -860,16 +808,13 @@ impl SessionState {
                     }
                     trace_bufs[l].clear();
                     active &= !(1u64 << l);
-                    let mut taken = false;
-                    (sink.as_mut().expect("streaming mode"))(LaneRetire {
+                    sink(LaneRetire {
                         job: slot_job[l],
                         stats: RunStats::default(),
                         limit: Some(config.max_rounds),
                         trace: None,
                         edge_congestion: &[],
-                        outputs: std::ptr::NonNull::dangling().as_ptr(),
-                        n: 0,
-                        taken: &mut taken,
+                        outputs: Some(ArenaRow::empty()),
                     });
                 }
             }
@@ -883,7 +828,7 @@ impl SessionState {
                 // Sound: live slots (tracked by `active` at stride
                 // `w_cur`) hold initialized cells; vacant columns are
                 // never read or written through this view.
-                let cells: &mut [WideCell<P>] =
+                let cells: &mut [NodeCell<P>] =
                     unsafe { std::slice::from_raw_parts_mut(cells_ptr, n * w_cur) };
                 let racy_cells = RacyCells::new(cells);
                 let racy_out_words = RacyCells::new(&mut *out_words);
@@ -1022,28 +967,21 @@ impl SessionState {
                 let Some(fault_plan) = &slot_faults[l] else {
                     continue;
                 };
-                if fault_plan.edges_per_round == 0 {
-                    continue;
-                }
-                fault_plan.blocked_edges_into_marked(
-                    round - join_round[l],
-                    m,
+                let local_round = round - join_round[l];
+                let dropped = &mut slot_stats[l].dropped_messages;
+                for_each_blocked_arc(
+                    graph,
+                    fault_plan,
+                    local_round,
                     blocked,
                     fault_marks,
-                );
-                for &e in blocked.iter() {
-                    let (u, v) = graph.endpoints(e);
-                    for (from, to) in [(u, v), (v, u)] {
-                        let port = graph
-                            .port_to(to, from)
-                            .expect("edge endpoints are adjacent");
-                        let dest = graph.arc_offset(to) + port as usize;
+                    |dest| {
                         if out_lane[dest] >> l & 1 == 1 {
                             out_lane[dest] &= !(1u64 << l);
-                            slot_stats[l].dropped_messages += 1;
+                            *dropped += 1;
                         }
-                    }
-                }
+                    },
+                );
             }
             // --- Deliver phase: swap staging to inbox, then one sharded
             // scan over the lane words — per-arc liveness is a single
@@ -1132,15 +1070,7 @@ impl SessionState {
                 trace_bufs[l].truncate(slot_stats[l].rounds as usize);
                 // Final plane flush first (count-preserving, so flushing
                 // early for one lane never perturbs the others' totals).
-                if rounds_since_flush > 0 {
-                    for a in 0..arcs {
-                        slab::planes_flush(
-                            &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],
-                            &mut lane_traffic[a * w_cur..(a + 1) * w_cur],
-                        );
-                    }
-                    rounds_since_flush = 0;
-                }
+                flush_planes!();
                 let job = slot_job[l];
                 // Drain the slot's traffic column into its per-edge row
                 // (back to zero — the breadcrumb exit contract).
@@ -1175,50 +1105,46 @@ impl SessionState {
                 } else {
                     out_arena.alloc::<P::Output>(n)
                 };
-                for v in 0..n {
-                    // Sound: each cell is moved out exactly once.
-                    unsafe {
-                        let cell = cells_ptr.add(v * w_cur + l).read();
-                        row.add(v).write(cell.state.finish());
-                    }
-                }
-                if batch {
-                    retired_jobs |= 1u64 << job;
-                    stats_out[job] = slot_stats[l];
-                    if config.collect_trace {
-                        std::mem::swap(&mut trace_bufs[l], &mut job_traces[job]);
-                    }
-                    trace_bufs[l].clear();
-                } else {
-                    let mut taken = false;
-                    (sink.as_mut().expect("streaming mode"))(LaneRetire {
-                        job,
-                        stats: slot_stats[l],
-                        limit: None,
-                        trace: if config.collect_trace {
-                            Some(&trace_bufs[l][..])
-                        } else {
-                            None
-                        },
-                        edge_congestion: &per_edge[..m],
-                        outputs: row,
-                        n,
-                        taken: &mut taken,
-                    });
-                    if !taken {
-                        for i in 0..n {
-                            // Sound: written above, not moved out.
-                            unsafe { std::ptr::drop_in_place(row.add(i)) };
+                // SAFETY: the row is `n` vacant output slots this
+                // retirement alone writes (a batch job's own row; in
+                // streaming mode the scratch row, whose previous tenant
+                // went with its `LaneRetire`), and each of the live slot's
+                // initialized cells is moved out exactly once.
+                let row = unsafe {
+                    ArenaRow::fill(row, n, |v| {
+                        cells_ptr.add(v * w_cur + l).read().state.finish()
+                    })
+                };
+                match &mut mode {
+                    Mode::Batch { stats, rows } => {
+                        stats[job] = slot_stats[l];
+                        rows[job] = Some(row);
+                        if config.collect_trace {
+                            std::mem::swap(&mut trace_bufs[l], &mut job_traces[job]);
                         }
                     }
-                    per_edge[..m].fill(0);
-                    trace_bufs[l].clear();
+                    Mode::Stream { sink, .. } => {
+                        sink(LaneRetire {
+                            job,
+                            stats: slot_stats[l],
+                            limit: None,
+                            trace: if config.collect_trace {
+                                Some(&trace_bufs[l][..])
+                            } else {
+                                None
+                            },
+                            edge_congestion: &per_edge[..m],
+                            outputs: Some(row),
+                        });
+                        per_edge[..m].fill(0);
+                    }
                 }
+                trace_bufs[l].clear();
             }
             // --- Refill: every freed slot admits the next job from the
             // source, mid-sweep — continuous batching. New lanes join at
             // the current global round with pristine slot state.
-            if let Some(rf) = refill.as_mut() {
+            if let Mode::Stream { refill: rf, .. } = &mut mode {
                 let mut free = !active & full_mask(w_cur);
                 while free != 0 {
                     let Some(spec) = rf(jobs_admitted) else { break };
@@ -1243,15 +1169,7 @@ impl SessionState {
                 // Pending plane counts flush at the old stride first;
                 // after this the planes are all-zero, so only the flat
                 // traffic columns move.
-                if rounds_since_flush > 0 {
-                    for a in 0..arcs {
-                        slab::planes_flush(
-                            &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],
-                            &mut lane_traffic[a * w_cur..(a + 1) * w_cur],
-                        );
-                    }
-                    rounds_since_flush = 0;
-                }
+                flush_planes!();
                 debug_assert!(
                     out_lane[..arcs].iter().all(|&x| x == 0),
                     "staging side must be clean at a compaction point"
@@ -1326,7 +1244,7 @@ impl SessionState {
         }
 
         *clean = true;
-        Ok((out_mat, jobs_admitted))
+        Ok(jobs_admitted)
     }
 }
 
@@ -1334,7 +1252,6 @@ impl SessionState {
 mod tests {
     use super::*;
     use crate::engine::EngineConfig;
-    use crate::session::Session;
     use congest_graph::generators::{cycle, harary};
 
     /// Flood-max: every node converges on the maximum node id. Quiescent:
@@ -1397,9 +1314,9 @@ mod tests {
         P::Output: PartialEq + std::fmt::Debug + Clone,
         F: FnMut(Node, usize, &Graph) -> P + Copy,
     {
-        let mut wide = WideSession::new(g);
+        let mut wide = Session::new(g);
         let out = wide
-            .run(lanes, factory, config.clone())
+            .run_wide(lanes, factory, config.clone())
             .expect("wide run terminates");
         for (l, spec) in lanes.iter().enumerate() {
             let seq_cfg = EngineConfig {
@@ -1468,10 +1385,10 @@ mod tests {
         let factory = |_: Node, l: usize, _: &Graph| Pulser {
             remaining: 3 * l as u64 + 1,
         };
-        let mut wide = WideSession::new(&g);
+        let mut wide = Session::new(&g);
         let first: Vec<RunStats> = {
             let out = wide
-                .run(&lanes, factory, EngineConfig::with_seed(3))
+                .run_wide(&lanes, factory, EngineConfig::with_seed(3))
                 .unwrap();
             (0..lanes.len()).map(|l| out.stats(l)).collect()
         };
@@ -1481,7 +1398,7 @@ mod tests {
         assert!(wide.state.wide.lane_traffic.iter().all(|&x| x == 0));
         assert!(wide.state.wide.lane_planes.iter().all(|&x| x == 0));
         let out = wide
-            .run(&lanes, factory, EngineConfig::with_seed(3))
+            .run_wide(&lanes, factory, EngineConfig::with_seed(3))
             .unwrap();
         for (l, st) in first.iter().enumerate() {
             assert_eq!(out.stats(l), *st, "rerun reproduces lane {l}");
@@ -1494,9 +1411,9 @@ mod tests {
     fn take_lane_outputs_moves_each_lane_once() {
         let g = cycle(6);
         let lanes = LaneSpec::batch(1, 3);
-        let mut wide = WideSession::new(&g);
+        let mut wide = Session::new(&g);
         let mut out = wide
-            .run(
+            .run_wide(
                 &lanes,
                 |_, _, _| FloodMax { best: 1 },
                 EngineConfig::with_seed(0),
@@ -1512,9 +1429,9 @@ mod tests {
     fn outputs_after_take_panics() {
         let g = cycle(4);
         let lanes = LaneSpec::batch(1, 2);
-        let mut wide = WideSession::new(&g);
+        let mut wide = Session::new(&g);
         let mut out = wide
-            .run(
+            .run_wide(
                 &lanes,
                 |_, _, _| FloodMax { best: 1 },
                 EngineConfig::with_seed(0),

@@ -7,11 +7,14 @@
 //!
 //! This is the property that makes the pool *transparent*: a tenant can
 //! never observe that its run shared a sweep, a warm state, or a drain
-//! with other tenants.
+//! with other tenants. The last case is the pool under eviction: a key
+//! whose graph aged out is a typed error from every keyed call until the
+//! graph is registered again.
 
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::{
-    run_job_isolated, EngineConfig, FaultPlan, Job, JobOutput, JobSpec, JobStatus, PoolServer,
+    run_job_isolated, EngineConfig, EvictionPolicy, FaultPlan, Job, JobOutput, JobSpec, JobStatus,
+    PoolError, PoolServer,
 };
 use proptest::prelude::*;
 
@@ -181,6 +184,60 @@ proptest! {
         for (x, y) in a.iter().zip(&b) {
             prop_assert_eq!(&x.outputs, &y.outputs);
             prop_assert_eq!(x.stats, y.stats);
+        }
+    }
+
+    /// Evict, then check out: with room for one graph, whichever of two
+    /// the access sequence touched less recently has aged out, and its key
+    /// is [`PoolError::UnknownGraph`] from all five keyed pool calls and
+    /// from `try_submit` — no panic, no closure call, no hit or miss
+    /// counted. Registering the graph again returns the same key, and the
+    /// job that follows checks out a cold session and runs exactly what an
+    /// isolated one runs.
+    #[test]
+    fn evicted_keys_are_typed_errors_until_reregistered(
+        g0 in arb_connected_graph(14),
+        g1 in arb_connected_graph(12),
+        touches in proptest::collection::vec((0usize..2, any::<bool>(), any::<u64>()), 2..10),
+    ) {
+        prop_assume!(g0.fingerprint() != g1.fingerprint());
+        let graphs = [g0, g1];
+        let config = EngineConfig::serial();
+        let mut server = PoolServer::new(config.clone(), 4);
+        server.pool_mut().set_policy(EvictionPolicy { max_graphs: 1, max_warm_bytes: usize::MAX });
+        let keys = [0, 1].map(|i| server.register_graph(graphs[i].clone()));
+        for (which, reregister, seed) in touches {
+            let pool = server.pool_mut();
+            pool.enforce_eviction();
+            prop_assert_eq!(pool.len(), 1);
+            let lost = if pool.contains(keys[0]) { 1 } else { 0 };
+            let gone = PoolError::UnknownGraph(keys[lost]);
+            let counters = (pool.hits(), pool.misses());
+            prop_assert_eq!(pool.graph(keys[lost]).err(), Some(gone));
+            prop_assert_eq!(pool.warm_count(keys[lost]), Err(gone));
+            prop_assert_eq!(pool.warm_bytes(keys[lost]), Err(gone));
+            let mut ran = false;
+            prop_assert_eq!(pool.with_session(keys[lost], |_| ran = true), Err(gone));
+            prop_assert!(!ran, "a refused checkout ran its closure");
+            prop_assert_eq!(pool.park_warm(keys[lost], &mut Vec::new()), Err(gone));
+            prop_assert_eq!((pool.hits(), pool.misses()), counters);
+
+            let (key, g) = (keys[which], &graphs[which]);
+            let protocol = JobSpec::Gossip { rounds: 2 + seed % 4 };
+            let job = Job { graph: key, protocol: protocol.clone(), seed, faults: None, tenant: 0 };
+            if which == lost {
+                prop_assert_eq!(server.try_submit(job.clone()), Err(gone));
+                if !reregister {
+                    continue;
+                }
+                prop_assert_eq!(server.register_graph(g.clone()), key);
+                prop_assert_eq!(server.pool().warm_count(key), Ok(0));
+            }
+            let mut out = Vec::new();
+            server.try_submit(job).expect("held or just re-registered");
+            server.drain(&mut out);
+            let (outputs, stats) = run_job_isolated(g, &protocol, seed, None, &config).unwrap();
+            prop_assert_eq!((out[0].status, &out[0].outputs, out[0].stats), (JobStatus::Done, &outputs, stats));
         }
     }
 }

@@ -402,17 +402,17 @@ proptest! {
                     )
                     .unwrap();
                 drop(out);
-            });
+            }).unwrap();
             // Phase 2 (wide): repacking per arm.
-            let hash_mid = pool.with_wide(key, |ws| {
-                let out = ws.run(&lanes, mk, EngineConfig::serial().trace()).unwrap();
+            let hash_mid = pool.with_session(key, |ws| {
+                let out = ws.run_wide(&lanes, mk, EngineConfig::serial().trace()).unwrap();
                 drop(out);
                 ws.state_hash()
-            });
+            }).unwrap();
             // Snapshot straddling the compaction: park the warm state,
             // restore it into a fresh pool, run phase 3 from there.
             let mut frames = Vec::new();
-            prop_assert_eq!(pool.park_warm(key, &mut frames), 1);
+            prop_assert_eq!(pool.park_warm(key, &mut frames), Ok(1));
             let mut pool2 = SessionPool::new();
             let key2 = pool2.register(g.clone());
             prop_assert_eq!(pool2.restore_warm(&frames[0]).unwrap(), key2);
@@ -425,7 +425,7 @@ proptest! {
                     .unwrap();
                 let outputs = out.take_outputs();
                 (outputs, s.state_hash())
-            });
+            }).unwrap();
             (hash_mid, frames, fin)
         };
         let compacting = arm(true);
@@ -455,12 +455,12 @@ proptest! {
                 )
                 .unwrap();
             drop(out);
-        });
+        }).unwrap();
         let mut frames = Vec::new();
         let parked = pool_a.park_warm(key, &mut frames);
-        prop_assert_eq!(parked, 1);
+        prop_assert_eq!(parked, Ok(1));
         prop_assert_eq!(frames.len(), 1);
-        prop_assert_eq!(pool_a.warm_count(key), 0);
+        prop_assert_eq!(pool_a.warm_count(key), Ok(0));
 
         // Restore into both pools (A lost its warm set by parking).
         let mut pool_b = SessionPool::new();
@@ -469,8 +469,8 @@ proptest! {
             prop_assert_eq!(pool_a.restore_warm(bytes).unwrap(), key);
             prop_assert_eq!(pool_b.restore_warm(bytes).unwrap(), key_b);
         }
-        prop_assert_eq!(pool_a.warm_count(key), 1);
-        prop_assert_eq!(pool_b.warm_count(key_b), 1);
+        prop_assert_eq!(pool_a.warm_count(key), Ok(1));
+        prop_assert_eq!(pool_b.warm_count(key_b), Ok(1));
 
         let run2 = |pool: &mut SessionPool, key| {
             pool.with_session(key, |s| {
@@ -483,6 +483,7 @@ proptest! {
                 let outputs = out.take_outputs();
                 (outputs, s.state_hash())
             })
+            .unwrap()
         };
         let a = run2(&mut pool_a, key);
         let b = run2(&mut pool_b, key_b);

@@ -1,5 +1,5 @@
-//! The wide-batch differential harness: a W-lane [`WideSession`] run must
-//! be **bit-identical, lane by lane, to W sequential [`Session`] runs** —
+//! The wide-batch differential harness: a W-lane [`Session::run_wide`] must
+//! be **bit-identical, lane by lane, to W sequential [`Session::run`]s** —
 //! outputs, [`RunStats`], round traces, and per-edge congestion meters —
 //! sweeping shard counts × per-lane fault plans × pool
 //! widths, with the sequential arm's sparse fast path forced both ways
@@ -12,7 +12,7 @@
 //! changing one bit of any result.
 
 use congest_graph::{Graph, GraphBuilder};
-use congest_sim::{EngineConfig, FaultPlan, LaneSpec, NodeCtx, Protocol, Session, WideSession};
+use congest_sim::{EngineConfig, FaultPlan, LaneSpec, NodeCtx, Protocol, Session};
 use proptest::prelude::*;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -142,15 +142,15 @@ struct LaneObs {
     edge_congestion: Vec<u64>,
 }
 
-/// Wide arm: run all lanes at once on a fresh [`WideSession`].
+/// Wide arm: run all lanes at once on a fresh [`Session`].
 fn wide_obs<P, F>(g: &Graph, lanes: &[LaneSpec], factory: F, config: EngineConfig) -> Vec<LaneObs>
 where
     P: Protocol<Output = u64>,
     F: FnMut(congest_graph::Node, usize, &Graph) -> P,
 {
-    let mut session = WideSession::new(g);
+    let mut session = Session::new(g);
     let mut out = session
-        .run(lanes, factory, config)
+        .run_wide(lanes, factory, config)
         .expect("wide terminates");
     (0..lanes.len())
         .map(|l| LaneObs {
@@ -364,8 +364,8 @@ proptest! {
             Ok(_) => panic!("the forever lane must blow the budget alone"),
         };
         prop_assert_eq!(&isolated, &congest_sim::EngineError::RoundLimitExceeded { limit: 12 });
-        let mut session = WideSession::new(&g);
-        let err = match session.run(&lanes, mk, config) {
+        let mut session = Session::new(&g);
+        let err = match session.run_wide(&lanes, mk, config) {
             Err(e) => e,
             Ok(_) => panic!("compacted tail must blow the budget"),
         };
@@ -375,7 +375,7 @@ proptest! {
         let cfg2 = EngineConfig::serial().shards(2).trace();
         let after: Vec<LaneObs> = {
             let mut out = session
-                .run(&lanes, mk2, cfg2.clone())
+                .run_wide(&lanes, mk2, cfg2.clone())
                 .expect("post-failure run terminates");
             (0..lanes.len())
                 .map(|l| LaneObs {
@@ -391,7 +391,7 @@ proptest! {
     }
 
     /// Continuous refill: a queue of jobs streamed through
-    /// [`WideSession::run_refill`] — admissions happening whenever a
+    /// [`Session::run_refill`] — admissions happening whenever a
     /// retiring lane frees a slot, at proptest-chosen durations — must
     /// match per-job isolated sequential runs bit-for-bit. Jobs whose
     /// isolated run errors with [`EngineError::RoundLimitExceeded`]
@@ -419,7 +419,7 @@ proptest! {
         let init_w = w.min(jobs);
         let mut results: Vec<Option<LaneObs>> = (0..jobs).map(|_| None).collect();
         let mut limits: Vec<Option<u64>> = vec![None; jobs];
-        let mut session = WideSession::new(&g);
+        let mut session = Session::new(&g);
         let admitted = session.run_refill::<Chatter, _, _, _>(
             &specs[..init_w],
             mk,
@@ -489,8 +489,8 @@ proptest! {
             }
         }
         let lanes = LaneSpec::batch(seed, 4);
-        let mut session = WideSession::new(&g);
-        let err = match session.run(
+        let mut session = Session::new(&g);
+        let err = match session.run_wide(
             &lanes,
             |_, _, _| Forever,
             EngineConfig::serial().max_rounds(5),
@@ -503,7 +503,7 @@ proptest! {
         let config = EngineConfig::serial().shards(2).trace();
         let after: Vec<LaneObs> = {
             let mut out = session
-                .run(&lanes, mk, config.clone())
+                .run_wide(&lanes, mk, config.clone())
                 .expect("post-failure run terminates");
             (0..lanes.len())
                 .map(|l| LaneObs {

@@ -10,7 +10,7 @@
 use congest_sim::sched::{random_delays, Multiplexed};
 use congest_sim::{
     run_protocol, ChurnSession, EngineConfig, EvictionPolicy, FaultPlan, GraphKey, LaneSpec,
-    Mutation, NodeCtx, Protocol, Session, SessionPool, WideSession,
+    Mutation, NodeCtx, PoolError, Protocol, Session, SessionPool,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -227,14 +227,14 @@ impl Protocol for StaggerChatter {
 /// byte-keyed slabs. Both phases must allocate nothing after the first
 /// cycle sizes the lane buffers.
 fn wide_cycle(
-    session: &mut WideSession<'_>,
+    session: &mut Session<'_>,
     lanes: &[LaneSpec],
     rounds: u64,
     cfg: &EngineConfig,
 ) -> u64 {
     let mut acc = 0u64;
     let out = session
-        .run(
+        .run_wide(
             lanes,
             |_, l, _| StaggerChatter {
                 until: rounds / 2 + (l as u64 * rounds) / 16,
@@ -250,7 +250,7 @@ fn wide_cycle(
     }
     drop(out);
     let out = session
-        .run(
+        .run_wide(
             lanes,
             |v, _, _| WidePhase {
                 node: v,
@@ -267,7 +267,7 @@ fn wide_cycle(
 }
 
 /// One continuous-batching cycle: stream `jobs` jobs through
-/// [`WideSession::run_refill`] with staggered durations, so lanes retire
+/// [`Session::run_refill`] with staggered durations, so lanes retire
 /// mid-sweep, freed slots refill from the synthetic queue, and the drain
 /// tail compacts once the queue runs dry. The sink moves every job's
 /// outputs into the caller's retained `scratch` buffer
@@ -275,7 +275,7 @@ fn wide_cycle(
 /// steady state, which must allocate nothing once `scratch` and the lane
 /// buffers hold their high-water capacity.
 fn refill_cycle(
-    session: &mut WideSession<'_>,
+    session: &mut Session<'_>,
     init: &[LaneSpec],
     jobs: usize,
     rounds: u64,
@@ -433,8 +433,8 @@ fn churn_cycle(sess: &mut ChurnSession, rounds: u64, cfg: &EngineConfig) -> u64 
 }
 
 /// One pool steady-state cycle: acquire a warm state → run a phase →
-/// release → **re-acquire** (sequential then wide checkout of the same
-/// warm list), folding borrowed outputs so nothing escapes the closure.
+/// release → **re-acquire** (a sequential phase, then a wide sweep, on the
+/// same warm state), folding borrowed outputs so nothing escapes the closure.
 /// Once the warm state has reached its high-water footprint, the whole
 /// cycle — fingerprint lookup, checkout, two engine runs, park — must
 /// allocate exactly zero.
@@ -444,7 +444,7 @@ fn pool_cycle(
     lanes: &[LaneSpec],
     rounds: u64,
     cfg: &EngineConfig,
-) -> u64 {
+) -> Result<u64, PoolError> {
     let mut acc = pool.with_session(key, |s| {
         let ph = s
             .run(
@@ -456,7 +456,7 @@ fn pool_cycle(
             )
             .unwrap();
         ph.outputs().iter().fold(0, |a, &x| a ^ x) ^ ph.stats.total_messages
-    });
+    })?;
     // Re-acquire the state just released — first as a plain session on a
     // u128-word phase (slab reuse across checkouts), then as a wide batch.
     acc ^= pool.with_session(key, |s| {
@@ -471,10 +471,10 @@ fn pool_cycle(
             )
             .unwrap();
         ph.outputs().iter().fold(0, |a, &x| a ^ x) ^ ph.stats.dropped_messages
-    });
-    acc ^= pool.with_wide(key, |w| {
+    })?;
+    acc ^= pool.with_session(key, |w| {
         let out = w
-            .run(
+            .run_wide(
                 lanes,
                 |_, l, _| StaggerChatter {
                     until: rounds / 2 + l as u64,
@@ -488,11 +488,11 @@ fn pool_cycle(
             a ^= out.outputs(l).iter().fold(0, |x, &y| x ^ y) ^ out.stats(l).total_messages;
         }
         a
-    });
+    })?;
     // Aging enforcement runs at every drain boundary; with the budget
     // satisfied it is a pure LRU/footprint scan and must not allocate.
     pool.enforce_eviction();
-    acc
+    Ok(acc)
 }
 
 /// The allocation counter is process-global, so a single sample can be
@@ -748,7 +748,7 @@ fn round_loop_allocates_nothing_after_setup() {
                 }
             })
             .collect();
-        let mut session = WideSession::new(&g);
+        let mut session = Session::new(&g);
         let warm = wide_cycle(&mut session, &lanes, 24, &cfg);
         let mut acc = 0u64;
         let leaked = min_allocs(|| {
@@ -775,7 +775,7 @@ fn round_loop_allocates_nothing_after_setup() {
     // must allocate **exactly zero**.
     for cfg in [EngineConfig::serial(), EngineConfig::default()] {
         let init: Vec<LaneSpec> = LaneSpec::batch(55, 8);
-        let mut session = WideSession::new(&g);
+        let mut session = Session::new(&g);
         let mut scratch: Vec<u64> = Vec::new();
         let warm = refill_cycle(&mut session, &init, 24, 12, &cfg, &mut scratch);
         let mut acc = 0u64;
@@ -810,12 +810,12 @@ fn round_loop_allocates_nothing_after_setup() {
             max_warm_bytes: 1 << 30,
         });
         let key = pool.register(g.clone());
-        let warm = pool_cycle(&mut pool, key, &lanes, 12, &cfg);
+        let warm = pool_cycle(&mut pool, key, &lanes, 12, &cfg).unwrap();
         let mut acc = 0u64;
         let leaked = min_allocs(|| {
             let before = ALLOCATIONS.load(Ordering::Relaxed);
             for _ in 0..3 {
-                acc ^= pool_cycle(&mut pool, key, &lanes, 12, &cfg);
+                acc ^= pool_cycle(&mut pool, key, &lanes, 12, &cfg).unwrap();
             }
             ALLOCATIONS.load(Ordering::Relaxed) - before
         });

@@ -14,7 +14,7 @@ use fast_broadcast::core::broadcast::{BroadcastConfig, BroadcastInput};
 use fast_broadcast::core::partition::PartitionParams;
 use fast_broadcast::core::resilient::resilient_broadcast_hosted;
 use fast_broadcast::graph::generators::harary;
-use fast_broadcast::sim::{FaultPlan, PhaseHost};
+use fast_broadcast::sim::{FaultPlan, Session};
 
 fn main() {
     let lambda = 24;
@@ -22,7 +22,7 @@ fn main() {
     let g = harary(lambda, n);
     let input = BroadcastInput::random_spread(&g, 128, 1);
     let params = PartitionParams::explicit(4);
-    let mut host = PhaseHost::resident(&g);
+    let mut host = Session::new(&g);
     println!(
         "fleet: n = {n}, λ = {lambda}, {} alerts over 4 edge-disjoint trees\n",
         input.k()

@@ -1,6 +1,6 @@
 //! Wide-batch soak: many independent instances through one sweep.
 //!
-//! Two acts, both on [`fast_broadcast::sim::WideSession`] — the
+//! Two acts, both on [`fast_broadcast::sim::Session::run_wide`] — the
 //! bit-parallel round kernel that runs up to 64 instances of one
 //! protocol on one graph in a single interleaved arc sweep:
 //!
@@ -26,7 +26,7 @@ use fast_broadcast::core::broadcast::{
 use fast_broadcast::core::leader::FloodMax;
 use fast_broadcast::core::partition::PartitionParams;
 use fast_broadcast::graph::generators::{clique_chain, harary};
-use fast_broadcast::sim::{EngineConfig, FaultPlan, LaneSpec, Session, WideSession};
+use fast_broadcast::sim::{EngineConfig, FaultPlan, LaneSpec, Session};
 
 fn main() {
     // --- Act 1: one sweep, 24 nemeses. -------------------------------
@@ -44,10 +44,10 @@ fn main() {
          3-edges-per-round nemesis\n"
     );
 
-    let mut wide = WideSession::new(&g);
+    let mut wide = Session::new(&g);
     let cfg = EngineConfig::serial();
     let out = wide
-        .run(&lanes, |v, _, _| FloodMax::new(v), cfg.clone())
+        .run_wide(&lanes, |v, _, _| FloodMax::new(v), cfg.clone())
         .unwrap();
 
     let mut unanimous = 0usize;

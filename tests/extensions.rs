@@ -11,7 +11,7 @@ use fast_broadcast::core::resilient::resilient_broadcast_hosted;
 use fast_broadcast::graph::generators::{decode_theorem9, harary, theorem9_instance};
 use fast_broadcast::packing::matroid::exact_tree_packing;
 use fast_broadcast::packing::scheduled_broadcast::scheduled_packing_broadcast;
-use fast_broadcast::sim::{FaultPlan, PhaseHost};
+use fast_broadcast::sim::{FaultPlan, Session};
 
 #[test]
 fn resilient_broadcast_full_matrix() {
@@ -22,7 +22,7 @@ fn resilient_broadcast_full_matrix() {
         (0..20u64)
             .find_map(|a| {
                 resilient_broadcast_hosted(
-                    &mut PhaseHost::resident(&g),
+                    &mut Session::new(&g),
                     &input,
                     params,
                     r,
