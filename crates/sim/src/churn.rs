@@ -308,7 +308,12 @@ impl ChurnSession {
         if !header.has_graph || !header.has_churn {
             return Err(SnapshotError::WrongKind);
         }
-        let graph = snapshot::read_graph(&mut r, header.fingerprint)?;
+        // The churn section holds one crash flag per node: a frame shorter
+        // than the n it claims is refused before a graph that size is built.
+        if header.n > bytes.len() as u64 {
+            return Err(SnapshotError::Truncated);
+        }
+        let graph = snapshot::read_graph(&mut r, &header)?;
         if (header.n, header.m, header.arcs)
             != (graph.n() as u64, graph.m() as u64, graph.num_arcs() as u64)
         {

@@ -1,66 +1,13 @@
-//! The synchronous round engine: configuration, stats, and the one-phase
-//! [`run_protocol`] entry point.
+//! The engine's outside: configuration ([`EngineConfig`]), what a run
+//! reports ([`RunStats`], [`RunOutcome`], [`EngineError`]) and the
+//! one-phase [`run_protocol`] entry point.
 //!
-//! The round loop itself lives in [`crate::session`] — a
-//! [`crate::Session`] owns all engine state for a whole multi-phase
-//! algorithm, and `run_protocol` is a thin wrapper that builds a fresh
-//! session per call. The invariants documented here describe that loop.
-//!
-//! ## Data layout
-//!
-//! Messages live in **dense arc-indexed slabs** of packed words
-//! ([`crate::message::PackedMsg`]): arc `i` is position `i` in the graph's
-//! flattened adjacency, so node `v`'s ports occupy the contiguous range
-//! `arc_offset(v)..arc_offset(v)+deg(v)`. Presence is a **word-packed
-//! occupancy bitset** (one bit per arc) instead of per-slot `Option`
-//! discriminants.
-//!
-//! ## Shard-owned round phases
-//!
-//! At setup the engine builds a [`congest_graph::ShardPlan`]: contiguous
-//! node shards balanced by arc count, each owning a disjoint range of
-//! occupancy *words* (64 arcs per word). **Both** phases of a round run as
-//! a parallel-for over shards on the `congest-par` pool:
-//!
-//! * **Step** — shard `s` steps its own nodes; sends are scattered
-//!   straight into the *destination* arc slot of the staging slab through
-//!   the precomputed `reverse_arc` permutation (a bijection, so every slot
-//!   has exactly one writer). The shard also folds its nodes' `done` flags
-//!   while they are cache-hot.
-//! * **Deliver** — after the staging slab *becomes* the inbox slab (a
-//!   buffer swap), shard `s` sweeps its own word range: folds the staging
-//!   byte-mask into the inbox occupancy bitset, re-zeroes the mask, counts
-//!   deliveries, and meters per-arc congestion into its private region —
-//!   no atomics, no sharing.
-//!
-//! Each shard writes one private `ShardMeter` block; the per-round
-//! totals (messages delivered, global termination) are a serial fold over
-//! those blocks — a sum, an and, an or, so the order cannot reach a
-//! result and they are bit-identical at every pool width and shard
-//! count.
-//!
-//! ## Bit-sliced congestion metering
-//!
-//! Per-arc delivery counts accumulate in **bit-sliced counters**: six
-//! plane words per occupancy word (word-major, one cache line) hold each
-//! arc's count in binary; adding a round's delivery bits is a
-//! ripple-carry costing ~2 word ops amortized instead of up to 64 `u32`
-//! increments. Planes are flushed into the `u32` per-arc totals every 63
-//! rounds (and once at the end), keeping overflow impossible; the
-//! reference interpreter's plain `u64` counters pin the totals across
-//! flush boundaries.
-//!
-//! The round loop performs **zero heap allocation** after setup (enforced
-//! by `tests/zero_alloc.rs`; enabling `collect_trace` appends one `u64`
-//! per round and may reallocate that vector).
-//!
-//! ## Determinism
-//!
-//! Node stepping writes only slots owned by the stepped node; shards write
-//! only their own mask/occupancy/meter regions; reductions are fixed-shape
-//! trees of integer folds. Any pool width and any shard count — including
-//! serial mode — produce bit-identical results
-//! (`tests/proptest_engine.rs` proves it property-wise).
+//! The round loop itself lives in [`crate::session`], and so do its
+//! invariants — data layout, the shard-owned step and deliver phases,
+//! the skip / sparse / full deliver choice, the broadcast plane, the
+//! congestion meter, determinism. A [`crate::Session`] owns all engine
+//! state for a whole multi-phase algorithm; `run_protocol` builds a fresh
+//! one per call.
 
 use crate::protocol::Protocol;
 use crate::session::Session;
@@ -72,6 +19,8 @@ pub struct EngineConfig {
     /// Seed from which all per-node RNGs derive.
     pub seed: u64,
     /// Hard stop: error out if the protocol has not terminated by then.
+    /// At most `u32::MAX` — a per-arc congestion counter holds one count
+    /// per round — and a phase asked for more panics before it starts.
     pub max_rounds: u64,
     /// Step nodes in parallel on the `congest_par` pool (results are
     /// identical either way; serial mode exists for debugging and for
@@ -329,9 +278,9 @@ mod tests {
     }
 
     #[test]
-    fn plane_meters_match_reference_counters_across_flush_boundaries() {
+    fn arc_counters_match_reference_counters_over_a_long_run() {
         use crate::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
-        /// Chatter that spans several flush periods (> 63 rounds).
+        /// 150 rounds of chatter, two thirds of the nodes speaking in each.
         struct LongPulse;
         impl LongPulse {
             fn speaks(node: Node, round: u64) -> bool {
@@ -366,14 +315,15 @@ mod tests {
             }
             fn finish(self) {}
         }
-        // The bit planes flush into the `u32` totals every 63 rounds; the
-        // reference interpreter bumps one plain `u64` per delivery.
+        // The engine meters per arc (`u32`) and per broadcasting node and
+        // folds both into edges at phase exit; the reference interpreter
+        // bumps one plain `u64` per edge per delivery.
         let g = harary(6, 64);
-        let planes = run_protocol(&g, |_, _| LongPulse, EngineConfig::serial()).unwrap();
-        let counters = run_baseline::<LongPulse, _>(&g, |_, _| LongPulse, 1_000, None);
-        assert_eq!(planes.edge_congestion, counters.edge_congestion);
-        assert_eq!(planes.stats, counters.stats);
-        assert!(planes.stats.max_edge_congestion > 63, "spans a flush");
+        let engine = run_protocol(&g, |_, _| LongPulse, EngineConfig::serial()).unwrap();
+        let reference = run_baseline::<LongPulse, _>(&g, |_, _| LongPulse, 1_000, None);
+        assert_eq!(engine.edge_congestion, reference.edge_congestion);
+        assert_eq!(engine.stats, reference.stats);
+        assert!(engine.stats.max_edge_congestion > 63);
     }
 
     #[test]
@@ -392,6 +342,13 @@ mod tests {
         let err =
             run_protocol(&g, |_, _| Chatter, EngineConfig::default().max_rounds(10)).unwrap_err();
         assert_eq!(err, EngineError::RoundLimitExceeded { limit: 10 });
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit the u32 per-arc congestion counters")]
+    fn a_round_budget_past_the_counters_is_refused_up_front() {
+        let config = EngineConfig::serial().max_rounds(u32::MAX as u64 + 1);
+        let _ = run_protocol(&cycle(4), |_, _| Flood { heard_at: None }, config);
     }
 
     #[test]

@@ -9,7 +9,8 @@
 //! * **rounds** — the quantity every theorem in the paper is about;
 //! * **per-edge congestion** — the maximum number of messages that crossed
 //!   any single edge (Lemma 1's O(k) congestion, Theorem 10's O(log n)
-//!   tree-packing congestion);
+//!   tree-packing congestion): one plain counter per arc, bumped where the
+//!   delivery is counted and folded into edges when the phase ends;
 //! * **message size in bits** — so the O(log n)-bit discipline is checked,
 //!   not assumed (see [`message::MsgBits`]).
 //!
@@ -29,7 +30,7 @@
 //! literal). The slabs are flat word vectors with a word-packed occupancy
 //! bitset; sends scatter through the precomputed reverse-arc permutation
 //! straight into the receiver's slot, so delivery is a buffer *swap* and
-//! the round loop allocates nothing (see [`engine`]). Rounds whose staged
+//! the round loop allocates nothing (see [`session`]). Rounds whose staged
 //! traffic is sparse take a worklist fast path — deliver cost is
 //! O(traffic), not O(arcs) (see [`engine::EngineConfig::sparse_threshold`]).
 //! The pre-packing `Vec<Option<Msg>>` engine survives in [`baseline`] as

@@ -239,7 +239,9 @@ impl SessionPool {
             None => {
                 let entry = PoolEntry {
                     graph,
-                    warm: Vec::with_capacity(self.warm_limit),
+                    // Sized by the first state parked here: a registration's
+                    // allocations do not depend on `SessionState`'s size.
+                    warm: Vec::new(),
                     last_used: self.clock,
                 };
                 let i = match self.free.pop() {

@@ -4,8 +4,8 @@
 //! chains leader election → BFS → numbering → partition → per-class BFS →
 //! pipelined routing). Executing each phase through a fresh
 //! [`crate::run_protocol`] call re-allocates and re-zeroes the full arc
-//! slabs, occupancy bitsets, broadcast planes, meter planes, and shard
-//! worklists — hundreds of MB of setup churn per phase at `n = 10^6`,
+//! slabs, occupancy bitsets, broadcast planes, congestion counters, and
+//! shard worklists — hundreds of MB of setup churn per phase at `n = 10^6`,
 //! paid again for every phase and for every iteration of
 //! `exp_search`'s doubling loop.
 //!
@@ -42,11 +42,87 @@
 //! message word than any before it, a phase whose shard count differs
 //! from the cached [`congest_graph::ShardPlan`], a phase whose
 //! node-cell/output/trace footprint exceeds the session's high-water
-//! mark, and the session's first phase (meter planes) / first unfaulted
-//! phase (broadcast-plane bookkeeping).
+//! mark, and the session's first unfaulted phase (broadcast-plane
+//! bookkeeping).
 //!
 //! [`crate::run_protocol`] is a thin one-phase wrapper: it builds a
 //! session, runs the protocol, and returns an owned outcome.
+//!
+//! # The round loop
+//!
+//! [`Session::run`]'s loop (`run_phase` below); [`crate::wide`] documents
+//! what its own does differently.
+//!
+//! Messages live in **dense arc-indexed slabs** of packed words
+//! ([`crate::message::PackedMsg`]): arc `i` is position `i` in the graph's
+//! flattened adjacency, so node `v`'s ports occupy
+//! `arc_offset(v)..arc_offset(v)+deg(v)`. Presence is a word-packed
+//! occupancy bitset on the inbox side and a byte-mask (one byte per arc,
+//! one writer each) on the staging side, not per-slot `Option`s. The loop
+//! runs on a [`congest_graph::ShardPlan`] — contiguous node shards
+//! balanced by arc count, each owning a disjoint range of occupancy words
+//! (64 arcs each) — and a round is three phases, the first and last a
+//! parallel-for over shards on the `congest-par` pool:
+//!
+//! * **Step** — shard `s` steps its own nodes; a send is scattered
+//!   straight into the *destination* arc slot of the staging slab through
+//!   the `reverse_arc` permutation (a bijection: one writer per slot). The
+//!   shard folds its nodes' `done` flags, counts what it staged, and lists
+//!   the staged arcs in its worklist region (capped at `min(threshold,
+//!   out_arc_bound(s))`; past the cap only the count goes on).
+//! * **Adversary** — under a [`FaultPlan`], what was staged on the round's
+//!   blocked edges is cleared from the mask and counted as dropped.
+//! * **Deliver** — the staging slab *becomes* the inbox slab (a swap), and
+//!   what was staged is folded into the occupancy bitset, counted and
+//!   metered by one of three paths, chosen from the staged counts alone
+//!   (the same at every pool width and shard count) and bit-identical in
+//!   what they leave. **Skip**: nothing went through the arc mask, so only
+//!   the previous round's occupancy residue is zeroed. **Sparse**: the
+//!   staged total is within [`EngineConfig::sparse_threshold`] and no
+//!   worklist overflowed. Stage A, the fault prefilter, runs per active
+//!   shard (`congest_par::run_list`): it clears each listed mask byte
+//!   still set and keeps those entries — what the adversary cleared drops
+//!   out. Stage B merges the survivors serially: set the occupancy bit,
+//!   bump the arc's counter, and note each word that went nonzero in
+//!   `set_words`, the breadcrumb by which the next round zeroes
+//!   O(traffic) words, not the bitset. **Full**: each shard sweeps its
+//!   word range — 64 mask bytes pack into one occupancy word, the mask is
+//!   re-zeroed, the set bits counted and their arcs' counters bumped.
+//!
+//! Each shard writes one private `ShardMeter`; the round's totals
+//! (delivered, all done, someone broadcast) are a serial fold over them —
+//! a sum, an and, an or, so the order cannot reach a result.
+//!
+//! **The broadcast plane.** Through it a `send_all` stores one word in
+//! the sender's slot of a per-node slab plus one stage byte, and receivers
+//! resolve it through their neighbour lists — a win when most arcs carry
+//! a message, a wasted neighbour scan when few do. So `send_all` takes
+//! the plane in a round iff there is one (no fault plan: the adversary
+//! needs per-arc staging to drop from) and the *previous* round delivered
+//! on at least a quarter of the arcs (round 0 is optimistic); otherwise it
+//! scatters like `deg(v)` sends, and the receiver reads the same inbox
+//! either way. Deliver **folds** the plane only in rounds where a shard
+//! staged through it: 64 stage bytes pack into one presence word, and each
+//! set bit adds the sender's degree to the delivered count and one to the
+//! sender's counter. Receivers are handed the plane only in the round
+//! after a fold found a sender, so sparse rounds probe nothing.
+//!
+//! **The congestion meter.** Per-edge congestion is what Lemma 1 and
+//! Theorem 1 bound, so every delivery is metered, by a plain `u32` bumped
+//! where the delivery is counted anyway: `arc_traffic[arc]` in the sparse
+//! merge and the full sweep, `node_traffic[v]` in the broadcast fold (one
+//! bump per delivery on each of `v`'s out-arcs). A counter is at most the
+//! phase's rounds, which `begin_phase` holds to `u32::MAX`. Phase exit
+//! (`drain_traffic_column`) folds the counters into the per-edge row
+//! behind [`PhaseOutcome::edge_congestion`] and leaves them zero; the
+//! reference interpreter's `u64` per-edge counters pin the totals.
+//!
+//! **Allocation and determinism.** The loop allocates nothing after setup
+//! (`tests/zero_alloc.rs`; `collect_trace` appends one `u64` per round).
+//! A node's step writes only its own slots, a shard only its own
+//! mask/occupancy/counter/meter regions, and the reductions are order-free
+//! integer folds: every pool width and shard count, serial included, is
+//! bit-identical (`tests/proptest_engine.rs`).
 
 use crate::engine::{EngineConfig, EngineError, RunOutcome, RunStats};
 use crate::fault::{EdgeMarks, FaultPlan};
@@ -67,6 +143,11 @@ pub(crate) const PARALLEL_MIN_NODES: usize = 256;
 
 /// Cap on auto-derived shard counts (explicit configs may exceed it).
 const MAX_AUTO_SHARDS: usize = 64;
+
+/// What a snapshot may claim an arena holds per (node, lane) cell, in
+/// 16-byte units: 1 KiB inline (what a protocol state grows, it grows on
+/// the heap). A ceiling for refusing crafted frames, not a limit on runs.
+const ARENA_CELL_UNITS: u64 = 64;
 
 /// The adversary phase's walk, the same in both round kernels: draw the
 /// edges `plan` blocks in `round` and hand `hit` the staging slot of each
@@ -93,6 +174,37 @@ pub(crate) fn for_each_blocked_arc(
             hit(graph.arc_offset(to) + port as usize);
         }
     }
+}
+
+/// The phase-exit fold, the same in both round kernels: drain one column
+/// of the per-arc delivery counters (`traffic[arc * stride + col]`; the
+/// sequential kernel has one, stride 1) into `edge_row`, both directions
+/// of an edge summed, and return the row's maximum. `node_traffic[u]` —
+/// empty where there is no broadcast plane — is what `u` sent through it,
+/// one delivery on every arc out of `u`. Every counter read is left zero:
+/// the "zeroed by breadcrumb" exit contract, so the next phase pays nothing.
+pub(crate) fn drain_traffic_column(
+    graph: &Graph,
+    traffic: &mut [u32],
+    stride: usize,
+    col: usize,
+    node_traffic: &mut [u32],
+    edge_row: &mut [u64],
+) -> u64 {
+    edge_row.fill(0);
+    for v in 0..graph.n() as Node {
+        let lo = graph.arc_offset(v);
+        let neighbors = graph.neighbors(v);
+        for (i, &e) in graph.incident_edges(v).iter().enumerate() {
+            let mut t = std::mem::take(&mut traffic[(lo + i) * stride + col]) as u64;
+            if !node_traffic.is_empty() {
+                t += node_traffic[neighbors[i] as usize] as u64;
+            }
+            edge_row[e as usize] += t;
+        }
+    }
+    node_traffic.fill(0);
+    edge_row.iter().copied().max().unwrap_or(0)
 }
 
 /// Per-node hot state, kept together so one cache line serves one node's
@@ -374,14 +486,13 @@ pub(crate) struct SessionState {
     in_occ: Vec<u64>,
     /// Staging byte-mask (one byte per arc).
     out_mask: Vec<u8>,
-    /// Per-arc congestion totals.
+    /// The congestion meter: deliveries per arc this phase, drained into
+    /// `per_edge` at phase exit.
     arc_traffic: Vec<u32>,
-    /// Bit-sliced per-arc counters (word-major; see [`crate::engine`]).
-    planes: Vec<u64>,
-    /// Broadcast-plane staging bytes / presence bits / meters (per node).
+    /// Broadcast-plane staging bytes / presence bits / per-node send
+    /// counts (the plane's share of the meter).
     bcast_stage: Vec<u8>,
     bcast_occ: Vec<u64>,
-    node_planes: Vec<u64>,
     node_traffic: Vec<u32>,
     /// Fault-adversary scratch (drawn edge ids + dedup mark-bitset).
     pub(crate) blocked: Vec<Edge>,
@@ -437,13 +548,10 @@ impl SessionState {
             in_occ: vec![0; occ_words],
             out_mask: vec![0; arcs],
             arc_traffic: vec![0; arcs],
-            // Meter planes and broadcast-plane bookkeeping are sized
-            // lazily by the first phase that needs them (any phase / an
-            // unfaulted phase respectively).
-            planes: Vec::new(),
+            // Broadcast-plane bookkeeping is sized lazily by the first
+            // unfaulted phase.
             bcast_stage: Vec::new(),
             bcast_occ: Vec::new(),
-            node_planes: Vec::new(),
             node_traffic: Vec::new(),
             blocked: Vec::new(),
             fault_marks: EdgeMarks::default(),
@@ -477,9 +585,6 @@ impl SessionState {
         self.out_mask.resize(arcs, 0);
         self.arc_traffic.resize(arcs, 0);
         self.per_edge.resize(graph.m(), 0);
-        if !self.planes.is_empty() {
-            self.planes.resize(occ_words * slab::PLANES, 0);
-        }
         if let Some((_, plan)) = &mut self.plan {
             plan.rebalance(graph);
         }
@@ -498,9 +603,7 @@ impl SessionState {
         self.in_occ.fill(0);
         self.out_mask.fill(0);
         self.arc_traffic.fill(0);
-        self.planes.fill(0);
         self.bcast_stage.fill(0);
-        self.node_planes.fill(0);
         self.node_traffic.fill(0);
         self.wide.scrub();
         // `bcast_occ` needs no scrub: readers are gated on a per-phase
@@ -535,9 +638,9 @@ impl SessionState {
         h = fold(h, 1, self.in_occ.iter().copied());
         h = fold(h, 2, self.out_mask.iter().map(|&b| b as u64));
         h = fold(h, 3, self.arc_traffic.iter().map(|&w| w as u64));
-        h = fold(h, 4, self.planes.iter().copied());
+        // Tags 4 and 6 are retired; the rest keep theirs, and with them
+        // every hash recorded so far.
         h = fold(h, 5, self.bcast_stage.iter().map(|&b| b as u64));
-        h = fold(h, 6, self.node_planes.iter().copied());
         h = fold(h, 7, self.node_traffic.iter().map(|&w| w as u64));
         h = fold(h, 8, self.per_edge.iter().copied());
         h = fold(h, 9, self.trace_buf.iter().copied());
@@ -576,10 +679,8 @@ impl SessionState {
             + self.in_occ.capacity() * 8
             + self.out_mask.capacity()
             + self.arc_traffic.capacity() * 4
-            + self.planes.capacity() * 8
             + self.bcast_stage.capacity()
             + self.bcast_occ.capacity() * 8
-            + self.node_planes.capacity() * 8
             + self.node_traffic.capacity() * 4
             + self.per_edge.capacity() * 8
             + self.trace_buf.capacity() * 8
@@ -608,10 +709,8 @@ impl SessionState {
         crate::snapshot::put_u64s(out, &self.in_occ);
         crate::snapshot::put_u8s(out, &self.out_mask);
         crate::snapshot::put_u32s(out, &self.arc_traffic);
-        crate::snapshot::put_u64s(out, &self.planes);
         crate::snapshot::put_u8s(out, &self.bcast_stage);
         crate::snapshot::put_u64s(out, &self.bcast_occ);
-        crate::snapshot::put_u64s(out, &self.node_planes);
         crate::snapshot::put_u32s(out, &self.node_traffic);
         crate::snapshot::put_u64s(out, &self.per_edge);
         crate::snapshot::put_u64s(out, &self.trace_buf);
@@ -643,18 +742,10 @@ impl SessionState {
         expect(out_mask.len(), &[arcs], "out_mask")?;
         let arc_traffic = r.u32s()?;
         expect(arc_traffic.len(), &[arcs], "arc_traffic")?;
-        let planes = r.u64s()?;
-        expect(planes.len(), &[0, occ_words * slab::PLANES], "planes")?;
         let bcast_stage = r.u8s()?;
         expect(bcast_stage.len(), &[0, n], "bcast_stage")?;
         let bcast_occ = r.u64s()?;
         expect(bcast_occ.len(), &[0, node_words], "bcast_occ")?;
-        let node_planes = r.u64s()?;
-        expect(
-            node_planes.len(),
-            &[0, node_words * slab::PLANES],
-            "node_planes",
-        )?;
         let node_traffic = r.u32s()?;
         expect(node_traffic.len(), &[0, n], "node_traffic")?;
         let per_edge = r.u64s()?;
@@ -671,10 +762,8 @@ impl SessionState {
             in_occ,
             out_mask,
             arc_traffic,
-            planes,
             bcast_stage,
             bcast_occ,
-            node_planes,
             node_traffic,
             per_edge,
             trace_buf,
@@ -683,7 +772,8 @@ impl SessionState {
     }
 
     /// The engine tail of a restore, the same for a plain and a churn
-    /// frame: decode the payload against `graph`, stamp the clean flag,
+    /// frame: hold the header's capacities and plan key to what `graph`
+    /// allows, decode the payload against `graph`, stamp the clean flag,
     /// recompute the shard plan from its recorded key, replay the
     /// capacity high-water marks, then re-hash and refuse on mismatch.
     pub(crate) fn restore_payload(
@@ -691,6 +781,22 @@ impl SessionState {
         header: &crate::snapshot::SnapshotHeader,
         r: &mut crate::snapshot::Reader<'_>,
     ) -> Result<SessionState, crate::snapshot::SnapshotError> {
+        use crate::snapshot::SnapshotError;
+        // The checksum is a fold anyone can recompute, so nothing is
+        // allocated on the header's word alone. A slab holds at most one
+        // 16-byte word per arc (per node, the broadcast pair) per lane, an
+        // arena one cell per (node, lane).
+        let slots = graph.num_arcs().max(graph.n()).max(1) as u64;
+        let slab = slots.saturating_mul(16 * crate::wide::MAX_LANES as u64);
+        let arena = slab.saturating_mul(ARENA_CELL_UNITS);
+        let [slabs @ .., cells, outs] = header.capacities;
+        if slabs.iter().any(|&c| c > slab) || cells.max(outs) > arena {
+            return Err(SnapshotError::SizeMismatch("capacities"));
+        }
+        // `begin_phase` clamps every shard count it caches to 1..=n.
+        if header.plan_key > graph.n().max(1) as u64 {
+            return Err(SnapshotError::SizeMismatch("plan_key"));
+        }
         let mut state = SessionState::decode_payload(graph, r)?;
         state.clean = header.clean;
         if header.plan_key != 0 {
@@ -700,7 +806,7 @@ impl SessionState {
         state.grow_capacities(header.capacities);
         let rehash = state.state_hash();
         if rehash != header.state_hash {
-            return Err(crate::snapshot::SnapshotError::StateHashMismatch {
+            return Err(SnapshotError::StateHashMismatch {
                 expected: header.state_hash,
                 found: rehash,
             });
@@ -717,6 +823,11 @@ impl SessionState {
     /// the phase shards its rounds over the pool.
     pub(crate) fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> bool {
         debug_assert!(self.fits(graph), "state sized for a different graph");
+        assert!(
+            config.max_rounds <= u32::MAX as u64,
+            "max_rounds {} does not fit the u32 per-arc congestion counters",
+            config.max_rounds
+        );
         if !self.clean {
             self.scrub();
         }
@@ -763,21 +874,12 @@ impl SessionState {
         let node_words = n.div_ceil(64);
         let bcast_enabled = config.faults.is_none();
 
-        // --- Lazily size the meter planes and broadcast-plane
-        // bookkeeping on first use (a faulted phase never pays for the
-        // latter). Growth happens at most once per buffer per session.
-        if self.planes.len() < occ_words * slab::PLANES {
-            self.planes.resize(occ_words * slab::PLANES, 0);
-        }
-        if bcast_enabled {
-            if self.bcast_stage.len() < n {
-                self.bcast_stage.resize(n, 0);
-                self.bcast_occ.resize(node_words, 0);
-                self.node_traffic.resize(n, 0);
-            }
-            if self.node_planes.len() < node_words * slab::PLANES {
-                self.node_planes.resize(node_words * slab::PLANES, 0);
-            }
+        // --- Lazily size the broadcast-plane bookkeeping on first use (a
+        // faulted phase never pays for it), once per session.
+        if bcast_enabled && self.bcast_stage.len() < n {
+            self.bcast_stage.resize(n, 0);
+            self.bcast_occ.resize(node_words, 0);
+            self.node_traffic.resize(n, 0);
         }
 
         if let Some(fp) = &config.faults {
@@ -799,10 +901,8 @@ impl SessionState {
             in_occ,
             out_mask,
             arc_traffic,
-            planes,
             bcast_stage,
             bcast_occ,
-            node_planes,
             node_traffic,
             blocked,
             fault_marks,
@@ -853,10 +953,8 @@ impl SessionState {
         let in_occ: &mut [u64] = in_occ;
         let out_mask: &mut [u8] = out_mask;
         let arc_traffic: &mut [u32] = arc_traffic;
-        let planes: &mut [u64] = planes;
         let bcast_stage: &mut [u8] = &mut bcast_stage[..bcast_len];
         let bcast_occ: &mut [u64] = &mut bcast_occ[..if bcast_enabled { node_words } else { 0 }];
-        let node_planes: &mut [u64] = if bcast_enabled { node_planes } else { &mut [] };
         let node_traffic: &mut [u32] = &mut node_traffic[..bcast_len];
         let meters: &mut [ShardMeter] = meters;
         let wl_live: &mut [u32] = wl_live;
@@ -876,13 +974,12 @@ impl SessionState {
 
         let mut bcast_any = false;
         // Adaptive plane choice: `send_all` goes through the broadcast
-        // plane only in rounds following *dense* traffic (see the engine
-        // module docs); round 0 starts optimistic.
+        // plane only in rounds following *dense* traffic (see the module
+        // docs); round 0 starts optimistic.
         let mut last_delivered: u64 = arcs as u64;
 
         let mut stats = RunStats::default();
         let mut round: u64 = 0;
-        let mut rounds_since_flush: u64 = 0;
         // What zeroing the inbox occupancy bitset needs before new bits
         // land. The previous phase's exit leaves the bitset all-zero.
         let mut occ_state = OccState::Clean;
@@ -991,12 +1088,11 @@ impl SessionState {
                     }
                 });
             }
-            // --- Deliver phase: identical three-path structure to the
-            // engine (skip / sparse worklist / full sweep); see
-            // `crate::engine` for the invariants.
+            // --- Deliver phase: skip / sparse worklist / full sweep, chosen
+            // from the staged counts alone; see the module docs for the
+            // invariants.
             std::mem::swap(&mut in_words, &mut out_words);
             std::mem::swap(&mut bcast_in_words, &mut bcast_out_words);
-            let flush_now = rounds_since_flush + 1 == slab::FLUSH_PERIOD;
             let staged_total: u64 = meters.iter().map(|m| m.staged as u64).sum();
             let fold_bcast = use_plane && meters.iter().any(|m| m.bcast_used);
             let wl_overflow = meters
@@ -1033,7 +1129,7 @@ impl SessionState {
             }
             if sparse_round {
                 // Stage A — fault prefilter over the active-shard
-                // worklists (see `crate::engine`).
+                // worklists (see the module docs).
                 active_shards.clear();
                 for (s, m) in meters.iter().enumerate() {
                     if m.staged > 0 {
@@ -1086,24 +1182,19 @@ impl SessionState {
                         }
                         in_occ[w] |= bit;
                         sparse_delivered += 1;
-                        slab::planes_add(
-                            &mut planes[w * slab::PLANES..(w + 1) * slab::PLANES],
-                            bit,
-                        );
+                        arc_traffic[dest] += 1;
                     }
                 }
                 if !set_words.is_empty() {
                     occ_state = OccState::Tracked;
                 }
             }
-            if run_full_sweep || fold_bcast || flush_now {
+            if run_full_sweep || fold_bcast {
                 let racy_mask = RacyCells::new(&mut *out_mask);
                 let racy_occ = RacyCells::new(&mut *in_occ);
                 let racy_traffic = RacyCells::new(&mut *arc_traffic);
-                let racy_planes = RacyCells::new(&mut *planes);
                 let racy_bcast_stage = RacyCells::new(&mut *bcast_stage);
                 let racy_bcast_occ = RacyCells::new(&mut *bcast_occ);
-                let racy_node_planes = RacyCells::new(&mut *node_planes);
                 let racy_node_traffic = RacyCells::new(&mut *node_traffic);
                 let racy_meters = RacyCells::new(&mut *meters);
                 let deliver_shard = |s: usize| {
@@ -1113,18 +1204,16 @@ impl SessionState {
                     let (a_lo, a_hi) = (arcs_range.start, arcs_range.end);
                     // Sound: the plan's word/arc/meter regions are
                     // disjoint across shards by construction.
-                    let (mask_s, occ_s, meter) = unsafe {
+                    let (mask_s, occ_s, traffic_s, meter) = unsafe {
                         (
                             racy_mask.slice_mut(a_lo, a_hi),
                             racy_occ.slice_mut(w_lo, w_hi),
+                            racy_traffic.slice_mut(a_lo, a_hi),
                             &mut racy_meters.slice_mut(s, s + 1)[0],
                         )
                     };
                     let mut delivered = 0u64;
                     if run_full_sweep {
-                        let planes_s = unsafe {
-                            racy_planes.slice_mut(w_lo * slab::PLANES, w_hi * slab::PLANES)
-                        };
                         for (i, occ_word) in occ_s.iter_mut().enumerate() {
                             let lo = w_lo * 64 + i * 64;
                             let hi = (lo + 64).min(a_hi);
@@ -1134,31 +1223,16 @@ impl SessionState {
                             if bits != 0 {
                                 mask.fill(0);
                                 delivered += bits.count_ones() as u64;
-                                slab::planes_add(
-                                    &mut planes_s[i * slab::PLANES..(i + 1) * slab::PLANES],
-                                    bits,
-                                );
+                                let traffic = &mut traffic_s[lo - a_lo..hi - a_lo];
+                                let mut b = bits;
+                                while b != 0 {
+                                    traffic[b.trailing_zeros() as usize] += 1;
+                                    b &= b - 1;
+                                }
                             }
                         }
                     }
-                    // Flush cadence is independent of this round's
-                    // traffic: the planes may hold counts from earlier
-                    // rounds.
-                    if flush_now {
-                        let planes_s = unsafe {
-                            racy_planes.slice_mut(w_lo * slab::PLANES, w_hi * slab::PLANES)
-                        };
-                        let traffic_s = unsafe { racy_traffic.slice_mut(a_lo, a_hi) };
-                        for (i, w) in (w_lo..w_hi).enumerate() {
-                            let lo = w * 64;
-                            let hi = (lo + 64).min(a_hi);
-                            slab::planes_flush(
-                                &mut planes_s[i * slab::PLANES..(i + 1) * slab::PLANES],
-                                &mut traffic_s[lo - a_lo..hi - a_lo],
-                            );
-                        }
-                    }
-                    // --- Broadcast fold (see `crate::engine`).
+                    // --- Broadcast fold (see the module docs).
                     let mut shard_bcast = false;
                     if fold_bcast {
                         let nw = plan.node_words(s);
@@ -1166,10 +1240,11 @@ impl SessionState {
                         let (b_lo, b_hi) = (nodes_cov.start, nodes_cov.end);
                         // Sound: node-word regions are disjoint across
                         // shards.
-                        let (stage_s, bocc_s) = unsafe {
+                        let (stage_s, bocc_s, sent_s) = unsafe {
                             (
                                 racy_bcast_stage.slice_mut(b_lo, b_hi),
                                 racy_bcast_occ.slice_mut(nw.start, nw.end),
+                                racy_node_traffic.slice_mut(b_lo, b_hi),
                             )
                         };
                         for (i, occ_word) in bocc_s.iter_mut().enumerate() {
@@ -1186,33 +1261,9 @@ impl SessionState {
                                     let v = lo + b.trailing_zeros() as usize;
                                     b &= b - 1;
                                     delivered += graph.degree(v as Node) as u64;
+                                    sent_s[v - b_lo] += 1;
                                 }
-                                let planes_w = unsafe {
-                                    racy_node_planes.slice_mut(
-                                        (nw.start + i) * slab::PLANES,
-                                        (nw.start + i + 1) * slab::PLANES,
-                                    )
-                                };
-                                slab::planes_add(planes_w, bits);
                             }
-                        }
-                    }
-                    // Node-plane flush runs on the arc-plane cadence
-                    // whether or not this round folded the plane.
-                    if bcast_enabled && flush_now {
-                        let nw = plan.node_words(s);
-                        let b_hi = plan.node_word_nodes(s).end;
-                        for w in nw {
-                            let lo = w * 64;
-                            let hi = (lo + 64).min(b_hi);
-                            let (planes_w, traffic) = unsafe {
-                                (
-                                    racy_node_planes
-                                        .slice_mut(w * slab::PLANES, (w + 1) * slab::PLANES),
-                                    racy_node_traffic.slice_mut(lo, hi),
-                                )
-                            };
-                            slab::planes_flush(planes_w, traffic);
                         }
                     }
                     meter.delivered = delivered;
@@ -1226,7 +1277,6 @@ impl SessionState {
                     }
                 }
             }
-            rounds_since_flush = if flush_now { 0 } else { rounds_since_flush + 1 };
             if run_full_sweep {
                 occ_state = OccState::Unknown;
             }
@@ -1257,48 +1307,8 @@ impl SessionState {
             .max()
             .unwrap_or(0);
 
-        // Final plane flush so `arc_traffic`/`node_traffic` hold exact
-        // totals (and the planes return to all-zero for the next phase).
-        if rounds_since_flush > 0 {
-            for w in 0..occ_words {
-                let lo = w * 64;
-                let hi = (lo + 64).min(arcs);
-                slab::planes_flush(
-                    &mut planes[w * slab::PLANES..(w + 1) * slab::PLANES],
-                    &mut arc_traffic[lo..hi],
-                );
-            }
-            if bcast_enabled {
-                for w in 0..node_words {
-                    let lo = w * 64;
-                    let hi = (lo + 64).min(n);
-                    slab::planes_flush(
-                        &mut node_planes[w * slab::PLANES..(w + 1) * slab::PLANES],
-                        &mut node_traffic[lo..hi],
-                    );
-                }
-            }
-        }
-
-        // Fold per-arc traffic into per-edge congestion, draining the
-        // arc counters back to zero as they are read (the "zeroed by
-        // breadcrumb" phase-exit contract — the next phase pays nothing).
-        per_edge.fill(0);
-        for v in 0..n as Node {
-            let lo = graph.arc_offset(v);
-            let neighbors = graph.neighbors(v);
-            for (i, &e) in graph.incident_edges(v).iter().enumerate() {
-                let mut t = std::mem::take(&mut arc_traffic[lo + i]) as u64;
-                if bcast_enabled {
-                    t += node_traffic[neighbors[i] as usize] as u64;
-                }
-                per_edge[e as usize] += t;
-            }
-        }
-        // Node counters are read once per incident arc above, so they
-        // drain in one O(n) pass afterwards.
-        node_traffic.fill(0);
-        stats.max_edge_congestion = per_edge.iter().copied().max().unwrap_or(0);
+        stats.max_edge_congestion =
+            drain_traffic_column(graph, arc_traffic, 1, 0, node_traffic, per_edge);
 
         // Consume the cells into arena-resident outputs.
         // SAFETY: the output arena sized the region for `n` outputs, the
@@ -1416,7 +1426,7 @@ impl<'g> Session<'g> {
         if header.has_graph {
             // A plain-session frame may still embed the topology (it is
             // redundant here); skip over it after checking it matches.
-            crate::snapshot::read_graph(&mut r, header.fingerprint)?;
+            crate::snapshot::read_graph(&mut r, &header)?;
         }
         let state = SessionState::restore_payload(graph, &header, &mut r)?;
         Ok(Session::from_state(graph, state))

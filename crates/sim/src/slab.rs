@@ -62,53 +62,6 @@ pub(crate) fn pack_bytes(bytes: &[u8]) -> u64 {
     word
 }
 
-/// Number of bit planes in the bit-sliced congestion accumulator: between
-/// flushes each arc's delivery count fits `PLANES` bits.
-pub(crate) const PLANES: usize = 6;
-
-/// Deliveries accumulated per arc between flushes. `FLUSH_PERIOD` adds of
-/// one bit each saturate exactly the `PLANES`-bit counter, so flushing
-/// every `FLUSH_PERIOD` rounds makes ripple-carry overflow impossible.
-pub(crate) const FLUSH_PERIOD: u64 = (1 << PLANES) - 1;
-
-/// Add one round's delivery bits for one occupancy word into its
-/// **bit-sliced counters**: `word_planes` holds the `PLANES` plane words
-/// of this occupancy word (word-major layout, one cache line), where bit
-/// `i` of plane `p` contributes `2^p` to arc `i`'s count. A ripple-carry
-/// add costs ~2 word ops amortized — versus 64 `u32` increments for the
-/// same 64 arcs in the naive layout.
-#[inline]
-pub(crate) fn planes_add(word_planes: &mut [u64], bits: u64) {
-    debug_assert_eq!(word_planes.len(), PLANES);
-    let mut carry = bits;
-    for slot in word_planes.iter_mut() {
-        let x = *slot;
-        *slot = x ^ carry;
-        carry &= x;
-        if carry == 0 {
-            return;
-        }
-    }
-    debug_assert_eq!(carry, 0, "bit-plane counter overflow: flush was missed");
-}
-
-/// Flush one word's bit-sliced counts into per-arc `u32` totals and zero
-/// the planes. `traffic` is the (≤ 64-arc) slice covered by this word.
-/// Returns the largest per-arc total seen in the flushed range.
-pub(crate) fn planes_flush(word_planes: &mut [u64], traffic: &mut [u32]) -> u32 {
-    debug_assert_eq!(word_planes.len(), PLANES);
-    for (p, slot) in word_planes.iter_mut().enumerate() {
-        let mut word = *slot;
-        *slot = 0;
-        while word != 0 {
-            let i = word.trailing_zeros() as usize;
-            word &= word - 1;
-            traffic[i] = traffic[i].saturating_add(1 << p);
-        }
-    }
-    traffic.iter().copied().max().unwrap_or(0)
-}
-
 /// Software parallel-bit-extract: gather the bits of `word` selected by
 /// `mask` into the low bits of the result, preserving order (the `pext`
 /// instruction, one `while` loop per *set mask bit* in software). The wide
@@ -182,36 +135,6 @@ mod tests {
             let mut b = [0u8; 64];
             b[j] = 1;
             assert_eq!(pack_bytes(&b), 1u64 << j, "byte {j}");
-        }
-    }
-
-    #[test]
-    fn bit_planes_count_like_u32_counters() {
-        // Random-ish delivery patterns over FLUSH_PERIOD rounds must flush
-        // to exactly the per-arc counts a naive counter array accumulates.
-        let mut planes = vec![0u64; PLANES];
-        let mut traffic = vec![0u32; 64];
-        let mut expect = vec![0u32; 64];
-        let mut state = 0x1234_5678_9ABC_DEF0u64;
-        for _ in 0..FLUSH_PERIOD {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let bits = state;
-            planes_add(&mut planes, bits);
-            for (i, e) in expect.iter_mut().enumerate() {
-                *e += (bits >> i & 1) as u32;
-            }
-        }
-        let max = planes_flush(&mut planes, &mut traffic);
-        assert_eq!(traffic, expect);
-        assert_eq!(max, *expect.iter().max().unwrap());
-        assert!(planes.iter().all(|&p| p == 0), "flush zeroes the planes");
-        // A second accumulate-flush cycle adds on top.
-        planes_add(&mut planes, u64::MAX);
-        planes_flush(&mut planes, &mut traffic);
-        for (t, e) in traffic.iter().zip(&expect) {
-            assert_eq!(*t, e + 1);
         }
     }
 

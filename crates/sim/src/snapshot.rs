@@ -12,8 +12,9 @@
 //! A snapshot is a single flat byte frame, version-stamped and
 //! checksummed. Because the engine's live state is already flat words —
 //! packed `u64`/`u128` message slabs, word-packed occupancy bitsets,
-//! plane counters, per-edge congestion — encoding is a near-memcpy walk
-//! over those vectors. Layout (all integers little-endian):
+//! `u32` congestion counters, per-edge congestion — encoding is a
+//! near-memcpy walk over those vectors. Layout (all integers
+//! little-endian):
 //!
 //! ```text
 //! offset  field
@@ -33,9 +34,12 @@
 //! ```
 //!
 //! The engine payload serializes exactly the buffers that carry state
-//! *across* a phase boundary: inbox occupancy, staging mask, traffic
-//! counters, meter planes, broadcast bookkeeping, per-edge congestion,
-//! and the last trace. **Not captured** (and why):
+//! *across* a phase boundary, eight length-prefixed vectors: inbox
+//! occupancy, staging mask, per-arc traffic counters, the broadcast
+//! plane's stage bytes, presence words and per-node counters, per-edge
+//! congestion, and the last trace (version 1 had two more, bit-sliced
+//! meter planes; such a frame is [`SnapshotError::BadVersion`]). **Not
+//! captured** (and why):
 //!
 //! * **slab and arena contents** — between phases only occupancy-gated
 //!   slots are ever read and the occupancy bitset is zero, so the words
@@ -53,9 +57,12 @@
 //! ## Restore validation
 //!
 //! [`crate::Session::restore`] refuses to marry a payload to the wrong graph:
-//! magic/version are checked first, then the checksum, then the graph
-//! fingerprint and the `n`/`m`/`arcs` shape, then every decoded buffer
-//! length, and finally the recomputed [`crate::Session::state_hash`] must equal
+//! magic/version and the flag bits are checked first, then the checksum,
+//! then the graph fingerprint and the `n`/`m`/`arcs` shape, then the
+//! recorded capacities and plan key against what that shape allows (the
+//! checksum is no authenticator, so no header field is allocated from
+//! unchecked), then every decoded buffer length, and finally the
+//! recomputed [`crate::Session::state_hash`] must equal
 //! the recorded one — a restored engine is bit-identical or it is an
 //! error, never silently wrong. Churn snapshots additionally carry the
 //! mutated topology as an edge list; the CSR is rebuilt through
@@ -137,7 +144,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"FBCSNAP1");
 /// any other value.
 ///
 /// [`crate::Session::restore`]: crate::Session::restore
-pub const SNAPSHOT_VERSION: u32 = 1;
+pub const SNAPSHOT_VERSION: u32 = 2;
 
 pub(crate) const FLAG_CLEAN: u32 = 1;
 pub(crate) const FLAG_GRAPH: u32 = 2;
@@ -249,9 +256,11 @@ pub fn peek(bytes: &[u8]) -> Result<SnapshotHeader, SnapshotError> {
     open(bytes).map(|(h, _)| h)
 }
 
-/// Splitmix64 fold over a byte stream, 8 bytes at a time (zero-padded
-/// tail), each chunk salted by its position.
-pub(crate) fn checksum(bytes: &[u8]) -> u64 {
+/// The frame checksum, `checksum(&frame[24..])` at bytes 16..24: a
+/// splitmix64 fold, 8 bytes at a time (zero-padded tail), each chunk
+/// salted by its position. It catches accidents, not adversaries — anyone
+/// can recompute it, so restore checks every header field it acts on.
+pub fn checksum(bytes: &[u8]) -> u64 {
     let mut h = mix64(0xC0DE_C4EC ^ bytes.len() as u64);
     let mut chunks = bytes.chunks_exact(8);
     for (i, c) in chunks.by_ref().enumerate() {
@@ -428,6 +437,11 @@ pub(crate) fn open(bytes: &[u8]) -> Result<(SnapshotHeader, Reader<'_>), Snapsho
         return Err(SnapshotError::BadVersion(version));
     }
     let flags = u32::from_le_bytes(r.take(4)?.try_into().unwrap());
+    // The flags sit before the checksummed region: a bit this build does
+    // not know is a frame kind it cannot restore.
+    if flags & !(FLAG_CLEAN | FLAG_GRAPH | FLAG_CHURN) != 0 {
+        return Err(SnapshotError::WrongKind);
+    }
     let recorded = r.u64()?;
     if checksum(&bytes[24..]) != recorded {
         return Err(SnapshotError::Checksum);
@@ -470,12 +484,19 @@ pub(crate) fn put_graph(out: &mut Vec<u8>, g: &Graph) {
     }
 }
 
-/// Rebuild the embedded graph, re-validating the CSR invariants and the
-/// recorded fingerprint on the way.
-pub(crate) fn read_graph(r: &mut Reader<'_>, fingerprint: u64) -> Result<Graph, SnapshotError> {
-    let n = r.u64()? as usize;
+/// Rebuild the embedded graph, holding its declared shape to the header's
+/// before anything is built and re-validating the CSR invariants and the
+/// recorded fingerprint after.
+pub(crate) fn read_graph(
+    r: &mut Reader<'_>,
+    header: &SnapshotHeader,
+) -> Result<Graph, SnapshotError> {
+    let n = r.u64()?;
     let m = r.len_prefix(8)?;
-    let mut b = GraphBuilder::new(n);
+    if (n, m as u64) != (header.n, header.m) {
+        return Err(SnapshotError::SizeMismatch("graph shape"));
+    }
+    let mut b = GraphBuilder::new(n as usize);
     for _ in 0..m {
         let raw = r.take(8)?;
         let u = u32::from_le_bytes(raw[..4].try_into().unwrap());
@@ -486,9 +507,9 @@ pub(crate) fn read_graph(r: &mut Reader<'_>, fingerprint: u64) -> Result<Graph, 
     g.validate_csr()
         .map_err(|e| SnapshotError::Graph(e.to_string()))?;
     let found = g.fingerprint();
-    if found != fingerprint {
+    if found != header.fingerprint {
         return Err(SnapshotError::FingerprintMismatch {
-            expected: fingerprint,
+            expected: header.fingerprint,
             found,
         });
     }
@@ -523,6 +544,69 @@ mod tests {
             pos: 0,
         };
         assert_eq!(r.u64s(), Err(SnapshotError::Truncated));
+    }
+
+    /// `frame` with the header word at byte `at` replaced and the checksum
+    /// recomputed — what anyone who has read the layout table can craft.
+    fn resealed(frame: &[u8], at: usize, word: u64) -> Vec<u8> {
+        let mut bad = frame.to_vec();
+        bad[at..at + 8].copy_from_slice(&word.to_le_bytes());
+        finish(&mut bad);
+        bad
+    }
+
+    #[test]
+    fn crafted_capacities_and_plan_keys_are_refused() {
+        use crate::Session;
+        let g = congest_graph::generators::cycle(6);
+        let frame = Session::new(&g).snapshot();
+        // Replayed unchecked, this mark was a 4 EiB allocation: the process
+        // aborted inside `restore`. (`proptest_snapshot.rs` moves every
+        // capacity slot of plain and churn frames; this is the one reported.)
+        let bad = resealed(&frame, 72, 1 << 62);
+        assert_eq!(peek(&bad).unwrap().capacities[0], 1 << 62);
+        assert_eq!(
+            Session::restore(&g, &bad).err(),
+            Some(SnapshotError::SizeMismatch("capacities"))
+        );
+        // One shard per node is the most `begin_phase` ever caches.
+        assert!(Session::restore(&g, &resealed(&frame, 56, 6)).is_ok());
+        assert_eq!(
+            Session::restore(&g, &resealed(&frame, 56, 7)).err(),
+            Some(SnapshotError::SizeMismatch("plan_key"))
+        );
+    }
+
+    #[test]
+    fn the_widest_honest_run_stays_under_the_capacity_ceiling() {
+        use crate::{EngineConfig, LaneSpec, NodeCtx, Protocol, Session, MAX_LANES};
+        /// One `u128` word to every neighbour, once.
+        struct Shout;
+        impl Protocol for Shout {
+            type Msg = (u64, u64);
+            type Output = ();
+            fn round(&mut self, ctx: &mut NodeCtx<'_, (u64, u64)>) {
+                if ctx.round == 0 {
+                    ctx.send_all((1, 2));
+                }
+                ctx.set_done(true);
+            }
+            fn finish(self) {}
+        }
+        let g = congest_graph::generators::cycle(6);
+        let mut session = Session::new(&g);
+        let lanes = LaneSpec::batch(1, MAX_LANES);
+        session
+            .run_wide(&lanes, |_, _, _| Shout, EngineConfig::serial())
+            .unwrap();
+        session.run(|_, _| Shout, EngineConfig::serial()).unwrap();
+        let frame = session.snapshot();
+        // 64 lanes of 16-byte words on every arc: the slab ceiling exactly.
+        assert_eq!(
+            peek(&frame).unwrap().capacities[0],
+            (16 * MAX_LANES * g.num_arcs()) as u64
+        );
+        assert!(Session::restore(&g, &frame).is_ok());
     }
 
     #[test]

@@ -3,9 +3,9 @@
 //!
 //! ## Why
 //!
-//! The engine already stores arc occupancy as word-packed bitsets and
-//! congestion meters as bit-sliced planes, but [`Session::run`] sweeps
-//! those words for exactly one run at a time. The representative
+//! The engine already stores arc occupancy as word-packed bitsets, but
+//! [`Session::run`] sweeps those words for exactly one run at a time. The
+//! representative
 //! heavy-traffic workload for the paper's broadcast algorithms is *many
 //! sparse runs* — seed sweeps, per-lane fault plans, future tenants — and
 //! Fountoulakis–Huber–Panagiotou (PAPERS.md) says broadcast time is
@@ -20,14 +20,13 @@
 //! says "lane `l` has a message on arc `a`". Message slabs are
 //! instance-major within each arc block — lane `l`'s word for arc `a`
 //! lives at `words[a * W + l]` — so the W occupancy bits of one arc land
-//! in a single `u64` and per-arc liveness checks, mask zeroing, fault
-//! blocking, and bit-plane meter accumulation are one word op shared by
-//! all W lanes:
+//! in a single `u64` and per-arc liveness checks and mask zeroing are one
+//! word op shared by all W lanes:
 //!
-//! * the deliver sweep tests `in_lane[a] != 0` once for all lanes;
-//! * bit-plane metering calls `crate::slab::planes_add` once per live
-//!   arc with the lane word (bit `l` = lane `l`), exactly the ripple-carry
-//!   trick the sequential engine uses with bit `i` = arc `i`;
+//! * the deliver sweep tests `in_lane[a] != 0` once for all lanes; each
+//!   set bit of a live word bumps its lane's delivered count and
+//!   `lane_traffic[a * W + l]` — the sequential loop's plain `u32` meter,
+//!   one column per lane, drained into the job's per-edge row at retirement;
 //! * the fault adversary clears one bit of one word per blocked lane-arc.
 //!
 //! Scalar per-instance work — the node `round` calls and the payload
@@ -91,7 +90,9 @@ use crate::fault::FaultPlan;
 use crate::message::{MsgWord, PackedMsg};
 use crate::protocol::{InSlot, NodeCtx, OutSlot, Protocol};
 use crate::rng::mix64;
-use crate::session::{for_each_blocked_arc, Arena, ArenaRow, NodeCell, Session, SessionState};
+use crate::session::{
+    drain_traffic_column, for_each_blocked_arc, Arena, ArenaRow, NodeCell, Session, SessionState,
+};
 use crate::slab;
 use congest_graph::{Graph, Node};
 use congest_par::RacyCells;
@@ -154,16 +155,14 @@ pub(crate) struct WideBuffers {
     scratch_out: Arena,
     /// …plus `ceil(max_deg/64)` occupancy words per direction per shard.
     scratch_occ: Vec<u64>,
-    /// Bit-sliced per-arc congestion planes, lane-word semantics: the
-    /// `PLANES` words of arc `a` count deliveries per *lane* (bit `l`),
-    /// where the sequential planes count per *arc* (bit `i`).
-    lane_planes: Vec<u64>,
-    /// Flush target: per-(arc, lane) delivery totals, `a * W + l`.
+    /// The congestion meter: deliveries per (arc, lane), `a * W + l` —
+    /// one column per slot, drained into the job's per-edge row when its
+    /// lane retires.
     lane_traffic: Vec<u32>,
     /// Per-job per-edge congestion. Batch runs fill it as a job-major
     /// `job * m + e` matrix (one row per lane, written at that lane's
     /// retirement); streaming runs reuse the first `m` words as the
-    /// retirement scratch row, re-zeroed after every sink call.
+    /// retirement scratch row.
     per_edge: Vec<u64>,
     /// Per-*slot* round traces (reused across runs; inner capacity
     /// sticks). Compaction permutes these alongside the slots.
@@ -187,7 +186,6 @@ impl WideBuffers {
             + self.out_lane.capacity()
             + self.undone.capacity()
             + self.scratch_occ.capacity()
-            + self.lane_planes.capacity()
             + self.per_edge.capacity()
             + self.shard_delivered.capacity()
             + self.shard_undone.capacity())
@@ -212,7 +210,6 @@ impl WideBuffers {
         self.out_lane.fill(0);
         self.undone.fill(0);
         self.scratch_occ.fill(0);
-        self.lane_planes.fill(0);
         self.lane_traffic.fill(0);
         for t in &mut self.trace_bufs {
             t.clear();
@@ -606,7 +603,6 @@ impl SessionState {
             scratch_in,
             scratch_out,
             scratch_occ,
-            lane_planes,
             lane_traffic,
             per_edge,
             trace_bufs,
@@ -628,9 +624,6 @@ impl SessionState {
             undone.resize(n, 0);
         }
         lane_traffic.resize(arcs * w0, 0);
-        if lane_planes.len() < arcs * slab::PLANES {
-            lane_planes.resize(arcs * slab::PLANES, 0);
-        }
         if scratch_occ.len() < s_count * 2 * sow {
             scratch_occ.resize(s_count * 2 * sow, 0);
         }
@@ -652,14 +645,10 @@ impl SessionState {
                 t.clear();
             }
             per_edge.resize(w0 * m, 0);
-            per_edge[..w0 * m].fill(0);
-        } else {
+        } else if per_edge.len() < m {
             // Streaming: the first m words are the per-retirement scratch
-            // row, re-zeroed after every sink call.
-            if per_edge.len() < m {
-                per_edge.resize(m, 0);
-            }
-            per_edge[..m].fill(0);
+            // row.
+            per_edge.resize(m, 0);
         }
 
         // --- Instance-major message slabs: the lane in slot l has its
@@ -699,7 +688,6 @@ impl SessionState {
         let mut slot_stats = [RunStats::default(); MAX_LANES];
         let mut jobs_admitted: usize = 0;
         let mut round: u64 = 0;
-        let mut rounds_since_flush: u64 = 0;
 
         // Admit one job into a pristine slot: cells written through the
         // factory, per-node RNGs from the spec's seed, undone bits set,
@@ -738,22 +726,6 @@ impl SessionState {
         for spec in init {
             admit!(jobs_admitted, spec);
         }
-        // Move the planes' pending counts into the flat traffic columns at
-        // the current stride. Count-preserving, so it may run early for
-        // one lane's sake; the planes are all-zero after it.
-        macro_rules! flush_planes {
-            () => {
-                if rounds_since_flush > 0 {
-                    for a in 0..arcs {
-                        slab::planes_flush(
-                            &mut lane_planes[a * slab::PLANES..(a + 1) * slab::PLANES],
-                            &mut lane_traffic[a * w_cur..(a + 1) * w_cur],
-                        );
-                    }
-                    rounds_since_flush = 0;
-                }
-            };
-        }
 
         loop {
             // --- Per-lane round budget, counted from each lane's own
@@ -790,9 +762,7 @@ impl SessionState {
                 // Streaming: scrub each blown lane out of the sweep —
                 // inbox bits, meter column, undone bits, cells — and
                 // report it failed, exactly as its isolated run would
-                // have errored. Planes hold mixed-lane counts, so flush
-                // (count-preserving) before discarding this column.
-                flush_planes!();
+                // have errored.
                 let mut b = blown;
                 while b != 0 {
                     let l = b.trailing_zeros() as usize;
@@ -985,14 +955,12 @@ impl SessionState {
             }
             // --- Deliver phase: swap staging to inbox, then one sharded
             // scan over the lane words — per-arc liveness is a single
-            // word test for all W lanes, and bit-plane metering is one
-            // ripple-carry add with lane-bit semantics.
+            // word test for all W lanes, and each set bit bumps its
+            // lane's delivered count and its (arc, lane) congestion counter.
             std::mem::swap(&mut in_words, &mut out_words);
             std::mem::swap(in_lane, out_lane);
-            let flush_now = rounds_since_flush + 1 == slab::FLUSH_PERIOD;
             {
                 let racy_in_lane = RacyCells::new(&mut in_lane[..arcs]);
-                let racy_planes = RacyCells::new(&mut lane_planes[..]);
                 let racy_traffic = RacyCells::new(&mut lane_traffic[..arcs * w_cur]);
                 let racy_sd = RacyCells::new(&mut shard_delivered[..s_count * MAX_LANES]);
                 let deliver_shard = |s: usize| {
@@ -1000,29 +968,16 @@ impl SessionState {
                     // construction; the per-shard delivered block is ours.
                     let sd = unsafe { racy_sd.slice_mut(s * MAX_LANES, (s + 1) * MAX_LANES) };
                     sd.fill(0);
-                    for a in plan.arcs_of(s) {
-                        let bits = unsafe { racy_in_lane.read(a) };
-                        if bits != 0 {
-                            let planes_a = unsafe {
-                                racy_planes.slice_mut(a * slab::PLANES, (a + 1) * slab::PLANES)
-                            };
-                            slab::planes_add(planes_a, bits);
-                            let mut b = bits;
-                            while b != 0 {
-                                let l = b.trailing_zeros() as usize;
-                                b &= b - 1;
-                                sd[l] += 1;
-                            }
-                        }
-                        // Flush cadence is traffic-independent: the
-                        // planes may hold counts from earlier rounds.
-                        if flush_now {
-                            let planes_a = unsafe {
-                                racy_planes.slice_mut(a * slab::PLANES, (a + 1) * slab::PLANES)
-                            };
-                            let traffic_a =
-                                unsafe { racy_traffic.slice_mut(a * w_cur, (a + 1) * w_cur) };
-                            slab::planes_flush(planes_a, traffic_a);
+                    let arcs_s = plan.arcs_of(s);
+                    let traffic_s =
+                        unsafe { racy_traffic.slice_mut(arcs_s.start * w_cur, arcs_s.end * w_cur) };
+                    for (a, traffic_a) in arcs_s.zip(traffic_s.chunks_exact_mut(w_cur)) {
+                        let mut b = unsafe { racy_in_lane.read(a) };
+                        while b != 0 {
+                            let l = b.trailing_zeros() as usize;
+                            b &= b - 1;
+                            sd[l] += 1;
+                            traffic_a[l] += 1;
                         }
                     }
                 };
@@ -1034,7 +989,6 @@ impl SessionState {
                     }
                 }
             }
-            rounds_since_flush = if flush_now { 0 } else { rounds_since_flush + 1 };
             // --- Per-lane reduction and termination, mirroring the
             // sequential loop's bookkeeping lane by lane. A lane that
             // deactivates retires on the spot: its meter column is
@@ -1068,29 +1022,18 @@ impl SessionState {
                 slot_stats[l].iterations = round - join_round[l];
                 active &= !(1u64 << l);
                 trace_bufs[l].truncate(slot_stats[l].rounds as usize);
-                // Final plane flush first (count-preserving, so flushing
-                // early for one lane never perturbs the others' totals).
-                flush_planes!();
                 let job = slot_job[l];
-                // Drain the slot's traffic column into its per-edge row
-                // (back to zero — the breadcrumb exit contract).
-                {
-                    let edge_row: &mut [u64] = if batch {
-                        &mut per_edge[job * m..(job + 1) * m]
-                    } else {
-                        &mut per_edge[..m]
-                    };
-                    for v in 0..n as Node {
-                        let lo = graph.arc_offset(v);
-                        for (i, &e) in graph.incident_edges(v).iter().enumerate() {
-                            let t = std::mem::take(&mut lane_traffic[(lo + i) * w_cur + l]) as u64;
-                            if t != 0 {
-                                edge_row[e as usize] += t;
-                            }
-                        }
-                    }
-                    slot_stats[l].max_edge_congestion = edge_row.iter().copied().max().unwrap_or(0);
-                }
+                // The slot's traffic column drains into its per-edge row:
+                // the job's own in a batch, the scratch row when streaming.
+                let edge_row = if batch { job * m } else { 0 };
+                slot_stats[l].max_edge_congestion = drain_traffic_column(
+                    graph,
+                    lane_traffic,
+                    w_cur,
+                    l,
+                    &mut [],
+                    &mut per_edge[edge_row..edge_row + m],
+                );
                 slot_stats[l].max_message_bits = (0..n)
                     // Sound: the live slot's cells are initialized.
                     .map(|v| unsafe { (*cells_ptr.add(v * w_cur + l)).max_bits })
@@ -1136,7 +1079,6 @@ impl SessionState {
                             edge_congestion: &per_edge[..m],
                             outputs: Some(row),
                         });
-                        per_edge[..m].fill(0);
                     }
                 }
                 trace_bufs[l].clear();
@@ -1166,10 +1108,6 @@ impl SessionState {
             if live <= w_cur / 2 {
                 let w_new = live;
                 let live_mask = active;
-                // Pending plane counts flush at the old stride first;
-                // after this the planes are all-zero, so only the flat
-                // traffic columns move.
-                flush_planes!();
                 debug_assert!(
                     out_lane[..arcs].iter().all(|&x| x == 0),
                     "staging side must be clean at a compaction point"
@@ -1396,7 +1334,6 @@ mod tests {
         assert!(wide.state.wide.out_lane.iter().all(|&x| x == 0));
         assert!(wide.state.wide.scratch_occ.iter().all(|&x| x == 0));
         assert!(wide.state.wide.lane_traffic.iter().all(|&x| x == 0));
-        assert!(wide.state.wide.lane_planes.iter().all(|&x| x == 0));
         let out = wide
             .run_wide(&lanes, factory, EngineConfig::with_seed(3))
             .unwrap();

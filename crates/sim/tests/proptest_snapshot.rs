@@ -9,11 +9,14 @@
 //! shard counts (the hash folds only nonzero words, so execution
 //! strategy cannot leak into it), the churn-session snapshot arm (the
 //! frame carries the mutated topology and crash bookkeeping), the pool
-//! park/restore round trip, and the tamper suite (checksum, fingerprint,
-//! truncation, kind confusion — every corruption is a typed refusal).
+//! park/restore round trip, and the tamper suite (a mutation property
+//! over valid frames — byte flips, truncations, inflated length prefixes,
+//! header fields out of range — beside the fixed magic, version,
+//! fingerprint and kind-confusion cases: every corruption is a typed
+//! refusal).
 
 use congest_graph::{Graph, GraphBuilder};
-use congest_sim::rng::phase_seed;
+use congest_sim::rng::{mix64, phase_seed};
 use congest_sim::{
     ChurnSession, EngineConfig, FaultPlan, Mutation, NodeCtx, Protocol, RunStats, Session,
     SessionPool, SnapshotError,
@@ -524,31 +527,175 @@ fn warm_frame(g: &Graph) -> Vec<u8> {
     s.snapshot()
 }
 
+/// A frame with the checksum recomputed over whatever it now holds — the
+/// checksum is a public fold, so this is what a crafted frame looks like.
+fn resealed(mut frame: Vec<u8>) -> Vec<u8> {
+    let sum = congest_sim::snapshot::checksum(&frame[24..]);
+    frame[16..24].copy_from_slice(&sum.to_le_bytes());
+    frame
+}
+
+fn word_at(frame: &[u8], at: usize) -> u64 {
+    u64::from_le_bytes(frame[at..at + 8].try_into().unwrap())
+}
+
+fn with_word(frame: &[u8], at: usize, word: u64) -> Vec<u8> {
+    let mut bad = frame.to_vec();
+    bad[at..at + 8].copy_from_slice(&word.to_le_bytes());
+    bad
+}
+
+/// Byte offsets of the fixed header's fields (`congest_sim::snapshot`
+/// module docs).
+const FINGERPRINT: usize = 24;
+const SHAPE: [usize; 3] = [32, 40, 48];
+const PLAN_KEY: usize = 56;
+const STATE_HASH: usize = 64;
+const CAPACITIES: usize = 72;
+const BODY: usize = 120;
+
+/// Offsets of every length prefix in a frame's body, walking the layout
+/// the module docs give: a churn frame's graph section (`n`, then `m`
+/// prefixed endpoint pairs) and churn section (crash flags, one parked
+/// list per node, five counters), then the engine payload's eight
+/// vectors. Ends exactly at the frame's end or the layout moved.
+fn length_prefixes(frame: &[u8], churn: bool) -> Vec<usize> {
+    let mut found = Vec::new();
+    let mut at = BODY;
+    let mut vector = |at: &mut usize, elem_bytes: usize| {
+        found.push(*at);
+        *at += 8 + word_at(frame, *at) as usize * elem_bytes;
+    };
+    if churn {
+        let n = word_at(frame, at);
+        at += 8;
+        vector(&mut at, 8);
+        vector(&mut at, 1);
+        for _ in 0..n {
+            vector(&mut at, 4);
+        }
+        at += 5 * 8;
+    }
+    for elem_bytes in [8, 1, 4, 1, 8, 4, 8, 8] {
+        vector(&mut at, elem_bytes);
+    }
+    assert_eq!(at, frame.len(), "the frame layout moved");
+    found
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// The mutation property: take a valid `Session` or `ChurnSession`
+    /// frame — cold or warm, the churn one with a crashed node — and
+    /// damage it one way at a time. Any single byte flip and any
+    /// truncation (as they are, and the truncation also with the checksum
+    /// recomputed); any length prefix inflated and any header field moved
+    /// out of range, both with the checksum recomputed. None may panic,
+    /// abort (a length or capacity believed is an allocation), or restore.
+    #[test]
+    fn mutated_frames_never_restore(
+        g in arb_connected_graph(14),
+        seed in any::<u64>(),
+        churn in any::<bool>(),
+        phases in 0u64..3,
+        picks in any::<u64>(),
+    ) {
+        let frame = if churn {
+            let mut s = ChurnSession::new(g.clone());
+            for k in 1..=phases {
+                s.queue_mut().push(Mutation::Crash(((seed % 64 + k) % g.n() as u64) as u32));
+                let out = s
+                    .run(
+                        |_, _| Chatter { rounds: 4, salt: k, heard: 0 },
+                        EngineConfig::serial().seed(phase_seed(seed, k)).trace(),
+                    )
+                    .unwrap();
+                drop(out);
+            }
+            s.snapshot()
+        } else {
+            let mut s = Session::new(&g);
+            for k in 1..=phases {
+                run_phase(&mut s, k, seed, 2, 1, seed);
+            }
+            s.snapshot()
+        };
+        let restore = |bytes: &[u8]| -> Result<(), SnapshotError> {
+            if churn {
+                ChurnSession::restore(bytes).map(drop)
+            } else {
+                Session::restore(&g, bytes).map(drop)
+            }
+        };
+        prop_assert_eq!(restore(&frame), Ok(()));
+        let prefixes = length_prefixes(&frame, churn);
+        // Far past anything a graph of < 14 nodes allows, below and at the
+        // top of the range.
+        let absurd = |r: u64| if r & 1 == 0 { (1 << 40) + (r >> 24) } else { u64::MAX - (r >> 24) };
+
+        let mut picks = picks;
+        let mut pick = || {
+            picks = mix64(picks.wrapping_add(0x9E37_79B9_7F4A_7C15));
+            picks
+        };
+        for _ in 0..4 {
+            let at = pick() as usize % frame.len();
+            let mut bad = frame.clone();
+            bad[at] ^= (1 + pick() % 255) as u8;
+            prop_assert!(restore(&bad).is_err(), "byte {} flipped", at);
+
+            let cut = pick() as usize % frame.len();
+            prop_assert!(restore(&frame[..cut]).is_err(), "cut at {}", cut);
+            if cut >= 24 {
+                let bad = resealed(frame[..cut].to_vec());
+                prop_assert!(restore(&bad).is_err(), "cut at {}, resealed", cut);
+            }
+
+            let at = prefixes[pick() as usize % prefixes.len()];
+            let r = pick();
+            for len in [word_at(&frame, at) + 1 + r % 64, absurd(r)] {
+                let bad = resealed(with_word(&frame, at, len));
+                prop_assert!(restore(&bad).is_err(), "length {} at byte {}", len, at);
+            }
+        }
+        // Header fields: the fingerprint, the shape and the state hash
+        // refuse any other value; a plan key and a capacity refuse one
+        // past what the shape allows.
+        for at in [FINGERPRINT, STATE_HASH].into_iter().chain(SHAPE) {
+            let moved = word_at(&frame, at) ^ (1 + pick() % u64::MAX);
+            let bad = resealed(with_word(&frame, at, moved));
+            prop_assert!(restore(&bad).is_err(), "header word at {} -> {}", at, moved);
+        }
+        for key in [g.n() as u64 + 1, absurd(pick())] {
+            let bad = resealed(with_word(&frame, PLAN_KEY, key));
+            prop_assert_eq!(restore(&bad), Err(SnapshotError::SizeMismatch("plan_key")));
+        }
+        for slot in 0..6 {
+            let bad = resealed(with_word(&frame, CAPACITIES + 8 * slot, absurd(pick())));
+            prop_assert_eq!(restore(&bad), Err(SnapshotError::SizeMismatch("capacities")));
+        }
+    }
+}
+
 #[test]
 fn tampered_frames_are_refused() {
     let g = small_graph();
     let bytes = warm_frame(&g);
 
-    // Truncation at any interesting prefix.
-    for cut in [0, 7, 23, 60, bytes.len() - 1] {
-        assert!(Session::restore(&g, &bytes[..cut]).is_err(), "cut={cut}");
-    }
-
-    // Any flipped body byte fails the checksum.
-    for i in [24, 80, 130, bytes.len() - 1] {
-        let mut bad = bytes.clone();
-        bad[i] ^= 0x40;
-        assert_eq!(
-            refusal(Session::restore(&g, &bad)),
-            SnapshotError::Checksum,
-            "byte {i}"
-        );
-    }
-
     // Bad magic is its own refusal.
     let mut bad = bytes.clone();
     bad[0] ^= 1;
     assert_eq!(refusal(Session::restore(&g, &bad)), SnapshotError::BadMagic);
+
+    // So is the previous format: version 1 carried the meter planes.
+    let mut old = bytes.clone();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    assert_eq!(
+        refusal(Session::restore(&g, &old)),
+        SnapshotError::BadVersion(1)
+    );
+    assert_eq!(congest_sim::SNAPSHOT_VERSION, 2);
 
     // A different graph refuses by fingerprint.
     let other = congest_graph::generators::complete(6);

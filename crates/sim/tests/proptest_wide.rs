@@ -12,8 +12,11 @@
 //! changing one bit of any result.
 
 use congest_graph::{Graph, GraphBuilder};
+use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
+use congest_sim::rng::node_rng;
 use congest_sim::{EngineConfig, FaultPlan, LaneSpec, NodeCtx, Protocol, Session};
 use proptest::prelude::*;
+use rand::rngs::SmallRng;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
     (3..max_n, any::<u64>()).prop_map(|(n, seed)| {
@@ -77,6 +80,48 @@ impl Protocol for Chatter {
     }
     fn finish(self) -> u64 {
         self.heard
+    }
+}
+
+/// [`Chatter`] on the reference interpreter, whose context has no RNG: the
+/// wrapper carries the node's own [`node_rng`] stream, seeded from the
+/// lane's seed exactly as both kernels seed theirs.
+struct BaselineChatter {
+    inner: Chatter,
+    rng: SmallRng,
+}
+
+impl BaselineProtocol for BaselineChatter {
+    type Msg = u64;
+    type Output = u64;
+    fn round(&mut self, ctx: &mut BaselineCtx<'_, u64>) {
+        let Chatter {
+            rounds,
+            salt,
+            heard,
+        } = &mut self.inner;
+        *heard = ctx.inbox().fold(*heard, |a, (p, &m)| {
+            a.wrapping_mul(17).wrapping_add(m ^ p as u64)
+        });
+        if ctx.round < *rounds {
+            use rand::Rng;
+            let a = self.rng.gen_range(0..8u32);
+            let m: u64 = self.rng.gen();
+            if a == 0 {
+                ctx.send_all(m ^ *salt);
+            } else if a < 5 {
+                for p in 0..ctx.degree().min(64) as u32 {
+                    if m >> p & 1 == 1 {
+                        ctx.send(p, m.wrapping_add(*salt ^ p as u64));
+                    }
+                }
+            }
+        }
+        let done = ctx.round >= *rounds;
+        ctx.set_done(done);
+    }
+    fn finish(self) -> u64 {
+        self.inner.heard
     }
 }
 
@@ -465,6 +510,74 @@ proptest! {
                     prop_assert!(got.edge_congestion.is_empty());
                 }
             }
+        }
+    }
+
+    /// The wide counters against the reference interpreter's plain `u64`
+    /// ones, through everything a counter column travels through between
+    /// a lane's admission and its drain. Six slots, ten jobs: the four
+    /// short starters free their slots by round ≈ 16 and jobs 6..10 refill
+    /// them mid-sweep (slot reuse on a drained column). With the source
+    /// dry, jobs 8, 9 and 7 retire by round ≈ 52 and leave 3 of 6 live, so
+    /// the sweep compacts around jobs 1, 3 and 5: job 1 (70 rounds) and
+    /// job 3 (120, and 3 → 1 is a second compaction) are drained from
+    /// columns a compaction moved, and job 5 never finishes, so it blows
+    /// the 150-round budget alone and is scrubbed at the narrowest stride.
+    /// Every job but that one equals `run_baseline` on its own seed and
+    /// faults — outputs, stats, trace, and congestion edge for edge.
+    #[test]
+    fn refill_counters_match_reference_through_compaction_and_slot_reuse(
+        g in arb_connected_graph(14),
+        seed in any::<u64>(),
+        fault_budget in 0usize..2,
+        fseed in any::<u64>(),
+    ) {
+        const DURS: [u64; 10] = [5, 70, 9, 120, 14, u64::MAX, 3, 40, 8, 20];
+        const SLOTS: usize = 6;
+        const BUDGET: u64 = 150;
+        let specs = mixed_lanes(seed, DURS.len(), fault_budget, fseed);
+        let mk = |j: usize| Chatter { rounds: DURS[j], salt: j as u64 + 1, heard: 0 };
+        let mut got: Vec<Option<(LaneObs, Option<u64>)>> = DURS.iter().map(|_| None).collect();
+        let admitted = Session::new(&g).run_refill::<Chatter, _, _, _>(
+            &specs[..SLOTS],
+            |_, j, _| mk(j),
+            EngineConfig::serial().shards(2).max_rounds(BUDGET).trace(),
+            |job| specs.get(job).cloned(),
+            |mut r: congest_sim::LaneRetire<'_, u64>| {
+                let mut outputs = Vec::new();
+                r.take_outputs_into(&mut outputs);
+                let obs = LaneObs {
+                    outputs,
+                    stats: r.stats,
+                    trace: r.trace.map(<[u64]>::to_vec),
+                    edge_congestion: r.edge_congestion.to_vec(),
+                };
+                got[r.job] = Some((obs, r.limit));
+            },
+        );
+        prop_assert_eq!(admitted, DURS.len());
+        for (j, spec) in specs.iter().enumerate() {
+            let (obs, limit) = got[j].take().expect("every admitted job retires");
+            if DURS[j] == u64::MAX {
+                prop_assert_eq!(limit, Some(BUDGET));
+                prop_assert!(obs.outputs.is_empty() && obs.edge_congestion.is_empty());
+                continue;
+            }
+            let want = run_baseline::<BaselineChatter, _>(
+                &g,
+                |v, _| BaselineChatter { inner: mk(j), rng: node_rng(spec.seed, v) },
+                BUDGET,
+                spec.faults,
+            );
+            prop_assert_eq!(limit, None);
+            prop_assert!(DURS[j] < 64 || want.stats.rounds > 63, "job {} is a long one", j);
+            let want = LaneObs {
+                outputs: want.outputs,
+                stats: want.stats,
+                trace: Some(want.trace),
+                edge_congestion: want.edge_congestion,
+            };
+            prop_assert_eq!(&obs, &want, "job {} diverged from the reference interpreter", j);
         }
     }
 

@@ -111,11 +111,12 @@ families:
 fn opt<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
     match args.iter().position(|a| a == flag) {
         None => Ok(default),
-        Some(i) => args
-            .get(i + 1)
-            .ok_or(format!("{flag} needs a value"))?
-            .parse()
-            .map_err(|_| format!("bad value for {flag}")),
+        Some(i) => {
+            let value = args.get(i + 1).ok_or(format!("{flag} needs a value"))?;
+            value
+                .parse()
+                .map_err(|_| format!("bad value `{value}` for {flag}"))
+        }
     }
 }
 
@@ -123,16 +124,17 @@ fn flag(args: &[String], name: &str) -> bool {
     args.iter().any(|a| a == name)
 }
 
-/// Parse a family spec like `harary:16,96`. Every malformed spec —
-/// missing `:`, wrong parameter count, non-numeric parameter — is a
-/// clean `Err`, never a panic.
+/// Parse a family spec like `harary:16,96`. Parameters are separated by
+/// `,` (`torus:RxC` alone also by `x`). Every malformed spec — missing
+/// `:`, wrong parameter count, non-numeric parameter — is a clean `Err`
+/// naming the offending token, never a panic.
 fn parse_family(spec: &str) -> Result<Graph, String> {
     let (kind, rest) = spec
         .split_once(':')
         .ok_or(format!("family must be kind:params, got `{spec}`"))?;
     let nums = |arity: usize, grammar: &str| -> Result<Vec<usize>, String> {
         let v: Vec<usize> = rest
-            .split([',', 'x'])
+            .split(|c| c == ',' || (c == 'x' && kind == "torus"))
             .map(|x| {
                 x.parse()
                     .map_err(|_| format!("bad number `{x}` in `{spec}`"))

@@ -21,7 +21,16 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         (&["params"], "params needs a <family>"),
         (&["params", "harary"], "kind:params"),
         (&["params", "klein:4,4"], "unknown family kind"),
-        (&["params", "harary:a,b"], "bad number"),
+        (&["params", "harary:a,b"], "bad number `a`"),
+        // `x` separates torus's RxC and nothing else: the whole token is
+        // named, not the empty half of a split on the letter.
+        (
+            &["params", "harary:x,12"],
+            "bad number `x` in `harary:x,12`",
+        ),
+        (&["params", "harary:4x12"], "bad number `4x12`"),
+        (&["params", "torus:4x8x2"], "2 parameter(s)"),
+        (&["params", "torus:4xx8"], "bad number ``"),
         (&["params", "harary:16"], "2 parameter(s)"),
         (&["params", "complete:"], "bad number"),
         (&["params", "complete:8,9"], "1 parameter(s)"),
@@ -38,7 +47,7 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         (&["broadcast"], "broadcast needs a <family>"),
         (
             &["broadcast", "harary:4,32", "--k", "zebra"],
-            "bad value for --k",
+            "bad value `zebra` for --k",
         ),
         (
             &["broadcast", "harary:4,32", "--k", "0"],
@@ -50,7 +59,7 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         ),
         (
             &["packing", "complete:16", "--trees", "-3"],
-            "bad value for --trees",
+            "bad value `-3` for --trees",
         ),
         (
             &["packing", "complete:8", "--trees", "0"],
@@ -62,11 +71,11 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         ),
         (
             &["apsp", "harary:4,32", "--seed", "1.5"],
-            "bad value for --seed",
+            "bad value `1.5` for --seed",
         ),
         (
             &["cuts", "harary:4,32", "--eps", "wide"],
-            "bad value for --eps",
+            "bad value `wide` for --eps",
         ),
         (
             &["cuts", "complete:8", "--eps", "0"],
@@ -84,19 +93,19 @@ fn bad_invocations_fail_with_usage_on_stderr() {
             &["cuts", "complete:8", "--eps", "nan"],
             "--eps must be in (0, 1]",
         ),
-        (&["serve", "--jobs", "many"], "bad value for --jobs"),
+        (&["serve", "--jobs", "many"], "bad value `many` for --jobs"),
         (&["serve", "--jobs", "0"], "--jobs must be at least 1"),
         (&["serve", "--queue", "0"], "--queue must be at least 1"),
         (&["serve", "--graphs", "harary:4"], "2 parameter(s)"),
         (&["serve", "--mix", "flood,osmosis"], "unknown mix family"),
         (
             &["serve", "--warm-limit", "cosy"],
-            "bad value for --warm-limit",
+            "bad value `cosy` for --warm-limit",
         ),
         (&["serve", "--warm-limit"], "--warm-limit needs a value"),
         (
             &["serve", "--max-graphs", "-2"],
-            "bad value for --max-graphs",
+            "bad value `-2` for --max-graphs",
         ),
         (
             &["serve", "--max-graphs", "0"],
@@ -104,7 +113,7 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         ),
         (
             &["serve", "--max-warm-bytes", "4MiB"],
-            "bad value for --max-warm-bytes",
+            "bad value `4MiB` for --max-warm-bytes",
         ),
         (
             &["serve", "--max-warm-bytes", "0"],
@@ -142,6 +151,8 @@ fn bad_invocations_fail_with_usage_on_stderr() {
 fn good_invocations_still_succeed() {
     for args in [
         &["params", "harary:4,16"][..],
+        &["params", "torus:4x8"],
+        &["params", "torus:4,8"],
         // One node: measured without the Karger cross-check (it needs two).
         &["params", "complete:1"],
         &["help"],
@@ -212,4 +223,65 @@ fn good_invocations_still_succeed() {
         .and_then(|n| n.parse().ok())
         .unwrap_or_else(|| panic!("no eviction stats in serve output: {stdout}"));
     assert!(aged > 0, "aggressive budget must actually evict: {stdout}");
+}
+
+/// A scratch file of this test process's own (tests run in parallel and
+/// must not share one).
+fn scratch_file(name: &str) -> std::path::PathBuf {
+    std::env::temp_dir().join(format!("fastbcast-{}-{name}", std::process::id()))
+}
+
+#[test]
+fn checkpoint_cli_round_trips_and_refuses_bad_frames() {
+    let snap = scratch_file("ok.snap");
+    let snap_arg = snap.to_str().expect("utf-8 temp path");
+    let out = fastbcast(&["snapshot", "harary:8,64", "--out", snap_arg]);
+    assert!(
+        out.status.success(),
+        "snapshot failed\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let out = fastbcast(&["resume", "harary:8,64", "--in", snap_arg, "--verify"]);
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("verified"),
+        "resume --verify\nstdout: {stdout}\nstderr: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+
+    let frame = std::fs::read(&snap).expect("the snapshot file");
+    // A truncated copy, and the frame of the first satellite: capacity
+    // slot 0 set to 4 EiB with the checksum recomputed, which used to
+    // abort the process inside `Session::restore`.
+    let mut crafted = frame.clone();
+    crafted[72..80].copy_from_slice(&(1u64 << 62).to_le_bytes());
+    let sum = fast_broadcast::sim::snapshot::checksum(&crafted[24..]);
+    crafted[16..24].copy_from_slice(&sum.to_le_bytes());
+    let mut old = frame.clone();
+    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    for (name, bytes, needle) in [
+        ("cut.snap", &frame[..frame.len() / 2], "checksum mismatch"),
+        ("crafted.snap", &crafted[..], "`capacities`"),
+        ("v1.snap", &old[..], "unsupported snapshot version 1"),
+    ] {
+        let path = scratch_file(name);
+        std::fs::write(&path, bytes).expect("write the bad frame");
+        let out = fastbcast(&["resume", "harary:8,64", "--in", path.to_str().unwrap()]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(1),
+            "resume on {name} should exit 1 (a panic exits 101, an abort has no code)\nstderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("error:") && stderr.contains(needle),
+            "resume on {name}: stderr missing `{needle}`\nstderr: {stderr}"
+        );
+        assert!(
+            stderr.contains("fastbcast params"),
+            "resume on {name}: stderr missing usage text\nstderr: {stderr}"
+        );
+        std::fs::remove_file(&path).ok();
+    }
+    std::fs::remove_file(&snap).ok();
 }
