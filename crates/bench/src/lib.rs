@@ -1,11 +1,15 @@
 //! # congest-bench — the experiment harness
 //!
-//! One binary per experiment (E1–E10, see DESIGN.md §5 and
-//! EXPERIMENTS.md), each regenerating the series its theorem predicts and
-//! printing a markdown table; plus the four CI gates
-//! (`benches/gates.rs`).
+//! One binary per experiment (`exp_e1_sampling` … `exp_e11_theorem9`,
+//! `exp_resilience`, `exp_profile`; DESIGN.md §5 says which claim each
+//! one holds up), each regenerating the series its theorem predicts and
+//! printing a markdown table of model quantities — the same on any host
+//! and at any pool width; plus the four CI gates (`benches/gates.rs`).
 //!
 //! Run e.g. `cargo run --release -p congest-bench --bin exp_e3_broadcast`.
+//! What each binary printed at the last commit that meant to change it is
+//! `golden/<bin>.md`; `check_golden.sh` (CI's `experiments` lane) runs all
+//! thirteen and diffs them, `check_golden.sh --bless` re-records.
 
 use std::fmt::Write as _;
 

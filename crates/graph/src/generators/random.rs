@@ -73,13 +73,17 @@ fn pair_from_index(n: usize, idx: usize) -> (Node, Node) {
 /// connected. Panics after 64 attempts — p is below the connectivity
 /// threshold, pick a larger p.
 pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Graph {
-    for attempt in 0..64 {
-        let g = gnp(n, p, seed.wrapping_add(attempt));
-        if crate::algo::components::is_connected(&g) {
-            return g;
-        }
-    }
-    panic!("gnp_connected: no connected sample in 64 attempts (n={n}, p={p}); p too small");
+    try_gnp_connected(n, p, seed).unwrap_or_else(|| {
+        panic!("gnp_connected: no connected sample in 64 attempts (n={n}, p={p}); p too small")
+    })
+}
+
+/// [`gnp_connected`] for a `p` that came from outside: `None` where that
+/// one panics.
+pub fn try_gnp_connected(n: usize, p: f64, seed: u64) -> Option<Graph> {
+    (0..64)
+        .map(|attempt| gnp(n, p, seed.wrapping_add(attempt)))
+        .find(crate::algo::components::is_connected)
 }
 
 /// Random `d`-regular graph via the configuration model with **swap
@@ -91,6 +95,14 @@ pub fn gnp_connected(n: usize, p: f64, seed: u64) -> Graph {
 /// Random regular graphs are expanders w.h.p., so δ = λ = d w.h.p. —
 /// verified by the max-flow ground truth in tests.
 pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
+    try_random_regular(n, d, seed)
+        .unwrap_or_else(|| panic!("random_regular: repair failed after 32 restarts (n={n}, d={d})"))
+}
+
+/// [`random_regular`] for an `(n, d)` that came from outside: `None` where
+/// the repair gives up (near-complete degrees, where almost no swap stays
+/// simple) and that one panics. The preconditions are still asserted.
+pub fn try_random_regular(n: usize, d: usize, seed: u64) -> Option<Graph> {
     assert!(d < n, "d must be < n");
     assert!((n * d).is_multiple_of(2), "n*d must be even");
     let mut rng = SmallRng::seed_from_u64(seed);
@@ -155,12 +167,14 @@ pub fn random_regular(n: usize, d: usize, seed: u64) -> Graph {
             }
             let _ = applied;
         }
-        return GraphBuilder::new(n)
-            .edges(edges)
-            .build()
-            .expect("repaired configuration model output is simple");
+        return Some(
+            GraphBuilder::new(n)
+                .edges(edges)
+                .build()
+                .expect("repaired configuration model output is simple"),
+        );
     }
-    panic!("random_regular: repair failed after 32 restarts (n={n}, d={d})");
+    None
 }
 
 /// Canonical edge unless it would be a self-loop.

@@ -10,11 +10,6 @@
 //!   The job descriptor lives on the caller's stack; workers check in and
 //!   out under a lock, so no per-call heap allocation happens and the
 //!   borrow is released before `run` returns.
-//! * [`run_list`] — parallel-for over an **explicit worklist** of task
-//!   indices (the engine's sparse rounds visit only shards with staged
-//!   traffic; idle shards cost nothing).
-//! * [`par_chunks_mut`] — split a `&mut [T]` into fixed-size chunks and
-//!   process them in parallel (each chunk is touched by exactly one task).
 //! * [`par_map_collect`] — parallel `(0..n).map(f).collect()`.
 //! * [`with_threads`] — run a closure with a temporary pool of an explicit
 //!   width (determinism tests sweep 1/2/4 threads and assert identical
@@ -276,42 +271,6 @@ pub fn run(n_tasks: usize, task: impl Fn(usize) + Sync) {
     current_pool().scope(n_tasks, &task);
 }
 
-/// Parallel-for over an **explicit worklist** of task indices: runs
-/// `task(list[i])` for every entry, scheduling entries across the pool
-/// like [`run`] schedules `0..n`. This is the worklist-friendly shape the
-/// engine's sparse round paths use: per-shard active lists (shards that
-/// actually staged traffic this round) are built once and only those
-/// shards are visited — idle shards cost nothing, not even a closure
-/// call. Allocation-free; entries may appear in any order and tasks must
-/// be independent, exactly as with [`run`].
-pub fn run_list(list: &[u32], task: impl Fn(usize) + Sync) {
-    current_pool().scope(list.len(), &|i| task(list[i] as usize));
-}
-
-/// Process `data` in contiguous chunks of `chunk_len` elements, in
-/// parallel. `f(chunk_index, chunk)`; the last chunk may be short.
-pub fn par_chunks_mut<T: Send>(
-    data: &mut [T],
-    chunk_len: usize,
-    f: impl Fn(usize, &mut [T]) + Sync,
-) {
-    let len = data.len();
-    if len == 0 {
-        return;
-    }
-    let chunk_len = chunk_len.max(1);
-    let n_chunks = len.div_ceil(chunk_len);
-    let cells = RacyCells::new(data);
-    run(n_chunks, |ci| {
-        let start = ci * chunk_len;
-        let end = (start + chunk_len).min(len);
-        // Sound: chunk `ci` is the unique task touching indices
-        // `start..end`.
-        let chunk = unsafe { cells.slice_mut(start, end) };
-        f(ci, chunk);
-    });
-}
-
 /// Parallel `(0..n).map(f).collect::<Vec<_>>()`.
 pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec<T> {
     let mut out: Vec<std::mem::MaybeUninit<T>> = Vec::with_capacity(n);
@@ -321,10 +280,12 @@ pub fn par_map_collect<T: Send, F: Fn(usize) -> T + Sync>(n: usize, f: F) -> Vec
         out.set_len(n)
     };
     let chunk = n.div_ceil((num_threads() * 4).max(1)).max(1);
-    par_chunks_mut(&mut out, chunk, |ci, slots| {
-        let base = ci * chunk;
-        for (i, slot) in slots.iter_mut().enumerate() {
-            slot.write(f(base + i));
+    let slots = RacyCells::new(&mut out[..]);
+    run(n.div_ceil(chunk), |ci| {
+        for i in ci * chunk..((ci + 1) * chunk).min(n) {
+            // SAFETY: `i < n`, the slots' length, and the chunks are
+            // disjoint, so task `ci` is slot `i`'s only writer.
+            unsafe { slots.write(i, std::mem::MaybeUninit::new(f(i))) };
         }
     });
     // Reassemble from raw parts rather than transmuting the Vec itself
@@ -414,36 +375,6 @@ mod tests {
             hits[i].fetch_add(1, Ordering::Relaxed);
         });
         assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
-
-    #[test]
-    fn run_list_visits_exactly_the_listed_tasks() {
-        let hits: Vec<AtomicU64> = (0..256).map(|_| AtomicU64::new(0)).collect();
-        let list: Vec<u32> = (0..256).step_by(3).collect();
-        for t in [1usize, 4] {
-            with_threads(t, || {
-                run_list(&list, |i| {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                });
-            });
-        }
-        for (i, h) in hits.iter().enumerate() {
-            let expect = if i % 3 == 0 { 2 } else { 0 };
-            assert_eq!(h.load(Ordering::Relaxed), expect, "task {i}");
-        }
-        // Empty worklists are a no-op at any pool width.
-        run_list(&[], |_| panic!("no tasks"));
-    }
-
-    #[test]
-    fn par_chunks_mut_writes_disjointly() {
-        let mut data = vec![0u64; 10_000];
-        par_chunks_mut(&mut data, 64, |ci, chunk| {
-            for (i, x) in chunk.iter_mut().enumerate() {
-                *x = (ci * 64 + i) as u64;
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &x)| x == i as u64));
     }
 
     #[test]

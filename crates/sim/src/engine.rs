@@ -22,15 +22,23 @@ pub struct EngineConfig {
     /// At most `u32::MAX` — a per-arc congestion counter holds one count
     /// per round — and a phase asked for more panics before it starts.
     pub max_rounds: u64,
-    /// Step nodes in parallel on the `congest_par` pool (results are
-    /// identical either way; serial mode exists for debugging and for
-    /// tests that must observe panics deterministically). Small networks
-    /// are stepped serially even when this is set — the cutoff only
-    /// affects wall-clock, never results.
+    /// Allow a phase to fork its rounds' step and deliver passes over the
+    /// `congest_par` pool (results are identical either way; serial mode
+    /// exists for debugging and for tests that must observe panics
+    /// deterministically). Allowed is not forked: the phase decides once,
+    /// before its first round — it forks if the pool has more than one
+    /// thread and the graph has at least 2¹⁷ arcs (below that a round is
+    /// less work than the fork-join; DESIGN.md §10 has the table), or if
+    /// [`EngineConfig::shards`] is pinned. The cutoff only affects
+    /// wall-clock, never results.
     pub parallel: bool,
-    /// Shard count for the step and deliver planes. `None` derives it from
-    /// the pool width (serial runs use one shard). Any value produces
-    /// identical results; this only shapes parallel granularity.
+    /// Shard count for the step and deliver passes. `None` derives it from
+    /// the pool width when the phase forks and uses one shard when it does
+    /// not. A pinned count is honoured as given and, with
+    /// [`EngineConfig::parallel`] set, makes the phase fork at any graph
+    /// size — how the differential tests reach the forked passes on small
+    /// graphs. Any value produces identical results; this only shapes
+    /// parallel granularity.
     pub shards: Option<usize>,
     /// Sparse-round fast-path threshold: rounds whose staged per-arc send
     /// count is at most this take the worklist deliver path instead of
@@ -92,7 +100,8 @@ impl EngineConfig {
         self
     }
 
-    /// Pin the shard count (otherwise derived from the pool width).
+    /// Pin the shard count (otherwise derived from the pool width); see
+    /// [`EngineConfig::shards`] for what that does to the fork decision.
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -208,8 +217,8 @@ where
 mod tests {
     use super::*;
     use crate::protocol::{NodeCtx, Protocol};
-    use crate::session::PARALLEL_MIN_NODES;
-    use congest_graph::generators::{complete, cycle, harary, path};
+    use crate::session::FORK_MIN_ARCS;
+    use congest_graph::generators::{cycle, harary, path};
 
     /// Flood a token from node 0; everyone records the round they heard it.
     struct Flood {
@@ -248,9 +257,10 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree() {
-        // Above PARALLEL_MIN_NODES and under a forced multi-lane pool, so
-        // the parallel path genuinely executes even on a 1-core machine.
-        let g = complete(PARALLEL_MIN_NODES + 44);
+        // At FORK_MIN_ARCS and under a forced multi-lane pool, so the
+        // default config genuinely forks even on a 1-core machine.
+        let g = harary(128, 1024);
+        assert!(g.num_arcs() >= FORK_MIN_ARCS);
         let par = congest_par::with_threads(4, || {
             run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::default()).unwrap()
         });
@@ -265,15 +275,18 @@ mod tests {
         let g = harary(8, 300);
         let base =
             run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::serial()).unwrap();
+        // A pinned shard count forks at any size, so the second arm runs
+        // the same sweep across a real pool.
         for shards in [1usize, 2, 3, 7, 64, 1000] {
-            let out = run_protocol(
-                &g,
-                |_, _| Flood { heard_at: None },
-                EngineConfig::serial().shards(shards),
-            )
-            .unwrap();
-            assert_eq!(out.outputs, base.outputs, "shards {shards}");
-            assert_eq!(out.stats, base.stats, "shards {shards}");
+            for config in [EngineConfig::serial(), EngineConfig::default()] {
+                let forked = config.parallel;
+                let out = congest_par::with_threads(4, || {
+                    run_protocol(&g, |_, _| Flood { heard_at: None }, config.shards(shards))
+                })
+                .unwrap();
+                assert_eq!(out.outputs, base.outputs, "shards {shards} forked {forked}");
+                assert_eq!(out.stats, base.stats, "shards {shards} forked {forked}");
+            }
         }
     }
 

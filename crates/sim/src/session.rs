@@ -62,7 +62,10 @@
 //! runs on a [`congest_graph::ShardPlan`] — contiguous node shards
 //! balanced by arc count, each owning a disjoint range of occupancy words
 //! (64 arcs each) — and a round is three phases, the first and last a
-//! parallel-for over shards on the `congest-par` pool:
+//! pass over the shards: across the `congest-par` pool when the phase forks
+//! (`begin_phase` decides once per phase, from the graph's arc count — one
+//! constant, `FORK_MIN_ARCS` — or a pinned shard count), in shard order on
+//! the calling thread when it does not:
 //!
 //! * **Step** — shard `s` steps its own nodes; a send is scattered
 //!   straight into the *destination* arc slot of the staging slab through
@@ -79,13 +82,12 @@
 //!   what they leave. **Skip**: nothing went through the arc mask, so only
 //!   the previous round's occupancy residue is zeroed. **Sparse**: the
 //!   staged total is within [`EngineConfig::sparse_threshold`] and no
-//!   worklist overflowed. Stage A, the fault prefilter, runs per active
-//!   shard (`congest_par::run_list`): it clears each listed mask byte
-//!   still set and keeps those entries — what the adversary cleared drops
-//!   out. Stage B merges the survivors serially: set the occupancy bit,
-//!   bump the arc's counter, and note each word that went nonzero in
-//!   `set_words`, the breadcrumb by which the next round zeroes
-//!   O(traffic) words, not the bitset. **Full**: each shard sweeps its
+//!   worklist overflowed. One serial pass over the shards' worklists: an
+//!   entry whose mask byte the adversary cleared drops out; for the rest,
+//!   zero the mask byte, set the occupancy bit, bump the arc's counter,
+//!   and note each word that went nonzero in `set_words`, the breadcrumb
+//!   by which the next round zeroes O(traffic) words, not the bitset (the
+//!   pass is random-access and O(traffic), so it never forks). **Full**: each shard sweeps its
 //!   word range — 64 mask bytes pack into one occupancy word, the mask is
 //!   re-zeroed, the set bits counted and their arcs' counters bumped.
 //!
@@ -137,9 +139,33 @@ use rand::rngs::SmallRng;
 /// The staging byte-mask value for "this arc carries a message".
 const STAGED: u8 = 1;
 
-/// Below this many nodes the pool handoff costs more than the round; step
-/// serially regardless of [`EngineConfig::parallel`] (results identical).
-pub(crate) const PARALLEL_MIN_NODES: usize = 256;
+/// A phase forks the pool from this many arcs up (DESIGN.md §10's sharded /
+/// serial table: below it a round is less work than the fork-join that
+/// would shard it). A policy of wall clock only — results are identical on
+/// either side.
+pub(crate) const FORK_MIN_ARCS: usize = 1 << 17;
+
+/// How a phase runs its per-shard passes: [`SessionState::begin_phase`]
+/// decides once, and every sharded pass of both round kernels goes through
+/// [`Fork::each_shard`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Fork(bool);
+
+impl Fork {
+    /// Run `task(0..shards)`: across the pool if the phase forks, in shard
+    /// order on the calling thread if not. Tasks own disjoint regions, so
+    /// the two are indistinguishable in what they leave.
+    #[inline]
+    pub(crate) fn each_shard(self, shards: usize, task: impl Fn(usize) + Sync) {
+        if self.0 {
+            congest_par::run(shards, task);
+        } else {
+            for s in 0..shards {
+                task(s);
+            }
+        }
+    }
+}
 
 /// Cap on auto-derived shard counts (explicit configs may exceed it).
 const MAX_AUTO_SHARDS: usize = 64;
@@ -502,8 +528,6 @@ pub(crate) struct SessionState {
     meters: Vec<ShardMeter>,
     wl_starts: Vec<usize>,
     worklist: Vec<u32>,
-    wl_live: Vec<u32>,
-    active_shards: Vec<u32>,
     set_words: Vec<u32>,
     /// Per-edge congestion fold target, exposed through [`PhaseOutcome`].
     per_edge: Vec<u64>,
@@ -559,8 +583,6 @@ impl SessionState {
             meters: Vec::new(),
             wl_starts: Vec::new(),
             worklist: Vec::new(),
-            wl_live: Vec::new(),
-            active_shards: Vec::new(),
             set_words: Vec::new(),
             per_edge: vec![0; graph.m()],
             trace_buf: Vec::new(),
@@ -819,9 +841,15 @@ impl SessionState {
     /// early exit, error or panic, leaves partially-built state; only a
     /// completed phase restores the breadcrumb-zero invariant), and make
     /// the cached shard plan the one `config` asks for — one cache, so
-    /// alternating sequential and wide phases share it. Returns whether
-    /// the phase shards its rounds over the pool.
-    pub(crate) fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> bool {
+    /// alternating sequential and wide phases share it.
+    ///
+    /// It is also the one place that decides whether the phase's rounds
+    /// fork the pool: [`EngineConfig::parallel`] on a pool of more than one
+    /// thread, and either a graph of at least [`FORK_MIN_ARCS`] arcs or a
+    /// shard count the caller pinned (how the differential tests reach the
+    /// forked passes on small graphs). A phase that does not fork and pins
+    /// no count runs on a one-shard plan.
+    pub(crate) fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> Fork {
         debug_assert!(self.fits(graph), "state sized for a different graph");
         assert!(
             config.max_rounds <= u32::MAX as u64,
@@ -832,20 +860,22 @@ impl SessionState {
             self.scrub();
         }
         self.clean = false;
-        let n = graph.n();
-        let parallel = config.parallel && n >= PARALLEL_MIN_NODES && congest_par::num_threads() > 1;
+        let threads = congest_par::num_threads();
+        let fork = config.parallel
+            && threads > 1
+            && (config.shards.is_some() || graph.num_arcs() >= FORK_MIN_ARCS);
         let s_req = config
             .shards
-            .unwrap_or(if parallel {
-                (congest_par::num_threads() * 4).min(MAX_AUTO_SHARDS)
+            .unwrap_or(if fork {
+                (threads * 4).min(MAX_AUTO_SHARDS)
             } else {
                 1
             })
-            .clamp(1, n.max(1));
+            .clamp(1, graph.n().max(1));
         if self.plan.as_ref().map(|(k, _)| *k) != Some(s_req) {
             self.plan = Some((s_req, graph.shard_plan(s_req)));
         }
-        parallel
+        Fork(fork)
     }
 
     /// The round loop: run one protocol instance per node on `graph`
@@ -866,7 +896,7 @@ impl SessionState {
             P::Msg::WIDTH <= <<P::Msg as PackedMsg>::Word as MsgWord>::BITS,
             "message WIDTH exceeds its storage word"
         );
-        let parallel = self.begin_phase(graph, &config);
+        let fork = self.begin_phase(graph, &config);
 
         let n = graph.n();
         let arcs = graph.num_arcs();
@@ -910,8 +940,6 @@ impl SessionState {
             meters,
             wl_starts,
             worklist,
-            wl_live,
-            active_shards,
             set_words,
             per_edge,
             trace_buf,
@@ -925,8 +953,6 @@ impl SessionState {
 
         meters.clear();
         meters.resize(s_count, ShardMeter::default());
-        wl_live.clear();
-        wl_live.resize(s_count, 0);
         wl_starts.clear();
         wl_starts.push(0);
         for s in 0..s_count {
@@ -936,8 +962,6 @@ impl SessionState {
         if worklist.len() < wl_starts[s_count] {
             worklist.resize(wl_starts[s_count], 0);
         }
-        active_shards.clear();
-        active_shards.reserve(s_count);
         set_words.clear();
         set_words.reserve(threshold.min(occ_words));
         trace_buf.clear();
@@ -957,7 +981,6 @@ impl SessionState {
         let bcast_occ: &mut [u64] = &mut bcast_occ[..if bcast_enabled { node_words } else { 0 }];
         let node_traffic: &mut [u32] = &mut node_traffic[..bcast_len];
         let meters: &mut [ShardMeter] = meters;
-        let wl_live: &mut [u32] = wl_live;
         let worklist: &mut [u32] = &mut worklist[..wl_starts[s_count]];
 
         // --- Node cells in the bump arena.
@@ -1070,13 +1093,7 @@ impl SessionState {
                     meter.staged = plane.staged.get();
                     meter.bcast_used = plane.bcast_used.get();
                 };
-                if parallel {
-                    congest_par::run(s_count, step_shard);
-                } else {
-                    for s in 0..s_count {
-                        step_shard(s);
-                    }
-                }
+                fork.each_shard(s_count, step_shard);
             }
             // --- Adversary phase: destroy staged messages on blocked
             // edges.
@@ -1116,71 +1133,29 @@ impl SessionState {
                         set_words.clear();
                     }
                     OccState::Unknown => {
-                        if parallel && occ_words >= 4096 {
-                            let chunk = occ_words.div_ceil(congest_par::num_threads().max(1));
-                            congest_par::par_chunks_mut(&mut *in_occ, chunk, |_, c| c.fill(0));
-                        } else {
-                            in_occ.fill(0);
-                        }
+                        in_occ.fill(0);
                         set_words.clear();
                     }
                 }
                 occ_state = OccState::Clean;
             }
             if sparse_round {
-                // Stage A — fault prefilter over the active-shard
-                // worklists (see the module docs).
-                active_shards.clear();
+                // One serial pass over the per-shard worklists: an entry
+                // whose mask byte the adversary cleared drops out, the rest
+                // are delivered (see the module docs).
                 for (s, m) in meters.iter().enumerate() {
-                    if m.staged > 0 {
-                        active_shards.push(s as u32);
-                    }
-                }
-                {
-                    let racy_wl = RacyCells::new(&mut *worklist);
-                    let racy_mask = RacyCells::new(&mut *out_mask);
-                    let racy_live = RacyCells::new(&mut *wl_live);
-                    let meters = &meters[..];
-                    let wl_starts = &wl_starts[..];
-                    let prefilter = |s: usize| {
-                        let cnt = meters[s].staged as usize;
-                        let base = wl_starts[s];
-                        // Sound: worklist region `s` and live-count slot
-                        // `s` belong to this task alone; every staged
-                        // mask byte has exactly one worklist entry
-                        // pointing at it.
-                        let wl = unsafe { racy_wl.slice_mut(base, base + cnt) };
-                        let mut live = 0usize;
-                        for k in 0..cnt {
-                            let dest = wl[k] as usize;
-                            if unsafe { racy_mask.read(dest) } != 0 {
-                                unsafe { racy_mask.write(dest, 0) };
-                                wl[live] = dest as u32;
-                                live += 1;
-                            }
-                        }
-                        unsafe { racy_live.write(s, live as u32) };
-                    };
-                    if parallel && staged_total >= 4096 && active_shards.len() > 1 {
-                        congest_par::run_list(active_shards, prefilter);
-                    } else {
-                        for &s in active_shards.iter() {
-                            prefilter(s as usize);
-                        }
-                    }
-                }
-                // Stage B — serial merge over the survivors.
-                for &s in active_shards.iter() {
-                    let base = wl_starts[s as usize];
-                    let live = wl_live[s as usize] as usize;
-                    for &dest in &worklist[base..base + live] {
+                    let base = wl_starts[s];
+                    for &dest in &worklist[base..base + m.staged as usize] {
                         let dest = dest as usize;
+                        if out_mask[dest] == 0 {
+                            continue;
+                        }
+                        out_mask[dest] = 0;
                         let w = dest >> 6;
-                        let bit = 1u64 << (dest & 63);
                         if in_occ[w] == 0 {
                             set_words.push(w as u32);
                         }
-                        in_occ[w] |= bit;
+                        in_occ[w] |= 1u64 << (dest & 63);
                         sparse_delivered += 1;
                         arc_traffic[dest] += 1;
                     }
@@ -1269,13 +1244,7 @@ impl SessionState {
                     meter.delivered = delivered;
                     meter.bcast_any = shard_bcast;
                 };
-                if parallel {
-                    congest_par::run(s_count, deliver_shard);
-                } else {
-                    for s in 0..s_count {
-                        deliver_shard(s);
-                    }
-                }
+                fork.each_shard(s_count, deliver_shard);
             }
             if run_full_sweep {
                 occ_state = OccState::Unknown;
@@ -1489,5 +1458,56 @@ impl<'g> Session<'g> {
         F: FnMut(Node, &Graph) -> P,
     {
         self.state.run_phase(self.graph, factory, config)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use congest_graph::generators::{cycle, harary};
+
+    /// The fork gate, from the outside in: what `begin_phase` answers and
+    /// the shard plan it leaves, for one config on one graph.
+    fn gate(graph: &Graph, config: EngineConfig) -> (Fork, usize) {
+        let mut state = SessionState::new(graph);
+        let fork = state.begin_phase(graph, &config);
+        (
+            fork,
+            state
+                .plan
+                .expect("begin_phase caches a plan")
+                .1
+                .num_shards(),
+        )
+    }
+
+    #[test]
+    fn a_phase_forks_from_fork_min_arcs_up_or_on_a_pinned_shard_count() {
+        let below = harary(126, 1024);
+        let at = harary(128, 1024);
+        assert!(below.num_arcs() < FORK_MIN_ARCS);
+        assert_eq!(at.num_arcs(), FORK_MIN_ARCS);
+        let small = cycle(8);
+        congest_par::with_threads(4, || {
+            assert_eq!(gate(&below, EngineConfig::default()), (Fork(false), 1));
+            assert_eq!(gate(&at, EngineConfig::default()), (Fork(true), 16));
+            assert_eq!(
+                gate(&small, EngineConfig::default().shards(3)),
+                (Fork(true), 3)
+            );
+            assert_eq!(gate(&at, EngineConfig::serial()), (Fork(false), 1));
+            assert_eq!(
+                gate(&at, EngineConfig::serial().shards(5)),
+                (Fork(false), 5)
+            );
+        });
+        // A one-thread pool has nothing to fork to, whatever is asked.
+        congest_par::with_threads(1, || {
+            assert_eq!(gate(&at, EngineConfig::default()), (Fork(false), 1));
+            assert_eq!(
+                gate(&small, EngineConfig::default().shards(3)),
+                (Fork(false), 3)
+            );
+        });
     }
 }

@@ -568,7 +568,7 @@ impl SessionState {
             P::Msg::WIDTH <= <<P::Msg as PackedMsg>::Word as MsgWord>::BITS,
             "message WIDTH exceeds its storage word"
         );
-        let parallel = self.begin_phase(graph, config);
+        let fork = self.begin_phase(graph, config);
         let batch = matches!(mode, Mode::Batch { .. });
 
         let n = graph.n();
@@ -918,13 +918,7 @@ impl SessionState {
                     }
                     unsafe { racy_sh_undone.write(s, sh_undone) };
                 };
-                if parallel {
-                    congest_par::run(s_count, step_shard);
-                } else {
-                    for s in 0..s_count {
-                        step_shard(s);
-                    }
-                }
+                fork.each_shard(s_count, step_shard);
             }
             // --- Adversary phase: each faulted lane's plan clears its own
             // bit of the blocked arcs' staging lane words, scheduled by
@@ -981,13 +975,7 @@ impl SessionState {
                         }
                     }
                 };
-                if parallel {
-                    congest_par::run(s_count, deliver_shard);
-                } else {
-                    for s in 0..s_count {
-                        deliver_shard(s);
-                    }
-                }
+                fork.each_shard(s_count, deliver_shard);
             }
             // --- Per-lane reduction and termination, mirroring the
             // sequential loop's bookkeeping lane by lane. A lane that

@@ -369,7 +369,8 @@ proptest! {
         prop_assert_eq!(par.stats, base.stats);
     }
 
-    /// Same oracle above the parallel threshold: the sharded parallel
+    /// Same oracle on graphs wide enough for several node words per
+    /// shard, forked (the shard count is pinned): the sharded parallel
     /// broadcast fold must match the reference interpreter bit-for-bit.
     #[test]
     fn mixed_broadcast_traffic_matches_baseline_parallel(
@@ -416,18 +417,19 @@ proptest! {
     /// protocols that use per-node randomness.
     #[test]
     fn parallel_serial_identical(g in arb_connected_graph(16), seed in any::<u64>()) {
-        let par = run_protocol(
-            &g,
-            |_, _| RandomChatter { rounds: 5, sent: 0, received: 0 },
-            EngineConfig::with_seed(seed),
-        )
+        // Forked: a pinned shard count forks at any size on a real pool.
+        let par = congest_par::with_threads(4, || {
+            run_protocol(
+                &g,
+                |_, _| RandomChatter { rounds: 5, sent: 0, received: 0 },
+                EngineConfig::with_seed(seed).shards(3),
+            )
+        })
         .unwrap();
-        let mut cfg = EngineConfig::serial();
-        cfg.seed = seed;
         let ser = run_protocol(
             &g,
             |_, _| RandomChatter { rounds: 5, sent: 0, received: 0 },
-            cfg,
+            EngineConfig::serial().seed(seed),
         )
         .unwrap();
         prop_assert_eq!(par.outputs, ser.outputs);
@@ -468,11 +470,13 @@ proptest! {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// The headline determinism guarantee of the packed engine, above the
-    /// parallel-stepping threshold (≥ 256 nodes, where the pool really
-    /// kicks in): serial and parallel execution — at several pool widths —
-    /// must produce byte-identical outputs, stats, *and* traces on random
-    /// Harary graphs over arbitrary seeds, n, and δ.
+    /// The headline determinism guarantee of the packed engine: serial and
+    /// forked execution — at several pool widths, on the shard count the
+    /// default config derives from the width (pinned here, because these
+    /// graphs sit far below `FORK_MIN_ARCS` and an unpinned phase would run
+    /// serially; `engine::tests::parallel_and_serial_agree` is the unpinned
+    /// case at the gate) — must produce byte-identical outputs, stats,
+    /// *and* traces on random Harary graphs over arbitrary seeds, n, and δ.
     #[test]
     fn parallel_serial_identical_above_threshold(
         n in 256usize..400,
@@ -491,7 +495,7 @@ proptest! {
         let ser = run(EngineConfig::serial().seed(seed));
         for threads in [2usize, 4] {
             let par = congest_par::with_threads(threads, || {
-                run(EngineConfig::with_seed(seed))
+                run(EngineConfig::with_seed(seed).shards(4 * threads))
             });
             prop_assert_eq!(&par.outputs, &ser.outputs, "threads = {}", threads);
             prop_assert_eq!(par.stats, ser.stats, "threads = {}", threads);
@@ -504,8 +508,8 @@ proptest! {
     /// combination and with the sparse fast path forced both ways,
     /// against the one-shard serial reference ([`shard_sweep`]). This is
     /// the determinism contract of the shard-owned round phases, held
-    /// above the parallel threshold for each traffic shape the engine
-    /// has a path for: random per-port sends, the three [`MixedChatter`]
+    /// (forked, through the pinned shard counts) for each traffic shape
+    /// the engine has a path for: random per-port sends, the three [`MixedChatter`]
     /// profiles (`send_all` dense, sparse and mixed, inbox folded and
     /// counted), `send_all` on the `u128` slab, and [`Multiplexed`]'s
     /// `Tagged` words with sub-protocols hosted on local out-slots.

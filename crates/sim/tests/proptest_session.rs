@@ -171,22 +171,18 @@ impl<'g> Host<'g> {
 
 /// Run the five-phase composition on `host` and capture everything
 /// observable. Phase seeds follow the drivers' `cfg.engine(k)`
-/// discipline (`phase_seed(seed, k)`).
+/// discipline (`phase_seed(seed, k)`); `base` says how the phases execute
+/// (serial or forked, and the shard count).
 fn run_composition(
     host: &mut Host<'_>,
     seed: u64,
-    shards: usize,
+    base: &EngineConfig,
     fault_budget: usize,
     fseed: u64,
 ) -> (Vec<PhaseObs>, PhaseLog) {
     let mut log = PhaseLog::new();
     let mut all = Vec::new();
-    let engine = |k: u64| {
-        EngineConfig::serial()
-            .seed(phase_seed(seed, k))
-            .shards(shards)
-            .trace()
-    };
+    let engine = |k: u64| base.clone().seed(phase_seed(seed, k)).trace();
     let push = |name: &str, log: &mut PhaseLog, obs: PhaseObs| {
         log.record(name.to_string(), obs.stats);
         obs
@@ -266,29 +262,33 @@ proptest! {
         fseed in any::<u64>(),
     ) {
         for &shards in &[1usize, 5] {
+            let base = EngineConfig::serial().shards(shards);
             let mut resident = Host::resident(&g);
-            let (res, res_log) = run_composition(&mut resident, seed, shards, fault_budget, fseed);
+            let (res, res_log) = run_composition(&mut resident, seed, &base, fault_budget, fseed);
             let (per, per_log) =
-                run_composition(&mut Host::fresh_each_phase(&g), seed, shards, fault_budget, fseed);
+                run_composition(&mut Host::fresh_each_phase(&g), seed, &base, fault_budget, fseed);
             prop_assert_eq!(&res, &per, "shards={}", shards);
             prop_assert!(logs_equal(&res_log, &per_log), "phase logs diverge: shards={}", shards);
         }
     }
 
-    /// Same equivalence with the step/deliver planes genuinely parallel:
-    /// several pool widths, the resident arm parallel vs the fresh-engine
-    /// arm serial — engine reuse and execution mode are both irrelevant
-    /// to results.
+    /// Same equivalence with the step/deliver planes genuinely forked (a
+    /// pinned shard count forks at any graph size): several pool widths,
+    /// the resident arm forked vs the fresh-engine arm serial — engine
+    /// reuse and execution mode are both irrelevant to results.
     #[test]
     fn session_composition_matches_across_pool_widths(
         g in arb_connected_graph(18),
         seed in any::<u64>(),
     ) {
-        let (reference, ref_log) = run_composition(&mut Host::fresh_each_phase(&g), seed, 4, 1, seed ^ 0xF);
+        let serial = EngineConfig::serial().shards(4);
+        let forked = EngineConfig::default().shards(4);
+        let (reference, ref_log) =
+            run_composition(&mut Host::fresh_each_phase(&g), seed, &serial, 1, seed ^ 0xF);
         for threads in [2usize, 4] {
             let (par, par_log) = congest_par::with_threads(threads, || {
                 let mut resident = Host::resident(&g);
-                run_composition(&mut resident, seed, 4, 1, seed ^ 0xF)
+                run_composition(&mut resident, seed, &forked, 1, seed ^ 0xF)
             });
             prop_assert_eq!(&par, &reference, "threads={}", threads);
             prop_assert!(logs_equal(&par_log, &ref_log), "threads={}", threads);

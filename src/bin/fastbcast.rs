@@ -126,8 +126,9 @@ fn flag(args: &[String], name: &str) -> bool {
 
 /// Parse a family spec like `harary:16,96`. Parameters are separated by
 /// `,` (`torus:RxC` alone also by `x`). Every malformed spec — missing
-/// `:`, wrong parameter count, non-numeric parameter — is a clean `Err`
-/// naming the offending token, never a panic.
+/// `:`, wrong parameter count, non-numeric parameter, a parameter outside
+/// what the family's generator is defined on — is a clean `Err` naming the
+/// offending token or rule, never a panic.
 fn parse_family(spec: &str) -> Result<Graph, String> {
     let (kind, rest) = spec
         .split_once(':')
@@ -148,45 +149,83 @@ fn parse_family(spec: &str) -> Result<Graph, String> {
         }
         Ok(v)
     };
+    // The generators `assert!` their preconditions; hold the spec to them
+    // here, where a violation is the user's typo and not a bug.
+    let need = |ok: bool, rule: &str| -> Result<(), String> {
+        if ok {
+            Ok(())
+        } else {
+            Err(format!("`{spec}`: {rule}"))
+        }
+    };
     match kind {
         "harary" => {
             let v = nums(2, "harary:L,N")?;
-            Ok(gen::harary(v[0], v[1]))
+            let (l, n) = (v[0], v[1]);
+            need(l >= 2, "harary needs L >= 2")?;
+            need(n > l, "harary needs N > L")?;
+            need(
+                l % 2 == 0 || n % 2 == 0,
+                "an odd-L harary graph needs an even N",
+            )?;
+            Ok(gen::harary(l, n))
         }
         "complete" => Ok(gen::complete(nums(1, "complete:N")?[0])),
         "torus" => {
             let v = nums(2, "torus:RxC")?;
+            need(v[0] >= 3 && v[1] >= 3, "torus needs both dimensions >= 3")?;
             Ok(gen::torus2d(v[0], v[1]))
         }
-        "hypercube" => Ok(gen::hypercube(nums(1, "hypercube:D")?[0])),
+        "hypercube" => {
+            let d = nums(1, "hypercube:D")?[0];
+            need((1..=30).contains(&d), "hypercube needs D in 1..=30")?;
+            Ok(gen::hypercube(d))
+        }
         "clique-chain" => {
             let v = nums(3, "clique-chain:C,S,B")?;
+            need(
+                v[0] >= 1 && v[1] >= 2,
+                "clique-chain needs C >= 1 and S >= 2",
+            )?;
+            need((1..=v[1]).contains(&v[2]), "clique-chain needs B in 1..=S")?;
             Ok(gen::clique_chain(v[0], v[1], v[2]))
         }
         "thick-path" => {
             let v = nums(2, "thick-path:L,W")?;
+            need(v[0] >= 2 && v[1] >= 2, "thick-path needs L >= 2 and W >= 2")?;
             Ok(gen::thick_path(v[0], v[1]))
         }
         "gnp" => {
             let (n, p) = rest.split_once(',').ok_or("gnp:N,P")?;
             let n: usize = n.parse().map_err(|_| format!("bad N `{n}` in `{spec}`"))?;
             let p: f64 = p.parse().map_err(|_| format!("bad P `{p}` in `{spec}`"))?;
-            Ok(gen::gnp_connected(n, p, 0xC11))
+            need((0.0..=1.0).contains(&p), "gnp needs P in 0..=1")?;
+            gen::random::try_gnp_connected(n, p, 0xC11).ok_or(format!(
+                "`{spec}`: no connected sample in 64 attempts, P is too small for N"
+            ))
         }
         "regular" => {
             let v = nums(2, "regular:N,D")?;
-            Ok(gen::random_regular(v[0], v[1], 0xC11))
+            let (n, d) = (v[0], v[1]);
+            need(d < n, "regular needs D < N")?;
+            need(n % 2 == 0 || d % 2 == 0, "regular needs N * D even")?;
+            gen::random::try_random_regular(n, d, 0xC11).ok_or(format!(
+                "`{spec}`: no simple D-regular sample in 32 attempts, D is too close to N"
+            ))
         }
         "gk13" => {
             let v = nums(2, "gk13:COLS,L")?;
+            need(v[0] >= 4 && v[1] >= 3, "gk13 needs COLS >= 4 and L >= 3")?;
             Ok(gen::gk13_lower_bound(v[0], v[1]).0)
         }
         "barbell" => {
             let v = nums(2, "barbell:S,P")?;
+            need(v[0] >= 2 && v[1] >= 1, "barbell needs S >= 2 and P >= 1")?;
             Ok(gen::barbell(v[0], v[1]))
         }
         "bipartite" => {
             let v = nums(2, "bipartite:A,B")?;
+            need(v[0] >= 1 && v[1] >= 1, "bipartite needs A >= 1 and B >= 1")?;
             Ok(gen::complete_bipartite(v[0], v[1]))
         }
         other => Err(format!("unknown family kind `{other}`")),

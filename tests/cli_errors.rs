@@ -44,6 +44,22 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         (&["params", "bipartite:4"], "2 parameter(s)"),
         (&["params", "gnp:64"], "gnp:N,P"),
         (&["params", "gnp:x,0.5"], "bad N"),
+        // Well-formed numbers outside what the family's generator is
+        // defined on: its `assert!`s are for callers, not for input.
+        (&["params", "gnp:50,1.5"], "gnp needs P in 0..=1"),
+        (&["params", "gnp:30,0.05"], "no connected sample"),
+        (&["params", "torus:0x4"], "torus needs both dimensions >= 3"),
+        (&["params", "hypercube:40"], "hypercube needs D in 1..=30"),
+        (&["params", "regular:11,3"], "regular needs N * D even"),
+        (&["params", "regular:5,7"], "regular needs D < N"),
+        (&["params", "regular:6,5"], "no simple D-regular sample"),
+        (&["params", "harary:1,5"], "harary needs L >= 2"),
+        (&["params", "harary:3,7"], "needs an even N"),
+        (&["params", "thick-path:0,3"], "thick-path needs L >= 2"),
+        (&["params", "clique-chain:2,2,3"], "needs B in 1..=S"),
+        (&["params", "gk13:1,1"], "gk13 needs COLS >= 4"),
+        (&["params", "barbell:1,0"], "barbell needs S >= 2"),
+        (&["params", "bipartite:0,1"], "bipartite needs A >= 1"),
         (&["broadcast"], "broadcast needs a <family>"),
         (
             &["broadcast", "harary:4,32", "--k", "zebra"],
@@ -97,6 +113,7 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         (&["serve", "--jobs", "0"], "--jobs must be at least 1"),
         (&["serve", "--queue", "0"], "--queue must be at least 1"),
         (&["serve", "--graphs", "harary:4"], "2 parameter(s)"),
+        (&["serve", "--graphs", "harary:1,5"], "harary needs L >= 2"),
         (&["serve", "--mix", "flood,osmosis"], "unknown mix family"),
         (
             &["serve", "--warm-limit", "cosy"],
