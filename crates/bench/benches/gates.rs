@@ -1,28 +1,27 @@
-//! The four CI gates: pass/fail ratios, each against an arm it is
+//! The two CI gates: pass/fail ratios, each against an arm it is
 //! cross-checked bit-identical to before anything is timed.
 //!
 //! | gate | arm vs arm | bar |
 //! |---|---|---|
 //! | `churn_repair` | incremental phase-boundary repair vs `GraphBuilder::build` + `Session::new` | geomean ≥ 1.0 (0.9 in smoke) |
-//! | `wide_batch` | 32 rumor lanes through one `Session::run_wide` sweep vs one sequential `Session::run` | ≥ 4× |
-//! | `wide_tail` | one `run_refill` drain vs 32-lane chunked runs on a staggered-termination mix | ≥ 1.5× |
-//! | `serve` | `PoolServer` batching drain vs one fresh `Session` per job | ≥ 2× |
+//! | `wide_tail` | one `run_refill` drain vs 32-lane chunked runs on a staggered-termination mix (wide vs wide) | ≥ 1.5× |
 //!
 //! A gate that holds prints `GATE <name> <ratio> >= <bar> ok`; one that
 //! does not prints a `REGRESSION-MARKER` line. CI requires the first and
 //! refuses the second, so a section that silently did not run fails too.
 //! Nothing is recorded: every recorded number in the repository comes
 //! from `benchmark/` (parent-vs-change pairs, per-metric bounds), and
-//! these four move there as workloads with `compare` bounds — they stay
-//! here until then because the rumor mixes they time (thin wavefronts on
-//! `harary(6, n)`, staggered tails) are a regime none of `benchmark/`'s
-//! workloads enters yet. What this file used to race and record besides
-//! (the packed plane vs the reference interpreter, the shard-scaling
-//! curve) is in DESIGN.md §10 with its last numbers.
+//! these two move there as workloads with `compare` bounds. Two more
+//! lived here until PR 22, `wide_batch` (≥ 4×) and `serve` (≥ 2×): both
+//! raced the wide kernel against `Session::run` on thin-frontier rumor,
+//! and since `Session::run` steps only a round's frontier they read
+//! below 1 — DESIGN.md §10 has their last readings on both sides. What
+//! this file used to race and record besides (the packed plane vs the
+//! reference interpreter, the shard-scaling curve) is there too.
 //!
 //! **Smoke mode** (`SIM_BENCH_SMOKE=1`): shrinks every dimension so CI
-//! can run all four in seconds with every cross-check kept.
-//! `SIM_BENCH_SECTION=serve|wide_tail` runs only that section.
+//! can run both in seconds with every cross-check kept.
+//! `SIM_BENCH_SECTION=wide_tail` runs only that section.
 
 use congest_graph::generators::harary;
 use congest_sim::{EngineConfig, NodeCtx, Protocol};
@@ -64,62 +63,11 @@ impl Protocol for DenseChatter {
     }
 }
 
-/// Lane-salted QUIESCENT rumor flood for the wide-batch arm: lane `l`'s
-/// rumor starts at a lane-dependent source and floods the circulant,
-/// each node relaying once in its adoption round. Every node is `done`
-/// from round 0 on, so outside the O(degree)-wide frontier a lane's
-/// nodes are done-and-silent — the regime where the wide kernel's
-/// active-lane word skips the node step outright, while the sequential
-/// engine still pays one step call per node per round. This is the
-/// "many sparse runs" shape the wide kernel exists for.
-#[derive(Clone)]
-struct LaneRumor {
-    me: u32,
-    src: u32,
-    heard: bool,
-    acc: u64,
-}
-
-impl LaneRumor {
-    fn new(node: u32, salt: u64, n: usize) -> Self {
-        let h = congest_sim::rng::mix64(0xB47C ^ salt);
-        LaneRumor {
-            me: node,
-            src: (h % n as u64) as u32,
-            heard: false,
-            acc: h | 1,
-        }
-    }
-}
-
-impl Protocol for LaneRumor {
-    type Msg = u64;
-    type Output = u64;
-    /// State mutates and sends happen only at round 0 (the source's
-    /// announcement) or on message arrival (adoption + relay), so a
-    /// done round with an empty inbox is a semantic no-op.
-    const QUIESCENT: bool = true;
-    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        let sum = ctx.inbox().map(|(_, m)| m).fold(0u64, u64::wrapping_add);
-        self.acc = self.acc.wrapping_add(sum);
-        if ctx.inbox_len() > 0 && !self.heard {
-            self.heard = true;
-            ctx.send_all(sum | 1);
-        }
-        if ctx.round == 0 && self.me == self.src && !self.heard {
-            self.heard = true;
-            ctx.send_all(self.acc | 1);
-        }
-        ctx.set_done(true);
-    }
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
-/// [`LaneRumor`] with a staggered tail for the wide-tail bench: the
-/// rumor floods as usual, then the *source* lingers, pulsing port 0
-/// every round until its lane-local round reaches `linger`. Jobs get
+/// Lane-salted QUIESCENT rumor flood with a staggered tail for the
+/// wide-tail bench: lane `l`'s rumor starts at a lane-dependent source
+/// and floods the circulant, each node relaying once in its adoption
+/// round; then the *source* lingers, pulsing port 0 every round until its
+/// lane-local round reaches `linger`. Jobs get
 /// lingers of very different lengths, so a chunked wide run holds its
 /// full width hostage to each chunk's slowest lane — the regime lane
 /// compaction (narrowing the sweep) and mid-sweep refill (retired slots
@@ -316,109 +264,6 @@ fn bench_churn_repair() -> (Vec<ChurnRepairRow>, f64) {
     (rows, geo)
 }
 
-struct WideBatchRow {
-    w: usize,
-    ns: u128,
-    inst_rounds_per_sec: f64,
-    speedup_vs_seq: f64,
-}
-
-/// Wide-batch throughput: W independent sparse instances through one
-/// [`congest_sim::Session::run_wide`] sweep vs the same instance through
-/// `Session::run`, both single-core. Metric is instances·rounds
-/// per second; the acceptance bar is W=32 ≥ 4× the sequential arm.
-/// All 64 lanes are cross-checked bit-identical (outputs + stats)
-/// against their per-lane sequential runs before any timing.
-fn bench_wide_batch() -> (Vec<WideBatchRow>, f64) {
-    use congest_sim::{LaneSpec, Session};
-
-    let (n, samples) = if smoke() {
-        (1024usize, 2usize)
-    } else {
-        (4096usize, 5usize)
-    };
-    let g = harary(6, n);
-    let lane_seed = |l: usize| congest_sim::rng::mix64(0x57ED_BA7C ^ l as u64);
-    let wide_cfg = EngineConfig::serial();
-    let seq_cfg = |l: usize| EngineConfig::serial().seed(lane_seed(l));
-    let lanes_for =
-        |w: usize| -> Vec<LaneSpec> { (0..w).map(|l| LaneSpec::new(lane_seed(l))).collect() };
-
-    let mut wide = Session::new(&g);
-
-    // Cross-check the full width bit-identical before timing anything,
-    // and record each lane's true round count for the throughput metric
-    // (sources sit at different eccentricities, so lanes can differ).
-    let lanes64 = lanes_for(64);
-    let lane_rounds: Vec<u64> = {
-        let out = wide
-            .run_wide(
-                &lanes64,
-                |v, l, _| LaneRumor::new(v, l as u64, n),
-                wide_cfg.clone(),
-            )
-            .unwrap();
-        for l in 0..64 {
-            let mut sess = Session::new(&g);
-            let seq = sess
-                .run(|v, _| LaneRumor::new(v, l as u64, n), seq_cfg(l))
-                .unwrap();
-            assert_eq!(
-                out.stats(l),
-                seq.stats,
-                "wide_batch lane {l} stats diverged"
-            );
-            assert_eq!(
-                out.outputs(l),
-                seq.outputs(),
-                "wide_batch lane {l} outputs diverged"
-            );
-        }
-        (0..64).map(|l| out.stats(l).rounds).collect()
-    };
-
-    // Sequential arm: one instance per run on a resident Session.
-    let seq_ns = {
-        let mut sess = Session::new(&g);
-        best_of(samples, || {
-            let out = sess
-                .run(|v, _| LaneRumor::new(v, 0, n), seq_cfg(0))
-                .unwrap();
-            out.outputs()[0]
-        })
-    };
-    let seq_rate = lane_rounds[0] as f64 / (seq_ns as f64 / 1e9);
-
-    let mut rows = Vec::new();
-    for w in [1usize, 8, 32, 64] {
-        let lanes = lanes_for(w);
-        let ns = best_of(samples, || {
-            let out = wide
-                .run_wide(
-                    &lanes,
-                    |v, l, _| LaneRumor::new(v, l as u64, n),
-                    wide_cfg.clone(),
-                )
-                .unwrap();
-            out.outputs(0)[0]
-        });
-        let inst_rounds: u64 = lane_rounds[..w].iter().sum();
-        let rate = inst_rounds as f64 / (ns as f64 / 1e9);
-        rows.push(WideBatchRow {
-            w,
-            ns,
-            inst_rounds_per_sec: rate,
-            speedup_vs_seq: rate / seq_rate,
-        });
-    }
-    let at_32 = rows
-        .iter()
-        .find(|r| r.w == 32)
-        .map(|r| r.speedup_vs_seq)
-        .unwrap_or(0.0);
-    (rows, at_32)
-}
-
 struct WideTailRow {
     arm: &'static str,
     wall_ns: u128,
@@ -578,133 +423,6 @@ fn bench_wide_tail() -> (Vec<WideTailRow>, f64) {
     (rows, chunked_ns as f64 / refill_ns as f64)
 }
 
-struct ServeRow {
-    arm: &'static str,
-    wall_ns: u128,
-    jobs_per_sec: f64,
-}
-
-/// Serving-layer throughput: one multi-tenant rumor job stream over two
-/// highly-connected circulants (the paper's regime; per-job sources,
-/// seeds, and tenants) pushed through the `PoolServer`'s batching drain
-/// — warm pooled states, compatible jobs grouped onto wide lane sweeps —
-/// vs the same stream run one fresh `Session` per job
-/// (`run_job_isolated`, the pool's oracle). Every output and stat is
-/// cross-checked bit-identical before anything is timed. Returns the two
-/// arms plus the batched-vs-isolated speedup.
-///
-/// The mix is deliberately all wide-worthy: rumor's thin wavefront is
-/// where lane batching amortizes the arc sweep (measured ~3.7x at 32
-/// lanes on `harary(6, 1024)`), while dense-head families like flood-max
-/// run every lane hot simultaneously and batch roughly latency-neutral —
-/// the policy tradeoff documented on `JobSpec::wide_worthy`.
-fn bench_serve() -> (Vec<ServeRow>, f64) {
-    use congest_sim::rng::mix64;
-    use congest_sim::{run_job_isolated, Job, JobOutput, JobSpec, JobStatus, PoolServer};
-
-    let (n, jobs_n, samples) = if smoke() {
-        (1024usize, 64usize, 2usize)
-    } else {
-        (4096usize, 128usize, 5usize)
-    };
-    let graphs = [harary(6, n), harary(6, 3 * n / 4)];
-    let cfg = EngineConfig::serial();
-
-    // The stream: alternating graphs (the batcher has to regroup), every
-    // job its own source and seed, tenants interleaved.
-    let stream: Vec<(usize, JobSpec, u64, u32)> = (0..jobs_n)
-        .map(|j| {
-            let graph = j % 2;
-            let spec = JobSpec::Rumor {
-                source: (mix64(0x5E11 ^ j as u64) % graphs[graph].n() as u64) as u32,
-            };
-            (
-                graph,
-                spec,
-                mix64(0x0B_5EED ^ mix64(j as u64)),
-                (j % 4) as u32,
-            )
-        })
-        .collect();
-
-    let mut server = PoolServer::new(cfg.clone(), jobs_n);
-    let keys = [
-        server.register_graph(graphs[0].clone()),
-        server.register_graph(graphs[1].clone()),
-    ];
-    let serve_once = |server: &mut PoolServer, out: &mut Vec<JobOutput>| {
-        out.clear();
-        for (graph, spec, seed, tenant) in &stream {
-            server
-                .submit(
-                    Job {
-                        graph: keys[*graph],
-                        protocol: spec.clone(),
-                        seed: *seed,
-                        faults: None,
-                        tenant: *tenant,
-                    },
-                    out,
-                )
-                .expect("graph is registered");
-        }
-        server.drain(out);
-        out.sort_by_key(|o| o.id);
-    };
-
-    // Cross-check the whole stream bit-identical against the isolated
-    // oracle before timing anything.
-    let mut out = Vec::new();
-    serve_once(&mut server, &mut out);
-    assert_eq!(out.len(), stream.len());
-    for ((graph, spec, seed, tenant), o) in stream.iter().zip(&out) {
-        let (outputs, stats) = run_job_isolated(&graphs[*graph], spec, *seed, None, &cfg).unwrap();
-        assert_eq!(o.status, JobStatus::Done, "serve job {:?} failed", o.id);
-        assert_eq!(o.tenant, *tenant);
-        assert_eq!(o.outputs, outputs, "serve job {:?} outputs diverged", o.id);
-        assert_eq!(o.stats, stats, "serve job {:?} stats diverged", o.id);
-    }
-    assert!(
-        server.batched_jobs() > server.solo_jobs(),
-        "the mix must actually exercise wide batching ({} batched, {} solo)",
-        server.batched_jobs(),
-        server.solo_jobs()
-    );
-
-    // Batched arm: the resident server (pool stays warm across samples,
-    // as in steady-state serving).
-    let pooled_ns = best_of(samples, || {
-        serve_once(&mut server, &mut out);
-        out.iter().fold(0u64, |a, o| {
-            a ^ o.outputs.first().copied().unwrap_or(0) ^ o.stats.total_messages
-        })
-    });
-    // Isolated arm: one fresh session per job, same configs, same order.
-    let isolated_ns = best_of(samples, || {
-        stream.iter().fold(0u64, |a, (graph, spec, seed, _)| {
-            let (outputs, stats) =
-                run_job_isolated(&graphs[*graph], spec, *seed, None, &cfg).unwrap();
-            a ^ outputs.first().copied().unwrap_or(0) ^ stats.total_messages
-        })
-    });
-
-    let rate = |ns: u128| jobs_n as f64 / (ns as f64 / 1e9);
-    let rows = vec![
-        ServeRow {
-            arm: "pool_batched",
-            wall_ns: pooled_ns,
-            jobs_per_sec: rate(pooled_ns),
-        },
-        ServeRow {
-            arm: "session_per_job",
-            wall_ns: isolated_ns,
-            jobs_per_sec: rate(isolated_ns),
-        },
-    ];
-    let speedup = isolated_ns as f64 / pooled_ns as f64;
-    (rows, speedup)
-}
-
 /// The one line per gate CI counts: `GATE <name> <ratio> >= <bar> ok`
 /// when the ratio clears its bar, the section's `REGRESSION-MARKER`
 /// line when it does not (a NaN ratio does not).
@@ -745,36 +463,6 @@ fn run_churn_repair_section() {
     );
 }
 
-fn run_wide_batch_section() {
-    let (wide_batch, wide_batch_speedup_32) = bench_wide_batch();
-    println!("\n| wide-batch lanes | wall clock | instances·rounds/sec | vs sequential |");
-    println!("|---|---|---|---|");
-    for r in &wide_batch {
-        println!(
-            "| {} | {:.3} ms | {:.0} | {:.2}x |",
-            r.w,
-            r.ns as f64 / 1e6,
-            r.inst_rounds_per_sec,
-            r.speedup_vs_seq
-        );
-    }
-    println!(
-        "wide-batch speedup at 32 lanes vs one sequential instance: {wide_batch_speedup_32:.2}x"
-    );
-    // The whole point of the wide kernel: amortizing the arc sweep
-    // across lanes must beat running the lanes one at a time by a wide
-    // margin, in the smoke lane too.
-    gate(
-        "wide_batch",
-        wide_batch_speedup_32,
-        4.0,
-        format!(
-            "wide-batch speedup {wide_batch_speedup_32:.3} < 4.0 at 32 lanes \
-             vs the sequential arm"
-        ),
-    );
-}
-
 fn run_wide_tail_section() {
     let (wide_tail, wide_tail_refill) = bench_wide_tail();
     println!("\n| wide-tail arm | wall clock | jobs/sec |");
@@ -802,44 +490,15 @@ fn run_wide_tail_section() {
     );
 }
 
-fn run_serve_section() {
-    let (serve, serve_speedup) = bench_serve();
-    println!("\n| serve arm | wall clock | jobs/sec |");
-    println!("|---|---|---|");
-    for r in &serve {
-        println!(
-            "| {} | {:.3} ms | {:.0} |",
-            r.arm,
-            r.wall_ns as f64 / 1e6,
-            r.jobs_per_sec
-        );
-    }
-    println!("serve speedup (pool-batched vs one session per job): {serve_speedup:.2}x");
-    // The serving layer's acceptance bar: batching compatible jobs onto
-    // wide sweeps must at least double job throughput, smoke mix included.
-    gate(
-        "serve",
-        serve_speedup,
-        2.0,
-        format!(
-            "serve speedup {serve_speedup:.3} < 2.0 — pool batching lost \
-             its advantage over one fresh session per job"
-        ),
-    );
-}
-
 fn main() {
-    // `SIM_BENCH_SECTION=serve|wide_tail`: run only that section (CI's
-    // smoke lanes), keep its cross-checks and gate, skip the rest.
+    // `SIM_BENCH_SECTION=wide_tail`: run only that section, keep its
+    // cross-checks and gate, skip the rest.
     match std::env::var("SIM_BENCH_SECTION").as_deref() {
-        Ok("serve") => run_serve_section(),
         Ok("wide_tail") => run_wide_tail_section(),
         Ok(section) => panic!("unknown SIM_BENCH_SECTION `{section}`"),
         Err(_) => {
             run_churn_repair_section();
-            run_wide_batch_section();
             run_wide_tail_section();
-            run_serve_section();
         }
     }
 }

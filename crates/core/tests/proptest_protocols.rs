@@ -1,12 +1,16 @@
 //! Property-based tests for the core protocols: BFS, numbering, pipeline,
 //! and partition invariants on arbitrary connected graphs.
 
-use congest_core::bfs::BfsProtocol;
+use congest_core::bfs::{BfsProtocol, SubgraphBfs};
+use congest_core::broadcast::ParallelPipeline;
 use congest_core::convergecast::{AggOp, Aggregate, Numbering, TreeView};
+use congest_core::leader::FloodMax;
 use congest_core::partition::{EdgePartition, EdgePartitionProtocol, PartitionParams};
 use congest_core::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult, TreePipeline};
+use congest_core::resilient::ReplicatedPipeline;
+use congest_graph::generators::{gnp_connected, harary, torus2d};
 use congest_graph::{Graph, GraphBuilder, Node, Port};
-use congest_sim::{run_protocol, EngineConfig, LaneSpec, Session};
+use congest_sim::{check_quiescent, run_protocol, EngineConfig, FaultPlan, LaneSpec, Session};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -249,6 +253,114 @@ proptest! {
                 .unwrap();
             prop_assert_eq!(wide.outputs(l), seq.outputs(), "lane {}", l);
             prop_assert_eq!(wide.stats(l), seq.stats, "lane {}", l);
+        }
+    }
+
+    /// Every protocol in the tree that promises `Protocol::QUIESCENT`,
+    /// held to the promise: `Session::run` — which steps only the nodes a
+    /// round lists — equals the same run with the promise withdrawn
+    /// (`congest_sim::Eager`), in outputs, `RunStats`, trace, per-edge
+    /// congestion and state hash. Under a fault plan a pipeline may stall,
+    /// and then both runs must fail the same round limit.
+    #[test]
+    fn quiescent_protocols_match_their_eager_twins(
+        family in 0u8..3,
+        seed in any::<u64>(),
+        root_pick in any::<u32>(),
+        k in 0usize..24,
+        shape in 0u8..3,
+        budget in 0usize..3,
+    ) {
+        // λ′ = 2 where two classes can be expected to span, else 1.
+        let (g, lp) = match family {
+            0 => (harary(8, 20 + (seed % 13) as usize), 2usize),
+            1 => (torus2d(3 + (seed % 3) as usize, 4 + (seed % 4) as usize), 1),
+            _ => (gnp_connected(14 + (seed % 12) as usize, 0.3, seed), 1),
+        };
+        let root = root_pick % g.n() as u32;
+        let base = EngineConfig {
+            seed,
+            max_rounds: 300,
+            faults: (budget > 0).then(|| FaultPlan::new(budget, seed ^ 0xFA17)),
+            ..EngineConfig::default()
+        };
+        // The two that stand on nothing first: the rest are built on BFS
+        // trees, and a broken `BfsProtocol` should be named as such.
+        let flood = check_quiescent(&g, |v, _| FloodMax::new(v), &base);
+        prop_assert_eq!(flood, Ok(()), "FloodMax");
+        let bfs = check_quiescent(&g, |v, _| BfsProtocol::new(root, v), &base);
+        prop_assert_eq!(bfs, Ok(()), "BfsProtocol");
+        // What the later phases stand on, from unfaulted runs.
+        let views = bfs_views(&g, root);
+        let partition = EdgePartition::compute(&g, PartitionParams::explicit(lp), seed);
+        let colors = |v: Node| partition.port_colors(&g, v);
+        let class_trees = run_protocol(
+            &g,
+            |v, _| SubgraphBfs::new(root, v, colors(v), lp),
+            EngineConfig::default(),
+        )
+        .unwrap()
+        .outputs;
+        let own = place(&views, root, k, shape, seed);
+        // Message `id` rides class `id % λ′`.
+        let cores = |v: Node| -> Vec<PipeCore> {
+            (0..lp)
+                .map(|c| {
+                    let rides = |id: u32| id as usize % lp == c;
+                    PipeCore::new(
+                        TreeView::from_bfs(&class_trees[v as usize][c]),
+                        (0..k as u32).filter(|&id| rides(id)).count() as u64,
+                        own[v as usize].iter().copied().filter(|m| rides(m.id)).collect(),
+                        true,
+                    )
+                })
+                .collect()
+        };
+        let view = |v: Node| views[v as usize].clone();
+        // The two convergecasts are always done and `finish` expects an
+        // answer: a lost message is a panic, not a stall. Unfaulted only.
+        let lossless = EngineConfig { faults: None, ..base.clone() };
+
+        let held = [
+            (
+                "SubgraphBfs",
+                check_quiescent(&g, |v, _| SubgraphBfs::new(root, v, colors(v), lp), &base),
+            ),
+            (
+                "Aggregate",
+                check_quiescent(&g, |v, _| Aggregate::new(view(v), AggOp::Sum, (seed >> (v % 32)) & 0xFFFF), &lossless),
+            ),
+            (
+                "Numbering",
+                check_quiescent(&g, |v, _| Numbering::new(view(v), (seed >> (v % 32)) & 3), &lossless),
+            ),
+            (
+                "TreePipeline",
+                check_quiescent(
+                    &g,
+                    |v, _| TreePipeline::new(view(v), k as u64, own[v as usize].clone(), true),
+                    &base,
+                ),
+            ),
+            (
+                "ParallelPipeline",
+                check_quiescent(&g, |v, _| ParallelPipeline::new(cores(v)), &base),
+            ),
+            (
+                "ReplicatedPipeline",
+                check_quiescent(
+                    &g,
+                    |v, _| {
+                        let unique: Vec<(u32, u64)> =
+                            own[v as usize].iter().map(|m| (m.id, m.payload)).collect();
+                        ReplicatedPipeline::new(cores(v), &unique)
+                    },
+                    &base,
+                ),
+            ),
+        ];
+        for (protocol, verdict) in held {
+            prop_assert_eq!(verdict, Ok(()), "{}", protocol);
         }
     }
 

@@ -1,0 +1,102 @@
+//! Test support: the oracle for [`Protocol::QUIESCENT`].
+//!
+//! Both round kernels skip a done node with an empty inbox when its
+//! protocol promises `QUIESCENT`, so neither can catch the other honouring
+//! a wrong promise. [`Eager`] withdraws the promise without touching the
+//! protocol — the engine then steps every node every round — and
+//! [`check_quiescent`] holds a run of `P` to a run of `Eager<P>`: if some
+//! done node would have acted on an empty inbox, the two differ. No engine
+//! switch and no config field is involved; nothing outside tests should
+//! use either.
+
+use crate::engine::{EngineConfig, RunOutcome};
+use crate::protocol::{NodeCtx, Protocol};
+use crate::session::Session;
+use congest_graph::{Graph, Node};
+
+/// `P` with `QUIESCENT = false`: `round` and `finish` are `P`'s.
+pub struct Eager<P>(pub P);
+
+impl<P: Protocol> Protocol for Eager<P> {
+    type Msg = P::Msg;
+    type Output = P::Output;
+
+    fn round(&mut self, ctx: &mut NodeCtx<'_, P::Msg>) {
+        self.0.round(ctx)
+    }
+
+    fn finish(self) -> P::Output {
+        self.0.finish()
+    }
+}
+
+/// Run `make`'s protocol and its [`Eager`] twin, each on a fresh session,
+/// and report the first difference in outputs, [`crate::RunStats`], trace,
+/// per-edge congestion or final `state_hash` — at shard counts 1, 4 and 6
+/// pinned on a two-thread pool (so the forked passes run) × the sparse
+/// path forced off, forced on and on its heuristic. `base` supplies the
+/// seed, the fault plan and the round limit.
+pub fn check_quiescent<P, F>(graph: &Graph, make: F, base: &EngineConfig) -> Result<(), String>
+where
+    P: Protocol,
+    P::Output: PartialEq + std::fmt::Debug,
+    F: Fn(Node, &Graph) -> P,
+{
+    type Run<O> = (Result<RunOutcome<O>, crate::EngineError>, u64);
+    fn run<Q: Protocol>(
+        graph: &Graph,
+        make: impl FnMut(Node, &Graph) -> Q,
+        config: EngineConfig,
+    ) -> Run<Q::Output> {
+        let mut session = Session::new(graph);
+        let outcome = session.run(make, config).map(|o| o.into_owned());
+        (outcome, session.state_hash())
+    }
+    congest_par::with_threads(2, || {
+        for shards in [1usize, 4, 6] {
+            for threshold in [None, Some(0), Some(usize::MAX)] {
+                let config = EngineConfig {
+                    parallel: true,
+                    shards: Some(shards),
+                    sparse_threshold: threshold,
+                    collect_trace: true,
+                    ..base.clone()
+                };
+                let at = format!("shards={shards} sparse_threshold={threshold:?}");
+                let (lazy, lazy_hash) = run(graph, &make, config.clone());
+                let (eager, eager_hash) = run(graph, |v, g| Eager(make(v, g)), config);
+                match (lazy, eager) {
+                    (Ok(lazy), Ok(eager)) => {
+                        if lazy.outputs != eager.outputs {
+                            return Err(format!("{at}: outputs differ"));
+                        }
+                        if lazy.stats != eager.stats {
+                            return Err(format!(
+                                "{at}: stats {:?} != eager {:?}",
+                                lazy.stats, eager.stats
+                            ));
+                        }
+                        if lazy.trace != eager.trace {
+                            return Err(format!("{at}: traces differ"));
+                        }
+                        if lazy.edge_congestion != eager.edge_congestion {
+                            return Err(format!("{at}: per-edge congestion differs"));
+                        }
+                    }
+                    (Err(lazy), Err(eager)) if lazy == eager => {}
+                    (lazy, eager) => {
+                        return Err(format!(
+                            "{at}: {:?} != eager {:?}",
+                            lazy.map(|o| o.stats),
+                            eager.map(|o| o.stats)
+                        ));
+                    }
+                }
+                if lazy_hash != eager_hash {
+                    return Err(format!("{at}: state hashes differ"));
+                }
+            }
+        }
+        Ok(())
+    })
+}

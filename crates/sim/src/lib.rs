@@ -68,6 +68,7 @@
 
 pub mod baseline;
 pub mod churn;
+pub mod eager;
 pub mod engine;
 pub mod fault;
 pub mod message;
@@ -82,6 +83,7 @@ pub mod snapshot;
 pub mod wide;
 
 pub use churn::{ChurnError, ChurnReport, ChurnSession, ChurnStats, Mutation, MutationQueue};
+pub use eager::{check_quiescent, Eager};
 pub use engine::{run_protocol, EngineConfig, EngineError, RunOutcome, RunStats};
 pub use fault::{ChurnPlan, EdgeMarks, FaultPlan};
 pub use message::{MsgBits, MsgWord, PackedMsg};

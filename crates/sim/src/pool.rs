@@ -1,15 +1,12 @@
-//! Broadcast-as-a-service: a multi-tenant session pool with a batching
-//! job plane.
+//! Broadcast-as-a-service: a multi-tenant session pool with a job plane.
 //!
 //! ## The serving problem
 //!
-//! The engine amortizes state per graph ([`crate::Session`], PR 4) and
-//! bit-parallelizes instances per sweep ([`Session::run_wide`], PR 7),
-//! but both are *libraries*: every caller owns its own engine. Serving
-//! many concurrent runs — the heavy-traffic workload PAPERS.md frames via
+//! The engine amortizes state per graph ([`crate::Session`]), but it is a
+//! *library*: every caller owns its own engine. Serving many concurrent
+//! runs — the heavy-traffic workload PAPERS.md frames via
 //! Paramonov–Wattenhofer's congested random graphs — needs the layer
-//! above: warm state shared across callers, and independent submissions
-//! coalesced onto the wide kernel.
+//! above: warm state shared across callers.
 //!
 //! ## The pool
 //!
@@ -28,37 +25,28 @@
 //! ## The job plane
 //!
 //! A [`PoolServer`] admits [`Job`] submissions into a bounded queue and
-//! executes them on [`PoolServer::drain`]. Batching policy:
+//! executes them on [`PoolServer::drain`]: **every job, in submission
+//! order, is one [`Session::run`] on its graph's warm session**, with its
+//! own seed and fault plan. The pool does not coalesce jobs onto the wide
+//! kernel ([`Session::run_wide`]): since [`Session::run`] steps only a
+//! round's frontier, W rumor or flood-max lanes through one sweep cost
+//! more than W warm sequential runs on every graph and job count measured
+//! (DESIGN.md §7 has the table), so the route that did went with the
+//! counters that described it.
 //!
-//! * jobs group by **(graph key, protocol family)**;
-//! * a wide-worthy (quiescent) group runs **continuously batched**: one
-//!   [`Session::run_refill`] sweep at most [`MAX_LANES`] wide, where
-//!   every lane that finishes frees a slot that is refilled from the
-//!   group's tail mid-sweep — so a group of hundreds of jobs keeps the
-//!   sweep full instead of draining batch by batch. Each job keeps its
-//!   own seed and fault plan via [`LaneSpec`], and rounds are
-//!   lane-local, so a refilled job is oblivious to when it was admitted;
-//! * singletons and dense (non-quiescent) families fall back to a
-//!   sequential [`Session::run`] — a dense lane would step every round
-//!   anyway, so it only dilutes the shared sweep.
-//!
-//! Because the wide kernel is bit-identical per lane to a sequential run,
-//! **any interleaving of submissions produces outputs bit-identical to
-//! running each job alone on a fresh `Session`**
-//! ([`run_job_isolated`] is that oracle; `tests/proptest_pool.rs` pins
-//! the equivalence). Backpressure is bounded-queue: [`PoolServer::try_submit`]
-//! refuses when full, [`PoolServer::submit`] drains the backlog first.
-//! Engine-level parallelism still applies inside each run — sharded
-//! step/deliver on the `congest-par` workers — so the serving loop stays
-//! single-threaded and deterministic while the sweeps are not.
+//! A warm session leaves no trace of the phases it ran, so **any
+//! interleaving of submissions produces outputs bit-identical to running
+//! each job alone on a fresh `Session`** ([`run_job_isolated`] is that
+//! oracle; `tests/proptest_pool.rs` pins the equivalence). Backpressure is
+//! bounded-queue: [`PoolServer::try_submit`] refuses when full,
+//! [`PoolServer::submit`] drains the backlog first. Engine-level
+//! parallelism still applies inside each run — sharded step/deliver on
+//! the `congest-par` workers — so the serving loop stays single-threaded
+//! and deterministic while the rounds are not.
 //!
 //! The job plane is a *closed* protocol menu ([`JobSpec`]): `Protocol` is
-//! generic over message and output types, so heterogeneous lanes in one
-//! sweep require a concrete family enum (type erasure cannot cross
-//! [`Session::run_wide`]'s `P`). Refill is therefore *within-group* only
-//! — a freed slot is never handed to a different family or graph, which
-//! would need cross-`P` type erasure; such a job waits for its own
-//! group's sweep.
+//! generic over message and output types, and a job's outputs come back
+//! as one `u64` per node whatever the family.
 //!
 //! ## Aging
 //!
@@ -75,7 +63,6 @@ use crate::engine::{EngineConfig, EngineError, RunStats};
 use crate::fault::FaultPlan;
 use crate::protocol::{NodeCtx, Protocol};
 use crate::session::{Session, SessionState};
-use crate::wide::{LaneRetire, LaneSpec, MAX_LANES};
 use congest_graph::{Graph, Node};
 use rand::Rng;
 use std::collections::{HashMap, VecDeque};
@@ -488,58 +475,21 @@ impl SessionPool {
 /// A tenant identifier — opaque to the pool, used only for metering.
 pub type Tenant = u32;
 
-/// The closed protocol menu the job plane serves. `Protocol` is generic
-/// over message and output types, so a lane group must be monomorphic;
-/// a closed family enum is what lets heterogeneous *parameters* (per-job
-/// sources, budgets, seeds, faults) share one sweep.
+/// The closed protocol menu the job plane serves: what varies between
+/// jobs is *parameters* (per-job sources, budgets, seeds, faults), and
+/// every family's output is one `u64` per node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobSpec {
     /// Leader election by flood-max: every node outputs the maximum node
-    /// id. Quiescent — batches well.
+    /// id.
     FloodMax,
     /// Single-source rumor spreading from `source`: every node outputs
     /// the round it first heard the rumor (`u64::MAX` if never, e.g.
-    /// when the fault adversary cut every path). Quiescent.
+    /// when the fault adversary cut every path).
     Rumor { source: Node },
     /// Seeded dense gossip for `rounds` rounds: every node stirs its RNG
-    /// and inbox into an accumulator and chatters to all neighbors. Not
-    /// quiescent — the batching policy evicts this family to a
-    /// sequential session.
+    /// and inbox into an accumulator and chatters to all neighbors.
     Gossip { rounds: u64 },
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Family {
-    FloodMax = 0,
-    Rumor = 1,
-    Gossip = 2,
-}
-
-impl JobSpec {
-    fn family(&self) -> Family {
-        match self {
-            JobSpec::FloodMax => Family::FloodMax,
-            JobSpec::Rumor { .. } => Family::Rumor,
-            JobSpec::Gossip { .. } => Family::Gossip,
-        }
-    }
-
-    /// Whether a group of this family earns a wide lane group. Dense
-    /// (non-quiescent) families step every (node, lane) every round, so
-    /// sharing a sweep buys nothing and dilutes the quiescent lanes.
-    ///
-    /// Within the quiescent families the win is activity-shaped:
-    /// thin-wavefront runs (rumor spreading) amortize the arc sweep
-    /// across mostly-idle lanes (measured ~3.7x at 32 lanes on
-    /// `harary(6, 1024)` by the `serve` gate, `benches/gates.rs`), while
-    /// dense-head runs (flood-max's first few rounds, where every lane
-    /// is hot simultaneously) batch roughly latency-neutral. Flood-max
-    /// stays wide-worthy — results are identical either way and one
-    /// sweep still beats per-job scheduling overhead at scale — but the
-    /// throughput headline belongs to the sparse families.
-    fn wide_worthy(&self) -> bool {
-        self.family() != Family::Gossip
-    }
 }
 
 /// One unit of serving work: a protocol family on a registered graph,
@@ -595,13 +545,6 @@ pub struct JobOutput {
     /// Per-node outputs, indexed by node id.
     pub outputs: Vec<u64>,
     pub stats: RunStats,
-    /// Whether this job rode a wide lane group (false = sequential
-    /// fallback). Purely informational — results are identical.
-    pub batched: bool,
-    /// Whether this job was admitted into a slot freed mid-sweep by a
-    /// retiring lane (continuous batching), rather than starting with
-    /// the sweep. Implies `batched`; purely informational.
-    pub refilled: bool,
 }
 
 /// Aggregate congestion/bit meters for one tenant, summed over its jobs.
@@ -620,9 +563,6 @@ pub struct TenantMeter {
     pub max_edge_congestion: u64,
     /// Largest message any of the tenant's jobs put on a wire, in bits.
     pub max_message_bits: usize,
-    /// Of `jobs`, how many were admitted into a mid-sweep slot freed by
-    /// a retiring lane (see [`JobOutput::refilled`]).
-    pub refilled_jobs: u64,
 }
 
 impl TenantMeter {
@@ -663,7 +603,7 @@ impl fmt::Display for PoolError {
 impl std::error::Error for PoolError {}
 
 /// The in-process job plane: a [`SessionPool`] plus a bounded submission
-/// queue, batching policy, and per-tenant meters. See the module docs.
+/// queue and per-tenant meters. See the module docs.
 pub struct PoolServer {
     pool: SessionPool,
     queue: VecDeque<(JobId, Job)>,
@@ -671,9 +611,7 @@ pub struct PoolServer {
     config: EngineConfig,
     next_id: u64,
     meters: HashMap<Tenant, TenantMeter>,
-    batched_jobs: u64,
     solo_jobs: u64,
-    refilled_jobs: u64,
 }
 
 impl PoolServer {
@@ -689,9 +627,7 @@ impl PoolServer {
             config,
             next_id: 0,
             meters: HashMap::new(),
-            batched_jobs: 0,
             solo_jobs: 0,
-            refilled_jobs: 0,
         }
     }
 
@@ -722,20 +658,22 @@ impl PoolServer {
         self.capacity
     }
 
-    /// Jobs that rode a wide lane group so far.
+    /// Always 0: the pool has no wide route since PR 22. Kept callable
+    /// because `benchmark/` reads it; goes with the benchmark PR.
     pub fn batched_jobs(&self) -> u64 {
-        self.batched_jobs
+        0
     }
 
-    /// Jobs that ran on the sequential fallback so far.
+    /// Jobs run so far — each one a [`Session::run`] on its graph's warm
+    /// session.
     pub fn solo_jobs(&self) -> u64 {
         self.solo_jobs
     }
 
-    /// Jobs admitted into mid-sweep freed slots so far (a subset of
-    /// [`PoolServer::batched_jobs`]).
+    /// Always 0, and kept for the same reason as
+    /// [`PoolServer::batched_jobs`].
     pub fn refilled_jobs(&self) -> u64 {
-        self.refilled_jobs
+        0
     }
 
     /// Admit `job` if the queue has room; [`PoolError::Backpressure`]
@@ -789,175 +727,53 @@ impl PoolServer {
         v
     }
 
-    /// Run everything queued, appending one [`JobOutput`] per job to
-    /// `out` in submission (id) order, then enforce the pool's eviction
+    /// Run everything queued, in submission (id) order, appending one
+    /// [`JobOutput`] per job to `out`, then enforce the pool's eviction
     /// policy ([`SessionPool::enforce_eviction`]) while the queue is
-    /// empty. Grouping, chunking, and execution order are deterministic
-    /// functions of the queue contents, and every output is
-    /// bit-identical to the job's isolated run. A job whose graph is no
-    /// longer registered retires as [`JobStatus::GraphEvicted`].
+    /// empty. Every output is bit-identical to the job's isolated run. A
+    /// job exceeding the round budget retires alone as
+    /// [`JobStatus::RoundLimit`]; one whose graph is no longer registered
+    /// retires as [`JobStatus::GraphEvicted`].
     pub fn drain(&mut self, out: &mut Vec<JobOutput>) {
-        let start = out.len();
-        let mut jobs: Vec<(JobId, Job)> = self.queue.drain(..).collect();
-        // Group compatible jobs: same graph, same family. The sort is
-        // stable in effect (ids are unique), so lane order inside a
-        // group is submission order.
-        jobs.sort_by_key(|(id, j)| (j.graph.0, j.protocol.family() as u8, id.0));
-        let mut i = 0;
-        while i < jobs.len() {
-            let graph = jobs[i].1.graph;
-            let family = jobs[i].1.protocol.family();
-            let mut j = i + 1;
-            while j < jobs.len()
-                && jobs[j].1.graph == graph
-                && jobs[j].1.protocol.family() == family
-            {
-                j += 1;
-            }
-            let group = &jobs[i..j];
-            if !self.pool.contains(graph) {
-                for (id, job) in group {
-                    self.record(*id, job, Err(JobStatus::GraphEvicted), false, false, out);
-                }
-            } else if !group[0].1.protocol.wide_worthy() || group.len() == 1 {
-                for job in group {
-                    self.run_solo(job, out);
-                }
-            } else {
-                // Continuous batching: the whole group — even past
-                // MAX_LANES — is one sweep whose freed slots refill from
-                // the group's tail.
-                self.run_refill_group(group, out);
-            }
-            i = j;
+        while let Some((id, job)) = self.queue.pop_front() {
+            let res = self.run_solo(&job);
+            self.record(id, &job, res, out);
         }
-        out[start..].sort_by_key(|o| o.id);
         self.pool.enforce_eviction();
     }
 
-    fn run_solo(&mut self, (id, job): &(JobId, Job), out: &mut Vec<JobOutput>) {
+    fn run_solo(&mut self, job: &Job) -> JobResult {
         let cfg = EngineConfig {
             seed: job.seed,
             faults: job.faults,
             ..self.config.clone()
         };
-        let spec = job.protocol.clone();
         let res = self
             .pool
-            .with_session(job.graph, |s| run_spec_on_session(s, &spec, cfg))
-            .expect("drain checked the group's graph")
-            .map_err(|EngineError::RoundLimitExceeded { limit }| JobStatus::RoundLimit { limit });
+            .with_session(job.graph, |s| run_spec_on_session(s, &job.protocol, cfg))
+            .map_err(|_unknown_graph| JobStatus::GraphEvicted)?;
         self.solo_jobs += 1;
-        self.record(*id, job, res, false, false, out);
+        res.map_err(|EngineError::RoundLimitExceeded { limit }| JobStatus::RoundLimit { limit })
     }
 
-    /// Run one wide-worthy group as a single continuously batched sweep:
-    /// the first `min(len, MAX_LANES)` jobs start as lanes, every later
-    /// job is admitted into the first slot a retiring lane frees. A lane
-    /// exceeding the round budget retires alone as
-    /// [`JobStatus::RoundLimit`] — exactly the failure its isolated run
-    /// reports — so no solo fallback pass is needed.
-    fn run_refill_group(&mut self, group: &[(JobId, Job)], out: &mut Vec<JobOutput>) {
-        let lane_spec = |j: &Job| LaneSpec {
-            seed: j.seed,
-            faults: j.faults,
-        };
-        let init_w = group.len().min(MAX_LANES);
-        let init: Vec<LaneSpec> = group[..init_w].iter().map(|(_, j)| lane_spec(j)).collect();
-        let refill = |job: usize| (job < group.len()).then(|| lane_spec(&group[job].1));
-        let cfg = self.config.clone();
-        // Staged per-job results, filled by the sink under admission
-        // index (= group index, since refill admits in group order).
-        let mut results: Vec<Option<JobResult>> = vec![None; group.len()];
-        let sink = |mut r: LaneRetire<'_, u64>| {
-            results[r.job] = Some(match r.limit {
-                Some(limit) => Err(JobStatus::RoundLimit { limit }),
-                None => {
-                    let mut outputs = Vec::new();
-                    r.take_outputs_into(&mut outputs);
-                    Ok((outputs, r.stats))
-                }
-            });
-        };
-        let admitted = match group[0].1.protocol.family() {
-            Family::FloodMax => self.pool.with_session(group[0].1.graph, |w| {
-                w.run_refill::<FloodMax, _, _, _>(
-                    &init,
-                    |v, _, _| FloodMax { best: v as u64 },
-                    cfg,
-                    refill,
-                    sink,
-                )
-            }),
-            Family::Rumor => {
-                let sources: Vec<Node> = group
-                    .iter()
-                    .map(|(_, j)| match j.protocol {
-                        JobSpec::Rumor { source } => source,
-                        _ => unreachable!("mixed families in one lane group"),
-                    })
-                    .collect();
-                self.pool.with_session(group[0].1.graph, |w| {
-                    w.run_refill::<Rumor, _, _, _>(
-                        &init,
-                        |v, job, _| Rumor {
-                            is_source: v == sources[job],
-                            heard: u64::MAX,
-                        },
-                        cfg,
-                        refill,
-                        sink,
-                    )
-                })
-            }
-            Family::Gossip => unreachable!("dense families never batch wide"),
-        }
-        .expect("drain checked the group's graph");
-        debug_assert_eq!(admitted, group.len(), "refill drains the whole group");
-        for (i, ((id, job), res)) in group.iter().zip(results).enumerate() {
-            let res = res.expect("every admitted job retires");
-            self.batched_jobs += 1;
-            let refilled = i >= init_w;
-            if refilled {
-                self.refilled_jobs += 1;
-            }
-            self.record(*id, job, res, true, refilled, out);
-        }
-    }
-
-    fn record(
-        &mut self,
-        id: JobId,
-        job: &Job,
-        res: JobResult,
-        batched: bool,
-        refilled: bool,
-        out: &mut Vec<JobOutput>,
-    ) {
+    fn record(&mut self, id: JobId, job: &Job, res: JobResult, out: &mut Vec<JobOutput>) {
         let (outputs, stats, status) = match res {
             Ok((o, s)) => (o, s, JobStatus::Done),
             Err(failed) => (Vec::new(), RunStats::default(), failed),
         };
-        let meter = self.meters.entry(job.tenant).or_default();
-        meter.absorb(&stats);
-        if refilled {
-            meter.refilled_jobs += 1;
-        }
+        self.meters.entry(job.tenant).or_default().absorb(&stats);
         out.push(JobOutput {
             id,
             tenant: job.tenant,
             status,
             outputs,
             stats,
-            batched,
-            refilled,
         });
     }
 }
 
 /// Run one job alone on a **fresh** [`Session`] — the oracle the pool is
-/// held to (`tests/proptest_pool.rs`) and the "one-Session-per-job" arm
-/// of the `serve` gate (`benches/gates.rs`). Per-job `seed`/`faults` supersede
+/// held to (`tests/proptest_pool.rs`). Per-job `seed`/`faults` supersede
 /// `config`'s exactly as the server's runs do.
 pub fn run_job_isolated(
     graph: &Graph,
@@ -1106,6 +922,7 @@ impl Protocol for Gossip {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::wide::{LaneSpec, MAX_LANES};
     use congest_graph::generators::{cycle, harary, torus2d};
 
     fn mk_job(graph: GraphKey, protocol: JobSpec, seed: u64, tenant: Tenant) -> Job {
@@ -1255,7 +1072,7 @@ mod tests {
         }
         server.drain(&mut out);
         assert_eq!(out.len(), jobs.len());
-        assert!(server.batched_jobs() > 0 && server.solo_jobs() > 0);
+        assert_eq!(server.solo_jobs(), jobs.len() as u64);
         for (o, job) in out.iter().zip(&jobs) {
             let g = if job.graph == k1 { &g1 } else { &g2 };
             let (outputs, stats) =
@@ -1271,6 +1088,37 @@ mod tests {
         assert_eq!(total, metered);
         let jobs_metered: u64 = server.meters().iter().map(|(_, m)| m.jobs).sum();
         assert_eq!(jobs_metered, out.len() as u64);
+    }
+
+    /// Both quiescent families keep their promise: a run that skips done
+    /// nodes with empty inboxes equals one that steps everyone, faults on
+    /// and off (`check_quiescent` supplies shard counts and thresholds).
+    #[test]
+    fn quiescent_families_match_their_eager_twins() {
+        use congest_graph::generators::gnp_connected;
+        for (i, g) in [harary(6, 40), torus2d(5, 7), gnp_connected(36, 0.15, 9)]
+            .iter()
+            .enumerate()
+        {
+            for faults in [None, Some(FaultPlan::new(2, 0xFA17 + i as u64))] {
+                let base = EngineConfig {
+                    seed: 0xE6 + i as u64,
+                    faults,
+                    ..EngineConfig::default()
+                };
+                let source = (7 * i + 3) as Node;
+                crate::check_quiescent(g, |v, _| FloodMax { best: v as u64 }, &base).unwrap();
+                crate::check_quiescent(
+                    g,
+                    |v, _| Rumor {
+                        is_source: v == source,
+                        heard: u64::MAX,
+                    },
+                    &base,
+                )
+                .unwrap();
+            }
+        }
     }
 
     #[test]
@@ -1331,10 +1179,10 @@ mod tests {
     }
 
     #[test]
-    fn refill_drain_fails_round_limit_lanes_alone() {
+    fn same_family_jobs_fail_the_round_limit_alone() {
         // FloodMax on a long cycle needs ~n/2 rounds; under a 3-round
-        // budget every lane of the group retires as its own RoundLimit,
-        // exactly as its isolated run would fail — no solo re-runs.
+        // budget every job of a same-family burst retires as its own
+        // RoundLimit, exactly as its isolated run would fail.
         let mut cfg = EngineConfig::serial();
         cfg.max_rounds = 3;
         let mut server = PoolServer::new(cfg, 8);
@@ -1349,20 +1197,32 @@ mod tests {
         assert_eq!(out.len(), 3);
         for o in &out {
             assert_eq!(o.status, JobStatus::RoundLimit { limit: 3 });
-            assert!(o.batched && !o.refilled);
             assert!(o.outputs.is_empty());
         }
-        assert_eq!(server.batched_jobs(), 3);
-        assert_eq!(server.solo_jobs(), 0);
+        // The failed phases left the warm session dirty; the next job on
+        // it still matches its isolated run.
+        server.config.max_rounds = EngineConfig::serial().max_rounds;
+        server
+            .try_submit(mk_job(k, JobSpec::Rumor { source: 5 }, 9, 0))
+            .unwrap();
+        server.drain(&mut out);
+        let (outputs, stats) = run_job_isolated(
+            &cycle(32),
+            &JobSpec::Rumor { source: 5 },
+            9,
+            None,
+            &EngineConfig::serial(),
+        )
+        .unwrap();
+        let last = out.last().unwrap();
+        assert_eq!((&last.outputs, last.stats), (&outputs, stats));
     }
 
     #[test]
-    fn refill_group_past_max_lanes_matches_isolated() {
-        // A group wider than the sweep: MAX_LANES jobs start as lanes,
-        // the rest are admitted into freed slots mid-sweep — and every
-        // job, refilled or not, is still bit-identical to its isolated
-        // run. Sources and seeds vary per job so refilled lanes genuinely
-        // differ from the lanes whose slots they inherit.
+    fn burst_past_max_lanes_matches_isolated() {
+        // More same-family jobs on one graph than a wide sweep has lanes:
+        // every one is still bit-identical to its isolated run. Sources,
+        // seeds and fault plans vary per job.
         let cfg = EngineConfig::serial();
         let mut server = PoolServer::new(cfg.clone(), 256);
         let g = harary(4, 24);
@@ -1387,20 +1247,14 @@ mod tests {
         let mut out = Vec::new();
         server.drain(&mut out);
         assert_eq!(out.len(), total);
-        let mut refilled = 0;
         for (o, job) in out.iter().zip(&jobs) {
             let (outputs, stats) =
                 run_job_isolated(&g, &job.protocol, job.seed, job.faults, &cfg).unwrap();
             assert_eq!(o.status, JobStatus::Done);
             assert_eq!(o.outputs, outputs, "job {:?} outputs", o.id);
             assert_eq!(o.stats, stats, "job {:?} stats", o.id);
-            assert!(o.batched);
-            refilled += o.refilled as usize;
         }
-        assert_eq!(refilled, total - MAX_LANES);
-        assert_eq!(server.refilled_jobs(), refilled as u64);
-        let metered: u64 = server.meters().iter().map(|(_, m)| m.refilled_jobs).sum();
-        assert_eq!(metered, refilled as u64);
+        assert_eq!(server.solo_jobs(), total as u64);
     }
 
     #[test]
@@ -1607,7 +1461,7 @@ mod tests {
         for o in &out {
             if lost.contains(&o.id) {
                 assert_eq!(o.status, JobStatus::GraphEvicted);
-                assert!(o.outputs.is_empty() && !o.batched);
+                assert!(o.outputs.is_empty());
                 assert_eq!(o.stats, RunStats::default());
             } else {
                 assert_eq!((o.id, o.status), (kept, JobStatus::Done));
@@ -1615,7 +1469,7 @@ mod tests {
         }
         // Metered like a round-limited job: counted, nothing else moves.
         assert_eq!(server.meter(7).jobs, 4);
-        assert_eq!((server.batched_jobs(), server.solo_jobs()), (0, 2));
+        assert_eq!(server.solo_jobs(), 2);
 
         assert_eq!(server.register_graph(ga), ka);
         server

@@ -25,16 +25,20 @@ pub trait Protocol: Send {
     /// Per-node output collected when the run ends.
     type Output: Send;
 
-    /// Opt-in idle contract for the wide-batch kernel: `true` promises
-    /// that once a node has declared [`NodeCtx::set_done`] and receives an
-    /// **empty inbox**, its `round` is a semantic no-op — it sends
-    /// nothing, mutates no state (including its RNG), and leaves the done
-    /// flag set. [`crate::Session::run_wide`] then skips the `round` call
-    /// entirely for such (node, lane) pairs, which is where most of the
-    /// W-way speedup on sparse workloads comes from. The sequential
-    /// engine ignores this flag, and `proptest_wide` pins the skip
-    /// bit-identical, so a wrong promise is caught, not silently wrong.
-    /// Default `false`: every active lane steps every node every round.
+    /// Opt-in idle contract: `true` promises that once a node has declared
+    /// [`NodeCtx::set_done`] and receives an **empty inbox**, its `round`
+    /// is a semantic no-op — it sends nothing, mutates no state (including
+    /// its RNG), and leaves the done flag set. Both round kernels then
+    /// skip the `round` call for such nodes: [`crate::Session::run`] steps
+    /// only the nodes its active-node list names (see [`crate::session`]),
+    /// [`crate::Session::run_wide`] skips idle (node, lane) pairs — a
+    /// round costs its frontier, not its graph. Since both skip, neither
+    /// checks the other: a promise is held by
+    /// [`crate::eager::check_quiescent`], which runs the protocol against
+    /// its [`crate::Eager`] twin (the same `round`, promise withdrawn), so
+    /// a wrong one is caught, not silently wrong — every protocol in this
+    /// workspace that sets the flag is on that oracle's list. Default
+    /// `false`: every node is stepped every round.
     const QUIESCENT: bool = false;
 
     /// Execute one round. On round 0 the inbox is empty (initialization).

@@ -72,7 +72,9 @@
 //!   the `reverse_arc` permutation (a bijection: one writer per slot). The
 //!   shard folds its nodes' `done` flags, counts what it staged, and lists
 //!   the staged arcs in its worklist region (capped at `min(threshold,
-//!   out_arc_bound(s))`; past the cap only the count goes on).
+//!   out_arc_bound(s))`; past the cap only the count goes on). Which nodes
+//!   a shard steps is one of two choices, **full** or **listed** — see
+//!   "The active-node list" below.
 //! * **Adversary** — under a [`FaultPlan`], what was staged on the round's
 //!   blocked edges is cleared from the mask and counted as dropped.
 //! * **Deliver** — the staging slab *becomes* the inbox slab (a swap), and
@@ -94,6 +96,29 @@
 //! Each shard writes one private `ShardMeter`; the round's totals
 //! (delivered, all done, someone broadcast) are a serial fold over them —
 //! a sum, an and, an or, so the order cannot reach a result.
+//!
+//! **The active-node list.** Broadcast traffic is a thin frontier: most
+//! nodes of most rounds are done and get no mail, and a protocol that
+//! declares [`Protocol::QUIESCENT`] has promised that stepping such a node
+//! changes nothing. For those protocols a round costs its frontier: one
+//! byte per node (`active`) is rewritten to `!done` by every step of that
+//! node and set for the receiver of every message the sparse merge
+//! delivers, and a **listed** round steps only the nodes whose byte is
+//! set, walking the bytes eight to a compare. A round is listed iff the
+//! previous deliver took the skip or the sparse path and folded no
+//! broadcast plane — the same staged-count decision, so the same at every
+//! pool width and shard count. Round 0, a round after a full sweep or a
+//! plane fold (their deliveries list nobody), and every round of a
+//! protocol without the promise step every node, which rewrites every
+//! byte: the list is rebuilt before it is next trusted, so it needs no
+//! scrub after a failed phase, no `state_hash` tag and no snapshot field.
+//! An unlisted node is done, so `all done` folds over the stepped nodes
+//! only. A listed pass stays on the calling thread for the reason the
+//! sparse merge does — its work is O(frontier). Debug builds check the
+//! invariant in full before every listed round (an unlisted node is done
+//! and has no occupancy bit in its arc range), and
+//! [`crate::eager::check_quiescent`] holds every protocol that makes the
+//! promise to it.
 //!
 //! **The broadcast plane.** Through it a `send_all` stores one word in
 //! the sender's slot of a per-node slab plus one stage byte, and receivers
@@ -520,6 +545,12 @@ pub(crate) struct SessionState {
     bcast_stage: Vec<u8>,
     bcast_occ: Vec<u64>,
     node_traffic: Vec<u32>,
+    /// The active-node list of a [`Protocol::QUIESCENT`] phase, one byte per
+    /// node: nonzero iff the node must be stepped next round (it is not
+    /// done, or the sparse merge delivered it mail). Round 0 of every phase
+    /// rewrites all of it, so it crosses no phase boundary: no scrub, no
+    /// hash tag, no snapshot field.
+    active: Vec<u8>,
     /// Fault-adversary scratch (drawn edge ids + dedup mark-bitset).
     pub(crate) blocked: Vec<Edge>,
     pub(crate) fault_marks: EdgeMarks,
@@ -577,6 +608,7 @@ impl SessionState {
             bcast_stage: Vec::new(),
             bcast_occ: Vec::new(),
             node_traffic: Vec::new(),
+            active: vec![0; graph.n()],
             blocked: Vec::new(),
             fault_marks: EdgeMarks::default(),
             plan: None,
@@ -615,7 +647,9 @@ impl SessionState {
     /// Whether this state's graph-sized buffers match `graph` (the
     /// churn session's self-heal check after a hosted-closure panic).
     pub(crate) fn fits(&self, graph: &Graph) -> bool {
-        self.out_mask.len() == graph.num_arcs() && self.per_edge.len() == graph.m()
+        self.out_mask.len() == graph.num_arcs()
+            && self.per_edge.len() == graph.m()
+            && self.active.len() == graph.n()
     }
 
     /// Full scrub of every buffer a failed phase may have left dirty.
@@ -704,6 +738,7 @@ impl SessionState {
             + self.bcast_stage.capacity()
             + self.bcast_occ.capacity() * 8
             + self.node_traffic.capacity() * 4
+            + self.active.capacity()
             + self.per_edge.capacity() * 8
             + self.trace_buf.capacity() * 8
             + self.wide.warm_bytes()
@@ -787,6 +822,7 @@ impl SessionState {
             bcast_stage,
             bcast_occ,
             node_traffic,
+            active: vec![0; n],
             per_edge,
             trace_buf,
             ..SessionState::default()
@@ -934,6 +970,7 @@ impl SessionState {
             bcast_stage,
             bcast_occ,
             node_traffic,
+            active,
             blocked,
             fault_marks,
             plan,
@@ -980,6 +1017,7 @@ impl SessionState {
         let bcast_stage: &mut [u8] = &mut bcast_stage[..bcast_len];
         let bcast_occ: &mut [u64] = &mut bcast_occ[..if bcast_enabled { node_words } else { 0 }];
         let node_traffic: &mut [u32] = &mut node_traffic[..bcast_len];
+        let active: &mut [u8] = active;
         let meters: &mut [ShardMeter] = meters;
         let worklist: &mut [u32] = &mut worklist[..wl_starts[s_count]];
 
@@ -1001,11 +1039,16 @@ impl SessionState {
         // docs); round 0 starts optimistic.
         let mut last_delivered: u64 = arcs as u64;
 
+        let (arc_targets, rev) = (graph.arc_targets(), graph.reverse_arcs());
         let mut stats = RunStats::default();
         let mut round: u64 = 0;
         // What zeroing the inbox occupancy bitset needs before new bits
         // land. The previous phase's exit leaves the bitset all-zero.
         let mut occ_state = OccState::Clean;
+        // Whether this round steps only the nodes `active` lists (see the
+        // module docs): never in round 0, never for a protocol that has
+        // not promised `QUIESCENT`.
+        let mut listed = false;
         loop {
             if round >= config.max_rounds {
                 // The cells drop here; the session stays marked dirty and
@@ -1013,6 +1056,19 @@ impl SessionState {
                 return Err(EngineError::RoundLimitExceeded {
                     limit: config.max_rounds,
                 });
+            }
+            // The list's invariant, checked in full in debug builds: a node
+            // a listed round will not step is done and has an empty inbox.
+            #[cfg(debug_assertions)]
+            if listed {
+                debug_assert!(!bcast_any, "a listed round follows no plane fold");
+                for (v, cell) in cells.as_slice().iter().enumerate() {
+                    let (lo, deg) = (graph.arc_offset(v as Node), graph.degree(v as Node));
+                    debug_assert!(
+                        active[v] != 0 || (cell.done && slab::popcount_range(in_occ, lo, deg) == 0),
+                        "round {round}: node {v} is unlisted but not done or has mail"
+                    );
+                }
             }
             // --- Step phase: each shard steps its own nodes; sends
             // scatter into the staging slab's destination slots.
@@ -1025,6 +1081,7 @@ impl SessionState {
                 let racy_bcast_stage = RacyCells::new(&mut *bcast_stage);
                 let racy_meters = RacyCells::new(&mut *meters);
                 let racy_wl = RacyCells::new(&mut *worklist);
+                let racy_active = RacyCells::new(&mut *active);
                 let in_words = &in_words[..];
                 let in_occ = &in_occ[..];
                 // One broadcast descriptor per round, shared by every
@@ -1051,6 +1108,23 @@ impl SessionState {
                     // region `s`.
                     let cells_s = unsafe { racy_cells.slice_mut(v_lo, v_hi) };
                     let meter = unsafe { &mut racy_meters.slice_mut(s, s + 1)[0] };
+                    // SAFETY: one byte per node, and shard `s` is the only
+                    // task of this pass that touches the bytes of its own
+                    // nodes `v_lo..v_hi` (a node's byte is written by that
+                    // node's step alone; the sparse merge, the other writer,
+                    // runs between step passes on the calling thread). Bytes,
+                    // not bits: two shards never share a word. Invariant at
+                    // the start of a listed round, for every node `v`:
+                    // `active[v] == 0` implies `v` is done and no occupancy
+                    // bit is set in its arc range — the last step of `v`
+                    // wrote `!done`, no later step un-did it, and every
+                    // delivery since went through the sparse merge, which
+                    // sets the receiver's byte (a full sweep or a plane fold
+                    // makes the next round step everyone instead).
+                    let active_s = unsafe { racy_active.slice_mut(v_lo, v_hi) };
+                    // Equal lengths, said once so the loop's index into
+                    // `active_s` needs no bounds check of its own.
+                    assert_eq!(active_s.len(), cells_s.len());
                     // One scatter-plane descriptor per shard per round;
                     // node contexts carry a pointer to it instead of its
                     // fields.
@@ -1066,8 +1140,16 @@ impl SessionState {
                         staged: std::cell::Cell::new(0),
                         bcast_used: std::cell::Cell::new(false),
                     };
+                    // An unlisted node is done (the invariant above), so
+                    // the fold over the stepped nodes is the fold over all.
                     let mut all_done = true;
-                    for (i, cell) in cells_s.iter_mut().enumerate() {
+                    let mut i = 0;
+                    while i < cells_s.len() {
+                        if listed && active_s[i] == 0 {
+                            i = slab::next_nonzero(active_s, i);
+                            continue;
+                        }
+                        let cell = &mut cells_s[i];
                         let v = (v_lo + i) as Node;
                         let lo = graph.arc_offset(v);
                         let deg = graph.degree(v);
@@ -1088,12 +1170,19 @@ impl SessionState {
                         };
                         cell.state.round(&mut ctx);
                         all_done &= cell.done;
+                        if P::QUIESCENT {
+                            active_s[i] = !cell.done as u8;
+                        }
+                        i += 1;
                     }
                     meter.all_done = all_done;
                     meter.staged = plane.staged.get();
                     meter.bcast_used = plane.bcast_used.get();
                 };
-                fork.each_shard(s_count, step_shard);
+                // A listed pass is O(frontier) work, like the sparse
+                // merge that listed it: it stays on the calling thread.
+                let step_fork = if listed { Fork(false) } else { fork };
+                step_fork.each_shard(s_count, step_shard);
             }
             // --- Adversary phase: destroy staged messages on blocked
             // edges.
@@ -1158,6 +1247,11 @@ impl SessionState {
                         in_occ[w] |= 1u64 << (dest & 63);
                         sparse_delivered += 1;
                         arc_traffic[dest] += 1;
+                        if P::QUIESCENT {
+                            // List the receiver: `dest` is its in-arc, so
+                            // the reverse arc points back at it.
+                            active[arc_targets[rev[dest] as usize] as usize] = 1;
+                        }
                     }
                 }
                 if !set_words.is_empty() {
@@ -1249,6 +1343,10 @@ impl SessionState {
             if run_full_sweep {
                 occ_state = OccState::Unknown;
             }
+            // Mail that arrived by the full sweep or the broadcast plane
+            // listed nobody: the next round steps everyone, and thereby
+            // rewrites the whole list.
+            listed = P::QUIESCENT && !run_full_sweep && !fold_bcast;
             // --- Combine the shard meter blocks (sum / and / or: the
             // order of the fold cannot reach a result).
             let delivered = sparse_delivered + meters.iter().map(|m| m.delivered).sum::<u64>();
@@ -1479,6 +1577,19 @@ mod tests {
                 .1
                 .num_shards(),
         )
+    }
+
+    /// `EvictionPolicy::max_warm_bytes` budgets what a parked state holds,
+    /// the active-node list included.
+    #[test]
+    fn warm_bytes_counts_every_graph_sized_buffer() {
+        let g = cycle(100); // 200 arcs, 100 edges
+        let state = SessionState::new(&g);
+        let (in_occ, out_mask, arc_traffic, active, per_edge) = (4 * 8, 200, 200 * 4, 100, 100 * 8);
+        assert_eq!(
+            state.warm_bytes(),
+            in_occ + out_mask + arc_traffic + active + per_edge
+        );
     }
 
     #[test]

@@ -39,6 +39,25 @@ pub(crate) fn clear_all(occ: &mut [u64]) {
     occ.fill(0);
 }
 
+/// Index of the first nonzero byte of `bytes` at or after `from`
+/// (`bytes.len()` if there is none), eight bytes to a compare — how a
+/// listed step pass walks the active-node bytes.
+#[inline]
+pub(crate) fn next_nonzero(bytes: &[u8], from: usize) -> usize {
+    let mut i = from;
+    while i + 8 <= bytes.len() {
+        let lanes = u64::from_le_bytes(bytes[i..i + 8].try_into().unwrap());
+        if lanes != 0 {
+            return i + (lanes.trailing_zeros() / 8) as usize;
+        }
+        i += 8;
+    }
+    while i < bytes.len() && bytes[i] == 0 {
+        i += 1;
+    }
+    i
+}
+
 /// Pack 64 staging bytes (each 0 or 1) into one occupancy word; byte `j`
 /// becomes bit `j`.
 #[inline]
@@ -109,6 +128,23 @@ pub(crate) fn popcount_range(occ: &[u64], start: usize, len: usize) -> usize {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn next_nonzero_finds_every_byte_at_every_alignment() {
+        for len in [0usize, 1, 7, 8, 9, 23, 64] {
+            for hot in 0..=len {
+                // One nonzero byte at `hot` (none when `hot == len`).
+                let mut bytes = vec![0u8; len];
+                if hot < len {
+                    bytes[hot] = 1;
+                }
+                for from in 0..=len {
+                    let expect = if from <= hot { hot } else { len };
+                    assert_eq!(next_nonzero(&bytes, from), expect, "{len} {hot} {from}");
+                }
+            }
+        }
+    }
 
     #[test]
     fn set_test_clear() {

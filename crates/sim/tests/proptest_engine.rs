@@ -11,7 +11,9 @@ use congest_graph::{Graph, GraphBuilder, Node};
 use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineOutcome, BaselineProtocol};
 use congest_sim::rng::node_rng;
 use congest_sim::sched::{random_delays, Multiplexed};
-use congest_sim::{run_protocol, EngineConfig, FaultPlan, NodeCtx, Protocol, RunOutcome};
+use congest_sim::{
+    check_quiescent, run_protocol, EngineConfig, FaultPlan, NodeCtx, Protocol, RunOutcome,
+};
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
 use rand::Rng;
@@ -297,6 +299,122 @@ impl Protocol for RotChatter {
     }
 }
 
+/// A `QUIESCENT` rumor with every kind of traffic the list has to carry:
+/// the source announces with `send_all`, a node that hears the rumor for
+/// the first time relays on a random subset of its ports (per-port sends,
+/// RNG drawn only on arrival), later arrivals are folded and not relayed,
+/// and the source stays not-done, pulsing one port a round, until round
+/// `linger`. Everyone else is done from round 0 on.
+struct SparseRumor {
+    source: bool,
+    linger: u64,
+    heard: u64,
+    acc: u64,
+}
+
+impl SparseRumor {
+    fn new(source: bool, linger: u64) -> Self {
+        SparseRumor {
+            source,
+            linger,
+            heard: u64::MAX,
+            acc: 0,
+        }
+    }
+}
+
+impl Protocol for SparseRumor {
+    type Msg = u64;
+    type Output = (u64, u64);
+    /// Done and no mail: neither branch below is taken.
+    const QUIESCENT: bool = true;
+    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+        let (fold, count) = ctx.inbox().fold((self.acc, 0u64), |(a, c), (p, m)| {
+            (a.wrapping_mul(17).wrapping_add(m ^ p as u64), c + 1)
+        });
+        self.acc = fold;
+        if self.source {
+            if ctx.round == 0 {
+                self.heard = 0;
+                ctx.send_all(1);
+            } else if ctx.round < self.linger && ctx.degree() > 0 {
+                ctx.send((ctx.round % ctx.degree() as u64) as u32, ctx.round);
+            }
+            ctx.set_done(ctx.round >= self.linger);
+            return;
+        }
+        if count > 0 && self.heard == u64::MAX {
+            self.heard = ctx.round;
+            let mask: u64 = ctx.rng().gen::<u64>() | 1;
+            for p in 0..ctx.degree().min(64) as u32 {
+                if mask >> p & 1 == 1 {
+                    ctx.send(p, self.acc | 1);
+                }
+            }
+        }
+        ctx.set_done(true);
+    }
+    fn finish(self) -> (u64, u64) {
+        (self.heard, self.acc)
+    }
+}
+
+/// Not quiescent, and says so: node 0 keeps the run alive, silent and
+/// not done, until round `at + 2`; every other node is done from round 0
+/// on and, with an empty inbox, sends its id on port 0 at round `at`. An
+/// engine that skipped done nodes with empty inboxes here would lose
+/// those messages.
+struct LateSender {
+    at: u64,
+    heard: u64,
+}
+
+impl LateSender {
+    fn step(&mut self, node: Node, round: u64, fold: u64) -> (bool, bool) {
+        self.heard = self.heard.wrapping_add(fold);
+        (
+            node != 0 && round == self.at,
+            node != 0 || round >= self.at + 2,
+        )
+    }
+}
+
+impl Protocol for LateSender {
+    type Msg = u64;
+    type Output = u64;
+    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+        let fold = ctx
+            .inbox()
+            .fold(0u64, |a, (p, m)| a.wrapping_add(m ^ p as u64));
+        let (send, done) = self.step(ctx.node, ctx.round, fold);
+        if send && ctx.degree() > 0 {
+            ctx.send(0, ctx.node as u64 + 1);
+        }
+        ctx.set_done(done);
+    }
+    fn finish(self) -> u64 {
+        self.heard
+    }
+}
+
+impl BaselineProtocol for LateSender {
+    type Msg = u64;
+    type Output = u64;
+    fn round(&mut self, ctx: &mut BaselineCtx<'_, u64>) {
+        let fold = ctx
+            .inbox()
+            .fold(0u64, |a, (p, &m)| a.wrapping_add(m ^ p as u64));
+        let (send, done) = self.step(ctx.node, ctx.round, fold);
+        if send && ctx.degree() > 0 {
+            ctx.send(0, ctx.node as u64 + 1);
+        }
+        ctx.set_done(done);
+    }
+    fn finish(self) -> u64 {
+        self.heard
+    }
+}
+
 /// Thresholds the differential harness and the shard sweep pin: fast
 /// path off (`0`), fast path forced for every scattering round
 /// (`usize::MAX`), and the default heuristic.
@@ -542,6 +660,68 @@ proptest! {
             let subs = (0..k).map(|i| RotChatter { k, i, until: 12, acc: 1 }).collect();
             Multiplexed::new(subs, &delays, gr.degree(v), 2 * k as usize + 4)
         });
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The `QUIESCENT` oracle (`congest_sim::eager`): a run that steps only
+    /// the listed nodes equals one that steps everyone — outputs, stats,
+    /// trace, per-edge congestion, state hash — on circulants, tori, G(n,p)
+    /// and arbitrary connected graphs, fault plans on and off, at shard
+    /// counts 1 / 4 / 6 on a two-thread pool and with the sparse path
+    /// forced off, forced on and on its heuristic.
+    #[test]
+    fn quiescent_runs_match_their_eager_twins(
+        g in arb_connected_graph(24),
+        family in 0u8..4,
+        seed in any::<u64>(),
+        source_pick in any::<u32>(),
+        linger in 0u64..12,
+        budget in 0usize..4,
+    ) {
+        use congest_graph::generators::{gnp_connected, harary, torus2d};
+        let g = match family {
+            0 => harary(4 + (seed % 3) as usize * 2, 20 + (seed % 17) as usize),
+            1 => torus2d(3 + (seed % 4) as usize, 4 + (seed % 5) as usize),
+            2 => gnp_connected(12 + (seed % 20) as usize, 0.2, seed),
+            _ => g,
+        };
+        let source = source_pick % g.n() as u32;
+        let base = EngineConfig {
+            seed,
+            faults: (budget > 0).then(|| FaultPlan::new(budget, seed ^ 0xFA17)),
+            ..EngineConfig::default()
+        };
+        let verdict = check_quiescent(&g, |v, _| SparseRumor::new(v == source, linger), &base);
+        prop_assert_eq!(verdict, Ok(()));
+    }
+
+    /// A protocol that does not declare `QUIESCENT` is stepped every
+    /// round, list or no list: its done nodes act on empty inboxes at a
+    /// fixed later round, and the reference interpreter sees the same run.
+    #[test]
+    fn a_protocol_that_is_not_quiescent_is_stepped_every_round(
+        g in arb_connected_graph(20),
+        at in 1u64..9,
+        seed in any::<u64>(),
+    ) {
+        let base = run_baseline::<LateSender, _>(&g, |_, _| LateSender { at, heard: 0 }, 100, None);
+        prop_assert_eq!(base.stats.total_messages, g.n() as u64 - 1);
+        for &thr in &THRESHOLDS {
+            for shards in [1usize, 4, 6] {
+                let live = congest_par::with_threads(2, || {
+                    let mut cfg = EngineConfig::with_seed(seed).shards(shards).trace();
+                    cfg.sparse_threshold = thr;
+                    run_protocol(&g, |_, _| LateSender { at, heard: 0 }, cfg).unwrap()
+                });
+                prop_assert_eq!(&live.outputs, &base.outputs, "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(live.stats, base.stats, "thr={:?} shards={}", thr, shards);
+                prop_assert_eq!(live.trace.as_ref(), Some(&base.trace));
+                prop_assert_eq!(&live.edge_congestion, &base.edge_congestion);
+            }
+        }
     }
 }
 

@@ -1,13 +1,12 @@
 //! The serving-layer oracle: **any interleaving of submissions through a
 //! [`PoolServer`] produces outputs bit-identical to running each job
-//! alone on a fresh [`Session`]** (`run_job_isolated`), regardless of
-//! how the batching policy grouped jobs onto wide lane groups or the
-//! sequential fallback, across queue capacities × drain points × shard
-//! counts × per-job fault plans.
+//! alone on a fresh [`Session`]** (`run_job_isolated`), whatever ran on
+//! the warm session before it, across queue capacities × drain points ×
+//! shard counts × per-job fault plans.
 //!
 //! This is the property that makes the pool *transparent*: a tenant can
-//! never observe that its run shared a sweep, a warm state, or a drain
-//! with other tenants. The last case is the pool under eviction: a key
+//! never observe that its run shared a warm state or a drain with other
+//! tenants. The last case is the pool under eviction: a key
 //! whose graph aged out is a typed error from every keyed call until the
 //! graph is registered again.
 

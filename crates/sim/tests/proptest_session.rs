@@ -315,27 +315,70 @@ proptest! {
                 0
             }
         }
-        let mut session = Session::new(&g);
-        let err = match session.run(|_, _| Forever, EngineConfig::serial().seed(seed).max_rounds(5))
-        {
-            Err(e) => e,
-            Ok(_) => panic!("Forever must exceed the round limit"),
-        };
-        prop_assert_eq!(err, congest_sim::EngineError::RoundLimitExceeded { limit: 5 });
+        /// The quiescent case: node 0 pulses one port a round and is done
+        /// only from round `linger` on, any other node relays the first
+        /// mail it gets on every port, and everyone else is done throughout — so
+        /// the rounds are listed ones, and with `linger = u64::MAX` the
+        /// phase dies at the round limit with the list half-written.
+        struct Pulse {
+            linger: u64,
+            heard: u64,
+        }
+        impl Protocol for Pulse {
+            type Msg = u64;
+            type Output = u64;
+            const QUIESCENT: bool = true;
+            fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+                let mail = ctx.inbox().fold(0u64, |a, (p, m)| a.wrapping_add(m ^ p as u64));
+                if mail != 0 && self.heard == 0 && ctx.node != 0 {
+                    for p in 0..ctx.degree() as u32 {
+                        ctx.send(p, mail | 1);
+                    }
+                }
+                self.heard = self.heard.wrapping_add(mail);
+                if ctx.node == 0 {
+                    if ctx.round < self.linger {
+                        ctx.send((ctx.round % ctx.degree() as u64) as u32, ctx.round | 1);
+                    }
+                    ctx.set_done(ctx.round >= self.linger);
+                } else {
+                    ctx.set_done(true);
+                }
+            }
+            fn finish(self) -> u64 {
+                self.heard
+            }
+        }
+        let limit = congest_sim::EngineError::RoundLimitExceeded { limit: 5 };
+        let failing = || EngineConfig::serial().seed(seed).max_rounds(5);
         let cfg = || EngineConfig::serial().seed(phase_seed(seed, 9)).trace();
         let mk = || Chatter { rounds: 6, salt: 9, heard: 0 };
-        let after = session.run(|_, _| mk(), cfg()).unwrap();
-        let after_obs = PhaseObs {
-            stats: after.stats,
-            trace: after.trace().unwrap().to_vec(),
-            edge_congestion: after.edge_congestion().to_vec(),
-            outputs: after.take_outputs(),
-        };
-        let fresh = run_protocol(&g, |_, _| mk(), cfg()).unwrap();
-        prop_assert_eq!(after_obs.outputs, fresh.outputs);
-        prop_assert_eq!(after_obs.stats, fresh.stats);
-        prop_assert_eq!(Some(after_obs.trace), fresh.trace);
-        prop_assert_eq!(after_obs.edge_congestion, fresh.edge_congestion);
+        let pulse = |linger| move |_: u32, _: &Graph| Pulse { linger, heard: 0 };
+        for quiescent in [false, true] {
+            let mut session = Session::new(&g);
+            let err = if quiescent {
+                session.run(pulse(u64::MAX), failing()).err()
+            } else {
+                session.run(|_, _| Forever, failing()).err()
+            };
+            prop_assert_eq!(err.as_ref(), Some(&limit), "the phase must exceed the round limit");
+            let mut fresh = Session::new(&g);
+            let after = session.run(|_, _| mk(), cfg()).unwrap().into_owned();
+            let expect = fresh.run(|_, _| mk(), cfg()).unwrap().into_owned();
+            prop_assert_eq!(after.outputs, expect.outputs);
+            prop_assert_eq!(after.stats, expect.stats);
+            prop_assert_eq!(after.trace, expect.trace);
+            prop_assert_eq!(after.edge_congestion, expect.edge_congestion);
+            prop_assert_eq!(session.state_hash(), fresh.state_hash());
+            // And a listed phase after it, on both.
+            let after = session.run(pulse(4), cfg()).unwrap().into_owned();
+            let expect = fresh.run(pulse(4), cfg()).unwrap().into_owned();
+            prop_assert_eq!(after.outputs, expect.outputs);
+            prop_assert_eq!(after.stats, expect.stats);
+            prop_assert_eq!(after.trace, expect.trace);
+            prop_assert_eq!(after.edge_congestion, expect.edge_congestion);
+            prop_assert_eq!(session.state_hash(), fresh.state_hash());
+        }
     }
 
     /// Both kernels on one borrow: `run`, `run_wide` and `run_refill`

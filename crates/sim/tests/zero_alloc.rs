@@ -220,6 +220,37 @@ impl Protocol for StaggerChatter {
     }
 }
 
+/// A quiescent single-source rumor on per-port sends: node 0 tells every
+/// neighbour at round 0, a node relays on every port the first time it
+/// hears, and everyone is done throughout. Its frontier is a few arcs
+/// wide, so its rounds take the sparse merge and are *listed* rounds:
+/// the step pass visits only the nodes that were delivered mail.
+struct ListedRumor {
+    heard: u64,
+}
+
+impl Protocol for ListedRumor {
+    type Msg = u64;
+    type Output = u64;
+    const QUIESCENT: bool = true;
+
+    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+        let first =
+            self.heard == u64::MAX && ((ctx.round == 0 && ctx.node == 0) || ctx.inbox_len() > 0);
+        if first {
+            self.heard = ctx.round;
+            for p in 0..ctx.degree() as u32 {
+                ctx.send(p, ctx.round | 1);
+            }
+        }
+        ctx.set_done(true);
+    }
+
+    fn finish(self) -> u64 {
+        self.heard
+    }
+}
+
 /// One wide-batch cycle with **staggered lane teardown**: lane `l` runs
 /// `rounds/2 + l·rounds/16` rounds, so early lanes go quiet (their slab
 /// regions zeroed by the exit contract) while late lanes keep sweeping —
@@ -695,6 +726,38 @@ fn round_loop_allocates_nothing_after_setup() {
         assert_eq!(
             leaked, 0,
             "session phases allocated {leaked} times after setup (parallel={})",
+            cfg.parallel
+        );
+        assert_ne!(acc, warm.wrapping_add(1), "keep results observable");
+    }
+
+    // --- Listed rounds: a quiescent rumor's rounds step only the nodes
+    // the active-node list names. The list is a per-node byte buffer the
+    // session owns from `Session::new` on, so the second run of the rumor
+    // on one session allocates **exactly zero**, serial and parallel.
+    for cfg in [EngineConfig::serial(), EngineConfig::default()] {
+        let mut session = Session::new(&g);
+        let mut rumor = |seed: u64| {
+            let ph = session
+                .run(
+                    |_, _| ListedRumor { heard: u64::MAX },
+                    cfg.clone().seed(seed),
+                )
+                .unwrap();
+            assert!(ph.stats.rounds > 32, "the wave takes its rounds");
+            assert_eq!(ph.stats.total_messages, g.num_arcs() as u64);
+            ph.outputs().iter().fold(ph.stats.rounds, |a, &x| a ^ x)
+        };
+        let warm = rumor(1);
+        let mut acc = 0u64;
+        let leaked = min_allocs(|| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            acc ^= rumor(2);
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        });
+        assert_eq!(
+            leaked, 0,
+            "a listed phase allocated {leaked} times on a warm session (parallel={})",
             cfg.parallel
         );
         assert_ne!(acc, warm.wrapping_add(1), "keep results observable");

@@ -1,7 +1,7 @@
 //! Broadcast-as-a-service in one process: three tenants share a
 //! [`PoolServer`] — a warm [`SessionPool`] keyed by graph fingerprint
-//! plus a bounded job queue whose drain batches compatible jobs onto
-//! wide lane sweeps. Every job's result is bit-identical to running it
+//! plus a bounded job queue whose drain runs each job on its graph's
+//! warm session. Every job's result is bit-identical to running it
 //! alone on a fresh session (checked live at the end), the pool reuses
 //! warm engine state across the whole run, and each tenant gets an
 //! aggregate congestion/bit meter for its own jobs only.
@@ -35,8 +35,8 @@ fn main() {
 
     // A mixed multi-tenant stream: tenant 0 floods leader elections on
     // the mesh, tenant 1 spreads rumors on both graphs, tenant 2 runs
-    // seeded gossip (dense — the batching policy evicts it to a
-    // sequential session) and a few faulted rumor runs.
+    // seeded gossip (dense: every node talks every round) and a few
+    // faulted rumor runs.
     let mut jobs = Vec::new();
     for j in 0..12u64 {
         jobs.push(Job {
@@ -80,14 +80,10 @@ fn main() {
         server.submit(job.clone(), &mut done).expect("registered");
     }
     server.drain(&mut done);
-    done.sort_by_key(|o| o.id);
 
-    let batched = done.iter().filter(|o| o.batched).count();
     println!(
-        "served {} jobs: {} wide-batched, {} sequential, pool {} warm hits / {} cold builds\n",
+        "served {} jobs in submission order: pool {} warm hits / {} cold builds\n",
         done.len(),
-        batched,
-        done.len() - batched,
         server.pool().hits(),
         server.pool().misses()
     );

@@ -408,8 +408,9 @@ fn cmd_cuts(args: &[String]) -> Result<(), String> {
 
 /// The in-process serving driver: register a graph mix, synthesize a
 /// deterministic multi-tenant job stream over it, push it through the
-/// session-pool server (bounded queue → batched wide lane groups), and
-/// report throughput plus the per-tenant congestion/bit meters.
+/// session-pool server (bounded queue → one run per job on its graph's
+/// warm session), and report throughput plus the per-tenant
+/// congestion/bit meters.
 fn cmd_serve(args: &[String]) -> Result<(), String> {
     let graphs_spec: String = opt(args, "--graphs", "harary:6,256+torus:16x16".to_string())?;
     let jobs: u64 = opt(args, "--jobs", 96u64)?;
@@ -523,9 +524,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         out.len() as f64 / secs.max(1e-9)
     );
     println!(
-        "batching    : {} wide-batched ({} refilled mid-sweep), {} sequential, {limited} round-limited, {evicted} graph-evicted",
-        server.batched_jobs(),
-        server.refilled_jobs(),
+        "jobs        : {} run on their graph's warm session, {limited} round-limited, {evicted} graph-evicted",
         server.solo_jobs()
     );
     println!(
@@ -541,17 +540,11 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         server.pool().warm_evictions()
     );
     println!("\nper-tenant meters:");
-    println!("  tenant      jobs  refilled    rounds  messages   dropped  max-cong  max-bits");
+    println!("  tenant      jobs    rounds  messages   dropped  max-cong  max-bits");
     for (t, m) in server.meters() {
         println!(
-            "  {t:<8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            m.jobs,
-            m.refilled_jobs,
-            m.rounds,
-            m.messages,
-            m.dropped,
-            m.max_edge_congestion,
-            m.max_message_bits
+            "  {t:<8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9}",
+            m.jobs, m.rounds, m.messages, m.dropped, m.max_edge_congestion, m.max_message_bits
         );
     }
     Ok(())

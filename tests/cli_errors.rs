@@ -204,7 +204,7 @@ fn good_invocations_still_succeed() {
         "serve output: {stdout}"
     );
     assert!(
-        stdout.contains("refilled mid-sweep"),
+        stdout.contains("8 run on their graph's warm session"),
         "serve output: {stdout}"
     );
 
