@@ -109,7 +109,7 @@ impl Protocol for BfsProtocol {
     /// A node relays in the very round it adopts a parent (or round 0 at
     /// the root), so `reached ⇒ relayed` at every round boundary; with an
     /// empty inbox nothing else can change. Done rounds are no-ops and
-    /// the wide kernel may skip them.
+    /// the round loop may skip them.
     const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, BfsMsg>) {

@@ -26,20 +26,23 @@
 //! Every phase is executed as real message passing and its round count
 //! recorded in a [`PhaseLog`]; the total is the number Theorem 1 bounds.
 //!
-//! **One driver.** The composition is written once, as stages over `L`
-//! lanes in the crate-private `stages` module: (a) leader + BFS,
-//! (b) numbering — the only control phase that depends on who holds the
-//! messages —, (c) partition + per-class BFS + the spanning check,
-//! (d) routing, (e) checksums and outcome. [`partition_broadcast_hosted`]
-//! is its one-lane spelling, [`partition_broadcast_wide`] the `W`-lane
-//! one; [`crate::resilient`] and [`crate::exp_search`] run the same
-//! stages under their own seeds, and every retry is the one ladder of
-//! [`crate::watchdog()`]. Both spellings run on a [`Session`], the one
-//! engine host: one lane through its sequential kernel, `W` through its
-//! wide one. Surface rule: only [`partition_broadcast`],
-//! [`partition_broadcast_retrying`] and the wide driver take a `&Graph`
-//! (and build their own session); every other driver of the family takes
-//! the caller's.
+//! **One driver.** The composition is written once, as stages in the
+//! crate-private `stages` module: (a) leader + BFS, (b) numbering — the
+//! only control phase that depends on who holds the messages —,
+//! (c) partition + per-class BFS + the spanning check, (d) routing,
+//! (e) checksums and outcome. [`partition_broadcast_hosted`] is one
+//! attempt of it; [`crate::resilient`] and [`crate::exp_search`] run the
+//! same stages under their own seeds, and every retry is the one ladder
+//! of [`crate::watchdog()`]. Every phase is one [`Session::run`] on the
+//! caller's [`Session`], the one engine host, and a failed attempt leaves
+//! the session as clean as a completed one: a sweep over partition seeds
+//! is a loop of [`partition_broadcast_hosted`] calls on one warm session
+//! (README, "Seed sweeps"; held to fresh sessions by this module's
+//! `seed_sweep_on_one_warm_session_matches_fresh_sessions`).
+//!
+//! Surface rule: only [`partition_broadcast`] and
+//! [`partition_broadcast_retrying`] take a `&Graph` (and build their own
+//! session); every other driver of the family takes the caller's.
 
 use crate::partition::PartitionParams;
 use crate::pipeline::{PipeCore, PipeMsg, PipeResult};
@@ -135,12 +138,11 @@ impl BroadcastConfig {
         }
     }
 
-    /// The engine configuration of phase number `phase` of a run seeded
-    /// `seed` (`self.seed`, or a wide lane's own): every driver of the
-    /// family derives its per-phase seeds this way, each from its own
+    /// The engine configuration of phase number `phase`: every driver of
+    /// the family derives its per-phase seeds this way, each from its own
     /// phase-number range.
-    pub(crate) fn engine(&self, seed: u64, phase: u64) -> EngineConfig {
-        EngineConfig::with_seed(congest_sim::rng::phase_seed(seed, phase))
+    pub(crate) fn engine(&self, phase: u64) -> EngineConfig {
+        EngineConfig::with_seed(congest_sim::rng::phase_seed(self.seed, phase))
             .max_rounds(self.max_rounds)
     }
 }
@@ -236,21 +238,32 @@ pub fn partition_broadcast(
 }
 
 /// Theorem 1, one attempt with explicit parameters on the caller's
-/// session — the one-lane instantiation of the composition. Drivers that
-/// compose several broadcasts (the BCC simulation, APSP, the sparsifier
-/// pipeline) pass one session so every broadcast — and every phase
-/// inside it — reuses the same preallocated engine. Every phase is logged
-/// with the host's post-phase state hash (the snapshot/replay checkpoint
-/// signal).
+/// session: the six phases of the module docs under `cfg.seed`. Drivers
+/// that compose several broadcasts (the BCC simulation, APSP, the
+/// sparsifier pipeline, a sweep over seeds) pass one session so every
+/// broadcast — and every phase inside it — reuses the same preallocated
+/// engine. Every phase is logged with the host's post-phase state hash
+/// (the snapshot/replay checkpoint signal). A partition that fails to
+/// span is `Err(NotSpanning)` after phase 5, and leaves the session as
+/// clean as a completed broadcast does.
 pub fn partition_broadcast_hosted(
     host: &mut Session<'_>,
     input: &BroadcastInput,
     params: PartitionParams,
     cfg: &BroadcastConfig,
 ) -> Result<BroadcastOutcome, BroadcastError> {
-    theorem1(host, input, params, cfg, &[cfg.seed])?
-        .pop()
-        .expect("one lane in, one result out")
+    let mut comp = Composition::new(host, input, |phase| cfg.engine(phase));
+    comp.tree()?;
+    comp.number(3)?;
+    comp.class_trees(CLASS_PHASES, params.num_subgraphs, cfg.seed)?;
+    comp.spanning()?;
+    let per_node = comp.route(
+        (6, "parallel-routing"),
+        1,
+        cfg.record_payloads,
+        |cores, _| ParallelPipeline::new(cores),
+    )?;
+    Ok(comp.outcome(per_node))
 }
 
 /// Retry wrapper: Theorem 2 succeeds w.h.p., so on the rare `NotSpanning`
@@ -269,78 +282,6 @@ pub fn partition_broadcast_retrying(
     let (outcome, log) =
         partition_broadcast_degrading_hosted(&mut host, input, params, cfg, &policy)?;
     Ok((outcome, log.total_attempts()))
-}
-
-/// Theorem 1, **W independent instances in one sweep**: lane `l` runs the
-/// whole six-phase composition under broadcast seed `seeds[l]`, with all
-/// lanes advancing through each phase in lockstep as one
-/// [`Session::run_wide`] sweep — the W-lane instantiation of the
-/// composition. Lane `l`'s result — phase log, stats, deliveries — is
-/// bit-identical to [`partition_broadcast_hosted`] at
-/// `BroadcastConfig { seed: seeds[l], ..cfg }` (state hashes aside: wide
-/// lanes record none; a single seed runs as that hosted call, hashes
-/// included), which is exactly
-/// the seed-sweep the retry wrapper ([`partition_broadcast_retrying`])
-/// performs one at a time: the wide driver explores all candidate seeds
-/// concurrently, paying the arc sweep once per round instead of once per
-/// seed.
-///
-/// **Lane compaction:** lanes whose partition fails the phase-5 spanning
-/// check (Theorem 2's low-probability failure event) drop out and are
-/// reported as `Err(NotSpanning)`; the surviving lanes run the routing
-/// phase on a compacted lane set. An engine error (round limit) aborts
-/// the whole batch, exactly as it would abort each sequential run.
-pub fn partition_broadcast_wide(
-    g: &Graph,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-    seeds: &[u64],
-) -> Result<Vec<Result<BroadcastOutcome, BroadcastError>>, BroadcastError> {
-    let w = seeds.len();
-    assert!(
-        (1..=congest_sim::MAX_LANES).contains(&w),
-        "1..={} broadcast lanes, got {w}",
-        congest_sim::MAX_LANES
-    );
-    theorem1(&mut Session::new(g), input, params, cfg, seeds)
-}
-
-/// The six phases of the module docs on `seeds.len()` lanes, lane `l`
-/// being the broadcast `BroadcastConfig { seed: seeds[l], ..cfg }`.
-fn theorem1(
-    host: &mut Session<'_>,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-    seeds: &[u64],
-) -> Result<Vec<Result<BroadcastOutcome, BroadcastError>>, BroadcastError> {
-    let mut comp = Composition::new(host, input, seeds.len(), |l, phase| {
-        cfg.engine(seeds[l], phase)
-    });
-    comp.tree()?;
-    comp.number(3)?;
-    comp.class_trees(CLASS_PHASES, params.num_subgraphs, |l| seeds[l])?;
-    let verdicts: Vec<_> = (0..seeds.len()).map(|l| comp.spanning(l)).collect();
-    comp.retain(|l| verdicts[l].is_ok());
-    let mut routed = comp
-        .route(
-            (6, "parallel-routing"),
-            1,
-            cfg.record_payloads,
-            |cores, _| ParallelPipeline::new(cores),
-        )?
-        .into_iter();
-    Ok(verdicts
-        .into_iter()
-        .enumerate()
-        .map(|(l, verdict)| {
-            verdict?;
-            let (lane, per_node) = routed.next().expect("every spanning lane routed");
-            debug_assert_eq!(lane, l);
-            Ok(comp.outcome(l, per_node))
-        })
-        .collect())
 }
 
 /// One message on the wire during parallel routing: the class tag plus the
@@ -617,81 +558,42 @@ mod tests {
         }
     }
 
-    /// The wide driver's oracle: lane `l` against one sequential
-    /// broadcast at `seeds[l]`, bit for bit (wide lanes record no state
-    /// hashes). Returns `(spanning, failed)` lane counts.
-    fn assert_wide_matches_sequential(
-        g: &Graph,
-        input: &BroadcastInput,
-        params: PartitionParams,
-        cfg: &BroadcastConfig,
-        seeds: &[u64],
-    ) -> (usize, usize) {
-        let wide = partition_broadcast_wide(g, input, params, cfg, seeds).unwrap();
-        assert_eq!(wide.len(), seeds.len());
-        let mut host = Session::new(g);
-        let (mut ok, mut failed) = (0, 0);
-        for (l, &seed) in seeds.iter().enumerate() {
-            let seq_cfg = BroadcastConfig {
-                seed,
-                ..cfg.clone()
-            };
-            let seq = partition_broadcast_hosted(&mut host, input, params, &seq_cfg);
-            match (&wide[l], &seq) {
-                (Ok(wo), Ok(so)) => {
-                    ok += 1;
-                    assert!(wo.all_delivered(), "lane {l}");
-                    assert_same_run(wo, so, false, &format!("lane {l}"));
-                }
-                (Err(we), Err(se)) => {
-                    failed += 1;
-                    assert_eq!(we, se, "lane {l}");
-                    assert!(matches!(we, BroadcastError::NotSpanning { .. }));
-                }
-                (w, s) => panic!("lane {l} diverged: wide {w:?} vs sequential {s:?}"),
-            }
-        }
-        (ok, failed)
-    }
-
-    /// One sequential broadcast per seed is the oracle for the wide
-    /// driver: every lane must reproduce its seed's run bit for bit —
-    /// phase log, stats, heights, deliveries, recorded payloads.
+    /// A seed sweep is a loop on one warm session: the retrying test's
+    /// borderline family, twelve seeds in a row on one host, each result —
+    /// the outcome with its hashed `PhaseLog`, or the `NotSpanning` error —
+    /// equal to the same broadcast on a fresh host, and the warm host's
+    /// state hash after every attempt equal to the fresh one's: a failed
+    /// attempt that left the session dirty, or one word behind, shows there
+    /// and in the spanning attempt after it.
     #[test]
-    fn wide_lanes_match_sequential_per_seed() {
-        let g = harary(16, 48);
-        let input = BroadcastInput::random_spread(&g, 96, 5);
-        let params = PartitionParams::from_lambda(g.n(), 16, DEFAULT_PARTITION_C);
-        let mut cfg = BroadcastConfig::with_seed(0); // superseded per lane
-        cfg.record_payloads = true;
-        let seeds = [5u64, 17, 23, 42, 0xB10C];
-        let (ok, failed) = assert_wide_matches_sequential(&g, &input, params, &cfg, &seeds);
-        assert_eq!(
-            (ok, failed),
-            (seeds.len(), 0),
-            "λ′ = 2 on harary(16, 48) spans"
-        );
-    }
-
-    /// Mixed outcomes: on a borderline partition some seeds fail the
-    /// spanning check. Failing lanes must surface as per-lane
-    /// `NotSpanning` while the survivors still route correctly on the
-    /// compacted lane set — each lane again equal to its sequential run.
-    #[test]
-    fn wide_compacts_out_non_spanning_lanes() {
+    fn seed_sweep_on_one_warm_session_matches_fresh_sessions() {
         let g = clique_chain(3, 12, 6);
         let input = BroadcastInput::random_spread(&g, 40, 4);
         let params = PartitionParams::explicit(2);
-        let cfg = BroadcastConfig::with_seed(0);
-        // The retrying test's seed family: borderline two-class split.
-        let seeds: Vec<u64> = (0..12u64)
-            .map(|a| 77u64.wrapping_add(a * 0x9E37_79B9))
-            .collect();
-        let (ok, failed) = assert_wide_matches_sequential(&g, &input, params, &cfg, &seeds);
-        assert!(ok > 0, "seed family produced no spanning partition");
+        let mut warm = Session::new(&g);
+        let mut verdicts = Vec::new();
+        for a in 0..12u64 {
+            let cfg = BroadcastConfig::with_seed(77u64.wrapping_add(a * 0x9E37_79B9));
+            let swept = partition_broadcast_hosted(&mut warm, &input, params, &cfg);
+            let mut fresh_host = Session::new(&g);
+            let fresh = partition_broadcast_hosted(&mut fresh_host, &input, params, &cfg);
+            assert_eq!(warm.state_hash(), fresh_host.state_hash(), "seed {a}");
+            match (&swept, &fresh) {
+                (Ok(s), Ok(f)) => {
+                    assert!(s.all_delivered(), "seed {a}");
+                    assert_same_run(s, f, true, &format!("seed {a}"));
+                }
+                (Err(s), Err(f)) => {
+                    assert_eq!(s, f, "seed {a}");
+                    assert!(matches!(s, BroadcastError::NotSpanning { .. }));
+                }
+                (s, f) => panic!("seed {a} diverged: warm {s:?} vs fresh {f:?}"),
+            }
+            verdicts.push(swept.is_ok());
+        }
         assert!(
-            failed > 0,
-            "seed family produced no failure — not borderline"
+            verdicts.windows(2).any(|w| w == [false, true]),
+            "no failing seed followed by a spanning one: {verdicts:?}"
         );
     }
 

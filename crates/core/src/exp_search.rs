@@ -55,19 +55,15 @@ pub fn exp_search_broadcast(
     cfg: &BroadcastConfig,
 ) -> Result<(BroadcastOutcome, ExpSearchReport), ExpSearchError> {
     let mut host = Session::new(g);
-    let mut comp = Composition::new(&mut host, input, 1, |_, phase| {
-        cfg.engine(cfg.seed, 0xE59 + phase)
-    });
-    // What the root of the main BFS tree (= every node) learned from a
-    // one-lane convergecast phase.
-    let at_root = |runs: Vec<(usize, Vec<u64>)>| runs[0].1[0];
-
-    // Leader + BFS + learn δ + numbering (shared across iterations).
+    let mut comp = Composition::new(&mut host, input, |phase| cfg.engine(0xE59 + phase));
+    // Leader + BFS + learn δ + numbering (shared across iterations). A
+    // convergecast phase tells every node what the root learned: read it
+    // at node 0.
     comp.tree()?;
-    let delta = at_root(comp.phases.run((3, "learn-delta"), |v, _, gr| {
-        let view = TreeView::from_bfs(&comp.lanes[0].tree[v as usize]);
+    let delta = comp.phases.run((3, "learn-delta"), |v, gr| {
+        let view = TreeView::from_bfs(&comp.tree[v as usize]);
         Aggregate::new(view, AggOp::Min, gr.degree(v) as u64)
-    })?) as usize;
+    })?[0] as usize;
     comp.number(4)?;
 
     // Exponential search over λ̃; iteration `i` owns phases 10+4i .. 13+4i.
@@ -84,37 +80,34 @@ pub fn exp_search_broadcast(
             (first, &*format!("partition(λ̃={lambda_tilde})")),
             (first + 1, &*format!("subgraph-bfs(λ̃={lambda_tilde})")),
         ];
-        comp.class_trees(class_phases, lp, |_| part_seed)?;
+        comp.class_trees(class_phases, lp, part_seed)?;
 
         // Distributed validity check in place of the drivers' local one:
         // AND over "all my classes reached me" = Min over indicator bits,
         // convergecast on the main BFS tree.
         let check = (first + 2, &*format!("validity-check(λ̃={lambda_tilde})"));
-        let valid = at_root(comp.phases.run(check, |v, _, _| {
-            let lane = &comp.lanes[0];
-            let ok = lane.class_trees[v as usize].iter().all(|i| i.reached);
-            let view = TreeView::from_bfs(&lane.tree[v as usize]);
+        let valid = comp.phases.run(check, |v, _| {
+            let ok = comp.class_trees[v as usize].iter().all(|i| i.reached);
+            let view = TreeView::from_bfs(&comp.tree[v as usize]);
             Aggregate::new(view, AggOp::Min, ok as u64)
-        })?) == 1;
+        })?[0]
+            == 1;
 
         if valid {
             // Routing phase, identical to Theorem 1's phase 6.
-            let (_, per_node) = comp
-                .route(
-                    (first + 3, "parallel-routing"),
-                    1,
-                    cfg.record_payloads,
-                    |cores, _| ParallelPipeline::new(cores),
-                )?
-                .pop()
-                .expect("one lane");
+            let per_node = comp.route(
+                (first + 3, "parallel-routing"),
+                1,
+                cfg.record_payloads,
+                |cores, _| ParallelPipeline::new(cores),
+            )?;
             let report = ExpSearchReport {
                 delta,
                 accepted: lambda_tilde,
                 tried,
                 num_subgraphs: lp,
             };
-            return Ok((comp.outcome(0, per_node), report));
+            return Ok((comp.outcome(per_node), report));
         }
 
         // Halve and retry. λ̃ = 1 gives λ' = 1 = the whole graph, which

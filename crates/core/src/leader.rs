@@ -43,8 +43,8 @@ impl Protocol for FloodMax {
     type Output = LeaderInfo;
     /// Message-driven: with an empty inbox nothing can improve `best`,
     /// `dirty` is false after the round-0 announcement, so a done round
-    /// reads nothing, sends nothing, and mutates nothing — the wide
-    /// kernel may skip it.
+    /// reads nothing, sends nothing, and mutates nothing — the round
+    /// loop may skip it.
     const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {

@@ -20,12 +20,11 @@
 //! | §1.2 / \[FP23\] | [`resilient`] | replicated broadcast surviving a mobile edge adversary |
 //! | robustness (DESIGN.md §3) | [`mod@watchdog`] | phase-boundary connectivity watchdog + the family's one retry-and-degrade ladder |
 //!
-//! Surface rule for the Theorem 1 family: [`partition_broadcast`],
-//! [`broadcast::partition_broadcast_retrying`] and
-//! [`broadcast::partition_broadcast_wide`] take a `&Graph` and build
+//! Surface rule for the Theorem 1 family: [`partition_broadcast`] and
+//! [`broadcast::partition_broadcast_retrying`] take a `&Graph` and build
 //! their own [`congest_sim::Session`]; every other driver takes the
-//! caller's — the one engine host, which runs one lane through its
-//! sequential kernel and `W` through its wide one.
+//! caller's — the one engine host — so a sweep over seeds or sources is a
+//! loop of [`broadcast::partition_broadcast_hosted`] on one warm session.
 //!
 //! All protocols are *message-driven* (progress on arrival rather than on
 //! round counting), which makes them tolerant of the random-delay

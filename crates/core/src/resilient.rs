@@ -19,8 +19,8 @@
 //! [`resilient_broadcast_hosted`] is Theorem 1's composition
 //! ([`crate::broadcast`]) with `r` copies per message in the routing stage
 //! and [`ReplicatedPipeline`] wrapped around the per-class cores; like
-//! every driver of the family but the two frozen names and the wide one,
-//! it takes the caller's [`Session`].
+//! every driver of the family but the two frozen names, it takes the
+//! caller's [`Session`].
 
 use crate::broadcast::{
     BroadcastConfig, BroadcastError, BroadcastInput, ColoredPipeMsg, ParallelPipeline,
@@ -144,8 +144,8 @@ pub fn resilient_broadcast_hosted(
 ) -> Result<ResilientOutcome, BroadcastError> {
     let lp = params.num_subgraphs;
     let r = replication.clamp(1, lp);
-    let mut comp = Composition::new(host, input, 1, |_, phase| {
-        let mut engine = cfg.engine(cfg.seed, 0x9E5 + phase);
+    let mut comp = Composition::new(host, input, |phase| {
+        let mut engine = cfg.engine(0x9E5 + phase);
         if phase == 6 {
             engine.faults = faults;
         }
@@ -153,14 +153,11 @@ pub fn resilient_broadcast_hosted(
     });
     comp.tree()?;
     comp.number(3)?;
-    comp.class_trees(CLASS_PHASES, lp, |_| cfg.seed)?;
-    comp.spanning(0)?;
-    let (_, per_node) = comp
-        .route((6, "replicated-routing"), r, false, ReplicatedPipeline::new)?
-        .pop()
-        .expect("one lane");
-    let expected = comp.expected(0);
-    let phases = comp.take_log(0);
+    comp.class_trees(CLASS_PHASES, lp, cfg.seed)?;
+    comp.spanning()?;
+    let per_node = comp.route((6, "replicated-routing"), r, false, ReplicatedPipeline::new)?;
+    let expected = comp.expected();
+    let phases = comp.take_log();
     let (_, routing) = phases.phases().last().expect("six phases ran");
     Ok(ResilientOutcome {
         total_rounds: phases.total_rounds(),

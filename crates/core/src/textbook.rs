@@ -59,14 +59,12 @@ pub fn textbook_broadcast_with(
 ) -> Result<TextbookOutcome, EngineError> {
     let k = input.k() as u64;
     let mut host = Session::new(g);
-    let mut comp = Composition::new(&mut host, input, 1, |_, phase| {
-        cfg.engine(cfg.seed, 0x7B00 + phase)
-    });
+    let mut comp = Composition::new(&mut host, input, |phase| cfg.engine(0x7B00 + phase));
 
     // Phases 1 and 2: leader election and the BFS tree — stage a of
     // Theorem 1's composition.
     comp.tree()?;
-    let tree = &comp.lanes[0].tree;
+    let tree = &comp.tree;
     let tree_height = tree.iter().map(|i| i.depth).max().unwrap_or(0);
 
     // Phase 3: single-tree pipeline with all k messages.
@@ -77,12 +75,11 @@ pub fn textbook_broadcast_with(
             payload,
         });
     }
-    let routing = comp.phases.run((3, "tree-pipeline"), |v, _, _| {
+    let per_node = comp.phases.run((3, "tree-pipeline"), |v, _| {
         let view = TreeView::from_bfs(&tree[v as usize]);
         TreePipeline::new(view, k, own[v as usize].clone(), cfg.record_payloads)
     })?;
-    let (_, per_node) = routing.into_iter().next().expect("one lane");
-    let phases = comp.take_log(0);
+    let phases = comp.take_log();
 
     let all: Vec<(u32, u64)> = input
         .messages

@@ -10,7 +10,7 @@ use congest_core::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult, 
 use congest_core::resilient::ReplicatedPipeline;
 use congest_graph::generators::{gnp_connected, harary, torus2d};
 use congest_graph::{Graph, GraphBuilder, Node, Port};
-use congest_sim::{check_quiescent, run_protocol, EngineConfig, FaultPlan, LaneSpec, Session};
+use congest_sim::{check_quiescent, run_protocol, EngineConfig, FaultPlan};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -218,41 +218,6 @@ proptest! {
         for (core, model) in cores.into_iter().zip(models) {
             prop_assert!(loss > 0 || core.complete(), "lossless runs deliver everything");
             prop_assert_eq!(core.into_result(), model.into_result());
-        }
-    }
-
-    /// `TreePipeline` promises `Protocol::QUIESCENT`, so `Session::run_wide`
-    /// skips its done nodes' idle rounds; every lane must still equal the
-    /// same run through `Session::run`, outputs and `RunStats`.
-    #[test]
-    fn tree_pipeline_wide_lanes_match_sessions(
-        g in arb_connected_graph(16),
-        root_pick in any::<u32>(),
-        k in 0usize..24,
-        seed in any::<u64>(),
-    ) {
-        let root = root_pick % g.n() as u32;
-        let views = bfs_views(&g, root);
-        // Lane l: placement shape l, 5·l more messages — lanes end apart.
-        let lanes = LaneSpec::batch(seed, 4);
-        let owns: Vec<_> = (0..lanes.len())
-            .map(|l| place(&views, root, k + 5 * l, l as u8, seed))
-            .collect();
-        let pipeline = |v: Node, l: usize| {
-            let own = owns[l][v as usize].clone();
-            TreePipeline::new(views[v as usize].clone(), (k + 5 * l) as u64, own, true)
-        };
-        let mut wide = Session::new(&g);
-        let wide = wide
-            .run_wide(&lanes, |v, l, _| pipeline(v, l), EngineConfig::default())
-            .unwrap();
-        let mut session = Session::new(&g);
-        for (l, lane) in lanes.iter().enumerate() {
-            let seq = session
-                .run(|v, _| pipeline(v, l), EngineConfig::with_seed(lane.seed))
-                .unwrap();
-            prop_assert_eq!(wide.outputs(l), seq.outputs(), "lane {}", l);
-            prop_assert_eq!(wide.stats(l), seq.stats, "lane {}", l);
         }
     }
 

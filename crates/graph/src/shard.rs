@@ -33,11 +33,6 @@ pub struct ShardPlan {
     arcs: usize,
     /// Node count.
     n: usize,
-    /// Maximum degree Δ at plan-build time. The wide-batch kernel sizes
-    /// its per-shard gather/outbox scratch (Δ message words + Δ/64
-    /// occupancy words per direction) from this instead of rescanning
-    /// every node per run.
-    max_deg: usize,
 }
 
 impl ShardPlan {
@@ -100,14 +95,6 @@ impl ShardPlan {
         (self.arc_count(s) + 63).min(self.arcs)
     }
 
-    /// Maximum degree Δ of the graph the plan was built (or last
-    /// rebalanced) for — an upper bound on any node's port count, cached
-    /// so per-run scratch sizing never rescans the degree array.
-    #[inline]
-    pub fn max_degree(&self) -> usize {
-        self.max_deg
-    }
-
     /// The node-bitset word range shard `s` sweeps (indexes into a
     /// `words_for(n)`-long `u64` bitset over nodes).
     #[inline]
@@ -136,7 +123,6 @@ impl ShardPlan {
         self.node_word_starts.clear();
         self.arcs = g.num_arcs();
         self.n = g.n();
-        self.max_deg = g.max_degree();
         fill_plan(
             g,
             shards,
@@ -213,7 +199,6 @@ impl Graph {
             node_word_starts,
             arcs,
             n,
-            max_deg: self.max_degree(),
         }
     }
 }
@@ -266,7 +251,6 @@ mod tests {
         }
         assert_eq!(nw, g.n().div_ceil(64));
         assert_eq!(nn, g.n());
-        assert_eq!(plan.max_degree(), g.max_degree());
         // Every shard with multiple requested shards owns ≥ 1 node when
         // shards ≤ n.
         if shards <= g.n() {

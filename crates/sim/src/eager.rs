@@ -1,8 +1,8 @@
 //! Test support: the oracle for [`Protocol::QUIESCENT`].
 //!
-//! Both round kernels skip a done node with an empty inbox when its
-//! protocol promises `QUIESCENT`, so neither can catch the other honouring
-//! a wrong promise. [`Eager`] withdraws the promise without touching the
+//! The round loop skips a done node with an empty inbox when its
+//! protocol promises `QUIESCENT`, so on its own it cannot catch a wrong
+//! promise. [`Eager`] withdraws the promise without touching the
 //! protocol — the engine then steps every node every round — and
 //! [`check_quiescent`] holds a run of `P` to a run of `Eager<P>`: if some
 //! done node would have acted on an empty inbox, the two differ. No engine

@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree() {
-        // At FORK_MIN_ARCS and under a forced multi-lane pool, so the
+        // At FORK_MIN_ARCS and under a forced four-thread pool, so the
         // default config genuinely forks even on a 1-core machine.
         let g = harary(128, 1024);
         assert!(g.num_arcs() >= FORK_MIN_ARCS);

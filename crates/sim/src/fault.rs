@@ -18,16 +18,6 @@ use crate::churn::Mutation;
 use crate::rng::mix64;
 use congest_graph::{Edge, Graph, Node};
 
-/// Per-lane seed derivation shared by [`FaultPlan::with_lane_seed`] and
-/// [`ChurnPlan::with_lane_seed`]: one `mix64` over the base seed and a
-/// tagged lane index. The tag keeps lane streams disjoint from the
-/// round/epoch streams the plans themselves draw from (`0xFA17`,
-/// `0x0DE1`, …), which all mix untagged small integers.
-#[inline]
-fn lane_seed(seed: u64, lane: usize) -> u64 {
-    mix64(seed ^ mix64(0x1A9E_5EED ^ lane as u64))
-}
-
 /// Reusable epoch-stamped mark-bitset over edge ids: `O(1)` reset per
 /// round, `O(1)` membership, one `u32` per edge. The session round loop
 /// dedups fault draws through this instead of the legacy `O(budget²)`
@@ -176,22 +166,6 @@ impl FaultPlan {
             next += 1;
         }
         out.sort_unstable();
-    }
-
-    /// Derive the plan for one **lane** of a wide-batch run: identical
-    /// budget and start round, seed re-mixed from `(seed, lane)` so each
-    /// of the W instances faces its own reproducible nemesis stream from
-    /// one base seed. Lane 0 is *not* the base plan — every lane gets a
-    /// derived stream, so adding lanes never perturbs existing ones and a
-    /// wide run's lane `l` can be replayed standalone by handing a
-    /// sequential engine the same derived plan. Shared by
-    /// `proptest_wide`, the `wide_batch` bench arm, and
-    /// `examples/wide_soak.rs`.
-    pub fn with_lane_seed(&self, lane: usize) -> FaultPlan {
-        FaultPlan {
-            seed: lane_seed(self.seed, lane),
-            ..*self
-        }
     }
 
     /// The `draw`-th candidate edge of `round` (shared by both dedup
@@ -391,17 +365,6 @@ impl ChurnPlan {
         }
     }
 
-    /// Derive the plan for one **lane** of a wide-batch run — same
-    /// budgets, floor, and start epoch, seed re-mixed from `(seed, lane)`
-    /// exactly as [`FaultPlan::with_lane_seed`] does, so a wide harness
-    /// can split one base seed into W independent churn nemeses.
-    pub fn with_lane_seed(&self, lane: usize) -> ChurnPlan {
-        ChurnPlan {
-            seed: lane_seed(self.seed, lane),
-            ..self.clone()
-        }
-    }
-
     /// Allocating convenience wrapper over [`ChurnPlan::mutations_into`].
     pub fn mutations(&self, epoch: u64, g: &Graph, crashed: &[bool]) -> Vec<Mutation> {
         let mut out = Vec::new();
@@ -457,49 +420,6 @@ mod tests {
         assert!(plan.blocked_edges(3, 10).is_empty());
         let g = cycle(5);
         assert!(!plan.blocks(3, 0, &g));
-    }
-
-    #[test]
-    fn lane_seeds_are_deterministic_and_distinct() {
-        let base = FaultPlan {
-            edges_per_round: 3,
-            seed: 77,
-            start_round: 2,
-        };
-        // Same lane twice → identical plan; budget/start carried over.
-        let a = base.with_lane_seed(5);
-        let b = base.with_lane_seed(5);
-        assert_eq!(a.seed, b.seed);
-        assert_eq!(a.edges_per_round, 3);
-        assert_eq!(a.start_round, 2);
-        // Distinct lanes (and the base itself) give distinct streams.
-        let mut seeds: Vec<u64> = (0..64).map(|l| base.with_lane_seed(l).seed).collect();
-        seeds.push(base.seed);
-        seeds.sort_unstable();
-        seeds.dedup();
-        assert_eq!(seeds.len(), 65, "64 lanes + base are pairwise distinct");
-        assert_ne!(
-            base.with_lane_seed(0).blocked_edges(3, 500),
-            base.with_lane_seed(1).blocked_edges(3, 500)
-        );
-    }
-
-    #[test]
-    fn churn_lane_seeds_match_fault_derivation() {
-        let fp = FaultPlan::new(1, 123);
-        let cp = ChurnPlan::new(2, 2, 123).node_ops(1).degree_floor(2);
-        for lane in [0usize, 1, 7, 63] {
-            assert_eq!(
-                fp.with_lane_seed(lane).seed,
-                cp.with_lane_seed(lane).seed,
-                "one derivation rule for both plan kinds"
-            );
-        }
-        let derived = cp.with_lane_seed(9);
-        assert_eq!(derived.adds_per_epoch, 2);
-        assert_eq!(derived.removes_per_epoch, 2);
-        assert_eq!(derived.node_ops_per_epoch, 1);
-        assert_eq!(derived.min_degree_floor, 2);
     }
 
     #[test]

@@ -51,15 +51,15 @@
 //! ## One engine host
 //!
 //! A [`Session`] owns every buffer of the round loop for one graph and
-//! runs any number of phases on them, through either kernel, in any
-//! order: [`Session::run`] is the sequential one ([`session`]),
-//! [`Session::run_wide`] / [`Session::run_refill`] the wide one ([`wide`]:
-//! up to 64 instances per sweep, each bit-identical to its sequential
-//! run). There is no other host: [`run_protocol`] is one phase on a
-//! session of its own, a [`ChurnSession`] and a [`SessionPool`] lend
-//! theirs out as `Session`s ([`ChurnSession::with_host`],
-//! [`SessionPool::with_session`]), and `PhaseHost` is an alias kept for
-//! `benchmark/`.
+//! runs any number of phases on them, one after another, through
+//! [`Session::run`] — the crate's one round loop ([`session`]). There is
+//! no other host: [`run_protocol`] is one phase on a session of its own, a
+//! [`ChurnSession`] and a [`SessionPool`] lend theirs out as `Session`s
+//! ([`ChurnSession::with_host`], [`SessionPool::with_session`]), and
+//! `PhaseHost` is an alias kept for `benchmark/`. Many independent runs
+//! on one graph — a seed sweep, a job queue — are a loop on one warm
+//! session (DESIGN.md §10 has the measurements that retired the 64-lane
+//! batched kernel).
 //!
 //! The random-delay scheduler of Ghaffari \[Gha15b\] (paper Theorem 12) is
 //! provided by [`sched`]: it multiplexes many *delay-tolerant* protocols
@@ -80,7 +80,6 @@ pub mod sched;
 pub mod session;
 mod slab;
 pub mod snapshot;
-pub mod wide;
 
 pub use churn::{ChurnError, ChurnReport, ChurnSession, ChurnStats, Mutation, MutationQueue};
 pub use eager::{check_quiescent, Eager};
@@ -95,4 +94,3 @@ pub use pool::{
 pub use protocol::{InboxIter, NodeCtx, Protocol};
 pub use session::{PhaseHost, PhaseOutcome, Session};
 pub use snapshot::{SnapshotError, SnapshotHeader, SNAPSHOT_MAGIC, SNAPSHOT_VERSION};
-pub use wide::{LaneRetire, LaneSpec, WideOutcome, MAX_LANES};

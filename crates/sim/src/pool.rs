@@ -14,11 +14,10 @@
 //! [`Graph::fingerprint`] (a hash of the canonical CSR, so two tenants
 //! registering equal graphs share one entry). Checkout is closure-scoped:
 //! [`SessionPool::with_session`] pops a warm state (or builds one on a
-//! miss), marries it to the entry's graph as a [`Session`] — which runs
-//! either kernel, so one checkout can host a sequential phase and a wide
-//! sweep back to back —, runs the closure, and pushes the state back. A
-//! warm checkout cycle allocates nothing (pinned by
-//! `tests/zero_alloc.rs`), so steady-state serving has zero engine churn.
+//! miss), marries it to the entry's graph as a [`Session`], runs the
+//! closure, and pushes the state back. A warm checkout cycle allocates
+//! nothing (pinned by `tests/zero_alloc.rs`), so steady-state serving has
+//! zero engine churn.
 //! A key the pool does not hold — never registered here, or aged out — is
 //! [`PoolError::UnknownGraph`] from every keyed call, never a panic.
 //!
@@ -27,12 +26,10 @@
 //! A [`PoolServer`] admits [`Job`] submissions into a bounded queue and
 //! executes them on [`PoolServer::drain`]: **every job, in submission
 //! order, is one [`Session::run`] on its graph's warm session**, with its
-//! own seed and fault plan. The pool does not coalesce jobs onto the wide
-//! kernel ([`Session::run_wide`]): since [`Session::run`] steps only a
-//! round's frontier, W rumor or flood-max lanes through one sweep cost
-//! more than W warm sequential runs on every graph and job count measured
-//! (DESIGN.md §7 has the table), so the route that did went with the
-//! counters that described it.
+//! own seed and fault plan. Nothing is coalesced: since [`Session::run`]
+//! steps only a round's frontier, W jobs as lanes of one batched sweep
+//! cost more than W warm runs on every graph and job count measured
+//! (DESIGN.md §10 has the tables), so the batched kernel is gone.
 //!
 //! A warm session leaves no trace of the phases it ran, so **any
 //! interleaving of submissions produces outputs bit-identical to running
@@ -389,8 +386,7 @@ impl SessionPool {
     }
 
     /// Check out a [`Session`] for `key`: stamp the LRU clock, pop a warm
-    /// state (or build one), run `f`, release the state back. The session
-    /// runs both kernels, and a state warmed by one serves the other. The
+    /// state (or build one), run `f`, release the state back. The
     /// closure is higher-ranked over the session lifetime, so results must
     /// be moved out (e.g. [`crate::PhaseOutcome::take_outputs`]) — nothing
     /// can keep borrowing the pooled buffers after release. `f` does not
@@ -658,8 +654,8 @@ impl PoolServer {
         self.capacity
     }
 
-    /// Always 0: the pool has no wide route since PR 22. Kept callable
-    /// because `benchmark/` reads it; goes with the benchmark PR.
+    /// Always 0: no job is batched with another. Kept callable because
+    /// `benchmark/` reads it; goes with the benchmark PR.
     pub fn batched_jobs(&self) -> u64 {
         0
     }
@@ -922,7 +918,6 @@ impl Protocol for Gossip {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wide::{LaneSpec, MAX_LANES};
     use congest_graph::generators::{cycle, harary, torus2d};
 
     fn mk_job(graph: GraphKey, protocol: JobSpec, seed: u64, tenant: Tenant) -> Job {
@@ -961,18 +956,6 @@ mod tests {
         assert_eq!(pool.warm_count(k), Ok(1));
         assert_eq!(pool.misses(), 1);
         assert_eq!(pool.hits(), 2);
-        // A wide sweep checks out the same warm state.
-        pool.with_session(k, |w| {
-            w.run_wide(
-                &[LaneSpec::new(1), LaneSpec::new(2)],
-                |v, _, _| FloodMax { best: v as u64 },
-                EngineConfig::serial(),
-            )
-            .unwrap()
-            .stats(0)
-        })
-        .unwrap();
-        assert_eq!(pool.hits(), 3);
     }
 
     #[test]
@@ -1220,14 +1203,14 @@ mod tests {
 
     #[test]
     fn burst_past_max_lanes_matches_isolated() {
-        // More same-family jobs on one graph than a wide sweep has lanes:
-        // every one is still bit-identical to its isolated run. Sources,
-        // seeds and fault plans vary per job.
+        // A long same-family burst on one graph: every job is still
+        // bit-identical to its isolated run. Sources, seeds and fault
+        // plans vary per job.
         let cfg = EngineConfig::serial();
         let mut server = PoolServer::new(cfg.clone(), 256);
         let g = harary(4, 24);
         let k = server.register_graph(g.clone());
-        let total = MAX_LANES + 9;
+        let total = 73;
         let mut jobs = Vec::new();
         for i in 0..total as u64 {
             let mut job = mk_job(

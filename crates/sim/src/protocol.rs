@@ -28,12 +28,11 @@ pub trait Protocol: Send {
     /// Opt-in idle contract: `true` promises that once a node has declared
     /// [`NodeCtx::set_done`] and receives an **empty inbox**, its `round`
     /// is a semantic no-op — it sends nothing, mutates no state (including
-    /// its RNG), and leaves the done flag set. Both round kernels then
-    /// skip the `round` call for such nodes: [`crate::Session::run`] steps
-    /// only the nodes its active-node list names (see [`crate::session`]),
-    /// [`crate::Session::run_wide`] skips idle (node, lane) pairs — a
-    /// round costs its frontier, not its graph. Since both skip, neither
-    /// checks the other: a promise is held by
+    /// its RNG), and leaves the done flag set. The round loop then skips
+    /// the `round` call for such nodes: [`crate::Session::run`] steps only
+    /// the nodes its active-node list names (see [`crate::session`]) — a
+    /// round costs its frontier, not its graph. The loop cannot check a
+    /// promise it relies on: it is held by
     /// [`crate::eager::check_quiescent`], which runs the protocol against
     /// its [`crate::Eager`] twin (the same `round`, promise withdrawn), so
     /// a wrong one is caught, not silently wrong — every protocol in this
@@ -125,7 +124,10 @@ impl<'a, M: PackedMsg> ScatterPlane<'a, M> {
     fn record(&self, dest: usize) {
         let k = self.staged.get() as usize;
         if k < self.wl_cap {
-            // Sound: the worklist region belongs to this shard alone.
+            // SAFETY: `wl_lo..wl_lo + wl_cap` is this shard's slice of the
+            // worklist (the slices of two shards are disjoint and inside
+            // the slab: `wl_starts` in `run_phase`), `k < wl_cap`, and the
+            // plane is touched by its shard's task alone.
             unsafe { self.wl.write(self.wl_lo + k, dest as u32) };
         }
         self.staged.set(k as u32 + 1);
@@ -206,8 +208,10 @@ impl<'a, M: PackedMsg> InboxIter<'a, M> {
         let hi = ((w << 6) + 64).min(self.bit0 + self.deg);
         let mut bits = 0u64;
         for bitpos in lo..hi {
-            // Sound: `bitpos` is a valid arc position (< adj.len()), and
-            // every neighbor id is `< n`, the occ bitset's bit length.
+            // SAFETY: `lo..hi` lies inside this node's arc range
+            // `bit0..bit0 + deg`, so `bitpos < adj.len()` (one entry per
+            // arc); every neighbor id is `< n`, and `occ` holds
+            // `⌈n / 64⌉` words.
             unsafe {
                 let nb = *b.adj.get_unchecked(bitpos) as usize;
                 let present = *b.occ.get_unchecked(nb >> 6) >> (nb & 63) & 1;
@@ -220,17 +224,19 @@ impl<'a, M: PackedMsg> InboxIter<'a, M> {
     /// Unpack the message at `port`, from the slab or the broadcaster's
     /// slot depending on which presence word claimed the bit.
     ///
-    /// Safety of the unchecked loads: presence bits outside
-    /// `bit0..bit0+deg` are masked off before use, so every derived port
-    /// is `< deg == words.len() == neighbors.len()`.
+    /// Every caller derives `port` from a presence bit, and presence bits
+    /// outside `bit0..bit0+deg` are masked off before use (`slab_word`,
+    /// `bcast_word`), so `port < deg == words.len()`.
     #[inline]
     fn msg_at(&self, port: Port, from_slab: bool) -> M {
         if from_slab {
+            // SAFETY: `port < words.len()`, see above.
             M::unpack(unsafe { *self.words.get_unchecked(port as usize) })
         } else {
             let b = self.bcast.expect("bcast bit implies bcast plane");
-            // Sound: `bit0 + port` is a valid arc position; neighbor ids
-            // index the n-slot broadcast table.
+            // SAFETY: `port < deg`, so `bit0 + port` is one of this node's
+            // arc positions (`< adj.len()`); the neighbor id read there is
+            // `< n`, the length of the broadcast word table.
             unsafe {
                 let nb = *b.adj.get_unchecked(self.bit0 + port as usize) as usize;
                 M::unpack(*b.words.get_unchecked(nb))
@@ -301,6 +307,9 @@ impl<'a, M: PackedMsg> Iterator for InboxIter<'a, M> {
                     let base = (w << 6) - self.bit0;
                     for j in 0..64 {
                         let port = (base + j) as Port;
+                        // SAFETY: no bit of the word was range-masked off,
+                        // so all 64 positions lie in `bit0..bit0 + deg`
+                        // and `port < deg == words.len()`.
                         let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
                         acc = f(acc, (port, m));
                     }
@@ -309,7 +318,8 @@ impl<'a, M: PackedMsg> Iterator for InboxIter<'a, M> {
                         let t = bits.trailing_zeros() as usize;
                         bits &= bits - 1;
                         let port = ((w << 6) + t - self.bit0) as Port;
-                        // Sound: range-masked bits imply port < deg.
+                        // SAFETY: the bit survived `slab_word`'s range
+                        // mask, so `port < deg == words.len()`.
                         let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
                         acc = f(acc, (port, m));
                     }
@@ -368,9 +378,10 @@ impl<'a, M: PackedMsg> InboxIter<'a, M> {
                 // neighbor scan with no per-port slab test.
                 for bitpos in lo..hi {
                     let port = (bitpos - self.bit0) as Port;
-                    // Sound: `bitpos` is a valid arc position;
-                    // neighbor ids index the n-bit occ set and n-slot
-                    // table.
+                    // SAFETY: `lo..hi` is clipped to this node's arc range,
+                    // so `bitpos < adj.len()`; the neighbor id read there
+                    // is `< n`, which bounds the `⌈n / 64⌉`-word presence
+                    // set and the n-slot word table.
                     unsafe {
                         let nb = *b.adj.get_unchecked(bitpos) as usize;
                         if *b.occ.get_unchecked(nb >> 6) >> (nb & 63) & 1 == 1 {
@@ -383,13 +394,13 @@ impl<'a, M: PackedMsg> InboxIter<'a, M> {
                 for bitpos in lo..hi {
                     let port = (bitpos - self.bit0) as Port;
                     if slab_bits >> (bitpos & 63) & 1 == 1 {
+                        // SAFETY: `bitpos` is in `bit0..bit0 + deg`, so
+                        // `port < deg == words.len()`.
                         let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
                         acc = f(acc, (port, m));
                         continue;
                     }
-                    // Sound: `bitpos` is a valid arc position;
-                    // neighbor ids index the n-bit occ set and n-slot
-                    // table.
+                    // SAFETY: as in the broadcast-only branch above.
                     unsafe {
                         let nb = *b.adj.get_unchecked(bitpos) as usize;
                         if *b.occ.get_unchecked(nb >> 6) >> (nb & 63) & 1 == 1 {
@@ -569,8 +580,12 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
                 // A prior `send_all` this round already claimed every port
                 // (tracked context-locally — the staging byte it mirrors
                 // is always zero at context construction).
-                // Sound: `rev` is a bijection, so slot `dest` belongs to
-                // this (node, port) alone this round.
+                // SAFETY (this read and the two writes below): `rev` is a
+                // bijection on arcs and `lo + port` is one of this node's
+                // own arc positions (`port < deg`, asserted above), so
+                // staging slot `dest < arcs` is written and read by this
+                // (node, port) alone during the step pass; the adversary
+                // and the deliver pass touch it only after the pass joins.
                 let already = self.bcast_staged || unsafe { plane.mask.read(dest) } != 0;
                 if !already {
                     plane.record(dest);
@@ -620,8 +635,11 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
                         "CONGEST violation: node {} broadcast twice in round {}",
                         self.node, self.round
                     );
-                    // Sound: `node` is this node's own slot; no other
-                    // task writes it.
+                    // SAFETY: slot `node < n` of the n-slot broadcast
+                    // staging pair is written by `node`'s own step alone
+                    // (the fold reads it after the pass joins); the mask
+                    // reads in the debug check are of this node's own
+                    // destination slots (see `send`).
                     unsafe {
                         // Debug-only: `send_all` after a per-port `send`
                         // would double-book that port.
@@ -643,10 +661,13 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
                 let k0 = plane.staged.get() as usize;
                 for (j, &dest) in plane.rev[lo..lo + deg].iter().enumerate() {
                     let dest = dest as usize;
-                    // Sound: own destination slots (see `send`). The
-                    // double-send probe is debug-only on this bulk path —
-                    // one load+branch per arc is measurable at 10^6 arcs;
-                    // `send` keeps the full check for per-port traffic.
+                    // SAFETY: `rev[lo..lo + deg]` are this node's own
+                    // destination slots (see `send`), and `k0 + j <
+                    // wl_cap` keeps the worklist write inside this shard's
+                    // slice (see `record`). The double-send probe is
+                    // debug-only on this bulk path — one load+branch per
+                    // arc is measurable at 10^6 arcs; `send` keeps the full
+                    // check for per-port traffic.
                     unsafe {
                         debug_assert!(
                             plane.mask.read(dest) == 0,
@@ -676,7 +697,12 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
     pub fn port_used(&self, port: Port) -> bool {
         match &self.outbox {
             OutSlot::Scatter { plane } => {
-                // Sound: own destination slot (see `send`).
+                assert!(
+                    (port as usize) < self.degree(),
+                    "port_used on nonexistent port {port}"
+                );
+                // SAFETY: `port < deg` (just asserted), so this reads this
+                // node's own destination slot (see `send`).
                 self.bcast_staged
                     || unsafe {
                         plane

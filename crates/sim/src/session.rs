@@ -11,11 +11,9 @@
 //!
 //! A [`Session`] is a **graph-keyed engine instance** that owns all of
 //! that state once and runs any number of protocols to termination on
-//! it, in sequence — one instance per phase through [`Session::run`] (the
-//! round loop of this module), or up to 64 at once through
-//! [`Session::run_wide`] / [`Session::run_refill`] (the round loop of
-//! [`crate::wide`], on the same buffers). It is the crate's only engine
-//! host; the pool and the churn session lend theirs out as one.
+//! it, in sequence — one instance per phase through [`Session::run`], the
+//! crate's one round loop. It is the crate's only engine host; the pool
+//! and the churn session lend theirs out as one.
 //!
 //! * **Slab reuse across message widths.** The arc/broadcast message
 //!   slabs are raw 16-byte-aligned storage keyed by the *widest*
@@ -50,8 +48,7 @@
 //!
 //! # The round loop
 //!
-//! [`Session::run`]'s loop (`run_phase` below); [`crate::wide`] documents
-//! what its own does differently.
+//! [`Session::run`]'s loop (`run_phase` below).
 //!
 //! Messages live in **dense arc-indexed slabs** of packed words
 //! ([`crate::message::PackedMsg`]): arc `i` is position `i` in the graph's
@@ -171,17 +168,17 @@ const STAGED: u8 = 1;
 pub(crate) const FORK_MIN_ARCS: usize = 1 << 17;
 
 /// How a phase runs its per-shard passes: [`SessionState::begin_phase`]
-/// decides once, and every sharded pass of both round kernels goes through
+/// decides once, and every sharded pass of the round loop goes through
 /// [`Fork::each_shard`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) struct Fork(bool);
+struct Fork(bool);
 
 impl Fork {
     /// Run `task(0..shards)`: across the pool if the phase forks, in shard
     /// order on the calling thread if not. Tasks own disjoint regions, so
     /// the two are indistinguishable in what they leave.
     #[inline]
-    pub(crate) fn each_shard(self, shards: usize, task: impl Fn(usize) + Sync) {
+    fn each_shard(self, shards: usize, task: impl Fn(usize) + Sync) {
         if self.0 {
             congest_par::run(shards, task);
         } else {
@@ -192,19 +189,54 @@ impl Fork {
     }
 }
 
+/// The invariant every `RacyCells` region split of the round loop rests on,
+/// checked in full once per phase in debug builds: each family of regions
+/// [`Fork::each_shard`]'s tasks carve out of a shared buffer — nodes (cells,
+/// active bytes), occupancy words and their arcs (mask, counters), node
+/// words and their nodes (the broadcast plane), worklist slices — is a run
+/// of consecutive ranges from 0 to the buffer's length: pairwise disjoint,
+/// and covering it.
+#[cfg(debug_assertions)]
+fn check_shard_regions(plan: &ShardPlan, graph: &Graph, wl_starts: &[usize]) {
+    let shards = plan.num_shards();
+    let tiles = |what: &str, len: usize, region: &dyn Fn(usize) -> std::ops::Range<usize>| {
+        let mut next = 0;
+        for s in 0..shards {
+            let r = region(s);
+            assert!(
+                r.start == next && r.end >= r.start,
+                "shard {s}: {what} region {r:?} does not start at {next}, where the one before ends"
+            );
+            next = r.end;
+        }
+        assert_eq!(next, len, "{what} regions do not cover the buffer");
+    };
+    let (n, arcs) = (graph.n(), graph.num_arcs());
+    tiles("node", n, &|s| {
+        let r = plan.nodes(s);
+        r.start as usize..r.end as usize
+    });
+    tiles("occupancy-word", arcs.div_ceil(64), &|s| plan.words(s));
+    tiles("arc", arcs, &|s| plan.arcs_of(s));
+    tiles("node-word", n.div_ceil(64), &|s| plan.node_words(s));
+    tiles("node-word node", n, &|s| plan.node_word_nodes(s));
+    tiles("worklist", wl_starts[shards], &|s| {
+        wl_starts[s]..wl_starts[s + 1]
+    });
+}
+
 /// Cap on auto-derived shard counts (explicit configs may exceed it).
 const MAX_AUTO_SHARDS: usize = 64;
 
-/// What a snapshot may claim an arena holds per (node, lane) cell, in
-/// 16-byte units: 1 KiB inline (what a protocol state grows, it grows on
-/// the heap). A ceiling for refusing crafted frames, not a limit on runs.
+/// What a snapshot may claim an arena holds per node cell, in 16-byte
+/// units: 1 KiB inline (what a protocol state grows, it grows on the
+/// heap). A ceiling for refusing crafted frames, not a limit on runs.
 const ARENA_CELL_UNITS: u64 = 64;
 
-/// The adversary phase's walk, the same in both round kernels: draw the
-/// edges `plan` blocks in `round` and hand `hit` the staging slot of each
-/// direction of each — a message `u → v` is staged in `v`'s in-arc from
-/// `u`. What "staged" means there (a mask byte, a lane bit) is `hit`'s.
-pub(crate) fn for_each_blocked_arc(
+/// The adversary phase's walk: draw the edges `plan` blocks in `round` and
+/// hand `hit` the staging-mask index of each direction of each — a message
+/// `u → v` is staged in `v`'s in-arc from `u`.
+fn for_each_blocked_arc(
     graph: &Graph,
     plan: &FaultPlan,
     round: u64,
@@ -227,18 +259,15 @@ pub(crate) fn for_each_blocked_arc(
     }
 }
 
-/// The phase-exit fold, the same in both round kernels: drain one column
-/// of the per-arc delivery counters (`traffic[arc * stride + col]`; the
-/// sequential kernel has one, stride 1) into `edge_row`, both directions
-/// of an edge summed, and return the row's maximum. `node_traffic[u]` —
-/// empty where there is no broadcast plane — is what `u` sent through it,
-/// one delivery on every arc out of `u`. Every counter read is left zero:
-/// the "zeroed by breadcrumb" exit contract, so the next phase pays nothing.
-pub(crate) fn drain_traffic_column(
+/// The phase-exit fold: drain the per-arc delivery counters into
+/// `edge_row`, both directions of an edge summed, and return the row's
+/// maximum. `node_traffic[u]` — empty where there is no broadcast plane —
+/// is what `u` sent through it, one delivery on every arc out of `u`.
+/// Every counter read is left zero: the "zeroed by breadcrumb" exit
+/// contract, so the next phase pays nothing.
+fn drain_traffic(
     graph: &Graph,
     traffic: &mut [u32],
-    stride: usize,
-    col: usize,
     node_traffic: &mut [u32],
     edge_row: &mut [u64],
 ) -> u64 {
@@ -247,7 +276,7 @@ pub(crate) fn drain_traffic_column(
         let lo = graph.arc_offset(v);
         let neighbors = graph.neighbors(v);
         for (i, &e) in graph.incident_edges(v).iter().enumerate() {
-            let mut t = std::mem::take(&mut traffic[(lo + i) * stride + col]) as u64;
+            let mut t = std::mem::take(&mut traffic[lo + i]) as u64;
             if !node_traffic.is_empty() {
                 t += node_traffic[neighbors[i] as usize] as u64;
             }
@@ -259,19 +288,18 @@ pub(crate) fn drain_traffic_column(
 }
 
 /// Per-node hot state, kept together so one cache line serves one node's
-/// step and shards walk nodes without any per-round bookkeeping. The wide
-/// kernel keeps one per `(node, lane)`.
-pub(crate) struct NodeCell<P> {
-    pub(crate) state: P,
-    pub(crate) rng: SmallRng,
-    pub(crate) done: bool,
+/// step and shards walk nodes without any per-round bookkeeping.
+struct NodeCell<P> {
+    state: P,
+    rng: SmallRng,
+    done: bool,
     /// Largest message (in bits) this node sent over the whole run.
-    pub(crate) max_bits: usize,
+    max_bits: usize,
 }
 
 impl<P> NodeCell<P> {
     /// Node `v`'s cell at the start of a run seeded `seed`.
-    pub(crate) fn new(state: P, seed: u64, v: Node) -> Self {
+    fn new(state: P, seed: u64, v: Node) -> Self {
         NodeCell {
             state,
             rng: node_rng(seed, v),
@@ -320,11 +348,11 @@ enum OccState {
 
 /// Raw 16-byte-aligned storage that grows to the high-water demand, keyed
 /// in bytes, and then serves every later phase without touching the
-/// allocator — in the two roles the round loops have for it: a message
+/// allocator — in the two roles the round loop has for it: a message
 /// slab ([`Arena::view`]) and a bump arena for per-phase typed arrays
 /// ([`Arena::alloc`]: node cells, outputs).
 #[derive(Default)]
-pub(crate) struct Arena {
+struct Arena {
     buf: Vec<u128>,
 }
 
@@ -333,22 +361,24 @@ impl Arena {
     /// phase needs: a `u64` phase reuses a slab a `u128` phase grew.
     /// Contents are unspecified; the engine only reads word slots whose
     /// occupancy bit was set this phase, so stale words are unreachable.
-    pub(crate) fn view<W: MsgWord>(&mut self, len: usize) -> &mut [W] {
+    fn view<W: MsgWord>(&mut self, len: usize) -> &mut [W] {
         assert!(
             std::mem::align_of::<W>() <= 16 && std::mem::size_of::<W>() <= 16,
             "message words wider than u128 are not supported"
         );
         self.grow_to_bytes(len * std::mem::size_of::<W>());
-        // Sound: the buffer is 16-byte aligned, holds at least
-        // `len * size_of::<W>()` bytes, and `W` (u64/u128) is plain old
-        // data valid for any bit pattern.
+        // SAFETY: the buffer is 16-byte aligned (a `Vec<u128>`), holds at
+        // least `len * size_of::<W>()` initialized bytes (`grow_to_bytes`
+        // zero-fills), `W` is `u64` or `u128` (the crate's only `MsgWord`
+        // implementations: plain old data, valid for any bit pattern), and
+        // the slice borrows `self` mutably for as long as it lives.
         unsafe { std::slice::from_raw_parts_mut(self.buf.as_mut_ptr() as *mut W, len) }
     }
 
     /// Storage for `n` values of `T`, aligned for `T`. Raw storage only:
     /// initialization, drop, and non-overlap are the caller's contract
     /// (see [`ArenaRow`]).
-    pub(crate) fn alloc<T>(&mut self, n: usize) -> *mut T {
+    fn alloc<T>(&mut self, n: usize) -> *mut T {
         let align = std::mem::align_of::<T>();
         // Slack so any alignment can be met inside the 16-aligned buffer.
         self.grow_to_bytes(n * std::mem::size_of::<T>() + align);
@@ -357,14 +387,14 @@ impl Arena {
     }
 
     /// Current byte high-water mark (what snapshots record).
-    pub(crate) fn byte_capacity(&self) -> usize {
+    fn byte_capacity(&self) -> usize {
         self.buf.len() * 16
     }
 
     /// Grow to at least `bytes` (restore replays recorded high-water
     /// marks through this, so a migrated warm session stays
     /// allocation-free).
-    pub(crate) fn grow_to_bytes(&mut self, bytes: usize) {
+    fn grow_to_bytes(&mut self, bytes: usize) {
         let units = bytes.div_ceil(16);
         if self.buf.len() < units {
             self.buf.resize(units, 0);
@@ -373,24 +403,15 @@ impl Arena {
 }
 
 /// `n` initialized values in arena storage, owned until they are moved
-/// out or dropped: the one place a kernel's results stop being raw
-/// pointers. [`PhaseOutcome`] holds one, [`crate::WideOutcome`] one per
-/// lane, [`crate::LaneRetire`] the retiring job's; the sequential loop
-/// keeps its node cells in one, so an early return releases them.
-pub(crate) struct ArenaRow<T> {
+/// out or dropped: the one place the round loop's results stop being raw
+/// pointers. [`PhaseOutcome`] holds one; the loop keeps its node cells in
+/// one, so an early return releases them.
+struct ArenaRow<T> {
     ptr: *mut T,
     n: usize,
 }
 
 impl<T> ArenaRow<T> {
-    /// No values — what a lane that blew its round budget retires with.
-    pub(crate) fn empty() -> Self {
-        ArenaRow {
-            ptr: std::ptr::NonNull::dangling().as_ptr(),
-            n: 0,
-        }
-    }
-
     /// Write `value(0), …, value(n − 1)` to `ptr..ptr + n` and own them.
     ///
     /// # Safety
@@ -399,7 +420,7 @@ impl<T> ArenaRow<T> {
     /// as long as the row lives (the arena hands a region to one phase at
     /// a time, and every holder of a row borrows the session mutably). A
     /// panic in `value` leaks the written prefix.
-    pub(crate) unsafe fn fill(ptr: *mut T, n: usize, mut value: impl FnMut(usize) -> T) -> Self {
+    unsafe fn fill(ptr: *mut T, n: usize, mut value: impl FnMut(usize) -> T) -> Self {
         for i in 0..n {
             ptr.add(i).write(value(i));
         }
@@ -412,7 +433,7 @@ impl<T> ArenaRow<T> {
     /// # Safety
     /// `dst` as `ptr` in [`ArenaRow::fill`], for as many values of `U` as
     /// this row holds, not overlapping it.
-    pub(crate) unsafe fn map_into<U>(self, dst: *mut U, mut f: impl FnMut(T) -> U) -> ArenaRow<U> {
+    unsafe fn map_into<U>(self, dst: *mut U, mut f: impl FnMut(T) -> U) -> ArenaRow<U> {
         let src = std::mem::ManuallyDrop::new(self);
         // SAFETY (the reads): slot `i` is initialized, read exactly once,
         // and `src` is never dropped.
@@ -420,21 +441,21 @@ impl<T> ArenaRow<T> {
     }
 
     #[inline]
-    pub(crate) fn as_slice(&self) -> &[T] {
+    fn as_slice(&self) -> &[T] {
         // SAFETY: `fill` initialized `ptr..ptr + n` and nothing has moved
         // out (the consuming methods take `self`).
         unsafe { std::slice::from_raw_parts(self.ptr, self.n) }
     }
 
     #[inline]
-    pub(crate) fn as_mut_slice(&mut self) -> &mut [T] {
+    fn as_mut_slice(&mut self) -> &mut [T] {
         // SAFETY: as `as_slice`, and the row is the region's only owner.
         unsafe { std::slice::from_raw_parts_mut(self.ptr, self.n) }
     }
 
     /// Move the values into `dst` (cleared first), allocating only if
     /// `dst`'s retained capacity is too small.
-    pub(crate) fn move_into(self, dst: &mut Vec<T>) {
+    fn move_into(self, dst: &mut Vec<T>) {
         dst.clear();
         dst.reserve(self.n);
         // SAFETY: every slot is moved exactly once into reserved
@@ -447,7 +468,7 @@ impl<T> ArenaRow<T> {
     }
 
     /// The values in a `Vec` of their own.
-    pub(crate) fn into_vec(self) -> Vec<T> {
+    fn into_vec(self) -> Vec<T> {
         let mut out = Vec::new();
         self.move_into(&mut out);
         out
@@ -524,12 +545,9 @@ impl<'s, O> PhaseOutcome<'s, O> {
 /// rebuilding the engine.
 #[derive(Default)]
 pub(crate) struct SessionState {
-    /// Double-buffered arc message slabs (inbox / staging). The wide-batch
-    /// kernel ([`crate::wide`]) reuses these byte-keyed for its `arcs × W`
-    /// instance-major slabs, so sequential and wide phases on one session
-    /// share the same high-water storage.
-    pub(crate) slab_a: Arena,
-    pub(crate) slab_b: Arena,
+    /// Double-buffered arc message slabs (inbox / staging).
+    slab_a: Arena,
+    slab_b: Arena,
     /// Per-node broadcast-plane message slabs (inbox / staging).
     bcast_slab_a: Arena,
     bcast_slab_b: Arena,
@@ -552,10 +570,10 @@ pub(crate) struct SessionState {
     /// hash tag, no snapshot field.
     active: Vec<u8>,
     /// Fault-adversary scratch (drawn edge ids + dedup mark-bitset).
-    pub(crate) blocked: Vec<Edge>,
-    pub(crate) fault_marks: EdgeMarks,
+    blocked: Vec<Edge>,
+    fault_marks: EdgeMarks,
     /// Shard plan cache, keyed by the clamped requested shard count.
-    pub(crate) plan: Option<(usize, ShardPlan)>,
+    plan: Option<(usize, ShardPlan)>,
     meters: Vec<ShardMeter>,
     wl_starts: Vec<usize>,
     worklist: Vec<u32>,
@@ -565,11 +583,8 @@ pub(crate) struct SessionState {
     /// Per-round trace buffer (reused across phases that collect traces).
     trace_buf: Vec<u64>,
     /// Node-cell and output arenas.
-    pub(crate) cell_arena: Arena,
-    pub(crate) out_arena: Arena,
-    /// Wide-batch lane buffers ([`crate::wide`]); empty until the first
-    /// wide run on this session.
-    pub(crate) wide: crate::wide::WideBuffers,
+    cell_arena: Arena,
+    out_arena: Arena,
     /// Whether the previous phase completed cleanly (breadcrumb-zeroed
     /// state). A failed or panicked phase clears this and the next run
     /// pays one full scrub.
@@ -577,14 +592,12 @@ pub(crate) struct SessionState {
 }
 
 /// A graph-keyed engine instance owning all round-loop state for a whole
-/// multi-phase algorithm — the one engine host. [`Session::run`] is the
-/// sequential kernel (one instance per phase); [`Session::run_wide`] and
-/// [`Session::run_refill`] are the wide kernel ([`crate::wide`]: up to 64
-/// instances through one sweep). Both run on the same buffers, in any
-/// order. See the module docs for the reuse and zeroing contract.
+/// multi-phase algorithm — the one engine host, and [`Session::run`] its
+/// one round loop (one protocol instance per node per phase). See the
+/// module docs for the reuse and zeroing contract.
 pub struct Session<'g> {
-    pub(crate) graph: &'g Graph,
-    pub(crate) state: SessionState,
+    graph: &'g Graph,
+    state: SessionState,
 }
 
 /// The name `benchmark/` spells the engine host by.
@@ -620,7 +633,6 @@ impl SessionState {
             trace_buf: Vec::new(),
             cell_arena: Arena::default(),
             out_arena: Arena::default(),
-            wide: crate::wide::WideBuffers::default(),
             clean: true,
         }
     }
@@ -661,7 +673,6 @@ impl SessionState {
         self.arc_traffic.fill(0);
         self.bcast_stage.fill(0);
         self.node_traffic.fill(0);
-        self.wide.scrub();
         // `bcast_occ` needs no scrub: readers are gated on a per-phase
         // `bcast_any` flag and every fold rebuilds all presence words.
     }
@@ -741,7 +752,6 @@ impl SessionState {
             + self.active.capacity()
             + self.per_edge.capacity() * 8
             + self.trace_buf.capacity() * 8
-            + self.wide.warm_bytes()
     }
 
     /// Replay recorded high-water marks so the restored session's first
@@ -757,10 +767,9 @@ impl SessionState {
 
     /// Append the phase-crossing buffers to `out` as length-prefixed
     /// little-endian words — the snapshot frame's engine payload. The
-    /// per-phase scratch (meters, worklists, fault buffers), the slabs,
-    /// the arenas, and the wide-lane buffers are deliberately absent;
-    /// see the [`crate::snapshot`] module docs for why each is safe to
-    /// drop. Appends only — steady-state encoding into a warm buffer
+    /// per-phase scratch (meters, worklists, fault buffers), the slabs
+    /// and the arenas are deliberately absent; see the [`crate::snapshot`]
+    /// module docs for why each is safe to drop. Appends only — steady-state encoding into a warm buffer
     /// allocates nothing.
     pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
         crate::snapshot::put_u64s(out, &self.in_occ);
@@ -842,10 +851,10 @@ impl SessionState {
         use crate::snapshot::SnapshotError;
         // The checksum is a fold anyone can recompute, so nothing is
         // allocated on the header's word alone. A slab holds at most one
-        // 16-byte word per arc (per node, the broadcast pair) per lane, an
-        // arena one cell per (node, lane).
+        // 16-byte word per arc (per node, the broadcast pair), an arena one
+        // cell per node.
         let slots = graph.num_arcs().max(graph.n()).max(1) as u64;
-        let slab = slots.saturating_mul(16 * crate::wide::MAX_LANES as u64);
+        let slab = slots.saturating_mul(16);
         let arena = slab.saturating_mul(ARENA_CELL_UNITS);
         let [slabs @ .., cells, outs] = header.capacities;
         if slabs.iter().any(|&c| c > slab) || cells.max(outs) > arena {
@@ -872,12 +881,11 @@ impl SessionState {
         Ok(state)
     }
 
-    /// What either round kernel does first: scrub what a failed phase
-    /// left behind, mark the state dirty until this phase completes (any
-    /// early exit, error or panic, leaves partially-built state; only a
-    /// completed phase restores the breadcrumb-zero invariant), and make
-    /// the cached shard plan the one `config` asks for — one cache, so
-    /// alternating sequential and wide phases share it.
+    /// What a phase does first: scrub what a failed phase left behind,
+    /// mark the state dirty until this phase completes (any early exit,
+    /// error or panic, leaves partially-built state; only a completed
+    /// phase restores the breadcrumb-zero invariant), and make the cached
+    /// shard plan the one `config` asks for.
     ///
     /// It is also the one place that decides whether the phase's rounds
     /// fork the pool: [`EngineConfig::parallel`] on a pool of more than one
@@ -885,7 +893,7 @@ impl SessionState {
     /// shard count the caller pinned (how the differential tests reach the
     /// forked passes on small graphs). A phase that does not fork and pins
     /// no count runs on a one-shard plan.
-    pub(crate) fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> Fork {
+    fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> Fork {
         debug_assert!(self.fits(graph), "state sized for a different graph");
         assert!(
             config.max_rounds <= u32::MAX as u64,
@@ -983,7 +991,6 @@ impl SessionState {
             cell_arena,
             out_arena,
             clean,
-            ..
         } = self;
         let plan: &ShardPlan = &plan.as_ref().expect("plan built above").1;
         let s_count = plan.num_shards();
@@ -999,6 +1006,8 @@ impl SessionState {
         if worklist.len() < wl_starts[s_count] {
             worklist.resize(wl_starts[s_count], 0);
         }
+        #[cfg(debug_assertions)]
+        check_shard_regions(plan, graph, wl_starts);
         set_words.clear();
         set_words.reserve(threshold.min(occ_words));
         trace_buf.clear();
@@ -1103,10 +1112,15 @@ impl SessionState {
                 let step_shard = |s: usize| {
                     let nodes = plan.nodes(s);
                     let (v_lo, v_hi) = (nodes.start as usize, nodes.end as usize);
-                    // Sound: shard `s` is the unique task stepping these
-                    // nodes and writing meter block `s` and worklist
-                    // region `s`.
+                    // SAFETY: `plan.nodes(..)` partitions `0..n` (checked
+                    // per phase in debug builds, `check_shard_regions`), so
+                    // shard `s` is the only task of this pass that touches
+                    // cells `v_lo..v_hi`; nothing else reads the cells until
+                    // the pass has joined.
                     let cells_s = unsafe { racy_cells.slice_mut(v_lo, v_hi) };
+                    // SAFETY: one meter block per shard, and task `s` is the
+                    // only one that touches block `s`; the round's fold
+                    // reads them after the join.
                     let meter = unsafe { &mut racy_meters.slice_mut(s, s + 1)[0] };
                     // SAFETY: one byte per node, and shard `s` is the only
                     // task of this pass that touches the bytes of its own
@@ -1271,8 +1285,14 @@ impl SessionState {
                     let arcs_range = plan.arcs_of(s);
                     let (w_lo, w_hi) = (words.start, words.end);
                     let (a_lo, a_hi) = (arcs_range.start, arcs_range.end);
-                    // Sound: the plan's word/arc/meter regions are
-                    // disjoint across shards by construction.
+                    // SAFETY: `plan.words(..)` partitions the occupancy
+                    // words and `plan.arcs_of(s)` is exactly the arcs of
+                    // shard `s`'s words (`a_lo == 64 * w_lo`), so the mask,
+                    // occupancy and counter regions of two shards never
+                    // overlap (`check_shard_regions` in debug builds); meter
+                    // block `s` is task `s`'s alone. The step pass that
+                    // wrote the mask has joined, and nothing reads these
+                    // buffers before this pass does.
                     let (mask_s, occ_s, traffic_s, meter) = unsafe {
                         (
                             racy_mask.slice_mut(a_lo, a_hi),
@@ -1307,8 +1327,13 @@ impl SessionState {
                         let nw = plan.node_words(s);
                         let nodes_cov = plan.node_word_nodes(s);
                         let (b_lo, b_hi) = (nodes_cov.start, nodes_cov.end);
-                        // Sound: node-word regions are disjoint across
-                        // shards.
+                        // SAFETY: `plan.node_words(..)` partitions the
+                        // presence words and `plan.node_word_nodes(s)` is
+                        // exactly the nodes of shard `s`'s words (`b_lo ==
+                        // 64 * nw.start`), so no two shards share a stage
+                        // byte, a presence word or a send counter
+                        // (`check_shard_regions`); their writers — the
+                        // step pass — have joined.
                         let (stage_s, bocc_s, sent_s) = unsafe {
                             (
                                 racy_bcast_stage.slice_mut(b_lo, b_hi),
@@ -1374,8 +1399,7 @@ impl SessionState {
             .max()
             .unwrap_or(0);
 
-        stats.max_edge_congestion =
-            drain_traffic_column(graph, arc_traffic, 1, 0, node_traffic, per_edge);
+        stats.max_edge_congestion = drain_traffic(graph, arc_traffic, node_traffic, per_edge);
 
         // Consume the cells into arena-resident outputs.
         // SAFETY: the output arena sized the region for `n` outputs, the

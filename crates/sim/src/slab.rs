@@ -81,31 +81,6 @@ pub(crate) fn pack_bytes(bytes: &[u8]) -> u64 {
     word
 }
 
-/// Software parallel-bit-extract: gather the bits of `word` selected by
-/// `mask` into the low bits of the result, preserving order (the `pext`
-/// instruction, one `while` loop per *set mask bit* in software). The wide
-/// kernel's lane compaction uses this to repack per-arc lane words and
-/// per-node undone words when live lanes move from slot `l_j` to slot `j`:
-/// with `mask` = the live-slot word, bit `l_j` of every lane word lands at
-/// bit `j` in one call.
-#[inline]
-pub(crate) fn pext(word: u64, mask: u64) -> u64 {
-    if word & mask == 0 {
-        // The dominant case in a compaction sweep: idle arcs gather to 0.
-        return 0;
-    }
-    let mut out = 0u64;
-    let mut m = mask;
-    let mut j = 0u32;
-    while m != 0 {
-        let l = m.trailing_zeros();
-        m &= m - 1;
-        out |= (word >> l & 1) << j;
-        j += 1;
-    }
-    out
-}
-
 /// Population count of the bit range `[start, start + len)`.
 pub(crate) fn popcount_range(occ: &[u64], start: usize, len: usize) -> usize {
     if len == 0 {
@@ -171,38 +146,6 @@ mod tests {
             let mut b = [0u8; 64];
             b[j] = 1;
             assert_eq!(pack_bytes(&b), 1u64 << j, "byte {j}");
-        }
-    }
-
-    #[test]
-    fn pext_gathers_masked_bits_in_order() {
-        assert_eq!(pext(0, !0), 0);
-        assert_eq!(pext(!0, 0), 0);
-        assert_eq!(pext(!0, !0), !0);
-        // Bits 1, 3, 62 selected: their values land at 0, 1, 2.
-        let mask = 1u64 << 1 | 1 << 3 | 1 << 62;
-        assert_eq!(pext(1 << 3 | 1 << 62, mask), 0b110);
-        assert_eq!(pext(1 << 1, mask), 0b001);
-        // Reference implementation cross-check on pseudo-random words.
-        let mut state = 0x0DD0_57ED_u64;
-        for _ in 0..200 {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let word = state;
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            let mask = state & state.rotate_left(17);
-            let mut expect = 0u64;
-            let mut j = 0;
-            for l in 0..64 {
-                if mask >> l & 1 == 1 {
-                    expect |= (word >> l & 1) << j;
-                    j += 1;
-                }
-            }
-            assert_eq!(pext(word, mask), expect, "word {word:#x} mask {mask:#x}");
         }
     }
 

@@ -38,8 +38,10 @@
 //! occupancy, staging mask, per-arc traffic counters, the broadcast
 //! plane's stage bytes, presence words and per-node counters, per-edge
 //! congestion, and the last trace (version 1 had two more, bit-sliced
-//! meter planes; such a frame is [`SnapshotError::BadVersion`]). **Not
-//! captured** (and why):
+//! meter planes, and a version 2 frame could record the slab high-water
+//! marks of a 64-lane phase, 64 times what the capacity ceiling now
+//! allows; either is [`SnapshotError::BadVersion`]). **Not captured**
+//! (and why):
 //!
 //! * **slab and arena contents** — between phases only occupancy-gated
 //!   slots are ever read and the occupancy bitset is zero, so the words
@@ -49,8 +51,6 @@
 //!   fault buffers) — rebuilt at the start of every run;
 //! * **the [`congest_graph::ShardPlan`]** — a pure function of the graph
 //!   and the recorded `plan_key`, recomputed on restore;
-//! * **wide-lane buffers** — zero at rest under the same breadcrumb
-//!   discipline; they re-grow on the first wide run after restore;
 //! * **mid-phase node state** — protocol cells are arbitrary user types;
 //!   snapshots are a *phase-boundary* operation by design.
 //!
@@ -144,7 +144,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"FBCSNAP1");
 /// any other value.
 ///
 /// [`crate::Session::restore`]: crate::Session::restore
-pub const SNAPSHOT_VERSION: u32 = 2;
+pub const SNAPSHOT_VERSION: u32 = 3;
 
 pub(crate) const FLAG_CLEAN: u32 = 1;
 pub(crate) const FLAG_GRAPH: u32 = 2;
@@ -579,7 +579,7 @@ mod tests {
 
     #[test]
     fn the_widest_honest_run_stays_under_the_capacity_ceiling() {
-        use crate::{EngineConfig, LaneSpec, NodeCtx, Protocol, Session, MAX_LANES};
+        use crate::{EngineConfig, NodeCtx, Protocol, Session};
         /// One `u128` word to every neighbour, once.
         struct Shout;
         impl Protocol for Shout {
@@ -595,16 +595,12 @@ mod tests {
         }
         let g = congest_graph::generators::cycle(6);
         let mut session = Session::new(&g);
-        let lanes = LaneSpec::batch(1, MAX_LANES);
-        session
-            .run_wide(&lanes, |_, _, _| Shout, EngineConfig::serial())
-            .unwrap();
         session.run(|_, _| Shout, EngineConfig::serial()).unwrap();
         let frame = session.snapshot();
-        // 64 lanes of 16-byte words on every arc: the slab ceiling exactly.
+        // A 16-byte word on every arc: the slab ceiling exactly.
         assert_eq!(
             peek(&frame).unwrap().capacities[0],
-            (16 * MAX_LANES * g.num_arcs()) as u64
+            (16 * g.num_arcs()) as u64
         );
         assert!(Session::restore(&g, &frame).is_ok());
     }

@@ -71,44 +71,6 @@ proptest! {
             prop_assert_eq!(&legacy, &marked, "round {}", round);
         }
     }
-
-    /// The serving layer's per-lane nemesis split: a **full 64-lane
-    /// batch** derived from one base plan must produce pairwise-distinct
-    /// blocked-edge *schedules* (not just distinct seeds) — adjacent lane
-    /// indices included — for any base seed, budget, and start round. The
-    /// churn nemesis shares the `lane_seed` derivation bit for bit, so
-    /// its 64 lane streams split identically.
-    #[test]
-    fn full_lane_batch_schedules_pairwise_distinct(
-        base_seed in any::<u64>(),
-        budget in 1usize..4,
-        start in 0u64..3,
-    ) {
-        let m = 4096;
-        let base = FaultPlan { edges_per_round: budget, seed: base_seed, start_round: start };
-        let schedules: Vec<Vec<u32>> = (0..64)
-            .map(|l| {
-                let p = base.with_lane_seed(l);
-                (start..start + 12).flat_map(|r| p.blocked_edges(r, m)).collect()
-            })
-            .collect();
-        for i in 0..schedules.len() {
-            for j in i + 1..schedules.len() {
-                prop_assert_ne!(&schedules[i], &schedules[j], "lanes {} and {}", i, j);
-            }
-        }
-        // Derived seeds are pairwise distinct by construction (the lane
-        // tag is bijectively mixed before xor), and ChurnPlan splits its
-        // seed through the same function.
-        let mut lane_seeds: Vec<u64> = (0..64).map(|l| base.with_lane_seed(l).seed).collect();
-        let churn = congest_sim::ChurnPlan::new(1, 1, base_seed);
-        for (l, &s) in lane_seeds.iter().enumerate() {
-            prop_assert_eq!(churn.with_lane_seed(l).seed, s);
-        }
-        lane_seeds.sort_unstable();
-        lane_seeds.dedup();
-        prop_assert_eq!(lane_seeds.len(), 64);
-    }
 }
 
 /// A deliberately sparse broadcaster: after a few silent rounds (which

@@ -5,8 +5,7 @@
 //! phase** (one `run_protocol` call each, which builds and drops its own
 //! session), sweeping shard counts × pool widths × fault plans, with the
 //! sparse fast path forced both ways and a `u64` phase reusing a `u128`
-//! phase's slab. The last case interleaves the session's two kernels —
-//! `run`, `run_wide`, `run_refill` — on one borrow.
+//! phase's slab.
 //!
 //! Per-phase RNG seeds are derived through `phase_seed` exactly as the
 //! drivers' `cfg.engine(k)` discipline derives them, so this is the
@@ -16,7 +15,7 @@
 use congest_graph::{Graph, GraphBuilder, Node};
 use congest_sim::rng::phase_seed;
 use congest_sim::{
-    run_protocol, EngineConfig, FaultPlan, LaneSpec, NodeCtx, PhaseLog, Protocol, RunStats, Session,
+    run_protocol, EngineConfig, FaultPlan, NodeCtx, PhaseLog, Protocol, RunStats, Session,
 };
 use proptest::prelude::*;
 
@@ -378,89 +377,6 @@ proptest! {
             prop_assert_eq!(after.trace, expect.trace);
             prop_assert_eq!(after.edge_congestion, expect.edge_congestion);
             prop_assert_eq!(session.state_hash(), fresh.state_hash());
-        }
-    }
-
-    /// Both kernels on one borrow: `run`, `run_wide` and `run_refill`
-    /// phases in a generated order on one [`Session`]. Every phase —
-    /// each lane and each streamed job of a wide one — must match its
-    /// isolated run on a fresh session (outputs, stats, per-edge
-    /// congestion). A wide phase leaves [`Session::state_hash`] where it
-    /// found it (it writes no hashed buffer, which is why wide lanes log
-    /// no hash), so the session ends on the hash of a session that ran
-    /// the sequential phases alone.
-    #[test]
-    fn both_kernels_interleave_on_one_session(
-        g in arb_connected_graph(18),
-        seed in any::<u64>(),
-        order in proptest::collection::vec(0u8..3, 3..8),
-        w in 2usize..8,
-    ) {
-        type Obs = (Vec<u64>, RunStats, Vec<u64>);
-        let mk = |salt: u64| Chatter { rounds: 3 + salt % 5, salt, heard: 0 };
-        // Job `j` of phase `k`: its own seed, every third one faulted.
-        let spec = |k: usize, j: usize| {
-            let spec = LaneSpec::new(phase_seed(seed, (k * 16 + j) as u64));
-            if (k + j) % 3 == 1 {
-                spec.with_faults(FaultPlan::new(1 + j % 2, seed ^ j as u64))
-            } else {
-                spec
-            }
-        };
-        for &shards in &[1usize, 3] {
-            let cfg = EngineConfig::serial().shards(shards);
-            let solo = |spec: &LaneSpec| EngineConfig { seed: spec.seed, faults: spec.faults, ..cfg.clone() };
-            let mut session = Session::new(&g);
-            let mut sequential_only = Session::new(&g);
-            for (k, &kind) in order.iter().enumerate() {
-                let salt = |j: usize| (k * 16 + j) as u64;
-                // 1 job through `run`, `w` lanes through `run_wide`, or
-                // `w + 3` jobs through the `w − 1` slots of `run_refill`
-                // (refill and the compacting tail both run).
-                let jobs = [1, w, w + 3][kind as usize];
-                let mut got: Vec<Option<Obs>> = (0..jobs).map(|_| None).collect();
-                let before = session.state_hash();
-                match kind {
-                    0 => {
-                        let out = session.run(|_, _| mk(salt(0)), solo(&spec(k, 0))).unwrap();
-                        got[0] = Some((out.outputs().to_vec(), out.stats, out.edge_congestion().to_vec()));
-                        sequential_only.run(|_, _| mk(salt(0)), solo(&spec(k, 0))).unwrap();
-                    }
-                    1 => {
-                        let lanes: Vec<LaneSpec> = (0..w).map(|l| spec(k, l)).collect();
-                        let out = session.run_wide(&lanes, |_, l, _| mk(salt(l)), cfg.clone()).unwrap();
-                        for (l, got) in got.iter_mut().enumerate() {
-                            let congestion = out.edge_congestion(l).to_vec();
-                            *got = Some((out.outputs(l).to_vec(), out.stats(l), congestion));
-                        }
-                    }
-                    _ => {
-                        let init: Vec<LaneSpec> = (0..w - 1).map(|j| spec(k, j)).collect();
-                        let admitted = session.run_refill::<Chatter, _, _, _>(
-                            &init,
-                            |_, j, _| mk(salt(j)),
-                            cfg.clone(),
-                            |j| (j < jobs).then(|| spec(k, j)),
-                            |r| got[r.job] = Some((r.outputs().to_vec(), r.stats, r.edge_congestion.to_vec())),
-                        );
-                        prop_assert_eq!(admitted, jobs);
-                    }
-                }
-                for (j, obs) in got.into_iter().enumerate() {
-                    let mut fresh = Session::new(&g);
-                    let fresh = fresh.run(|_, _| mk(salt(j)), solo(&spec(k, j))).unwrap().into_owned();
-                    let isolated: Obs = (fresh.outputs, fresh.stats, fresh.edge_congestion);
-                    prop_assert_eq!(obs, Some(isolated), "phase {} (kind {}) job {}", k, kind, j);
-                }
-                if kind != 0 {
-                    prop_assert_eq!(session.state_hash(), before, "phase {}: a wide phase moved the hash", k);
-                }
-            }
-            prop_assert_eq!(
-                session.state_hash(),
-                sequential_only.state_hash(),
-                "order {:?}, shards {}", &order, shards
-            );
         }
     }
 }

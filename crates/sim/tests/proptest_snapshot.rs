@@ -366,79 +366,6 @@ proptest! {
         prop_assert_eq!(original.state_hash(), restored.state_hash());
     }
 
-    /// Compaction-straddling arm: a staggered wide run whose sweep
-    /// repacks mid-run must leave the engine state indistinguishable
-    /// from a wide run that cannot repack — the same lanes at one equal
-    /// duration retire in the same round, so the live count falls from
-    /// `w` straight to 0 and never meets the `live <= w/2` trigger. The
-    /// state hash after the wide phase, the parked snapshot frame taken
-    /// *between* the wide run and the next phase, and the restored
-    /// session's next-phase outputs and hash must all be identical
-    /// across the two (wide lane buffers are zero at rest and excluded
-    /// from the hash, so a mid-run repack may not leak one bit into what
-    /// a snapshot carries).
-    #[test]
-    fn snapshot_straddling_a_compaction_is_compaction_invariant(
-        g in arb_connected_graph(18),
-        seed in any::<u64>(),
-        w in 5usize..9,
-    ) {
-        let lanes = congest_sim::LaneSpec::batch(seed, w);
-        let arm = |staggered: bool| {
-            // Staggered durations: lanes retire one by one, so live drops
-            // through the `live <= w/2` threshold and the sweep compacts.
-            // Equal durations: `Chatter` is undone until its last round,
-            // so every lane retires in round 9 and nothing ever repacks.
-            let mk = |_: u32, l: usize, _: &Graph| Chatter {
-                rounds: if staggered { 1 + (l as u64 * 5) % 9 } else { 9 },
-                salt: l as u64 + 1,
-                heard: 0,
-            };
-            let mut pool = SessionPool::new();
-            let key = pool.register(g.clone());
-            // Phase 1 (plain session): warm the engine state.
-            pool.with_session(key, |s| {
-                let out = s
-                    .run(
-                        |_, _| Chatter { rounds: 5, salt: 1, heard: 0 },
-                        EngineConfig::serial().seed(phase_seed(seed, 1)),
-                    )
-                    .unwrap();
-                drop(out);
-            }).unwrap();
-            // Phase 2 (wide): repacking per arm.
-            let hash_mid = pool.with_session(key, |ws| {
-                let out = ws.run_wide(&lanes, mk, EngineConfig::serial().trace()).unwrap();
-                drop(out);
-                ws.state_hash()
-            }).unwrap();
-            // Snapshot straddling the compaction: park the warm state,
-            // restore it into a fresh pool, run phase 3 from there.
-            let mut frames = Vec::new();
-            prop_assert_eq!(pool.park_warm(key, &mut frames), Ok(1));
-            let mut pool2 = SessionPool::new();
-            let key2 = pool2.register(g.clone());
-            prop_assert_eq!(pool2.restore_warm(&frames[0]).unwrap(), key2);
-            let fin = pool2.with_session(key2, |s| {
-                let out = s
-                    .run(
-                        |_, _| Chatter { rounds: 6, salt: 3, heard: 0 },
-                        EngineConfig::serial().seed(phase_seed(seed, 3)),
-                    )
-                    .unwrap();
-                let outputs = out.take_outputs();
-                (outputs, s.state_hash())
-            }).unwrap();
-            (hash_mid, frames, fin)
-        };
-        let compacting = arm(true);
-        let never_compacts = arm(false);
-        prop_assert_eq!(
-            &compacting, &never_compacts,
-            "compaction leaked into hash/snapshot/continuation"
-        );
-    }
-
     /// Pool arm: park a pool's warm states as frames, restore them into
     /// a second pool (a fresh process's pool), and the next checkout on
     /// each side runs bit-identically from the same warm state.
@@ -688,14 +615,29 @@ fn tampered_frames_are_refused() {
     bad[0] ^= 1;
     assert_eq!(refusal(Session::restore(&g, &bad)), SnapshotError::BadMagic);
 
-    // So is the previous format: version 1 carried the meter planes.
-    let mut old = bytes.clone();
-    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    // So are the previous formats: version 1 carried the meter planes,
+    // version 2 could carry a 64-lane phase's slab capacities.
+    for version in [1u32, 2] {
+        let mut old = bytes.clone();
+        old[8..12].copy_from_slice(&version.to_le_bytes());
+        assert_eq!(
+            refusal(Session::restore(&g, &old)),
+            SnapshotError::BadVersion(version)
+        );
+    }
+    assert_eq!(congest_sim::SNAPSHOT_VERSION, 3);
+
+    // A slab holds one 16-byte word per arc at most: a frame claiming the
+    // ceiling restores, one claiming a byte more is refused.
+    let ceiling = 16 * g.num_arcs() as u64;
+    assert!(Session::restore(&g, &resealed(with_word(&bytes, CAPACITIES, ceiling))).is_ok());
     assert_eq!(
-        refusal(Session::restore(&g, &old)),
-        SnapshotError::BadVersion(1)
+        refusal(Session::restore(
+            &g,
+            &resealed(with_word(&bytes, CAPACITIES, ceiling + 1))
+        )),
+        SnapshotError::SizeMismatch("capacities")
     );
-    assert_eq!(congest_sim::SNAPSHOT_VERSION, 2);
 
     // A different graph refuses by fingerprint.
     let other = congest_graph::generators::complete(6);

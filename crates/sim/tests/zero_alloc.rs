@@ -9,8 +9,8 @@
 
 use congest_sim::sched::{random_delays, Multiplexed};
 use congest_sim::{
-    run_protocol, ChurnSession, EngineConfig, EvictionPolicy, FaultPlan, GraphKey, LaneSpec,
-    Mutation, NodeCtx, PoolError, Protocol, Session, SessionPool,
+    run_protocol, ChurnSession, EngineConfig, EvictionPolicy, FaultPlan, GraphKey, Mutation,
+    NodeCtx, PoolError, Protocol, Session, SessionPool,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -190,36 +190,6 @@ impl Protocol for WidePhase {
     }
 }
 
-/// Quiescent staggered chatter for the wide kernel: identical to
-/// [`Chatter`] but with the idle contract declared — once done with an
-/// empty inbox its `round` is a no-op, so the wide sweep may skip the
-/// `(node, lane)` pair while other lanes keep running.
-struct StaggerChatter {
-    until: u64,
-    acc: u64,
-}
-
-impl Protocol for StaggerChatter {
-    type Msg = u64;
-    type Output = u64;
-    const QUIESCENT: bool = true;
-
-    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        for (_, m) in ctx.inbox() {
-            self.acc ^= m;
-        }
-        if ctx.round < self.until {
-            ctx.send_all(self.acc.wrapping_add(ctx.round));
-        } else {
-            ctx.set_done(true);
-        }
-    }
-
-    fn finish(self) -> u64 {
-        self.acc
-    }
-}
-
 /// A quiescent single-source rumor on per-port sends: node 0 tells every
 /// neighbour at round 0, a node relays on every port the first time it
 /// hears, and everyone is done throughout. Its frontier is a few arcs
@@ -249,89 +219,6 @@ impl Protocol for ListedRumor {
     fn finish(self) -> u64 {
         self.heard
     }
-}
-
-/// One wide-batch cycle with **staggered lane teardown**: lane `l` runs
-/// `rounds/2 + l·rounds/16` rounds, so early lanes go quiet (their slab
-/// regions zeroed by the exit contract) while late lanes keep sweeping —
-/// then a pair-message (`u128`-word) wide phase reuses the same
-/// byte-keyed slabs. Both phases must allocate nothing after the first
-/// cycle sizes the lane buffers.
-fn wide_cycle(
-    session: &mut Session<'_>,
-    lanes: &[LaneSpec],
-    rounds: u64,
-    cfg: &EngineConfig,
-) -> u64 {
-    let mut acc = 0u64;
-    let out = session
-        .run_wide(
-            lanes,
-            |_, l, _| StaggerChatter {
-                until: rounds / 2 + (l as u64 * rounds) / 16,
-                acc: 1,
-            },
-            cfg.clone(),
-        )
-        .unwrap();
-    for l in 0..out.lanes() {
-        acc ^= out.outputs(l).iter().fold(0, |a, &x| a ^ x)
-            ^ out.stats(l).total_messages
-            ^ out.edge_congestion(l).iter().fold(0, |a, &x| a ^ x);
-    }
-    drop(out);
-    let out = session
-        .run_wide(
-            lanes,
-            |v, _, _| WidePhase {
-                node: v,
-                until: rounds / 2,
-                acc: 1,
-            },
-            cfg.clone(),
-        )
-        .unwrap();
-    for l in 0..out.lanes() {
-        acc ^= out.outputs(l).iter().fold(0, |a, &x| a ^ x) ^ out.stats(l).dropped_messages;
-    }
-    acc
-}
-
-/// One continuous-batching cycle: stream `jobs` jobs through
-/// [`Session::run_refill`] with staggered durations, so lanes retire
-/// mid-sweep, freed slots refill from the synthetic queue, and the drain
-/// tail compacts once the queue runs dry. The sink moves every job's
-/// outputs into the caller's retained `scratch` buffer
-/// ([`congest_sim::LaneRetire::take_outputs_into`]) — the serving loop's
-/// steady state, which must allocate nothing once `scratch` and the lane
-/// buffers hold their high-water capacity.
-fn refill_cycle(
-    session: &mut Session<'_>,
-    init: &[LaneSpec],
-    jobs: usize,
-    rounds: u64,
-    cfg: &EngineConfig,
-    scratch: &mut Vec<u64>,
-) -> u64 {
-    let mut acc = 0u64;
-    let admitted = session.run_refill::<StaggerChatter, _, _, _>(
-        init,
-        |_, j, _| StaggerChatter {
-            until: rounds / 2 + (j as u64 * rounds) / 16 % rounds,
-            acc: 1,
-        },
-        cfg.clone(),
-        |job| (job < jobs).then(|| LaneSpec::new(0x55AA ^ job as u64)),
-        |mut r| {
-            r.take_outputs_into(scratch);
-            acc ^= scratch.iter().fold(0, |a, &x| a ^ x)
-                ^ r.stats.total_messages
-                ^ r.edge_congestion.iter().fold(0, |a, &x| a ^ x)
-                ^ r.job as u64;
-        },
-    );
-    assert_eq!(admitted, jobs, "the queue must drain completely");
-    acc
 }
 
 /// One six-phase cycle mirroring Theorem 1's composition shape on a
@@ -464,15 +351,14 @@ fn churn_cycle(sess: &mut ChurnSession, rounds: u64, cfg: &EngineConfig) -> u64 
 }
 
 /// One pool steady-state cycle: acquire a warm state → run a phase →
-/// release → **re-acquire** (a sequential phase, then a wide sweep, on the
-/// same warm state), folding borrowed outputs so nothing escapes the closure.
+/// release → **re-acquire** (a `u128`-word phase on the same warm state),
+/// folding borrowed outputs so nothing escapes the closure.
 /// Once the warm state has reached its high-water footprint, the whole
 /// cycle — fingerprint lookup, checkout, two engine runs, park — must
 /// allocate exactly zero.
 fn pool_cycle(
     pool: &mut SessionPool,
     key: GraphKey,
-    lanes: &[LaneSpec],
     rounds: u64,
     cfg: &EngineConfig,
 ) -> Result<u64, PoolError> {
@@ -488,8 +374,8 @@ fn pool_cycle(
             .unwrap();
         ph.outputs().iter().fold(0, |a, &x| a ^ x) ^ ph.stats.total_messages
     })?;
-    // Re-acquire the state just released — first as a plain session on a
-    // u128-word phase (slab reuse across checkouts), then as a wide batch.
+    // Re-acquire the state just released for a u128-word phase (slab
+    // reuse across checkouts).
     acc ^= pool.with_session(key, |s| {
         let ph = s
             .run(
@@ -502,23 +388,6 @@ fn pool_cycle(
             )
             .unwrap();
         ph.outputs().iter().fold(0, |a, &x| a ^ x) ^ ph.stats.dropped_messages
-    })?;
-    acc ^= pool.with_session(key, |w| {
-        let out = w
-            .run_wide(
-                lanes,
-                |_, l, _| StaggerChatter {
-                    until: rounds / 2 + l as u64,
-                    acc: 1,
-                },
-                cfg.clone(),
-            )
-            .unwrap();
-        let mut a = 0u64;
-        for l in 0..out.lanes() {
-            a ^= out.outputs(l).iter().fold(0, |x, &y| x ^ y) ^ out.stats(l).total_messages;
-        }
-        a
     })?;
     // Aging enforcement runs at every drain boundary; with the budget
     // satisfied it is a pure LRU/footprint scan and must not allocate.
@@ -792,79 +661,12 @@ fn round_loop_allocates_nothing_after_setup() {
         assert_ne!(acc, warm.wrapping_add(warm2).wrapping_add(1));
     }
 
-    // --- Wide-batch sessions: 24 lanes with staggered teardown (early
-    // lanes terminate and hand their zeroed slab regions back while late
-    // lanes keep sweeping) followed by a u128-word wide phase on the
-    // same byte-keyed slabs. After the first cycle sizes the lane
-    // buffers and arenas, every later cycle — lane startup, quiescent
-    // skipping, per-lane faults, teardown, and the width switch — must
-    // allocate **exactly zero**.
-    for cfg in [EngineConfig::serial(), EngineConfig::default()] {
-        let lanes: Vec<LaneSpec> = LaneSpec::batch(99, 24)
-            .into_iter()
-            .enumerate()
-            .map(|(l, spec)| {
-                if l % 3 == 0 {
-                    spec.with_faults(FaultPlan::new(2, 0xFA).with_lane_seed(l))
-                } else {
-                    spec
-                }
-            })
-            .collect();
-        let mut session = Session::new(&g);
-        let warm = wide_cycle(&mut session, &lanes, 24, &cfg);
-        let mut acc = 0u64;
-        let leaked = min_allocs(|| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for _ in 0..3 {
-                acc ^= wide_cycle(&mut session, &lanes, 24, &cfg);
-            }
-            ALLOCATIONS.load(Ordering::Relaxed) - before
-        });
-        assert_eq!(
-            leaked, 0,
-            "wide cycles allocated {leaked} times after setup (parallel={})",
-            cfg.parallel
-        );
-        assert_ne!(acc, warm.wrapping_add(1), "keep results observable");
-    }
-
-    // --- Continuous batching: the refill serving loop's steady state.
-    // 24 jobs stream through 8 lanes with staggered durations — every
-    // retirement frees a slot that refills mid-sweep, and the drain tail
-    // compacts once the queue dries up. After the first cycle sizes the
-    // lane buffers and the sink's retained scratch, every later cycle —
-    // admissions, repacks, per-job harvest via `take_outputs_into` —
-    // must allocate **exactly zero**.
-    for cfg in [EngineConfig::serial(), EngineConfig::default()] {
-        let init: Vec<LaneSpec> = LaneSpec::batch(55, 8);
-        let mut session = Session::new(&g);
-        let mut scratch: Vec<u64> = Vec::new();
-        let warm = refill_cycle(&mut session, &init, 24, 12, &cfg, &mut scratch);
-        let mut acc = 0u64;
-        let leaked = min_allocs(|| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for _ in 0..3 {
-                acc ^= refill_cycle(&mut session, &init, 24, 12, &cfg, &mut scratch);
-            }
-            ALLOCATIONS.load(Ordering::Relaxed) - before
-        });
-        assert_eq!(
-            leaked, 0,
-            "refill cycles allocated {leaked} times after setup (parallel={})",
-            cfg.parallel
-        );
-        assert_ne!(acc, warm.wrapping_add(1), "keep results observable");
-    }
-
     // --- Session pool: the serving layer's steady state. Register pays
     // the graph clone and warm-list growth once; after a warm-up cycle
     // sizes the parked state's slabs and arenas, every
-    // acquire → run → release → re-acquire cycle — including the
-    // sequential→wide checkout switch on the *same* warm state — must
-    // allocate **exactly zero**, serial and parallel.
+    // acquire → run → release → re-acquire cycle on the *same* warm state
+    // must allocate **exactly zero**, serial and parallel.
     for cfg in [EngineConfig::serial(), EngineConfig::default()] {
-        let lanes = LaneSpec::batch(7, 8);
         let mut pool = SessionPool::new();
         // A finite (satisfied) budget, so enforcement genuinely walks the
         // LRU clocks and sums warm footprints every cycle.
@@ -873,12 +675,12 @@ fn round_loop_allocates_nothing_after_setup() {
             max_warm_bytes: 1 << 30,
         });
         let key = pool.register(g.clone());
-        let warm = pool_cycle(&mut pool, key, &lanes, 12, &cfg).unwrap();
+        let warm = pool_cycle(&mut pool, key, 12, &cfg).unwrap();
         let mut acc = 0u64;
         let leaked = min_allocs(|| {
             let before = ALLOCATIONS.load(Ordering::Relaxed);
             for _ in 0..3 {
-                acc ^= pool_cycle(&mut pool, key, &lanes, 12, &cfg).unwrap();
+                acc ^= pool_cycle(&mut pool, key, 12, &cfg).unwrap();
             }
             ALLOCATIONS.load(Ordering::Relaxed) - before
         });
