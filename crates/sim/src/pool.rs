@@ -895,13 +895,11 @@ impl Protocol for Gossip {
     type Output = u64;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        for (p, m) in ctx.inbox() {
-            self.acc = self
-                .acc
-                .rotate_left(7)
+        self.acc = ctx.inbox().fold(self.acc, |acc, (p, m)| {
+            acc.rotate_left(7)
                 .wrapping_mul(0x100_0000_01B3)
-                .wrapping_add(m ^ p as u64);
-        }
+                .wrapping_add(m ^ p as u64)
+        });
         if ctx.round < self.until {
             let stir: u64 = ctx.rng().gen();
             self.acc ^= stir;

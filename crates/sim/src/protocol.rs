@@ -158,24 +158,24 @@ pub(crate) enum OutSlot<'a, M: PackedMsg> {
 }
 
 /// Iterator over one round's delivered `(port, message)` pairs, ascending
-/// by port, merged from the arc slab and the broadcast plane. See
-/// [`NodeCtx::inbox`].
+/// by port. A round reads its inbox by one of two walks, fixed when the
+/// iterator is built (see [`NodeCtx::inbox`]): with no broadcast plane, the
+/// occupancy *words* of the node's arc range; with one, a cursor over the
+/// node's ports, one neighbour-list pass for presence and message together.
 pub struct InboxIter<'a, M: PackedMsg> {
     words: &'a [M::Word],
     occ: &'a [u64],
     bit0: usize,
-    deg: usize,
-    bcast: Option<&'a BcastIn<'a, M>>,
-    /// Current occupancy word index (global, into `occ`).
+    /// The broadcast plane, in rounds where someone broadcast.
+    plane: Option<&'a BcastIn<'a, M>>,
+    /// Plane rounds: the next port to probe.
+    port: usize,
+    /// Plane-less rounds: current occupancy word index (global, into `occ`).
     w: usize,
     /// Last occupancy word index overlapping this node's port range.
     last_w: usize,
     /// Remaining slab-delivered bits of word `w` (range-masked).
     cur_slab: u64,
-    /// Remaining broadcast-delivered bits of word `w`. Disjoint from
-    /// `cur_slab`: a sender cannot both `send` on a port and `send_all`
-    /// in one round (enforced at send time).
-    cur_bcast: u64,
 }
 
 impl<'a, M: PackedMsg> InboxIter<'a, M> {
@@ -187,60 +187,52 @@ impl<'a, M: PackedMsg> InboxIter<'a, M> {
             bits &= !0u64 << (self.bit0 & 63);
         }
         if w == self.last_w {
-            let top = (self.bit0 + self.deg - 1) & 63;
+            let top = (self.bit0 + self.words.len() - 1) & 63;
             bits &= !0u64 >> (63 - top);
         }
         bits
     }
 
-    /// Broadcast-presence bits of word `w`: bit set for each port in range
-    /// whose neighbor broadcast last round. Inlined because external
-    /// iteration (`for` over the inbox) rebuilds it on every word advance
-    /// inside `next`; the internal `fold` path only calls it once per
-    /// word too, but from a loop the compiler already keeps hot.
+    /// The message on `port` in a plane round: the slab word if the port's
+    /// occupancy bit is set, else what [`BcastIn::heard`] finds behind it.
+    /// The two never both hold — a sender cannot `send` on a port and
+    /// `send_all` in one round (enforced at send time).
     #[inline]
-    fn bcast_word(&self, w: usize) -> u64 {
-        let Some(b) = &self.bcast else { return 0 };
-        if !b.any {
-            return 0;
+    fn probe(&self, b: &BcastIn<'a, M>, port: usize) -> Option<M> {
+        // Every caller's loop already bounds `port` by the degree, so this
+        // folds away once inlined.
+        if port >= self.words.len() {
+            return None;
         }
-        let lo = (w << 6).max(self.bit0);
-        let hi = ((w << 6) + 64).min(self.bit0 + self.deg);
-        let mut bits = 0u64;
-        for bitpos in lo..hi {
-            // SAFETY: `lo..hi` lies inside this node's arc range
-            // `bit0..bit0 + deg`, so `bitpos < adj.len()` (one entry per
-            // arc); every neighbor id is `< n`, and `occ` holds
-            // `⌈n / 64⌉` words.
-            unsafe {
-                let nb = *b.adj.get_unchecked(bitpos) as usize;
-                let present = *b.occ.get_unchecked(nb >> 6) >> (nb & 63) & 1;
-                bits |= present << (bitpos & 63);
+        let pos = self.bit0 + port;
+        // SAFETY: `port < deg == words.len()`, so `pos` is one of this
+        // node's arc positions: `pos >> 6` is a word of the arc occupancy
+        // bitset and `pos < adj.len()` (one entry per arc).
+        unsafe {
+            if *self.occ.get_unchecked(pos >> 6) >> (pos & 63) & 1 == 1 {
+                return Some(M::unpack(*self.words.get_unchecked(port)));
             }
+            b.heard(pos)
         }
-        bits
     }
+}
 
-    /// Unpack the message at `port`, from the slab or the broadcaster's
-    /// slot depending on which presence word claimed the bit.
+impl<'a, M: PackedMsg> BcastIn<'a, M> {
+    /// The broadcast word of the neighbour behind arc position `pos`, if
+    /// that neighbour broadcast last round: presence and message from one
+    /// read of the neighbour list.
     ///
-    /// Every caller derives `port` from a presence bit, and presence bits
-    /// outside `bit0..bit0+deg` are masked off before use (`slab_word`,
-    /// `bcast_word`), so `port < deg == words.len()`.
+    /// # Safety
+    /// `pos < adj.len()` — an arc position of the graph the plane serves.
     #[inline]
-    fn msg_at(&self, port: Port, from_slab: bool) -> M {
-        if from_slab {
-            // SAFETY: `port < words.len()`, see above.
-            M::unpack(unsafe { *self.words.get_unchecked(port as usize) })
-        } else {
-            let b = self.bcast.expect("bcast bit implies bcast plane");
-            // SAFETY: `port < deg`, so `bit0 + port` is one of this node's
-            // arc positions (`< adj.len()`); the neighbor id read there is
-            // `< n`, the length of the broadcast word table.
-            unsafe {
-                let nb = *b.adj.get_unchecked(self.bit0 + port as usize) as usize;
-                M::unpack(*b.words.get_unchecked(nb))
-            }
+    unsafe fn heard(&self, pos: usize) -> Option<M> {
+        // SAFETY: `pos < adj.len()` is the caller's; the neighbour id read
+        // there is `< n`, which bounds the `⌈n / 64⌉`-word presence set and
+        // the n-slot broadcast word table.
+        unsafe {
+            let nb = *self.adj.get_unchecked(pos) as usize;
+            (*self.occ.get_unchecked(nb >> 6) >> (nb & 63) & 1 == 1)
+                .then(|| M::unpack(*self.words.get_unchecked(nb)))
         }
     }
 }
@@ -250,173 +242,131 @@ impl<'a, M: PackedMsg> Iterator for InboxIter<'a, M> {
 
     #[inline]
     fn next(&mut self) -> Option<(Port, M)> {
-        if self.deg == 0 {
+        if let Some(b) = self.plane {
+            while self.port < self.words.len() {
+                let port = self.port;
+                self.port += 1;
+                if let Some(m) = self.probe(b, port) {
+                    return Some((port as Port, m));
+                }
+            }
             return None;
         }
         loop {
-            let merged = self.cur_slab | self.cur_bcast;
-            if merged != 0 {
-                let t = merged.trailing_zeros() as usize;
-                let bit = (self.w << 6) + t;
-                let from_slab = self.cur_slab >> t & 1 == 1;
-                if from_slab {
-                    self.cur_slab &= self.cur_slab - 1;
-                } else {
-                    self.cur_bcast &= self.cur_bcast - 1;
-                }
-                let port = (bit - self.bit0) as Port;
-                return Some((port, self.msg_at(port, from_slab)));
+            if self.cur_slab != 0 {
+                let t = self.cur_slab.trailing_zeros() as usize;
+                self.cur_slab &= self.cur_slab - 1;
+                let port = (self.w << 6) + t - self.bit0;
+                // SAFETY: the bit survived `slab_word`'s range mask, so
+                // `port < deg == words.len()`.
+                let m = M::unpack(unsafe { *self.words.get_unchecked(port) });
+                return Some((port as Port, m));
             }
             if self.w >= self.last_w {
                 return None;
             }
             self.w += 1;
             self.cur_slab = self.slab_word(self.w);
-            self.cur_bcast = self.bcast_word(self.w);
         }
     }
 
-    /// Internal iteration without the per-item state machine: a word loop
-    /// with a bit loop inside, plus a sequential fast path for fully
-    /// occupied words — the dense-traffic case becomes a linear scan the
-    /// compiler can unroll, instead of 64 `trailing_zeros` round-trips.
-    /// In rounds where anyone broadcast, the presence gather and the
-    /// message read are **fused**: one neighbor-list pass per word yields
-    /// both, instead of building a presence word and re-deriving sources.
+    /// Internal iteration without the per-item state machine. Plane-less
+    /// rounds run a word loop with a bit loop inside, plus a sequential
+    /// fast path for fully occupied words — the dense-traffic case becomes
+    /// a linear scan the compiler can unroll, instead of 64
+    /// `trailing_zeros` round-trips. Plane rounds run the port cursor as
+    /// counted loops (`fold_plane`).
     #[inline]
     fn fold<B, F>(self, init: B, mut f: F) -> B
     where
         F: FnMut(B, (Port, M)) -> B,
     {
         let mut acc = init;
-        if self.deg == 0 {
+        // Degree 0 leaves before either walk is set up, as it always has:
+        // the plane-less prologue below is kept as it was compiled.
+        if self.words.is_empty() {
             return acc;
         }
-        if !self.bcast.is_some_and(|b| b.any) {
-            // No broadcast anywhere this round (the sparse regime's
-            // common case): a minimal word loop over the slab bits alone,
-            // with the dense full-word fast path — no plane probes, no
-            // per-item source dispatch. Quiescent nodes fall straight
-            // through; this prologue is small enough to inline into the
-            // protocol's round body, unlike the fused scan below.
-            let mut w = self.w;
-            let mut bits = self.cur_slab;
-            loop {
-                if bits == u64::MAX {
-                    // Full word ⇒ 64 consecutive in-range ports.
-                    let base = (w << 6) - self.bit0;
-                    for j in 0..64 {
-                        let port = (base + j) as Port;
-                        // SAFETY: no bit of the word was range-masked off,
-                        // so all 64 positions lie in `bit0..bit0 + deg`
-                        // and `port < deg == words.len()`.
-                        let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
-                        acc = f(acc, (port, m));
-                    }
-                } else {
-                    while bits != 0 {
-                        let t = bits.trailing_zeros() as usize;
-                        bits &= bits - 1;
-                        let port = ((w << 6) + t - self.bit0) as Port;
-                        // SAFETY: the bit survived `slab_word`'s range
-                        // mask, so `port < deg == words.len()`.
-                        let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
-                        acc = f(acc, (port, m));
-                    }
-                }
-                if w >= self.last_w {
-                    return acc;
-                }
-                w += 1;
-                bits = self.slab_word(w);
-            }
+        if let Some(b) = self.plane {
+            return self.fold_plane(b, acc, &mut f);
         }
-        self.fold_fused(acc, &mut f)
-    }
-}
-
-impl<'a, M: PackedMsg> InboxIter<'a, M> {
-    /// The broadcast-fused internal iteration: one neighbor-list pass per
-    /// word yields presence and message together. Out-of-line — it only
-    /// runs in rounds where someone broadcast, and keeping it out of
-    /// `fold` keeps the sparse prologue inlinable.
-    fn fold_fused<B, F>(mut self, mut acc: B, f: &mut F) -> B
-    where
-        F: FnMut(B, (Port, M)) -> B,
-    {
+        // No broadcast anywhere this round (the sparse regime's common
+        // case): a minimal word loop over the slab bits alone, with the
+        // dense full-word fast path — no plane probes, no per-item source
+        // dispatch. Quiescent nodes fall straight through.
+        let mut w = self.w;
+        let mut bits = self.cur_slab;
         loop {
-            let slab = self.cur_slab;
-            let mut bits = slab | self.cur_bcast;
             if bits == u64::MAX {
-                // Full word ⇒ the whole word lies inside the port range
-                // (range masks would have cleared bits otherwise), so
-                // `w << 6 >= bit0` and 64 consecutive ports are present.
-                let base = (self.w << 6) - self.bit0;
+                // Full word ⇒ 64 consecutive in-range ports.
+                let base = (w << 6) - self.bit0;
                 for j in 0..64 {
                     let port = (base + j) as Port;
-                    acc = f(acc, (port, self.msg_at(port, slab >> j & 1 == 1)));
+                    // SAFETY: no bit of the word was range-masked off,
+                    // so all 64 positions lie in `bit0..bit0 + deg`
+                    // and `port < deg == words.len()`.
+                    let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
+                    acc = f(acc, (port, m));
                 }
             } else {
                 while bits != 0 {
                     let t = bits.trailing_zeros() as usize;
                     bits &= bits - 1;
-                    let bit = (self.w << 6) + t;
-                    let port = (bit - self.bit0) as Port;
-                    acc = f(acc, (port, self.msg_at(port, slab >> t & 1 == 1)));
+                    let port = ((w << 6) + t - self.bit0) as Port;
+                    // SAFETY: the bit survived `slab_word`'s range
+                    // mask, so `port < deg == words.len()`.
+                    let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
+                    acc = f(acc, (port, m));
                 }
             }
-            if self.w >= self.last_w {
+            if w >= self.last_w {
                 return acc;
             }
-            self.w += 1;
-            let b = self.bcast.expect("fused path implies a live plane");
-            let slab_bits = self.slab_word(self.w);
-            let lo = (self.w << 6).max(self.bit0);
-            let hi = ((self.w << 6) + 64).min(self.bit0 + self.deg);
-            if slab_bits == 0 {
-                // Broadcast-only word (the common dense case): a tight
-                // neighbor scan with no per-port slab test.
-                for bitpos in lo..hi {
-                    let port = (bitpos - self.bit0) as Port;
-                    // SAFETY: `lo..hi` is clipped to this node's arc range,
-                    // so `bitpos < adj.len()`; the neighbor id read there
-                    // is `< n`, which bounds the `⌈n / 64⌉`-word presence
-                    // set and the n-slot word table.
-                    unsafe {
-                        let nb = *b.adj.get_unchecked(bitpos) as usize;
-                        if *b.occ.get_unchecked(nb >> 6) >> (nb & 63) & 1 == 1 {
-                            let m = M::unpack(*b.words.get_unchecked(nb));
-                            acc = f(acc, (port, m));
-                        }
+            w += 1;
+            bits = self.slab_word(w);
+        }
+    }
+}
+
+impl<'a, M: PackedMsg> InboxIter<'a, M> {
+    /// Internal iteration in a plane round: the port cursor as counted
+    /// loops, one occupancy word's share of the ports at a time, so the
+    /// common plane round — nothing on the slab — is a neighbour scan with
+    /// no per-port slab test (testing per port read flood-max at degree 64
+    /// 95 ms against 61). Forced inline, as measured (PR 24, flood-max ms a
+    /// job out of line → inline: degree 6 24.5 → 21.3, 8 2.23 → 1.84,
+    /// 12 34.1 → 31.1, 16 1.39 → 1.25, 64 60.0 → 60.9): out of line the
+    /// whole iterator is spilled for the call ahead of the branch, so
+    /// plane-less folds pay for it too. `thm1_routing`, whose folds never
+    /// see a plane, reads the same either way (DESIGN.md §6).
+    #[inline(always)]
+    fn fold_plane<B, F>(&self, b: &BcastIn<'a, M>, mut acc: B, f: &mut F) -> B
+    where
+        F: FnMut(B, (Port, M)) -> B,
+    {
+        let deg = self.words.len();
+        let mut port = self.port;
+        while port < deg {
+            let pos = self.bit0 + port;
+            let end = deg.min(port + 64 - (pos & 63));
+            if self.occ[pos >> 6] >> (pos & 63) == 0 {
+                for p in port..end {
+                    // SAFETY: `p < deg`, so `bit0 + p` is one of this
+                    // node's arc positions.
+                    if let Some(m) = unsafe { b.heard(self.bit0 + p) } {
+                        acc = f(acc, (p as Port, m));
                     }
                 }
             } else {
-                for bitpos in lo..hi {
-                    let port = (bitpos - self.bit0) as Port;
-                    if slab_bits >> (bitpos & 63) & 1 == 1 {
-                        // SAFETY: `bitpos` is in `bit0..bit0 + deg`, so
-                        // `port < deg == words.len()`.
-                        let m = M::unpack(unsafe { *self.words.get_unchecked(port as usize) });
-                        acc = f(acc, (port, m));
-                        continue;
-                    }
-                    // SAFETY: as in the broadcast-only branch above.
-                    unsafe {
-                        let nb = *b.adj.get_unchecked(bitpos) as usize;
-                        if *b.occ.get_unchecked(nb >> 6) >> (nb & 63) & 1 == 1 {
-                            let m = M::unpack(*b.words.get_unchecked(nb));
-                            acc = f(acc, (port, m));
-                        }
+                for p in port..end {
+                    if let Some(m) = self.probe(b, p) {
+                        acc = f(acc, (p as Port, m));
                     }
                 }
             }
-            if self.w >= self.last_w {
-                return acc;
-            }
-            // The fused pass consumed word `w` entirely.
-            self.cur_slab = 0;
-            self.cur_bcast = 0;
+            port = end;
         }
+        acc
     }
 }
 
@@ -511,17 +461,22 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
     }
 
     /// Iterate `(port, message)` over all messages delivered this round,
-    /// in ascending port order. Walks the occupancy *words*, so quiescent
-    /// ports cost nothing — an empty inbox is a couple of word loads
-    /// regardless of degree. Internal iteration (`fold`, and everything
-    /// built on it: `for_each`, `sum`, folds over `map`/`filter` adapters)
-    /// runs a word-nested loop with a dense fast path, so saturated
-    /// inboxes cost a sequential scan instead of per-bit extraction.
+    /// in ascending port order. In a round with no broadcast plane — none
+    /// handed in, or nobody broadcast — this walks the occupancy *words*,
+    /// so quiescent ports cost nothing: an empty inbox is a couple of word
+    /// loads regardless of degree, and internal iteration (`fold`, and
+    /// everything built on it: `for_each`, `sum`, folds over `map`/`filter`
+    /// adapters) runs a word-nested loop with a dense fast path, so
+    /// saturated inboxes cost a sequential scan instead of per-bit
+    /// extraction. In a round where someone broadcast, every read path —
+    /// `for`, `fold`, a `fold` resumed after `next` — is **one pass over
+    /// the neighbour list**: per port, the slab word if its occupancy bit
+    /// is set, else the neighbour's plane word if the neighbour's presence
+    /// bit is. Nothing is gathered here ahead of that pass.
     #[inline]
     pub fn inbox(&self) -> InboxIter<'_, M> {
         let deg = self.degree();
         let bit0 = self.inbox.bit0;
-        let occ = self.inbox.occ;
         let first_w = bit0 >> 6;
         let last_w = if deg == 0 {
             first_w
@@ -530,18 +485,16 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         };
         let mut it = InboxIter {
             words: self.inbox.words,
-            occ,
+            occ: self.inbox.occ,
             bit0,
-            deg,
-            bcast: self.inbox.bcast,
+            plane: self.inbox.bcast.filter(|b| b.any),
+            port: 0,
             w: first_w,
             last_w,
             cur_slab: 0,
-            cur_bcast: 0,
         };
         if deg > 0 {
             it.cur_slab = it.slab_word(first_w);
-            it.cur_bcast = it.bcast_word(first_w);
         }
         it
     }

@@ -129,7 +129,16 @@
 //! staged through it: 64 stage bytes pack into one presence word, and each
 //! set bit adds the sender's degree to the delivered count and one to the
 //! sender's counter. Receivers are handed the plane only in the round
-//! after a fold found a sender, so sparse rounds probe nothing.
+//! after a fold found a sender, so sparse rounds probe nothing. In such a
+//! round a receiver reads its inbox in **one pass over its neighbour
+//! list**, whichever way it iterates ([`NodeCtx::inbox`]): per port, the
+//! slab word if the port's occupancy bit is set (a per-port `send` of the
+//! same round), else the neighbour's plane word if the neighbour's
+//! presence bit is. No presence word is gathered ahead of that pass —
+//! until PR 24 one was, for the node's first occupancy word, and the
+//! messages behind it were then found by a second read of the same
+//! neighbours; with degrees up to 64 that was most of every inbox
+//! (DESIGN.md §6 has what it cost).
 //!
 //! **The congestion meter.** Per-edge congestion is what Lemma 1 and
 //! Theorem 1 bound, so every delivery is metered, by a plain `u32` bumped

@@ -415,6 +415,136 @@ impl BaselineProtocol for LateSender {
     }
 }
 
+/// What a [`ReadPaths`] node says in one round.
+enum Say {
+    All(u64),
+    /// Per-port sends on the ports [`ReadPaths::picks`] names.
+    Ports(u64),
+    Nothing,
+}
+
+/// The inbox read paths held to each other and to the reference
+/// interpreter: every node, every round, either `send_all`s, per-port
+/// `send`s to a seeded subset of its ports, or stays silent, so one
+/// occupancy word of a receiver mixes slab words, broadcast-plane words
+/// and gaps. Every third round is thin, so the `send_all`s of the round
+/// after it scatter and that round's inboxes are read with no plane.
+/// The live arm reads its inbox every way [`NodeCtx`] offers and asserts
+/// they agree; both arms digest what they heard.
+struct ReadPaths {
+    rounds: u64,
+    digest: u64,
+}
+
+impl ReadPaths {
+    /// Two RNG draws per talking round on either engine.
+    fn say(&self, round: u64, rng: &mut SmallRng) -> Say {
+        if round >= self.rounds {
+            return Say::Nothing;
+        }
+        let a = rng.gen_range(0..8u32);
+        let m: u64 = rng.gen();
+        let (all, ports) = if round % 3 == 2 { (1, 2) } else { (3, 6) };
+        if a < all {
+            Say::All(m)
+        } else if a < ports {
+            Say::Ports(m)
+        } else {
+            Say::Nothing
+        }
+    }
+
+    /// Is port `p` in the subset `m` seeds? (Degrees here pass 64.)
+    fn picks(m: u64, p: u32) -> bool {
+        (m ^ (p as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)).count_ones() & 1 == 1
+    }
+
+    fn hear(&mut self, heard: impl Iterator<Item = (u32, u64)>) {
+        self.digest = heard.fold(self.digest.rotate_left(9) ^ 0xC0FFEE, |d, (p, m)| {
+            d.wrapping_mul(0x100_0000_01B3).wrapping_add(m ^ p as u64)
+        });
+    }
+}
+
+impl Protocol for ReadPaths {
+    type Msg = u64;
+    type Output = u64;
+    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+        let at = format!("node {} round {}", ctx.node, ctx.round);
+        let mut by_next = Vec::new();
+        let mut it = ctx.inbox();
+        #[allow(clippy::while_let_on_iterator)] // `next`, not whatever `for` may pick
+        while let Some(item) = it.next() {
+            by_next.push(item);
+        }
+        let by_fold = ctx.inbox().fold(Vec::new(), |mut v, item| {
+            v.push(item);
+            v
+        });
+        assert_eq!(by_fold, by_next, "fold vs next, {at}");
+        for j in 0..=by_next.len() {
+            let mut it = ctx.inbox();
+            let mut got: Vec<(u32, u64)> = (0..j).map(|_| it.next().unwrap()).collect();
+            got = it.fold(got, |mut v, item| {
+                v.push(item);
+                v
+            });
+            assert_eq!(got, by_next, "{j} by next, then fold, {at}");
+        }
+        assert_eq!(ctx.inbox_len(), by_next.len(), "inbox_len, {at}");
+        let mut listed = by_next.iter().copied().peekable();
+        for p in 0..ctx.degree() as u32 {
+            let want = listed.next_if(|&(q, _)| q == p).map(|(_, m)| m);
+            assert_eq!(ctx.recv(p), want, "recv({p}), {at}");
+        }
+        assert_eq!(listed.next(), None, "ports ascending and in range, {at}");
+        self.hear(by_next.into_iter());
+        match self.say(ctx.round, ctx.rng()) {
+            Say::All(m) => ctx.send_all(m),
+            Say::Ports(m) => {
+                for p in (0..ctx.degree() as u32).filter(|&p| Self::picks(m, p)) {
+                    ctx.send(p, m.wrapping_add(p as u64));
+                }
+            }
+            Say::Nothing => {}
+        }
+        ctx.set_done(ctx.round >= self.rounds);
+    }
+    fn finish(self) -> u64 {
+        self.digest
+    }
+}
+
+/// [`ReadPaths`] on the reference interpreter, carrying the node's own
+/// RNG stream as [`BaselineMixed`] does.
+struct BaselineReadPaths {
+    inner: ReadPaths,
+    rng: SmallRng,
+}
+
+impl BaselineProtocol for BaselineReadPaths {
+    type Msg = u64;
+    type Output = u64;
+    fn round(&mut self, ctx: &mut BaselineCtx<'_, u64>) {
+        let heard: Vec<(u32, u64)> = ctx.inbox().map(|(p, &m)| (p, m)).collect();
+        self.inner.hear(heard.into_iter());
+        match self.inner.say(ctx.round, &mut self.rng) {
+            Say::All(m) => ctx.send_all(m),
+            Say::Ports(m) => {
+                for p in (0..ctx.degree() as u32).filter(|&p| ReadPaths::picks(m, p)) {
+                    ctx.send(p, m.wrapping_add(p as u64));
+                }
+            }
+            Say::Nothing => {}
+        }
+        let done = ctx.round >= self.inner.rounds;
+        ctx.set_done(done);
+    }
+    fn finish(self) -> u64 {
+        self.inner.digest
+    }
+}
+
 /// Thresholds the differential harness and the shard sweep pin: fast
 /// path off (`0`), fast path forced for every scattering round
 /// (`usize::MAX`), and the default heuristic.
@@ -810,6 +940,44 @@ proptest! {
             prop_assert_eq!(par.stats, base.stats, "parallel thr={:?}", thr);
             prop_assert_eq!(&par.edge_congestion, &base.edge_congestion,
                 "parallel per-edge meters thr={:?}", thr);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// Every way a node can read its inbox — `next`, `fold`, any number of
+    /// `next`s then `fold`, `inbox_len`, `recv` port by port — yields the
+    /// same messages in the same order, and they are the reference
+    /// interpreter's, on graphs whose arc ranges start at odd offsets and
+    /// straddle occupancy words: degree 69 throughout, degree 6 across the
+    /// word seams, a 130-port hub at offset 5 among one-port leaves, and
+    /// a clique chain's mixed degrees.
+    #[test]
+    fn inbox_read_paths_agree_at_every_alignment(seed in any::<u64>()) {
+        use congest_graph::generators::{clique_chain, complete, harary};
+        let mut star = GraphBuilder::new(131);
+        for v in (0..131).filter(|&v| v != 5) {
+            star.push_edge(5, v);
+        }
+        let graphs = [
+            complete(70),
+            harary(6, 40),
+            star.build().unwrap(),
+            clique_chain(3, 9, 2),
+        ];
+        for g in &graphs {
+            let mk = || ReadPaths { rounds: 8, digest: 0 };
+            let base = run_baseline::<BaselineReadPaths, _>(
+                g,
+                |v, _| BaselineReadPaths { inner: mk(), rng: node_rng(seed, v) },
+                100,
+                None,
+            );
+            let live = run_protocol(g, |_, _| mk(), EngineConfig::serial().seed(seed)).unwrap();
+            prop_assert_eq!(&live.outputs, &base.outputs, "n = {}", g.n());
+            prop_assert_eq!(live.stats, base.stats, "n = {}", g.n());
         }
     }
 }

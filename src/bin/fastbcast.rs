@@ -539,6 +539,26 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         server.pool().graph_evictions(),
         server.pool().warm_evictions()
     );
+    // What the mix costs, by family (model quantities only: equal with and
+    // without `--serial`). A fresh server numbers its jobs 0, 1, … in
+    // submission order, so job `j`'s family and graph are the loop's above.
+    println!("\nper-family traffic:");
+    println!("  family      jobs    rounds     messages  node-rounds");
+    for fam in ["flood", "rumor", "gossip"] {
+        let (mut jobs, mut rounds, mut messages, mut node_rounds) = (0u64, 0u64, 0u64, 0u64);
+        for o in &out {
+            let j = o.id.index() as usize;
+            if mix[(j / keys.len()) % mix.len()] == fam {
+                jobs += 1;
+                rounds += o.stats.rounds;
+                messages += o.stats.total_messages;
+                node_rounds += o.stats.rounds * keys[j % keys.len()].1 as u64;
+            }
+        }
+        if jobs > 0 {
+            println!("  {fam:<8} {jobs:>7} {rounds:>9} {messages:>12} {node_rounds:>12}");
+        }
+    }
     println!("\nper-tenant meters:");
     println!("  tenant      jobs    rounds  messages   dropped  max-cong  max-bits");
     for (t, m) in server.meters() {

@@ -207,6 +207,16 @@ fn good_invocations_still_succeed() {
         stdout.contains("8 run on their graph's warm session"),
         "serve output: {stdout}"
     );
+    // One line per family between the two table headers, and their job
+    // counts add up to the batch.
+    let family_jobs: u64 = stdout
+        .lines()
+        .skip_while(|l| !l.starts_with("per-family traffic"))
+        .skip(2)
+        .take_while(|l| !l.is_empty())
+        .map(|l| l.split_whitespace().nth(1).unwrap().parse::<u64>().unwrap())
+        .sum();
+    assert_eq!(family_jobs, 8, "serve output: {stdout}");
 
     // An aggressive eviction budget: two graphs alternating under
     // --max-graphs 1 forces graph aging + re-registration mid-stream,
