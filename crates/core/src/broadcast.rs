@@ -193,6 +193,9 @@ pub struct BroadcastOutcome {
     pub phases: PhaseLog,
     /// Headline number: total rounds across all phases.
     pub total_rounds: u64,
+    /// The leader stage a elected (the highest
+    /// [`rank`](crate::leader::rank)): the root of every tree.
+    pub root: Node,
     /// Composed stats (congestion summed pessimistically across phases).
     pub stats: RunStats,
     /// λ′ actually used.

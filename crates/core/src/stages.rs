@@ -236,6 +236,7 @@ impl<'r, 'g, E: Fn(u64) -> EngineConfig> Composition<'r, 'g, E> {
         let class_trees = &self.class_trees;
         BroadcastOutcome {
             total_rounds: phases.total_rounds(),
+            root: self.root,
             stats: phases.total(),
             phases,
             num_subgraphs: self.lp,

@@ -10,6 +10,17 @@
 //!
 //! A pin that moves means observable behaviour changed at equal seeds.
 //! That is never a refactor; do not re-capture to make this file pass.
+//!
+//! One deliberate change has been re-captured since: flood-max elects the
+//! node of highest *rank* instead of the highest id
+//! (`congest_core::leader`), and the elected root is observable
+//! behaviour. The pins that depend on the root — leader-election
+//! messages, post-root state hashes, routing rounds and messages,
+//! class-tree heights, dense checksums, faulted drops and salvage
+//! records — were re-captured once, at the commit that made that change
+//! (parent `3fd42a1`). Attempt counts, ladder levels, λ′, every
+//! `edge-partition` entry and every `bfs` message count were held, not
+//! re-captured: none of them depends on the root.
 
 use congest_core::broadcast::{
     partition_broadcast_retrying, BroadcastConfig, BroadcastInput, BroadcastOutcome,
@@ -85,20 +96,20 @@ fn borderline() -> (Graph, BroadcastInput, PartitionParams) {
 }
 
 /// `(xor, sum)` checksums of the [`dense`] / [`borderline`] message sets.
-/// Lemma 3's id assignment is deterministic in the graph, so every driver
-/// agrees on them whatever its seeds.
-const DENSE_CHECKSUMS: (u64, u64) = (0x11129060bc39b97a, 0xe95ceee076b7f2e8);
+/// Lemma 3's id assignment is deterministic in the graph and the elected
+/// root, so every driver agrees on them whatever its seeds.
+const DENSE_CHECKSUMS: (u64, u64) = (0x57e4ae0ecf40a373, 0xf1d24000d075ed1d);
 const BORDERLINE_CHECKSUMS: (u64, u64) = (0xb682ae8347554d16, 0x365eeffba61f630a);
 
 /// The plain driver on [`dense`] at seed 17 (reached by the retrying
 /// driver on attempt one and by the ladder after the watchdog's jump).
 const DENSE_SEED_17: &[PhasePin] = &[
-    ("leader-election", 4, 2256, Some(0x834666d521dc64dc)),
+    ("leader-election", 4, 2096, Some(0x87b4c45a8c7a95fb)),
     ("bfs", 4, 768, Some(0x63ae86c91fdedf97)),
-    ("numbering", 6, 94, Some(0x3bc0c332125b6240)),
+    ("numbering", 6, 94, Some(0xe8d2f0d76d9e7257)),
     ("edge-partition", 1, 384, Some(0x5015ca278ce8d199)),
     ("subgraph-bfs", 5, 768, Some(0x63ae86c91fdedf97)),
-    ("parallel-routing", 52, 4723, Some(0x78d6ec1db5d3712f)),
+    ("parallel-routing", 52, 4735, Some(0x6a1529d57234bbd3)),
 ];
 
 /// A seed whose own partition fails to span on [`borderline`] while its
@@ -142,12 +153,12 @@ fn retrying_second_attempt() {
         &out.phases,
         true,
         &[
-            ("leader-election", 5, 1359, Some(0x96c608b670d42fbd)),
+            ("leader-election", 5, 1227, Some(0xa7e6780b1830ea97)),
             ("bfs", 5, 420, Some(0x3e557653fa8aedf9)),
-            ("numbering", 8, 70, Some(0xedfcfcec387319af)),
+            ("numbering", 8, 70, Some(0x7f0d5a8407b41252)),
             ("edge-partition", 1, 210, Some(0x486bcac88d581686)),
             ("subgraph-bfs", 8, 420, Some(0x3e557653fa8aedf9)),
-            ("parallel-routing", 28, 1557, Some(0xc3fa510d4b3133f5)),
+            ("parallel-routing", 27, 1535, Some(0x0d98c83341618c74)),
         ],
     );
     assert_outcome(
@@ -188,12 +199,12 @@ fn degrading_ladder() {
         &out.phases,
         true,
         &[
-            ("leader-election", 5, 1359, Some(0x96c608b670d42fbd)),
+            ("leader-election", 5, 1227, Some(0xa7e6780b1830ea97)),
             ("bfs", 5, 420, Some(0x3e557653fa8aedf9)),
-            ("numbering", 8, 70, Some(0xedfcfcec387319af)),
+            ("numbering", 8, 70, Some(0x7f0d5a8407b41252)),
             ("edge-partition", 1, 210, Some(0x486bcac88d581686)),
             ("subgraph-bfs", 5, 420, Some(0x3e557653fa8aedf9)),
-            ("parallel-routing", 44, 1504, Some(0x54c607c9d4b12b6a)),
+            ("parallel-routing", 44, 1504, Some(0x72e1f5df13ce9145)),
         ],
     );
     assert_outcome("degrading/borderline", &out, 1, &[4], BORDERLINE_CHECKSUMS);
@@ -238,26 +249,26 @@ fn resilient_under_faults() {
         &out.phases,
         false,
         &[
-            ("leader-election", 4, 2256, None),
+            ("leader-election", 4, 2096, None),
             ("bfs", 4, 768, None),
             ("numbering", 6, 94, None),
             ("edge-partition", 1, 384, None),
             ("subgraph-bfs", 6, 768, None),
-            ("replicated-routing", 68, 9315, None),
+            ("replicated-routing", 69, 9176, None),
         ],
     );
     assert_eq!((out.replication, out.num_subgraphs, out.k), (2, 3, 96));
     assert_eq!(out.total_rounds, out.phases.total_rounds());
-    assert_eq!(out.dropped, 45);
+    assert_eq!(out.dropped, 53);
     assert_eq!(out.expected, DENSE_CHECKSUMS);
-    assert_eq!(dedup_summary(&out), (4604, 4807, vec![10, 14, 18, 22]));
+    assert_eq!(dedup_summary(&out), (4607, 4665, vec![45]));
 }
 
 #[test]
 fn resilient_degrading_exhausts_and_salvages() {
     // Two copies per message under five faults a round: every attempt
     // completes with starved nodes, the budget runs out, and the best
-    // partial run (the second, by one node) is the one returned.
+    // partial run (the first, by nine nodes) is the one returned.
     let (g, input, _) = dense();
     let policy = DegradePolicy {
         attempts_per_level: 2,
@@ -293,21 +304,21 @@ fn resilient_degrading_exhausts_and_salvages() {
             )
         })
         .collect();
-    let winner = vec![4, 9, 13, 16, 18, 20, 21, 24, 29, 44, 46];
+    let winner = vec![0, 2, 3, 4, 7, 8, 12, 13, 19];
     let everyone: Vec<usize> = (0..48).collect();
     assert_eq!(
         salvage,
         vec![
+            (3, 0, winner.clone(), 119, true),
             (
                 3,
-                0,
-                vec![1, 2, 3, 4, 5, 10, 11, 14, 20, 42, 43, 46],
-                108,
+                1,
+                vec![4, 5, 8, 11, 16, 18, 20, 21, 26, 30, 34, 38, 40, 41, 44, 45, 46, 47],
+                119,
                 false
             ),
-            (3, 1, winner.clone(), 120, true),
-            (1, 2, everyone.clone(), 70, false),
-            (1, 3, everyone, 70, false),
+            (1, 2, everyone.clone(), 48, false),
+            (1, 3, everyone, 48, false),
         ]
     );
     assert_phases(
@@ -315,18 +326,18 @@ fn resilient_degrading_exhausts_and_salvages() {
         &out.phases,
         false,
         &[
-            ("leader-election", 4, 2256, None),
+            ("leader-election", 4, 2096, None),
             ("bfs", 4, 768, None),
             ("numbering", 6, 94, None),
             ("edge-partition", 1, 384, None),
             ("subgraph-bfs", 6, 768, None),
-            ("replicated-routing", 67, 8858, None),
+            ("replicated-routing", 68, 8984, None),
         ],
     );
     assert_eq!((out.replication, out.num_subgraphs, out.k), (2, 3, 96));
-    assert_eq!(out.dropped, 120);
+    assert_eq!(out.dropped, 119);
     assert_eq!(out.expected, DENSE_CHECKSUMS);
-    assert_eq!(dedup_summary(&out), (4590, 4364, winner));
+    assert_eq!(dedup_summary(&out), (4595, 4485, winner));
 }
 
 #[test]
@@ -347,17 +358,17 @@ fn exp_search() {
         &out.phases,
         false,
         &[
-            ("leader-election", 4, 2256, None),
+            ("leader-election", 4, 2096, None),
             ("bfs", 4, 768, None),
             ("learn-delta", 6, 94, None),
             ("numbering", 6, 94, None),
             ("partition(λ\u{303}=16)", 1, 384, None),
-            ("subgraph-bfs(λ\u{303}=16)", 5, 768, None),
+            ("subgraph-bfs(λ\u{303}=16)", 6, 768, None),
             ("validity-check(λ\u{303}=16)", 6, 94, None),
-            ("parallel-routing", 52, 4743, None),
+            ("parallel-routing", 52, 4787, None),
         ],
     );
-    assert_outcome("exp-search/dense", &out, 2, &[4, 4], DENSE_CHECKSUMS);
+    assert_outcome("exp-search/dense", &out, 2, &[5, 4], DENSE_CHECKSUMS);
 
     // δ = 23 but λ = 2: at this seed the first guess fails its validity
     // check and the search halves once (the `10 + 4·iter` seed offsets).
@@ -378,7 +389,7 @@ fn exp_search() {
         &out.phases,
         false,
         &[
-            ("leader-election", 5, 5935, None),
+            ("leader-election", 5, 4923, None),
             ("bfs", 5, 1664, None),
             ("learn-delta", 8, 142, None),
             ("numbering", 8, 142, None),

@@ -4,11 +4,15 @@
 use congest_core::bfs::{BfsProtocol, SubgraphBfs};
 use congest_core::broadcast::ParallelPipeline;
 use congest_core::convergecast::{AggOp, Aggregate, Numbering, TreeView};
-use congest_core::leader::FloodMax;
+use congest_core::leader::{rank, unrank, FloodMax};
 use congest_core::partition::{EdgePartition, EdgePartitionProtocol, PartitionParams};
 use congest_core::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult, TreePipeline};
 use congest_core::resilient::ReplicatedPipeline;
-use congest_graph::generators::{gnp_connected, harary, torus2d};
+use congest_graph::algo::{bfs_distances, UNREACHABLE};
+use congest_graph::generators::{
+    barbell, clique_chain, clique_ring, cycle, gk13_lower_bound, gnp, gnp_connected, harary, path,
+    random_regular, theorem9_instance, thick_path, torus2d,
+};
 use congest_graph::{Graph, GraphBuilder, Node, Port};
 use congest_sim::{check_quiescent, run_protocol, EngineConfig, FaultPlan};
 use proptest::prelude::*;
@@ -38,6 +42,45 @@ fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
             b.push_edge(u, v);
         }
         b.build().unwrap()
+    })
+}
+
+/// The families the graph crate's oracles range over — G(n,p) (possibly
+/// disconnected), random regular, and the λ < δ ones — with node ids
+/// shuffled, so that ids carry no position; and the generator-numbered
+/// families, whose ids run along the topology.
+fn arb_family() -> impl Strategy<Value = Graph> {
+    (0u32..12, 2usize..6, 3usize..7, any::<u64>()).prop_map(|(kind, a, b, seed)| {
+        let pick = |upto: usize| 1 + (seed % upto as u64) as usize;
+        let g = match kind {
+            0 => gnp(6 * a + b, 0.1 * (a + 1) as f64, seed),
+            1 => random_regular(2 * (a + b), b, seed),
+            2 => clique_chain(a, b + 1, pick(b)),
+            3 => clique_ring(a + 1, 2 * b, pick(b)),
+            4 => barbell(b, a),
+            5 => thick_path(a, b),
+            6 => gk13_lower_bound(a + 2, b).0,
+            7 => theorem9_instance(a + b + 4, a, 3.0, 2.0, seed)
+                .graph
+                .graph()
+                .clone(),
+            8 => return path(a * b + 2),
+            9 => return cycle(a * b + 3),
+            10 => return torus2d(a + 1, b),
+            _ => return harary(2 * a, 8 * b),
+        };
+        let mut id: Vec<u32> = (0..g.n() as u32).collect();
+        for i in (1..id.len()).rev() {
+            let j = congest_sim::rng::mix64(seed ^ i as u64) % (i as u64 + 1);
+            id.swap(i, j as usize);
+        }
+        GraphBuilder::new(g.n())
+            .edges(
+                g.edge_list()
+                    .map(|(_, u, v)| (id[u as usize], id[v as usize])),
+            )
+            .build()
+            .unwrap()
     })
 }
 
@@ -327,6 +370,32 @@ proptest! {
         for (protocol, verdict) in held {
             prop_assert_eq!(verdict, Ok(()), "{}", protocol);
         }
+    }
+
+    /// `unrank` inverts `rank` on all of `u32`.
+    #[test]
+    fn unrank_inverts_rank(x in any::<u32>()) {
+        prop_assert_eq!(unrank(rank(x)), x);
+    }
+
+    /// Flood-max elects the node of highest rank in every connected
+    /// component: every node outputs it and it alone says `is_leader`.
+    /// The election lasts as long as the slowest leader's rank travels:
+    /// between ecc(leader) and ecc(leader) + 1 rounds.
+    #[test]
+    fn flood_max_elects_the_highest_rank_per_component(g in arb_family()) {
+        let out = run_protocol(&g, |v, _| FloodMax::new(v), EngineConfig::default()).unwrap();
+        let mut ecc = 0;
+        for v in 0..g.n() as Node {
+            let dist = bfs_distances(&g, v);
+            let component = (0..g.n() as Node).filter(|&u| dist[u as usize] != UNREACHABLE);
+            let want = component.max_by_key(|&u| rank(u)).unwrap();
+            prop_assert_eq!(out.outputs[v as usize].leader, want, "node {}", v);
+            prop_assert_eq!(out.outputs[v as usize].is_leader, v == want, "node {}", v);
+            ecc = ecc.max(dist[want as usize] as u64);
+        }
+        let rounds = out.stats.rounds;
+        prop_assert!((ecc..=ecc + 1).contains(&rounds), "rounds {}, ecc {}", rounds, ecc);
     }
 
     /// Distributed numbering assigns disjoint covering ranges whatever the

@@ -477,7 +477,11 @@ pub type Tenant = u32;
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobSpec {
     /// Leader election by flood-max: every node outputs the maximum node
-    /// id.
+    /// id. This family floods raw ids, unlike `congest_core::leader`'s
+    /// `FloodMax`, which floods a hashed rank of the id to cut its
+    /// traffic: the output here is defined as the maximum id, and its
+    /// traffic — about one message per arc per round on a graph numbered
+    /// along its topology — is the serve workload's load.
     FloodMax,
     /// Single-source rumor spreading from `source`: every node outputs
     /// the round it first heard the rumor (`u64::MAX` if never, e.g.

@@ -41,9 +41,11 @@
 //! already demands for delay tolerance): a done sub may only resume
 //! because traffic arrived, never by counting rounds — under that
 //! contract, skipping a done sub's idle rounds changes nothing observable
-//! while making quiescent algorithms free. (The plain engine, by
-//! contrast, steps done nodes every round; round-counting wake-ups are
-//! legal solo but out of contract under the scheduler.)
+//! while making quiescent algorithms free. (`Session::run` skips a done
+//! node with an empty inbox only for a protocol that declares
+//! `Protocol::QUIESCENT`, and steps every other protocol's done nodes
+//! every round; round-counting wake-ups are legal solo for a protocol
+//! that does not declare it, but out of contract under the scheduler.)
 //!
 //! **Delay tolerance.** Under queuing, a sub-protocol's messages may
 //! arrive in later virtual rounds than in a solo run. Sub-protocols must

@@ -26,6 +26,7 @@ use fast_broadcast::apsp::unweighted_apsp_approx;
 use fast_broadcast::core::broadcast::{
     partition_broadcast_retrying, BroadcastConfig, BroadcastInput, DEFAULT_PARTITION_C,
 };
+use fast_broadcast::core::leader::rank;
 use fast_broadcast::core::lower_bounds::{optimality_ratio, theorem3_broadcast_lb};
 use fast_broadcast::core::partition::PartitionParams;
 use fast_broadcast::core::textbook::textbook_broadcast;
@@ -280,16 +281,17 @@ fn cmd_broadcast(args: &[String]) -> Result<(), String> {
     }
     let input = BroadcastInput::random_spread(&g, k, seed);
     let params = PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C);
-    println!(
-        "family {spec}: n = {}, λ = {lambda}, k = {k}, λ' = {}",
-        g.n(),
-        params.num_subgraphs
-    );
-
     let (out, attempts) =
         partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(seed), 30)
             .map_err(|e| e.to_string())?;
     assert!(out.all_delivered());
+    println!(
+        "family {spec}: n = {}, λ = {lambda}, k = {k}, λ' = {}, root = {} (rank {:#010x})",
+        g.n(),
+        params.num_subgraphs,
+        out.root,
+        rank(out.root)
+    );
     println!(
         "\n== Theorem 1 broadcast: {} rounds (partition attempts: {attempts})",
         out.total_rounds

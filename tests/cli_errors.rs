@@ -218,6 +218,19 @@ fn good_invocations_still_succeed() {
         .sum();
     assert_eq!(family_jobs, 8, "serve output: {stdout}");
 
+    // The broadcast header names the elected root by id and rank: the
+    // node of highest rank.
+    let bcast = fastbcast(&["broadcast", "harary:4,32", "--k", "16"]);
+    let stdout = String::from_utf8_lossy(&bcast.stdout);
+    assert!(bcast.status.success(), "broadcast output: {stdout}");
+    let rank = fast_broadcast::core::leader::rank;
+    let root = (0..32).max_by_key(|&v| rank(v)).unwrap();
+    let header = stdout.lines().next().unwrap_or_default();
+    assert!(
+        header.ends_with(&format!("root = {root} (rank {:#010x})", rank(root))),
+        "broadcast header: {header}"
+    );
+
     // An aggressive eviction budget: two graphs alternating under
     // --max-graphs 1 forces graph aging + re-registration mid-stream,
     // and the run still completes with eviction stats reported.
