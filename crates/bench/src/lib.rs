@@ -4,7 +4,7 @@
 //! `exp_resilience`, `exp_profile`; DESIGN.md §5 says which claim each
 //! one holds up), each regenerating the series its theorem predicts and
 //! printing a markdown table of model quantities — the same on any host
-//! and at any pool width; plus the two CI gates (`benches/gates.rs`).
+//! and at any pool width. Wall-clock numbers are `benchmark/`'s.
 //!
 //! Run e.g. `cargo run --release -p congest-bench --bin exp_e3_broadcast`.
 //! What each binary printed at the last commit that meant to change it is

@@ -18,7 +18,7 @@
 //! | Theorems 3 & 8 | [`lower_bounds`] | information-theoretic universal lower-bound calculators |
 //! | §1.2 | [`congested_clique`] | simulating rounds of the broadcast congested clique \[DKO14\] |
 //! | §1.2 / \[FP23\] | [`resilient`] | replicated broadcast surviving a mobile edge adversary |
-//! | robustness (DESIGN.md §3) | [`mod@watchdog`] | phase-boundary connectivity watchdog + the family's one retry-and-degrade ladder |
+//! | robustness (DESIGN.md §3) | [`mod@watchdog`] | connectivity watchdog + the family's one retry-and-degrade ladder |
 //!
 //! Surface rule for the Theorem 1 family: [`partition_broadcast`] and
 //! [`broadcast::partition_broadcast_retrying`] take a `&Graph` and build

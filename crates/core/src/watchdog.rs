@@ -1,18 +1,19 @@
-//! Connectivity watchdog and graceful degradation under churn.
+//! Connectivity watchdog and graceful degradation on a fixed graph.
 //!
-//! The paper's parameter choice `λ′ = λ/(C·ln n)` (Theorem 1) assumes λ is
-//! a property of a fixed graph. Under churn ([`congest_sim::churn`]) the
-//! topology drifts between phases, and a λ′ that was safe at launch can
-//! silently cross Theorem 2's threshold — at which point every attempt
-//! fails [`BroadcastError::NotSpanning`] and a bare retry loop burns its
-//! whole budget re-rolling a partition that *cannot* span.
+//! The paper's parameter choice `λ′ = λ/(C·ln n)` (Theorem 1) needs λ, and
+//! exact λ costs a max-flow computation. The free estimate is the minimum
+//! degree δ, and `δ ≥ λ` always — so a λ′ taken from δ can exceed what the
+//! graph supports (a bottleneck cut narrower than δ, as in clique chains
+//! and barbells). Past Theorem 2's threshold every attempt fails
+//! [`BroadcastError::NotSpanning`], and a bare retry loop burns its whole
+//! budget re-rolling a partition that *cannot* span.
 //!
 //! This module closes that gap in two layers:
 //!
-//! * a **watchdog** ([`watchdog()`]) run at the phase boundary: it
-//!   re-measures connectivity (cheap `δ ≥ λ` upper bound by default,
-//!   exact λ via [`congest_graph::algo::edge_connectivity`] on demand)
-//!   and recomputes the λ′ the *current* graph supports;
+//! * a **watchdog** ([`watchdog()`]) run before the first attempt: it
+//!   measures connectivity (the free `δ ≥ λ` bound by default, exact λ
+//!   via [`congest_graph::algo::edge_connectivity`] on demand) and
+//!   computes the λ′ that bound supports;
 //! * a **degradation ladder** ([`partition_broadcast_degrading_hosted`],
 //!   [`resilient_broadcast_degrading_hosted`]): retry with fresh seeds at
 //!   the current λ′, and on persistent `NotSpanning` halve the subgraph
@@ -43,7 +44,7 @@ use crate::resilient::{resilient_broadcast_hosted, ResilientOutcome};
 use congest_graph::{algo, Graph};
 use congest_sim::{FaultPlan, Session};
 
-/// How the watchdog measures connectivity at a phase boundary.
+/// How the watchdog measures connectivity before the first attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WatchdogMode {
     /// Skip the check (the degradation ladder still reacts to
@@ -62,7 +63,7 @@ pub enum WatchdogMode {
     Exact,
 }
 
-/// What the watchdog saw at one phase boundary.
+/// What the watchdog saw before the first attempt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WatchdogReport {
     /// Minimum degree δ of the current graph.
@@ -80,8 +81,8 @@ pub struct WatchdogReport {
     pub disconnected: bool,
 }
 
-/// Re-measure connectivity and judge whether `current_subgraphs` is still
-/// viable on `g`. `c` is the partition constant (Theorem 2's `C`,
+/// Measure connectivity and judge whether `current_subgraphs` is viable
+/// on `g`. `c` is the partition constant (Theorem 2's `C`,
 /// usually [`DEFAULT_PARTITION_C`]).
 pub fn watchdog(g: &Graph, current_subgraphs: usize, mode: WatchdogMode, c: f64) -> WatchdogReport {
     let n = g.n();
@@ -115,7 +116,7 @@ pub struct DegradePolicy {
     pub attempts_per_level: usize,
     /// Floor of the ladder (1 = textbook single-tree broadcast).
     pub min_subgraphs: usize,
-    /// Phase-boundary connectivity check.
+    /// Connectivity check before the first attempt.
     pub watchdog: WatchdogMode,
     /// Theorem 2's `C` used to recompute λ′ from the watchdog's bound.
     pub partition_c: f64,
@@ -169,7 +170,7 @@ pub struct SalvageAttempt {
 /// How a degrading run actually unfolded.
 #[derive(Debug, Clone, Default)]
 pub struct DegradeLog {
-    /// The boundary check, if the policy ran one.
+    /// The connectivity check, if the policy ran one.
     pub watchdog: Option<WatchdogReport>,
     /// `(subgraphs, attempts)` per ladder level, in descent order; the
     /// last entry is the level that produced the returned result.

@@ -256,65 +256,6 @@ impl Graph {
         }
         h
     }
-
-    /// Structurally re-validate the CSR invariants every consumer of
-    /// this type assumes: monotone offsets covering the arc arrays,
-    /// per-node adjacency strictly sorted (simple graph, binary-search
-    /// ports), edge ids in range with endpoints matching the adjacency,
-    /// and the reverse-arc permutation a true involution pairing the
-    /// two directions of each edge.
-    ///
-    /// Construction through [`crate::GraphBuilder`] and in-place repair
-    /// both maintain these invariants; this check exists for graphs
-    /// arriving from *outside* the process — snapshot restore re-runs it
-    /// before marrying engine state to a deserialized topology, so a
-    /// corrupt or hand-forged frame is refused instead of producing an
-    /// engine whose scatter permutation writes out of bounds.
-    pub fn validate_csr(&self) -> Result<(), &'static str> {
-        let n = self.n();
-        let arcs = self.adj_node.len();
-        if self.offsets.first() != Some(&0) || self.offsets[n] as usize != arcs {
-            return Err("offsets do not cover the arc arrays");
-        }
-        if self.offsets.windows(2).any(|w| w[0] > w[1]) {
-            return Err("offsets are not monotone");
-        }
-        if self.adj_edge.len() != arcs || self.reverse_arc.len() != arcs {
-            return Err("arc arrays disagree in length");
-        }
-        if arcs != 2 * self.m() {
-            return Err("arc count is not twice the edge count");
-        }
-        for v in 0..n as Node {
-            let lo = self.offsets[v as usize] as usize;
-            let hi = self.offsets[v as usize + 1] as usize;
-            for a in lo..hi {
-                let w = self.adj_node[a];
-                if w as usize >= n || w == v {
-                    return Err("neighbor out of range or self-loop");
-                }
-                if a > lo && self.adj_node[a - 1] >= w {
-                    return Err("adjacency not strictly sorted");
-                }
-                let e = self.adj_edge[a] as usize;
-                if e >= self.m() {
-                    return Err("edge id out of range");
-                }
-                if self.endpoints[e] != (v.min(w), v.max(w)) {
-                    return Err("endpoints disagree with adjacency");
-                }
-                let r = self.reverse_arc[a] as usize;
-                if r >= arcs
-                    || self.adj_node[r] != v
-                    || self.adj_edge[r] as usize != e
-                    || self.reverse_arc[r] as usize != a
-                {
-                    return Err("reverse-arc permutation is not an involution");
-                }
-            }
-        }
-        Ok(())
-    }
 }
 
 impl fmt::Debug for Graph {

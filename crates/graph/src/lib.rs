@@ -5,9 +5,10 @@
 //!
 //! * [`Graph`] — an immutable, cache-friendly CSR (compressed sparse row)
 //!   representation of a **simple, undirected, unweighted** graph, the object
-//!   the paper quantifies over. Every undirected edge has a stable
-//!   [`Edge`] id so that edge-indexed data (partition colors, tree
-//!   membership, congestion counters) can live in flat `Vec`s.
+//!   the paper quantifies over. The paper's topology never changes, and
+//!   nothing here changes a graph once it is built. Every undirected edge
+//!   has a stable [`Edge`] id so that edge-indexed data (partition colors,
+//!   tree membership, congestion counters) can live in flat `Vec`s.
 //! * [`WeightedGraph`] — a [`Graph`] plus a parallel weight vector, used by
 //!   the weighted-APSP (§4.2) and sparsifier (§4.3) applications.
 //! * [`builder::GraphBuilder`] — validating construction from edge lists.
@@ -33,12 +34,10 @@ pub mod builder;
 pub mod generators;
 mod graph;
 pub mod metrics;
-mod mutate;
 mod shard;
 mod weighted;
 
 pub use builder::GraphBuilder;
 pub use graph::{Edge, Graph, Node, Port, INVALID_NODE};
-pub use mutate::{MutationError, RepairReport, RepairScratch};
 pub use shard::ShardPlan;
 pub use weighted::WeightedGraph;

@@ -111,67 +111,6 @@ impl ShardPlan {
         let hi = ((self.node_word_starts[s + 1] as usize) * 64).min(self.n);
         lo..hi.max(lo)
     }
-
-    /// Recompute this plan in place for (a possibly mutated) `g`, keeping
-    /// the current shard count and reusing every boundary `Vec` — the
-    /// churn path's allocation-free alternative to building a fresh plan.
-    /// Produces exactly `g.shard_plan(self.num_shards())`.
-    pub fn rebalance(&mut self, g: &Graph) {
-        let shards = self.num_shards();
-        self.node_starts.clear();
-        self.word_starts.clear();
-        self.node_word_starts.clear();
-        self.arcs = g.num_arcs();
-        self.n = g.n();
-        fill_plan(
-            g,
-            shards,
-            &mut self.node_starts,
-            &mut self.word_starts,
-            &mut self.node_word_starts,
-        );
-    }
-}
-
-/// Shared boundary computation for [`Graph::shard_plan`] and
-/// [`ShardPlan::rebalance`]: push the `s_count + 1` node/word/node-word
-/// boundaries for `g` into the (empty) vectors.
-fn fill_plan(
-    g: &Graph,
-    shards: usize,
-    node_starts: &mut Vec<Node>,
-    word_starts: &mut Vec<u32>,
-    node_word_starts: &mut Vec<u32>,
-) {
-    let n = g.n();
-    let arcs = g.num_arcs();
-    let s_count = shards.clamp(1, n.max(1));
-    let total_words = arcs.div_ceil(64);
-    let total_node_words = n.div_ceil(64);
-    node_starts.push(0u32);
-    word_starts.push(0u32);
-    node_word_starts.push(0u32);
-    let mut prev_node = 0usize;
-    for s in 1..s_count {
-        // The node whose arc offset first reaches the balanced target;
-        // strictly increasing so every shard owns at least one node.
-        let target = (arcs * s) / s_count;
-        let found = g
-            .offsets
-            .partition_point(|&off| (off as usize) < target)
-            .clamp(prev_node + 1, n - (s_count - s));
-        node_starts.push(found as u32);
-        // Boundary words belong to the *later* shard, so word ranges
-        // are monotone and partition `0..total_words` exactly.
-        let word = (g.offsets[found] as usize / 64).min(total_words) as u32;
-        word_starts.push(word.max(*word_starts.last().unwrap()));
-        let node_word = (found / 64).min(total_node_words) as u32;
-        node_word_starts.push(node_word.max(*node_word_starts.last().unwrap()));
-        prev_node = found;
-    }
-    node_starts.push(n as u32);
-    word_starts.push(total_words as u32);
-    node_word_starts.push(total_node_words as u32);
 }
 
 impl Graph {
@@ -183,16 +122,35 @@ impl Graph {
         let n = self.n();
         let arcs = self.num_arcs();
         let s_count = shards.clamp(1, n.max(1));
+        let total_words = arcs.div_ceil(64);
+        let total_node_words = n.div_ceil(64);
         let mut node_starts = Vec::with_capacity(s_count + 1);
         let mut word_starts = Vec::with_capacity(s_count + 1);
         let mut node_word_starts = Vec::with_capacity(s_count + 1);
-        fill_plan(
-            self,
-            shards,
-            &mut node_starts,
-            &mut word_starts,
-            &mut node_word_starts,
-        );
+        node_starts.push(0u32);
+        word_starts.push(0u32);
+        node_word_starts.push(0u32);
+        let mut prev_node = 0usize;
+        for s in 1..s_count {
+            // The node whose arc offset first reaches the balanced target;
+            // strictly increasing so every shard owns at least one node.
+            let target = (arcs * s) / s_count;
+            let found = self
+                .offsets
+                .partition_point(|&off| (off as usize) < target)
+                .clamp(prev_node + 1, n - (s_count - s));
+            node_starts.push(found as u32);
+            // Boundary words belong to the *later* shard, so word ranges
+            // are monotone and partition `0..total_words` exactly.
+            let word = (self.offsets[found] as usize / 64).min(total_words) as u32;
+            word_starts.push(word.max(*word_starts.last().unwrap()));
+            let node_word = (found / 64).min(total_node_words) as u32;
+            node_word_starts.push(node_word.max(*node_word_starts.last().unwrap()));
+            prev_node = found;
+        }
+        node_starts.push(n as u32);
+        word_starts.push(total_words as u32);
+        node_word_starts.push(total_node_words as u32);
         ShardPlan {
             node_starts,
             word_starts,
@@ -309,22 +267,6 @@ mod tests {
                 owned > per / 2 && owned < per * 2,
                 "shard {s} owns {owned} arcs, target {per}"
             );
-        }
-    }
-
-    #[test]
-    fn rebalance_matches_fresh_plan() {
-        let mut g = harary(6, 100);
-        let mut plan = g.shard_plan(7);
-        let mut scratch = crate::RepairScratch::new();
-        // Grow one hub until the arc balance shifts, rebalancing as we go.
-        for i in 0..30u32 {
-            let v = 40 + i;
-            if !g.has_edge(0, v) {
-                g.apply_batch(&[(0, v)], &[], &mut scratch).unwrap();
-            }
-            plan.rebalance(&g);
-            assert_eq!(plan, g.shard_plan(7), "after add {i}");
         }
     }
 

@@ -203,58 +203,3 @@ proptest! {
         }
     }
 }
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// Incremental repair oracle: a random sequence of mutation batches
-    /// applied through `apply_batch` yields a graph structurally equal
-    /// (edge ids, arc layout, reverse arcs) to a fresh `GraphBuilder`
-    /// build of the same edge set after every batch.
-    #[test]
-    fn apply_batch_matches_rebuild(
-        g in arb_graph(14),
-        seed in any::<u64>(),
-        batches in 1usize..6,
-        batch_size in 1usize..5,
-    ) {
-        use congest_sim_free_mix::mix64;
-        let n = g.n();
-        let mut live = g.clone();
-        let mut scratch = congest_graph::RepairScratch::new();
-        for b in 0..batches as u64 {
-            let mut add = Vec::new();
-            let mut remove = Vec::new();
-            for d in 0..(4 * batch_size) as u64 {
-                let h = mix64(seed ^ mix64(b) ^ d);
-                let u = (h % n as u64) as u32;
-                let v = ((h >> 20) % n as u64) as u32;
-                if u == v {
-                    continue;
-                }
-                let (u, v) = (u.min(v), u.max(v));
-                let in_add = add.contains(&(u, v));
-                let in_remove = remove.contains(&(u, v));
-                if in_add || in_remove {
-                    continue;
-                }
-                if live.has_edge(u, v) {
-                    if remove.len() < batch_size {
-                        remove.push((u, v));
-                    }
-                } else if add.len() < batch_size {
-                    add.push((u, v));
-                }
-            }
-            let rep = live.apply_batch(&add, &remove, &mut scratch).unwrap();
-            prop_assert_eq!(rep.edges_added, add.len());
-            prop_assert_eq!(rep.edges_removed, remove.len());
-            prop_assert_eq!(rep.m, live.m());
-            let rebuilt = GraphBuilder::new(n)
-                .edges(live.edge_list().map(|(_, u, v)| (u, v)))
-                .build()
-                .unwrap();
-            prop_assert_eq!(&live, &rebuilt, "batch {} diverged from rebuild", b);
-        }
-    }
-}

@@ -54,9 +54,9 @@
 //! runs any number of phases on them, one after another, through
 //! [`Session::run`] — the crate's one round loop ([`session`]). There is
 //! no other host: [`run_protocol`] is one phase on a session of its own, a
-//! [`ChurnSession`] and a [`SessionPool`] lend theirs out as `Session`s
-//! ([`ChurnSession::with_host`], [`SessionPool::with_session`]), and
-//! `PhaseHost` is an alias kept for `benchmark/`. Many independent runs
+//! [`SessionPool`] lends its warm ones out as `Session`s
+//! ([`SessionPool::with_session`]), and `PhaseHost` is an alias kept for
+//! `benchmark/`. Many independent runs
 //! on one graph — a seed sweep, a job queue — are a loop on one warm
 //! session (DESIGN.md §10 has the measurements that retired the 64-lane
 //! batched kernel).
@@ -67,7 +67,6 @@
 //! `O(congestion + dilation·log² n)` composition.
 
 pub mod baseline;
-pub mod churn;
 pub mod eager;
 pub mod engine;
 pub mod fault;
@@ -81,10 +80,9 @@ pub mod session;
 mod slab;
 pub mod snapshot;
 
-pub use churn::{ChurnError, ChurnReport, ChurnSession, ChurnStats, Mutation, MutationQueue};
 pub use eager::{check_quiescent, Eager};
 pub use engine::{run_protocol, EngineConfig, EngineError, RunOutcome, RunStats};
-pub use fault::{ChurnPlan, EdgeMarks, FaultPlan};
+pub use fault::FaultPlan;
 pub use message::{MsgBits, MsgWord, PackedMsg};
 pub use phase::PhaseLog;
 pub use pool::{

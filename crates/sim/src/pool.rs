@@ -16,8 +16,8 @@
 //! [`SessionPool::with_session`] pops a warm state (or builds one on a
 //! miss), marries it to the entry's graph as a [`Session`], runs the
 //! closure, and pushes the state back. A warm checkout cycle allocates
-//! nothing (pinned by `tests/zero_alloc.rs`), so steady-state serving has
-//! zero engine churn.
+//! nothing (pinned by `tests/zero_alloc.rs`), so steady-state serving
+//! builds no engine state at all.
 //! A key the pool does not hold — never registered here, or aged out — is
 //! [`PoolError::UnknownGraph`] from every keyed call, never a panic.
 //!

@@ -5,7 +5,7 @@
 //! pipelined routing). Executing each phase through a fresh
 //! [`crate::run_protocol`] call re-allocates and re-zeroes the full arc
 //! slabs, occupancy bitsets, broadcast planes, congestion counters, and
-//! shard worklists — hundreds of MB of setup churn per phase at `n = 10^6`,
+//! shard worklists — hundreds of MB of setup work per phase at `n = 10^6`,
 //! paid again for every phase and for every iteration of
 //! `exp_search`'s doubling loop.
 //!
@@ -13,7 +13,7 @@
 //! that state once and runs any number of protocols to termination on
 //! it, in sequence — one instance per phase through [`Session::run`], the
 //! crate's one round loop. It is the crate's only engine host; the pool
-//! and the churn session lend theirs out as one.
+//! lends its warm ones out as one.
 //!
 //! * **Slab reuse across message widths.** The arc/broadcast message
 //!   slabs are raw 16-byte-aligned storage keyed by the *widest*
@@ -158,7 +158,7 @@
 //! bit-identical (`tests/proptest_engine.rs`).
 
 use crate::engine::{EngineConfig, EngineError, RunOutcome, RunStats};
-use crate::fault::{EdgeMarks, FaultPlan};
+use crate::fault::FaultPlan;
 use crate::message::{MsgWord, PackedMsg};
 use crate::protocol::{BcastIn, BcastOut, InSlot, NodeCtx, OutSlot, Protocol};
 use crate::rng::node_rng;
@@ -250,13 +250,12 @@ fn for_each_blocked_arc(
     plan: &FaultPlan,
     round: u64,
     blocked: &mut Vec<Edge>,
-    marks: &mut EdgeMarks,
     mut hit: impl FnMut(usize),
 ) {
     if plan.edges_per_round == 0 {
         return;
     }
-    plan.blocked_edges_into_marked(round, graph.m(), blocked, marks);
+    plan.blocked_edges_into(round, graph.m(), blocked);
     for &e in blocked.iter() {
         let (u, v) = graph.endpoints(e);
         for (from, to) in [(u, v), (v, u)] {
@@ -547,11 +546,9 @@ impl<'s, O> PhaseOutcome<'s, O> {
 }
 
 /// The graph-independent half of a [`Session`]: every buffer the round
-/// loop owns, movable between graphs. A session is `graph + state`; the
-/// churn subsystem ([`crate::churn`]) owns a `SessionState` next to an
-/// owned mutable [`Graph`] and re-marries them per phase, repairing the
-/// graph-keyed buffers in place after each mutation batch instead of
-/// rebuilding the engine.
+/// loop owns. A session is `graph + state`; the pool keeps the states of
+/// its warm sessions next to their graphs and re-marries them per job
+/// ([`Session::from_state`]).
 #[derive(Default)]
 pub(crate) struct SessionState {
     /// Double-buffered arc message slabs (inbox / staging).
@@ -578,9 +575,8 @@ pub(crate) struct SessionState {
     /// rewrites all of it, so it crosses no phase boundary: no scrub, no
     /// hash tag, no snapshot field.
     active: Vec<u8>,
-    /// Fault-adversary scratch (drawn edge ids + dedup mark-bitset).
+    /// Fault-adversary scratch (the round's drawn edge ids).
     blocked: Vec<Edge>,
-    fault_marks: EdgeMarks,
     /// Shard plan cache, keyed by the clamped requested shard count.
     plan: Option<(usize, ShardPlan)>,
     meters: Vec<ShardMeter>,
@@ -632,7 +628,6 @@ impl SessionState {
             node_traffic: Vec::new(),
             active: vec![0; graph.n()],
             blocked: Vec::new(),
-            fault_marks: EdgeMarks::default(),
             plan: None,
             meters: Vec::new(),
             wl_starts: Vec::new(),
@@ -646,28 +641,9 @@ impl SessionState {
         }
     }
 
-    /// Re-key the graph-sized buffers after the graph mutated: resize the
-    /// arc/edge-indexed buffers to the new arc and edge counts and
-    /// rebalance the cached shard plan in place. Clean state stays clean
-    /// (every live region is zero, and resizing zeros grows with zeros /
-    /// truncates zeros); a dirty state pays its scrub at the new sizes on
-    /// the next run. Node-indexed buffers are untouched — churn never
-    /// changes `n` (crashed nodes are isolated, not deleted).
-    pub(crate) fn repair(&mut self, graph: &Graph) {
-        let arcs = graph.num_arcs();
-        let occ_words = arcs.div_ceil(64);
-        self.in_occ.resize(occ_words, 0);
-        self.out_mask.resize(arcs, 0);
-        self.arc_traffic.resize(arcs, 0);
-        self.per_edge.resize(graph.m(), 0);
-        if let Some((_, plan)) = &mut self.plan {
-            plan.rebalance(graph);
-        }
-    }
-
-    /// Whether this state's graph-sized buffers match `graph` (the
-    /// churn session's self-heal check after a hosted-closure panic).
-    pub(crate) fn fits(&self, graph: &Graph) -> bool {
+    /// Whether this state's graph-sized buffers match `graph` (checked in
+    /// debug builds wherever a state is married to a graph).
+    fn fits(&self, graph: &Graph) -> bool {
         self.out_mask.len() == graph.num_arcs()
             && self.per_edge.len() == graph.m()
             && self.active.len() == graph.n()
@@ -676,7 +652,7 @@ impl SessionState {
     /// Full scrub of every buffer a failed phase may have left dirty.
     /// Only runs after an error or a panic escaped a phase; clean phases
     /// re-zero everything they touched on their way out.
-    pub(crate) fn scrub(&mut self) {
+    fn scrub(&mut self) {
         self.in_occ.fill(0);
         self.out_mask.fill(0);
         self.arc_traffic.fill(0);
@@ -765,7 +741,7 @@ impl SessionState {
 
     /// Replay recorded high-water marks so the restored session's first
     /// phases allocate nothing the original's wouldn't have.
-    pub(crate) fn grow_capacities(&mut self, caps: [u64; 6]) {
+    fn grow_capacities(&mut self, caps: [u64; 6]) {
         self.slab_a.grow_to_bytes(caps[0] as usize);
         self.slab_b.grow_to_bytes(caps[1] as usize);
         self.bcast_slab_a.grow_to_bytes(caps[2] as usize);
@@ -780,7 +756,7 @@ impl SessionState {
     /// and the arenas are deliberately absent; see the [`crate::snapshot`]
     /// module docs for why each is safe to drop. Appends only — steady-state encoding into a warm buffer
     /// allocates nothing.
-    pub(crate) fn encode_payload(&self, out: &mut Vec<u8>) {
+    fn encode_payload(&self, out: &mut Vec<u8>) {
         crate::snapshot::put_u64s(out, &self.in_occ);
         crate::snapshot::put_u8s(out, &self.out_mask);
         crate::snapshot::put_u32s(out, &self.arc_traffic);
@@ -793,8 +769,8 @@ impl SessionState {
 
     /// Decode an engine payload for `graph`, validating every buffer
     /// length against the graph shape (lazily-sized buffers may be
-    /// empty or full-size, nothing else). [`SessionState::restore_payload`]
-    /// stamps `clean`, the plan, and the capacities from the frame header.
+    /// empty or full-size, nothing else). [`Session::restore`] stamps
+    /// `clean`, the plan, and the capacities from the frame header.
     fn decode_payload(
         graph: &Graph,
         r: &mut crate::snapshot::Reader<'_>,
@@ -847,49 +823,6 @@ impl SessionState {
         })
     }
 
-    /// The engine tail of a restore, the same for a plain and a churn
-    /// frame: hold the header's capacities and plan key to what `graph`
-    /// allows, decode the payload against `graph`, stamp the clean flag,
-    /// recompute the shard plan from its recorded key, replay the
-    /// capacity high-water marks, then re-hash and refuse on mismatch.
-    pub(crate) fn restore_payload(
-        graph: &Graph,
-        header: &crate::snapshot::SnapshotHeader,
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<SessionState, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        // The checksum is a fold anyone can recompute, so nothing is
-        // allocated on the header's word alone. A slab holds at most one
-        // 16-byte word per arc (per node, the broadcast pair), an arena one
-        // cell per node.
-        let slots = graph.num_arcs().max(graph.n()).max(1) as u64;
-        let slab = slots.saturating_mul(16);
-        let arena = slab.saturating_mul(ARENA_CELL_UNITS);
-        let [slabs @ .., cells, outs] = header.capacities;
-        if slabs.iter().any(|&c| c > slab) || cells.max(outs) > arena {
-            return Err(SnapshotError::SizeMismatch("capacities"));
-        }
-        // `begin_phase` clamps every shard count it caches to 1..=n.
-        if header.plan_key > graph.n().max(1) as u64 {
-            return Err(SnapshotError::SizeMismatch("plan_key"));
-        }
-        let mut state = SessionState::decode_payload(graph, r)?;
-        state.clean = header.clean;
-        if header.plan_key != 0 {
-            let k = header.plan_key as usize;
-            state.plan = Some((k, graph.shard_plan(k)));
-        }
-        state.grow_capacities(header.capacities);
-        let rehash = state.state_hash();
-        if rehash != header.state_hash {
-            return Err(SnapshotError::StateHashMismatch {
-                expected: header.state_hash,
-                found: rehash,
-            });
-        }
-        Ok(state)
-    }
-
     /// What a phase does first: scrub what a failed phase left behind,
     /// mark the state dirty until this phase completes (any early exit,
     /// error or panic, leaves partially-built state; only a completed
@@ -933,9 +866,8 @@ impl SessionState {
 
     /// The round loop: run one protocol instance per node on `graph`
     /// until global termination or the round limit. [`Session::run`] is
-    /// the public face; the state-level split is what lets the churn
-    /// session host phases on an owned, mutating graph.
-    pub(crate) fn run_phase<'s, P, F>(
+    /// the public face.
+    fn run_phase<'s, P, F>(
         &'s mut self,
         graph: &Graph,
         mut factory: F,
@@ -989,7 +921,6 @@ impl SessionState {
             node_traffic,
             active,
             blocked,
-            fault_marks,
             plan,
             meters,
             wl_starts,
@@ -1210,7 +1141,7 @@ impl SessionState {
             // --- Adversary phase: destroy staged messages on blocked
             // edges.
             if let Some(fault_plan) = &config.faults {
-                for_each_blocked_arc(graph, fault_plan, round, blocked, fault_marks, |dest| {
+                for_each_blocked_arc(graph, fault_plan, round, blocked, |dest| {
                     if out_mask[dest] == STAGED {
                         out_mask[dest] = 0;
                         stats.dropped_messages += 1;
@@ -1451,8 +1382,8 @@ impl<'g> Session<'g> {
         Session::new(graph)
     }
 
-    /// Re-marry a (possibly repaired) state with its graph — how the
-    /// churn session and the pool lend a state they own out as a session.
+    /// Re-marry a state with its graph — how the pool lends a state it
+    /// owns out as a session.
     pub(crate) fn from_state(graph: &'g Graph, state: SessionState) -> Session<'g> {
         debug_assert!(state.fits(graph), "state sized for a different graph");
         Session { graph, state }
@@ -1483,7 +1414,7 @@ impl<'g> Session<'g> {
     /// (previously used) buffer allocates nothing.
     pub fn snapshot_into(&self, out: &mut Vec<u8>) {
         out.clear();
-        crate::snapshot::begin(out, &crate::snapshot::Frame::of(self.graph, &self.state, 0));
+        crate::snapshot::begin(out, &crate::snapshot::Frame::of(self.graph, &self.state));
         self.state.encode_payload(out);
         crate::snapshot::finish(out);
     }
@@ -1508,9 +1439,6 @@ impl<'g> Session<'g> {
     ) -> Result<Session<'g>, crate::snapshot::SnapshotError> {
         use crate::snapshot::SnapshotError;
         let (header, mut r) = crate::snapshot::open(bytes)?;
-        if header.has_churn {
-            return Err(SnapshotError::WrongKind);
-        }
         let found = graph.fingerprint();
         if header.fingerprint != found {
             return Err(SnapshotError::FingerprintMismatch {
@@ -1523,12 +1451,35 @@ impl<'g> Session<'g> {
         {
             return Err(SnapshotError::SizeMismatch("graph shape"));
         }
-        if header.has_graph {
-            // A plain-session frame may still embed the topology (it is
-            // redundant here); skip over it after checking it matches.
-            crate::snapshot::read_graph(&mut r, &header)?;
+        // The checksum is a fold anyone can recompute, so nothing is
+        // allocated on the header's word alone. A slab holds at most one
+        // 16-byte word per arc (per node, the broadcast pair), an arena one
+        // cell per node.
+        let slots = graph.num_arcs().max(graph.n()).max(1) as u64;
+        let slab = slots.saturating_mul(16);
+        let arena = slab.saturating_mul(ARENA_CELL_UNITS);
+        let [slabs @ .., cells, outs] = header.capacities;
+        if slabs.iter().any(|&c| c > slab) || cells.max(outs) > arena {
+            return Err(SnapshotError::SizeMismatch("capacities"));
         }
-        let state = SessionState::restore_payload(graph, &header, &mut r)?;
+        // `begin_phase` clamps every shard count it caches to 1..=n.
+        if header.plan_key > graph.n().max(1) as u64 {
+            return Err(SnapshotError::SizeMismatch("plan_key"));
+        }
+        let mut state = SessionState::decode_payload(graph, &mut r)?;
+        state.clean = header.clean;
+        if header.plan_key != 0 {
+            let k = header.plan_key as usize;
+            state.plan = Some((k, graph.shard_plan(k)));
+        }
+        state.grow_capacities(header.capacities);
+        let rehash = state.state_hash();
+        if rehash != header.state_hash {
+            return Err(SnapshotError::StateHashMismatch {
+                expected: header.state_hash,
+                found: rehash,
+            });
+        }
         Ok(Session::from_state(graph, state))
     }
 

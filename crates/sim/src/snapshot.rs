@@ -1,7 +1,7 @@
 //! Snapshot, replay, and per-phase state hashing.
 //!
-//! Long compositions — soak runs, churn scenarios, `fastbcast serve`
-//! sessions — need two things the round loop itself cannot give them:
+//! Long compositions — Theorem 1's six phases, seed sweeps, `fastbcast
+//! serve`'s warm sessions — need two things the round loop itself cannot give them:
 //! **checkpointing** (stop at a phase boundary, move the engine to
 //! another process or host, continue bit-identically) and a **cheap
 //! cross-host differential signal** (compare two runs without shipping
@@ -20,7 +20,7 @@
 //! offset  field
 //! 0       magic      u64   "FBCSNAP1"
 //! 8       version    u32   SNAPSHOT_VERSION
-//! 12      flags      u32   bit 0 clean, bit 1 graph section, bit 2 churn section
+//! 12      flags      u32   bit 0 clean; any other bit set is refused
 //! 16      checksum   u64   splitmix64 fold over every byte after this field
 //! 24      fingerprint u64  Graph::fingerprint of the graph the state is keyed to
 //! 32      n, m, arcs u64×3 graph shape (restore-time size validation)
@@ -30,7 +30,7 @@
 //! 72      capacities u64×6 byte high-water marks of the arc/broadcast slabs
 //!                          and the cell/output arenas (restored so the
 //!                          zero-alloc warm-up survives migration)
-//! 120     body             [graph section][churn section][engine payload]
+//! 120     body             engine payload
 //! ```
 //!
 //! The engine payload serializes exactly the buffers that carry state
@@ -64,12 +64,11 @@
 //! unchecked), then every decoded buffer length, and finally the
 //! recomputed [`crate::Session::state_hash`] must equal
 //! the recorded one — a restored engine is bit-identical or it is an
-//! error, never silently wrong. Churn snapshots additionally carry the
-//! mutated topology as an edge list; the CSR is rebuilt through
-//! [`congest_graph::GraphBuilder`] (edge ids are canonical, so the
-//! rebuild is exact), re-validated structurally
-//! ([`congest_graph::Graph::validate_csr`]), and checked against the
-//! recorded fingerprint.
+//! error, never silently wrong. A frame never carries its graph: the
+//! caller supplies the topology, and the fingerprint decides whether the
+//! two belong together. Flag bits 1 and 2 once marked an embedded graph
+//! and a dynamic-topology section (DESIGN.md §10); a frame that sets
+//! either, or any other unknown bit, is [`SnapshotError::WrongKind`].
 //!
 //! ## State hashing
 //!
@@ -133,7 +132,7 @@
 //! ```
 
 use crate::rng::mix64;
-use congest_graph::{Graph, GraphBuilder};
+use congest_graph::Graph;
 use std::fmt;
 
 /// First 8 bytes of every snapshot: `b"FBCSNAP1"` read as a
@@ -147,8 +146,6 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"FBCSNAP1");
 pub const SNAPSHOT_VERSION: u32 = 3;
 
 pub(crate) const FLAG_CLEAN: u32 = 1;
-pub(crate) const FLAG_GRAPH: u32 = 2;
-pub(crate) const FLAG_CHURN: u32 = 4;
 
 /// Fixed header size in bytes; the body starts here.
 pub(crate) const HEADER_BYTES: usize = 120;
@@ -167,13 +164,11 @@ pub enum SnapshotError {
     Checksum,
     /// The frame is keyed to a different graph than the restore target.
     FingerprintMismatch { expected: u64, found: u64 },
-    /// This frame kind cannot restore into the requested session type
-    /// (e.g. a churn frame into a plain [`crate::Session`]).
+    /// The frame sets a flag bit this build does not know: a frame kind
+    /// it cannot restore.
     WrongKind,
     /// A decoded buffer length disagrees with the recorded graph shape.
     SizeMismatch(&'static str),
-    /// The embedded graph section failed to rebuild or re-validate.
-    Graph(String),
     /// The restored state's recomputed hash differs from the recorded
     /// one — the frame is internally inconsistent.
     StateHashMismatch { expected: u64, found: u64 },
@@ -204,7 +199,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::SizeMismatch(what) => {
                 write!(f, "snapshot buffer `{what}` disagrees with the graph shape")
             }
-            SnapshotError::Graph(e) => write!(f, "embedded graph rejected: {e}"),
             SnapshotError::StateHashMismatch { expected, found } => write!(
                 f,
                 "restored state hashes to {found:#018x}, frame recorded {expected:#018x}"
@@ -228,11 +222,6 @@ pub struct SnapshotHeader {
     /// Whether the captured state was breadcrumb-clean (it always is for
     /// frames produced by this crate; snapshots are phase-boundary only).
     pub clean: bool,
-    /// Whether the frame embeds the graph topology (churn snapshots do).
-    pub has_graph: bool,
-    /// Whether the frame carries churn bookkeeping (crash flags, parked
-    /// edges, cumulative counters).
-    pub has_churn: bool,
     /// [`congest_graph::Graph::fingerprint`] of the keyed graph.
     pub fingerprint: u64,
     /// Node count of the keyed graph.
@@ -278,7 +267,7 @@ pub fn checksum(bytes: &[u8]) -> u64 {
     mix64(h)
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, x: u64) {
+fn put_u64(out: &mut Vec<u8>, x: u64) {
     out.extend_from_slice(&x.to_le_bytes());
 }
 
@@ -322,7 +311,7 @@ impl<'a> Reader<'a> {
         Ok(s)
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64, SnapshotError> {
+    fn u64(&mut self) -> Result<u64, SnapshotError> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
@@ -376,12 +365,10 @@ pub(crate) struct Frame {
 }
 
 impl Frame {
-    /// The header of a frame taken now of `state` on `graph`; `sections`
-    /// is [`FLAG_GRAPH`] / [`FLAG_CHURN`] for the body sections the caller
-    /// writes before the engine payload (0 for a plain session frame).
-    pub(crate) fn of(graph: &Graph, state: &crate::session::SessionState, sections: u32) -> Frame {
+    /// The header of a frame taken now of `state` on `graph`.
+    pub(crate) fn of(graph: &Graph, state: &crate::session::SessionState) -> Frame {
         Frame {
-            flags: sections | if state.clean { FLAG_CLEAN } else { 0 },
+            flags: if state.clean { FLAG_CLEAN } else { 0 },
             fingerprint: graph.fingerprint(),
             n: graph.n() as u64,
             m: graph.m() as u64,
@@ -439,7 +426,7 @@ pub(crate) fn open(bytes: &[u8]) -> Result<(SnapshotHeader, Reader<'_>), Snapsho
     let flags = u32::from_le_bytes(r.take(4)?.try_into().unwrap());
     // The flags sit before the checksummed region: a bit this build does
     // not know is a frame kind it cannot restore.
-    if flags & !(FLAG_CLEAN | FLAG_GRAPH | FLAG_CHURN) != 0 {
+    if flags & !FLAG_CLEAN != 0 {
         return Err(SnapshotError::WrongKind);
     }
     let recorded = r.u64()?;
@@ -459,8 +446,6 @@ pub(crate) fn open(bytes: &[u8]) -> Result<(SnapshotHeader, Reader<'_>), Snapsho
     let header = SnapshotHeader {
         version,
         clean: flags & FLAG_CLEAN != 0,
-        has_graph: flags & FLAG_GRAPH != 0,
-        has_churn: flags & FLAG_CHURN != 0,
         fingerprint,
         n,
         m,
@@ -470,50 +455,6 @@ pub(crate) fn open(bytes: &[u8]) -> Result<(SnapshotHeader, Reader<'_>), Snapsho
         capacities,
     };
     Ok((header, r))
-}
-
-/// Serialize a graph as its canonical edge list. Edge ids are assigned
-/// in canonical `(min, max)`-sorted order by [`GraphBuilder::build`], so
-/// the list round-trips to the *identical* CSR.
-pub(crate) fn put_graph(out: &mut Vec<u8>, g: &Graph) {
-    put_u64(out, g.n() as u64);
-    put_u64(out, g.m() as u64);
-    for (_, u, v) in g.edge_list() {
-        out.extend_from_slice(&u.to_le_bytes());
-        out.extend_from_slice(&v.to_le_bytes());
-    }
-}
-
-/// Rebuild the embedded graph, holding its declared shape to the header's
-/// before anything is built and re-validating the CSR invariants and the
-/// recorded fingerprint after.
-pub(crate) fn read_graph(
-    r: &mut Reader<'_>,
-    header: &SnapshotHeader,
-) -> Result<Graph, SnapshotError> {
-    let n = r.u64()?;
-    let m = r.len_prefix(8)?;
-    if (n, m as u64) != (header.n, header.m) {
-        return Err(SnapshotError::SizeMismatch("graph shape"));
-    }
-    let mut b = GraphBuilder::new(n as usize);
-    for _ in 0..m {
-        let raw = r.take(8)?;
-        let u = u32::from_le_bytes(raw[..4].try_into().unwrap());
-        let v = u32::from_le_bytes(raw[4..].try_into().unwrap());
-        b.push_edge(u, v);
-    }
-    let g = b.build().map_err(|e| SnapshotError::Graph(e.to_string()))?;
-    g.validate_csr()
-        .map_err(|e| SnapshotError::Graph(e.to_string()))?;
-    let found = g.fingerprint();
-    if found != header.fingerprint {
-        return Err(SnapshotError::FingerprintMismatch {
-            expected: header.fingerprint,
-            found,
-        });
-    }
-    Ok(g)
 }
 
 #[cfg(test)]
@@ -562,7 +503,7 @@ mod tests {
         let frame = Session::new(&g).snapshot();
         // Replayed unchecked, this mark was a 4 EiB allocation: the process
         // aborted inside `restore`. (`proptest_snapshot.rs` moves every
-        // capacity slot of plain and churn frames; this is the one reported.)
+        // capacity slot; this is the one reported.)
         let bad = resealed(&frame, 72, 1 << 62);
         assert_eq!(peek(&bad).unwrap().capacities[0], 1 << 62);
         assert_eq!(
@@ -624,7 +565,6 @@ mod tests {
         let h = peek(&out).unwrap();
         assert_eq!(h.version, SNAPSHOT_VERSION);
         assert!(h.clean);
-        assert!(!h.has_graph);
         assert_eq!(h.fingerprint, 0xABCD);
         assert_eq!((h.n, h.m, h.arcs), (10, 20, 40));
         assert_eq!(h.plan_key, 3);

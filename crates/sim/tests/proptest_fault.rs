@@ -3,7 +3,7 @@
 //! broadcast plane's adaptive scatter fallback in sparse rounds.
 
 use congest_sim::baseline::{run_baseline, BaselineCtx, BaselineProtocol};
-use congest_sim::{run_protocol, EdgeMarks, EngineConfig, FaultPlan, NodeCtx, Protocol};
+use congest_sim::{run_protocol, EngineConfig, FaultPlan, NodeCtx, Protocol};
 use proptest::prelude::*;
 
 proptest! {
@@ -47,29 +47,6 @@ proptest! {
     fn deterministic_per_round(seed in any::<u64>(), round in 0u64..1000) {
         let plan = FaultPlan::new(8, seed);
         prop_assert_eq!(plan.blocked_edges(round, 4096), plan.blocked_edges(round, 4096));
-    }
-
-    /// The `O(1)`-per-draw mark-bitset dedup is **bit-identical** to the
-    /// legacy `O(budget²)` scan, round after round on one reused scratch —
-    /// including epoch bumps and stamp growth when `m` varies between
-    /// rounds (the churn case the bitset exists for).
-    #[test]
-    fn marked_dedup_matches_legacy_scan(
-        budget in 0usize..50,
-        m in 0usize..3000,
-        seed in any::<u64>(),
-        start in 0u64..5,
-    ) {
-        let plan = FaultPlan { edges_per_round: budget, seed, start_round: start };
-        let mut marks = EdgeMarks::new();
-        let (mut legacy, mut marked) = (Vec::new(), Vec::new());
-        for round in 0..12u64 {
-            // m shrinks and regrows across rounds, as under edge churn.
-            let m_r = if round.is_multiple_of(3) { m } else { m / 2 };
-            plan.blocked_edges_into(round, m_r, &mut legacy);
-            plan.blocked_edges_into_marked(round, m_r, &mut marked, &mut marks);
-            prop_assert_eq!(&legacy, &marked, "round {}", round);
-        }
     }
 }
 

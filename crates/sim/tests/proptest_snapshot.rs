@@ -7,19 +7,16 @@
 //!
 //! Alongside the oracle: state-hash invariance across serial/parallel ×
 //! shard counts (the hash folds only nonzero words, so execution
-//! strategy cannot leak into it), the churn-session snapshot arm (the
-//! frame carries the mutated topology and crash bookkeeping), the pool
-//! park/restore round trip, and the tamper suite (a mutation property
-//! over valid frames — byte flips, truncations, inflated length prefixes,
-//! header fields out of range — beside the fixed magic, version,
-//! fingerprint and kind-confusion cases: every corruption is a typed
-//! refusal).
+//! strategy cannot leak into it), the pool park/restore round trip, and
+//! the tamper suite (a mutation property over valid frames — byte flips,
+//! truncations, inflated length prefixes, header fields out of range —
+//! beside the fixed magic, version, fingerprint and unknown-flag cases:
+//! every corruption is a typed refusal).
 
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::rng::{mix64, phase_seed};
 use congest_sim::{
-    ChurnSession, EngineConfig, FaultPlan, Mutation, NodeCtx, Protocol, RunStats, Session,
-    SessionPool, SnapshotError,
+    EngineConfig, FaultPlan, NodeCtx, Protocol, RunStats, Session, SessionPool, SnapshotError,
 };
 use proptest::prelude::*;
 
@@ -259,7 +256,6 @@ proptest! {
             let header = congest_sim::snapshot::peek(&bytes).unwrap();
             prop_assert_eq!(header.fingerprint, g.fingerprint());
             prop_assert!(header.clean);
-            prop_assert!(!header.has_churn);
 
             let mut resumed = Session::restore(&g, &bytes).unwrap();
             prop_assert_eq!(resumed.state_hash(), header.state_hash);
@@ -309,61 +305,6 @@ proptest! {
             let par = hashes(true, shards, threads);
             prop_assert_eq!(&par, &serial, "shards={} threads={}", shards, threads);
         }
-    }
-
-    /// Churn arm: snapshot a `ChurnSession` mid-scenario (topology
-    /// mutated, a node crashed), restore, and drive both through the
-    /// same remaining mutations and phases — graphs, outputs, stats, and
-    /// hashes stay identical, and the crash bookkeeping survives (the
-    /// revive restores the same edges on both sides).
-    #[test]
-    fn churn_snapshot_restores_topology_and_bookkeeping(
-        g in arb_connected_graph(16),
-        seed in any::<u64>(),
-        victim in 0u32..8,
-    ) {
-        let victim = victim % g.n() as u32;
-        let mut original = ChurnSession::new(g.clone());
-        original.queue_mut().push(Mutation::Crash(victim));
-        let out = original
-            .run(
-                |_, _| Chatter { rounds: 5, salt: 1, heard: 0 },
-                EngineConfig::serial().seed(phase_seed(seed, 1)),
-            )
-            .unwrap();
-        drop(out);
-
-        let bytes = original.snapshot();
-        let header = congest_sim::snapshot::peek(&bytes).unwrap();
-        prop_assert!(header.has_graph && header.has_churn);
-        let mut restored = ChurnSession::restore(&bytes).unwrap();
-
-        prop_assert_eq!(restored.graph(), original.graph());
-        prop_assert_eq!(restored.crashed(), original.crashed());
-        prop_assert_eq!(restored.stats(), original.stats());
-        prop_assert_eq!(restored.state_hash(), original.state_hash());
-
-        // Continue both: revive the victim and run another phase.
-        for s in [&mut original, &mut restored] {
-            s.queue_mut().push(Mutation::Revive(victim));
-        }
-        let a = original
-            .run(
-                |_, _| Chatter { rounds: 5, salt: 2, heard: 0 },
-                EngineConfig::serial().seed(phase_seed(seed, 2)),
-            )
-            .unwrap()
-            .take_outputs();
-        let b = restored
-            .run(
-                |_, _| Chatter { rounds: 5, salt: 2, heard: 0 },
-                EngineConfig::serial().seed(phase_seed(seed, 2)),
-            )
-            .unwrap()
-            .take_outputs();
-        prop_assert_eq!(a, b);
-        prop_assert_eq!(original.graph(), restored.graph());
-        prop_assert_eq!(original.state_hash(), restored.state_hash());
     }
 
     /// Pool arm: park a pool's warm states as frames, restore them into
@@ -482,29 +423,14 @@ const CAPACITIES: usize = 72;
 const BODY: usize = 120;
 
 /// Offsets of every length prefix in a frame's body, walking the layout
-/// the module docs give: a churn frame's graph section (`n`, then `m`
-/// prefixed endpoint pairs) and churn section (crash flags, one parked
-/// list per node, five counters), then the engine payload's eight
-/// vectors. Ends exactly at the frame's end or the layout moved.
-fn length_prefixes(frame: &[u8], churn: bool) -> Vec<usize> {
+/// the module docs give: the engine payload's eight vectors. Ends exactly
+/// at the frame's end or the layout moved.
+fn length_prefixes(frame: &[u8]) -> Vec<usize> {
     let mut found = Vec::new();
     let mut at = BODY;
-    let mut vector = |at: &mut usize, elem_bytes: usize| {
-        found.push(*at);
-        *at += 8 + word_at(frame, *at) as usize * elem_bytes;
-    };
-    if churn {
-        let n = word_at(frame, at);
-        at += 8;
-        vector(&mut at, 8);
-        vector(&mut at, 1);
-        for _ in 0..n {
-            vector(&mut at, 4);
-        }
-        at += 5 * 8;
-    }
     for elem_bytes in [8, 1, 4, 1, 8, 4, 8, 8] {
-        vector(&mut at, elem_bytes);
+        found.push(at);
+        at += 8 + word_at(frame, at) as usize * elem_bytes;
     }
     assert_eq!(at, frame.len(), "the frame layout moved");
     found
@@ -513,9 +439,8 @@ fn length_prefixes(frame: &[u8], churn: bool) -> Vec<usize> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// The mutation property: take a valid `Session` or `ChurnSession`
-    /// frame — cold or warm, the churn one with a crashed node — and
-    /// damage it one way at a time. Any single byte flip and any
+    /// The mutation property: take a valid `Session` frame — cold or
+    /// warm — and damage it one way at a time. Any single byte flip and any
     /// truncation (as they are, and the truncation also with the checksum
     /// recomputed); any length prefix inflated and any header field moved
     /// out of range, both with the checksum recomputed. None may panic,
@@ -524,39 +449,17 @@ proptest! {
     fn mutated_frames_never_restore(
         g in arb_connected_graph(14),
         seed in any::<u64>(),
-        churn in any::<bool>(),
         phases in 0u64..3,
         picks in any::<u64>(),
     ) {
-        let frame = if churn {
-            let mut s = ChurnSession::new(g.clone());
-            for k in 1..=phases {
-                s.queue_mut().push(Mutation::Crash(((seed % 64 + k) % g.n() as u64) as u32));
-                let out = s
-                    .run(
-                        |_, _| Chatter { rounds: 4, salt: k, heard: 0 },
-                        EngineConfig::serial().seed(phase_seed(seed, k)).trace(),
-                    )
-                    .unwrap();
-                drop(out);
-            }
-            s.snapshot()
-        } else {
-            let mut s = Session::new(&g);
-            for k in 1..=phases {
-                run_phase(&mut s, k, seed, 2, 1, seed);
-            }
-            s.snapshot()
-        };
-        let restore = |bytes: &[u8]| -> Result<(), SnapshotError> {
-            if churn {
-                ChurnSession::restore(bytes).map(drop)
-            } else {
-                Session::restore(&g, bytes).map(drop)
-            }
-        };
+        let mut s = Session::new(&g);
+        for k in 1..=phases {
+            run_phase(&mut s, k, seed, 2, 1, seed);
+        }
+        let frame = s.snapshot();
+        let restore = |bytes: &[u8]| Session::restore(&g, bytes).map(drop);
         prop_assert_eq!(restore(&frame), Ok(()));
-        let prefixes = length_prefixes(&frame, churn);
+        let prefixes = length_prefixes(&frame);
         // Far past anything a graph of < 14 nodes allows, below and at the
         // top of the range.
         let absurd = |r: u64| if r & 1 == 0 { (1 << 40) + (r >> 24) } else { u64::MAX - (r >> 24) };
@@ -646,18 +549,20 @@ fn tampered_frames_are_refused() {
         SnapshotError::FingerprintMismatch { .. }
     ));
 
-    // Kind confusion both ways.
-    assert_eq!(
-        refusal(ChurnSession::restore(&bytes)),
-        SnapshotError::WrongKind
-    );
-    let churn_bytes = ChurnSession::new(g.clone()).snapshot();
-    assert_eq!(
-        refusal(Session::restore(&g, &churn_bytes)),
-        SnapshotError::WrongKind
-    );
-    // But a churn frame restores into a churn session even cold.
-    assert!(ChurnSession::restore(&churn_bytes).is_ok());
+    // A flag bit this build does not know is a frame kind it cannot
+    // restore: bits 1 and 2 marked the retired embedded-graph and
+    // dynamic-topology sections, 4 and 31 were never used. The flags sit
+    // before the checksummed region, so no reseal is needed.
+    for bit in [1u32, 2, 4, 31] {
+        let mut bad = bytes.clone();
+        let flags = u32::from_le_bytes(bad[12..16].try_into().unwrap()) | 1 << bit;
+        bad[12..16].copy_from_slice(&flags.to_le_bytes());
+        assert_eq!(
+            refusal(Session::restore(&g, &bad)),
+            SnapshotError::WrongKind,
+            "flag bit {bit}"
+        );
+    }
 }
 
 #[test]

@@ -9,8 +9,8 @@
 
 use congest_sim::sched::{random_delays, Multiplexed};
 use congest_sim::{
-    run_protocol, ChurnSession, EngineConfig, EvictionPolicy, FaultPlan, GraphKey, Mutation,
-    NodeCtx, PoolError, Protocol, Session, SessionPool,
+    run_protocol, EngineConfig, EvictionPolicy, FaultPlan, GraphKey, NodeCtx, PoolError, Protocol,
+    Session, SessionPool,
 };
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -312,44 +312,6 @@ fn session_cycle(session: &mut Session<'_>, rounds: u64, cfg: &EngineConfig) -> 
     acc
 }
 
-/// One steady-state churn cycle: queue a fixed removal batch, apply it at
-/// the phase boundary (incremental repair) and run a dense phase, then
-/// queue the inverse batch, apply, and run a **faulted** phase (the
-/// adversary's mark-bitset dedup must also hold its high-water). The
-/// batch is its own inverse, so the topology — and therefore every repair
-/// size — is identical at each cycle's start.
-fn churn_cycle(sess: &mut ChurnSession, rounds: u64, cfg: &EngineConfig) -> u64 {
-    let mut acc = 0u64;
-    for i in 0..4u32 {
-        sess.queue_mut().push(Mutation::RemoveEdge(i, i + 1));
-    }
-    let ph = sess
-        .run(
-            |_, _| Chatter {
-                until: rounds,
-                acc: 1,
-            },
-            cfg.clone(),
-        )
-        .unwrap();
-    acc ^= ph.outputs().iter().fold(0, |a, &x| a ^ x) ^ ph.stats.total_messages;
-    drop(ph);
-    for i in 0..4u32 {
-        sess.queue_mut().push(Mutation::AddEdge(i, i + 1));
-    }
-    let ph = sess
-        .run(
-            |_, _| Chatter {
-                until: rounds,
-                acc: 2,
-            },
-            cfg.clone().with_faults(FaultPlan::new(2, 0xFA)),
-        )
-        .unwrap();
-    acc ^= ph.stats.total_messages ^ ph.stats.dropped_messages;
-    acc
-}
-
 /// One pool steady-state cycle: acquire a warm state → run a phase →
 /// release → **re-acquire** (a `u128`-word phase on the same warm state),
 /// folding borrowed outputs so nothing escapes the closure.
@@ -630,35 +592,6 @@ fn round_loop_allocates_nothing_after_setup() {
             cfg.parallel
         );
         assert_ne!(acc, warm.wrapping_add(1), "keep results observable");
-    }
-
-    // --- Churn sessions: phase-boundary topology mutation with
-    // incremental repair. After two warm cycles (the repair scratch
-    // ping-pongs between two buffer sets, so both must reach high water),
-    // remove-batch → phase → add-batch → faulted-phase cycles allocate
-    // **exactly zero**: the CSR resplice reuses its scratch, the engine
-    // repair resizes stay within capacity, the cached ShardPlan
-    // rebalances in place, and the fault mark-bitset reuses its stamps
-    // across the changing edge count.
-    for cfg in [EngineConfig::serial(), EngineConfig::default()] {
-        let mut sess = ChurnSession::new(g.clone());
-        let warm = churn_cycle(&mut sess, 12, &cfg);
-        let warm2 = churn_cycle(&mut sess, 12, &cfg);
-        let mut acc = 0u64;
-        let leaked = min_allocs(|| {
-            let before = ALLOCATIONS.load(Ordering::Relaxed);
-            for _ in 0..3 {
-                acc ^= churn_cycle(&mut sess, 12, &cfg);
-            }
-            ALLOCATIONS.load(Ordering::Relaxed) - before
-        });
-        assert_eq!(
-            leaked, 0,
-            "churn cycles allocated {leaked} times after setup (parallel={})",
-            cfg.parallel
-        );
-        assert_eq!(sess.stats().batches, 34, "17 cycles of two batches");
-        assert_ne!(acc, warm.wrapping_add(warm2).wrapping_add(1));
     }
 
     // --- Session pool: the serving layer's steady state. Register pays
