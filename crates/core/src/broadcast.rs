@@ -19,9 +19,10 @@
 //!    This phase is where the rounds and the wall clock go when `k ≳ n`,
 //!    so a node's round is kept to two passes that allocate nothing: the
 //!    inbox folded straight into the λ′ [`PipeCore`]s, then one walk over
-//!    them that transmits and gathers the done flag; a node whose cores
-//!    were all drained leaves as soon as its inbox turns out empty (the
-//!    idle bit of [`crate::pipeline`], the `n ≫ k` case).
+//!    them that transmits and gathers the done flag. A node whose cores
+//!    have nothing to send is done, and leaves as soon as its inbox turns
+//!    out empty ("Done is quiescence" in [`crate::pipeline`]). In the
+//!    `n ≫ k` case most nodes wait most rounds, and the engine skips them.
 //!
 //! Every phase is executed as real message passing and its round count
 //! recorded in a [`PhaseLog`]; the total is the number Theorem 1 bounds.
@@ -324,8 +325,9 @@ impl PackedMsg for ColoredPipeMsg {
 /// each confined to its own class's tree edges.
 pub struct ParallelPipeline {
     cores: Vec<PipeCore>,
-    /// Every core was quiescent when the previous round ended (the idle
-    /// bit of [`crate::pipeline`]): no mail then means no work.
+    /// Every core was quiescent when the previous round ended: the done
+    /// flag ([`crate::pipeline`], "Done is quiescence"). No mail then
+    /// means no work.
     idle: bool,
 }
 
@@ -338,13 +340,12 @@ impl ParallelPipeline {
     /// [`crate::resilient::ReplicatedPipeline`]: fold the inbox straight
     /// into the cores (`on_arrival` sees every message first), then one
     /// walk that transmits each core's messages — tagged with its class,
-    /// on that class's own tree ports — and gathers `finished` into the
+    /// on that class's own tree ports — and gathers quiescence into the
     /// done flag.
     pub(crate) fn round_with(
         &mut self,
         ctx: &mut NodeCtx<'_, ColoredPipeMsg>,
         mut on_arrival: impl FnMut(PipeMsg),
-        finished: impl Fn(&PipeCore) -> bool,
     ) {
         let mail = ctx.inbox().fold(false, |_, (port, m)| {
             on_arrival(m.inner);
@@ -355,27 +356,24 @@ impl ParallelPipeline {
             return;
         }
         self.idle = true;
-        let mut done = true;
         for (c, core) in self.cores.iter_mut().enumerate() {
             let color = c as u16;
             core.transmit(|port, inner| ctx.send(port, ColoredPipeMsg { color, inner }));
             self.idle &= core.quiescent();
-            done &= finished(core);
         }
-        ctx.set_done(done);
+        ctx.set_done(self.idle);
     }
 }
 
 impl Protocol for ParallelPipeline {
     type Msg = ColoredPipeMsg;
     type Output = PipeResult;
-    /// Done means every core complete, hence quiescent, hence `idle` set
-    /// in that same round: a done round with an empty inbox returns before
-    /// it touches a core, the wire or the flag.
+    /// Done is `idle`, set in the same round: a done round with an empty
+    /// inbox returns before it touches a core, the wire or the flag.
     const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
-        self.round_with(ctx, |_| {}, PipeCore::complete);
+        self.round_with(ctx, |_| {});
     }
 
     fn finish(self) -> PipeResult {

@@ -28,14 +28,31 @@
 //! [`congest_sim::sched::Multiplexed`] (which also serves at most one
 //! message per port per round).
 //!
-//! **The idle bit.** A round with nothing queued and nothing arriving
-//! changes no state and sends nothing, and the done flag it would store is
-//! the one it stored last time. Each host keeps one `bool` — "every core
-//! was quiescent when my previous round ended" — folds its inbox straight
-//! into the cores, and returns as soon as that inbox turns out empty.
-//! Done implies quiescent, so a done node with an empty inbox always takes
-//! that exit: this is [`Protocol::QUIESCENT`]'s contract, and all three
-//! hosts declare it.
+//! **Done is quiescence.** A node whose cores hold nothing to send has no
+//! work until a message reaches it, whether or not it has all `k`
+//! messages yet, so every host reports done exactly when every core is
+//! [`PipeCore::quiescent`]. Each host keeps that answer in one `bool`,
+//! "every core was quiescent when my previous round ended", folds its
+//! inbox straight into the cores, and returns as soon as that inbox turns
+//! out empty. A round that returns there changes no state, sends nothing,
+//! and would store the done flag the node already holds. So a done node
+//! with an empty inbox always takes that exit, which is
+//! [`Protocol::QUIESCENT`]'s contract, and all three hosts declare it. In
+//! the `n ≫ k` regime the engine's active-node list then steps a node
+//! only in the rounds a message reaches it, not in every round until its
+//! last delivery.
+//!
+//! The rule cannot move a run's end. A run ends in the first round that
+//! delivers nothing while every node is done. If every core is quiescent
+//! and nothing was delivered, nothing is queued, nothing waits in a
+//! forward slot and nothing is on the wire. So no later round can deliver
+//! either, and nothing changes after it. A run in which every node
+//! completes therefore ends in the same round, with the same `iterations`,
+//! as it would under "done = [`PipeCore::complete`]". A pipeline that
+//! cannot complete (a core's `k` larger than what its tree carries, or
+//! deliveries dropped by a fault plan) ends quietly with `delivered < k`
+//! instead of running into the round limit. Delivery is judged after the
+//! run, by the checksums, as every driver does.
 //!
 //! Delivery accounting uses order-independent checksums (xor + sum) rather
 //! than storing every payload at every node, so large sweeps stay in
@@ -236,7 +253,7 @@ impl PipeCore {
 /// Lemma 1 as a standalone protocol on a single tree.
 pub struct TreePipeline {
     core: PipeCore,
-    /// The core was quiescent when the previous round ended.
+    /// The core was quiescent when the previous round ended: the done flag.
     idle: bool,
 }
 
@@ -252,10 +269,8 @@ impl TreePipeline {
 impl Protocol for TreePipeline {
     type Msg = PipeMsg;
     type Output = PipeResult;
-    /// Done means complete, complete means quiescent, and a quiescent
-    /// core sets `idle` in the same round: the next round with an empty
-    /// inbox returns before it touches the core, the wire or the done
-    /// flag.
+    /// Done is `idle`, set in the same round: the next round with an empty
+    /// inbox returns before it touches the core, the wire or the done flag.
     const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, PipeMsg>) {
@@ -268,7 +283,7 @@ impl Protocol for TreePipeline {
         }
         self.core.transmit(|port, m| ctx.send(port, m));
         self.idle = self.core.quiescent();
-        ctx.set_done(self.core.complete());
+        ctx.set_done(self.idle);
     }
 
     fn finish(self) -> PipeResult {
@@ -413,6 +428,85 @@ mod tests {
             assert_eq!(r.delivered, k);
             assert_eq!((r.xor_check, r.sum_check), (ex, es));
         }
+    }
+
+    /// `P`, counting the rounds the engine steps it.
+    struct Counting<P>(P, u64);
+
+    impl<P: Protocol> Protocol for Counting<P> {
+        type Msg = P::Msg;
+        type Output = (P::Output, u64);
+        const QUIESCENT: bool = P::QUIESCENT;
+
+        fn round(&mut self, ctx: &mut NodeCtx<'_, P::Msg>) {
+            self.1 += 1;
+            self.0.round(ctx);
+        }
+
+        fn finish(self) -> (P::Output, u64) {
+            (self.0.finish(), self.1)
+        }
+    }
+
+    /// A waiting node is done, so the engine steps it only when a message
+    /// reaches it: one message from the far end of a path rooted at node
+    /// 0 costs every node a step in round 0, one as the message passes up
+    /// and one as it passes down. Stepping every node until its delivery
+    /// would cost about 1.5 n².
+    #[test]
+    fn a_waiting_node_is_stepped_only_when_mail_arrives() {
+        let n = 64;
+        let g = path(n);
+        let views = bfs_views(&g, 0);
+        let m = PipeMsg {
+            id: 0,
+            payload: 0xD0,
+        };
+        let out = run_protocol(
+            &g,
+            |v, _| {
+                let own = if v as usize == n - 1 {
+                    vec![m]
+                } else {
+                    Vec::new()
+                };
+                Counting(
+                    TreePipeline::new(views[v as usize].clone(), 1, own, false),
+                    0,
+                )
+            },
+            EngineConfig::serial(),
+        )
+        .unwrap();
+        assert!(out.outputs.iter().all(|(r, _)| r.delivered == 1));
+        let steps: u64 = out.outputs.iter().map(|(_, s)| s).sum();
+        assert!(steps <= 4 * n as u64, "{steps} node-steps on path({n})");
+    }
+
+    /// A pipeline that cannot complete ends when nothing is left to send,
+    /// in the round and with the stats of the run asked for what it
+    /// carries, one message short at every node.
+    #[test]
+    fn a_pipeline_short_of_k_ends_when_quiescent() {
+        let g = cycle(9);
+        let views = bfs_views(&g, 0);
+        let k = 13;
+        let own = placements(g.n(), k);
+        let run = |asked: usize| {
+            run_protocol(
+                &g,
+                |v, _| {
+                    let view = views[v as usize].clone();
+                    TreePipeline::new(view, asked as u64, own[v as usize].clone(), false)
+                },
+                EngineConfig::serial().max_rounds(1_000),
+            )
+        };
+        let exact = run(k).unwrap();
+        let short = run(k + 1).unwrap();
+        assert!(short.outputs.iter().all(|r| r.delivered == k as u64));
+        assert_eq!(short.outputs, exact.outputs);
+        assert_eq!(short.stats, exact.stats);
     }
 
     #[test]

@@ -66,20 +66,16 @@ impl ReplicatedPipeline {
 impl Protocol for ReplicatedPipeline {
     type Msg = ColoredPipeMsg;
     type Output = DedupResult;
-    /// Done is quiescence here, which is exactly the routes' idle bit: a
-    /// done round with an empty inbox returns before it touches a core,
-    /// the dedup table, the wire or the flag.
+    /// Done is the routes' done, quiescence: a done round with an empty
+    /// inbox returns before it touches a core, the dedup table, the wire
+    /// or the flag. Under faults a core may stall forever short of its
+    /// k_c, and the run still ends; the driver judges delivery afterwards.
     const QUIESCENT: bool = true;
 
     fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
-        // Under faults a core may stall forever short of its k_c; local
-        // termination is therefore quiescence, and delivery is judged
-        // post-hoc by the driver.
-        self.routes.round_with(
-            ctx,
-            |m| self.duplicates += u64::from(self.seen.insert(m.id, m.payload).is_some()),
-            PipeCore::quiescent,
-        );
+        self.routes.round_with(ctx, |m| {
+            self.duplicates += u64::from(self.seen.insert(m.id, m.payload).is_some())
+        });
     }
 
     fn finish(self) -> DedupResult {

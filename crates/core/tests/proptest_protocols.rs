@@ -268,8 +268,9 @@ proptest! {
     /// held to the promise: `Session::run` — which steps only the nodes a
     /// round lists — equals the same run with the promise withdrawn
     /// (`congest_sim::Eager`), in outputs, `RunStats`, trace, per-edge
-    /// congestion and state hash. Under a fault plan a pipeline may stall,
-    /// and then both runs must fail the same round limit.
+    /// congestion and state hash. Under a fault plan a pipeline may stall
+    /// short of its `k`; it then ends once it is quiescent, and both runs
+    /// must end the same way.
     #[test]
     fn quiescent_protocols_match_their_eager_twins(
         family in 0u8..3,

@@ -22,7 +22,10 @@
 //! * **Node state in a bump arena.** Per-node protocol cells (state +
 //!   RNG + flags) and per-node outputs live in two reusable arenas sized
 //!   by high-water mark — a phase whose footprint fits what an earlier
-//!   phase already paid for allocates nothing.
+//!   phase already paid for allocates nothing. Nothing reads a slab's or
+//!   an arena's contents across a growth, so growing one takes a fresh
+//!   zeroed buffer instead of copying and zero-filling the old one: its
+//!   pages stay unmapped until a phase first writes them.
 //! * **Zeroed by breadcrumb.** The round loop's own termination
 //!   discipline leaves the occupancy bitsets, staging masks, and
 //!   broadcast stage bytes all-zero when a run completes (sparse rounds
@@ -32,7 +35,13 @@
 //!   as it reads them. The next phase starts on clean state without any
 //!   O(arcs) scrub. Only a phase that *failed* (round-limit error or a
 //!   panic inside a node program) marks the session dirty and pays one
-//!   full scrub on the next run.
+//!   full scrub on the next run. The contract is what a clean state's
+//!   [`Session::state_hash`] rests on: it reads only the per-edge row and
+//!   the trace, since the five zeroed buffers (`in_occ`, `out_mask`,
+//!   `arc_traffic`, `bcast_stage`, `node_traffic`) would add nothing.
+//!   Debug builds assert the five are zero there, and [`Session::restore`]
+//!   refuses a frame that claims clean while one holds a nonzero word
+//!   ([`crate::snapshot::SnapshotError::LiveBuffer`]).
 //!
 //! Between two phases on the same session **zero heap allocation**
 //! happens (enforced by `tests/zero_alloc.rs`), with the documented
@@ -146,9 +155,11 @@
 //! merge and the full sweep, `node_traffic[v]` in the broadcast fold (one
 //! bump per delivery on each of `v`'s out-arcs). A counter is at most the
 //! phase's rounds, which `begin_phase` holds to `u32::MAX`. Phase exit
-//! (`drain_traffic_column`) folds the counters into the per-edge row
-//! behind [`PhaseOutcome::edge_congestion`] and leaves them zero; the
-//! reference interpreter's `u64` per-edge counters pin the totals.
+//! (`drain_traffic`) folds the counters into the per-edge row behind
+//! [`PhaseOutcome::edge_congestion`] and leaves them zero, in one pass
+//! that visits each edge once from its lower arc; it reads the per-node
+//! counters only if some round folded the plane. The reference
+//! interpreter's `u64` per-edge counters pin the totals.
 //!
 //! **Allocation and determinism.** The loop allocates nothing after setup
 //! (`tests/zero_alloc.rs`; `collect_trace` appends one `u64` per round).
@@ -269,30 +280,42 @@ fn for_each_blocked_arc(
 
 /// The phase-exit fold: drain the per-arc delivery counters into
 /// `edge_row`, both directions of an edge summed, and return the row's
-/// maximum. `node_traffic[u]` — empty where there is no broadcast plane —
-/// is what `u` sent through it, one delivery on every arc out of `u`.
-/// Every counter read is left zero: the "zeroed by breadcrumb" exit
-/// contract, so the next phase pays nothing.
+/// maximum. `node_traffic[u]` is what `u` sent through the broadcast
+/// plane, one delivery on every arc out of `u`; it is empty when the phase
+/// folded no plane, and then it is all zero and is not read. One pass:
+/// each edge is visited once, from its lower arc, which writes its row
+/// entry (so the row needs no clearing) and folds the maximum. Every
+/// counter read is left zero: the "zeroed by breadcrumb" exit contract,
+/// so the next phase pays nothing.
 fn drain_traffic(
     graph: &Graph,
     traffic: &mut [u32],
     node_traffic: &mut [u32],
     edge_row: &mut [u64],
 ) -> u64 {
-    edge_row.fill(0);
+    let rev = graph.reverse_arcs();
+    let plane = !node_traffic.is_empty();
+    let mut max = 0;
     for v in 0..graph.n() as Node {
         let lo = graph.arc_offset(v);
-        let neighbors = graph.neighbors(v);
-        for (i, &e) in graph.incident_edges(v).iter().enumerate() {
-            let mut t = std::mem::take(&mut traffic[lo + i]) as u64;
-            if !node_traffic.is_empty() {
-                t += node_traffic[neighbors[i] as usize] as u64;
+        let sent_v = if plane { node_traffic[v as usize] } else { 0 };
+        let ports = graph.neighbors(v).iter().zip(graph.incident_edges(v));
+        for (i, (&u, &e)) in ports.enumerate() {
+            let (a, r) = (lo + i, rev[lo + i] as usize);
+            if a > r {
+                continue;
             }
-            edge_row[e as usize] += t;
+            let mut t = std::mem::take(&mut traffic[a]) as u64;
+            t += std::mem::take(&mut traffic[r]) as u64;
+            if plane {
+                t += sent_v as u64 + node_traffic[u as usize] as u64;
+            }
+            edge_row[e as usize] = t;
+            max = max.max(t);
         }
     }
     node_traffic.fill(0);
-    edge_row.iter().copied().max().unwrap_or(0)
+    max
 }
 
 /// Per-node hot state, kept together so one cache line serves one node's
@@ -367,8 +390,9 @@ struct Arena {
 impl Arena {
     /// A `len`-word message slab for whatever word width the current
     /// phase needs: a `u64` phase reuses a slab a `u128` phase grew.
-    /// Contents are unspecified; the engine only reads word slots whose
-    /// occupancy bit was set this phase, so stale words are unreachable.
+    /// Contents are unspecified, and a growth does not keep them; the
+    /// engine only reads word slots whose occupancy bit was set this
+    /// phase, so stale words are unreachable.
     fn view<W: MsgWord>(&mut self, len: usize) -> &mut [W] {
         assert!(
             std::mem::align_of::<W>() <= 16 && std::mem::size_of::<W>() <= 16,
@@ -401,11 +425,17 @@ impl Arena {
 
     /// Grow to at least `bytes` (restore replays recorded high-water
     /// marks through this, so a migrated warm session stays
-    /// allocation-free).
+    /// allocation-free). Growth takes a fresh zeroed buffer and drops the
+    /// old one without copying it: no caller reads arena or slab contents
+    /// across a growth (see [`Arena::view`]), and a large zeroed
+    /// allocation is fresh pages, which stay unmapped until a phase
+    /// touches them.
     fn grow_to_bytes(&mut self, bytes: usize) {
         let units = bytes.div_ceil(16);
         if self.buf.len() < units {
-            self.buf.resize(units, 0);
+            // Free the old buffer first, so the two are never held at once.
+            self.buf = Vec::new();
+            self.buf = vec![0; units];
         }
     }
 }
@@ -673,6 +703,14 @@ impl SessionState {
     /// exactly why [`SessionState::scrub`] skips it.
     /// The buffer sizes that *are* semantic (arcs, edges) and the
     /// clean flag are folded in as a prefix.
+    ///
+    /// A clean state holds the five breadcrumb-zeroed buffers all zero
+    /// (module docs), and zero words add nothing, so a clean state's hash
+    /// reads only the prefix, `per_edge` and `trace_buf`: the same value
+    /// for O(edges + rounds) instead of O(arcs). That rests on every clean
+    /// state keeping the contract. The round loop keeps it (debug builds
+    /// check it here), and [`Session::restore`] refuses a frame that claims
+    /// clean over a live buffer.
     pub(crate) fn state_hash(&self) -> u64 {
         use crate::rng::mix64;
         #[inline]
@@ -687,16 +725,39 @@ impl SessionState {
         let mut h = mix64(0x5348_0001 ^ self.out_mask.len() as u64)
             ^ mix64(0x5348_0002 ^ self.per_edge.len() as u64)
             ^ mix64(0x5348_0003 ^ self.clean as u64);
-        h = fold(h, 1, self.in_occ.iter().copied());
-        h = fold(h, 2, self.out_mask.iter().map(|&b| b as u64));
-        h = fold(h, 3, self.arc_traffic.iter().map(|&w| w as u64));
-        // Tags 4 and 6 are retired; the rest keep theirs, and with them
-        // every hash recorded so far.
-        h = fold(h, 5, self.bcast_stage.iter().map(|&b| b as u64));
-        h = fold(h, 7, self.node_traffic.iter().map(|&w| w as u64));
+        // Each word adds its own term, so the order of the folds cannot
+        // reach the hash.
+        if self.clean {
+            debug_assert_eq!(self.live_buffer(), None, "a clean state holds live words");
+        } else {
+            h = fold(h, 1, self.in_occ.iter().copied());
+            h = fold(h, 2, self.out_mask.iter().map(|&b| b as u64));
+            h = fold(h, 3, self.arc_traffic.iter().map(|&w| w as u64));
+            // Tags 4 and 6 are retired; the rest keep theirs, and with them
+            // every hash recorded so far.
+            h = fold(h, 5, self.bcast_stage.iter().map(|&b| b as u64));
+            h = fold(h, 7, self.node_traffic.iter().map(|&w| w as u64));
+        }
         h = fold(h, 8, self.per_edge.iter().copied());
         h = fold(h, 9, self.trace_buf.iter().copied());
         mix64(h)
+    }
+
+    /// The first buffer, by name, that a clean state must hold all zero
+    /// ("Zeroed by breadcrumb") and that has a nonzero word.
+    fn live_buffer(&self) -> Option<&'static str> {
+        fn live<W: Copy + Into<u64>>(words: &[W]) -> bool {
+            words.iter().any(|&w| w.into() != 0)
+        }
+        [
+            ("in_occ", live(&self.in_occ)),
+            ("out_mask", live(&self.out_mask)),
+            ("arc_traffic", live(&self.arc_traffic)),
+            ("bcast_stage", live(&self.bcast_stage)),
+            ("node_traffic", live(&self.node_traffic)),
+        ]
+        .into_iter()
+        .find_map(|(name, live)| live.then_some(name))
     }
 
     /// The cached shard-plan key (0 = no plan cached). The plan itself
@@ -983,6 +1044,9 @@ impl SessionState {
         };
 
         let mut bcast_any = false;
+        // Whether any round folded the broadcast plane (and so may have
+        // left `node_traffic` nonzero for the exit fold).
+        let mut plane_folded = false;
         // Adaptive plane choice: `send_all` goes through the broadcast
         // plane only in rounds following *dense* traffic (see the module
         // docs); round 0 starts optimistic.
@@ -1155,6 +1219,7 @@ impl SessionState {
             std::mem::swap(&mut bcast_in_words, &mut bcast_out_words);
             let staged_total: u64 = meters.iter().map(|m| m.staged as u64).sum();
             let fold_bcast = use_plane && meters.iter().any(|m| m.bcast_used);
+            plane_folded |= fold_bcast;
             let wl_overflow = meters
                 .iter()
                 .enumerate()
@@ -1339,6 +1404,8 @@ impl SessionState {
             .max()
             .unwrap_or(0);
 
+        // A phase that never folded the plane left `node_traffic` all zero.
+        let node_traffic = if plane_folded { node_traffic } else { &mut [] };
         stats.max_edge_congestion = drain_traffic(graph, arc_traffic, node_traffic, per_edge);
 
         // Consume the cells into arena-resident outputs.
@@ -1431,8 +1498,10 @@ impl<'g> Session<'g> {
     /// The restored session continues **bit-identically** to the one
     /// that was snapshotted: buffers are byte-equal, the shard-plan
     /// cache is recomputed from its recorded key, slab/arena high-water
-    /// marks are replayed, and the recomputed [`Session::state_hash`]
-    /// must equal the recorded one or the restore is refused.
+    /// marks are replayed, a frame that claims a clean state must hold the
+    /// breadcrumb-zeroed buffers zero, and the recomputed
+    /// [`Session::state_hash`] must equal the recorded one, or the restore
+    /// is refused.
     pub fn restore(
         graph: &'g Graph,
         bytes: &[u8],
@@ -1467,6 +1536,14 @@ impl<'g> Session<'g> {
             return Err(SnapshotError::SizeMismatch("plan_key"));
         }
         let mut state = SessionState::decode_payload(graph, &mut r)?;
+        // A clean state's hash does not read these buffers, and the next
+        // phase would not scrub them: a frame that claims clean must hold
+        // them zero, or it would replay staged words as messages.
+        if header.clean {
+            if let Some(buffer) = state.live_buffer() {
+                return Err(SnapshotError::LiveBuffer(buffer));
+            }
+        }
         state.clean = header.clean;
         if header.plan_key != 0 {
             let k = header.plan_key as usize;
@@ -1546,7 +1623,102 @@ impl<'g> Session<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::generators::{cycle, harary};
+    use crate::rng::mix64;
+    use congest_graph::generators::{
+        barbell, clique_chain, clique_ring, cycle, gk13_lower_bound, gnp, harary, path,
+        random_regular, theorem9_instance, thick_path, torus2d,
+    };
+    use congest_graph::GraphBuilder;
+    use proptest::prelude::*;
+
+    /// Every generator family, sparse and dense, connected or not, with
+    /// its node ids shuffled (`congest_core`'s `arb_family()`).
+    fn arb_family() -> impl Strategy<Value = Graph> {
+        (0u32..12, 2usize..6, 3usize..7, any::<u64>()).prop_map(|(kind, a, b, seed)| {
+            let pick = |upto: usize| 1 + (seed % upto as u64) as usize;
+            let g = match kind {
+                0 => gnp(6 * a + b, 0.1 * (a + 1) as f64, seed),
+                1 => random_regular(2 * (a + b), b, seed),
+                2 => clique_chain(a, b + 1, pick(b)),
+                3 => clique_ring(a + 1, 2 * b, pick(b)),
+                4 => barbell(b, a),
+                5 => thick_path(a, b),
+                6 => gk13_lower_bound(a + 2, b).0,
+                7 => theorem9_instance(a + b + 4, a, 3.0, 2.0, seed)
+                    .graph
+                    .graph()
+                    .clone(),
+                8 => path(a * b + 2),
+                9 => cycle(a * b + 3),
+                10 => torus2d(a + 1, b),
+                _ => harary(2 * a, 8 * b),
+            };
+            let mut id: Vec<u32> = (0..g.n() as u32).collect();
+            for i in (1..id.len()).rev() {
+                id.swap(i, (mix64(seed ^ i as u64) % (i as u64 + 1)) as usize);
+            }
+            GraphBuilder::new(g.n())
+                .edges(
+                    g.edge_list()
+                        .map(|(_, u, v)| (id[u as usize], id[v as usize])),
+                )
+                .build()
+                .unwrap()
+        })
+    }
+
+    /// The fold `drain_traffic` replaced: clear the row, add every arc's
+    /// counter and its sender's plane counter to the arc's edge, then scan
+    /// the row for its maximum.
+    fn two_pass_fold(graph: &Graph, traffic: &[u32], node_traffic: &[u32]) -> (Vec<u64>, u64) {
+        let mut row = vec![0u64; graph.m()];
+        for v in 0..graph.n() as Node {
+            let lo = graph.arc_offset(v);
+            let neighbors = graph.neighbors(v);
+            for (i, &e) in graph.incident_edges(v).iter().enumerate() {
+                let mut t = traffic[lo + i] as u64;
+                if !node_traffic.is_empty() {
+                    t += node_traffic[neighbors[i] as usize] as u64;
+                }
+                row[e as usize] += t;
+            }
+        }
+        let max = row.iter().copied().max().unwrap_or(0);
+        (row, max)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// One pass from each edge's lower arc writes the row and the
+        /// maximum the two-pass fold computes, over a stale row, with and
+        /// without a plane, and leaves every counter it read at zero.
+        #[test]
+        fn drain_traffic_matches_the_two_pass_fold(
+            g in arb_family(),
+            seed in any::<u64>(),
+            plane in any::<bool>(),
+        ) {
+            // Zero a quarter of the time, else anywhere in u32's range.
+            let counter = |i: u64| {
+                let c = mix64(seed ^ i);
+                if c.is_multiple_of(4) { 0 } else { (c >> 32) as u32 >> (c % 32) }
+            };
+            let mut traffic: Vec<u32> = (0..g.num_arcs() as u64).map(counter).collect();
+            let mut node_traffic: Vec<u32> = if plane {
+                (0..g.n() as u64).map(|v| counter(!v)).collect()
+            } else {
+                Vec::new()
+            };
+            let (want_row, want_max) = two_pass_fold(&g, &traffic, &node_traffic);
+            let mut row = vec![u64::MAX; g.m()];
+            let max = drain_traffic(&g, &mut traffic, &mut node_traffic, &mut row);
+            prop_assert_eq!(row, want_row);
+            prop_assert_eq!(max, want_max);
+            prop_assert!(traffic.iter().all(|&t| t == 0));
+            prop_assert!(node_traffic.iter().all(|&t| t == 0));
+        }
+    }
 
     /// The fork gate, from the outside in: what `begin_phase` answers and
     /// the shard plan it leaves, for one config on one graph.

@@ -61,10 +61,18 @@
 //! then the graph fingerprint and the `n`/`m`/`arcs` shape, then the
 //! recorded capacities and plan key against what that shape allows (the
 //! checksum is no authenticator, so no header field is allocated from
-//! unchecked), then every decoded buffer length, and finally the
-//! recomputed [`crate::Session::state_hash`] must equal
+//! unchecked), then every decoded buffer length, then — for a frame that
+//! sets the clean flag — that the five buffers a clean phase boundary
+//! leaves all zero (inbox occupancy, staging mask, per-arc traffic, the
+//! plane's stage bytes and per-node counters) are zero
+//! ([`SnapshotError::LiveBuffer`] names the first that is not), and
+//! finally the recomputed [`crate::Session::state_hash`] must equal
 //! the recorded one — a restored engine is bit-identical or it is an
-//! error, never silently wrong. A frame never carries its graph: the
+//! error, never silently wrong. The clean-flag check is not redundant
+//! with the hash: a clean state's hash does not read those five buffers
+//! (see below), and the checksum and the hash are folds anyone can
+//! recompute. A frame that passed with a live staging byte would skip
+//! the next phase's scrub and replay the staged word as a message. A frame never carries its graph: the
 //! caller supplies the topology, and the fingerprint decides whether the
 //! two belong together. Flag bits 1 and 2 once marked an embedded graph
 //! and a dynamic-topology section (DESIGN.md §10); a frame that sets
@@ -78,8 +86,10 @@
 //! makes the hash invariant across everything that must not matter:
 //! serial vs parallel execution, shard counts, lazily-sized buffers, and
 //! a reused vs a fresh engine. At a clean phase boundary
-//! the breadcrumb-zero contract means the hash effectively signs the
-//! last phase's per-edge congestion profile and trace — recorded into
+//! the breadcrumb-zero contract means the hash signs the last phase's
+//! per-edge congestion profile and trace, and it reads only those (the
+//! five zeroed buffers would add nothing): O(edges + rounds), not
+//! O(arcs). A dirty state's hash folds every buffer. Recorded into
 //! [`crate::PhaseLog`] via [`crate::PhaseLog::record_hashed`], two hosts
 //! can diff a long composition phase by phase with eight bytes per
 //! phase.
@@ -169,6 +179,9 @@ pub enum SnapshotError {
     WrongKind,
     /// A decoded buffer length disagrees with the recorded graph shape.
     SizeMismatch(&'static str),
+    /// The frame sets the clean flag, but the named buffer, one a clean
+    /// phase boundary leaves all zero, holds a nonzero word.
+    LiveBuffer(&'static str),
     /// The restored state's recomputed hash differs from the recorded
     /// one — the frame is internally inconsistent.
     StateHashMismatch { expected: u64, found: u64 },
@@ -199,6 +212,10 @@ impl fmt::Display for SnapshotError {
             SnapshotError::SizeMismatch(what) => {
                 write!(f, "snapshot buffer `{what}` disagrees with the graph shape")
             }
+            SnapshotError::LiveBuffer(what) => write!(
+                f,
+                "snapshot claims a clean state, but buffer `{what}` holds live words"
+            ),
             SnapshotError::StateHashMismatch { expected, found } => write!(
                 f,
                 "restored state hashes to {found:#018x}, frame recorded {expected:#018x}"

@@ -5,7 +5,9 @@
 //! phase** (one `run_protocol` call each, which builds and drops its own
 //! session), sweeping shard counts × pool widths × fault plans, with the
 //! sparse fast path forced both ways and a `u64` phase reusing a `u128`
-//! phase's slab.
+//! phase's slab. Beside it, each phase of a `u32` → `u128` → `u64`
+//! sequence on one session is held to the same phase on a fresh one: the
+//! `u128` phase grows the slabs, and a growth keeps no old contents.
 //!
 //! Per-phase RNG seeds are derived through `phase_seed` exactly as the
 //! drivers' `cfg.engine(k)` discipline derives them, so this is the
@@ -15,7 +17,8 @@
 use congest_graph::{Graph, GraphBuilder, Node};
 use congest_sim::rng::phase_seed;
 use congest_sim::{
-    run_protocol, EngineConfig, FaultPlan, NodeCtx, PhaseLog, Protocol, RunStats, Session,
+    run_protocol, EngineConfig, FaultPlan, NodeCtx, PhaseLog, PhaseOutcome, Protocol, RunStats,
+    Session,
 };
 use proptest::prelude::*;
 
@@ -107,6 +110,33 @@ impl Protocol for WideChatter {
     }
 }
 
+/// Narrow-message phase: `u32` words, half of what a `u64` slab slot
+/// holds, sent on every port in alternate rounds.
+struct NarrowChatter {
+    rounds: u64,
+    heard: u64,
+}
+
+impl Protocol for NarrowChatter {
+    type Msg = u32;
+    type Output = u64;
+    fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
+        self.heard = ctx.inbox().fold(self.heard, |a, (p, m)| {
+            a.wrapping_mul(13).wrapping_add(m as u64 ^ p as u64)
+        });
+        if ctx.round < self.rounds {
+            if (ctx.node as u64 + ctx.round).is_multiple_of(2) {
+                ctx.send_all(self.heard as u32 | 1);
+            }
+        } else {
+            ctx.set_done(true);
+        }
+    }
+    fn finish(self) -> u64 {
+        self.heard
+    }
+}
+
 /// One phase's complete observable footprint.
 #[derive(Debug, PartialEq)]
 struct PhaseObs {
@@ -114,6 +144,18 @@ struct PhaseObs {
     stats: RunStats,
     trace: Vec<u64>,
     edge_congestion: Vec<u64>,
+}
+
+impl PhaseObs {
+    /// Everything a session-hosted phase (run with a trace) lets one see.
+    fn of(out: PhaseOutcome<'_, u64>) -> PhaseObs {
+        PhaseObs {
+            stats: out.stats,
+            trace: out.trace().unwrap().to_vec(),
+            edge_congestion: out.edge_congestion().to_vec(),
+            outputs: out.take_outputs(),
+        }
+    }
 }
 
 /// Where a composition's phases get their engine: the one resident
@@ -146,15 +188,7 @@ impl<'g> Host<'g> {
         F: FnMut(Node, &Graph) -> P,
     {
         match &mut self.resident {
-            Some(host) => {
-                let out = host.run(factory, config).unwrap();
-                PhaseObs {
-                    stats: out.stats,
-                    trace: out.trace().unwrap().to_vec(),
-                    edge_congestion: out.edge_congestion().to_vec(),
-                    outputs: out.take_outputs(),
-                }
-            }
+            Some(host) => PhaseObs::of(host.run(factory, config).unwrap()),
             None => {
                 let out = run_protocol(self.graph, factory, config).unwrap();
                 PhaseObs {
@@ -291,6 +325,33 @@ proptest! {
             });
             prop_assert_eq!(&par, &reference, "threads={}", threads);
             prop_assert!(logs_equal(&par_log, &ref_log), "threads={}", threads);
+        }
+    }
+
+    /// A slab or arena grows into a fresh zeroed buffer and keeps none of
+    /// its old contents. A `u32` phase, then a `u128` phase (which grows
+    /// the slabs), then a `u64` phase (which reuses the grown ones), all on
+    /// one session: each phase observes exactly what it observes on a
+    /// fresh session, and leaves the same state hash.
+    #[test]
+    fn phases_across_a_slab_growth_match_fresh_sessions(
+        g in arb_connected_graph(22),
+        seed in any::<u64>(),
+    ) {
+        let mut session = Session::new(&g);
+        for k in 1..=3u64 {
+            let cfg = EngineConfig::serial().seed(phase_seed(seed, k)).trace();
+            let mut fresh = Session::new(&g);
+            let run = |s: &mut Session<'_>| match k {
+                1 => s.run(|_, _| NarrowChatter { rounds: 5, heard: 1 }, cfg.clone()).map(PhaseObs::of),
+                2 => s.run(|_, _| WideChatter { rounds: 5, heard: 1 }, cfg.clone()).map(PhaseObs::of),
+                _ => s
+                    .run(|_, _| Chatter { rounds: 6, salt: 3, heard: 0 }, cfg.clone())
+                    .map(PhaseObs::of),
+            };
+            let (got, want) = (run(&mut session).unwrap(), run(&mut fresh).unwrap());
+            prop_assert_eq!(got, want, "phase {}", k);
+            prop_assert_eq!(session.state_hash(), fresh.state_hash(), "phase {}", k);
         }
     }
 

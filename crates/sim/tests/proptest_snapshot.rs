@@ -10,8 +10,9 @@
 //! strategy cannot leak into it), the pool park/restore round trip, and
 //! the tamper suite (a mutation property over valid frames — byte flips,
 //! truncations, inflated length prefixes, header fields out of range —
-//! beside the fixed magic, version, fingerprint and unknown-flag cases:
-//! every corruption is a typed refusal).
+//! beside the fixed magic, version, fingerprint, unknown-flag and
+//! clean-flag-over-live-buffers cases: every corruption is a typed
+//! refusal).
 
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::rng::{mix64, phase_seed};
@@ -563,6 +564,31 @@ fn tampered_frames_are_refused() {
             "flag bit {bit}"
         );
     }
+
+    // A phase that hits its round limit leaves the session dirty, with the
+    // last round's mail still in the inbox buffers; its frame restores as
+    // it is. Setting the clean flag over those buffers would skip the next
+    // phase's scrub and replay the mail, and a clean state's hash does not
+    // read them: the frame is refused by name before the hash is checked.
+    let mut s = Session::new(&g);
+    let limited = s.run(
+        |_, _| Chatter {
+            rounds: 6,
+            salt: 9,
+            heard: 0,
+        },
+        EngineConfig::serial().seed(11).max_rounds(3),
+    );
+    assert!(limited.is_err(), "the phase hits its round limit");
+    let dirty = s.snapshot();
+    assert!(!congest_sim::snapshot::peek(&dirty).unwrap().clean);
+    assert!(Session::restore(&g, &dirty).is_ok());
+    let mut bad = dirty.clone();
+    bad[12] |= 1;
+    assert_eq!(
+        refusal(Session::restore(&g, &bad)),
+        SnapshotError::LiveBuffer("in_occ")
+    );
 }
 
 #[test]

@@ -45,13 +45,20 @@ use fast_broadcast::sim::{
     EngineConfig, EvictionPolicy, Job, JobSpec, JobStatus, PoolError, PoolServer, Protocol, Session,
 };
 use fast_broadcast::sparsify::cuts::theorem7_all_cuts;
+use std::io::Write;
 use std::process::ExitCode;
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match run(&args) {
         Ok(()) => ExitCode::SUCCESS,
-        Err(msg) => {
+        // Whoever reads the output stopped reading (`| head`): done.
+        Err(Failure::Output(e)) if e.kind() == std::io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
+        Err(Failure::Output(e)) => {
+            eprintln!("error: cannot write the output: {e}");
+            ExitCode::FAILURE
+        }
+        Err(Failure::Usage(msg)) => {
             eprintln!("error: {msg}");
             eprintln!();
             eprintln!("{USAGE}");
@@ -60,13 +67,48 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: &[String]) -> Result<(), String> {
+/// Why a subcommand stopped early.
+enum Failure {
+    /// Bad input or a failed run: reported with the usage text.
+    Usage(String),
+    /// Writing to stdout failed.
+    Output(std::io::Error),
+}
+
+impl From<String> for Failure {
+    fn from(msg: String) -> Self {
+        Failure::Usage(msg)
+    }
+}
+
+impl From<&str> for Failure {
+    fn from(msg: &str) -> Self {
+        Failure::Usage(msg.to_string())
+    }
+}
+
+/// `println!` for a subcommand's output: a failed write (a closed pipe)
+/// returns [`Failure::Output`] from the subcommand instead of panicking.
+macro_rules! say {
+    ($($arg:tt)*) => {
+        writeln!(std::io::stdout(), $($arg)*).map_err(Failure::Output)?
+    };
+}
+
+/// `text` to stdout as it is, the way [`say!`] writes a line.
+fn emit(text: &str) -> Result<(), Failure> {
+    std::io::stdout()
+        .write_all(text.as_bytes())
+        .map_err(Failure::Output)
+}
+
+fn run(args: &[String]) -> Result<(), Failure> {
     let Some(cmd) = args.first() else {
         return Err("missing subcommand".into());
     };
     match cmd.as_str() {
         "help" | "--help" | "-h" => {
-            println!("{}", USAGE);
+            say!("{}", USAGE);
             Ok(())
         }
         "params" => cmd_params(args.get(1).ok_or("params needs a <family>")?),
@@ -77,7 +119,7 @@ fn run(args: &[String]) -> Result<(), String> {
         "serve" => cmd_serve(&args[1..]),
         "snapshot" => cmd_snapshot(&args[1..]),
         "resume" => cmd_resume(&args[1..]),
-        other => Err(format!("unknown subcommand `{other}`")),
+        other => Err(format!("unknown subcommand `{other}`").into()),
     }
 }
 
@@ -233,31 +275,31 @@ fn parse_family(spec: &str) -> Result<Graph, String> {
     }
 }
 
-fn cmd_params(spec: &str) -> Result<(), String> {
+fn cmd_params(spec: &str) -> Result<(), Failure> {
     let g = parse_family(spec)?;
     let p = GraphParams::measure(&g);
-    println!("family      : {spec}");
-    println!("n           : {}", p.n);
-    println!("m           : {}", p.m);
-    println!("min degree δ: {}", p.delta);
-    println!("edge conn λ : {} (exact, max-flow)", p.lambda);
+    say!("family      : {spec}");
+    say!("n           : {}", p.n);
+    say!("m           : {}", p.m);
+    say!("min degree δ: {}", p.delta);
+    say!("edge conn λ : {} (exact, max-flow)", p.lambda);
     // Karger contracts down to two super-nodes, so it needs two to start.
     if (2..=64).contains(&g.n()) {
         let (mc, _) = karger_min_cut(&g, karger_whp_repetitions(g.n()).min(20_000), 7);
-        println!("  karger λ̂  : {mc} (Monte-Carlo cross-check)");
+        say!("  karger λ̂  : {mc} (Monte-Carlo cross-check)");
     }
     match p.diameter {
-        Some(d) => println!("diameter D  : {d}"),
-        None => println!("diameter D  : ∞ (disconnected)"),
+        Some(d) => say!("diameter D  : {d}"),
+        None => say!("diameter D  : ∞ (disconnected)"),
     }
     if let Some(r) = p.observation1_ratio() {
-        println!("D·δ/n       : {r:.3} (Observation 1: ≤ 3)");
+        say!("D·δ/n       : {r:.3} (Observation 1: ≤ 3)");
     }
     let br = bridges(&g);
     if br.is_empty() {
-        println!("bridges     : none (2-edge-connected)");
+        say!("bridges     : none (2-edge-connected)");
     } else {
-        println!(
+        say!(
             "bridges     : {} — λ = 1 regime; broadcast is Ω(k) here (paper §1)",
             br.len()
         );
@@ -265,7 +307,7 @@ fn cmd_params(spec: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn cmd_broadcast(args: &[String]) -> Result<(), String> {
+fn cmd_broadcast(args: &[String]) -> Result<(), Failure> {
     let spec = args.first().ok_or("broadcast needs a <family>")?;
     let g = parse_family(spec)?;
     let k = opt(args, "--k", 2 * g.n())?;
@@ -285,33 +327,33 @@ fn cmd_broadcast(args: &[String]) -> Result<(), String> {
         partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(seed), 30)
             .map_err(|e| e.to_string())?;
     assert!(out.all_delivered());
-    println!(
+    say!(
         "family {spec}: n = {}, λ = {lambda}, k = {k}, λ' = {}, root = {} (rank {:#010x})",
         g.n(),
         params.num_subgraphs,
         out.root,
         rank(out.root)
     );
-    println!(
+    say!(
         "\n== Theorem 1 broadcast: {} rounds (partition attempts: {attempts})",
         out.total_rounds
     );
-    print!("{}", out.phases.breakdown());
+    emit(&out.phases.breakdown())?;
 
     let tb = textbook_broadcast(&g, &input, seed).map_err(|e| e.to_string())?;
     assert!(tb.all_delivered());
-    println!("\n== textbook baseline: {} rounds", tb.total_rounds);
-    print!("{}", tb.phases.breakdown());
+    say!("\n== textbook baseline: {} rounds", tb.total_rounds);
+    emit(&tb.phases.breakdown())?;
 
     let lb = theorem3_broadcast_lb(k as u64, lambda as u64);
-    println!("\nuniversal LB (Thm 3) ≈ {lb:.0} rounds; optimality ratios: thm1 {:.1}×, textbook {:.1}×; speedup {:.2}×",
+    say!("\nuniversal LB (Thm 3) ≈ {lb:.0} rounds; optimality ratios: thm1 {:.1}×, textbook {:.1}×; speedup {:.2}×",
         optimality_ratio(out.total_rounds, k as u64, lambda as u64),
         optimality_ratio(tb.total_rounds, k as u64, lambda as u64),
         tb.total_rounds as f64 / out.total_rounds as f64);
     Ok(())
 }
 
-fn cmd_packing(args: &[String]) -> Result<(), String> {
+fn cmd_packing(args: &[String]) -> Result<(), Failure> {
     let spec = args.first().ok_or("packing needs a <family>")?;
     let g = parse_family(spec)?;
     let lambda = fast_broadcast::graph::algo::edge_connectivity(&g);
@@ -320,40 +362,40 @@ fn cmd_packing(args: &[String]) -> Result<(), String> {
         return Err("--trees must be at least 1".into());
     }
     let seed: u64 = opt(args, "--seed", 7u64)?;
-    println!(
+    say!(
         "family {spec}: n = {}, m = {}, λ = {lambda}, requesting {trees} trees",
         g.n(),
         g.m()
     );
     let packing = if flag(args, "--exact") {
-        println!("construction: exact matroid union (Nash-Williams optimal)");
+        say!("construction: exact matroid union (Nash-Williams optimal)");
         exact_tree_packing(&g, trees, 0).ok_or(format!(
             "no edge-disjoint packing of {trees} spanning trees exists"
         ))?
     } else {
-        println!("construction: Theorem 2 random partition + per-class BFS");
+        say!("construction: Theorem 2 random partition + per-class BFS");
         let (p, _, attempts) = partition_packing_retrying(&g, trees, 0, seed, 30)
             .map_err(|e| format!("{e}; try --exact or fewer --trees"))?;
-        println!("(spanning after {attempts} seed attempt(s))");
+        say!("(spanning after {attempts} seed attempt(s))");
         p
     };
     packing.validate(&g).map_err(|e| e.to_string())?;
     let stats = packing.stats(&g);
-    println!("\ntrees         : {}", stats.num_trees);
-    println!("edge-disjoint : {}", stats.edge_disjoint);
-    println!("congestion    : {}", stats.congestion);
-    println!("max diameter  : {}", stats.max_diameter);
-    println!("mean diameter : {:.1}", stats.mean_diameter);
-    println!("per-tree      : {:?}", stats.tree_diameters);
+    say!("\ntrees         : {}", stats.num_trees);
+    say!("edge-disjoint : {}", stats.edge_disjoint);
+    say!("congestion    : {}", stats.congestion);
+    say!("max diameter  : {}", stats.max_diameter);
+    say!("mean diameter : {:.1}", stats.mean_diameter);
+    say!("per-tree      : {:?}", stats.tree_diameters);
     let n = g.n() as f64;
-    println!(
+    say!(
         "Theorem 2 envelope D·δ/(n·ln n) : {:.3}",
         stats.max_diameter as f64 * g.min_degree() as f64 / (n * n.ln())
     );
     Ok(())
 }
 
-fn cmd_apsp(args: &[String]) -> Result<(), String> {
+fn cmd_apsp(args: &[String]) -> Result<(), Failure> {
     let spec = args.first().ok_or("apsp needs a <family>")?;
     let g = parse_family(spec)?;
     let seed: u64 = opt(args, "--seed", 3u64)?;
@@ -361,18 +403,18 @@ fn cmd_apsp(args: &[String]) -> Result<(), String> {
     if lambda == 0 {
         return Err("graph is disconnected".into());
     }
-    println!("family {spec}: n = {}, λ = {lambda}", g.n());
+    say!("family {spec}: n = {}, λ = {lambda}", g.n());
     let out = unweighted_apsp_approx(&g, lambda, seed).map_err(|e| e.to_string())?;
     let exact = apsp_unweighted(&g);
     let alpha = measure_stretch_unweighted(&exact, &out.estimate, 2).map_err(|e| e.to_string())?;
-    println!("\nclusters      : {}", out.cluster_graph.centers.len());
-    println!("total rounds  : {}", out.total_rounds);
-    println!("verified α    : {alpha:.3} (Theorem 4 bound: 3, plus additive 2)");
-    print!("{}", out.phases.breakdown());
+    say!("\nclusters      : {}", out.cluster_graph.centers.len());
+    say!("total rounds  : {}", out.total_rounds);
+    say!("verified α    : {alpha:.3} (Theorem 4 bound: 3, plus additive 2)");
+    emit(&out.phases.breakdown())?;
     Ok(())
 }
 
-fn cmd_cuts(args: &[String]) -> Result<(), String> {
+fn cmd_cuts(args: &[String]) -> Result<(), Failure> {
     let spec = args.first().ok_or("cuts needs a <family>")?;
     let g = parse_family(spec)?;
     let eps: f64 = opt(args, "--eps", 0.5f64)?;
@@ -385,25 +427,26 @@ fn cmd_cuts(args: &[String]) -> Result<(), String> {
     if lambda == 0 {
         return Err("graph is disconnected".into());
     }
-    println!(
+    say!(
         "family {spec}: n = {}, m = {}, λ = {lambda}, ε = {eps}",
         g.n(),
         g.m()
     );
     let out = theorem7_all_cuts(&WeightedGraph::unit(g.clone()), eps, lambda, seed)
         .map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "\nsparsifier    : {} / {} edges",
         out.sparsifier_edges,
         g.m()
     );
-    println!("total rounds  : {}", out.total_rounds);
-    println!("cuts audited  : {}", out.quality.num_cuts);
-    println!("worst error   : {:.4}", out.quality.max_rel_error);
-    println!("mean error    : {:.5}", out.quality.mean_rel_error);
-    println!(
+    say!("total rounds  : {}", out.total_rounds);
+    say!("cuts audited  : {}", out.quality.num_cuts);
+    say!("worst error   : {:.4}", out.quality.max_rel_error);
+    say!("mean error    : {:.5}", out.quality.mean_rel_error);
+    say!(
         "min cut       : {} → {} (G → sparsifier)",
-        out.quality.min_cut_g, out.quality.min_cut_h
+        out.quality.min_cut_g,
+        out.quality.min_cut_h
     );
     Ok(())
 }
@@ -413,7 +456,7 @@ fn cmd_cuts(args: &[String]) -> Result<(), String> {
 /// session-pool server (bounded queue → one run per job on its graph's
 /// warm session), and report throughput plus the per-tenant
 /// congestion/bit meters.
-fn cmd_serve(args: &[String]) -> Result<(), String> {
+fn cmd_serve(args: &[String]) -> Result<(), Failure> {
     let graphs_spec: String = opt(args, "--graphs", "harary:6,256+torus:16x16".to_string())?;
     let jobs: u64 = opt(args, "--jobs", 96u64)?;
     let tenants: u32 = opt(args, "--tenants", 4u32)?;
@@ -446,9 +489,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mix: Vec<&str> = mix_spec.split(',').collect();
     for fam in &mix {
         if !matches!(*fam, "flood" | "rumor" | "gossip") {
-            return Err(format!(
-                "unknown mix family `{fam}` (expected flood|rumor|gossip)"
-            ));
+            return Err(format!("unknown mix family `{fam}` (expected flood|rumor|gossip)").into());
         }
     }
 
@@ -467,7 +508,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .iter()
         .map(|g| (server.register_graph(g.clone()), g.n()))
         .collect();
-    println!(
+    say!(
         "serving {jobs} jobs: {} graph(s) × {} famil(y/ies), {tenants} tenant(s), queue capacity {queue}",
         keys.len(),
         mix.len()
@@ -506,7 +547,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 server.register_graph(graphs[j as usize % keys.len()].clone());
                 server.submit(job, &mut out).map_err(|e| e.to_string())?;
             }
-            Err(e) => return Err(e.to_string()),
+            Err(e) => return Err(e.to_string().into()),
         }
     }
     server.drain(&mut out);
@@ -520,23 +561,23 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         .iter()
         .filter(|o| o.status == JobStatus::GraphEvicted)
         .count();
-    println!(
+    say!(
         "\ndrained     : {} jobs in {secs:.3} s → {:.0} jobs/sec",
         out.len(),
         out.len() as f64 / secs.max(1e-9)
     );
-    println!(
+    say!(
         "jobs        : {} run on their graph's warm session, {limited} round-limited, {evicted} graph-evicted",
         server.solo_jobs()
     );
-    println!(
+    say!(
         "pool        : {} graph entr(y/ies) live, {} warm hits, {} cold builds, ~{} KiB warm",
         server.pool().len(),
         server.pool().hits(),
         server.pool().misses(),
         server.pool().warm_bytes_total() / 1024
     );
-    println!(
+    say!(
         "eviction    : {} graphs aged out, {} warm states dropped, {reregistered} re-registrations",
         server.pool().graph_evictions(),
         server.pool().warm_evictions()
@@ -544,8 +585,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     // What the mix costs, by family (model quantities only: equal with and
     // without `--serial`). A fresh server numbers its jobs 0, 1, … in
     // submission order, so job `j`'s family and graph are the loop's above.
-    println!("\nper-family traffic:");
-    println!("  family      jobs    rounds     messages  node-rounds");
+    say!("\nper-family traffic:");
+    say!("  family      jobs    rounds     messages  node-rounds");
     for fam in ["flood", "rumor", "gossip"] {
         let (mut jobs, mut rounds, mut messages, mut node_rounds) = (0u64, 0u64, 0u64, 0u64);
         for o in &out {
@@ -558,15 +599,20 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             }
         }
         if jobs > 0 {
-            println!("  {fam:<8} {jobs:>7} {rounds:>9} {messages:>12} {node_rounds:>12}");
+            say!("  {fam:<8} {jobs:>7} {rounds:>9} {messages:>12} {node_rounds:>12}");
         }
     }
-    println!("\nper-tenant meters:");
-    println!("  tenant      jobs    rounds  messages   dropped  max-cong  max-bits");
+    say!("\nper-tenant meters:");
+    say!("  tenant      jobs    rounds  messages   dropped  max-cong  max-bits");
     for (t, m) in server.meters() {
-        println!(
+        say!(
             "  {t:<8} {:>7} {:>9} {:>9} {:>9} {:>9} {:>9}",
-            m.jobs, m.rounds, m.messages, m.dropped, m.max_edge_congestion, m.max_message_bits
+            m.jobs,
+            m.rounds,
+            m.messages,
+            m.dropped,
+            m.max_edge_congestion,
+            m.max_message_bits
         );
     }
     Ok(())
@@ -608,7 +654,7 @@ fn run_pulse_phases(
     from: u64,
     to: u64,
     seed: u64,
-) -> Result<Vec<u64>, String> {
+) -> Result<Vec<u64>, Failure> {
     let mut last = Vec::new();
     for k in from..to {
         let salt = phase_seed(seed, k);
@@ -625,7 +671,7 @@ fn run_pulse_phases(
             )
             .map_err(|e| e.to_string())?;
         last = out.take_outputs();
-        println!(
+        say!(
             "phase {k:>2}: {rounds} rounds, state hash {:016x}",
             session.state_hash()
         );
@@ -636,7 +682,7 @@ fn run_pulse_phases(
 /// Run the first `--cut` phases of a deterministic multi-phase
 /// composition, then checkpoint the engine into `--out` — the file
 /// `fastbcast resume` continues from, in this or any other process.
-fn cmd_snapshot(args: &[String]) -> Result<(), String> {
+fn cmd_snapshot(args: &[String]) -> Result<(), Failure> {
     let spec = args.first().ok_or("snapshot needs a <family>")?;
     let g = parse_family(spec)?;
     let phases: u64 = opt(args, "--phases", 6u64)?;
@@ -644,9 +690,9 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     let seed: u64 = opt(args, "--seed", 42u64)?;
     let path: String = opt(args, "--out", "fastbcast.snap".to_string())?;
     if cut > phases {
-        return Err(format!("--cut {cut} exceeds --phases {phases}"));
+        return Err(format!("--cut {cut} exceeds --phases {phases}").into());
     }
-    println!(
+    say!(
         "family {spec}: n = {}, m = {}, fingerprint {:016x}",
         g.n(),
         g.m(),
@@ -656,12 +702,12 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
     run_pulse_phases(&mut session, 0, cut, seed)?;
     let bytes = session.snapshot();
     std::fs::write(&path, &bytes).map_err(|e| format!("cannot write `{path}`: {e}"))?;
-    println!(
+    say!(
         "checkpoint  : {path} ({} bytes) after phase {cut}/{phases}, state hash {:016x}",
         bytes.len(),
         session.state_hash()
     );
-    println!("resume with : fastbcast resume {spec} --in {path} --phases {phases} --cut {cut} --seed {seed}");
+    say!("resume with : fastbcast resume {spec} --in {path} --phases {phases} --cut {cut} --seed {seed}");
     Ok(())
 }
 
@@ -669,7 +715,7 @@ fn cmd_snapshot(args: &[String]) -> Result<(), String> {
 /// phases. With `--verify`, also rerun the whole composition
 /// uninterrupted and check the outputs and final state hash agree —
 /// the CLI face of the snapshot→restore→continue bit-identity oracle.
-fn cmd_resume(args: &[String]) -> Result<(), String> {
+fn cmd_resume(args: &[String]) -> Result<(), Failure> {
     let spec = args.first().ok_or("resume needs a <family>")?;
     let g = parse_family(spec)?;
     let path: String = opt(args, "--in", String::new())?;
@@ -680,21 +726,21 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
     let cut: u64 = opt(args, "--cut", phases / 2)?;
     let seed: u64 = opt(args, "--seed", 42u64)?;
     if cut > phases {
-        return Err(format!("--cut {cut} exceeds --phases {phases}"));
+        return Err(format!("--cut {cut} exceeds --phases {phases}").into());
     }
     let bytes = std::fs::read(&path).map_err(|e| format!("cannot read `{path}`: {e}"))?;
     let header = fast_broadcast::sim::snapshot::peek(&bytes).map_err(|e| e.to_string())?;
-    println!(
+    say!(
         "checkpoint  : {path} ({} bytes), graph {:016x}, state hash {:016x}",
         bytes.len(),
         header.fingerprint,
         header.state_hash
     );
     let mut session = Session::restore(&g, &bytes).map_err(|e| e.to_string())?;
-    println!("restored    : family {spec}, continuing at phase {cut}/{phases}");
+    say!("restored    : family {spec}, continuing at phase {cut}/{phases}");
     let outputs = run_pulse_phases(&mut session, cut, phases, seed)?;
     let final_hash = session.state_hash();
-    println!("final state hash {final_hash:016x}");
+    say!("final state hash {final_hash:016x}");
 
     if flag(args, "--verify") {
         let mut oracle = Session::new(&g);
@@ -702,7 +748,7 @@ fn cmd_resume(args: &[String]) -> Result<(), String> {
         if (cut < phases && expected != outputs) || oracle.state_hash() != final_hash {
             return Err("verification FAILED: resumed run diverged from uninterrupted run".into());
         }
-        println!("verified    : resumed run is bit-identical to an uninterrupted run");
+        say!("verified    : resumed run is bit-identical to an uninterrupted run");
     }
     Ok(())
 }

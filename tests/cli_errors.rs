@@ -265,6 +265,31 @@ fn good_invocations_still_succeed() {
     assert!(aged > 0, "aggressive budget must actually evict: {stdout}");
 }
 
+/// Output into a closed pipe (`fastbcast broadcast … | head -1` once
+/// `head` has exited) ends the program quietly: exit status 0 and nothing
+/// on stderr, not a panic (101) on the first line that fails to print.
+/// The pipe's read end is dropped before the child starts, so every write
+/// fails with EPIPE, whatever the timing.
+#[test]
+fn a_closed_stdout_ends_the_program_quietly() {
+    for args in [&["broadcast", "harary:16,256", "--k", "300"][..], &["help"]] {
+        let (reader, writer) = std::io::pipe().expect("a pipe");
+        drop(reader);
+        let out = Command::new(env!("CARGO_BIN_EXE_fastbcast"))
+            .args(args)
+            .stdout(writer)
+            .output()
+            .expect("spawn fastbcast");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "fastbcast {args:?} into a closed pipe\nstderr: {stderr}"
+        );
+        assert!(stderr.is_empty(), "fastbcast {args:?}: stderr {stderr}");
+    }
+}
+
 /// A scratch file of this test process's own (tests run in parallel and
 /// must not share one).
 fn scratch_file(name: &str) -> std::path::PathBuf {
