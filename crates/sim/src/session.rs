@@ -35,13 +35,14 @@
 //!   as it reads them. The next phase starts on clean state without any
 //!   O(arcs) scrub. Only a phase that *failed* (round-limit error or a
 //!   panic inside a node program) marks the session dirty and pays one
-//!   full scrub on the next run. The contract is what a clean state's
-//!   [`Session::state_hash`] rests on: it reads only the per-edge row and
-//!   the trace, since the five zeroed buffers (`in_occ`, `out_mask`,
-//!   `arc_traffic`, `bcast_stage`, `node_traffic`) would add nothing.
-//!   Debug builds assert the five are zero there, and [`Session::restore`]
-//!   refuses a frame that claims clean while one holds a nonzero word
-//!   ([`crate::snapshot::SnapshotError::LiveBuffer`]).
+//!   full scrub on the next run; debug builds assert, where a clean state
+//!   skips that scrub, that the five buffers (`in_occ`, `out_mask`,
+//!   `arc_traffic`, `bcast_stage`, `node_traffic`) are zero. So no phase
+//!   reads what an earlier one left in them, nor in `bcast_occ` (rebuilt
+//!   by every plane fold before anyone reads it): a continuation starts
+//!   from the per-edge row, the trace, the shard-plan key and the buffer
+//!   high-water marks alone. That is all a snapshot frame carries and all
+//!   [`Session::state_hash`] reads, clean or dirty.
 //!
 //! Between two phases on the same session **zero heap allocation**
 //! happens (enforced by `tests/zero_alloc.rs`), with the documented
@@ -692,72 +693,49 @@ impl SessionState {
         // `bcast_any` flag and every fold rebuilds all presence words.
     }
 
-    /// Splitmix64-folded hash of the resident engine state.
+    /// Whether the buffers [`SessionState::scrub`] zeroes are zero: what
+    /// a completed phase leaves ("Zeroed by breadcrumb").
+    fn scrubbed(&self) -> bool {
+        fn zero<W: Copy + Into<u64>>(words: &[W]) -> bool {
+            words.iter().all(|&w| w.into() == 0)
+        }
+        zero(&self.in_occ)
+            && zero(&self.out_mask)
+            && zero(&self.arc_traffic)
+            && zero(&self.bcast_stage)
+            && zero(&self.node_traffic)
+    }
+
+    /// Splitmix64-folded hash of what a continuation starts from: the
+    /// buffer sizes that are semantic (arcs, edges) and the clean flag as
+    /// a prefix, then the last phase's per-edge congestion row and trace
+    /// — exactly what a snapshot frame carries. Every other buffer is
+    /// zeroed or scrubbed before the next phase reads it (module docs),
+    /// so it is not state.
     ///
     /// Only **nonzero** words contribute (tagged by buffer and index),
     /// which makes the hash invariant across serial/parallel execution,
-    /// shard counts, lazily-sized buffers, and a reused vs a fresh engine
-    /// — everything the differential oracles prove irrelevant to
-    /// results. `bcast_occ` is excluded outright: its contents are
-    /// unspecified at rest (readers are gated on a per-phase flag),
-    /// exactly why [`SessionState::scrub`] skips it.
-    /// The buffer sizes that *are* semantic (arcs, edges) and the
-    /// clean flag are folded in as a prefix.
-    ///
-    /// A clean state holds the five breadcrumb-zeroed buffers all zero
-    /// (module docs), and zero words add nothing, so a clean state's hash
-    /// reads only the prefix, `per_edge` and `trace_buf`: the same value
-    /// for O(edges + rounds) instead of O(arcs). That rests on every clean
-    /// state keeping the contract. The round loop keeps it (debug builds
-    /// check it here), and [`Session::restore`] refuses a frame that claims
-    /// clean over a live buffer.
+    /// shard counts, and a reused vs a fresh engine — everything the
+    /// differential oracles prove irrelevant to results. Each word adds
+    /// its own term, so the order of the folds cannot reach the hash.
     pub(crate) fn state_hash(&self) -> u64 {
         use crate::rng::mix64;
         #[inline]
-        fn fold(mut h: u64, tag: u64, words: impl Iterator<Item = u64>) -> u64 {
-            for (i, w) in words.enumerate() {
+        fn fold(mut h: u64, tag: u64, words: &[u64]) -> u64 {
+            for (i, &w) in words.iter().enumerate() {
                 if w != 0 {
                     h = h.wrapping_add(mix64(w ^ mix64((tag << 48) ^ i as u64)));
                 }
             }
             h
         }
-        let mut h = mix64(0x5348_0001 ^ self.out_mask.len() as u64)
+        let h = mix64(0x5348_0001 ^ self.out_mask.len() as u64)
             ^ mix64(0x5348_0002 ^ self.per_edge.len() as u64)
             ^ mix64(0x5348_0003 ^ self.clean as u64);
-        // Each word adds its own term, so the order of the folds cannot
-        // reach the hash.
-        if self.clean {
-            debug_assert_eq!(self.live_buffer(), None, "a clean state holds live words");
-        } else {
-            h = fold(h, 1, self.in_occ.iter().copied());
-            h = fold(h, 2, self.out_mask.iter().map(|&b| b as u64));
-            h = fold(h, 3, self.arc_traffic.iter().map(|&w| w as u64));
-            // Tags 4 and 6 are retired; the rest keep theirs, and with them
-            // every hash recorded so far.
-            h = fold(h, 5, self.bcast_stage.iter().map(|&b| b as u64));
-            h = fold(h, 7, self.node_traffic.iter().map(|&w| w as u64));
-        }
-        h = fold(h, 8, self.per_edge.iter().copied());
-        h = fold(h, 9, self.trace_buf.iter().copied());
-        mix64(h)
-    }
-
-    /// The first buffer, by name, that a clean state must hold all zero
-    /// ("Zeroed by breadcrumb") and that has a nonzero word.
-    fn live_buffer(&self) -> Option<&'static str> {
-        fn live<W: Copy + Into<u64>>(words: &[W]) -> bool {
-            words.iter().any(|&w| w.into() != 0)
-        }
-        [
-            ("in_occ", live(&self.in_occ)),
-            ("out_mask", live(&self.out_mask)),
-            ("arc_traffic", live(&self.arc_traffic)),
-            ("bcast_stage", live(&self.bcast_stage)),
-            ("node_traffic", live(&self.node_traffic)),
-        ]
-        .into_iter()
-        .find_map(|(name, live)| live.then_some(name))
+        // Tags 8 and 9 are the ones these buffers have always had: every
+        // clean-state hash recorded so far keeps its value.
+        let h = fold(h, 8, &self.per_edge);
+        mix64(fold(h, 9, &self.trace_buf))
     }
 
     /// The cached shard-plan key (0 = no plan cached). The plan itself
@@ -811,77 +789,26 @@ impl SessionState {
         self.out_arena.grow_to_bytes(caps[5] as usize);
     }
 
-    /// Append the phase-crossing buffers to `out` as length-prefixed
-    /// little-endian words — the snapshot frame's engine payload. The
-    /// per-phase scratch (meters, worklists, fault buffers), the slabs
-    /// and the arenas are deliberately absent; see the [`crate::snapshot`]
-    /// module docs for why each is safe to drop. Appends only — steady-state encoding into a warm buffer
-    /// allocates nothing.
-    fn encode_payload(&self, out: &mut Vec<u8>) {
-        crate::snapshot::put_u64s(out, &self.in_occ);
-        crate::snapshot::put_u8s(out, &self.out_mask);
-        crate::snapshot::put_u32s(out, &self.arc_traffic);
-        crate::snapshot::put_u8s(out, &self.bcast_stage);
-        crate::snapshot::put_u64s(out, &self.bcast_occ);
-        crate::snapshot::put_u32s(out, &self.node_traffic);
-        crate::snapshot::put_u64s(out, &self.per_edge);
-        crate::snapshot::put_u64s(out, &self.trace_buf);
+    /// Size the broadcast plane's bookkeeping for `n` nodes: once per
+    /// session, by its first unfaulted phase (a faulted phase never pays
+    /// for it), or by a restore whose frame records that one ran.
+    fn size_plane(&mut self, n: usize) {
+        if self.bcast_stage.len() < n {
+            self.bcast_stage.resize(n, 0);
+            self.bcast_occ.resize(n.div_ceil(64), 0);
+            self.node_traffic.resize(n, 0);
+        }
     }
 
-    /// Decode an engine payload for `graph`, validating every buffer
-    /// length against the graph shape (lazily-sized buffers may be
-    /// empty or full-size, nothing else). [`Session::restore`] stamps
-    /// `clean`, the plan, and the capacities from the frame header.
-    fn decode_payload(
-        graph: &Graph,
-        r: &mut crate::snapshot::Reader<'_>,
-    ) -> Result<SessionState, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let n = graph.n();
-        let arcs = graph.num_arcs();
-        let occ_words = arcs.div_ceil(64);
-        let node_words = n.div_ceil(64);
-        fn expect(len: usize, allowed: &[usize], what: &'static str) -> Result<(), SnapshotError> {
-            if allowed.contains(&len) {
-                Ok(())
-            } else {
-                Err(SnapshotError::SizeMismatch(what))
-            }
-        }
-        let in_occ = r.u64s()?;
-        expect(in_occ.len(), &[occ_words], "in_occ")?;
-        let out_mask = r.u8s()?;
-        expect(out_mask.len(), &[arcs], "out_mask")?;
-        let arc_traffic = r.u32s()?;
-        expect(arc_traffic.len(), &[arcs], "arc_traffic")?;
-        let bcast_stage = r.u8s()?;
-        expect(bcast_stage.len(), &[0, n], "bcast_stage")?;
-        let bcast_occ = r.u64s()?;
-        expect(bcast_occ.len(), &[0, node_words], "bcast_occ")?;
-        let node_traffic = r.u32s()?;
-        expect(node_traffic.len(), &[0, n], "node_traffic")?;
-        let per_edge = r.u64s()?;
-        expect(per_edge.len(), &[graph.m()], "per_edge")?;
-        let trace_buf = r.u64s()?;
-        // The broadcast-plane trio is sized together by the round loop;
-        // a frame where only part of it is present is inconsistent.
-        if (bcast_stage.is_empty() || bcast_occ.is_empty() || node_traffic.is_empty())
-            && !(bcast_stage.is_empty() && bcast_occ.is_empty() && node_traffic.is_empty())
-        {
-            return Err(SnapshotError::SizeMismatch("bcast planes"));
-        }
-        Ok(SessionState {
-            in_occ,
-            out_mask,
-            arc_traffic,
-            bcast_stage,
-            bcast_occ,
-            node_traffic,
-            active: vec![0; n],
-            per_edge,
-            trace_buf,
-            ..SessionState::default()
-        })
+    /// Append the two buffers [`SessionState::state_hash`] signs to `out`
+    /// as length-prefixed little-endian words — the snapshot frame's
+    /// engine payload. Everything else is zeroed or scrubbed before the
+    /// next phase reads it; see the [`crate::snapshot`] module docs.
+    /// Appends only — steady-state encoding into a warm buffer allocates
+    /// nothing.
+    fn encode_payload(&self, out: &mut Vec<u8>) {
+        crate::snapshot::put_u64s(out, &self.per_edge);
+        crate::snapshot::put_u64s(out, &self.trace_buf);
     }
 
     /// What a phase does first: scrub what a failed phase left behind,
@@ -906,6 +833,7 @@ impl SessionState {
         if !self.clean {
             self.scrub();
         }
+        debug_assert!(self.scrubbed(), "a completed phase left a live buffer");
         self.clean = false;
         let threads = congest_par::num_threads();
         let fork = config.parallel
@@ -950,12 +878,8 @@ impl SessionState {
         let node_words = n.div_ceil(64);
         let bcast_enabled = config.faults.is_none();
 
-        // --- Lazily size the broadcast-plane bookkeeping on first use (a
-        // faulted phase never pays for it), once per session.
-        if bcast_enabled && self.bcast_stage.len() < n {
-            self.bcast_stage.resize(n, 0);
-            self.bcast_occ.resize(node_words, 0);
-            self.node_traffic.resize(n, 0);
+        if bcast_enabled {
+            self.size_plane(n);
         }
 
         if let Some(fp) = &config.faults {
@@ -1496,10 +1420,10 @@ impl<'g> Session<'g> {
     /// Restore a snapshot frame onto `graph`, which must be the graph
     /// the frame was taken from (fingerprint and shape are verified).
     /// The restored session continues **bit-identically** to the one
-    /// that was snapshotted: buffers are byte-equal, the shard-plan
-    /// cache is recomputed from its recorded key, slab/arena high-water
-    /// marks are replayed, a frame that claims a clean state must hold the
-    /// breadcrumb-zeroed buffers zero, and the recomputed
+    /// that was snapshotted: the per-edge row and the trace are
+    /// byte-equal, every buffer the next phase would zero or scrub starts
+    /// zero, the shard-plan cache is recomputed from its recorded key,
+    /// slab/arena high-water marks are replayed, and the recomputed
     /// [`Session::state_hash`] must equal the recorded one, or the restore
     /// is refused.
     pub fn restore(
@@ -1535,19 +1459,24 @@ impl<'g> Session<'g> {
         if header.plan_key > graph.n().max(1) as u64 {
             return Err(SnapshotError::SizeMismatch("plan_key"));
         }
-        let mut state = SessionState::decode_payload(graph, &mut r)?;
-        // A clean state's hash does not read these buffers, and the next
-        // phase would not scrub them: a frame that claims clean must hold
-        // them zero, or it would replay staged words as messages.
-        if header.clean {
-            if let Some(buffer) = state.live_buffer() {
-                return Err(SnapshotError::LiveBuffer(buffer));
-            }
+        let mut state = SessionState::new(graph);
+        state.per_edge = r.u64s()?;
+        if state.per_edge.len() != graph.m() {
+            return Err(SnapshotError::SizeMismatch("per_edge"));
+        }
+        state.trace_buf = r.u64s()?;
+        if !r.at_end() {
+            return Err(SnapshotError::SizeMismatch("frame length"));
         }
         state.clean = header.clean;
         if header.plan_key != 0 {
             let k = header.plan_key as usize;
             state.plan = Some((k, graph.shard_plan(k)));
+        }
+        // A broadcast slab has grown iff an unfaulted phase ran, which is
+        // also what sizes the plane's bookkeeping.
+        if header.capacities[2] != 0 {
+            state.size_plane(graph.n());
         }
         state.grow_capacities(header.capacities);
         let rehash = state.state_hash();
@@ -1746,6 +1675,43 @@ mod tests {
             state.warm_bytes(),
             in_occ + out_mask + arc_traffic + active + per_edge
         );
+    }
+
+    /// A frame does not carry the broadcast plane's bookkeeping; a restore
+    /// sizes it from the recorded broadcast-slab capacity, so the restored
+    /// state holds (and `warm_bytes` counts) what the original held.
+    #[test]
+    fn a_restore_sizes_the_plane_as_the_original_had_it() {
+        /// One word to every neighbour in round 0.
+        struct Hello;
+        impl Protocol for Hello {
+            type Msg = u64;
+            type Output = ();
+            fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
+                if ctx.round == 0 {
+                    ctx.send_all(1);
+                }
+                ctx.set_done(true);
+            }
+            fn finish(self) {}
+        }
+        let g = cycle(100);
+        let plane =
+            |s: &SessionState| (s.bcast_stage.len(), s.bcast_occ.len(), s.node_traffic.len());
+        for (faults, sized) in [
+            (None, (100, 2, 100)),
+            (Some(FaultPlan::new(1, 7)), (0, 0, 0)),
+        ] {
+            let mut original = Session::new(&g);
+            let config = EngineConfig {
+                faults,
+                ..EngineConfig::serial()
+            };
+            original.run(|_, _| Hello, config).unwrap();
+            let restored = Session::restore(&g, &original.snapshot()).unwrap();
+            assert_eq!(plane(&original.state), sized);
+            assert_eq!(plane(&restored.state), sized);
+        }
     }
 
     #[test]

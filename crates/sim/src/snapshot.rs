@@ -11,9 +11,8 @@
 //!
 //! A snapshot is a single flat byte frame, version-stamped and
 //! checksummed. Because the engine's live state is already flat words —
-//! packed `u64`/`u128` message slabs, word-packed occupancy bitsets,
-//! `u32` congestion counters, per-edge congestion — encoding is a
-//! near-memcpy walk over those vectors. Layout (all integers
+//! per-edge congestion, per-round traces — encoding is a near-memcpy
+//! walk over those vectors. Layout (all integers
 //! little-endian):
 //!
 //! ```text
@@ -33,26 +32,41 @@
 //! 120     body             engine payload
 //! ```
 //!
-//! The engine payload serializes exactly the buffers that carry state
-//! *across* a phase boundary, eight length-prefixed vectors: inbox
-//! occupancy, staging mask, per-arc traffic counters, the broadcast
-//! plane's stage bytes, presence words and per-node counters, per-edge
-//! congestion, and the last trace (version 1 had two more, bit-sliced
-//! meter planes, and a version 2 frame could record the slab high-water
-//! marks of a 64-lane phase, 64 times what the capacity ceiling now
-//! allows; either is [`SnapshotError::BadVersion`]). **Not captured**
-//! (and why):
+//! The engine payload is two length-prefixed `u64` vectors, the last
+//! phase's per-edge congestion row and its trace: the only buffers whose
+//! contents a phase boundary keeps, and the two
+//! [`crate::Session::state_hash`] signs. The frame ends where the trace
+//! does. (Version 3 also carried six per-arc and per-node buffers, below;
+//! version 1 two bit-sliced meter planes besides, and a version 2 frame
+//! could record the slab high-water marks of a 64-lane phase, 64 times
+//! what the capacity ceiling now allows; each is
+//! [`SnapshotError::BadVersion`].) **Not captured** (and why):
 //!
+//! * **the round loop's scratch buffers** — inbox occupancy, staging
+//!   mask, per-arc traffic counters, and the broadcast plane's stage
+//!   bytes, presence words and per-node counters. A completed phase
+//!   leaves five of them zero ("Zeroed by breadcrumb", `session` module
+//!   docs), a failed one leaves them to the next phase's scrub, and every
+//!   plane fold rebuilds the presence words before anyone reads them. So
+//!   no phase reads what an earlier one left there, and a restore starts
+//!   them zero. Whether the plane's three are sized at all is read off the
+//!   recorded broadcast-slab capacity, so a restored state holds what the
+//!   original held;
 //! * **slab and arena contents** — between phases only occupancy-gated
 //!   slots are ever read and the occupancy bitset is zero, so the words
 //!   are unreachable by construction; only their byte capacities matter
 //!   (they are restored, so a warm session stays warm);
-//! * **per-phase scratch** (shard meters, worklists, aggregation and
-//!   fault buffers) — rebuilt at the start of every run;
+//! * **per-phase scratch** (shard meters, worklists, the active-node
+//!   list, fault buffers) — rebuilt at the start of every run;
 //! * **the [`congest_graph::ShardPlan`]** — a pure function of the graph
 //!   and the recorded `plan_key`, recomputed on restore;
 //! * **mid-phase node state** — protocol cells are arbitrary user types;
 //!   snapshots are a *phase-boundary* operation by design.
+//!
+//! A frame taken after a failed phase (a round-limit error) has the clean
+//! flag unset, restores the same way, and continues like the session it
+//! was taken from: that session's next phase scrubs what the failure left
+//! behind, the restored one starts from zero.
 //!
 //! ## Restore validation
 //!
@@ -61,35 +75,26 @@
 //! then the graph fingerprint and the `n`/`m`/`arcs` shape, then the
 //! recorded capacities and plan key against what that shape allows (the
 //! checksum is no authenticator, so no header field is allocated from
-//! unchecked), then every decoded buffer length, then — for a frame that
-//! sets the clean flag — that the five buffers a clean phase boundary
-//! leaves all zero (inbox occupancy, staging mask, per-arc traffic, the
-//! plane's stage bytes and per-node counters) are zero
-//! ([`SnapshotError::LiveBuffer`] names the first that is not), and
-//! finally the recomputed [`crate::Session::state_hash`] must equal
-//! the recorded one — a restored engine is bit-identical or it is an
-//! error, never silently wrong. The clean-flag check is not redundant
-//! with the hash: a clean state's hash does not read those five buffers
-//! (see below), and the checksum and the hash are folds anyone can
-//! recompute. A frame that passed with a live staging byte would skip
-//! the next phase's scrub and replay the staged word as a message. A frame never carries its graph: the
-//! caller supplies the topology, and the fingerprint decides whether the
-//! two belong together. Flag bits 1 and 2 once marked an embedded graph
-//! and a dynamic-topology section (DESIGN.md §10); a frame that sets
+//! unchecked), then the per-edge row's length and that the frame ends
+//! with the trace, and finally the recomputed
+//! [`crate::Session::state_hash`] must equal the recorded one — a restored
+//! engine is bit-identical or it is an error, never silently wrong. The
+//! clean flag is part of the hash, so flipping it alone is a
+//! [`SnapshotError::StateHashMismatch`]. A frame never carries its graph:
+//! the caller supplies the topology, and the fingerprint decides whether
+//! the two belong together. Flag bits 1 and 2 once marked an embedded
+//! graph and a dynamic-topology section (DESIGN.md §10); a frame that sets
 //! either, or any other unknown bit, is [`SnapshotError::WrongKind`].
 //!
 //! ## State hashing
 //!
-//! [`crate::Session::state_hash`] folds every **nonzero** word of the resident
-//! buffers (tagged by buffer and index) through the same splitmix64
-//! finalizer the graph fingerprint uses. Folding only nonzero words
-//! makes the hash invariant across everything that must not matter:
-//! serial vs parallel execution, shard counts, lazily-sized buffers, and
-//! a reused vs a fresh engine. At a clean phase boundary
-//! the breadcrumb-zero contract means the hash signs the last phase's
-//! per-edge congestion profile and trace, and it reads only those (the
-//! five zeroed buffers would add nothing): O(edges + rounds), not
-//! O(arcs). A dirty state's hash folds every buffer. Recorded into
+//! [`crate::Session::state_hash`] folds the graph's arc and edge counts,
+//! the clean flag, and every **nonzero** word of the per-edge row and
+//! the trace (tagged by buffer and index) through the same splitmix64
+//! finalizer the graph fingerprint uses: what the frame carries, clean or
+//! dirty, in O(edges + rounds). Folding only nonzero words makes the hash
+//! invariant across everything that must not matter: serial vs parallel
+//! execution, shard counts, and a reused vs a fresh engine. Recorded into
 //! [`crate::PhaseLog`] via [`crate::PhaseLog::record_hashed`], two hosts
 //! can diff a long composition phase by phase with eight bytes per
 //! phase.
@@ -153,7 +158,7 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"FBCSNAP1");
 /// any other value.
 ///
 /// [`crate::Session::restore`]: crate::Session::restore
-pub const SNAPSHOT_VERSION: u32 = 3;
+pub const SNAPSHOT_VERSION: u32 = 4;
 
 pub(crate) const FLAG_CLEAN: u32 = 1;
 
@@ -179,9 +184,6 @@ pub enum SnapshotError {
     WrongKind,
     /// A decoded buffer length disagrees with the recorded graph shape.
     SizeMismatch(&'static str),
-    /// The frame sets the clean flag, but the named buffer, one a clean
-    /// phase boundary leaves all zero, holds a nonzero word.
-    LiveBuffer(&'static str),
     /// The restored state's recomputed hash differs from the recorded
     /// one — the frame is internally inconsistent.
     StateHashMismatch { expected: u64, found: u64 },
@@ -212,10 +214,6 @@ impl fmt::Display for SnapshotError {
             SnapshotError::SizeMismatch(what) => {
                 write!(f, "snapshot buffer `{what}` disagrees with the graph shape")
             }
-            SnapshotError::LiveBuffer(what) => write!(
-                f,
-                "snapshot claims a clean state, but buffer `{what}` holds live words"
-            ),
             SnapshotError::StateHashMismatch { expected, found } => write!(
                 f,
                 "restored state hashes to {found:#018x}, frame recorded {expected:#018x}"
@@ -236,8 +234,8 @@ impl std::error::Error for SnapshotError {}
 pub struct SnapshotHeader {
     /// Format version of the frame.
     pub version: u32,
-    /// Whether the captured state was breadcrumb-clean (it always is for
-    /// frames produced by this crate; snapshots are phase-boundary only).
+    /// Whether the captured state's last phase completed (unset after a
+    /// round-limit error or a panic in a node program).
     pub clean: bool,
     /// [`congest_graph::Graph::fingerprint`] of the keyed graph.
     pub fingerprint: u64,
@@ -296,20 +294,6 @@ pub(crate) fn put_u64s(out: &mut Vec<u8>, ws: &[u64]) {
     }
 }
 
-/// Length-prefixed `u32` slice.
-pub(crate) fn put_u32s(out: &mut Vec<u8>, ws: &[u32]) {
-    put_u64(out, ws.len() as u64);
-    for &w in ws {
-        out.extend_from_slice(&w.to_le_bytes());
-    }
-}
-
-/// Length-prefixed raw byte slice.
-pub(crate) fn put_u8s(out: &mut Vec<u8>, bs: &[u8]) {
-    put_u64(out, bs.len() as u64);
-    out.extend_from_slice(bs);
-}
-
 /// A bounds-checked cursor over a frame body; every read can fail with
 /// [`SnapshotError::Truncated`], never panic.
 pub(crate) struct Reader<'a> {
@@ -332,40 +316,25 @@ impl<'a> Reader<'a> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
     }
 
-    fn len_prefix(&mut self, elem_bytes: usize) -> Result<usize, SnapshotError> {
-        let len = self.u64()? as usize;
-        // Reject absurd lengths before allocating (a corrupt frame must
-        // not become an OOM).
-        if len
-            .checked_mul(elem_bytes)
-            .is_none_or(|b| b > self.buf.len())
-        {
-            return Err(SnapshotError::Truncated);
-        }
-        Ok(len)
-    }
-
+    /// A length-prefixed `u64` slice. The length is checked against the
+    /// bytes left before anything is allocated (a corrupt frame must not
+    /// become an OOM).
     pub(crate) fn u64s(&mut self) -> Result<Vec<u64>, SnapshotError> {
-        let len = self.len_prefix(8)?;
-        let raw = self.take(len * 8)?;
-        Ok(raw
+        let len = self.u64()?;
+        let bytes = usize::try_from(len)
+            .ok()
+            .and_then(|len| len.checked_mul(8))
+            .ok_or(SnapshotError::Truncated)?;
+        Ok(self
+            .take(bytes)?
             .chunks_exact(8)
             .map(|c| u64::from_le_bytes(c.try_into().unwrap()))
             .collect())
     }
 
-    pub(crate) fn u32s(&mut self) -> Result<Vec<u32>, SnapshotError> {
-        let len = self.len_prefix(4)?;
-        let raw = self.take(len * 4)?;
-        Ok(raw
-            .chunks_exact(4)
-            .map(|c| u32::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-
-    pub(crate) fn u8s(&mut self) -> Result<Vec<u8>, SnapshotError> {
-        let len = self.len_prefix(1)?;
-        Ok(self.take(len)?.to_vec())
+    /// Whether every byte of the frame has been read.
+    pub(crate) fn at_end(&self) -> bool {
+        self.pos == self.buf.len()
     }
 }
 

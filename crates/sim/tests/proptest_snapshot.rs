@@ -11,8 +11,9 @@
 //! the tamper suite (a mutation property over valid frames — byte flips,
 //! truncations, inflated length prefixes, header fields out of range —
 //! beside the fixed magic, version, fingerprint, unknown-flag and
-//! clean-flag-over-live-buffers cases: every corruption is a typed
-//! refusal).
+//! trailing-bytes cases: every corruption is a typed refusal), and the
+//! frame of a round-limited session, which continues like the session it
+//! was taken from and refuses a flipped clean flag.
 
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::rng::{mix64, phase_seed};
@@ -424,14 +425,14 @@ const CAPACITIES: usize = 72;
 const BODY: usize = 120;
 
 /// Offsets of every length prefix in a frame's body, walking the layout
-/// the module docs give: the engine payload's eight vectors. Ends exactly
-/// at the frame's end or the layout moved.
+/// the module docs give: the engine payload's two `u64` vectors. Ends
+/// exactly at the frame's end or the layout moved.
 fn length_prefixes(frame: &[u8]) -> Vec<usize> {
     let mut found = Vec::new();
     let mut at = BODY;
-    for elem_bytes in [8, 1, 4, 1, 8, 4, 8, 8] {
+    for _ in 0..2 {
         found.push(at);
-        at += 8 + word_at(frame, at) as usize * elem_bytes;
+        at += 8 + word_at(frame, at) as usize * 8;
     }
     assert_eq!(at, frame.len(), "the frame layout moved");
     found
@@ -520,8 +521,9 @@ fn tampered_frames_are_refused() {
     assert_eq!(refusal(Session::restore(&g, &bad)), SnapshotError::BadMagic);
 
     // So are the previous formats: version 1 carried the meter planes,
-    // version 2 could carry a 64-lane phase's slab capacities.
-    for version in [1u32, 2] {
+    // version 2 could carry a 64-lane phase's slab capacities, version 3
+    // carried the round loop's scratch buffers.
+    for version in [1u32, 2, 3] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -529,7 +531,16 @@ fn tampered_frames_are_refused() {
             SnapshotError::BadVersion(version)
         );
     }
-    assert_eq!(congest_sim::SNAPSHOT_VERSION, 3);
+    assert_eq!(congest_sim::SNAPSHOT_VERSION, 4);
+
+    // The frame ends with the trace: a byte after it is refused, even
+    // with the checksum recomputed.
+    let mut long = bytes.clone();
+    long.push(0);
+    assert_eq!(
+        refusal(Session::restore(&g, &resealed(long))),
+        SnapshotError::SizeMismatch("frame length")
+    );
 
     // A slab holds one 16-byte word per arc at most: a frame claiming the
     // ceiling restores, one claiming a byte more is refused.
@@ -564,31 +575,49 @@ fn tampered_frames_are_refused() {
             "flag bit {bit}"
         );
     }
+}
 
-    // A phase that hits its round limit leaves the session dirty, with the
-    // last round's mail still in the inbox buffers; its frame restores as
-    // it is. Setting the clean flag over those buffers would skip the next
-    // phase's scrub and replay the mail, and a clean state's hash does not
-    // read them: the frame is refused by name before the hash is checked.
-    let mut s = Session::new(&g);
-    let limited = s.run(
+/// A phase that hits its round limit leaves the session dirty, with its
+/// last round's mail still in the scratch buffers. The frame carries none
+/// of it and restores with the clean flag unset; the original scrubs those
+/// buffers before its next phase, the restored session starts from zero,
+/// and the two continue bit-identically.
+#[test]
+fn a_round_limited_sessions_frame_continues_like_the_session() {
+    let g = small_graph();
+    let mut original = Session::new(&g);
+    let limited = original.run(
         |_, _| Chatter {
             rounds: 6,
             salt: 9,
             heard: 0,
         },
-        EngineConfig::serial().seed(11).max_rounds(3),
+        EngineConfig::serial().seed(11).max_rounds(3).trace(),
     );
     assert!(limited.is_err(), "the phase hits its round limit");
-    let dirty = s.snapshot();
-    assert!(!congest_sim::snapshot::peek(&dirty).unwrap().clean);
-    assert!(Session::restore(&g, &dirty).is_ok());
+    let dirty = original.snapshot();
+    let header = congest_sim::snapshot::peek(&dirty).unwrap();
+    assert!(!header.clean);
+    let mut restored = Session::restore(&g, &dirty).unwrap();
+    assert_eq!(restored.state_hash(), original.state_hash());
+    assert_eq!(restored.state_hash(), header.state_hash);
+
+    // The clean flag sits outside the checksummed region, but the state
+    // hash signs it: setting it over that frame is refused.
     let mut bad = dirty.clone();
     bad[12] |= 1;
-    assert_eq!(
+    assert!(matches!(
         refusal(Session::restore(&g, &bad)),
-        SnapshotError::LiveBuffer("in_occ")
-    );
+        SnapshotError::StateHashMismatch { .. }
+    ));
+
+    for k in 1..=PHASES {
+        assert_eq!(
+            run_phase(&mut restored, k, 5, 2, 1, 5),
+            run_phase(&mut original, k, 5, 2, 1, 5),
+            "phase {k}"
+        );
+    }
 }
 
 #[test]

@@ -322,12 +322,19 @@ fn checkpoint_cli_round_trips_and_refuses_bad_frames() {
     crafted[72..80].copy_from_slice(&(1u64 << 62).to_le_bytes());
     let sum = fast_broadcast::sim::snapshot::checksum(&crafted[24..]);
     crafted[16..24].copy_from_slice(&sum.to_le_bytes());
-    let mut old = frame.clone();
-    old[8..12].copy_from_slice(&1u32.to_le_bytes());
+    // A version-1 frame, and a version-3 one (the last format that carried
+    // the round loop's scratch buffers).
+    let version = |v: u32| {
+        let mut old = frame.clone();
+        old[8..12].copy_from_slice(&v.to_le_bytes());
+        old
+    };
+    let (v1, v3) = (version(1), version(3));
     for (name, bytes, needle) in [
         ("cut.snap", &frame[..frame.len() / 2], "checksum mismatch"),
         ("crafted.snap", &crafted[..], "`capacities`"),
-        ("v1.snap", &old[..], "unsupported snapshot version 1"),
+        ("v1.snap", &v1[..], "unsupported snapshot version 1"),
+        ("v3.snap", &v3[..], "unsupported snapshot version 3"),
     ] {
         let path = scratch_file(name);
         std::fs::write(&path, bytes).expect("write the bad frame");
