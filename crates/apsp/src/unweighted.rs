@@ -16,9 +16,10 @@
 
 use crate::clustering::{build_clustering_retrying_hosted, ClusterGraph, ClusteringError};
 use crate::prt12::prt12_apsp;
-use congest_core::broadcast::{BroadcastConfig, BroadcastError, BroadcastInput};
+use congest_core::broadcast::{
+    partition_broadcast_retrying_hosted, BroadcastConfig, BroadcastError, BroadcastInput,
+};
 use congest_core::partition::PartitionParams;
-use congest_core::watchdog::{partition_broadcast_degrading_hosted, DegradePolicy};
 use congest_graph::{Graph, Node};
 use congest_sim::{PhaseLog, RunStats};
 
@@ -89,12 +90,12 @@ pub fn unweighted_apsp_approx(
     };
     let params =
         PartitionParams::from_lambda(n, lambda, congest_core::broadcast::DEFAULT_PARTITION_C);
-    let (bc, _) = partition_broadcast_degrading_hosted(
+    let (bc, _) = partition_broadcast_retrying_hosted(
         &mut host,
         &input,
         params,
         &BroadcastConfig::with_seed(seed ^ 0xB0),
-        &DegradePolicy::flat(20, params),
+        20,
     )
     .map_err(ApspError::Broadcast)?;
     debug_assert!(bc.all_delivered());

@@ -33,8 +33,10 @@
 //! (c) partition + per-class BFS + the spanning check, (d) routing,
 //! (e) checksums and outcome. [`partition_broadcast_hosted`] is one
 //! attempt of it; [`crate::resilient`] and [`crate::exp_search`] run the
-//! same stages under their own seeds, and every retry is the one ladder
-//! of [`crate::watchdog()`]. Every phase is one [`Session::run`] on the
+//! same stages under their own seeds. A graph that stage a did not span
+//! ends every driver with [`BroadcastError::Disconnected`]. The family has
+//! one retry loop, [`partition_broadcast_retrying_hosted`]: fresh seeds on
+//! `NotSpanning`, nothing else. Every phase is one [`Session::run`] on the
 //! caller's [`Session`], the one engine host, and a failed attempt leaves
 //! the session as clean as a completed one: a sweep over partition seeds
 //! is a loop of [`partition_broadcast_hosted`] calls on one warm session
@@ -42,13 +44,13 @@
 //! `seed_sweep_on_one_warm_session_matches_fresh_sessions`).
 //!
 //! Surface rule: only [`partition_broadcast`] and
-//! [`partition_broadcast_retrying`] take a `&Graph` (and build their own
-//! session); every other driver of the family takes the caller's.
+//! [`partition_broadcast_retrying`] take a `&Graph`; each is
+//! [`Session::new`] plus its hosted twin. Every other driver of the family
+//! takes the caller's session.
 
 use crate::partition::PartitionParams;
 use crate::pipeline::{PipeCore, PipeMsg, PipeResult};
 use crate::stages::{Composition, CLASS_PHASES};
-use crate::watchdog::{partition_broadcast_degrading_hosted, DegradePolicy};
 use congest_graph::{Graph, Node};
 use congest_sim::{
     EngineConfig, EngineError, MsgBits, NodeCtx, PackedMsg, PhaseLog, Protocol, RunStats, Session,
@@ -151,15 +153,19 @@ impl BroadcastConfig {
 /// Why a broadcast failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum BroadcastError {
-    /// A partition class failed to span (Theorem 2's low-probability
-    /// failure event — retry with a fresh seed or a smaller λ′).
+    /// Partition class `subgraph` left `unreached` nodes out of its BFS
+    /// tree although `G` is connected: Theorem 2's low-probability failure
+    /// event, checked after stage c. Another seed may span, and
+    /// [`partition_broadcast_retrying_hosted`] tries one; a λ′ above what
+    /// the graph supports fails at every seed (without λ, the paper's
+    /// answer is [`crate::exp_search`]).
     NotSpanning {
         subgraph: u32,
         unreached: usize,
     },
-    /// The connectivity watchdog found the graph disconnected: no number
-    /// of subgraphs can span it, so degradation refuses to burn retries
-    /// and reports cleanly instead (see [`crate::watchdog()`]).
+    /// `G`'s BFS tree from the leader (stage a) left a node unreached: no
+    /// partition can span `G`. Every driver returns it right after stage
+    /// a, and no seed changes it, so the retry loop does not retry it.
     Disconnected,
     Engine(EngineError),
 }
@@ -247,9 +253,10 @@ pub fn partition_broadcast(
 /// sparsifier pipeline, a sweep over seeds) pass one session so every
 /// broadcast — and every phase inside it — reuses the same preallocated
 /// engine. Every phase is logged with the host's post-phase state hash
-/// (the snapshot/replay checkpoint signal). A partition that fails to
-/// span is `Err(NotSpanning)` after phase 5, and leaves the session as
-/// clean as a completed broadcast does.
+/// (the snapshot/replay checkpoint signal). A disconnected graph is
+/// `Err(Disconnected)` after phase 2, a partition that fails to span
+/// `Err(NotSpanning)` after phase 5; either leaves the session as clean
+/// as a completed broadcast does.
 pub fn partition_broadcast_hosted(
     host: &mut Session<'_>,
     input: &BroadcastInput,
@@ -258,6 +265,7 @@ pub fn partition_broadcast_hosted(
 ) -> Result<BroadcastOutcome, BroadcastError> {
     let mut comp = Composition::new(host, input, |phase| cfg.engine(phase));
     comp.tree()?;
+    comp.connected()?;
     comp.number(3)?;
     comp.class_trees(CLASS_PHASES, params.num_subgraphs, cfg.seed)?;
     comp.spanning()?;
@@ -270,10 +278,7 @@ pub fn partition_broadcast_hosted(
     Ok(comp.outcome(per_node))
 }
 
-/// Retry wrapper: Theorem 2 succeeds w.h.p., so on the rare `NotSpanning`
-/// event re-randomize (fresh seed) up to `attempts` times on one host.
-/// This is the ladder of [`crate::watchdog()`] with the flat policy
-/// ([`DegradePolicy::flat`]): no watchdog, no level below `params`.
+/// [`partition_broadcast_retrying_hosted`] on a session of its own.
 pub fn partition_broadcast_retrying(
     g: &Graph,
     input: &BroadcastInput,
@@ -281,11 +286,33 @@ pub fn partition_broadcast_retrying(
     cfg: &BroadcastConfig,
     attempts: usize,
 ) -> Result<(BroadcastOutcome, usize), BroadcastError> {
-    let policy = DegradePolicy::flat(attempts, params);
-    let mut host = Session::new(g);
-    let (outcome, log) =
-        partition_broadcast_degrading_hosted(&mut host, input, params, cfg, &policy)?;
-    Ok((outcome, log.total_attempts()))
+    partition_broadcast_retrying_hosted(&mut Session::new(g), input, params, cfg, attempts)
+}
+
+/// The family's one retry loop. Theorem 2 spans w.h.p., so on the rare
+/// `NotSpanning` it re-randomizes: attempt `a` is one
+/// [`partition_broadcast_hosted`] on the caller's session at seed
+/// `cfg.seed + a·⌊2³²/φ⌋`, for `a < attempts.max(1)`. Any other error ends
+/// the loop at once; when the attempts run out, the last attempt's error is
+/// returned. On success, also returns how many attempts ran.
+pub fn partition_broadcast_retrying_hosted(
+    host: &mut Session<'_>,
+    input: &BroadcastInput,
+    params: PartitionParams,
+    cfg: &BroadcastConfig,
+    attempts: usize,
+) -> Result<(BroadcastOutcome, usize), BroadcastError> {
+    let mut cfg = cfg.clone();
+    let base = cfg.seed;
+    let mut ran = 0;
+    loop {
+        cfg.seed = base.wrapping_add(ran as u64 * 0x9E37_79B9);
+        ran += 1;
+        match partition_broadcast_hosted(host, input, params, &cfg) {
+            Err(BroadcastError::NotSpanning { .. }) if ran < attempts => {}
+            result => return result.map(|out| (out, ran)),
+        }
+    }
 }
 
 /// One message on the wire during parallel routing: the class tag plus the
@@ -468,6 +495,71 @@ mod tests {
         assert!(matches!(err, BroadcastError::NotSpanning { .. }));
     }
 
+    /// The loop's contract, which `benchmark/`'s replica copies: attempt
+    /// `a` runs at seed `cfg.seed + a·0x9E37_79B9`, the last attempt's
+    /// `NotSpanning` is what exhaustion returns, and zero attempts is one.
+    #[test]
+    fn retrying_returns_the_last_attempts_error_when_attempts_run_out() {
+        let g = congest_graph::generators::cycle(16);
+        let input = BroadcastInput::random_spread(&g, 8, 0);
+        let params = PartitionParams::explicit(16);
+        let cfg = BroadcastConfig::with_seed(0);
+        let attempt = |a: u64| {
+            let cfg = BroadcastConfig::with_seed(cfg.seed.wrapping_add(a * 0x9E37_79B9));
+            partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg).unwrap_err()
+        };
+        let (first, last) = (attempt(0), attempt(2));
+        assert!(matches!(last, BroadcastError::NotSpanning { .. }));
+        assert_ne!(first, last, "the two attempts must be told apart");
+        let retried = |attempts| {
+            partition_broadcast_retrying(&g, &input, params, &cfg, attempts).unwrap_err()
+        };
+        assert_eq!(retried(3), last);
+        assert_eq!(retried(0), first);
+    }
+
+    /// Two disjoint edges: stage a's tree misses a component, so every
+    /// driver of the family stops with `Disconnected` instead of
+    /// numbering half the graph.
+    fn disconnected() -> (Graph, BroadcastInput) {
+        let g = congest_graph::GraphBuilder::new(4)
+            .edges([(0, 1), (2, 3)])
+            .build()
+            .unwrap();
+        let input = BroadcastInput::at_single_node(&g, 0, 4);
+        (g, input)
+    }
+
+    /// Only `NotSpanning` is retried, so `Disconnected` comes back from
+    /// the loop's first attempt.
+    #[test]
+    fn retrying_reports_a_disconnected_graph() {
+        let (g, input) = disconnected();
+        let params = PartitionParams::explicit(1);
+        let cfg = BroadcastConfig::with_seed(1);
+        let plain = partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg);
+        assert_eq!(plain.unwrap_err(), BroadcastError::Disconnected);
+        let retried = partition_broadcast_retrying(&g, &input, params, &cfg, 30);
+        assert_eq!(retried.unwrap_err(), BroadcastError::Disconnected);
+    }
+
+    #[test]
+    fn resilient_and_exp_search_report_a_disconnected_graph() {
+        let (g, input) = disconnected();
+        let cfg = BroadcastConfig::with_seed(1);
+        let resilient = crate::resilient::resilient_broadcast_hosted(
+            &mut Session::new(&g),
+            &input,
+            PartitionParams::explicit(1),
+            1,
+            None,
+            &cfg,
+        );
+        assert_eq!(resilient.unwrap_err(), BroadcastError::Disconnected);
+        let searched = crate::exp_search::exp_search_broadcast(&g, &input, &cfg);
+        assert_eq!(searched.unwrap_err(), BroadcastError::Disconnected);
+    }
+
     #[test]
     fn retrying_succeeds_on_borderline_partition() {
         let g = clique_chain(3, 12, 6);
@@ -480,7 +572,7 @@ mod tests {
         let (out, attempts) = partition_broadcast_retrying(&g, &input, params, &cfg, 20).unwrap();
         assert!(out.all_delivered());
         assert_eq!(attempts, 2);
-        // Attempt `a` of the ladder is one plain broadcast at seed
+        // Attempt `a` of the loop is one plain broadcast at seed
         // `cfg.seed + a·0x9E37_79B9`, on a host earlier attempts used.
         let mut host = Session::new(&g);
         let attempt = |host: &mut Session<'_>, a: u64| {

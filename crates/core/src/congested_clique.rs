@@ -13,9 +13,10 @@
 //! value may depend on everything heard so far — which is exactly the BCC
 //! computational model.
 
-use crate::broadcast::{BroadcastConfig, BroadcastError, BroadcastInput};
+use crate::broadcast::{
+    partition_broadcast_retrying_hosted, BroadcastConfig, BroadcastError, BroadcastInput,
+};
 use crate::partition::PartitionParams;
-use crate::watchdog::{partition_broadcast_degrading_hosted, DegradePolicy};
 use congest_graph::{Graph, Node};
 use congest_sim::{PhaseLog, Session};
 
@@ -67,12 +68,12 @@ pub fn simulate_bcc_round_hosted(
             .collect(),
     };
     let params = PartitionParams::from_lambda(n, lambda, crate::broadcast::DEFAULT_PARTITION_C);
-    let (out, _) = partition_broadcast_degrading_hosted(
+    let (out, _) = partition_broadcast_retrying_hosted(
         host,
         &input,
         params,
         &BroadcastConfig::with_seed(seed),
-        &DegradePolicy::flat(20, params),
+        20,
     )?;
     debug_assert!(out.all_delivered());
     // Reconstruct the view every node now holds (identical everywhere by

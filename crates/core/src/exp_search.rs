@@ -19,7 +19,8 @@
 //! convergecast and the halving loop live here.
 
 use crate::broadcast::{
-    BroadcastConfig, BroadcastInput, BroadcastOutcome, ParallelPipeline, DEFAULT_PARTITION_C,
+    BroadcastConfig, BroadcastError, BroadcastInput, BroadcastOutcome, ParallelPipeline,
+    DEFAULT_PARTITION_C,
 };
 use crate::convergecast::{AggOp, Aggregate, TreeView};
 use crate::partition::PartitionParams;
@@ -40,26 +41,26 @@ pub struct ExpSearchReport {
     pub num_subgraphs: usize,
 }
 
-/// Errors: only engine errors can escape — the search always terminates
-/// because λ̃ = small enough eventually yields λ′ = 1 (one class = the
-/// whole graph, which trivially spans).
-pub type ExpSearchError = congest_sim::EngineError;
-
 /// k-broadcast with no knowledge of λ. The whole search — shared
 /// prologue plus every halving iteration's partition/BFS/check — runs
 /// on one phase host, so the dozens of phases reuse one preallocated
 /// engine.
+///
+/// A disconnected `G` is [`BroadcastError::Disconnected`] after stage a;
+/// otherwise only an engine error can end the search early, because
+/// λ̃ = 1 gives λ′ = 1 (one class, the whole graph), which spans.
 pub fn exp_search_broadcast(
     g: &Graph,
     input: &BroadcastInput,
     cfg: &BroadcastConfig,
-) -> Result<(BroadcastOutcome, ExpSearchReport), ExpSearchError> {
+) -> Result<(BroadcastOutcome, ExpSearchReport), BroadcastError> {
     let mut host = Session::new(g);
     let mut comp = Composition::new(&mut host, input, |phase| cfg.engine(0xE59 + phase));
     // Leader + BFS + learn δ + numbering (shared across iterations). A
     // convergecast phase tells every node what the root learned: read it
     // at node 0.
     comp.tree()?;
+    comp.connected()?;
     let delta = comp.phases.run((3, "learn-delta"), |v, gr| {
         let view = TreeView::from_bfs(&comp.tree[v as usize]);
         Aggregate::new(view, AggOp::Min, gr.degree(v) as u64)

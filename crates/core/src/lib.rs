@@ -18,13 +18,14 @@
 //! | Theorems 3 & 8 | [`lower_bounds`] | information-theoretic universal lower-bound calculators |
 //! | §1.2 | [`congested_clique`] | simulating rounds of the broadcast congested clique \[DKO14\] |
 //! | §1.2 / \[FP23\] | [`resilient`] | replicated broadcast surviving a mobile edge adversary |
-//! | robustness (DESIGN.md §3) | [`mod@watchdog`] | connectivity watchdog + the family's one retry-and-degrade ladder |
 //!
 //! Surface rule for the Theorem 1 family: [`partition_broadcast`] and
 //! [`broadcast::partition_broadcast_retrying`] take a `&Graph` and build
 //! their own [`congest_sim::Session`]; every other driver takes the
 //! caller's — the one engine host — so a sweep over seeds or sources is a
-//! loop of [`broadcast::partition_broadcast_hosted`] on one warm session.
+//! loop of [`broadcast::partition_broadcast_hosted`] on one warm session,
+//! and the family's one retry loop is
+//! [`broadcast::partition_broadcast_retrying_hosted`].
 //!
 //! All protocols are *message-driven* (progress on arrival rather than on
 //! round counting), which makes them tolerant of the random-delay
@@ -45,12 +46,7 @@ pub mod pipeline;
 pub mod resilient;
 mod stages;
 pub mod textbook;
-pub mod watchdog;
 
 pub use broadcast::{partition_broadcast, BroadcastInput, BroadcastOutcome};
 pub use partition::{EdgePartition, PartitionParams};
 pub use textbook::textbook_broadcast;
-pub use watchdog::{
-    partition_broadcast_degrading_hosted, resilient_broadcast_degrading_hosted, watchdog,
-    DegradeLog, DegradePolicy, SalvageAttempt, WatchdogMode, WatchdogReport,
-};

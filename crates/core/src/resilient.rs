@@ -124,8 +124,8 @@ impl ResilientOutcome {
 }
 
 /// Replicated broadcast under an edge adversary active during routing,
-/// on the caller's engine host (the degradation ladder in
-/// [`crate::watchdog()`] reuses one preallocated engine across attempts).
+/// on the caller's engine host. A run that completes with starved nodes
+/// is `Ok`: [`ResilientOutcome::starved_nodes`] names them.
 ///
 /// `replication` copies of each message are routed over distinct trees
 /// (clamped to λ′). `faults` applies to the routing phase only: the
@@ -148,6 +148,7 @@ pub fn resilient_broadcast_hosted(
         engine
     });
     comp.tree()?;
+    comp.connected()?;
     comp.number(3)?;
     comp.class_trees(CLASS_PHASES, lp, cfg.seed)?;
     comp.spanning()?;

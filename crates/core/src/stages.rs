@@ -7,6 +7,7 @@
 //! | stage | method | phases | depends on the sources? |
 //! |---|---|---|---|
 //! | a | [`Composition::tree`] | leader election, BFS on `G` | no |
+//! | a | [`Composition::connected`] | — (the BFS tree reached everyone) | no |
 //! | b | [`Composition::number`] | Lemma 3 numbering | **yes** — the only such control phase |
 //! | c | [`Composition::class_trees`] | Theorem 2 partition, per-class BFS | no |
 //! | c | [`Composition::spanning`] | Theorem 2's event, checked locally | no |
@@ -18,6 +19,10 @@
 //! phase), the phase numbers and names, the number of copies per message
 //! and the node protocol that wraps the per-class cores. The single-tree
 //! baseline ([`crate::textbook`]) borrows stage a and the phase runner.
+//!
+//! Both checks are reads of phase outputs, not phases. `connected` comes
+//! right after stage a: on a disconnected `G` numbering would count only
+//! the leader's component, and no partition could span.
 //!
 //! A composition is one attempt under one seed on the caller's
 //! [`Session`]: every phase is one [`Session::run`], logged with the
@@ -153,6 +158,15 @@ impl<'r, 'g, E: Fn(u64) -> EngineConfig> Composition<'r, 'g, E> {
             SubgraphBfs::new(root, v, port_colors[v as usize].clone(), lp)
         })?;
         Ok(())
+    }
+
+    /// Stage a spanned `G`: its BFS tree reached every node.
+    pub(crate) fn connected(&self) -> Result<(), BroadcastError> {
+        if self.tree.iter().all(|t| t.reached) {
+            Ok(())
+        } else {
+            Err(BroadcastError::Disconnected)
+        }
     }
 
     /// Theorem 2's event: every class reached every node.

@@ -5,8 +5,17 @@
 //! out four times — so it holds any rewrite of the drivers to the numbers
 //! the four copies produced: per-phase rounds and message counts, the
 //! post-phase state hashes of the drivers that recorded them there (the
-//! plain and degrading ones), attempt counts, ladder levels, salvage
-//! records, class-tree heights and checksums.
+//! plain one, under the retry loop and under the retired degrading
+//! ladder), attempt counts, class-tree heights, checksums, and the
+//! starved sets and drop counts of faulted runs.
+//!
+//! The degrading ladder (`congest_core::watchdog`) has since been
+//! retired. Its two pinned runs stay pinned as the plain driver calls
+//! they were made of: attempt `a` of the ladder was one broadcast at
+//! seed `seed + a·0x9E37_79B9` and the λ′ of its level, so
+//! `degrading_ladder` and `resilient_degrading_exhausts_and_salvages`
+//! call the drivers at exactly those seeds and λ′ and hold them to the
+//! same constants.
 //!
 //! A pin that moves means observable behaviour changed at equal seeds.
 //! That is never a refactor; do not re-capture to make this file pass.
@@ -16,23 +25,19 @@
 //! (`congest_core::leader`), and the elected root is observable
 //! behaviour. The pins that depend on the root — leader-election
 //! messages, post-root state hashes, routing rounds and messages,
-//! class-tree heights, dense checksums, faulted drops and salvage
-//! records — were re-captured once, at the commit that made that change
-//! (parent `3fd42a1`). Attempt counts, ladder levels, λ′, every
+//! class-tree heights, dense checksums, faulted drops and starved
+//! sets — were re-captured once, at the commit that made that change
+//! (parent `3fd42a1`). Attempt counts, the ladder's seeds and λ′, every
 //! `edge-partition` entry and every `bfs` message count were held, not
 //! re-captured: none of them depends on the root.
 
 use congest_core::broadcast::{
-    partition_broadcast_retrying, BroadcastConfig, BroadcastInput, BroadcastOutcome,
-    DEFAULT_PARTITION_C,
+    partition_broadcast_hosted, partition_broadcast_retrying, BroadcastConfig, BroadcastInput,
+    BroadcastOutcome, DEFAULT_PARTITION_C,
 };
 use congest_core::exp_search::exp_search_broadcast;
 use congest_core::partition::PartitionParams;
 use congest_core::resilient::{resilient_broadcast_hosted, ResilientOutcome};
-use congest_core::watchdog::{
-    partition_broadcast_degrading_hosted, resilient_broadcast_degrading_hosted, DegradePolicy,
-    WatchdogMode,
-};
 use congest_graph::generators::{clique_chain, harary};
 use congest_graph::Graph;
 use congest_sim::{FaultPlan, PhaseLog, Session};
@@ -102,7 +107,7 @@ const DENSE_CHECKSUMS: (u64, u64) = (0x57e4ae0ecf40a373, 0xf1d24000d075ed1d);
 const BORDERLINE_CHECKSUMS: (u64, u64) = (0xb682ae8347554d16, 0x365eeffba61f630a);
 
 /// The plain driver on [`dense`] at seed 17 (reached by the retrying
-/// driver on attempt one and by the ladder after the watchdog's jump).
+/// driver on attempt one).
 const DENSE_SEED_17: &[PhasePin] = &[
     ("leader-election", 4, 2096, Some(0x87b4c45a8c7a95fb)),
     ("bfs", 4, 768, Some(0x63ae86c91fdedf97)),
@@ -115,6 +120,11 @@ const DENSE_SEED_17: &[PhasePin] = &[
 /// A seed whose own partition fails to span on [`borderline`] while its
 /// successor in the retry family (`+ 0x9E37_79B9`) succeeds.
 const FAILS_FIRST: u64 = 77 + 3 * 0x9E37_79B9;
+
+/// Seed of attempt `a` of the retry family from `seed`.
+fn attempt_seed(seed: u64, a: u64) -> u64 {
+    seed.wrapping_add(a * 0x9E37_79B9)
+}
 
 /// `(unique, duplicates)` summed over nodes, plus the starved set.
 fn dedup_summary(out: &ResilientOutcome) -> (u64, u64, Vec<usize>) {
@@ -170,30 +180,19 @@ fn retrying_second_attempt() {
     );
 }
 
+/// The run the degrading ladder returned from [`FAILS_FIRST`] with one
+/// attempt per level: attempt 0 failed to span at λ′ = 2, and attempt 1
+/// delivered on the single tree.
 #[test]
 fn degrading_ladder() {
-    // Watchdog off, one attempt per level: the failing seed burns level
-    // λ′ = 2 and the ladder lands on the single tree.
-    let (g, input, params) = borderline();
-    let policy = DegradePolicy {
-        attempts_per_level: 1,
-        watchdog: WatchdogMode::Off,
-        ..Default::default()
-    };
-    let (out, log) = partition_broadcast_degrading_hosted(
+    let (g, input, _) = borderline();
+    let out = partition_broadcast_hosted(
         &mut Session::new(&g),
         &input,
-        params,
-        &BroadcastConfig::with_seed(FAILS_FIRST),
-        &policy,
+        PartitionParams::explicit(1),
+        &BroadcastConfig::with_seed(attempt_seed(FAILS_FIRST, 1)),
     )
     .unwrap();
-    assert_eq!(log.levels, vec![(2, 1), (1, 1)]);
-    assert_eq!(
-        (log.final_subgraphs, log.degraded, log.exhausted),
-        (1, true, false)
-    );
-    assert!(log.watchdog.is_none() && log.salvage.is_empty());
     assert_phases(
         "degrading/borderline",
         &out.phases,
@@ -208,28 +207,6 @@ fn degrading_ladder() {
         ],
     );
     assert_outcome("degrading/borderline", &out, 1, &[4], BORDERLINE_CHECKSUMS);
-
-    // Default policy (δ watchdog) asked for twice the λ′ the graph
-    // supports: the watchdog jumps to λ′ = 2 before any attempt runs, so
-    // the run equals the retrying driver's at the same seed.
-    let (g, input, _) = dense();
-    let (out, log) = partition_broadcast_degrading_hosted(
-        &mut Session::new(&g),
-        &input,
-        PartitionParams::explicit(4),
-        &BroadcastConfig::with_seed(17),
-        &DegradePolicy::default(),
-    )
-    .unwrap();
-    assert_eq!(log.levels, vec![(2, 1)]);
-    assert_eq!(
-        (log.final_subgraphs, log.degraded, log.exhausted),
-        (2, true, false)
-    );
-    let report = log.watchdog.expect("δ watchdog ran");
-    assert_eq!((report.min_degree, report.recommended_subgraphs), (16, 2));
-    assert_phases("degrading/dense", &out.phases, true, DENSE_SEED_17);
-    assert_outcome("degrading/dense", &out, 2, &[4, 4], DENSE_CHECKSUMS);
 }
 
 #[test]
@@ -264,63 +241,51 @@ fn resilient_under_faults() {
     assert_eq!(dedup_summary(&out), (4607, 4665, vec![45]));
 }
 
+/// The four attempts of the resilient degrading ladder, two per level,
+/// with two copies per message under five faults a round: every run
+/// completes with starved nodes. The ladder returned the first (fewest
+/// starved, by nine nodes), so that one is pinned whole.
 #[test]
 fn resilient_degrading_exhausts_and_salvages() {
-    // Two copies per message under five faults a round: every attempt
-    // completes with starved nodes, the budget runs out, and the best
-    // partial run (the first, by nine nodes) is the one returned.
     let (g, input, _) = dense();
-    let policy = DegradePolicy {
-        attempts_per_level: 2,
-        watchdog: WatchdogMode::Off,
-        ..Default::default()
+    let mut host = Session::new(&g);
+    let mut attempt = |a: u64, lp: usize| {
+        resilient_broadcast_hosted(
+            &mut host,
+            &input,
+            PartitionParams::explicit(lp),
+            2,
+            Some(FaultPlan::new(5, 0xBAD)),
+            &BroadcastConfig::with_seed(attempt_seed(0x52, a)),
+        )
+        .unwrap()
     };
-    let (out, log) = resilient_broadcast_degrading_hosted(
-        &mut Session::new(&g),
-        &input,
-        PartitionParams::explicit(3),
-        2,
-        Some(FaultPlan::new(5, 0xBAD)),
-        &BroadcastConfig::with_seed(0x52),
-        &policy,
-    )
-    .unwrap();
-    assert_eq!(log.levels, vec![(3, 2), (1, 2)]);
-    assert_eq!(
-        (log.final_subgraphs, log.degraded, log.exhausted),
-        (3, true, true)
-    );
-    // (subgraphs, attempt, starved, dropped, salvaged) per partial run.
-    let salvage: Vec<(usize, u64, Vec<usize>, u64, bool)> = log
-        .salvage
+    let runs: Vec<ResilientOutcome> = [3, 3, 1, 1]
+        .into_iter()
+        .enumerate()
+        .map(|(a, lp)| attempt(a as u64, lp))
+        .collect();
+    // (λ′, starved, dropped) per run.
+    let starved: Vec<(usize, Vec<usize>, u64)> = runs
         .iter()
-        .map(|s| {
-            (
-                s.subgraphs,
-                s.attempt,
-                s.starved.clone(),
-                s.dropped,
-                s.salvaged,
-            )
-        })
+        .map(|out| (out.num_subgraphs, out.starved_nodes(), out.dropped))
         .collect();
     let winner = vec![0, 2, 3, 4, 7, 8, 12, 13, 19];
     let everyone: Vec<usize> = (0..48).collect();
     assert_eq!(
-        salvage,
+        starved,
         vec![
-            (3, 0, winner.clone(), 119, true),
+            (3, winner.clone(), 119),
             (
                 3,
-                1,
                 vec![4, 5, 8, 11, 16, 18, 20, 21, 26, 30, 34, 38, 40, 41, 44, 45, 46, 47],
-                119,
-                false
+                119
             ),
-            (1, 2, everyone.clone(), 48, false),
-            (1, 3, everyone, 48, false),
+            (1, everyone.clone(), 48),
+            (1, everyone, 48),
         ]
     );
+    let out = &runs[0];
     assert_phases(
         "resilient-degrading",
         &out.phases,
@@ -335,9 +300,8 @@ fn resilient_degrading_exhausts_and_salvages() {
         ],
     );
     assert_eq!((out.replication, out.num_subgraphs, out.k), (2, 3, 96));
-    assert_eq!(out.dropped, 119);
     assert_eq!(out.expected, DENSE_CHECKSUMS);
-    assert_eq!(dedup_summary(&out), (4595, 4485, winner));
+    assert_eq!(dedup_summary(out), (4595, 4485, winner));
 }
 
 #[test]
