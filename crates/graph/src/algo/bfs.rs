@@ -105,28 +105,6 @@ pub fn bfs_tree_restricted<F: FnMut(u32) -> bool>(g: &Graph, src: Node, mut allo
     }
 }
 
-/// Multi-source BFS: distance to the nearest source.
-pub fn multi_source_bfs(g: &Graph, sources: &[Node]) -> Vec<u32> {
-    let mut dist = vec![UNREACHABLE; g.n()];
-    let mut queue = VecDeque::new();
-    for &s in sources {
-        if dist[s as usize] == UNREACHABLE {
-            dist[s as usize] = 0;
-            queue.push_back(s);
-        }
-    }
-    while let Some(v) = queue.pop_front() {
-        let dv = dist[v as usize];
-        for &u in g.neighbors(v) {
-            if dist[u as usize] == UNREACHABLE {
-                dist[u as usize] = dv + 1;
-                queue.push_back(u);
-            }
-        }
-    }
-    dist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -164,13 +142,6 @@ mod tests {
         let t = bfs_tree_restricted(&g, 0, |e| e != forbidden);
         assert!(t.is_spanning());
         assert_eq!(t.depth[5], 5);
-    }
-
-    #[test]
-    fn multi_source() {
-        let g = path(7);
-        let d = multi_source_bfs(&g, &[0, 6]);
-        assert_eq!(d, vec![0, 1, 2, 3, 2, 1, 0]);
     }
 
     #[test]

@@ -64,11 +64,6 @@ pub fn bridges(g: &Graph) -> Vec<Edge> {
     out
 }
 
-/// Whether `g` contains any bridge (λ ≤ 1 on some component).
-pub fn has_bridge(g: &Graph) -> bool {
-    !bridges(g).is_empty()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -83,7 +78,6 @@ mod tests {
     #[test]
     fn cycle_has_none() {
         assert!(bridges(&cycle(7)).is_empty());
-        assert!(!has_bridge(&cycle(7)));
     }
 
     #[test]

@@ -1,4 +1,4 @@
-//! Iterative depth-first search: discovery order and **walk timestamps**.
+//! Iterative depth-first search: **walk timestamps**.
 //!
 //! The PRT12 APSP simulation (paper Lemma 6) needs DFS *walk* times
 //! `π(u)` on the cluster graph — the step of the depth-first **walk**
@@ -11,35 +11,6 @@
 //! see `dfs_walk_first_visit`'s tests for a regression pinning this down.
 
 use crate::graph::{Graph, Node};
-
-/// DFS discovery order from `src`: returns `(order, time)` where
-/// `order[i]` is the i-th discovered node and `time[v]` its discovery
-/// index (`u32::MAX` if unreachable from `src`).
-pub fn dfs_order(g: &Graph, src: Node) -> (Vec<Node>, Vec<u32>) {
-    let n = g.n();
-    let mut time = vec![u32::MAX; n];
-    let mut order = Vec::with_capacity(n);
-    // Explicit stack of (node, next-port) for an allocation-free walk.
-    let mut stack: Vec<(Node, usize)> = Vec::new();
-    time[src as usize] = 0;
-    order.push(src);
-    stack.push((src, 0));
-    while let Some(&mut (v, ref mut port)) = stack.last_mut() {
-        let nbrs = g.neighbors(v);
-        if *port >= nbrs.len() {
-            stack.pop();
-            continue;
-        }
-        let u = nbrs[*port];
-        *port += 1;
-        if time[u as usize] == u32::MAX {
-            time[u as usize] = order.len() as u32;
-            order.push(u);
-            stack.push((u, 0));
-        }
-    }
-    (order, time)
-}
 
 /// First-visit **walk** timestamps of a DFS from `src`: `time[v]` is the
 /// number of edge traversals (descents *and* backtracks) performed before
@@ -87,38 +58,12 @@ mod tests {
     use crate::generators::{complete, gnp_connected, path, torus2d};
 
     #[test]
-    fn path_dfs_is_sequential() {
-        let g = path(5);
-        let (order, time) = dfs_order(&g, 0);
-        assert_eq!(order, vec![0, 1, 2, 3, 4]);
-        assert_eq!(time, vec![0, 1, 2, 3, 4]);
-    }
-
-    #[test]
-    fn timestamps_are_a_permutation() {
-        let g = complete(7);
-        let (order, time) = dfs_order(&g, 3);
-        assert_eq!(order.len(), 7);
-        let mut seen = [false; 7];
-        for &v in &order {
-            assert!(!seen[v as usize]);
-            seen[v as usize] = true;
-        }
-        for (v, &t) in time.iter().enumerate() {
-            assert_eq!(order[t as usize] as usize, v);
-        }
-    }
-
-    #[test]
     fn unreachable_gets_max() {
         let g = crate::builder::GraphBuilder::new(3)
             .edge(0, 1)
             .build()
             .unwrap();
-        let (order, time) = dfs_order(&g, 0);
-        assert_eq!(order.len(), 2);
-        assert_eq!(time[2], u32::MAX);
-        assert_eq!(dfs_walk_first_visit(&g, 0)[2], u32::MAX);
+        assert_eq!(dfs_walk_first_visit(&g, 0), vec![0, 1, u32::MAX]);
     }
 
     #[test]

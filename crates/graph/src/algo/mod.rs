@@ -26,10 +26,10 @@ pub mod stoer_wagner;
 
 pub use apsp::{apsp_unweighted, apsp_weighted};
 pub use bfs::{bfs_distances, bfs_tree, BfsTree, UNREACHABLE};
-pub use bridges::{bridges, has_bridge};
+pub use bridges::bridges;
 pub use components::{connected_components, is_connected, UnionFind};
 pub use connectivity::edge_connectivity;
-pub use dfs::{dfs_order, dfs_walk_first_visit};
+pub use dfs::dfs_walk_first_visit;
 pub use diameter::{diameter_exact, eccentricity, two_sweep_lower_bound};
 pub use karger::{karger_min_cut, karger_whp_repetitions};
 pub use maxflow::UnitFlow;

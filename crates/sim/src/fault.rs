@@ -15,7 +15,7 @@
 //! broadcast to survive a given fault rate?
 
 use crate::rng::mix64;
-use congest_graph::{Edge, Graph};
+use congest_graph::Edge;
 
 /// A per-round edge-blocking plan.
 #[derive(Debug, Clone, Copy)]
@@ -91,18 +91,11 @@ impl FaultPlan {
         }
         mask
     }
-
-    /// Convenience: does this plan block `edge` in `round`? (Test helper;
-    /// the engine uses the mask.)
-    pub fn blocks(&self, round: u64, edge: Edge, g: &Graph) -> bool {
-        self.blocked_edges(round, g.m()).contains(&edge)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::generators::cycle;
 
     #[test]
     fn budget_respected_and_deterministic() {
@@ -144,7 +137,5 @@ mod tests {
     fn zero_budget_blocks_nothing() {
         let plan = FaultPlan::new(0, 7);
         assert!(plan.blocked_edges(3, 10).is_empty());
-        let g = cycle(5);
-        assert!(!plan.blocks(3, 0, &g));
     }
 }

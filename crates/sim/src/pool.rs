@@ -10,14 +10,19 @@
 //!
 //! ## The pool
 //!
-//! A [`SessionPool`] holds warm `SessionState`s keyed by
+//! A [`SessionPool`] holds one entry per graph, keyed by
 //! [`Graph::fingerprint`] (a hash of the canonical CSR, so two tenants
-//! registering equal graphs share one entry). Checkout is closure-scoped:
-//! [`SessionPool::with_session`] pops a warm state (or builds one on a
+//! registering equal graphs share one entry): the graph and at most one
+//! warm `SessionState`. Checkout is closure-scoped:
+//! [`SessionPool::with_session`] takes the warm state (or builds one on a
 //! miss), marries it to the entry's graph as a [`Session`], runs the
-//! closure, and pushes the state back. A warm checkout cycle allocates
+//! closure, and parks the state back. Checkout borrows the pool mutably,
+//! so no second state of a graph is ever out at once, and one parked
+//! state is all a graph can use. A warm checkout cycle allocates
 //! nothing (pinned by `tests/zero_alloc.rs`), so steady-state serving
-//! builds no engine state at all.
+//! builds no engine state at all. Warm state stays in its process: a
+//! snapshot frame carries what a continuation reads, not a cache
+//! ([`crate::snapshot`]).
 //! A key the pool does not hold — never registered here, or aged out — is
 //! [`PoolError::UnknownGraph`] from every keyed call, never a panic.
 //!
@@ -54,7 +59,7 @@
 //! the policy each time the queue empties; eviction counters sit next
 //! to hit/miss ([`SessionPool::graph_evictions`],
 //! [`SessionPool::warm_evictions`]), and `fastbcast serve` exposes the
-//! budgets as `--max-graphs` / `--max-warm-bytes` / `--warm-limit`.
+//! budgets as `--max-graphs` / `--max-warm-bytes`.
 
 use crate::engine::{EngineConfig, EngineError, RunStats};
 use crate::fault::FaultPlan;
@@ -87,7 +92,7 @@ impl GraphKey {
 /// longer touches.
 ///
 /// * `max_graphs` bounds live registered graphs. Evicting a graph drops
-///   its entry *and* its warm states; the key becomes unregistered
+///   its entry *and* its warm state; the key becomes unregistered
 ///   (submissions for it get [`PoolError::UnknownGraph`]) until someone
 ///   re-registers the graph — which yields the **same key**, since keys
 ///   are content fingerprints.
@@ -167,7 +172,6 @@ pub struct SessionPool {
     free: Vec<usize>,
     /// fingerprint → index into `entries`.
     index: HashMap<u64, usize>,
-    warm_limit: usize,
     policy: EvictionPolicy,
     /// Logical LRU clock: bumped on every checkout/registration, stamped
     /// into the touched entry. No wall time — eviction order is a
@@ -181,24 +185,20 @@ pub struct SessionPool {
 
 struct PoolEntry {
     graph: Graph,
+    /// The graph's warm state, if one is parked: at most one (checkout
+    /// pops it, release pushes it back). A `Vec` rather than an
+    /// `Option<SessionState>`, so that an entry, and a registration, does
+    /// not grow with `SessionState`, and a release into the capacity the
+    /// first park sized allocates nothing.
     warm: Vec<SessionState>,
     /// Clock stamp of the last checkout/registration of this entry.
     last_used: u64,
 }
 
 impl SessionPool {
-    /// An empty pool keeping up to 4 warm states per graph.
+    /// An empty pool.
     pub fn new() -> SessionPool {
-        SessionPool::with_warm_limit(4)
-    }
-
-    /// An empty pool keeping up to `warm_limit` warm states per graph;
-    /// states released beyond the limit are dropped.
-    pub fn with_warm_limit(warm_limit: usize) -> SessionPool {
-        SessionPool {
-            warm_limit,
-            ..SessionPool::default()
-        }
+        SessionPool::default()
     }
 
     /// Register `graph`, returning its key. Registering an equal graph
@@ -256,17 +256,10 @@ impl SessionPool {
         self.policy
     }
 
-    /// Change the per-graph warm-state cap, immediately dropping parked
-    /// states beyond the new limit (counted as warm evictions).
-    pub fn set_warm_limit(&mut self, warm_limit: usize) {
-        self.warm_limit = warm_limit;
-        for entry in self.entries.iter_mut().flatten() {
-            if entry.warm.len() > warm_limit {
-                self.warm_evictions += (entry.warm.len() - warm_limit) as u64;
-                entry.warm.truncate(warm_limit);
-            }
-        }
-    }
+    /// Does nothing: a pool keeps at most one warm state per graph,
+    /// which is all a graph can use. Kept callable because `benchmark/`
+    /// calls it with 1; goes with the benchmark PR.
+    pub fn set_warm_limit(&mut self, _warm_limit: usize) {}
 
     /// Live (non-evicted) registered graphs.
     pub fn len(&self) -> usize {
@@ -278,9 +271,9 @@ impl SessionPool {
         self.index.is_empty()
     }
 
-    /// Estimated heap footprint of the warm states parked for `key`, in
-    /// bytes — capacity-based (slabs, arenas, scratch vectors), so it
-    /// reflects what eviction would actually free.
+    /// Estimated heap footprint of the warm state parked for `key`, in
+    /// bytes (0 if none is) — capacity-based (slabs, arenas, scratch
+    /// vectors), so it reflects what eviction would actually free.
     pub fn warm_bytes(&self, key: GraphKey) -> Result<usize, PoolError> {
         let entry = self.entry(self.entry_index(key)?);
         Ok(entry.warm.iter().map(SessionState::warm_bytes).sum())
@@ -302,17 +295,16 @@ impl SessionPool {
     }
 
     /// Warm states dropped by eviction so far — by the `max_warm_bytes`
-    /// budget, by riding on an evicted graph entry, or by a
-    /// [`SessionPool::set_warm_limit`] tightening.
+    /// budget, or by riding on an evicted graph entry.
     pub fn warm_evictions(&self) -> u64 {
         self.warm_evictions
     }
 
     /// Apply the eviction policy now: drop least-recently-used graph
     /// entries until at most `max_graphs` remain, then drop warm states
-    /// (oldest entry first, oldest-parked state first) until the warm
-    /// footprint fits `max_warm_bytes`. Under-budget pools pay one scan
-    /// and allocate nothing. [`PoolServer::drain`] calls this after the
+    /// (oldest entry first) until the warm footprint fits
+    /// `max_warm_bytes`. Under-budget pools pay one scan and allocate
+    /// nothing. [`PoolServer::drain`] calls this after the
     /// queue empties, so a serving loop ages out cold graphs without any
     /// explicit management.
     pub fn enforce_eviction(&mut self) {
@@ -340,7 +332,7 @@ impl SessionPool {
                 break; // nothing warm left to shed
             };
             let entry = self.entries[i].as_mut().expect("indexed entries are live");
-            let state = entry.warm.remove(0); // oldest-parked first
+            let state = entry.warm.pop().expect("filtered on a parked state");
             total -= state.warm_bytes().min(total);
             self.warm_evictions += 1;
         }
@@ -354,11 +346,6 @@ impl SessionPool {
     /// The registered graph behind `key`.
     pub fn graph(&self, key: GraphKey) -> Result<&Graph, PoolError> {
         Ok(&self.entry(self.entry_index(key)?).graph)
-    }
-
-    /// Warm states currently parked for `key`.
-    pub fn warm_count(&self, key: GraphKey) -> Result<usize, PoolError> {
-        Ok(self.entry(self.entry_index(key)?).warm.len())
     }
 
     /// Checkouts served from a warm state.
@@ -385,8 +372,8 @@ impl SessionPool {
         self.entries[i].as_ref().expect("indexed entries are live")
     }
 
-    /// Check out a [`Session`] for `key`: stamp the LRU clock, pop a warm
-    /// state (or build one), run `f`, release the state back. The
+    /// Check out a [`Session`] for `key`: stamp the LRU clock, take the
+    /// warm state (or build one), run `f`, park the state back. The
     /// closure is higher-ranked over the session lifetime, so results must
     /// be moved out (e.g. [`crate::PhaseOutcome::take_outputs`]) — nothing
     /// can keep borrowing the pooled buffers after release. `f` does not
@@ -413,58 +400,9 @@ impl SessionPool {
         };
         let mut session = Session::from_state(&entry.graph, state);
         let r = f(&mut session);
-        let state = session.into_state();
-        if entry.warm.len() < self.warm_limit {
-            entry.warm.push(state);
-        }
+        debug_assert!(entry.warm.is_empty(), "one warm state per graph");
+        entry.warm.push(session.into_state());
         Ok(r)
-    }
-
-    /// Park `key`'s warm states as snapshot frames: each is married to
-    /// the registered graph, encoded ([`Session::snapshot_into`]), and
-    /// dropped. Returns the number of frames appended to `out`. Together
-    /// with [`SessionPool::restore_warm`] this migrates a pool's warm
-    /// set across processes — the serving loop restarts warm.
-    pub fn park_warm(&mut self, key: GraphKey, out: &mut Vec<Vec<u8>>) -> Result<usize, PoolError> {
-        let i = self.entry_index(key)?;
-        let entry = self.entries[i].as_mut().expect("indexed entries are live");
-        let parked = entry.warm.len();
-        for state in entry.warm.drain(..) {
-            let session = Session::from_state(&entry.graph, state);
-            out.push(session.snapshot());
-        }
-        Ok(parked)
-    }
-
-    /// Restore one parked frame into the pool: the embedded fingerprint
-    /// selects the registered graph ([`SnapshotError::UnknownGraph`] if
-    /// none matches), the payload goes through the full
-    /// [`Session::restore`] validation chain, and the state joins the
-    /// warm list (dropped silently if the list is at its limit — the
-    /// frame is a cache entry, not data). Returns the graph key the
-    /// state now serves.
-    ///
-    /// [`SnapshotError::UnknownGraph`]: crate::snapshot::SnapshotError::UnknownGraph
-    pub fn restore_warm(
-        &mut self,
-        bytes: &[u8],
-    ) -> Result<GraphKey, crate::snapshot::SnapshotError> {
-        use crate::snapshot::SnapshotError;
-        let header = crate::snapshot::peek(bytes)?;
-        let &i = self
-            .index
-            .get(&header.fingerprint)
-            .ok_or(SnapshotError::UnknownGraph(header.fingerprint))?;
-        self.clock += 1;
-        let clock = self.clock;
-        let entry = self.entries[i].as_mut().expect("indexed entries are live");
-        entry.last_used = clock;
-        let session = Session::restore(&entry.graph, bytes)?;
-        let state = session.into_state();
-        if entry.warm.len() < self.warm_limit {
-            entry.warm.push(state);
-        }
-        Ok(GraphKey(header.fingerprint))
     }
 }
 
@@ -637,13 +575,13 @@ impl PoolServer {
         self.pool.register(graph)
     }
 
-    /// The underlying pool (hit/miss/eviction counters, warm counts).
+    /// The underlying pool (hit/miss/eviction counters, warm bytes).
     pub fn pool(&self) -> &SessionPool {
         &self.pool
     }
 
     /// Mutable access to the underlying pool — the knob panel for
-    /// [`SessionPool::set_warm_limit`] and [`SessionPool::set_policy`].
+    /// [`SessionPool::set_policy`].
     pub fn pool_mut(&mut self) -> &mut SessionPool {
         &mut self.pool
     }
@@ -946,7 +884,7 @@ mod tests {
     fn warm_states_are_reused() {
         let mut pool = SessionPool::new();
         let k = pool.register(cycle(8));
-        assert_eq!(pool.warm_count(k), Ok(0));
+        assert_eq!(pool.warm_bytes(k), Ok(0));
         for _ in 0..3 {
             pool.with_session(k, |s| {
                 s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::serial())
@@ -955,18 +893,9 @@ mod tests {
             })
             .unwrap();
         }
-        assert_eq!(pool.warm_count(k), Ok(1));
+        assert!(pool.warm_bytes(k).unwrap() > 0);
         assert_eq!(pool.misses(), 1);
         assert_eq!(pool.hits(), 2);
-    }
-
-    #[test]
-    fn warm_limit_caps_parked_states() {
-        let mut pool = SessionPool::with_warm_limit(0);
-        let k = pool.register(cycle(6));
-        pool.with_session(k, |_| ()).unwrap();
-        assert_eq!(pool.warm_count(k), Ok(0));
-        assert_eq!(pool.misses(), 1);
     }
 
     /// A key the pool no longer holds is a typed error from every keyed
@@ -988,14 +917,10 @@ mod tests {
 
         let gone = PoolError::UnknownGraph(ka);
         assert_eq!(pool.graph(ka).err(), Some(gone));
-        assert_eq!(pool.warm_count(ka), Err(gone));
         assert_eq!(pool.warm_bytes(ka), Err(gone));
         let mut ran = false;
         assert_eq!(pool.with_session(ka, |_| ran = true), Err(gone));
         assert!(!ran, "no checkout, no closure call");
-        let mut frames = Vec::new();
-        assert_eq!(pool.park_warm(ka, &mut frames), Err(gone));
-        assert!(frames.is_empty());
         // So is a key some other pool handed out.
         let foreign = SessionPool::new().register(cycle(7));
         assert_eq!(
@@ -1006,7 +931,7 @@ mod tests {
 
         assert_eq!(pool.register(ga.clone()), ka);
         assert_eq!(pool.graph(ka), Ok(&ga));
-        assert_eq!(pool.warm_count(ka), Ok(0));
+        assert_eq!(pool.warm_bytes(ka), Ok(0));
         let best = pool
             .with_session(ka, |s| {
                 s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::serial())
@@ -1273,7 +1198,7 @@ mod tests {
         // fingerprint), reusing the tombstoned slot, and starts cold.
         let ka2 = pool.register(ga);
         assert_eq!(ka2, ka);
-        assert_eq!(pool.warm_count(ka2), Ok(0));
+        assert_eq!(pool.warm_bytes(ka2), Ok(0));
         assert_eq!(pool.len(), 2);
     }
 
@@ -1308,24 +1233,6 @@ mod tests {
         let misses = pool.misses();
         pool.with_session(ka, |_| ()).unwrap();
         assert_eq!(pool.misses(), misses + 1, "evicted warm state = cold build");
-    }
-
-    #[test]
-    fn set_warm_limit_truncates_and_counts() {
-        let mut pool = SessionPool::new();
-        let k = pool.register(cycle(8));
-        // Park two warm states via nested-free sequential checkouts: the
-        // easiest way is park/restore — instead just run twice with limit
-        // 4 then tighten to 1.
-        pool.with_session(k, |_| ()).unwrap();
-        let mut frames = Vec::new();
-        pool.park_warm(k, &mut frames).unwrap();
-        pool.restore_warm(&frames[0]).unwrap();
-        pool.restore_warm(&frames[0]).unwrap();
-        assert_eq!(pool.warm_count(k), Ok(2));
-        pool.set_warm_limit(1);
-        assert_eq!(pool.warm_count(k), Ok(1));
-        assert_eq!(pool.warm_evictions(), 1);
     }
 
     #[test]

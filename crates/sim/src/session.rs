@@ -40,9 +40,10 @@
 //!   `arc_traffic`, `bcast_stage`, `node_traffic`) are zero. So no phase
 //!   reads what an earlier one left in them, nor in `bcast_occ` (rebuilt
 //!   by every plane fold before anyone reads it): a continuation starts
-//!   from the per-edge row, the trace, the shard-plan key and the buffer
-//!   high-water marks alone. That is all a snapshot frame carries and all
-//!   [`Session::state_hash`] reads, clean or dirty.
+//!   from the per-edge row, the trace and the clean flag alone. That is
+//!   all a snapshot frame carries and all [`Session::state_hash`] reads,
+//!   clean or dirty; buffer sizes and the shard plan are a cache that a
+//!   restored session, like a fresh one, fills on first use.
 //!
 //! Between two phases on the same session **zero heap allocation**
 //! happens (enforced by `tests/zero_alloc.rs`), with the documented
@@ -249,11 +250,6 @@ fn check_shard_regions(plan: &ShardPlan, graph: &Graph, wl_starts: &[usize]) {
 /// Cap on auto-derived shard counts (explicit configs may exceed it).
 const MAX_AUTO_SHARDS: usize = 64;
 
-/// What a snapshot may claim an arena holds per node cell, in 16-byte
-/// units: 1 KiB inline (what a protocol state grows, it grows on the
-/// heap). A ceiling for refusing crafted frames, not a limit on runs.
-const ARENA_CELL_UNITS: u64 = 64;
-
 /// The adversary phase's walk: draw the edges `plan` blocks in `round` and
 /// hand `hit` the staging-mask index of each direction of each — a message
 /// `u → v` is staged in `v`'s in-arc from `u`.
@@ -419,18 +415,16 @@ impl Arena {
         ((base + align - 1) & !(align - 1)) as *mut T
     }
 
-    /// Current byte high-water mark (what snapshots record).
+    /// Current byte high-water mark.
     fn byte_capacity(&self) -> usize {
         self.buf.len() * 16
     }
 
-    /// Grow to at least `bytes` (restore replays recorded high-water
-    /// marks through this, so a migrated warm session stays
-    /// allocation-free). Growth takes a fresh zeroed buffer and drops the
-    /// old one without copying it: no caller reads arena or slab contents
-    /// across a growth (see [`Arena::view`]), and a large zeroed
-    /// allocation is fresh pages, which stay unmapped until a phase
-    /// touches them.
+    /// Grow to at least `bytes`. Growth takes a fresh zeroed buffer and
+    /// drops the old one without copying it: no caller reads arena or
+    /// slab contents across a growth (see [`Arena::view`]), and a large
+    /// zeroed allocation is fresh pages, which stay unmapped until a
+    /// phase touches them.
     fn grow_to_bytes(&mut self, bytes: usize) {
         let units = bytes.div_ceil(16);
         if self.buf.len() < units {
@@ -738,26 +732,6 @@ impl SessionState {
         mix64(fold(h, 9, &self.trace_buf))
     }
 
-    /// The cached shard-plan key (0 = no plan cached). The plan itself
-    /// is a pure function of the graph and this key, so snapshots store
-    /// only the key.
-    pub(crate) fn plan_key(&self) -> u64 {
-        self.plan.as_ref().map_or(0, |(k, _)| *k as u64)
-    }
-
-    /// Byte high-water marks of the width-keyed slabs and bump arenas,
-    /// in snapshot-header order.
-    pub(crate) fn capacities(&self) -> [u64; 6] {
-        [
-            self.slab_a.byte_capacity() as u64,
-            self.slab_b.byte_capacity() as u64,
-            self.bcast_slab_a.byte_capacity() as u64,
-            self.bcast_slab_b.byte_capacity() as u64,
-            self.cell_arena.byte_capacity() as u64,
-            self.out_arena.byte_capacity() as u64,
-        ]
-    }
-
     /// Estimated resident heap footprint of this state's retained
     /// buffers, in bytes — what dropping the state would actually free,
     /// and the quantity [`crate::pool::EvictionPolicy::max_warm_bytes`]
@@ -766,7 +740,17 @@ impl SessionState {
     /// remaining per-shard bookkeeping vectors are noise next to the
     /// arc-sized buffers and are not chased.
     pub(crate) fn warm_bytes(&self) -> usize {
-        self.capacities().iter().sum::<u64>() as usize
+        [
+            &self.slab_a,
+            &self.slab_b,
+            &self.bcast_slab_a,
+            &self.bcast_slab_b,
+            &self.cell_arena,
+            &self.out_arena,
+        ]
+        .iter()
+        .map(|a| a.byte_capacity())
+        .sum::<usize>()
             + self.in_occ.capacity() * 8
             + self.out_mask.capacity()
             + self.arc_traffic.capacity() * 4
@@ -778,20 +762,9 @@ impl SessionState {
             + self.trace_buf.capacity() * 8
     }
 
-    /// Replay recorded high-water marks so the restored session's first
-    /// phases allocate nothing the original's wouldn't have.
-    fn grow_capacities(&mut self, caps: [u64; 6]) {
-        self.slab_a.grow_to_bytes(caps[0] as usize);
-        self.slab_b.grow_to_bytes(caps[1] as usize);
-        self.bcast_slab_a.grow_to_bytes(caps[2] as usize);
-        self.bcast_slab_b.grow_to_bytes(caps[3] as usize);
-        self.cell_arena.grow_to_bytes(caps[4] as usize);
-        self.out_arena.grow_to_bytes(caps[5] as usize);
-    }
-
     /// Size the broadcast plane's bookkeeping for `n` nodes: once per
     /// session, by its first unfaulted phase (a faulted phase never pays
-    /// for it), or by a restore whose frame records that one ran.
+    /// for it).
     fn size_plane(&mut self, n: usize) {
         if self.bcast_stage.len() < n {
             self.bcast_stage.resize(n, 0);
@@ -1419,13 +1392,13 @@ impl<'g> Session<'g> {
 
     /// Restore a snapshot frame onto `graph`, which must be the graph
     /// the frame was taken from (fingerprint and shape are verified).
-    /// The restored session continues **bit-identically** to the one
-    /// that was snapshotted: the per-edge row and the trace are
-    /// byte-equal, every buffer the next phase would zero or scrub starts
-    /// zero, the shard-plan cache is recomputed from its recorded key,
-    /// slab/arena high-water marks are replayed, and the recomputed
-    /// [`Session::state_hash`] must equal the recorded one, or the restore
-    /// is refused.
+    /// The restored session is a fresh one ([`Session::new`]) holding the
+    /// frame's per-edge row, trace and clean flag, and it continues
+    /// **bit-identically** to the one that was snapshotted: every buffer
+    /// the next phase would zero or scrub starts zero, slabs, arenas and
+    /// the shard plan are sized on first use, as a fresh session's are,
+    /// and the recomputed [`Session::state_hash`] must equal the recorded
+    /// one, or the restore is refused.
     pub fn restore(
         graph: &'g Graph,
         bytes: &[u8],
@@ -1444,21 +1417,6 @@ impl<'g> Session<'g> {
         {
             return Err(SnapshotError::SizeMismatch("graph shape"));
         }
-        // The checksum is a fold anyone can recompute, so nothing is
-        // allocated on the header's word alone. A slab holds at most one
-        // 16-byte word per arc (per node, the broadcast pair), an arena one
-        // cell per node.
-        let slots = graph.num_arcs().max(graph.n()).max(1) as u64;
-        let slab = slots.saturating_mul(16);
-        let arena = slab.saturating_mul(ARENA_CELL_UNITS);
-        let [slabs @ .., cells, outs] = header.capacities;
-        if slabs.iter().any(|&c| c > slab) || cells.max(outs) > arena {
-            return Err(SnapshotError::SizeMismatch("capacities"));
-        }
-        // `begin_phase` clamps every shard count it caches to 1..=n.
-        if header.plan_key > graph.n().max(1) as u64 {
-            return Err(SnapshotError::SizeMismatch("plan_key"));
-        }
         let mut state = SessionState::new(graph);
         state.per_edge = r.u64s()?;
         if state.per_edge.len() != graph.m() {
@@ -1469,16 +1427,6 @@ impl<'g> Session<'g> {
             return Err(SnapshotError::SizeMismatch("frame length"));
         }
         state.clean = header.clean;
-        if header.plan_key != 0 {
-            let k = header.plan_key as usize;
-            state.plan = Some((k, graph.shard_plan(k)));
-        }
-        // A broadcast slab has grown iff an unfaulted phase ran, which is
-        // also what sizes the plane's bookkeeping.
-        if header.capacities[2] != 0 {
-            state.size_plane(graph.n());
-        }
-        state.grow_capacities(header.capacities);
         let rehash = state.state_hash();
         if rehash != header.state_hash {
             return Err(SnapshotError::StateHashMismatch {
@@ -1677,11 +1625,10 @@ mod tests {
         );
     }
 
-    /// A frame does not carry the broadcast plane's bookkeeping; a restore
-    /// sizes it from the recorded broadcast-slab capacity, so the restored
-    /// state holds (and `warm_bytes` counts) what the original held.
+    /// A frame carries no buffer sizes: a restored state holds what a
+    /// fresh one holds, and its first phase grows it as a fresh one's does.
     #[test]
-    fn a_restore_sizes_the_plane_as_the_original_had_it() {
+    fn a_restored_session_sizes_its_buffers_as_a_fresh_one_does() {
         /// One word to every neighbour in round 0.
         struct Hello;
         impl Protocol for Hello {
@@ -1696,22 +1643,16 @@ mod tests {
             fn finish(self) {}
         }
         let g = cycle(100);
-        let plane =
-            |s: &SessionState| (s.bcast_stage.len(), s.bcast_occ.len(), s.node_traffic.len());
-        for (faults, sized) in [
-            (None, (100, 2, 100)),
-            (Some(FaultPlan::new(1, 7)), (0, 0, 0)),
-        ] {
-            let mut original = Session::new(&g);
-            let config = EngineConfig {
-                faults,
-                ..EngineConfig::serial()
-            };
-            original.run(|_, _| Hello, config).unwrap();
-            let restored = Session::restore(&g, &original.snapshot()).unwrap();
-            assert_eq!(plane(&original.state), sized);
-            assert_eq!(plane(&restored.state), sized);
+        let mut original = Session::new(&g);
+        original.run(|_, _| Hello, EngineConfig::serial()).unwrap();
+        let mut restored = Session::restore(&g, &original.snapshot()).unwrap();
+        let mut fresh = Session::new(&g);
+        assert_eq!(restored.state.warm_bytes(), fresh.state.warm_bytes());
+        for session in [&mut restored, &mut fresh] {
+            session.run(|_, _| Hello, EngineConfig::serial()).unwrap();
         }
+        assert_eq!(restored.state.warm_bytes(), fresh.state.warm_bytes());
+        assert_eq!(restored.state.warm_bytes(), original.state.warm_bytes());
     }
 
     #[test]

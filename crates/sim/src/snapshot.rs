@@ -23,24 +23,19 @@
 //! 16      checksum   u64   splitmix64 fold over every byte after this field
 //! 24      fingerprint u64  Graph::fingerprint of the graph the state is keyed to
 //! 32      n, m, arcs u64×3 graph shape (restore-time size validation)
-//! 56      plan_key   u64   cached shard-plan key (0 = none); the plan itself
-//!                          is a pure function of (graph, key) and is recomputed
-//! 64      state_hash u64   state_hash() at encode time (restore re-verifies)
-//! 72      capacities u64×6 byte high-water marks of the arc/broadcast slabs
-//!                          and the cell/output arenas (restored so the
-//!                          zero-alloc warm-up survives migration)
-//! 120     body             engine payload
+//! 56      state_hash u64   state_hash() at encode time (restore re-verifies)
+//! 64      body             engine payload
 //! ```
 //!
 //! The engine payload is two length-prefixed `u64` vectors, the last
 //! phase's per-edge congestion row and its trace: the only buffers whose
 //! contents a phase boundary keeps, and the two
 //! [`crate::Session::state_hash`] signs. The frame ends where the trace
-//! does. (Version 3 also carried six per-arc and per-node buffers, below;
-//! version 1 two bit-sliced meter planes besides, and a version 2 frame
-//! could record the slab high-water marks of a 64-lane phase, 64 times
-//! what the capacity ceiling now allows; each is
-//! [`SnapshotError::BadVersion`].) **Not captured** (and why):
+//! does. (Version 4 also recorded the cached shard-plan key and the six
+//! slab and arena high-water marks, version 3 six per-arc and per-node
+//! buffers besides, version 1 two bit-sliced meter planes, and a version 2
+//! frame could record the slab high-water marks of a 64-lane phase; each
+//! is [`SnapshotError::BadVersion`].) **Not captured** (and why):
 //!
 //! * **the round loop's scratch buffers** — inbox occupancy, staging
 //!   mask, per-arc traffic counters, and the broadcast plane's stage
@@ -49,19 +44,20 @@
 //!   docs), a failed one leaves them to the next phase's scrub, and every
 //!   plane fold rebuilds the presence words before anyone reads them. So
 //!   no phase reads what an earlier one left there, and a restore starts
-//!   them zero. Whether the plane's three are sized at all is read off the
-//!   recorded broadcast-slab capacity, so a restored state holds what the
-//!   original held;
-//! * **slab and arena contents** — between phases only occupancy-gated
-//!   slots are ever read and the occupancy bitset is zero, so the words
-//!   are unreachable by construction; only their byte capacities matter
-//!   (they are restored, so a warm session stays warm);
-//! * **per-phase scratch** (shard meters, worklists, the active-node
-//!   list, fault buffers) — rebuilt at the start of every run;
-//! * **the [`congest_graph::ShardPlan`]** — a pure function of the graph
-//!   and the recorded `plan_key`, recomputed on restore;
+//!   them zero, sized as a fresh session sizes them;
+//! * **slab and arena contents and sizes** — between phases only
+//!   occupancy-gated slots are ever read and the occupancy bitset is
+//!   zero, so the words are unreachable by construction; a restored
+//!   session grows them on first use, as a fresh one does;
+//! * **per-phase scratch and the [`congest_graph::ShardPlan`]** (shard
+//!   meters, worklists, the active-node list, fault buffers, the plan
+//!   cache) — rebuilt or re-derived at the start of every run;
 //! * **mid-phase node state** — protocol cells are arbitrary user types;
 //!   snapshots are a *phase-boundary* operation by design.
+//!
+//! A frame is what a continuation reads, not a cache: nothing in it makes
+//! the restored session warm, and nothing a warm session holds changes
+//! what it computes.
 //!
 //! A frame taken after a failed phase (a round-limit error) has the clean
 //! flag unset, restores the same way, and continues like the session it
@@ -73,10 +69,9 @@
 //! [`crate::Session::restore`] refuses to marry a payload to the wrong graph:
 //! magic/version and the flag bits are checked first, then the checksum,
 //! then the graph fingerprint and the `n`/`m`/`arcs` shape, then the
-//! recorded capacities and plan key against what that shape allows (the
-//! checksum is no authenticator, so no header field is allocated from
-//! unchecked), then the per-edge row's length and that the frame ends
-//! with the trace, and finally the recomputed
+//! per-edge row's length (a length prefix is checked against the bytes
+//! left before anything is allocated: the checksum is no authenticator)
+//! and that the frame ends with the trace, and finally the recomputed
 //! [`crate::Session::state_hash`] must equal the recorded one — a restored
 //! engine is bit-identical or it is an error, never silently wrong. The
 //! clean flag is part of the hash, so flipping it alone is a
@@ -158,12 +153,12 @@ pub const SNAPSHOT_MAGIC: u64 = u64::from_le_bytes(*b"FBCSNAP1");
 /// any other value.
 ///
 /// [`crate::Session::restore`]: crate::Session::restore
-pub const SNAPSHOT_VERSION: u32 = 4;
+pub const SNAPSHOT_VERSION: u32 = 5;
 
 pub(crate) const FLAG_CLEAN: u32 = 1;
 
 /// Fixed header size in bytes; the body starts here.
-pub(crate) const HEADER_BYTES: usize = 120;
+pub(crate) const HEADER_BYTES: usize = 64;
 
 /// Why a snapshot frame was rejected. Every variant is a *refusal to
 /// restore*: the engine is never left in a partially-restored state.
@@ -187,9 +182,6 @@ pub enum SnapshotError {
     /// The restored state's recomputed hash differs from the recorded
     /// one — the frame is internally inconsistent.
     StateHashMismatch { expected: u64, found: u64 },
-    /// (Pool restore only.) No graph with the frame's fingerprint is
-    /// registered in the pool.
-    UnknownGraph(u64),
 }
 
 impl fmt::Display for SnapshotError {
@@ -218,9 +210,6 @@ impl fmt::Display for SnapshotError {
                 f,
                 "restored state hashes to {found:#018x}, frame recorded {expected:#018x}"
             ),
-            SnapshotError::UnknownGraph(fp) => {
-                write!(f, "no graph with fingerprint {fp:#018x} is registered")
-            }
         }
     }
 }
@@ -245,13 +234,8 @@ pub struct SnapshotHeader {
     pub m: u64,
     /// Directed arc count of the keyed graph.
     pub arcs: u64,
-    /// Cached shard-plan key (0 = no plan was cached).
-    pub plan_key: u64,
     /// [`crate::Session::state_hash`] at encode time.
     pub state_hash: u64,
-    /// Byte high-water marks: arc slabs ×2, broadcast slabs ×2, cell
-    /// arena, output arena.
-    pub capacities: [u64; 6],
 }
 
 /// Decode and fully validate a frame's fixed header (magic, version,
@@ -345,9 +329,7 @@ pub(crate) struct Frame {
     pub(crate) n: u64,
     pub(crate) m: u64,
     pub(crate) arcs: u64,
-    pub(crate) plan_key: u64,
     pub(crate) state_hash: u64,
-    pub(crate) capacities: [u64; 6],
 }
 
 impl Frame {
@@ -359,9 +341,7 @@ impl Frame {
             n: graph.n() as u64,
             m: graph.m() as u64,
             arcs: graph.num_arcs() as u64,
-            plan_key: state.plan_key(),
             state_hash: state.state_hash(),
-            capacities: state.capacities(),
         }
     }
 }
@@ -376,11 +356,7 @@ pub(crate) fn begin(out: &mut Vec<u8>, f: &Frame) {
     put_u64(out, f.n);
     put_u64(out, f.m);
     put_u64(out, f.arcs);
-    put_u64(out, f.plan_key);
     put_u64(out, f.state_hash);
-    for &c in &f.capacities {
-        put_u64(out, c);
-    }
     debug_assert_eq!(out.len(), HEADER_BYTES);
 }
 
@@ -423,12 +399,7 @@ pub(crate) fn open(bytes: &[u8]) -> Result<(SnapshotHeader, Reader<'_>), Snapsho
     let n = r.u64()?;
     let m = r.u64()?;
     let arcs = r.u64()?;
-    let plan_key = r.u64()?;
     let state_hash = r.u64()?;
-    let mut capacities = [0u64; 6];
-    for c in &mut capacities {
-        *c = r.u64()?;
-    }
     let header = SnapshotHeader {
         version,
         clean: flags & FLAG_CLEAN != 0,
@@ -436,9 +407,7 @@ pub(crate) fn open(bytes: &[u8]) -> Result<(SnapshotHeader, Reader<'_>), Snapsho
         n,
         m,
         arcs,
-        plan_key,
         state_hash,
-        capacities,
     };
     Ok((header, r))
 }
@@ -473,65 +442,6 @@ mod tests {
         assert_eq!(r.u64s(), Err(SnapshotError::Truncated));
     }
 
-    /// `frame` with the header word at byte `at` replaced and the checksum
-    /// recomputed — what anyone who has read the layout table can craft.
-    fn resealed(frame: &[u8], at: usize, word: u64) -> Vec<u8> {
-        let mut bad = frame.to_vec();
-        bad[at..at + 8].copy_from_slice(&word.to_le_bytes());
-        finish(&mut bad);
-        bad
-    }
-
-    #[test]
-    fn crafted_capacities_and_plan_keys_are_refused() {
-        use crate::Session;
-        let g = congest_graph::generators::cycle(6);
-        let frame = Session::new(&g).snapshot();
-        // Replayed unchecked, this mark was a 4 EiB allocation: the process
-        // aborted inside `restore`. (`proptest_snapshot.rs` moves every
-        // capacity slot; this is the one reported.)
-        let bad = resealed(&frame, 72, 1 << 62);
-        assert_eq!(peek(&bad).unwrap().capacities[0], 1 << 62);
-        assert_eq!(
-            Session::restore(&g, &bad).err(),
-            Some(SnapshotError::SizeMismatch("capacities"))
-        );
-        // One shard per node is the most `begin_phase` ever caches.
-        assert!(Session::restore(&g, &resealed(&frame, 56, 6)).is_ok());
-        assert_eq!(
-            Session::restore(&g, &resealed(&frame, 56, 7)).err(),
-            Some(SnapshotError::SizeMismatch("plan_key"))
-        );
-    }
-
-    #[test]
-    fn the_widest_honest_run_stays_under_the_capacity_ceiling() {
-        use crate::{EngineConfig, NodeCtx, Protocol, Session};
-        /// One `u128` word to every neighbour, once.
-        struct Shout;
-        impl Protocol for Shout {
-            type Msg = (u64, u64);
-            type Output = ();
-            fn round(&mut self, ctx: &mut NodeCtx<'_, (u64, u64)>) {
-                if ctx.round == 0 {
-                    ctx.send_all((1, 2));
-                }
-                ctx.set_done(true);
-            }
-            fn finish(self) {}
-        }
-        let g = congest_graph::generators::cycle(6);
-        let mut session = Session::new(&g);
-        session.run(|_, _| Shout, EngineConfig::serial()).unwrap();
-        let frame = session.snapshot();
-        // A 16-byte word on every arc: the slab ceiling exactly.
-        assert_eq!(
-            peek(&frame).unwrap().capacities[0],
-            (16 * g.num_arcs()) as u64
-        );
-        assert!(Session::restore(&g, &frame).is_ok());
-    }
-
     #[test]
     fn header_round_trips() {
         let f = Frame {
@@ -540,9 +450,7 @@ mod tests {
             n: 10,
             m: 20,
             arcs: 40,
-            plan_key: 3,
             state_hash: 0x5EED,
-            capacities: [1, 2, 3, 4, 5, 6],
         };
         let mut out = Vec::new();
         begin(&mut out, &f);
@@ -553,8 +461,7 @@ mod tests {
         assert!(h.clean);
         assert_eq!(h.fingerprint, 0xABCD);
         assert_eq!((h.n, h.m, h.arcs), (10, 20, 40));
-        assert_eq!(h.plan_key, 3);
-        assert_eq!(h.capacities, [1, 2, 3, 4, 5, 6]);
+        assert_eq!(h.state_hash, 0x5EED);
 
         // Any flipped body byte fails the checksum.
         let mut bad = out.clone();

@@ -188,7 +188,7 @@ proptest! {
 
     /// Evict, then check out: with room for one graph, whichever of two
     /// the access sequence touched less recently has aged out, and its key
-    /// is [`PoolError::UnknownGraph`] from all five keyed pool calls and
+    /// is [`PoolError::UnknownGraph`] from all three keyed pool calls and
     /// from `try_submit` — no panic, no closure call, no hit or miss
     /// counted. Registering the graph again returns the same key, and the
     /// job that follows checks out a cold session and runs exactly what an
@@ -213,12 +213,10 @@ proptest! {
             let gone = PoolError::UnknownGraph(keys[lost]);
             let counters = (pool.hits(), pool.misses());
             prop_assert_eq!(pool.graph(keys[lost]).err(), Some(gone));
-            prop_assert_eq!(pool.warm_count(keys[lost]), Err(gone));
             prop_assert_eq!(pool.warm_bytes(keys[lost]), Err(gone));
             let mut ran = false;
             prop_assert_eq!(pool.with_session(keys[lost], |_| ran = true), Err(gone));
             prop_assert!(!ran, "a refused checkout ran its closure");
-            prop_assert_eq!(pool.park_warm(keys[lost], &mut Vec::new()), Err(gone));
             prop_assert_eq!((pool.hits(), pool.misses()), counters);
 
             let (key, g) = (keys[which], &graphs[which]);
@@ -230,7 +228,7 @@ proptest! {
                     continue;
                 }
                 prop_assert_eq!(server.register_graph(g.clone()), key);
-                prop_assert_eq!(server.pool().warm_count(key), Ok(0));
+                prop_assert_eq!(server.pool().warm_bytes(key), Ok(0));
             }
             let mut out = Vec::new();
             server.try_submit(job).expect("held or just re-registered");

@@ -7,8 +7,7 @@
 //!
 //! Alongside the oracle: state-hash invariance across serial/parallel ×
 //! shard counts (the hash folds only nonzero words, so execution
-//! strategy cannot leak into it), the pool park/restore round trip, and
-//! the tamper suite (a mutation property over valid frames — byte flips,
+//! strategy cannot leak into it), and the tamper suite (a mutation property over valid frames — byte flips,
 //! truncations, inflated length prefixes, header fields out of range —
 //! beside the fixed magic, version, fingerprint, unknown-flag and
 //! trailing-bytes cases: every corruption is a typed refusal), and the
@@ -17,9 +16,7 @@
 
 use congest_graph::{Graph, GraphBuilder};
 use congest_sim::rng::{mix64, phase_seed};
-use congest_sim::{
-    EngineConfig, FaultPlan, NodeCtx, Protocol, RunStats, Session, SessionPool, SnapshotError,
-};
+use congest_sim::{EngineConfig, FaultPlan, NodeCtx, Protocol, RunStats, Session, SnapshotError};
 use proptest::prelude::*;
 
 fn arb_connected_graph(max_n: usize) -> impl Strategy<Value = Graph> {
@@ -308,60 +305,6 @@ proptest! {
             prop_assert_eq!(&par, &serial, "shards={} threads={}", shards, threads);
         }
     }
-
-    /// Pool arm: park a pool's warm states as frames, restore them into
-    /// a second pool (a fresh process's pool), and the next checkout on
-    /// each side runs bit-identically from the same warm state.
-    #[test]
-    fn pool_park_restore_round_trips(
-        g in arb_connected_graph(16),
-        seed in any::<u64>(),
-    ) {
-        let mut pool_a = SessionPool::new();
-        let key = pool_a.register(g.clone());
-        // Warm one state with a first phase.
-        pool_a.with_session(key, |s| {
-            let out = s
-                .run(
-                    |_, _| Chatter { rounds: 5, salt: 1, heard: 0 },
-                    EngineConfig::serial().seed(phase_seed(seed, 1)),
-                )
-                .unwrap();
-            drop(out);
-        }).unwrap();
-        let mut frames = Vec::new();
-        let parked = pool_a.park_warm(key, &mut frames);
-        prop_assert_eq!(parked, Ok(1));
-        prop_assert_eq!(frames.len(), 1);
-        prop_assert_eq!(pool_a.warm_count(key), Ok(0));
-
-        // Restore into both pools (A lost its warm set by parking).
-        let mut pool_b = SessionPool::new();
-        let key_b = pool_b.register(g.clone());
-        for bytes in &frames {
-            prop_assert_eq!(pool_a.restore_warm(bytes).unwrap(), key);
-            prop_assert_eq!(pool_b.restore_warm(bytes).unwrap(), key_b);
-        }
-        prop_assert_eq!(pool_a.warm_count(key), Ok(1));
-        prop_assert_eq!(pool_b.warm_count(key_b), Ok(1));
-
-        let run2 = |pool: &mut SessionPool, key| {
-            pool.with_session(key, |s| {
-                let out = s
-                    .run(
-                        |_, _| Chatter { rounds: 5, salt: 2, heard: 0 },
-                        EngineConfig::serial().seed(phase_seed(seed, 2)),
-                    )
-                    .unwrap();
-                let outputs = out.take_outputs();
-                (outputs, s.state_hash())
-            })
-            .unwrap()
-        };
-        let a = run2(&mut pool_a, key);
-        let b = run2(&mut pool_b, key_b);
-        prop_assert_eq!(a, b);
-    }
 }
 
 // ---- Tamper suite: every corruption is a typed refusal. ----
@@ -419,10 +362,8 @@ fn with_word(frame: &[u8], at: usize, word: u64) -> Vec<u8> {
 /// module docs).
 const FINGERPRINT: usize = 24;
 const SHAPE: [usize; 3] = [32, 40, 48];
-const PLAN_KEY: usize = 56;
-const STATE_HASH: usize = 64;
-const CAPACITIES: usize = 72;
-const BODY: usize = 120;
+const STATE_HASH: usize = 56;
+const BODY: usize = 64;
 
 /// Offsets of every length prefix in a frame's body, walking the layout
 /// the module docs give: the engine payload's two `u64` vectors. Ends
@@ -444,9 +385,9 @@ proptest! {
     /// The mutation property: take a valid `Session` frame — cold or
     /// warm — and damage it one way at a time. Any single byte flip and any
     /// truncation (as they are, and the truncation also with the checksum
-    /// recomputed); any length prefix inflated and any header field moved
-    /// out of range, both with the checksum recomputed. None may panic,
-    /// abort (a length or capacity believed is an allocation), or restore.
+    /// recomputed); any length prefix inflated and any header field moved,
+    /// both with the checksum recomputed. None may panic, abort (a length
+    /// believed is an allocation), or restore.
     #[test]
     fn mutated_frames_never_restore(
         g in arb_connected_graph(14),
@@ -492,20 +433,11 @@ proptest! {
             }
         }
         // Header fields: the fingerprint, the shape and the state hash
-        // refuse any other value; a plan key and a capacity refuse one
-        // past what the shape allows.
+        // refuse any other value.
         for at in [FINGERPRINT, STATE_HASH].into_iter().chain(SHAPE) {
             let moved = word_at(&frame, at) ^ (1 + pick() % u64::MAX);
             let bad = resealed(with_word(&frame, at, moved));
             prop_assert!(restore(&bad).is_err(), "header word at {} -> {}", at, moved);
-        }
-        for key in [g.n() as u64 + 1, absurd(pick())] {
-            let bad = resealed(with_word(&frame, PLAN_KEY, key));
-            prop_assert_eq!(restore(&bad), Err(SnapshotError::SizeMismatch("plan_key")));
-        }
-        for slot in 0..6 {
-            let bad = resealed(with_word(&frame, CAPACITIES + 8 * slot, absurd(pick())));
-            prop_assert_eq!(restore(&bad), Err(SnapshotError::SizeMismatch("capacities")));
         }
     }
 }
@@ -522,8 +454,9 @@ fn tampered_frames_are_refused() {
 
     // So are the previous formats: version 1 carried the meter planes,
     // version 2 could carry a 64-lane phase's slab capacities, version 3
-    // carried the round loop's scratch buffers.
-    for version in [1u32, 2, 3] {
+    // carried the round loop's scratch buffers, version 4 the shard-plan
+    // key and the slab and arena high-water marks.
+    for version in [1u32, 2, 3, 4] {
         let mut old = bytes.clone();
         old[8..12].copy_from_slice(&version.to_le_bytes());
         assert_eq!(
@@ -531,7 +464,7 @@ fn tampered_frames_are_refused() {
             SnapshotError::BadVersion(version)
         );
     }
-    assert_eq!(congest_sim::SNAPSHOT_VERSION, 4);
+    assert_eq!(congest_sim::SNAPSHOT_VERSION, 5);
 
     // The frame ends with the trace: a byte after it is refused, even
     // with the checksum recomputed.
@@ -540,18 +473,6 @@ fn tampered_frames_are_refused() {
     assert_eq!(
         refusal(Session::restore(&g, &resealed(long))),
         SnapshotError::SizeMismatch("frame length")
-    );
-
-    // A slab holds one 16-byte word per arc at most: a frame claiming the
-    // ceiling restores, one claiming a byte more is refused.
-    let ceiling = 16 * g.num_arcs() as u64;
-    assert!(Session::restore(&g, &resealed(with_word(&bytes, CAPACITIES, ceiling))).is_ok());
-    assert_eq!(
-        refusal(Session::restore(
-            &g,
-            &resealed(with_word(&bytes, CAPACITIES, ceiling + 1))
-        )),
-        SnapshotError::SizeMismatch("capacities")
     );
 
     // A different graph refuses by fingerprint.
@@ -618,16 +539,4 @@ fn a_round_limited_sessions_frame_continues_like_the_session() {
             "phase {k}"
         );
     }
-}
-
-#[test]
-fn pool_restore_requires_a_registered_graph() {
-    let g = small_graph();
-    let bytes = warm_frame(&g);
-    let mut pool = SessionPool::new();
-    pool.register(congest_graph::generators::complete(6));
-    assert_eq!(
-        pool.restore_warm(&bytes).unwrap_err(),
-        SnapshotError::UnknownGraph(g.fingerprint())
-    );
 }

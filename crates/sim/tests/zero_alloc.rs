@@ -631,9 +631,8 @@ fn round_loop_allocates_nothing_after_setup() {
     }
 
     // --- Snapshot encode: checkpointing a warm session into a warm
-    // caller-provided buffer is part of the serving steady state
-    // (`SessionPool::park_warm` runs it per warm state), so it must
-    // allocate **exactly zero**: the payload walk is `extend_from_slice`
+    // caller-provided buffer is part of a checkpointing loop's steady
+    // state, so it must allocate **exactly zero**: the payload walk is `extend_from_slice`
     // into retained capacity and the state hash is pure arithmetic. The
     // first encode sizes the buffer; every later encode is free.
     {

@@ -111,7 +111,7 @@ fn run(args: &[String]) -> Result<(), Failure> {
             say!("{}", USAGE);
             Ok(())
         }
-        "params" => cmd_params(args.get(1).ok_or("params needs a <family>")?),
+        "params" => cmd_params(&args[1..]),
         "broadcast" => cmd_broadcast(&args[1..]),
         "packing" => cmd_packing(&args[1..]),
         "apsp" => cmd_apsp(&args[1..]),
@@ -133,7 +133,7 @@ fastbcast — fast broadcast in highly connected networks (SPAA 2024 reproductio
   fastbcast cuts      <family> [--eps E] [--seed S]
   fastbcast serve     [--graphs F1+F2+..] [--jobs N] [--tenants T] [--queue Q]
                       [--mix flood,rumor,gossip] [--fault-edges F] [--seed S] [--serial]
-                      [--warm-limit W] [--max-graphs G] [--max-warm-bytes B]
+                      [--max-graphs G] [--max-warm-bytes B]
   fastbcast snapshot  <family> [--phases N] [--cut K] [--seed S] [--out FILE]
   fastbcast resume    <family> --in FILE [--phases N] [--cut K] [--seed S] [--verify]
 
@@ -149,6 +149,18 @@ families:
   gk13:COLS,L        the Appendix B lower-bound family
   barbell:S,P        two S-cliques + P-edge path (λ = 1)
   bipartite:A,B      K_{A,B}";
+
+/// Refuse any `--flag` in `args` that the subcommand `cmd` does not take:
+/// a misspelt flag is a usage error, not a silent default.
+fn known_flags(args: &[String], cmd: &str, takes: &[&str]) -> Result<(), String> {
+    match args
+        .iter()
+        .find(|a| a.starts_with("--") && !takes.contains(&a.as_str()))
+    {
+        Some(unknown) => Err(format!("{cmd} does not take `{unknown}`")),
+        None => Ok(()),
+    }
+}
 
 /// Parse `--flag value` style options from the tail of an argument list.
 fn opt<T: std::str::FromStr>(args: &[String], flag: &str, default: T) -> Result<T, String> {
@@ -275,7 +287,9 @@ fn parse_family(spec: &str) -> Result<Graph, String> {
     }
 }
 
-fn cmd_params(spec: &str) -> Result<(), Failure> {
+fn cmd_params(args: &[String]) -> Result<(), Failure> {
+    known_flags(args, "params", &[])?;
+    let spec = args.first().ok_or("params needs a <family>")?;
     let g = parse_family(spec)?;
     let p = GraphParams::measure(&g);
     say!("family      : {spec}");
@@ -308,6 +322,7 @@ fn cmd_params(spec: &str) -> Result<(), Failure> {
 }
 
 fn cmd_broadcast(args: &[String]) -> Result<(), Failure> {
+    known_flags(args, "broadcast", &["--k", "--seed"])?;
     let spec = args.first().ok_or("broadcast needs a <family>")?;
     let g = parse_family(spec)?;
     let k = opt(args, "--k", 2 * g.n())?;
@@ -354,6 +369,7 @@ fn cmd_broadcast(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_packing(args: &[String]) -> Result<(), Failure> {
+    known_flags(args, "packing", &["--trees", "--exact", "--seed"])?;
     let spec = args.first().ok_or("packing needs a <family>")?;
     let g = parse_family(spec)?;
     let lambda = fast_broadcast::graph::algo::edge_connectivity(&g);
@@ -396,6 +412,7 @@ fn cmd_packing(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_apsp(args: &[String]) -> Result<(), Failure> {
+    known_flags(args, "apsp", &["--seed"])?;
     let spec = args.first().ok_or("apsp needs a <family>")?;
     let g = parse_family(spec)?;
     let seed: u64 = opt(args, "--seed", 3u64)?;
@@ -415,6 +432,7 @@ fn cmd_apsp(args: &[String]) -> Result<(), Failure> {
 }
 
 fn cmd_cuts(args: &[String]) -> Result<(), Failure> {
+    known_flags(args, "cuts", &["--eps", "--seed"])?;
     let spec = args.first().ok_or("cuts needs a <family>")?;
     let g = parse_family(spec)?;
     let eps: f64 = opt(args, "--eps", 0.5f64)?;
@@ -457,6 +475,22 @@ fn cmd_cuts(args: &[String]) -> Result<(), Failure> {
 /// warm session), and report throughput plus the per-tenant
 /// congestion/bit meters.
 fn cmd_serve(args: &[String]) -> Result<(), Failure> {
+    known_flags(
+        args,
+        "serve",
+        &[
+            "--graphs",
+            "--jobs",
+            "--tenants",
+            "--queue",
+            "--seed",
+            "--fault-edges",
+            "--mix",
+            "--max-graphs",
+            "--max-warm-bytes",
+            "--serial",
+        ],
+    )?;
     let graphs_spec: String = opt(args, "--graphs", "harary:6,256+torus:16x16".to_string())?;
     let jobs: u64 = opt(args, "--jobs", 96u64)?;
     let tenants: u32 = opt(args, "--tenants", 4u32)?;
@@ -464,7 +498,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
     let seed: u64 = opt(args, "--seed", 42u64)?;
     let fault_edges: usize = opt(args, "--fault-edges", 0usize)?;
     let mix_spec: String = opt(args, "--mix", "flood,rumor,gossip".to_string())?;
-    let warm_limit: usize = opt(args, "--warm-limit", 4usize)?;
     let max_graphs: usize = opt(args, "--max-graphs", usize::MAX)?;
     let max_warm_bytes: usize = opt(args, "--max-warm-bytes", usize::MAX)?;
     if jobs == 0 {
@@ -499,7 +532,6 @@ fn cmd_serve(args: &[String]) -> Result<(), Failure> {
         EngineConfig::default()
     };
     let mut server = PoolServer::new(config, queue);
-    server.pool_mut().set_warm_limit(warm_limit);
     server.pool_mut().set_policy(EvictionPolicy {
         max_graphs,
         max_warm_bytes,
@@ -683,6 +715,7 @@ fn run_pulse_phases(
 /// composition, then checkpoint the engine into `--out` — the file
 /// `fastbcast resume` continues from, in this or any other process.
 fn cmd_snapshot(args: &[String]) -> Result<(), Failure> {
+    known_flags(args, "snapshot", &["--phases", "--cut", "--seed", "--out"])?;
     let spec = args.first().ok_or("snapshot needs a <family>")?;
     let g = parse_family(spec)?;
     let phases: u64 = opt(args, "--phases", 6u64)?;
@@ -716,6 +749,11 @@ fn cmd_snapshot(args: &[String]) -> Result<(), Failure> {
 /// uninterrupted and check the outputs and final state hash agree —
 /// the CLI face of the snapshot→restore→continue bit-identity oracle.
 fn cmd_resume(args: &[String]) -> Result<(), Failure> {
+    known_flags(
+        args,
+        "resume",
+        &["--in", "--phases", "--cut", "--seed", "--verify"],
+    )?;
     let spec = args.first().ok_or("resume needs a <family>")?;
     let g = parse_family(spec)?;
     let path: String = opt(args, "--in", String::new())?;

@@ -1,6 +1,6 @@
 //! `fastbcast` CLI error-path contract: every malformed invocation —
-//! bad family specs, non-numeric flag values, unknown subcommands,
-//! missing arguments — exits non-zero with an `error:` line plus the
+//! bad family specs, non-numeric flag values, unknown subcommands and
+//! flags, missing arguments — exits non-zero with an `error:` line plus the
 //! usage text on stderr, and never panics or silently succeeds.
 
 use std::process::Command;
@@ -115,11 +115,20 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         (&["serve", "--graphs", "harary:4"], "2 parameter(s)"),
         (&["serve", "--graphs", "harary:1,5"], "harary needs L >= 2"),
         (&["serve", "--mix", "flood,osmosis"], "unknown mix family"),
+        // A flag the subcommand does not take is named, not ignored: a
+        // misspelt or retired flag would otherwise run on the defaults.
         (
-            &["serve", "--warm-limit", "cosy"],
-            "bad value `cosy` for --warm-limit",
+            &["broadcast", "harary:8,64", "--sed", "5"],
+            "broadcast does not take `--sed`",
         ),
-        (&["serve", "--warm-limit"], "--warm-limit needs a value"),
+        (
+            &["serve", "--warm-limit", "1"],
+            "serve does not take `--warm-limit`",
+        ),
+        (
+            &["params", "harary:4,16", "--k", "3"],
+            "params does not take `--k`",
+        ),
         (
             &["serve", "--max-graphs", "-2"],
             "bad value `-2` for --max-graphs",
@@ -246,8 +255,6 @@ fn good_invocations_still_succeed() {
         "1",
         "--max-warm-bytes",
         "65536",
-        "--warm-limit",
-        "1",
         "--serial",
     ]);
     let stdout = String::from_utf8_lossy(&serve.stdout);
@@ -315,26 +322,29 @@ fn checkpoint_cli_round_trips_and_refuses_bad_frames() {
     );
 
     let frame = std::fs::read(&snap).expect("the snapshot file");
-    // A truncated copy, and the frame of the first satellite: capacity
-    // slot 0 set to 4 EiB with the checksum recomputed, which used to
-    // abort the process inside `Session::restore`.
+    // A truncated copy, and a crafted one: the per-edge length prefix (the
+    // first body word, byte 64) claiming 2^62 words, with the checksum
+    // recomputed. Believed, it would be an allocation that aborts the
+    // process inside `Session::restore`.
     let mut crafted = frame.clone();
-    crafted[72..80].copy_from_slice(&(1u64 << 62).to_le_bytes());
+    crafted[64..72].copy_from_slice(&(1u64 << 62).to_le_bytes());
     let sum = fast_broadcast::sim::snapshot::checksum(&crafted[24..]);
     crafted[16..24].copy_from_slice(&sum.to_le_bytes());
-    // A version-1 frame, and a version-3 one (the last format that carried
-    // the round loop's scratch buffers).
+    // A version-1 frame, a version-3 one (the last format that carried
+    // the round loop's scratch buffers) and a version-4 one (the last that
+    // carried the shard-plan key and the buffer high-water marks).
     let version = |v: u32| {
         let mut old = frame.clone();
         old[8..12].copy_from_slice(&v.to_le_bytes());
         old
     };
-    let (v1, v3) = (version(1), version(3));
+    let (v1, v3, v4) = (version(1), version(3), version(4));
     for (name, bytes, needle) in [
         ("cut.snap", &frame[..frame.len() / 2], "checksum mismatch"),
-        ("crafted.snap", &crafted[..], "`capacities`"),
+        ("crafted.snap", &crafted[..], "truncated"),
         ("v1.snap", &v1[..], "unsupported snapshot version 1"),
         ("v3.snap", &v3[..], "unsupported snapshot version 3"),
+        ("v4.snap", &v4[..], "unsupported snapshot version 4"),
     ] {
         let path = scratch_file(name);
         std::fs::write(&path, bytes).expect("write the bad frame");
