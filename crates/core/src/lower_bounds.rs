@@ -46,10 +46,14 @@ pub fn theorem9_weighted_apsp_lb(n: u64, lambda: u64, alpha: f64, c: f64) -> f64
     k_max * (n as f64 - 2.0) / (lambda as f64 * (n as f64).log2())
 }
 
-/// Optimality ratio: measured rounds over the Theorem 3 bound. Theorem 1
-/// promises this stays `O(log n)` whenever `k = Ω(n)`.
-pub fn optimality_ratio(measured_rounds: u64, k: u64, lambda: u64) -> f64 {
-    let lb = theorem3_broadcast_lb(k, lambda);
+/// Optimality ratio: measured rounds over the broadcast floor
+/// `max(ecc(s₀), Theorem 3)`. Every node must receive the message held by
+/// `s₀` (the node holding message 0), which takes `source_ecc = ecc(s₀)`
+/// rounds however few messages there are; Theorem 3's `k/(4λ)` is the
+/// floor once `k` is large. Theorem 1 promises the ratio stays `O(log n)`
+/// whenever `k = Ω(n)`.
+pub fn optimality_ratio(measured_rounds: u64, k: u64, lambda: u64, source_ecc: u64) -> f64 {
+    let lb = theorem3_broadcast_lb(k, lambda).max(source_ecc as f64);
     if lb <= 0.0 {
         f64::INFINITY
     } else {
@@ -118,12 +122,34 @@ mod tests {
         let input = BroadcastInput::random_spread(&g, k, 7);
         let out = partition_broadcast(&g, &input, 8, 13).unwrap();
         assert!(out.all_delivered());
-        let ratio = optimality_ratio(out.total_rounds, k as u64, 8);
+        let ecc = congest_graph::algo::eccentricity(&g, input.messages[0].0).unwrap();
+        let ratio = optimality_ratio(out.total_rounds, k as u64, 8, ecc as u64);
         // Theorem 1: ratio = O(log n); generous constant for small n.
         let log_n = (48f64).ln();
         assert!(
             ratio <= 40.0 * log_n,
             "optimality ratio {ratio} too far above O(log n) = {log_n}"
         );
+    }
+
+    /// Few messages on a long circulant: Theorem 3's `k/(4λ)` is below one
+    /// round, and the floor is the source's eccentricity, so the ratio is
+    /// at most `rounds / ecc(s₀)` — not `rounds` over almost zero.
+    #[test]
+    fn optimality_ratio_is_floored_at_the_source_eccentricity() {
+        use crate::broadcast::{partition_broadcast, BroadcastInput};
+        let g = congest_graph::generators::harary(4, 64);
+        let k = 4;
+        let input = BroadcastInput::random_spread(&g, k, 3);
+        let out = partition_broadcast(&g, &input, 4, 5).unwrap();
+        assert!(out.all_delivered());
+        let ecc = congest_graph::algo::eccentricity(&g, input.messages[0].0).unwrap() as u64;
+        assert!(theorem3_broadcast_lb(k as u64, 4) < 1.0);
+        let ratio = optimality_ratio(out.total_rounds, k as u64, 4, ecc);
+        assert!(
+            ratio <= out.total_rounds as f64 / ecc as f64,
+            "ratio {ratio}"
+        );
+        assert!(ratio.is_finite() && ratio >= 1.0, "ratio {ratio}");
     }
 }

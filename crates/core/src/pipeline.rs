@@ -475,7 +475,7 @@ mod tests {
                     0,
                 )
             },
-            EngineConfig::serial(),
+            EngineConfig::default(),
         )
         .unwrap();
         assert!(out.outputs.iter().all(|(r, _)| r.delivered == 1));
@@ -499,7 +499,7 @@ mod tests {
                     let view = views[v as usize].clone();
                     TreePipeline::new(view, asked as u64, own[v as usize].clone(), false)
                 },
-                EngineConfig::serial().max_rounds(1_000),
+                EngineConfig::default().max_rounds(1_000),
             )
         };
         let exact = run(k).unwrap();

@@ -61,7 +61,7 @@ fn tree_allocs(session: &mut Session<'_>, views: &[TreeView], k: usize) -> u64 {
     let out = session
         .run(
             |v, _| TreePipeline::new(views[v as usize].clone(), k as u64, own(v, k), false),
-            EngineConfig::serial(),
+            EngineConfig::default(),
         )
         .unwrap();
     assert!(out.outputs().iter().all(|r| r.delivered == k as u64));
@@ -93,7 +93,7 @@ fn parallel_allocs(session: &mut Session<'_>, trees: &[Vec<BfsNodeInfo>], k: usi
                     .collect();
                 ParallelPipeline::new(cores)
             },
-            EngineConfig::serial(),
+            EngineConfig::default(),
         )
         .unwrap();
     assert!(out.outputs().iter().all(|r| r.delivered == k as u64));
@@ -110,7 +110,7 @@ fn class_trees(g: &Graph) -> Vec<Vec<BfsNodeInfo>> {
             let trees = run_protocol(
                 g,
                 |v, gr: &Graph| SubgraphBfs::new(ROOT, v, part.port_colors(gr, v), CLASSES),
-                EngineConfig::serial(),
+                EngineConfig::default(),
             )
             .unwrap()
             .outputs;
@@ -131,13 +131,16 @@ fn min_allocs(mut f: impl FnMut() -> u64) -> u64 {
 fn routing_round_bodies_do_not_allocate() {
     let g = harary(16, 48);
     let n = g.n() as u64;
-    let views: Vec<TreeView> =
-        run_protocol(&g, |v, _| BfsProtocol::new(ROOT, v), EngineConfig::serial())
-            .unwrap()
-            .outputs
-            .iter()
-            .map(TreeView::from_bfs)
-            .collect();
+    let views: Vec<TreeView> = run_protocol(
+        &g,
+        |v, _| BfsProtocol::new(ROOT, v),
+        EngineConfig::default(),
+    )
+    .unwrap()
+    .outputs
+    .iter()
+    .map(TreeView::from_bfs)
+    .collect();
     let trees = class_trees(&g);
     let (k, k4) = (96usize, 4 * 96usize);
 

@@ -58,11 +58,6 @@ impl UnionFind {
     pub fn num_components(&self) -> usize {
         self.components
     }
-
-    pub fn component_size(&mut self, x: u32) -> usize {
-        let r = self.find(x);
-        self.size[r as usize] as usize
-    }
 }
 
 /// Component label per node (labels are `0..num_components`, assigned in
@@ -122,7 +117,6 @@ mod tests {
         assert_eq!(uf.num_components(), 3);
         assert!(uf.same(0, 2));
         assert!(!uf.same(0, 3));
-        assert_eq!(uf.component_size(2), 3);
     }
 
     #[test]

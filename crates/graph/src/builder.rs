@@ -69,11 +69,6 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Number of edges currently staged.
-    pub fn staged_edges(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Validate and build the CSR graph.
     ///
     /// Edge ids are assigned in sorted canonical order `(min, max)` so that

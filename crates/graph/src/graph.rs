@@ -143,18 +143,6 @@ impl Graph {
         self.endpoints[e as usize]
     }
 
-    /// The endpoint of `e` that is not `v`. Panics if `v` is not an endpoint.
-    #[inline]
-    pub fn other_endpoint(&self, e: Edge, v: Node) -> Node {
-        let (a, b) = self.endpoints[e as usize];
-        if a == v {
-            b
-        } else {
-            debug_assert_eq!(b, v, "node {v} is not an endpoint of edge {e}");
-            a
-        }
-    }
-
     /// The port of `v` whose incident edge leads to `u`, if `{u,v} ∈ E`.
     /// Binary search over the sorted neighbor list: `O(log deg v)`.
     pub fn port_to(&self, v: Node, u: Node) -> Option<Port> {
@@ -328,14 +316,6 @@ mod tests {
             assert_eq!(g.reverse_arc(rev), arc);
             assert_ne!(rev, arc);
         }
-    }
-
-    #[test]
-    fn other_endpoint() {
-        let g = triangle_plus_tail();
-        let (e, u, v) = g.edge_list().next().unwrap();
-        assert_eq!(g.other_endpoint(e, u), v);
-        assert_eq!(g.other_endpoint(e, v), u);
     }
 
     #[test]

@@ -77,13 +77,6 @@ impl ShardPlan {
         self.arcs_of(s).len()
     }
 
-    /// Number of nodes shard `s` steps.
-    #[inline]
-    pub fn node_count(&self, s: usize) -> usize {
-        let r = self.nodes(s);
-        (r.end - r.start) as usize
-    }
-
     /// Upper bound on the number of per-arc sends the nodes of shard `s`
     /// can stage in one round (their total out-degree). The true value is
     /// `offsets[nodes.end] - offsets[nodes.start]`; the plan only keeps
@@ -236,7 +229,6 @@ mod tests {
                 let mut node_sum = 0usize;
                 for s in 0..plan.num_shards() {
                     assert_eq!(plan.arc_count(s), plan.arcs_of(s).len());
-                    assert_eq!(plan.node_count(s), plan.nodes(s).len());
                     // The true out-degree sum of the shard's nodes never
                     // exceeds the word-padded bound.
                     let out: usize = plan.nodes(s).map(|v| g.degree(v)).sum();
@@ -247,7 +239,7 @@ mod tests {
                     );
                     assert!(plan.out_arc_bound(s) <= g.num_arcs());
                     arc_sum += plan.arc_count(s);
-                    node_sum += plan.node_count(s);
+                    node_sum += plan.nodes(s).len();
                 }
                 assert_eq!(arc_sum, g.num_arcs());
                 assert_eq!(node_sum, g.n());

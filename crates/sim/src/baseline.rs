@@ -243,7 +243,7 @@ mod tests {
     fn baseline_and_packed_engines_agree() {
         let g = torus2d(6, 7);
         let packed =
-            run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::serial()).unwrap();
+            run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::default()).unwrap();
         let base = run_baseline::<Flood, _>(&g, |_, _| Flood { heard_at: None }, 10_000, None);
         assert_eq!(packed.outputs, base.outputs);
         assert_eq!(packed.stats, base.stats);

@@ -56,7 +56,6 @@ where
         for shards in [1usize, 4, 6] {
             for threshold in [None, Some(0), Some(usize::MAX)] {
                 let config = EngineConfig {
-                    parallel: true,
                     shards: Some(shards),
                     sparse_threshold: threshold,
                     collect_trace: true,

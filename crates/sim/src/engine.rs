@@ -8,6 +8,11 @@
 //! congestion meter, determinism. A [`crate::Session`] owns all engine
 //! state for a whole multi-phase algorithm; `run_protocol` builds a fresh
 //! one per call.
+//!
+//! No configuration says how a round runs: the one parallelism switch is
+//! the `congest_par` pool width (see [`EngineConfig::shards`]), a serial
+//! run is one inside `congest_par::with_threads(1, ..)` or with
+//! `CONGEST_PAR_THREADS=1`, and results are identical at every width.
 
 use crate::protocol::Protocol;
 use crate::session::Session;
@@ -22,23 +27,16 @@ pub struct EngineConfig {
     /// At most `u32::MAX` — a per-arc congestion counter holds one count
     /// per round — and a phase asked for more panics before it starts.
     pub max_rounds: u64,
-    /// Allow a phase to fork its rounds' step and deliver passes over the
-    /// `congest_par` pool (results are identical either way; serial mode
-    /// exists for debugging and for tests that must observe panics
-    /// deterministically). Allowed is not forked: the phase decides once,
-    /// before its first round — it forks if the pool has more than one
-    /// thread and the graph has at least 2¹⁷ arcs (below that a round is
-    /// less work than the fork-join; DESIGN.md §10 has the table), or if
-    /// [`EngineConfig::shards`] is pinned. The cutoff only affects
-    /// wall-clock, never results.
-    pub parallel: bool,
-    /// Shard count for the step and deliver passes. `None` derives it from
-    /// the pool width when the phase forks and uses one shard when it does
-    /// not. A pinned count is honoured as given and, with
-    /// [`EngineConfig::parallel`] set, makes the phase fork at any graph
-    /// size — how the differential tests reach the forked passes on small
-    /// graphs. Any value produces identical results; this only shapes
-    /// parallel granularity.
+    /// Shard count for the step and deliver passes — the phase's one fork
+    /// decision, made once before its first round. `None` derives four
+    /// shards per pool lane (at most 64) on a pool wider than one lane and
+    /// a graph of at least 2¹⁷ arcs (below that a round is less work than
+    /// the fork-join; DESIGN.md §10 has the table), and one shard
+    /// otherwise. A pinned count is honoured as given: on a wider pool it
+    /// forks at any graph size — how the differential tests reach the
+    /// forked passes on small graphs — and on a one-lane pool its shards
+    /// run in order on the calling thread. Any value produces identical
+    /// results; this only shapes parallel granularity.
     pub shards: Option<usize>,
     /// Sparse-round fast-path threshold: rounds whose staged per-arc send
     /// count is at most this take the worklist deliver path instead of
@@ -61,7 +59,6 @@ impl Default for EngineConfig {
         EngineConfig {
             seed: 0x5EED_CAFE,
             max_rounds: 1_000_000,
-            parallel: true,
             shards: None,
             sparse_threshold: None,
             collect_trace: false,
@@ -74,13 +71,6 @@ impl EngineConfig {
     pub fn with_seed(seed: u64) -> Self {
         EngineConfig {
             seed,
-            ..Default::default()
-        }
-    }
-
-    pub fn serial() -> Self {
-        EngineConfig {
-            parallel: false,
             ..Default::default()
         }
     }
@@ -100,8 +90,8 @@ impl EngineConfig {
         self
     }
 
-    /// Pin the shard count (otherwise derived from the pool width); see
-    /// [`EngineConfig::shards`] for what that does to the fork decision.
+    /// Pin the shard count (otherwise derived from the pool width and the
+    /// graph); see [`EngineConfig::shards`].
     pub fn shards(mut self, shards: usize) -> Self {
         self.shards = Some(shards);
         self
@@ -257,15 +247,16 @@ mod tests {
 
     #[test]
     fn parallel_and_serial_agree() {
-        // At FORK_MIN_ARCS and under a forced four-thread pool, so the
-        // default config genuinely forks even on a 1-core machine.
+        // At FORK_MIN_ARCS, so the default config genuinely forks on a
+        // forced four-lane pool even on a 1-core machine, and runs one
+        // shard on a one-lane pool.
         let g = harary(128, 1024);
         assert!(g.num_arcs() >= FORK_MIN_ARCS);
-        let par = congest_par::with_threads(4, || {
-            run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::default()).unwrap()
+        let [par, ser] = [4, 1].map(|threads| {
+            congest_par::with_threads(threads, || {
+                run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::default()).unwrap()
+            })
         });
-        let ser =
-            run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::serial()).unwrap();
         assert_eq!(par.outputs, ser.outputs);
         assert_eq!(par.stats, ser.stats);
     }
@@ -274,18 +265,21 @@ mod tests {
     fn shard_count_never_changes_results() {
         let g = harary(8, 300);
         let base =
-            run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::serial()).unwrap();
-        // A pinned shard count forks at any size, so the second arm runs
-        // the same sweep across a real pool.
+            run_protocol(&g, |_, _| Flood { heard_at: None }, EngineConfig::default()).unwrap();
+        // A pinned shard count forks at any size on the four-lane pool and
+        // runs its shards in order on the one-lane pool.
         for shards in [1usize, 2, 3, 7, 64, 1000] {
-            for config in [EngineConfig::serial(), EngineConfig::default()] {
-                let forked = config.parallel;
-                let out = congest_par::with_threads(4, || {
-                    run_protocol(&g, |_, _| Flood { heard_at: None }, config.shards(shards))
+            for threads in [1, 4] {
+                let out = congest_par::with_threads(threads, || {
+                    let config = EngineConfig::default().shards(shards);
+                    run_protocol(&g, |_, _| Flood { heard_at: None }, config)
                 })
                 .unwrap();
-                assert_eq!(out.outputs, base.outputs, "shards {shards} forked {forked}");
-                assert_eq!(out.stats, base.stats, "shards {shards} forked {forked}");
+                assert_eq!(
+                    out.outputs, base.outputs,
+                    "shards {shards} threads {threads}"
+                );
+                assert_eq!(out.stats, base.stats, "shards {shards} threads {threads}");
             }
         }
     }
@@ -332,7 +326,7 @@ mod tests {
         // folds both into edges at phase exit; the reference interpreter
         // bumps one plain `u64` per edge per delivery.
         let g = harary(6, 64);
-        let engine = run_protocol(&g, |_, _| LongPulse, EngineConfig::serial()).unwrap();
+        let engine = run_protocol(&g, |_, _| LongPulse, EngineConfig::default()).unwrap();
         let reference = run_baseline::<LongPulse, _>(&g, |_, _| LongPulse, 1_000, None);
         assert_eq!(engine.edge_congestion, reference.edge_congestion);
         assert_eq!(engine.stats, reference.stats);
@@ -360,7 +354,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "does not fit the u32 per-arc congestion counters")]
     fn a_round_budget_past_the_counters_is_refused_up_front() {
-        let config = EngineConfig::serial().max_rounds(u32::MAX as u64 + 1);
+        let config = EngineConfig::default().max_rounds(u32::MAX as u64 + 1);
         let _ = run_protocol(&cycle(4), |_, _| Flood { heard_at: None }, config);
     }
 

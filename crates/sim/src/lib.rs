@@ -21,7 +21,10 @@
 //! incident port; then all messages are delivered simultaneously. Nodes
 //! step **in parallel** (on the `congest_par` pool) — each node touches
 //! only its own state and its own slots of the packed message slabs, so
-//! results are bit-identical for any thread count.
+//! results are bit-identical for any thread count. The pool width is the
+//! one parallelism switch: a phase's shard count is its only fork
+//! decision ([`session`]), and a serial run is a run on a one-lane pool
+//! (`congest_par::with_threads(1, ..)` or `CONGEST_PAR_THREADS=1`).
 //!
 //! ## Packed message plane
 //!

@@ -48,15 +48,6 @@ impl PhaseLog {
         self.entries.iter().map(|(n, _, h)| (n.as_str(), *h))
     }
 
-    /// Post-phase state hash of a specific named phase (first match),
-    /// when one was recorded.
-    pub fn hash_of(&self, name: &str) -> Option<u64> {
-        self.entries
-            .iter()
-            .find(|(n, _, _)| n == name)
-            .and_then(|(_, _, h)| *h)
-    }
-
     /// Number of recorded phases.
     pub fn len(&self) -> usize {
         self.entries.len()

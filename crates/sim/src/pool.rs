@@ -43,8 +43,9 @@
 //! bounded-queue: [`PoolServer::try_submit`] refuses when full,
 //! [`PoolServer::submit`] drains the backlog first. Engine-level
 //! parallelism still applies inside each run — sharded step/deliver on
-//! the `congest-par` workers — so the serving loop stays single-threaded
-//! and deterministic while the rounds are not.
+//! the `congest-par` workers, decided by the pool width alone — so the
+//! serving loop stays single-threaded and deterministic while the rounds
+//! are not.
 //!
 //! The job plane is a *closed* protocol menu ([`JobSpec`]): `Protocol` is
 //! generic over message and output types, and a job's outputs come back
@@ -155,7 +156,7 @@ impl Default for EvictionPolicy {
 /// assert_eq!(a, b);
 /// for _ in 0..3 {
 ///     pool.with_session(a, |session| {
-///         session.run(|_, _| Ping, EngineConfig::serial()).unwrap();
+///         session.run(|_, _| Ping, EngineConfig::default()).unwrap();
 ///     })
 ///     .expect("registered above");
 /// }
@@ -887,7 +888,7 @@ mod tests {
         assert_eq!(pool.warm_bytes(k), Ok(0));
         for _ in 0..3 {
             pool.with_session(k, |s| {
-                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::serial())
+                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::default())
                     .unwrap()
                     .stats
             })
@@ -934,7 +935,7 @@ mod tests {
         assert_eq!(pool.warm_bytes(ka), Ok(0));
         let best = pool
             .with_session(ka, |s| {
-                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::serial())
+                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::default())
                     .unwrap()
                     .take_outputs()
             })
@@ -949,7 +950,7 @@ mod tests {
     /// shards, and meters lives in `tests/proptest_pool.rs`).
     #[test]
     fn mixed_drain_matches_isolated_runs() {
-        let cfg = EngineConfig::serial();
+        let cfg = EngineConfig::default();
         let mut server = PoolServer::new(cfg.clone(), 64);
         let g1 = harary(4, 24);
         let g2 = torus2d(4, 5);
@@ -1033,7 +1034,7 @@ mod tests {
 
     #[test]
     fn try_submit_backpressures_and_submit_drains() {
-        let mut server = PoolServer::new(EngineConfig::serial(), 2);
+        let mut server = PoolServer::new(EngineConfig::default(), 2);
         let k = server.register_graph(cycle(8));
         let job = mk_job(k, JobSpec::FloodMax, 1, 0);
         server.try_submit(job.clone()).unwrap();
@@ -1050,7 +1051,7 @@ mod tests {
 
     #[test]
     fn unknown_graph_is_rejected() {
-        let mut server = PoolServer::new(EngineConfig::serial(), 4);
+        let mut server = PoolServer::new(EngineConfig::default(), 4);
         let mut other = SessionPool::new();
         let foreign = other.register(cycle(8));
         let err = server.try_submit(mk_job(foreign, JobSpec::FloodMax, 1, 0));
@@ -1061,9 +1062,7 @@ mod tests {
     fn round_limit_fails_per_job_not_per_batch() {
         // Two jobs whose isolated runs terminate inside the budget and
         // one that cannot: only the offender reports RoundLimit.
-        let mut cfg = EngineConfig::serial();
-        cfg.max_rounds = 8;
-        let mut server = PoolServer::new(cfg, 8);
+        let mut server = PoolServer::new(EngineConfig::default().max_rounds(8), 8);
         let k = server.register_graph(cycle(6));
         let ok1 = server
             .try_submit(mk_job(k, JobSpec::FloodMax, 1, 0))
@@ -1093,9 +1092,7 @@ mod tests {
         // FloodMax on a long cycle needs ~n/2 rounds; under a 3-round
         // budget every job of a same-family burst retires as its own
         // RoundLimit, exactly as its isolated run would fail.
-        let mut cfg = EngineConfig::serial();
-        cfg.max_rounds = 3;
-        let mut server = PoolServer::new(cfg, 8);
+        let mut server = PoolServer::new(EngineConfig::default().max_rounds(3), 8);
         let k = server.register_graph(cycle(32));
         for s in 0..3 {
             server
@@ -1111,7 +1108,7 @@ mod tests {
         }
         // The failed phases left the warm session dirty; the next job on
         // it still matches its isolated run.
-        server.config.max_rounds = EngineConfig::serial().max_rounds;
+        server.config.max_rounds = EngineConfig::default().max_rounds;
         server
             .try_submit(mk_job(k, JobSpec::Rumor { source: 5 }, 9, 0))
             .unwrap();
@@ -1121,7 +1118,7 @@ mod tests {
             &JobSpec::Rumor { source: 5 },
             9,
             None,
-            &EngineConfig::serial(),
+            &EngineConfig::default(),
         )
         .unwrap();
         let last = out.last().unwrap();
@@ -1133,7 +1130,7 @@ mod tests {
         // A long same-family burst on one graph: every job is still
         // bit-identical to its isolated run. Sources, seeds and fault
         // plans vary per job.
-        let cfg = EngineConfig::serial();
+        let cfg = EngineConfig::default();
         let mut server = PoolServer::new(cfg.clone(), 256);
         let g = harary(4, 24);
         let k = server.register_graph(g.clone());
@@ -1209,7 +1206,7 @@ mod tests {
         let kb = pool.register(cycle(12));
         for k in [ka, kb] {
             pool.with_session(k, |s| {
-                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::serial())
+                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::default())
                     .unwrap()
                     .stats
             })
@@ -1237,7 +1234,7 @@ mod tests {
 
     #[test]
     fn server_drain_enforces_the_pool_policy() {
-        let mut server = PoolServer::new(EngineConfig::serial(), 16);
+        let mut server = PoolServer::new(EngineConfig::default(), 16);
         let ga = harary(4, 16);
         let ka = server.register_graph(ga.clone());
         let kb = server.register_graph(cycle(10));
@@ -1279,7 +1276,7 @@ mod tests {
         // whichever graph was not just used — the one being submitted.
         // The job must be refused, not queued for an unregistered key
         // (which the next drain could not check out).
-        let mut server = PoolServer::new(EngineConfig::serial(), 1);
+        let mut server = PoolServer::new(EngineConfig::default(), 1);
         let (ga, gb) = (harary(4, 16), cycle(10));
         let ka = server.register_graph(ga.clone());
         let kb = server.register_graph(gb.clone());
@@ -1320,7 +1317,7 @@ mod tests {
         // and ages out under the job. The drain must retire that job
         // with a typed status instead of checking out an unregistered
         // key, run the rest of the queue, and leave the server serving.
-        let mut server = PoolServer::new(EngineConfig::serial(), 8);
+        let mut server = PoolServer::new(EngineConfig::default(), 8);
         let (ga, gb) = (harary(4, 16), cycle(10));
         let ka = server.register_graph(ga.clone());
         let kb = server.register_graph(gb.clone());
@@ -1373,7 +1370,7 @@ mod tests {
 
     #[test]
     fn outputs_come_back_in_submission_order() {
-        let mut server = PoolServer::new(EngineConfig::serial(), 64);
+        let mut server = PoolServer::new(EngineConfig::default(), 64);
         let ka = server.register_graph(harary(4, 16));
         let kb = server.register_graph(cycle(10));
         let mut ids = Vec::new();

@@ -51,8 +51,8 @@ pub trait Protocol: Send {
 /// presence bits from last round. A `send_all` stores its message once in
 /// the sender's broadcast slot instead of `deg` scattered arc slots;
 /// receivers look broadcasters up through their (cache-resident) neighbor
-/// lists. `any` gates the O(deg) neighbor scan — rounds with no broadcast
-/// anywhere cost receivers nothing.
+/// lists. The engine hands it in only in rounds after someone broadcast,
+/// so rounds with no broadcast anywhere cost receivers nothing.
 pub(crate) struct BcastIn<'a, M: PackedMsg> {
     pub(crate) words: &'a [M::Word],
     /// One presence bit per *node* (folded by last round's deliver).
@@ -61,8 +61,6 @@ pub(crate) struct BcastIn<'a, M: PackedMsg> {
     /// global arc position → neighbor id. Shared by every node, so the
     /// engine builds one `BcastIn` per round and hands contexts a pointer.
     pub(crate) adj: &'a [Node],
-    /// Did anyone broadcast last round?
-    pub(crate) any: bool,
 }
 
 /// Sender view of the broadcast plane: the node's own broadcast slot and
@@ -442,29 +440,12 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         self.graph().n()
     }
 
-    /// The message delivered on `port` this round, if any. Unpacks by
-    /// value — wire messages are `Copy` words, never references.
-    #[inline]
-    pub fn recv(&self, port: Port) -> Option<M> {
-        if slab::test(self.inbox.occ, self.inbox.bit0 + port as usize) {
-            return Some(M::unpack(self.inbox.words[port as usize]));
-        }
-        if let Some(b) = self.inbox.bcast {
-            if b.any {
-                let nb = b.adj[self.inbox.bit0 + port as usize] as usize;
-                if slab::test(b.occ, nb) {
-                    return Some(M::unpack(b.words[nb]));
-                }
-            }
-        }
-        None
-    }
-
     /// Iterate `(port, message)` over all messages delivered this round,
-    /// in ascending port order. In a round with no broadcast plane — none
-    /// handed in, or nobody broadcast — this walks the occupancy *words*,
-    /// so quiescent ports cost nothing: an empty inbox is a couple of word
-    /// loads regardless of degree, and internal iteration (`fold`, and
+    /// in ascending port order. In a round with no broadcast plane —
+    /// nobody broadcast last round, or a fault plan is on — this walks the
+    /// occupancy *words*, so quiescent ports cost nothing: an empty inbox
+    /// is a couple of word loads regardless of degree, and internal
+    /// iteration (`fold`, and
     /// everything built on it: `for_each`, `sum`, folds over `map`/`filter`
     /// adapters) runs a word-nested loop with a dense fast path, so
     /// saturated inboxes cost a sequential scan instead of per-bit
@@ -487,7 +468,7 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
             words: self.inbox.words,
             occ: self.inbox.occ,
             bit0,
-            plane: self.inbox.bcast.filter(|b| b.any),
+            plane: self.inbox.bcast,
             port: 0,
             w: first_w,
             last_w,
@@ -505,10 +486,8 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
     pub fn inbox_len(&self) -> usize {
         let mut len = slab::popcount_range(self.inbox.occ, self.inbox.bit0, self.degree());
         if let Some(b) = self.inbox.bcast {
-            if b.any {
-                for &nb in &b.adj[self.inbox.bit0..self.inbox.bit0 + self.degree()] {
-                    len += (b.occ[nb as usize >> 6] >> (nb & 63) & 1) as usize;
-                }
+            for &nb in &b.adj[self.inbox.bit0..self.inbox.bit0 + self.degree()] {
+                len += (b.occ[nb as usize >> 6] >> (nb & 63) & 1) as usize;
             }
         }
         len
@@ -798,6 +777,6 @@ mod tests {
     #[should_panic(expected = "CONGEST violation")]
     fn double_send_panics() {
         let g = cycle(3);
-        let _ = run_protocol(&g, |_, _| DoubleSender, EngineConfig::serial());
+        let _ = run_protocol(&g, |_, _| DoubleSender, EngineConfig::default());
     }
 }

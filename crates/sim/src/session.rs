@@ -70,10 +70,12 @@
 //! runs on a [`congest_graph::ShardPlan`] — contiguous node shards
 //! balanced by arc count, each owning a disjoint range of occupancy words
 //! (64 arcs each) — and a round is three phases, the first and last a
-//! pass over the shards: across the `congest-par` pool when the phase forks
-//! (`begin_phase` decides once per phase, from the graph's arc count — one
-//! constant, `FORK_MIN_ARCS` — or a pinned shard count), in shard order on
-//! the calling thread when it does not:
+//! pass over the shards, across the `congest-par` pool. The pool width is
+//! the one switch, and the phase's shard count its one fork decision
+//! (`phase_shards`, once per phase: a pinned count, else four per lane
+//! from `FORK_MIN_ARCS` arcs up on a pool wider than one lane, else one).
+//! One shard runs on the calling thread, and a one-lane pool runs any
+//! count there in shard order, so a serial run is a one-lane run:
 //!
 //! * **Step** — shard `s` steps its own nodes; a send is scattered
 //!   straight into the *destination* arc slot of the staging slab through
@@ -102,8 +104,8 @@
 //!   re-zeroed, the set bits counted and their arcs' counters bumped.
 //!
 //! Each shard writes one private `ShardMeter`; the round's totals
-//! (delivered, all done, someone broadcast) are a serial fold over them —
-//! a sum, an and, an or, so the order cannot reach a result.
+//! (delivered, all done, staged) are a serial fold over them — sums and an
+//! and, so the order cannot reach a result.
 //!
 //! **The active-node list.** Broadcast traffic is a thin frontier: most
 //! nodes of most rounds are done and get no mail, and a protocol that
@@ -183,37 +185,41 @@ use rand::rngs::SmallRng;
 /// The staging byte-mask value for "this arc carries a message".
 const STAGED: u8 = 1;
 
-/// A phase forks the pool from this many arcs up (DESIGN.md §10's sharded /
-/// serial table: below it a round is less work than the fork-join that
+/// An unpinned phase shards from this many arcs up (DESIGN.md §10's sharded
+/// / serial table: below it a round is less work than the fork-join that
 /// would shard it). A policy of wall clock only — results are identical on
 /// either side.
 pub(crate) const FORK_MIN_ARCS: usize = 1 << 17;
 
-/// How a phase runs its per-shard passes: [`SessionState::begin_phase`]
-/// decides once, and every sharded pass of the round loop goes through
-/// [`Fork::each_shard`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Fork(bool);
+/// A phase's shard count, and with it the phase's one fork decision: the
+/// count the caller pinned, else `4 · width` (at most [`MAX_AUTO_SHARDS`])
+/// on a pool wider than one lane and a graph of at least
+/// [`FORK_MIN_ARCS`] arcs, else one.
+fn phase_shards(graph: &Graph, config: &EngineConfig) -> usize {
+    let width = congest_par::num_threads();
+    let auto = if width > 1 && graph.num_arcs() >= FORK_MIN_ARCS {
+        (4 * width).min(MAX_AUTO_SHARDS)
+    } else {
+        1
+    };
+    config.shards.unwrap_or(auto).clamp(1, graph.n().max(1))
+}
 
-impl Fork {
-    /// Run `task(0..shards)`: across the pool if the phase forks, in shard
-    /// order on the calling thread if not. Tasks own disjoint regions, so
-    /// the two are indistinguishable in what they leave.
-    #[inline]
-    fn each_shard(self, shards: usize, task: impl Fn(usize) + Sync) {
-        if self.0 {
-            congest_par::run(shards, task);
-        } else {
-            for s in 0..shards {
-                task(s);
-            }
-        }
+/// Run `task(0..shards)`: one shard on the calling thread, more across the
+/// pool (which runs them in order on the calling thread at width 1). Tasks
+/// own disjoint regions, so every width leaves the same bytes.
+#[inline]
+fn each_shard(shards: usize, task: impl Fn(usize) + Sync) {
+    if shards == 1 {
+        task(0);
+    } else {
+        congest_par::run(shards, task);
     }
 }
 
 /// The invariant every `RacyCells` region split of the round loop rests on,
 /// checked in full once per phase in debug builds: each family of regions
-/// [`Fork::each_shard`]'s tasks carve out of a shared buffer — nodes (cells,
+/// [`each_shard`]'s tasks carve out of a shared buffer — nodes (cells,
 /// active bytes), occupancy words and their arcs (mask, counters), node
 /// words and their nodes (the broadcast plane), worklist slices — is a run
 /// of consecutive ranges from 0 to the buffer's length: pairwise disjoint,
@@ -346,9 +352,6 @@ struct ShardMeter {
     delivered: u64,
     /// Whether every node of this shard reported `done` this round.
     all_done: bool,
-    /// Whether any node in this shard's region broadcast this round
-    /// (any shard's flag gates receivers' broadcast scans next round).
-    bcast_any: bool,
     /// Messages this shard's nodes staged through the per-arc mask this
     /// round (per-port sends plus scatter-fallback broadcasts). Zero lets
     /// the deliver phase skip the arc plane; a small global total takes
@@ -683,8 +686,8 @@ impl SessionState {
         self.arc_traffic.fill(0);
         self.bcast_stage.fill(0);
         self.node_traffic.fill(0);
-        // `bcast_occ` needs no scrub: readers are gated on a per-phase
-        // `bcast_any` flag and every fold rebuilds all presence words.
+        // `bcast_occ` needs no scrub: receivers are handed it only in the
+        // round after a fold, and every fold rebuilds all presence words.
     }
 
     /// Whether the buffers [`SessionState::scrub`] zeroes are zero: what
@@ -708,10 +711,10 @@ impl SessionState {
     /// so it is not state.
     ///
     /// Only **nonzero** words contribute (tagged by buffer and index),
-    /// which makes the hash invariant across serial/parallel execution,
-    /// shard counts, and a reused vs a fresh engine — everything the
-    /// differential oracles prove irrelevant to results. Each word adds
-    /// its own term, so the order of the folds cannot reach the hash.
+    /// which makes the hash invariant across pool widths, shard counts,
+    /// and a reused vs a fresh engine — everything the differential
+    /// oracles prove irrelevant to results. Each word adds its own term,
+    /// so the order of the folds cannot reach the hash.
     pub(crate) fn state_hash(&self) -> u64 {
         use crate::rng::mix64;
         #[inline]
@@ -788,15 +791,8 @@ impl SessionState {
     /// mark the state dirty until this phase completes (any early exit,
     /// error or panic, leaves partially-built state; only a completed
     /// phase restores the breadcrumb-zero invariant), and make the cached
-    /// shard plan the one `config` asks for.
-    ///
-    /// It is also the one place that decides whether the phase's rounds
-    /// fork the pool: [`EngineConfig::parallel`] on a pool of more than one
-    /// thread, and either a graph of at least [`FORK_MIN_ARCS`] arcs or a
-    /// shard count the caller pinned (how the differential tests reach the
-    /// forked passes on small graphs). A phase that does not fork and pins
-    /// no count runs on a one-shard plan.
-    fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> Fork {
+    /// shard plan the one [`phase_shards`] picks.
+    fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) {
         debug_assert!(self.fits(graph), "state sized for a different graph");
         assert!(
             config.max_rounds <= u32::MAX as u64,
@@ -808,22 +804,10 @@ impl SessionState {
         }
         debug_assert!(self.scrubbed(), "a completed phase left a live buffer");
         self.clean = false;
-        let threads = congest_par::num_threads();
-        let fork = config.parallel
-            && threads > 1
-            && (config.shards.is_some() || graph.num_arcs() >= FORK_MIN_ARCS);
-        let s_req = config
-            .shards
-            .unwrap_or(if fork {
-                (threads * 4).min(MAX_AUTO_SHARDS)
-            } else {
-                1
-            })
-            .clamp(1, graph.n().max(1));
-        if self.plan.as_ref().map(|(k, _)| *k) != Some(s_req) {
-            self.plan = Some((s_req, graph.shard_plan(s_req)));
+        let shards = phase_shards(graph, config);
+        if self.plan.as_ref().map(|(k, _)| *k) != Some(shards) {
+            self.plan = Some((shards, graph.shard_plan(shards)));
         }
-        Fork(fork)
     }
 
     /// The round loop: run one protocol instance per node on `graph`
@@ -843,7 +827,7 @@ impl SessionState {
             P::Msg::WIDTH <= <<P::Msg as PackedMsg>::Word as MsgWord>::BITS,
             "message WIDTH exceeds its storage word"
         );
-        let fork = self.begin_phase(graph, &config);
+        self.begin_phase(graph, &config);
 
         let n = graph.n();
         let arcs = graph.num_arcs();
@@ -940,6 +924,8 @@ impl SessionState {
             })
         };
 
+        // Whether the last round folded the broadcast plane: receivers are
+        // handed the plane only then.
         let mut bcast_any = false;
         // Whether any round folded the broadcast plane (and so may have
         // left `node_traffic` nonzero for the exit fold).
@@ -1001,9 +987,8 @@ impl SessionState {
                     words: &bcast_in_words[..],
                     occ: &bcast_occ[..],
                     adj: graph.arc_targets(),
-                    any: bcast_any,
                 };
-                let bcast_in = (bcast_enabled && bcast_any).then_some(&bcast_in);
+                let bcast_in = bcast_any.then_some(&bcast_in);
                 let bcast_out = BcastOut {
                     words: &racy_bcast_out,
                     stage: &racy_bcast_stage,
@@ -1096,8 +1081,11 @@ impl SessionState {
                 };
                 // A listed pass is O(frontier) work, like the sparse
                 // merge that listed it: it stays on the calling thread.
-                let step_fork = if listed { Fork(false) } else { fork };
-                step_fork.each_shard(s_count, step_shard);
+                if listed {
+                    (0..s_count).for_each(step_shard);
+                } else {
+                    each_shard(s_count, step_shard);
+                }
             }
             // --- Adversary phase: destroy staged messages on blocked
             // edges.
@@ -1125,7 +1113,6 @@ impl SessionState {
             let run_full_sweep = staged_total > 0 && !sparse_round;
             for m in meters.iter_mut() {
                 m.delivered = 0;
-                m.bcast_any = false;
             }
             let mut sparse_delivered: u64 = 0;
             if !run_full_sweep {
@@ -1224,7 +1211,6 @@ impl SessionState {
                         }
                     }
                     // --- Broadcast fold (see the module docs).
-                    let mut shard_bcast = false;
                     if fold_bcast {
                         let nw = plan.node_words(s);
                         let nodes_cov = plan.node_word_nodes(s);
@@ -1251,7 +1237,6 @@ impl SessionState {
                             *occ_word = bits;
                             if bits != 0 {
                                 bytes.fill(0);
-                                shard_bcast = true;
                                 let mut b = bits;
                                 while b != 0 {
                                     let v = lo + b.trailing_zeros() as usize;
@@ -1263,9 +1248,8 @@ impl SessionState {
                         }
                     }
                     meter.delivered = delivered;
-                    meter.bcast_any = shard_bcast;
                 };
-                fork.each_shard(s_count, deliver_shard);
+                each_shard(s_count, deliver_shard);
             }
             if run_full_sweep {
                 occ_state = OccState::Unknown;
@@ -1278,7 +1262,9 @@ impl SessionState {
             // order of the fold cannot reach a result).
             let delivered = sparse_delivered + meters.iter().map(|m| m.delivered).sum::<u64>();
             let all_done = meters.iter().all(|m| m.all_done);
-            bcast_any = meters.iter().any(|m| m.bcast_any);
+            // A shard stages a plane word only alongside `bcast_used`, so a
+            // fold finds a sender whenever it runs.
+            bcast_any = fold_bcast;
             last_delivered = delivered;
             stats.total_messages += delivered;
             if config.collect_trace {
@@ -1365,9 +1351,9 @@ impl<'g> Session<'g> {
     }
 
     /// Hash of the resident engine state — eight bytes that sign the
-    /// state a continuation would start from. Invariant across
-    /// serial/parallel execution, shard counts, and a reused vs a fresh
-    /// engine; see [`crate::snapshot`].
+    /// state a continuation would start from. Invariant across pool
+    /// widths, shard counts, and a reused vs a fresh engine; see
+    /// [`crate::snapshot`].
     pub fn state_hash(&self) -> u64 {
         self.state.state_hash()
     }
@@ -1479,7 +1465,7 @@ impl<'g> Session<'g> {
     /// let mut session = Session::new(&g);
     /// for phase in 0..2 {
     ///     let out = session
-    ///         .run(|v, _| FloodMax { best: v as u64 }, EngineConfig::serial().seed(phase))
+    ///         .run(|v, _| FloodMax { best: v as u64 }, EngineConfig::with_seed(phase))
     ///         .unwrap();
     ///     assert!(out.outputs().iter().all(|&b| b == 7));
     /// }
@@ -1597,21 +1583,6 @@ mod tests {
         }
     }
 
-    /// The fork gate, from the outside in: what `begin_phase` answers and
-    /// the shard plan it leaves, for one config on one graph.
-    fn gate(graph: &Graph, config: EngineConfig) -> (Fork, usize) {
-        let mut state = SessionState::new(graph);
-        let fork = state.begin_phase(graph, &config);
-        (
-            fork,
-            state
-                .plan
-                .expect("begin_phase caches a plan")
-                .1
-                .num_shards(),
-        )
-    }
-
     /// `EvictionPolicy::max_warm_bytes` budgets what a parked state holds,
     /// the active-node list included.
     #[test]
@@ -1644,12 +1615,12 @@ mod tests {
         }
         let g = cycle(100);
         let mut original = Session::new(&g);
-        original.run(|_, _| Hello, EngineConfig::serial()).unwrap();
+        original.run(|_, _| Hello, EngineConfig::default()).unwrap();
         let mut restored = Session::restore(&g, &original.snapshot()).unwrap();
         let mut fresh = Session::new(&g);
         assert_eq!(restored.state.warm_bytes(), fresh.state.warm_bytes());
         for session in [&mut restored, &mut fresh] {
-            session.run(|_, _| Hello, EngineConfig::serial()).unwrap();
+            session.run(|_, _| Hello, EngineConfig::default()).unwrap();
         }
         assert_eq!(restored.state.warm_bytes(), fresh.state.warm_bytes());
         assert_eq!(restored.state.warm_bytes(), original.state.warm_bytes());
@@ -1662,26 +1633,25 @@ mod tests {
         assert!(below.num_arcs() < FORK_MIN_ARCS);
         assert_eq!(at.num_arcs(), FORK_MIN_ARCS);
         let small = cycle(8);
+        let unpinned = EngineConfig::default();
+        let pinned = EngineConfig::default().shards(3);
         congest_par::with_threads(4, || {
-            assert_eq!(gate(&below, EngineConfig::default()), (Fork(false), 1));
-            assert_eq!(gate(&at, EngineConfig::default()), (Fork(true), 16));
-            assert_eq!(
-                gate(&small, EngineConfig::default().shards(3)),
-                (Fork(true), 3)
-            );
-            assert_eq!(gate(&at, EngineConfig::serial()), (Fork(false), 1));
-            assert_eq!(
-                gate(&at, EngineConfig::serial().shards(5)),
-                (Fork(false), 5)
-            );
+            assert_eq!(phase_shards(&below, &unpinned), 1);
+            assert_eq!(phase_shards(&at, &unpinned), 16);
+            assert_eq!(phase_shards(&small, &pinned), 3);
         });
-        // A one-thread pool has nothing to fork to, whatever is asked.
+        // A one-lane pool derives one shard, and runs a pinned count in
+        // shard order on the calling thread.
         congest_par::with_threads(1, || {
-            assert_eq!(gate(&at, EngineConfig::default()), (Fork(false), 1));
-            assert_eq!(
-                gate(&small, EngineConfig::default().shards(3)),
-                (Fork(false), 3)
-            );
+            assert_eq!(phase_shards(&at, &unpinned), 1);
+            assert_eq!(phase_shards(&small, &pinned), 3);
+            let order = std::sync::Mutex::new(Vec::new());
+            let caller = std::thread::current().id();
+            each_shard(3, |s| {
+                assert_eq!(std::thread::current().id(), caller);
+                order.lock().unwrap().push(s);
+            });
+            assert_eq!(order.into_inner().unwrap(), [0, 1, 2]);
         });
     }
 }

@@ -8,7 +8,7 @@
 //!   read-modify-write anywhere on the hot path.
 //! * **Word-packed bitset** (`Vec<u64>`, one bit per arc): what receivers
 //!   read. Built from the byte-mask during the delivery sweep (64 arcs
-//!   fold into one word), it makes `recv` a bit test and `inbox_len` a
+//!   fold into one word), it makes `port_used` a bit test and `inbox_len` a
 //!   masked popcount, and clearing it is a 64×-denser memset than per-slot
 //!   `Option` writes.
 

@@ -88,8 +88,8 @@
 //! the trace (tagged by buffer and index) through the same splitmix64
 //! finalizer the graph fingerprint uses: what the frame carries, clean or
 //! dirty, in O(edges + rounds). Folding only nonzero words makes the hash
-//! invariant across everything that must not matter: serial vs parallel
-//! execution, shard counts, and a reused vs a fresh engine. Recorded into
+//! invariant across everything that must not matter: pool widths, shard
+//! counts, and a reused vs a fresh engine. Recorded into
 //! [`crate::PhaseLog`] via [`crate::PhaseLog::record_hashed`], two hosts
 //! can diff a long composition phase by phase with eight bytes per
 //! phase.
@@ -125,7 +125,7 @@
 //! }
 //!
 //! let g = complete(8);
-//! let phase = |k: u64| EngineConfig::serial().seed(k);
+//! let phase = |k: u64| EngineConfig::with_seed(k);
 //! let mut original = Session::new(&g);
 //! original.run(|v, _| FloodMax { best: v as u64 }, phase(1)).unwrap();
 //!

@@ -141,24 +141,28 @@ proptest! {
         shards in 1usize..4,
     ) {
         let graphs = [g0, g1];
-        let config = EngineConfig::serial().shards(shards);
-        let out = serve_all(&raws, &graphs, &config, capacity);
-        prop_assert_eq!(out.len(), raws.len());
-        for (raw, o) in raws.iter().zip(&out) {
-            let g = &graphs[raw.graph];
-            let (outputs, stats) = run_job_isolated(
-                g,
-                &spec_for(raw, g),
-                raw.seed,
-                faults_for(raw),
-                &config,
-            )
-            .expect("isolated run terminates");
-            prop_assert_eq!(o.status, JobStatus::Done);
-            prop_assert_eq!(o.tenant, raw.tenant);
-            prop_assert_eq!(&o.outputs, &outputs, "outputs of job {:?}", o.id);
-            prop_assert_eq!(o.stats, stats, "stats of job {:?}", o.id);
-        }
+        let config = EngineConfig::default().shards(shards);
+        // On one lane, so the pinned shards run in order on the calling
+        // thread.
+        congest_par::with_threads(1, || {
+            let out = serve_all(&raws, &graphs, &config, capacity);
+            prop_assert_eq!(out.len(), raws.len());
+            for (raw, o) in raws.iter().zip(&out) {
+                let g = &graphs[raw.graph];
+                let (outputs, stats) = run_job_isolated(
+                    g,
+                    &spec_for(raw, g),
+                    raw.seed,
+                    faults_for(raw),
+                    &config,
+                )
+                .expect("isolated run terminates");
+                prop_assert_eq!(o.status, JobStatus::Done);
+                prop_assert_eq!(o.tenant, raw.tenant);
+                prop_assert_eq!(&o.outputs, &outputs, "outputs of job {:?}", o.id);
+                prop_assert_eq!(o.stats, stats, "stats of job {:?}", o.id);
+            }
+        });
     }
 
     /// The grouping is invisible: reordering the *queue contents* between
@@ -173,7 +177,7 @@ proptest! {
         capacity in 1usize..5,
     ) {
         let graphs = [g0, g1];
-        let config = EngineConfig::serial();
+        let config = EngineConfig::default();
         let a = serve_all(&raws, &graphs, &config, capacity);
         for raw in &mut raws {
             raw.drain_after = !raw.drain_after;
@@ -201,7 +205,7 @@ proptest! {
     ) {
         prop_assume!(g0.fingerprint() != g1.fingerprint());
         let graphs = [g0, g1];
-        let config = EngineConfig::serial();
+        let config = EngineConfig::default();
         let mut server = PoolServer::new(config.clone(), 4);
         server.pool_mut().set_policy(EvictionPolicy { max_graphs: 1, max_warm_bytes: usize::MAX });
         let keys = [0, 1].map(|i| server.register_graph(graphs[i].clone()));

@@ -204,8 +204,8 @@ impl<'g> Host<'g> {
 
 /// Run the five-phase composition on `host` and capture everything
 /// observable. Phase seeds follow the drivers' `cfg.engine(k)`
-/// discipline (`phase_seed(seed, k)`); `base` says how the phases execute
-/// (serial or forked, and the shard count).
+/// discipline (`phase_seed(seed, k)`); `base` pins the shard count, and
+/// the caller's pool width says whether the phases fork.
 fn run_composition(
     host: &mut Host<'_>,
     seed: u64,
@@ -295,11 +295,14 @@ proptest! {
         fseed in any::<u64>(),
     ) {
         for &shards in &[1usize, 5] {
-            let base = EngineConfig::serial().shards(shards);
+            let base = EngineConfig::default().shards(shards);
             let mut resident = Host::resident(&g);
-            let (res, res_log) = run_composition(&mut resident, seed, &base, fault_budget, fseed);
-            let (per, per_log) =
-                run_composition(&mut Host::fresh_each_phase(&g), seed, &base, fault_budget, fseed);
+            let ((res, res_log), (per, per_log)) = congest_par::with_threads(1, || {
+                (
+                    run_composition(&mut resident, seed, &base, fault_budget, fseed),
+                    run_composition(&mut Host::fresh_each_phase(&g), seed, &base, fault_budget, fseed),
+                )
+            });
             prop_assert_eq!(&res, &per, "shards={}", shards);
             prop_assert!(logs_equal(&res_log, &per_log), "phase logs diverge: shards={}", shards);
         }
@@ -314,14 +317,14 @@ proptest! {
         g in arb_connected_graph(18),
         seed in any::<u64>(),
     ) {
-        let serial = EngineConfig::serial().shards(4);
-        let forked = EngineConfig::default().shards(4);
-        let (reference, ref_log) =
-            run_composition(&mut Host::fresh_each_phase(&g), seed, &serial, 1, seed ^ 0xF);
+        let pinned = EngineConfig::default().shards(4);
+        let (reference, ref_log) = congest_par::with_threads(1, || {
+            run_composition(&mut Host::fresh_each_phase(&g), seed, &pinned, 1, seed ^ 0xF)
+        });
         for threads in [2usize, 4] {
             let (par, par_log) = congest_par::with_threads(threads, || {
                 let mut resident = Host::resident(&g);
-                run_composition(&mut resident, seed, &forked, 1, seed ^ 0xF)
+                run_composition(&mut resident, seed, &pinned, 1, seed ^ 0xF)
             });
             prop_assert_eq!(&par, &reference, "threads={}", threads);
             prop_assert!(logs_equal(&par_log, &ref_log), "threads={}", threads);
@@ -340,7 +343,7 @@ proptest! {
     ) {
         let mut session = Session::new(&g);
         for k in 1..=3u64 {
-            let cfg = EngineConfig::serial().seed(phase_seed(seed, k)).trace();
+            let cfg = EngineConfig::with_seed(phase_seed(seed, k)).trace();
             let mut fresh = Session::new(&g);
             let run = |s: &mut Session<'_>| match k {
                 1 => s.run(|_, _| NarrowChatter { rounds: 5, heard: 1 }, cfg.clone()).map(PhaseObs::of),
@@ -410,8 +413,8 @@ proptest! {
             }
         }
         let limit = congest_sim::EngineError::RoundLimitExceeded { limit: 5 };
-        let failing = || EngineConfig::serial().seed(seed).max_rounds(5);
-        let cfg = || EngineConfig::serial().seed(phase_seed(seed, 9)).trace();
+        let failing = || EngineConfig::with_seed(seed).max_rounds(5);
+        let cfg = || EngineConfig::with_seed(phase_seed(seed, 9)).trace();
         let mk = || Chatter { rounds: 6, salt: 9, heard: 0 };
         let pulse = |linger| move |_: u32, _: &Graph| Pulse { linger, heard: 0 };
         for quiescent in [false, true] {

@@ -5,7 +5,7 @@
 //! per-edge congestion, and the per-phase state hashes, across
 //! checkpoint positions × shard counts × fault plans.
 //!
-//! Alongside the oracle: state-hash invariance across serial/parallel ×
+//! Alongside the oracle: state-hash invariance across pool widths ×
 //! shard counts (the hash folds only nonzero words, so execution
 //! strategy cannot leak into it), and the tamper suite (a mutation property over valid frames — byte flips,
 //! truncations, inflated length prefixes, header fields out of range —
@@ -132,8 +132,7 @@ fn run_phase(
     fault_budget: usize,
     fseed: u64,
 ) -> PhaseObs {
-    let engine = EngineConfig::serial()
-        .seed(phase_seed(seed, k))
+    let engine = EngineConfig::with_seed(phase_seed(seed, k))
         .shards(shards)
         .trace();
     let observe = |out: congest_sim::PhaseOutcome<'_, u64>| {
@@ -144,7 +143,8 @@ fn run_phase(
             out.take_outputs(),
         )
     };
-    let (stats, trace, edge_congestion, outputs) = match k {
+    // On one lane, so the pinned shards run in order on the calling thread.
+    let (stats, trace, edge_congestion, outputs) = congest_par::with_threads(1, || match k {
         1 => observe(
             session
                 .run(
@@ -212,7 +212,7 @@ fn run_phase(
                 )
                 .unwrap(),
         ),
-    };
+    });
     PhaseObs {
         outputs,
         stats,
@@ -267,22 +267,19 @@ proptest! {
     }
 
     /// The per-phase state-hash sequence is invariant across execution
-    /// strategy: serial/shards=1 vs parallel/shards=5 under a real
-    /// thread pool produce identical hashes at every boundary.
+    /// strategy: one shard on one lane vs one and five shards on two- and
+    /// four-lane pools produce identical hashes at every boundary.
     #[test]
     fn state_hash_is_execution_invariant(
         g in arb_connected_graph(18),
         seed in any::<u64>(),
     ) {
-        let hashes = |parallel: bool, shards: usize, threads: usize| -> Vec<u64> {
+        let hashes = |shards: usize, threads: usize| -> Vec<u64> {
             congest_par::with_threads(threads, || {
                 let mut s = Session::new(&g);
                 (1..=PHASES)
                     .map(|k| {
-                        let mut cfg = EngineConfig::serial()
-                            .seed(phase_seed(seed, k))
-                            .shards(shards);
-                        cfg.parallel = parallel;
+                        let cfg = EngineConfig::with_seed(phase_seed(seed, k)).shards(shards);
                         let out = s
                             .run(
                                 |_, _| Chatter {
@@ -299,9 +296,9 @@ proptest! {
                     .collect()
             })
         };
-        let serial = hashes(false, 1, 1);
+        let serial = hashes(1, 1);
         for (shards, threads) in [(1, 2), (5, 4)] {
-            let par = hashes(true, shards, threads);
+            let par = hashes(shards, threads);
             prop_assert_eq!(&par, &serial, "shards={} threads={}", shards, threads);
         }
     }
@@ -333,7 +330,7 @@ fn warm_frame(g: &Graph) -> Vec<u8> {
                 salt: 7,
                 heard: 0,
             },
-            EngineConfig::serial().seed(11),
+            EngineConfig::with_seed(11),
         )
         .unwrap();
     drop(out);
@@ -513,7 +510,7 @@ fn a_round_limited_sessions_frame_continues_like_the_session() {
             salt: 9,
             heard: 0,
         },
-        EngineConfig::serial().seed(11).max_rounds(3).trace(),
+        EngineConfig::with_seed(11).max_rounds(3).trace(),
     );
     assert!(limited.is_err(), "the phase hits its round limit");
     let dirty = original.snapshot();

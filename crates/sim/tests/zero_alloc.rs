@@ -465,71 +465,48 @@ fn mux_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfig) -> u
 fn round_loop_allocates_nothing_after_setup() {
     let g = congest_graph::generators::harary(8, 512);
 
-    // One warm-up run per mode: first use pays one-time lazy
-    // initialization (harness/TLS), which is not the round loop.
-    let _warm = allocs_for(&g, 10, EngineConfig::serial());
-
-    // Serial engine: the count must be exactly rounds-independent.
-    let short = min_allocs(|| allocs_for(&g, 40, EngineConfig::serial()));
-    let long = min_allocs(|| allocs_for(&g, 400, EngineConfig::serial()));
-    assert_eq!(
-        long, short,
-        "serial round loop allocated: {short} allocs for 40 rounds vs {long} for 400"
-    );
-
-    // Parallel engine: warm the pool once (thread spawn allocates), then
-    // the same invariant holds.
+    // One warm-up run: first use pays one-time lazy initialization
+    // (harness/TLS), which is not the round loop. The graph is below
+    // `FORK_MIN_ARCS` and no shard count is pinned, so every phase here
+    // runs one shard on the calling thread at any pool width.
     let _warm = allocs_for(&g, 10, EngineConfig::default());
+
+    // The count must be exactly rounds-independent.
     let short = min_allocs(|| allocs_for(&g, 40, EngineConfig::default()));
     let long = min_allocs(|| allocs_for(&g, 400, EngineConfig::default()));
     assert_eq!(
         long, short,
-        "parallel round loop allocated: {short} allocs for 40 rounds vs {long} for 400"
+        "round loop allocated: {short} allocs for 40 rounds vs {long} for 400"
     );
 
     // Multiplexed scheduler path: per-node construction allocates (sub
     // buffers + ring slab) but the round loop — including ring push/pop
     // and sub-protocol hosting — must not. Setup scales with n, not
     // rounds, so equal counts at 10× rounds prove the loop is clean.
-    let _warm = mux_allocs_for(&g, 10, EngineConfig::serial());
-    let short = min_allocs(|| mux_allocs_for(&g, 40, EngineConfig::serial()));
-    let long = min_allocs(|| mux_allocs_for(&g, 400, EngineConfig::serial()));
-    assert_eq!(
-        long, short,
-        "multiplexed round loop allocated: {short} allocs for 40 rounds vs {long} for 400"
-    );
-
     let _warm = mux_allocs_for(&g, 10, EngineConfig::default());
     let short = min_allocs(|| mux_allocs_for(&g, 40, EngineConfig::default()));
     let long = min_allocs(|| mux_allocs_for(&g, 400, EngineConfig::default()));
     assert_eq!(
         long, short,
-        "parallel multiplexed round loop allocated: {short} for 40 rounds vs {long} for 400"
+        "multiplexed round loop allocated: {short} for 40 rounds vs {long} for 400"
     );
 
     // Sparse fast path (forced on): the worklist deliver, its set-word
     // breadcrumbs, and the active-shard lists must all live in
     // setup-time buffers.
-    let _warm = sparse_allocs_for(&g, 10, EngineConfig::serial());
-    let short = min_allocs(|| sparse_allocs_for(&g, 40, EngineConfig::serial()));
-    let long = min_allocs(|| sparse_allocs_for(&g, 400, EngineConfig::serial()));
-    assert_eq!(
-        long, short,
-        "sparse fast-path round loop allocated: {short} for 40 rounds vs {long} for 400"
-    );
     let _warm = sparse_allocs_for(&g, 10, EngineConfig::default());
     let short = min_allocs(|| sparse_allocs_for(&g, 40, EngineConfig::default()));
     let long = min_allocs(|| sparse_allocs_for(&g, 400, EngineConfig::default()));
     assert_eq!(
         long, short,
-        "parallel sparse fast-path loop allocated: {short} for 40 rounds vs {long} for 400"
+        "sparse fast-path round loop allocated: {short} for 40 rounds vs {long} for 400"
     );
 
     // Spill-arena path: queues build past the inline tier and claim spill
     // blocks — cursor bumps into the preallocated arena, not the heap.
-    let _warm = spill_allocs_for(&g, 20, EngineConfig::serial());
-    let short = min_allocs(|| spill_allocs_for(&g, 40, EngineConfig::serial()));
-    let long = min_allocs(|| spill_allocs_for(&g, 400, EngineConfig::serial()));
+    let _warm = spill_allocs_for(&g, 20, EngineConfig::default());
+    let short = min_allocs(|| spill_allocs_for(&g, 40, EngineConfig::default()));
+    let long = min_allocs(|| spill_allocs_for(&g, 400, EngineConfig::default()));
     assert_eq!(
         long, short,
         "spill-arena round loop allocated: {short} for 40 rounds vs {long} for 400"
@@ -541,7 +518,8 @@ fn round_loop_allocates_nothing_after_setup() {
     // session setup — phase boundaries included. The first cycle is the
     // setup (slabs keyed to the widest word, arenas to the high-water
     // footprint, plan cached); every later cycle must be allocation-free.
-    for cfg in [EngineConfig::serial(), EngineConfig::default()] {
+    {
+        let cfg = EngineConfig::default();
         let mut session = Session::new(&g);
         let warm = session_cycle(&mut session, 12, &cfg);
         let mut acc = 0u64;
@@ -556,8 +534,7 @@ fn round_loop_allocates_nothing_after_setup() {
         });
         assert_eq!(
             leaked, 0,
-            "session phases allocated {leaked} times after setup (parallel={})",
-            cfg.parallel
+            "session phases allocated {leaked} times after setup"
         );
         assert_ne!(acc, warm.wrapping_add(1), "keep results observable");
     }
@@ -565,8 +542,9 @@ fn round_loop_allocates_nothing_after_setup() {
     // --- Listed rounds: a quiescent rumor's rounds step only the nodes
     // the active-node list names. The list is a per-node byte buffer the
     // session owns from `Session::new` on, so the second run of the rumor
-    // on one session allocates **exactly zero**, serial and parallel.
-    for cfg in [EngineConfig::serial(), EngineConfig::default()] {
+    // on one session allocates **exactly zero**.
+    {
+        let cfg = EngineConfig::default();
         let mut session = Session::new(&g);
         let mut rumor = |seed: u64| {
             let ph = session
@@ -588,8 +566,7 @@ fn round_loop_allocates_nothing_after_setup() {
         });
         assert_eq!(
             leaked, 0,
-            "a listed phase allocated {leaked} times on a warm session (parallel={})",
-            cfg.parallel
+            "a listed phase allocated {leaked} times on a warm session"
         );
         assert_ne!(acc, warm.wrapping_add(1), "keep results observable");
     }
@@ -598,8 +575,9 @@ fn round_loop_allocates_nothing_after_setup() {
     // the graph clone and warm-list growth once; after a warm-up cycle
     // sizes the parked state's slabs and arenas, every
     // acquire → run → release → re-acquire cycle on the *same* warm state
-    // must allocate **exactly zero**, serial and parallel.
-    for cfg in [EngineConfig::serial(), EngineConfig::default()] {
+    // must allocate **exactly zero**.
+    {
+        let cfg = EngineConfig::default();
         let mut pool = SessionPool::new();
         // A finite (satisfied) budget, so enforcement genuinely walks the
         // LRU clocks and sums warm footprints every cycle.
@@ -619,8 +597,7 @@ fn round_loop_allocates_nothing_after_setup() {
         });
         assert_eq!(
             leaked, 0,
-            "pool cycles allocated {leaked} times after warm-up (parallel={})",
-            cfg.parallel
+            "pool cycles allocated {leaked} times after warm-up"
         );
         assert_eq!(pool.misses(), 1, "only the very first checkout is cold");
         assert!(
@@ -637,7 +614,7 @@ fn round_loop_allocates_nothing_after_setup() {
     // first encode sizes the buffer; every later encode is free.
     {
         let mut session = Session::new(&g);
-        let _ = session_cycle(&mut session, 12, &EngineConfig::serial());
+        let _ = session_cycle(&mut session, 12, &EngineConfig::default());
         let mut buf = Vec::new();
         session.snapshot_into(&mut buf);
         let first_len = buf.len();

@@ -16,7 +16,7 @@ use fast_broadcast::sim::rng::mix64;
 use fast_broadcast::sim::{run_job_isolated, EngineConfig, Job, JobSpec, JobStatus, PoolServer};
 
 fn main() {
-    let config = EngineConfig::serial();
+    let config = EngineConfig::default();
     let mut server = PoolServer::new(config.clone(), 16);
 
     // Two customer topologies, registered once; jobs reference them by

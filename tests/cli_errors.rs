@@ -125,6 +125,9 @@ fn bad_invocations_fail_with_usage_on_stderr() {
             &["serve", "--warm-limit", "1"],
             "serve does not take `--warm-limit`",
         ),
+        // The pool width is the one parallelism switch
+        // (`CONGEST_PAR_THREADS=1` runs serially).
+        (&["serve", "--serial"], "serve does not take `--serial`"),
         (
             &["params", "harary:4,16", "--k", "3"],
             "params does not take `--k`",
@@ -182,14 +185,7 @@ fn good_invocations_still_succeed() {
         // One node: measured without the Karger cross-check (it needs two).
         &["params", "complete:1"],
         &["help"],
-        &[
-            "serve",
-            "--jobs",
-            "8",
-            "--graphs",
-            "harary:4,32",
-            "--serial",
-        ],
+        &["serve", "--jobs", "8", "--graphs", "harary:4,32"],
     ] {
         let out = fastbcast(args);
         assert!(
@@ -198,14 +194,7 @@ fn good_invocations_still_succeed() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
-    let serve = fastbcast(&[
-        "serve",
-        "--jobs",
-        "8",
-        "--graphs",
-        "harary:4,32",
-        "--serial",
-    ]);
+    let serve = fastbcast(&["serve", "--jobs", "8", "--graphs", "harary:4,32"]);
     let stdout = String::from_utf8_lossy(&serve.stdout);
     assert!(stdout.contains("jobs/sec"), "serve output: {stdout}");
     assert!(
@@ -255,7 +244,6 @@ fn good_invocations_still_succeed() {
         "1",
         "--max-warm-bytes",
         "65536",
-        "--serial",
     ]);
     let stdout = String::from_utf8_lossy(&serve.stdout);
     assert!(

@@ -1,5 +1,5 @@
 //! Determinism guarantees: identical seeds produce identical outcomes, and
-//! parallel vs serial engine stepping is bit-identical — the property that
+//! engine stepping is bit-identical at every pool width — the property that
 //! makes every experiment in this repository reproducible from one u64.
 
 use fast_broadcast::core::bfs::BfsProtocol;
@@ -39,11 +39,14 @@ fn parallel_and_serial_engines_agree_exactly() {
         EngineConfig::default().seed(9),
     )
     .unwrap();
-    let ser = {
-        let mut cfg = EngineConfig::serial();
-        cfg.seed = 9;
-        run_protocol(&g, |v, _| BfsProtocol::new(0, v), cfg).unwrap()
-    };
+    let ser = congest_par::with_threads(1, || {
+        run_protocol(
+            &g,
+            |v, _| BfsProtocol::new(0, v),
+            EngineConfig::with_seed(9),
+        )
+        .unwrap()
+    });
     assert_eq!(par.stats, ser.stats);
     assert_eq!(par.outputs.len(), ser.outputs.len());
     for (a, b) in par.outputs.iter().zip(ser.outputs.iter()) {
