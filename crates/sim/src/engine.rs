@@ -42,9 +42,10 @@ pub struct EngineConfig {
     /// count is at most this take the worklist deliver path instead of
     /// the full shard-region sweep. `None` derives a heuristic from the
     /// arc count; `Some(0)` disables the fast path and `Some(usize::MAX)`
-    /// forces it for every scattering round (the differential tests pin
-    /// both extremes). Results are identical at every value — this is
-    /// purely a performance policy.
+    /// forces it for every scattering round but one in which the fault
+    /// adversary demoted a broadcaster, which takes the full sweep (the
+    /// differential tests pin both extremes). Results are identical at
+    /// every value — this is purely a performance policy.
     pub sparse_threshold: Option<usize>,
     /// Record per-round traffic (messages delivered per round) — the
     /// "traffic profile" figures of the experiment harness.

@@ -25,8 +25,6 @@ pub struct FaultPlan {
     /// Stream seed; the blocked set in round `r` is a pure function of
     /// `(seed, r)`.
     pub seed: u64,
-    /// First round at which the adversary acts.
-    pub start_round: u64,
 }
 
 impl FaultPlan {
@@ -34,7 +32,6 @@ impl FaultPlan {
         FaultPlan {
             edges_per_round,
             seed,
-            start_round: 0,
         }
     }
 
@@ -56,7 +53,7 @@ impl FaultPlan {
     /// the crate's callers pass is a handful of edges.
     pub fn blocked_edges_into(&self, round: u64, m: usize, out: &mut Vec<Edge>) {
         out.clear();
-        if round < self.start_round || self.edges_per_round == 0 || m == 0 {
+        if self.edges_per_round == 0 || m == 0 {
             return;
         }
         let target = self.edges_per_round.min(m);
@@ -120,17 +117,6 @@ mod tests {
     fn different_rounds_differ() {
         let plan = FaultPlan::new(4, 1);
         assert_ne!(plan.blocked_edges(1, 1000), plan.blocked_edges(2, 1000));
-    }
-
-    #[test]
-    fn start_round_delays_the_adversary() {
-        let plan = FaultPlan {
-            edges_per_round: 2,
-            seed: 3,
-            start_round: 10,
-        };
-        assert!(plan.blocked_edges(9, 50).is_empty());
-        assert!(!plan.blocked_edges(10, 50).is_empty());
     }
 
     #[test]

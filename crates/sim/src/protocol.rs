@@ -9,6 +9,12 @@
 //! Messages travel packed ([`PackedMsg`]): the context unpacks on read and
 //! packs on send, so protocols handle ordinary typed values while the
 //! engine moves raw words.
+//!
+//! A [`NodeCtx`] has one write path: every send goes through the
+//! `ScatterPlane` it points at — a per-shard plane over the graph's arcs
+//! in [`crate::Session::run`]'s round loop, a node-local plane over one
+//! node's ports for a sub-protocol that [`crate::sched::Multiplexed`]
+//! hosts. There is no second mode to match on.
 
 use crate::message::PackedMsg;
 use crate::slab;
@@ -71,9 +77,9 @@ pub(crate) struct BcastOut<'a, M: PackedMsg> {
 }
 
 /// This node's received messages: a port-indexed word slice plus the
-/// word-packed occupancy bits starting at `bit0`, and (engine mode) the
-/// broadcast plane. `bcast` is `None` in host mode and under the fault
-/// adversary (which needs per-arc staging to drop individual messages).
+/// word-packed occupancy bits starting at `bit0`, and the broadcast plane
+/// in rounds after someone broadcast (`None` otherwise, and always for a
+/// sub-protocol [`crate::sched::Multiplexed`] hosts).
 pub(crate) struct InSlot<'a, M: PackedMsg> {
     pub(crate) words: &'a [M::Word],
     pub(crate) occ: &'a [u64],
@@ -81,17 +87,25 @@ pub(crate) struct InSlot<'a, M: PackedMsg> {
     pub(crate) bcast: Option<&'a BcastIn<'a, M>>,
 }
 
-/// Shard-invariant scatter-plane handles plus the shard's staging
-/// counters, built **once per shard per round** and shared by reference
-/// across every node context the shard constructs — one pointer per
-/// context instead of a dozen fields (sparse rounds are step-dominated,
-/// so context construction is hot). The counters are `Cell`s: the plane
-/// lives on the owning shard task's stack and is touched by that task
-/// alone; only the `RacyCells` slabs inside are cross-thread.
+/// Where sends land — the one write path. A node's per-port send is
+/// scattered straight into the *destination* slot of the staging slab
+/// through `rev`, a bijection on slot positions whose entries
+/// `rev[bit0..bit0 + deg]` are exactly this node's destinations (the
+/// context's inbox range doubles as its outbox range), so every staging
+/// byte has one writer, a plain store, and delivery is a buffer swap.
+/// `send_all` stores one word and one stage byte in the broadcast plane
+/// when `bcast` is set, and scatters like `deg` sends otherwise.
 ///
-/// Since the host-mode slimming pass this descriptor also carries the
-/// cold per-round fields the context used to copy per node (`graph`):
-/// [`NodeCtx`] holds one pointer to the plane instead.
+/// The round loop builds one **per shard per round** over the graph's
+/// arcs (`rev` = [`Graph::reverse_arcs`]) and shares it by reference
+/// across every node context the shard constructs — one pointer per
+/// context (sparse rounds are step-dominated, so context construction is
+/// hot). [`crate::sched::Multiplexed`] builds a node-local one per hosted
+/// sub-protocol step: `rev` the identity over the node's ports, one mask
+/// byte per port, a zero-capacity worklist and no broadcast plane. The
+/// counters are `Cell`s: a plane lives on its builder's stack and is
+/// touched by that task alone; only the `RacyCells` slabs inside are
+/// cross-thread.
 pub(crate) struct ScatterPlane<'a, M: PackedMsg> {
     pub(crate) graph: &'a Graph,
     pub(crate) words: &'a RacyCells<'a, M::Word>,
@@ -130,29 +144,6 @@ impl<'a, M: PackedMsg> ScatterPlane<'a, M> {
         }
         self.staged.set(k as u32 + 1);
     }
-}
-
-/// Where this node's sends land.
-pub(crate) enum OutSlot<'a, M: PackedMsg> {
-    /// Engine mode: per-port sends scatter straight into the *destination*
-    /// arc slot of the staging slab through the reverse-arc permutation,
-    /// so delivery is a buffer swap. Disjointness: `rev` is a bijection on
-    /// arcs, and the node's destinations are exactly
-    /// `rev[bit0..bit0+deg]` (the context's inbox range doubles as the
-    /// outbox range — one CSR offset serves both) — which is why the
-    /// staging mask is one *byte* per arc written with a plain store (no
-    /// atomic read-modify-write on the send path). `send_all` goes
-    /// through the broadcast plane when available: one word + one staging
-    /// byte per *node* instead of per arc.
-    Scatter { plane: &'a ScatterPlane<'a, M> },
-    /// Host mode: a plain port-indexed buffer, used by protocol
-    /// combinators (e.g. [`crate::sched::Multiplexed`]) that run
-    /// sub-protocols against node-local buffers.
-    Local {
-        words: &'a mut [M::Word],
-        occ: &'a mut [u64],
-        graph: &'a Graph,
-    },
 }
 
 /// Iterator over one round's delivered `(port, message)` pairs, ascending
@@ -372,7 +363,7 @@ impl<'a, M: PackedMsg> InboxIter<'a, M> {
 ///
 /// Kept deliberately small: contexts are rebuilt for every node every
 /// round (and for every hosted sub-protocol under the multiplexer), so
-/// shard-invariant state lives behind one `ScatterPlane` pointer and
+/// the write side and the graph live behind one `ScatterPlane` pointer and
 /// the per-port ranges are derived from the inbox slice instead of being
 /// stored twice.
 pub struct NodeCtx<'a, M: PackedMsg> {
@@ -381,7 +372,7 @@ pub struct NodeCtx<'a, M: PackedMsg> {
     /// Current round number (0-based).
     pub round: u64,
     pub(crate) inbox: InSlot<'a, M>,
-    pub(crate) outbox: OutSlot<'a, M>,
+    pub(crate) outbox: &'a ScatterPlane<'a, M>,
     /// Whether this node already staged a broadcast-plane word this
     /// round. Mirrors the node's own `bcast_stage` byte (which the
     /// deliver fold always zeroes before the next step), so the send hot
@@ -396,15 +387,10 @@ pub struct NodeCtx<'a, M: PackedMsg> {
 }
 
 impl<'a, M: PackedMsg> NodeCtx<'a, M> {
-    /// The graph, reached through whichever shared descriptor this
-    /// context runs against (the per-shard scatter plane in engine mode,
-    /// the host's own handle in host mode).
+    /// The graph, reached through the context's scatter plane.
     #[inline]
     pub(crate) fn graph(&self) -> &'a Graph {
-        match &self.outbox {
-            OutSlot::Scatter { plane } => plane.graph,
-            OutSlot::Local { graph, .. } => graph,
-        }
+        self.outbox.graph
     }
 
     /// Degree of this node = number of ports.
@@ -442,7 +428,7 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
 
     /// Iterate `(port, message)` over all messages delivered this round,
     /// in ascending port order. In a round with no broadcast plane —
-    /// nobody broadcast last round, or a fault plan is on — this walks the
+    /// nobody broadcast last round — this walks the
     /// occupancy *words*, so quiescent ports cost nothing: an empty inbox
     /// is a couple of word loads regardless of degree, and internal
     /// iteration (`fold`, and
@@ -503,39 +489,29 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
             *self.max_bits = bits;
         }
         let word = msg.pack();
-        let lo = self.inbox.bit0;
-        let deg = self.inbox.words.len();
-        let already = match &mut self.outbox {
-            OutSlot::Scatter { plane } => {
-                assert!((port as usize) < deg, "send on nonexistent port {port}");
-                let dest = plane.rev[lo + port as usize] as usize;
-                // A prior `send_all` this round already claimed every port
-                // (tracked context-locally — the staging byte it mirrors
-                // is always zero at context construction).
-                // SAFETY (this read and the two writes below): `rev` is a
-                // bijection on arcs and `lo + port` is one of this node's
-                // own arc positions (`port < deg`, asserted above), so
-                // staging slot `dest < arcs` is written and read by this
-                // (node, port) alone during the step pass; the adversary
-                // and the deliver pass touch it only after the pass joins.
-                let already = self.bcast_staged || unsafe { plane.mask.read(dest) } != 0;
-                if !already {
-                    plane.record(dest);
-                    unsafe {
-                        plane.mask.write(dest, 1);
-                        plane.words.write(dest, word);
-                    }
-                }
-                already
+        let plane = self.outbox;
+        assert!(
+            (port as usize) < self.degree(),
+            "send on nonexistent port {port}"
+        );
+        let dest = plane.rev[self.inbox.bit0 + port as usize] as usize;
+        // A prior `send_all` this round already claimed every port
+        // (tracked context-locally — the staging byte it mirrors is always
+        // zero at context construction).
+        // SAFETY (this read and the two writes below): `rev` is a
+        // bijection on the plane's slots and `bit0 + port` is one of this
+        // node's own positions (`port < deg`, asserted above), so staging
+        // slot `dest` is written and read by this (node, port) alone
+        // during the step pass; the adversary and the deliver pass touch
+        // it only after the pass joins.
+        let already = self.bcast_staged || unsafe { plane.mask.read(dest) } != 0;
+        if !already {
+            plane.record(dest);
+            unsafe {
+                plane.mask.write(dest, 1);
+                plane.words.write(dest, word);
             }
-            OutSlot::Local { words, occ, .. } => {
-                let already = slab::set(occ, port as usize);
-                if !already {
-                    words[port as usize] = word;
-                }
-                already
-            }
-        };
+        }
         assert!(
             !already,
             "CONGEST violation: node {} sent twice on port {} in round {}",
@@ -543,108 +519,98 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         );
     }
 
-    /// Send a copy of `msg` to every neighbor. In engine mode this is
-    /// **O(1)**: the message is stored once in the sender's broadcast slot
-    /// and receivers read it through the broadcast plane — no per-arc
-    /// scatter, no per-arc delivery work. (Under the fault adversary the
-    /// engine disables the broadcast plane — it needs per-arc staging to
-    /// drop individual messages — and this falls back to the reverse-arc
-    /// scatter: one packed word, `deg` plain stores.)
+    /// Send a copy of `msg` to every neighbor. When the round loop hands
+    /// out the broadcast plane this is **O(1)**: the message is stored once
+    /// in the sender's broadcast slot and receivers read it through the
+    /// plane — no per-arc scatter, no per-arc delivery work. Otherwise (a
+    /// round after sparse traffic, or a sub-protocol's node-local plane) it
+    /// scatters through `rev`: one packed word, `deg` plain stores. Under
+    /// a fault plan the adversary moves the plane word of a node behind a
+    /// blocked edge onto those same per-arc slots before it drops anything
+    /// ([`crate::session`]), so the receivers see the same messages either
+    /// way.
     pub fn send_all(&mut self, msg: M) {
         let lo = self.inbox.bit0;
-        let deg = self.inbox.words.len();
-        match &mut self.outbox {
-            OutSlot::Scatter { plane } => {
-                let bits = msg.bits();
-                if bits > *self.max_bits {
-                    *self.max_bits = bits;
-                }
-                let word = msg.pack();
-                if let Some(b) = plane.bcast {
-                    let node = self.node as usize;
-                    assert!(
-                        !self.bcast_staged,
-                        "CONGEST violation: node {} broadcast twice in round {}",
-                        self.node, self.round
-                    );
-                    // SAFETY: slot `node < n` of the n-slot broadcast
-                    // staging pair is written by `node`'s own step alone
-                    // (the fold reads it after the pass joins); the mask
-                    // reads in the debug check are of this node's own
-                    // destination slots (see `send`).
-                    unsafe {
-                        // Debug-only: `send_all` after a per-port `send`
-                        // would double-book that port.
-                        debug_assert!(
-                            plane.rev[lo..lo + deg]
-                                .iter()
-                                .all(|&d| plane.mask.read(d as usize) == 0),
-                            "CONGEST violation: node {} broadcast after sending in round {}",
-                            self.node,
-                            self.round
-                        );
-                        b.stage.write(node, 1);
-                        b.words.write(node, word);
-                    }
-                    self.bcast_staged = true;
-                    plane.bcast_used.set(true);
-                    return;
-                }
-                let k0 = plane.staged.get() as usize;
-                for (j, &dest) in plane.rev[lo..lo + deg].iter().enumerate() {
-                    let dest = dest as usize;
-                    // SAFETY: `rev[lo..lo + deg]` are this node's own
-                    // destination slots (see `send`), and `k0 + j <
-                    // wl_cap` keeps the worklist write inside this shard's
-                    // slice (see `record`). The double-send probe is
-                    // debug-only on this bulk path — one load+branch per
-                    // arc is measurable at 10^6 arcs; `send` keeps the full
-                    // check for per-port traffic.
-                    unsafe {
-                        debug_assert!(
-                            plane.mask.read(dest) == 0,
-                            "CONGEST violation: node {} double-sent in round {}",
-                            self.node,
-                            self.round
-                        );
-                        if k0 + j < plane.wl_cap {
-                            plane.wl.write(plane.wl_lo + k0 + j, dest as u32);
-                        }
-                        plane.mask.write(dest, 1);
-                        plane.words.write(dest, word);
-                    }
-                }
-                plane.staged.set((k0 + deg) as u32);
+        let deg = self.degree();
+        let plane = self.outbox;
+        let bits = msg.bits();
+        if bits > *self.max_bits {
+            *self.max_bits = bits;
+        }
+        let word = msg.pack();
+        if let Some(b) = plane.bcast {
+            let node = self.node as usize;
+            assert!(
+                !self.bcast_staged,
+                "CONGEST violation: node {} broadcast twice in round {}",
+                self.node, self.round
+            );
+            // SAFETY: slot `node < n` of the n-slot broadcast staging pair
+            // is written by `node`'s own step alone (the fold and the
+            // adversary read it after the pass joins); the mask reads in
+            // the debug check are of this node's own destination slots
+            // (see `send`).
+            unsafe {
+                // Debug-only: `send_all` after a per-port `send` would
+                // double-book that port.
+                debug_assert!(
+                    plane.rev[lo..lo + deg]
+                        .iter()
+                        .all(|&d| plane.mask.read(d as usize) == 0),
+                    "CONGEST violation: node {} broadcast after sending in round {}",
+                    self.node,
+                    self.round
+                );
+                b.stage.write(node, 1);
+                b.words.write(node, word);
             }
-            OutSlot::Local { .. } => {
-                for p in 0..deg as Port {
-                    self.send(p, msg);
+            self.bcast_staged = true;
+            plane.bcast_used.set(true);
+            return;
+        }
+        let k0 = plane.staged.get() as usize;
+        for (j, &dest) in plane.rev[lo..lo + deg].iter().enumerate() {
+            let dest = dest as usize;
+            // SAFETY: `rev[lo..lo + deg]` are this node's own destination
+            // slots (see `send`), and `k0 + j < wl_cap` keeps the worklist
+            // write inside this shard's slice (see `record`). The
+            // double-send probe is debug-only on this bulk path — one
+            // load+branch per arc is measurable at 10^6 arcs; `send` keeps
+            // the full check for per-port traffic.
+            unsafe {
+                debug_assert!(
+                    plane.mask.read(dest) == 0,
+                    "CONGEST violation: node {} double-sent in round {}",
+                    self.node,
+                    self.round
+                );
+                if k0 + j < plane.wl_cap {
+                    plane.wl.write(plane.wl_lo + k0 + j, dest as u32);
                 }
+                plane.mask.write(dest, 1);
+                plane.words.write(dest, word);
             }
         }
+        plane.staged.set((k0 + deg) as u32);
     }
 
     /// Whether this node already wrote to `port` this round.
     #[inline]
     pub fn port_used(&self, port: Port) -> bool {
-        match &self.outbox {
-            OutSlot::Scatter { plane } => {
-                assert!(
-                    (port as usize) < self.degree(),
-                    "port_used on nonexistent port {port}"
-                );
-                // SAFETY: `port < deg` (just asserted), so this reads this
-                // node's own destination slot (see `send`).
-                self.bcast_staged
-                    || unsafe {
-                        plane
-                            .mask
-                            .read(plane.rev[self.inbox.bit0 + port as usize] as usize)
-                            != 0
-                    }
+        let plane = self.outbox;
+        assert!(
+            (port as usize) < self.degree(),
+            "port_used on nonexistent port {port}"
+        );
+        // SAFETY: `port < deg` (just asserted), so this reads this node's
+        // own destination slot (see `send`).
+        self.bcast_staged
+            || unsafe {
+                plane
+                    .mask
+                    .read(plane.rev[self.inbox.bit0 + port as usize] as usize)
+                    != 0
             }
-            OutSlot::Local { occ, .. } => slab::test(occ, port as usize),
-        }
     }
 
     /// This node's private RNG (deterministic per `(run_seed, node)`).

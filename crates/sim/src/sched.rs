@@ -32,11 +32,17 @@
 //! port — an honest signal that the congestion bound fed to the scheduler
 //! was wrong.
 //!
-//! Sub-protocols run against node-local **packed** buffers (the same word
-//! slab + occupancy bitset shape the engine uses, via
-//! [`crate::protocol`]'s host mode), so a multiplexed protocol pays the
-//! packed encoding exactly once per hop. Sub-protocols that declared
-//! `done` are only re-stepped when a message arrives for them. This leans
+//! Sub-protocols run against node-local **packed** buffers in the engine's
+//! shape: each its own inbox of port-indexed words + occupancy bits, and
+//! one node-local scatter plane to send through, the write path every
+//! node context has ([`crate::protocol`]): the identity over the node's
+//! ports for its reverse-arc map, one mask byte per port, no worklist and
+//! no broadcast plane, so a sub's `send_all` scatters per port. The subs
+//! step one at a time, and each one's sends are collected from the mask
+//! bytes into the port queues before the next steps. A multiplexed
+//! protocol pays the packed encoding exactly once per hop. Sub-protocols
+//! that declared `done` are only re-stepped when a message arrives for
+//! them. This leans
 //! on the **message-driven contract below** (which this multiplexer
 //! already demands for delay tolerance): a done sub may only resume
 //! because traffic arrived, never by counting rounds — under that
@@ -56,9 +62,11 @@
 //! too.
 
 use crate::message::{low_mask, MsgBits, MsgWord, PackedMsg};
-use crate::protocol::{InSlot, NodeCtx, OutSlot, Protocol};
+use crate::protocol::{InSlot, NodeCtx, Protocol, ScatterPlane};
 use crate::rng::mix64;
 use crate::slab;
+use congest_par::RacyCells;
+use std::cell::Cell;
 
 /// A message tagged with the index of the sub-algorithm it belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -318,8 +326,8 @@ impl PortRings {
     }
 }
 
-/// One hosted sub-protocol: its state plus node-local packed buffers in
-/// the engine's slab shape (port-indexed words + occupancy bits).
+/// One hosted sub-protocol: its state plus its node-local inbox in the
+/// engine's slab shape (port-indexed words + occupancy bits).
 struct Sub<P: Protocol> {
     proto: P,
     delay: u64,
@@ -329,8 +337,6 @@ struct Sub<P: Protocol> {
     woke: bool,
     in_words: Vec<<P::Msg as PackedMsg>::Word>,
     in_occ: Vec<u64>,
-    out_words: Vec<<P::Msg as PackedMsg>::Word>,
-    out_occ: Vec<u64>,
 }
 
 /// One node's multiplexer hosting `k` sub-protocol instances over packed
@@ -338,6 +344,13 @@ struct Sub<P: Protocol> {
 pub struct Multiplexed<P: Protocol> {
     subs: Vec<Sub<P>>,
     rings: PortRings,
+    /// The node-local scatter plane every sub sends through, one sub at a
+    /// time: port-indexed words and mask bytes, drained into the rings
+    /// after each sub's step, and the identity over ports for its
+    /// reverse-arc map.
+    out_words: Vec<<P::Msg as PackedMsg>::Word>,
+    out_mask: Vec<u8>,
+    rev: Vec<u32>,
 }
 
 impl<P: Protocol> Multiplexed<P> {
@@ -361,13 +374,14 @@ impl<P: Protocol> Multiplexed<P> {
                 woke: false,
                 in_words: vec![Default::default(); degree],
                 in_occ: vec![0; slab::words_for(degree)],
-                out_words: vec![Default::default(); degree],
-                out_occ: vec![0; slab::words_for(degree)],
             })
             .collect();
         Multiplexed {
             subs,
             rings: PortRings::new(degree, queue_capacity),
+            out_words: vec![Default::default(); degree],
+            out_mask: vec![0; degree],
+            rev: (0..degree as u32).collect(),
         }
     }
 }
@@ -388,13 +402,27 @@ impl<P: Protocol> Protocol for Multiplexed<P> {
         }
         // 2. Step every sub-protocol whose delay has elapsed and that can
         // still make progress (not yet done, or woken by an arrival),
-        // against its node-local packed buffers.
+        // against its inbox and the node-local scatter plane.
         for (i, sub) in self.subs.iter_mut().enumerate() {
             if ctx.round < sub.delay || (sub.done && !sub.woke) {
                 continue;
             }
             sub.woke = false;
-            {
+            let staged = {
+                let words = RacyCells::new(&mut self.out_words[..]);
+                let mask = RacyCells::new(&mut self.out_mask[..]);
+                let plane = ScatterPlane {
+                    graph,
+                    words: &words,
+                    mask: &mask,
+                    rev: &self.rev,
+                    bcast: None,
+                    wl: &RacyCells::new(&mut []),
+                    wl_lo: 0,
+                    wl_cap: 0,
+                    staged: Cell::new(0),
+                    bcast_used: Cell::new(false),
+                };
                 let mut sub_ctx = NodeCtx {
                     node: ctx.node,
                     round: sub.virtual_round,
@@ -404,33 +432,28 @@ impl<P: Protocol> Protocol for Multiplexed<P> {
                         bit0: 0,
                         bcast: None,
                     },
-                    outbox: OutSlot::Local {
-                        words: &mut sub.out_words,
-                        occ: &mut sub.out_occ,
-                        graph,
-                    },
+                    outbox: &plane,
                     bcast_staged: false,
                     rng: ctx.rng,
                     done: &mut sub.done,
                     max_bits: ctx.max_bits,
                 };
                 sub.proto.round(&mut sub_ctx);
-            }
+                plane.staged.get()
+            };
             sub.virtual_round += 1;
-            // Queue this sub's sends: walk the occupancy words so quiet
-            // ports cost one word load, not one bit test each.
-            for (wi, occ_word) in sub.out_occ.iter_mut().enumerate() {
-                let mut bits = *occ_word;
-                *occ_word = 0;
-                while bits != 0 {
-                    let p = wi * 64 + bits.trailing_zeros() as usize;
-                    bits &= bits - 1;
-                    let tagged = Tagged {
-                        algo: i as u32,
-                        msg: P::Msg::unpack(sub.out_words[p]),
-                    };
-                    self.rings.push(p, tagged.pack());
-                }
+            // Queue this sub's `staged` sends, ascending by port: the mask
+            // bytes eight to a compare, and no scan past the last send.
+            let mut p = 0;
+            for _ in 0..staged {
+                p = slab::next_nonzero(&self.out_mask, p);
+                self.out_mask[p] = 0;
+                let tagged = Tagged {
+                    algo: i as u32,
+                    msg: P::Msg::unpack(self.out_words[p]),
+                };
+                self.rings.push(p, tagged.pack());
+                p += 1;
             }
             slab::clear_all(&mut sub.in_occ);
         }

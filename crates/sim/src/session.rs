@@ -51,8 +51,7 @@
 //! message word than any before it, a phase whose shard count differs
 //! from the cached [`congest_graph::ShardPlan`], a phase whose
 //! node-cell/output/trace footprint exceeds the session's high-water
-//! mark, and the session's first unfaulted phase (broadcast-plane
-//! bookkeeping).
+//! mark, and the session's first phase (broadcast-plane bookkeeping).
 //!
 //! [`crate::run_protocol`] is a thin one-phase wrapper: it builds a
 //! session, runs the protocol, and returns an owned outcome.
@@ -79,29 +78,36 @@
 //!
 //! * **Step** — shard `s` steps its own nodes; a send is scattered
 //!   straight into the *destination* arc slot of the staging slab through
-//!   the `reverse_arc` permutation (a bijection: one writer per slot). The
+//!   the `reverse_arc` permutation (a bijection: one writer per slot), the
+//!   one write path ([`crate::protocol`]). The
 //!   shard folds its nodes' `done` flags, counts what it staged, and lists
 //!   the staged arcs in its worklist region (capped at `min(threshold,
 //!   out_arc_bound(s))`; past the cap only the count goes on). Which nodes
 //!   a shard steps is one of two choices, **full** or **listed** — see
 //!   "The active-node list" below.
-//! * **Adversary** — under a [`FaultPlan`], what was staged on the round's
-//!   blocked edges is cleared from the mask and counted as dropped.
+//! * **Adversary** — under a [`crate::FaultPlan`], one serial pass over the
+//!   round's blocked edges. It **demotes** each endpoint that staged a
+//!   broadcast-plane word — the word goes to the node's per-arc staging
+//!   slots through `reverse_arc`, its stage byte is cleared, its degree
+//!   joins the staged count, and the round takes the full sweep (no
+//!   worklist lists those arcs) — then clears what is staged on the
+//!   blocked arcs and counts it dropped: what an all-scatter round drops.
 //! * **Deliver** — the staging slab *becomes* the inbox slab (a swap), and
 //!   what was staged is folded into the occupancy bitset, counted and
 //!   metered by one of three paths, chosen from the staged counts alone
 //!   (the same at every pool width and shard count) and bit-identical in
 //!   what they leave. **Skip**: nothing went through the arc mask, so only
 //!   the previous round's occupancy residue is zeroed. **Sparse**: the
-//!   staged total is within [`EngineConfig::sparse_threshold`] and no
-//!   worklist overflowed. One serial pass over the shards' worklists: an
-//!   entry whose mask byte the adversary cleared drops out; for the rest,
-//!   zero the mask byte, set the occupancy bit, bump the arc's counter,
-//!   and note each word that went nonzero in `set_words`, the breadcrumb
-//!   by which the next round zeroes O(traffic) words, not the bitset (the
-//!   pass is random-access and O(traffic), so it never forks). **Full**: each shard sweeps its
-//!   word range — 64 mask bytes pack into one occupancy word, the mask is
-//!   re-zeroed, the set bits counted and their arcs' counters bumped.
+//!   staged total is within [`EngineConfig::sparse_threshold`], no
+//!   worklist overflowed, and nobody was demoted. One serial pass over the
+//!   shards' worklists: an entry whose mask byte the adversary cleared
+//!   drops out; for the rest, zero the mask byte, set the occupancy bit,
+//!   bump the arc's counter, and note each word that went nonzero in
+//!   `set_words`, the breadcrumb by which the next round zeroes O(traffic)
+//!   words, not the bitset (the pass is random-access and O(traffic), so
+//!   it never forks). **Full**: each shard sweeps its word range — 64
+//!   mask bytes pack into one occupancy word, the mask is re-zeroed, the
+//!   set bits counted and their arcs' counters bumped.
 //!
 //! Each shard writes one private `ShardMeter`; the round's totals
 //! (delivered, all done, staged) are a serial fold over them — sums and an
@@ -134,23 +140,24 @@
 //! the sender's slot of a per-node slab plus one stage byte, and receivers
 //! resolve it through their neighbour lists — a win when most arcs carry
 //! a message, a wasted neighbour scan when few do. So `send_all` takes
-//! the plane in a round iff there is one (no fault plan: the adversary
-//! needs per-arc staging to drop from) and the *previous* round delivered
-//! on at least a quarter of the arcs (round 0 is optimistic); otherwise it
-//! scatters like `deg(v)` sends, and the receiver reads the same inbox
+//! the plane in a round iff the *previous* round delivered on at least a
+//! quarter of the arcs (round 0 is optimistic), with or without a fault
+//! plan (the adversary demotes what it must drop from, above); otherwise
+//! it scatters like `deg(v)` sends, and the receiver reads the same inbox
 //! either way. Deliver **folds** the plane only in rounds where a shard
 //! staged through it: 64 stage bytes pack into one presence word, and each
 //! set bit adds the sender's degree to the delivered count and one to the
 //! sender's counter. Receivers are handed the plane only in the round
-//! after a fold found a sender, so sparse rounds probe nothing. In such a
-//! round a receiver reads its inbox in **one pass over its neighbour
-//! list**, whichever way it iterates ([`NodeCtx::inbox`]): per port, the
-//! slab word if the port's occupancy bit is set (a per-port `send` of the
-//! same round), else the neighbour's plane word if the neighbour's
-//! presence bit is. No presence word is gathered ahead of that pass —
-//! until PR 24 one was, for the node's first occupancy word, and the
-//! messages behind it were then found by a second read of the same
-//! neighbours; with degrees up to 64 that was most of every inbox
+//! after a fold (a fold whose every sender was demoted finds none, and
+//! its receivers probe an empty plane once), so sparse rounds probe
+//! nothing. In such a round a receiver reads its inbox in **one pass over
+//! its neighbour list**, whichever way it iterates ([`NodeCtx::inbox`]):
+//! per port, the slab word if the port's occupancy bit is set (a per-port
+//! `send` of the same round), else the neighbour's plane word if the
+//! neighbour's presence bit is. No presence word is gathered ahead of
+//! that pass — until PR 24 one was, for the node's first occupancy word,
+//! and the messages behind it were then found by a second read of the
+//! same neighbours; with degrees up to 64 that was most of every inbox
 //! (DESIGN.md §6 has what it cost).
 //!
 //! **The congestion meter.** Per-edge congestion is what Lemma 1 and
@@ -173,9 +180,8 @@
 //! bit-identical (`tests/proptest_engine.rs`).
 
 use crate::engine::{EngineConfig, EngineError, RunOutcome, RunStats};
-use crate::fault::FaultPlan;
 use crate::message::{MsgWord, PackedMsg};
-use crate::protocol::{BcastIn, BcastOut, InSlot, NodeCtx, OutSlot, Protocol};
+use crate::protocol::{BcastIn, BcastOut, InSlot, NodeCtx, Protocol, ScatterPlane};
 use crate::rng::node_rng;
 use crate::slab;
 use congest_graph::{Edge, Graph, Node, ShardPlan};
@@ -255,31 +261,6 @@ fn check_shard_regions(plan: &ShardPlan, graph: &Graph, wl_starts: &[usize]) {
 
 /// Cap on auto-derived shard counts (explicit configs may exceed it).
 const MAX_AUTO_SHARDS: usize = 64;
-
-/// The adversary phase's walk: draw the edges `plan` blocks in `round` and
-/// hand `hit` the staging-mask index of each direction of each — a message
-/// `u → v` is staged in `v`'s in-arc from `u`.
-fn for_each_blocked_arc(
-    graph: &Graph,
-    plan: &FaultPlan,
-    round: u64,
-    blocked: &mut Vec<Edge>,
-    mut hit: impl FnMut(usize),
-) {
-    if plan.edges_per_round == 0 {
-        return;
-    }
-    plan.blocked_edges_into(round, graph.m(), blocked);
-    for &e in blocked.iter() {
-        let (u, v) = graph.endpoints(e);
-        for (from, to) in [(u, v), (v, u)] {
-            let port = graph
-                .port_to(to, from)
-                .expect("edge endpoints are adjacent");
-            hit(graph.arc_offset(to) + port as usize);
-        }
-    }
-}
 
 /// The phase-exit fold: drain the per-arc delivery counters into
 /// `edge_row`, both directions of an edge summed, and return the row's
@@ -650,7 +631,7 @@ impl SessionState {
             out_mask: vec![0; arcs],
             arc_traffic: vec![0; arcs],
             // Broadcast-plane bookkeeping is sized lazily by the first
-            // unfaulted phase.
+            // phase.
             bcast_stage: Vec::new(),
             bcast_occ: Vec::new(),
             node_traffic: Vec::new(),
@@ -766,8 +747,7 @@ impl SessionState {
     }
 
     /// Size the broadcast plane's bookkeeping for `n` nodes: once per
-    /// session, by its first unfaulted phase (a faulted phase never pays
-    /// for it).
+    /// session, by its first phase.
     fn size_plane(&mut self, n: usize) {
         if self.bcast_stage.len() < n {
             self.bcast_stage.resize(n, 0);
@@ -833,11 +813,7 @@ impl SessionState {
         let arcs = graph.num_arcs();
         let occ_words = arcs.div_ceil(64);
         let node_words = n.div_ceil(64);
-        let bcast_enabled = config.faults.is_none();
-
-        if bcast_enabled {
-            self.size_plane(n);
-        }
+        self.size_plane(n);
 
         if let Some(fp) = &config.faults {
             self.blocked.reserve(fp.edges_per_round);
@@ -898,16 +874,15 @@ impl SessionState {
         // keyed: a u64 phase reuses a u128 phase's slab).
         let mut in_words: &mut [<P::Msg as PackedMsg>::Word] = slab_a.view(arcs);
         let mut out_words: &mut [<P::Msg as PackedMsg>::Word] = slab_b.view(arcs);
-        let bcast_len = if bcast_enabled { n } else { 0 };
-        let mut bcast_in_words: &mut [<P::Msg as PackedMsg>::Word] = bcast_slab_a.view(bcast_len);
-        let mut bcast_out_words: &mut [<P::Msg as PackedMsg>::Word] = bcast_slab_b.view(bcast_len);
+        let mut bcast_in_words: &mut [<P::Msg as PackedMsg>::Word] = bcast_slab_a.view(n);
+        let mut bcast_out_words: &mut [<P::Msg as PackedMsg>::Word] = bcast_slab_b.view(n);
 
         let in_occ: &mut [u64] = in_occ;
         let out_mask: &mut [u8] = out_mask;
         let arc_traffic: &mut [u32] = arc_traffic;
-        let bcast_stage: &mut [u8] = &mut bcast_stage[..bcast_len];
-        let bcast_occ: &mut [u64] = &mut bcast_occ[..if bcast_enabled { node_words } else { 0 }];
-        let node_traffic: &mut [u32] = &mut node_traffic[..bcast_len];
+        let bcast_stage: &mut [u8] = &mut bcast_stage[..n];
+        let bcast_occ: &mut [u64] = &mut bcast_occ[..node_words];
+        let node_traffic: &mut [u32] = &mut node_traffic[..n];
         let active: &mut [u8] = active;
         let meters: &mut [ShardMeter] = meters;
         let worklist: &mut [u32] = &mut worklist[..wl_starts[s_count]];
@@ -968,7 +943,7 @@ impl SessionState {
             }
             // --- Step phase: each shard steps its own nodes; sends
             // scatter into the staging slab's destination slots.
-            let use_plane = bcast_enabled && 4 * last_delivered >= arcs as u64;
+            let use_plane = 4 * last_delivered >= arcs as u64;
             {
                 let racy_cells = RacyCells::new(cells.as_mut_slice());
                 let racy_out = RacyCells::new(&mut *out_words);
@@ -1028,7 +1003,7 @@ impl SessionState {
                     // One scatter-plane descriptor per shard per round;
                     // node contexts carry a pointer to it instead of its
                     // fields.
-                    let plane = crate::protocol::ScatterPlane {
+                    let plane = ScatterPlane {
                         graph,
                         words: &racy_out,
                         mask: &racy_mask,
@@ -1062,7 +1037,7 @@ impl SessionState {
                                 bit0: lo,
                                 bcast: bcast_in,
                             },
-                            outbox: OutSlot::Scatter { plane: &plane },
+                            outbox: &plane,
                             bcast_staged: false,
                             rng: &mut cell.rng,
                             done: &mut cell.done,
@@ -1087,29 +1062,53 @@ impl SessionState {
                     each_shard(s_count, step_shard);
                 }
             }
-            // --- Adversary phase: destroy staged messages on blocked
-            // edges.
+            // --- Adversary phase: on each direction `from → to` of each
+            // blocked edge, demote `from`'s plane word to per-arc staging,
+            // then destroy what is staged on the arc (see the module docs).
+            let mut demoted: u64 = 0;
             if let Some(fault_plan) = &config.faults {
-                for_each_blocked_arc(graph, fault_plan, round, blocked, |dest| {
-                    if out_mask[dest] == STAGED {
-                        out_mask[dest] = 0;
-                        stats.dropped_messages += 1;
+                fault_plan.blocked_edges_into(round, graph.m(), blocked);
+                for &e in blocked.iter() {
+                    let (u, v) = graph.endpoints(e);
+                    for (from, to) in [(u, v), (v, u)] {
+                        let lo = graph.arc_offset(from);
+                        let deg = graph.degree(from);
+                        if bcast_stage[from as usize] == STAGED {
+                            bcast_stage[from as usize] = 0;
+                            for &d in &rev[lo..lo + deg] {
+                                out_words[d as usize] = bcast_out_words[from as usize];
+                                out_mask[d as usize] = STAGED;
+                            }
+                            demoted += deg as u64;
+                        }
+                        let port = graph
+                            .port_to(from, to)
+                            .expect("edge endpoints are adjacent");
+                        let dest = rev[lo + port as usize] as usize;
+                        if out_mask[dest] == STAGED {
+                            out_mask[dest] = 0;
+                            stats.dropped_messages += 1;
+                        }
                     }
-                });
+                }
             }
             // --- Deliver phase: skip / sparse worklist / full sweep, chosen
             // from the staged counts alone; see the module docs for the
             // invariants.
             std::mem::swap(&mut in_words, &mut out_words);
             std::mem::swap(&mut bcast_in_words, &mut bcast_out_words);
-            let staged_total: u64 = meters.iter().map(|m| m.staged as u64).sum();
+            let staged_total = demoted + meters.iter().map(|m| m.staged as u64).sum::<u64>();
             let fold_bcast = use_plane && meters.iter().any(|m| m.bcast_used);
             plane_folded |= fold_bcast;
             let wl_overflow = meters
                 .iter()
                 .enumerate()
                 .any(|(s, m)| m.staged as usize > wl_starts[s + 1] - wl_starts[s]);
-            let sparse_round = staged_total > 0 && staged_total <= threshold as u64 && !wl_overflow;
+            // No worklist lists a demoted arc: only the full sweep finds it.
+            let sparse_round = demoted == 0
+                && staged_total > 0
+                && staged_total <= threshold as u64
+                && !wl_overflow;
             let run_full_sweep = staged_total > 0 && !sparse_round;
             for m in meters.iter_mut() {
                 m.delivered = 0;
@@ -1262,8 +1261,8 @@ impl SessionState {
             // order of the fold cannot reach a result).
             let delivered = sparse_delivered + meters.iter().map(|m| m.delivered).sum::<u64>();
             let all_done = meters.iter().all(|m| m.all_done);
-            // A shard stages a plane word only alongside `bcast_used`, so a
-            // fold finds a sender whenever it runs.
+            // A fold whose every sender the adversary demoted leaves the
+            // presence words zero: receivers probe an empty plane, once.
             bcast_any = fold_bcast;
             last_delivered = delivered;
             stats.total_messages += delivered;

@@ -224,9 +224,9 @@ impl Protocol for ListedRumor {
 /// One six-phase cycle mirroring Theorem 1's composition shape on a
 /// **resident session** — dense flood (leader election), sparse per-port
 /// trickle (BFS wave), dense u64 chatter (numbering), a faulted phase
-/// (partition under the adversary's scatter fallback), a wide `u128`
-/// routing-like phase, and a final u64 phase that must reuse the `u128`
-/// slab. Returns a fold of all outputs so nothing is optimized away.
+/// (partition under the adversary, which demotes plane broadcasters), a
+/// wide `u128` routing-like phase, and a final u64 phase that must reuse
+/// the `u128` slab. Returns a fold of all outputs so nothing is optimized away.
 fn session_cycle(session: &mut Session<'_>, rounds: u64, cfg: &EngineConfig) -> u64 {
     let mut acc = 0u64;
     let phase_cfg = |p: u64| {
@@ -271,8 +271,9 @@ fn session_cycle(session: &mut Session<'_>, rounds: u64, cfg: &EngineConfig) -> 
         .unwrap();
     acc ^= ph.stats.total_messages;
     drop(ph);
-    // 4. partition-like phase under the fault adversary (broadcast plane
-    //    disabled; scatter fallback + drop accounting).
+    // 4. partition-like phase under the fault adversary (dense broadcasts
+    //    on the plane; each broadcaster behind a blocked edge demoted to
+    //    per-arc staging, then drop accounting).
     let ph = session
         .run(
             |_, _| Chatter {

@@ -226,7 +226,11 @@ fn parse_family(spec: &str) -> Result<Graph, String> {
             )?;
             Ok(gen::harary(l, n))
         }
-        "complete" => Ok(gen::complete(nums(1, "complete:N")?[0])),
+        "complete" => {
+            let n = nums(1, "complete:N")?[0];
+            need(n >= 1, "complete needs N >= 1")?;
+            Ok(gen::complete(n))
+        }
         "torus" => {
             let v = nums(2, "torus:RxC")?;
             need(v[0] >= 3 && v[1] >= 3, "torus needs both dimensions >= 3")?;
@@ -255,6 +259,7 @@ fn parse_family(spec: &str) -> Result<Graph, String> {
             let (n, p) = rest.split_once(',').ok_or("gnp:N,P")?;
             let n: usize = n.parse().map_err(|_| format!("bad N `{n}` in `{spec}`"))?;
             let p: f64 = p.parse().map_err(|_| format!("bad P `{p}` in `{spec}`"))?;
+            need(n >= 1, "gnp needs N >= 1")?;
             need((0.0..=1.0).contains(&p), "gnp needs P in 0..=1")?;
             gen::random::try_gnp_connected(n, p, 0xC11).ok_or(format!(
                 "`{spec}`: no connected sample in 64 attempts, P is too small for N"

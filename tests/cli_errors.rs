@@ -60,6 +60,14 @@ fn bad_invocations_fail_with_usage_on_stderr() {
         (&["params", "gk13:1,1"], "gk13 needs COLS >= 4"),
         (&["params", "barbell:1,0"], "barbell needs S >= 2"),
         (&["params", "bipartite:0,1"], "bipartite needs A >= 1"),
+        // A family with no node: every subcommand indexes node 0 or
+        // divides by n.
+        (&["packing", "complete:0"], "complete needs N >= 1"),
+        (&["packing", "gnp:0,0.5"], "gnp needs N >= 1"),
+        (
+            &["serve", "--graphs", "complete:0", "--mix", "rumor"],
+            "complete needs N >= 1",
+        ),
         (&["broadcast"], "broadcast needs a <family>"),
         (
             &["broadcast", "harary:4,32", "--k", "zebra"],
