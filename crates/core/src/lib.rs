@@ -7,7 +7,7 @@
 //! | paper | module | what it does |
 //! |---|---|---|
 //! | Lemma 2 | [`bfs`] | distributed BFS tree construction, plus the **parallel per-subgraph BFS** that explores all Theorem 2 subgraphs simultaneously |
-//! | — | [`leader`] | flood-max leader election (prerequisite of Lemma 1) |
+//! | — | [`leader`] | flood-max leader election by rank (prerequisite of Lemma 1): a re-export of [`congest_sim::leader`], which the job plane runs too |
 //! | Lemma 3 | [`convergecast`] | tree aggregates and distributed item numbering |
 //! | Lemma 1 | [`pipeline`] | pipelined `O(depth + k)` tree gather + broadcast with `O(k)` congestion |
 //! | textbook | [`textbook`] | the `O(D + k)` baseline: BFS tree + pipelined broadcast |

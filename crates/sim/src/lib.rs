@@ -68,11 +68,20 @@
 //! provided by [`sched`]: it multiplexes many *delay-tolerant* protocols
 //! over one network with per-port FIFO queues, realizing
 //! `O(congestion + dilation·log² n)` composition.
+//!
+//! ## Leader election
+//!
+//! [`leader`] holds the one flood-max: it floods a hashed rank of each
+//! id and elects the node of highest rank per component. The Theorem 1
+//! drivers elect their root with it (as `congest_core::leader`), and the
+//! job plane's [`JobSpec::FloodMax`] is the same protocol, so a served
+//! election costs what the drivers' does.
 
 pub mod baseline;
 pub mod eager;
 pub mod engine;
 pub mod fault;
+pub mod leader;
 pub mod message;
 pub mod phase;
 pub mod pool;

@@ -49,7 +49,9 @@
 //!
 //! The job plane is a *closed* protocol menu ([`JobSpec`]): `Protocol` is
 //! generic over message and output types, and a job's outputs come back
-//! as one `u64` per node whatever the family.
+//! as one `u64` per node whatever the family. Its flood-max is no protocol
+//! of its own: [`JobSpec::FloodMax`] runs [`leader::FloodMax`], the
+//! ranked election the Theorem 1 drivers elect their root with.
 //!
 //! ## Aging
 //!
@@ -64,6 +66,7 @@
 
 use crate::engine::{EngineConfig, EngineError, RunStats};
 use crate::fault::FaultPlan;
+use crate::leader;
 use crate::protocol::{NodeCtx, Protocol};
 use crate::session::{Session, SessionState};
 use congest_graph::{Graph, Node};
@@ -415,12 +418,11 @@ pub type Tenant = u32;
 /// every family's output is one `u64` per node.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobSpec {
-    /// Leader election by flood-max: every node outputs the maximum node
-    /// id. This family floods raw ids, unlike `congest_core::leader`'s
-    /// `FloodMax`, which floods a hashed rank of the id to cut its
-    /// traffic: the output here is defined as the maximum id, and its
-    /// traffic — about one message per arc per round on a graph numbered
-    /// along its topology — is the serve workload's load.
+    /// Leader election by flood-max of ranks ([`leader::FloodMax`]): every
+    /// node outputs the node of highest [`leader::rank`] in its connected
+    /// component — the root Theorem 1's drivers elect — in
+    /// `ecc(leader) + 1 ≤ D + 1` rounds. Under a fault plan a node outputs
+    /// the node of the highest rank that reached it.
     FloodMax,
     /// Single-source rumor spreading from `source`: every node outputs
     /// the round it first heard the rumor (`u64::MAX` if never, e.g.
@@ -737,9 +739,9 @@ fn run_spec_on_session(
 ) -> Result<(Vec<u64>, RunStats), EngineError> {
     match *spec {
         JobSpec::FloodMax => {
-            let ph = session.run(|v, _| FloodMax { best: v as u64 }, cfg)?;
-            let stats = ph.stats;
-            Ok((ph.take_outputs(), stats))
+            let ph = session.run(|v, _| leader::FloodMax::new(v), cfg)?;
+            let leaders = ph.outputs().iter().map(|o| o.leader as u64).collect();
+            Ok((leaders, ph.stats))
         }
         JobSpec::Rumor { source } => {
             let ph = session.run(
@@ -763,34 +765,6 @@ fn run_spec_on_session(
             let stats = ph.stats;
             Ok((ph.take_outputs(), stats))
         }
-    }
-}
-
-/// Flood-max leader election (see [`JobSpec::FloodMax`]).
-struct FloodMax {
-    best: u64,
-}
-
-impl Protocol for FloodMax {
-    type Msg = u64;
-    type Output = u64;
-    const QUIESCENT: bool = true;
-
-    fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-        if ctx.round == 0 {
-            ctx.send_all(self.best);
-            return;
-        }
-        let prior = self.best;
-        self.best = ctx.inbox().fold(self.best, |b, (_, m)| b.max(m));
-        if self.best > prior {
-            ctx.send_all(self.best);
-        }
-        ctx.set_done(true);
-    }
-
-    fn finish(self) -> u64 {
-        self.best
     }
 }
 
@@ -888,7 +862,7 @@ mod tests {
         assert_eq!(pool.warm_bytes(k), Ok(0));
         for _ in 0..3 {
             pool.with_session(k, |s| {
-                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::default())
+                s.run(|v, _| leader::FloodMax::new(v), EngineConfig::default())
                     .unwrap()
                     .stats
             })
@@ -935,9 +909,12 @@ mod tests {
         assert_eq!(pool.warm_bytes(ka), Ok(0));
         let best = pool
             .with_session(ka, |s| {
-                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::default())
+                s.run(|v, _| leader::FloodMax::new(v), EngineConfig::default())
                     .unwrap()
-                    .take_outputs()
+                    .outputs()
+                    .iter()
+                    .map(|o| o.leader)
+                    .collect::<Vec<_>>()
             })
             .unwrap();
         assert_eq!(best, vec![5; 6]);
@@ -1018,7 +995,7 @@ mod tests {
                     ..EngineConfig::default()
                 };
                 let source = (7 * i + 3) as Node;
-                crate::check_quiescent(g, |v, _| FloodMax { best: v as u64 }, &base).unwrap();
+                crate::check_quiescent(g, |v, _| leader::FloodMax::new(v), &base).unwrap();
                 crate::check_quiescent(
                     g,
                     |v, _| Rumor {
@@ -1029,6 +1006,21 @@ mod tests {
                 )
                 .unwrap();
             }
+        }
+    }
+
+    /// A flood-max job is the ranked election: where raw ids cost
+    /// `≈ m · D` (about 7× the bound here), it stays within
+    /// `2m · (2 + ln n)` messages.
+    #[test]
+    fn flood_max_jobs_stay_within_the_ranked_bound() {
+        for g in [harary(8, 1024), harary(16, 1024), torus2d(64, 64)] {
+            let (_, stats) =
+                run_job_isolated(&g, &JobSpec::FloodMax, 1, None, &EngineConfig::default())
+                    .unwrap();
+            let bound = 2.0 * g.m() as f64 * (2.0 + (g.n() as f64).ln());
+            let msgs = stats.total_messages;
+            assert!((msgs as f64) <= bound, "n = {}: {msgs} > {bound:.0}", g.n());
         }
     }
 
@@ -1206,7 +1198,7 @@ mod tests {
         let kb = pool.register(cycle(12));
         for k in [ka, kb] {
             pool.with_session(k, |s| {
-                s.run(|v, _| FloodMax { best: v as u64 }, EngineConfig::default())
+                s.run(|v, _| leader::FloodMax::new(v), EngineConfig::default())
                     .unwrap()
                     .stats
             })

@@ -1432,41 +1432,23 @@ impl<'g> Session<'g> {
     ///
     /// # Example
     ///
-    /// Flood the maximum node id; every node converges on `n - 1`, and a
-    /// second phase on the same session reuses every buffer of the first:
+    /// Elect a leader by flood-max ([`crate::leader::FloodMax`]); every
+    /// node agrees on the node of highest rank, and a second phase on the
+    /// same session reuses every buffer of the first:
     ///
     /// ```
     /// use congest_graph::generators::complete;
-    /// use congest_sim::{EngineConfig, NodeCtx, Protocol, Session};
-    ///
-    /// struct FloodMax {
-    ///     best: u64,
-    /// }
-    /// impl Protocol for FloodMax {
-    ///     type Msg = u64;
-    ///     type Output = u64;
-    ///     fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-    ///         let before = self.best;
-    ///         for (_, m) in ctx.inbox() {
-    ///             self.best = self.best.max(m);
-    ///         }
-    ///         if ctx.round == 0 || self.best > before {
-    ///             ctx.send_all(self.best);
-    ///         }
-    ///         ctx.set_done(ctx.round > 0 && self.best == before);
-    ///     }
-    ///     fn finish(self) -> u64 {
-    ///         self.best
-    ///     }
-    /// }
+    /// use congest_sim::leader::{rank, FloodMax};
+    /// use congest_sim::{EngineConfig, Session};
     ///
     /// let g = complete(8);
+    /// let highest = (0..8).max_by_key(|&v| rank(v)).unwrap();
     /// let mut session = Session::new(&g);
     /// for phase in 0..2 {
     ///     let out = session
-    ///         .run(|v, _| FloodMax { best: v as u64 }, EngineConfig::with_seed(phase))
+    ///         .run(|v, _| FloodMax::new(v), EngineConfig::with_seed(phase))
     ///         .unwrap();
-    ///     assert!(out.outputs().iter().all(|&b| b == 7));
+    ///     assert!(out.outputs().iter().all(|o| o.leader == highest));
     /// }
     /// ```
     pub fn run<'s, P, F>(

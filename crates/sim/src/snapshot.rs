@@ -101,33 +101,13 @@
 //!
 //! ```
 //! use congest_graph::generators::complete;
-//! use congest_sim::{EngineConfig, NodeCtx, Protocol, Session};
-//!
-//! struct FloodMax {
-//!     best: u64,
-//! }
-//! impl Protocol for FloodMax {
-//!     type Msg = u64;
-//!     type Output = u64;
-//!     fn round(&mut self, ctx: &mut NodeCtx<'_, u64>) {
-//!         let before = self.best;
-//!         for (_, m) in ctx.inbox() {
-//!             self.best = self.best.max(m);
-//!         }
-//!         if ctx.round == 0 || self.best > before {
-//!             ctx.send_all(self.best);
-//!         }
-//!         ctx.set_done(ctx.round > 0 && self.best == before);
-//!     }
-//!     fn finish(self) -> u64 {
-//!         self.best
-//!     }
-//! }
+//! use congest_sim::leader::FloodMax;
+//! use congest_sim::{EngineConfig, Session};
 //!
 //! let g = complete(8);
 //! let phase = |k: u64| EngineConfig::with_seed(k);
 //! let mut original = Session::new(&g);
-//! original.run(|v, _| FloodMax { best: v as u64 }, phase(1)).unwrap();
+//! original.run(|v, _| FloodMax::new(v), phase(1)).unwrap();
 //!
 //! // Checkpoint at the phase boundary and restore into a fresh engine.
 //! let bytes = original.snapshot();
@@ -135,8 +115,8 @@
 //! assert_eq!(original.state_hash(), restored.state_hash());
 //!
 //! // Both sessions continue bit-identically.
-//! let a = original.run(|v, _| FloodMax { best: v as u64 }, phase(2)).unwrap().take_outputs();
-//! let b = restored.run(|v, _| FloodMax { best: v as u64 }, phase(2)).unwrap().take_outputs();
+//! let a = original.run(|v, _| FloodMax::new(v), phase(2)).unwrap().take_outputs();
+//! let b = restored.run(|v, _| FloodMax::new(v), phase(2)).unwrap().take_outputs();
 //! assert_eq!(a, b);
 //! assert_eq!(original.state_hash(), restored.state_hash());
 //! ```

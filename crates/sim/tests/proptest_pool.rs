@@ -6,11 +6,15 @@
 //!
 //! This is the property that makes the pool *transparent*: a tenant can
 //! never observe that its run shared a warm state or a drain with other
-//! tenants. The last case is the pool under eviction: a key
+//! tenants. The first case also checks what a flood-max job computes:
+//! unfaulted, every node outputs the node of highest rank in its
+//! component. The last case is the pool under eviction: a key
 //! whose graph aged out is a typed error from every keyed call until the
 //! graph is registered again.
 
-use congest_graph::{Graph, GraphBuilder};
+use congest_graph::algo::bfs::{bfs_distances, UNREACHABLE};
+use congest_graph::{Graph, GraphBuilder, Node};
+use congest_sim::leader::rank;
 use congest_sim::{
     run_job_isolated, EngineConfig, EvictionPolicy, FaultPlan, Job, JobOutput, JobSpec, JobStatus,
     PoolError, PoolServer,
@@ -94,6 +98,18 @@ fn faults_for(raw: &RawJob) -> Option<FaultPlan> {
     (raw.fault_budget > 0).then(|| FaultPlan::new(raw.fault_budget, raw.fault_seed))
 }
 
+/// What an unfaulted flood-max job outputs at each node: the node of
+/// highest rank in that node's component.
+fn highest_rank_per_component(g: &Graph) -> Vec<u64> {
+    (0..g.n() as Node)
+        .map(|v| {
+            let dist = bfs_distances(g, v);
+            let component = (0..g.n() as Node).filter(|&u| dist[u as usize] != UNREACHABLE);
+            component.max_by_key(|&u| rank(u)).unwrap() as u64
+        })
+        .collect()
+}
+
 /// Push the whole stream through one server (interleaving drains as the
 /// stream dictates, plus whatever backpressure forces) and return the
 /// outputs keyed by submission index.
@@ -131,7 +147,8 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
     /// The tentpole property: pooled ≡ isolated, bit for bit, for every
-    /// job in every interleaving.
+    /// job in every interleaving; and an unfaulted flood-max job elects,
+    /// at every node, the highest rank of the node's component.
     #[test]
     fn any_interleaving_matches_isolated_sessions(
         g0 in arb_connected_graph(16),
@@ -161,6 +178,10 @@ proptest! {
                 prop_assert_eq!(o.tenant, raw.tenant);
                 prop_assert_eq!(&o.outputs, &outputs, "outputs of job {:?}", o.id);
                 prop_assert_eq!(o.stats, stats, "stats of job {:?}", o.id);
+                if matches!(spec_for(raw, g), JobSpec::FloodMax) && faults_for(raw).is_none() {
+                    let want = highest_rank_per_component(g);
+                    prop_assert_eq!(&o.outputs, &want, "leaders of job {:?}", o.id);
+                }
             }
         });
     }
