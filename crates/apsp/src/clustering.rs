@@ -15,7 +15,7 @@
 //! `Gc`-neighborhoods in `O(#clusters)` rounds).
 
 use congest_graph::{Graph, Node};
-use congest_sim::{EngineConfig, EngineError, MsgBits, NodeCtx, PackedMsg, Protocol, RunStats};
+use congest_sim::{EngineConfig, EngineError, NodeCtx, PackedMsg, Protocol, RunStats};
 use rand::Rng;
 
 /// Per-node clustering output.
@@ -37,15 +37,6 @@ pub enum ClusterMsg {
     Announce,
     /// "My cluster is s(v)."
     MyCluster(Node),
-}
-
-impl MsgBits for ClusterMsg {
-    fn bits(&self) -> usize {
-        match self {
-            ClusterMsg::Announce => 1,
-            ClusterMsg::MyCluster(_) => 1 + 32,
-        }
-    }
 }
 
 /// Bit budget: `tag(1) | center(32)`.
@@ -110,7 +101,7 @@ impl Protocol for ClusterProtocol {
                 let centers: Vec<Node> = ctx
                     .inbox()
                     .filter(|(_, msg)| matches!(msg, ClusterMsg::Announce))
-                    .map(|(port, _)| ctx.graph_neighbor(port))
+                    .map(|(port, _)| ctx.neighbor(port))
                     .collect();
                 self.center_neighbors.extend(centers);
                 // Join the lowest-id neighboring center (deterministic);
@@ -139,18 +130,6 @@ impl Protocol for ClusterProtocol {
 
     fn finish(self) -> ClusterInfo {
         self.info
-    }
-}
-
-/// Convenience accessor used inside the protocol (NodeCtx::neighbor is the
-/// public API; aliased here for clarity).
-trait CtxExt {
-    fn graph_neighbor(&self, port: u32) -> Node;
-}
-
-impl<M: PackedMsg> CtxExt for NodeCtx<'_, M> {
-    fn graph_neighbor(&self, port: u32) -> Node {
-        self.neighbor(port)
     }
 }
 

@@ -2,10 +2,13 @@
 //! (3,2)-estimate domination on arbitrary weighted graphs.
 
 use congest_apsp::baswana_sen::baswana_sen_spanner;
+use congest_apsp::clustering::ClusterMsg;
 use congest_apsp::prt12::prt12_apsp;
 use congest_graph::algo::apsp::{apsp_unweighted, apsp_weighted, measure_stretch_weighted};
 use congest_graph::algo::components::is_connected;
 use congest_graph::{Graph, GraphBuilder, WeightedGraph};
+use congest_sim::message::low_mask;
+use congest_sim::{MsgWord, PackedMsg};
 use proptest::prelude::*;
 
 fn arb_connected_weighted(max_n: usize) -> impl Strategy<Value = WeightedGraph> {
@@ -42,6 +45,19 @@ fn arb_connected_weighted(max_n: usize) -> impl Strategy<Value = WeightedGraph> 
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Clustering's wire format round-trips at 0, the largest center id
+    /// and a drawn one, packs below its `WIDTH`, and that width is its row
+    /// of README's "Per-protocol bit budgets", 33.
+    #[test]
+    fn cluster_msg_keeps_its_width(center in any::<u32>()) {
+        prop_assert_eq!(ClusterMsg::WIDTH, 33);
+        let centers = [0, u32::MAX, center].map(ClusterMsg::MyCluster);
+        for m in centers.into_iter().chain([ClusterMsg::Announce]) {
+            prop_assert_eq!(ClusterMsg::unpack(m.pack()), m);
+            prop_assert_eq!(m.pack().to_u128() & !low_mask(ClusterMsg::WIDTH), 0, "{:?}", m);
+        }
+    }
 
     /// Baswana–Sen stretch ≤ 2k−1 on arbitrary connected weighted graphs,
     /// with the spanner always a subgraph that dominates distances.

@@ -15,7 +15,7 @@
 //! structure the pipelined broadcast (Lemma 1) needs.
 
 use congest_graph::{Node, Port};
-use congest_sim::{MsgBits, NodeCtx, PackedMsg, Protocol};
+use congest_sim::{NodeCtx, PackedMsg, Protocol};
 
 /// Wire message for BFS.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,17 +24,6 @@ pub enum BfsMsg {
     Wave { depth: u32 },
     /// "You are my parent."
     Child,
-}
-
-impl MsgBits for BfsMsg {
-    fn bits(&self) -> usize {
-        // 1 tag bit + a depth counter (≤ log n bits semantically; we
-        // account the full u32 width, conservatively).
-        match self {
-            BfsMsg::Wave { .. } => 1 + 32,
-            BfsMsg::Child => 1,
-        }
-    }
 }
 
 /// Bit budget: `tag(1) | depth(32)`.
@@ -165,15 +154,6 @@ impl Protocol for BfsProtocol {
 pub enum SubBfsMsg {
     Wave { subgraph: u32, depth: u32 },
     Child { subgraph: u32 },
-}
-
-impl MsgBits for SubBfsMsg {
-    fn bits(&self) -> usize {
-        match self {
-            SubBfsMsg::Wave { .. } => 1 + 16 + 32,
-            SubBfsMsg::Child { .. } => 1 + 16,
-        }
-    }
 }
 
 /// Bit budget: `tag(1) | subgraph(16) | depth(32)`. λ′ (the subgraph

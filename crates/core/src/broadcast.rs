@@ -53,7 +53,7 @@ use crate::pipeline::{PipeCore, PipeMsg, PipeResult};
 use crate::stages::{Composition, CLASS_PHASES};
 use congest_graph::{Graph, Node};
 use congest_sim::{
-    EngineConfig, EngineError, MsgBits, NodeCtx, PackedMsg, PhaseLog, Protocol, RunStats, Session,
+    EngineConfig, EngineError, NodeCtx, PhaseLog, Protocol, RunStats, Session, Tagged,
 };
 
 /// The broadcast problem instance: `k` messages, message `i` initially at
@@ -315,41 +315,12 @@ pub fn partition_broadcast_retrying_hosted(
     }
 }
 
-/// One message on the wire during parallel routing: the class tag plus the
-/// usual pipeline payload. Classes are edge-disjoint, so each port only
-/// ever carries its own class's messages — the tag is for safety checking
-/// and for the scheduler.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColoredPipeMsg {
-    pub color: u16,
-    pub inner: PipeMsg,
-}
-
-impl MsgBits for ColoredPipeMsg {
-    fn bits(&self) -> usize {
-        16 + self.inner.bits()
-    }
-}
-
-/// Bit budget: `pipe(96) | color(16)`.
-impl PackedMsg for ColoredPipeMsg {
-    type Word = u128;
-    const WIDTH: u32 = PipeMsg::WIDTH + 16;
-    #[inline]
-    fn pack(self) -> u128 {
-        self.inner.pack() | (self.color as u128) << PipeMsg::WIDTH
-    }
-    #[inline]
-    fn unpack(word: u128) -> Self {
-        ColoredPipeMsg {
-            color: (word >> PipeMsg::WIDTH) as u16,
-            inner: PipeMsg::unpack(word & congest_sim::message::low_mask(PipeMsg::WIDTH)),
-        }
-    }
-}
-
 /// λ′ pipelined broadcasts running concurrently, one per partition class,
-/// each confined to its own class's tree edges.
+/// each confined to its own class's tree edges. A message on the wire is
+/// a [`Tagged`] [`PipeMsg`] whose tag is its class: classes are
+/// edge-disjoint, so each port only ever carries its own class's
+/// messages, and the tag only picks the receiving core. Bit budget:
+/// `id(32) | payload(64) | class(16)`, 112 bits.
 pub struct ParallelPipeline {
     cores: Vec<PipeCore>,
     /// Every core was quiescent when the previous round ended: the done
@@ -371,12 +342,12 @@ impl ParallelPipeline {
     /// done flag.
     pub(crate) fn round_with(
         &mut self,
-        ctx: &mut NodeCtx<'_, ColoredPipeMsg>,
+        ctx: &mut NodeCtx<'_, Tagged<PipeMsg>>,
         mut on_arrival: impl FnMut(PipeMsg),
     ) {
         let mail = ctx.inbox().fold(false, |_, (port, m)| {
-            on_arrival(m.inner);
-            self.cores[m.color as usize].on_receive(port, m.inner);
+            on_arrival(m.msg);
+            self.cores[m.algo as usize].on_receive(port, m.msg);
             true
         });
         if self.idle && !mail {
@@ -384,8 +355,8 @@ impl ParallelPipeline {
         }
         self.idle = true;
         for (c, core) in self.cores.iter_mut().enumerate() {
-            let color = c as u16;
-            core.transmit(|port, inner| ctx.send(port, ColoredPipeMsg { color, inner }));
+            let algo = c as u32;
+            core.transmit(|port, msg| ctx.send(port, Tagged { algo, msg }));
             self.idle &= core.quiescent();
         }
         ctx.set_done(self.idle);
@@ -393,13 +364,13 @@ impl ParallelPipeline {
 }
 
 impl Protocol for ParallelPipeline {
-    type Msg = ColoredPipeMsg;
+    type Msg = Tagged<PipeMsg>;
     type Output = PipeResult;
     /// Done is `idle`, set in the same round: a done round with an empty
     /// inbox returns before it touches a core, the wire or the flag.
     const QUIESCENT: bool = true;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_, Tagged<PipeMsg>>) {
         self.round_with(ctx, |_| {});
     }
 

@@ -14,7 +14,7 @@
 //!   messages before splitting them across subgraphs.
 
 use congest_graph::Port;
-use congest_sim::{MsgBits, NodeCtx, PackedMsg, Protocol};
+use congest_sim::{NodeCtx, PackedMsg, Protocol};
 
 /// The rooted-tree view a node needs for convergecast protocols.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -59,12 +59,6 @@ impl AggOp {
 pub enum UpDown {
     Up(u64),
     Down(u64),
-}
-
-impl MsgBits for UpDown {
-    fn bits(&self) -> usize {
-        1 + 64
-    }
 }
 
 /// Bit budget: `tag(1) | value(64)` — the full-width aggregate value
@@ -183,15 +177,6 @@ pub enum NumberingMsg {
     Up(u64),
     /// `(range_start, global_total)` for the receiving child's subtree.
     Down(u64, u64),
-}
-
-impl MsgBits for NumberingMsg {
-    fn bits(&self) -> usize {
-        match self {
-            NumberingMsg::Up(_) => 1 + 63,
-            NumberingMsg::Down(..) => 1 + 126,
-        }
-    }
 }
 
 /// Bit budget: `tag(1) | start(63) | total(63)` (`Up` leaves the high

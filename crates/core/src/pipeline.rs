@@ -60,7 +60,7 @@
 
 use crate::convergecast::TreeView;
 use congest_graph::Port;
-use congest_sim::{MsgBits, NodeCtx, PackedMsg, Protocol};
+use congest_sim::{NodeCtx, PackedMsg, Protocol};
 use std::collections::VecDeque;
 
 /// One broadcast message on the wire: a global id and its payload.
@@ -68,12 +68,6 @@ use std::collections::VecDeque;
 pub struct PipeMsg {
     pub id: u32,
     pub payload: u64,
-}
-
-impl MsgBits for PipeMsg {
-    fn bits(&self) -> usize {
-        32 + 64
-    }
 }
 
 /// Bit budget: `id(32) | payload(64)`.

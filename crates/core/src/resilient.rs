@@ -22,13 +22,11 @@
 //! every driver of the family but the two frozen names, it takes the
 //! caller's [`Session`].
 
-use crate::broadcast::{
-    BroadcastConfig, BroadcastError, BroadcastInput, ColoredPipeMsg, ParallelPipeline,
-};
+use crate::broadcast::{BroadcastConfig, BroadcastError, BroadcastInput, ParallelPipeline};
 use crate::partition::PartitionParams;
-use crate::pipeline::{expected_checksums, PipeCore};
+use crate::pipeline::{expected_checksums, PipeCore, PipeMsg};
 use crate::stages::{Composition, CLASS_PHASES};
-use congest_sim::{FaultPlan, NodeCtx, PhaseLog, Protocol, Session};
+use congest_sim::{FaultPlan, NodeCtx, PhaseLog, Protocol, Session, Tagged};
 use std::collections::HashMap;
 
 /// Per-node result of a replicated broadcast: the deduplicated message
@@ -64,7 +62,7 @@ impl ReplicatedPipeline {
 }
 
 impl Protocol for ReplicatedPipeline {
-    type Msg = ColoredPipeMsg;
+    type Msg = Tagged<PipeMsg>;
     type Output = DedupResult;
     /// Done is the routes' done, quiescence: a done round with an empty
     /// inbox returns before it touches a core, the dedup table, the wire
@@ -72,7 +70,7 @@ impl Protocol for ReplicatedPipeline {
     /// k_c, and the run still ends; the driver judges delivery afterwards.
     const QUIESCENT: bool = true;
 
-    fn round(&mut self, ctx: &mut NodeCtx<'_, ColoredPipeMsg>) {
+    fn round(&mut self, ctx: &mut NodeCtx<'_, Tagged<PipeMsg>>) {
         self.routes.round_with(ctx, |m| {
             self.duplicates += u64::from(self.seen.insert(m.id, m.payload).is_some())
         });

@@ -1,9 +1,9 @@
 //! Property-based tests for the core protocols: BFS, numbering, pipeline,
 //! and partition invariants on arbitrary connected graphs.
 
-use congest_core::bfs::{BfsProtocol, SubgraphBfs};
+use congest_core::bfs::{BfsMsg, BfsProtocol, SubBfsMsg, SubgraphBfs};
 use congest_core::broadcast::ParallelPipeline;
-use congest_core::convergecast::{AggOp, Aggregate, Numbering, TreeView};
+use congest_core::convergecast::{AggOp, Aggregate, Numbering, NumberingMsg, TreeView, UpDown};
 use congest_core::leader::{rank, unrank, FloodMax};
 use congest_core::partition::{EdgePartition, EdgePartitionProtocol, PartitionParams};
 use congest_core::pipeline::{expected_checksums, PipeCore, PipeMsg, PipeResult, TreePipeline};
@@ -14,7 +14,10 @@ use congest_graph::generators::{
     random_regular, theorem9_instance, thick_path, torus2d,
 };
 use congest_graph::{Graph, GraphBuilder, Node, Port};
-use congest_sim::{check_quiescent, run_protocol, EngineConfig, FaultPlan};
+use congest_sim::message::low_mask;
+use congest_sim::{
+    check_quiescent, run_protocol, EngineConfig, FaultPlan, MsgWord, PackedMsg, Tagged,
+};
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -193,8 +196,65 @@ fn place(views: &[TreeView], root: Node, k: usize, shape: u8, seed: u64) -> Vec<
     own
 }
 
+/// 0, the largest value of a `bits`-bit field, and `x` cut to the field.
+fn field(bits: u32, x: u64) -> [u64; 3] {
+    let max = u64::MAX >> (64 - bits);
+    [0, max, x & max]
+}
+
+/// The wire contract of one value: `unpack(pack(m)) == m`, and `pack`
+/// sets no bit at or above `M::WIDTH`.
+fn check_wire<M: PackedMsg + PartialEq + std::fmt::Debug>(m: M) {
+    assert_eq!(M::unpack(m.pack()), m);
+    let stray = m.pack().to_u128() & !low_mask(M::WIDTH);
+    assert_eq!(stray, 0, "{m:?} packs above bit {}", M::WIDTH);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
+
+    /// Every wire format of Theorem 1 keeps its contract at the extremes
+    /// of each field, and its `WIDTH` is its row of README's
+    /// "Per-protocol bit budgets": the one bit budget, which a phase
+    /// reports as `RunStats::max_message_bits`.
+    #[test]
+    fn wire_formats_keep_their_widths(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
+        prop_assert_eq!(BfsMsg::WIDTH, 33);
+        prop_assert_eq!(SubBfsMsg::WIDTH, 49);
+        prop_assert_eq!(UpDown::WIDTH, 65);
+        prop_assert_eq!(NumberingMsg::WIDTH, 127);
+        prop_assert_eq!(PipeMsg::WIDTH, 96);
+        prop_assert_eq!(Tagged::<PipeMsg>::WIDTH, 112);
+        check_wire(BfsMsg::Child);
+        for x in field(32, a) {
+            check_wire(BfsMsg::Wave { depth: x as u32 });
+        }
+        for s in field(16, a) {
+            check_wire(SubBfsMsg::Child { subgraph: s as u32 });
+            for d in field(32, b) {
+                check_wire(SubBfsMsg::Wave { subgraph: s as u32, depth: d as u32 });
+            }
+        }
+        for x in field(64, a) {
+            check_wire(UpDown::Up(x));
+            check_wire(UpDown::Down(x));
+        }
+        for start in field(63, a) {
+            check_wire(NumberingMsg::Up(start));
+            for total in field(63, b) {
+                check_wire(NumberingMsg::Down(start, total));
+            }
+        }
+        for id in field(32, a) {
+            for payload in field(64, b) {
+                let pipe = PipeMsg { id: id as u32, payload };
+                check_wire(pipe);
+                for algo in field(16, c) {
+                    check_wire(Tagged { algo: algo as u32, msg: pipe });
+                }
+            }
+        }
+    }
 
     /// [`PipeCore`] (one queue + a forward slot) against the two-queue
     /// model, node by node and round by round on a hand-rolled synchronous

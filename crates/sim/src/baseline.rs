@@ -17,12 +17,12 @@
 
 use crate::engine::RunStats;
 use crate::fault::FaultPlan;
-use crate::message::MsgBits;
+use crate::message::PackedMsg;
 use congest_graph::{Graph, Node, Port};
 
 /// Node program for the baseline engine (test workloads only).
 pub trait BaselineProtocol: Send {
-    type Msg: Clone + Send + Sync + MsgBits;
+    type Msg: PackedMsg;
     type Output: Send;
 
     fn round(&mut self, ctx: &mut BaselineCtx<'_, Self::Msg>);
@@ -142,10 +142,8 @@ where
             };
             state.round(&mut ctx);
         }
-        // Deliver: clear-then-clone through the reverse-arc table. The
-        // adversary destroys what was staged on a blocked edge; a
-        // destroyed message still counts toward the size meter (it was
-        // sent), as the packed engine meters sizes at send time.
+        // Deliver: clear-then-copy through the reverse-arc table. The
+        // adversary destroys what was staged on a blocked edge.
         let blocked = faults.map(|plan| plan.blocked_mask(round, graph.m()));
         let mut delivered = 0u64;
         for v in 0..n as Node {
@@ -156,11 +154,10 @@ where
                 let Some(msg) = &outbox[graph.reverse_arc(arc)] else {
                     continue;
                 };
-                stats.max_message_bits = stats.max_message_bits.max(msg.bits());
                 if blocked.as_ref().is_some_and(|b| b[e as usize]) {
                     stats.dropped_messages += 1;
                 } else {
-                    inbox[arc] = Some(msg.clone());
+                    inbox[arc] = Some(*msg);
                     arc_traffic[arc] += 1;
                     delivered += 1;
                 }
@@ -188,6 +185,9 @@ where
         }
     }
     stats.max_edge_congestion = per_edge.iter().copied().max().unwrap_or(0);
+    if stats.total_messages + stats.dropped_messages > 0 {
+        stats.max_message_bits = P::Msg::WIDTH as usize;
+    }
     trace.truncate(stats.rounds as usize);
     BaselineOutcome {
         outputs: states.into_iter().map(|s| s.finish()).collect(),

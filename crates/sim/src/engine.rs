@@ -124,7 +124,9 @@ pub struct RunStats {
     /// Max messages crossing any single undirected edge (both directions
     /// summed) — the paper's "congestion".
     pub max_edge_congestion: u64,
-    /// Largest single message observed, in bits (see [`crate::MsgBits`]).
+    /// Bits per message: the protocol's [`crate::PackedMsg::WIDTH`] when the
+    /// phase sent at least one message (delivered or dropped), else 0.
+    /// Sequential phases ([`RunStats::then`]) take the maximum.
     pub max_message_bits: usize,
     /// Messages destroyed by the fault adversary (0 without faults).
     pub dropped_messages: u64,

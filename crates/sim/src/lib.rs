@@ -11,8 +11,9 @@
 //!   any single edge (Lemma 1's O(k) congestion, Theorem 10's O(log n)
 //!   tree-packing congestion): one plain counter per arc, bumped where the
 //!   delivery is counted and folded into edges when the phase ends;
-//! * **message size in bits** — so the O(log n)-bit discipline is checked,
-//!   not assumed (see [`message::MsgBits`]).
+//! * **message size in bits** — the fixed width of the protocol's wire
+//!   encoding, so the O(log n)-bit discipline is checked, not assumed (see
+//!   [`message::PackedMsg::WIDTH`]).
 //!
 //! ## Execution model
 //!
@@ -95,7 +96,7 @@ pub mod snapshot;
 pub use eager::{check_quiescent, Eager};
 pub use engine::{run_protocol, EngineConfig, EngineError, RunOutcome, RunStats};
 pub use fault::FaultPlan;
-pub use message::{MsgBits, MsgWord, PackedMsg};
+pub use message::{MsgWord, PackedMsg, Tagged};
 pub use phase::PhaseLog;
 pub use pool::{
     run_job_isolated, EvictionPolicy, GraphKey, Job, JobId, JobOutput, JobSpec, JobStatus,

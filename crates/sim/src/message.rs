@@ -1,10 +1,13 @@
-//! Message-size accounting and the packed wire encoding.
+//! The packed wire encoding, which is also each message's bit budget.
 //!
-//! CONGEST allows `O(log n)` bits per message. Rather than trusting each
-//! algorithm, the engine asks every sent message for its size via
-//! [`MsgBits`] and reports the maximum in [`crate::RunStats`]; tests then
-//! assert the discipline (e.g. ≤ c·⌈log₂ n⌉ for a small constant c — a
-//! constant number of node ids / counters per message).
+//! CONGEST allows `O(log n)` bits per message. A message type's size is
+//! its fixed [`PackedMsg::WIDTH`]: a phase that sends at least one
+//! message reports its protocol's `Msg::WIDTH` as
+//! [`crate::RunStats::max_message_bits`] (0 for a silent phase); tests
+//! then assert the discipline (e.g. ≤ c·⌈log₂ n⌉ for a small constant c —
+//! a constant number of node ids / counters per message). Every width is
+//! the *declared* field width, not `⌈log₂ n⌉` per id — conservative, and
+//! every bound in the paper tolerates constant factors.
 //!
 //! ## Packed encoding ([`PackedMsg`])
 //!
@@ -23,17 +26,6 @@
 //! * the encoding *is* the bit budget: a type whose fields don't fit its
 //!   word fails at `pack` time (debug assertions), keeping the O(log n)
 //!   discipline honest at the representation level.
-
-/// Estimated wire size of a message in bits.
-///
-/// Implementations should count the *semantic* payload (ids, counters,
-/// flags), not Rust's in-memory layout: a `u32` node id in an `n`-node
-/// network costs `⌈log₂ n⌉` bits on the wire, but we account the full
-/// declared width for simplicity and conservatism — every bound in the
-/// paper tolerates constant factors.
-pub trait MsgBits {
-    fn bits(&self) -> usize;
-}
 
 /// Storage word for packed messages: `u64` or `u128`.
 pub trait MsgWord: Copy + Default + Send + Sync + PartialEq + 'static {
@@ -75,22 +67,15 @@ impl MsgWord for u128 {
 /// and `pack` only sets the low [`PackedMsg::WIDTH`] bits of the word.
 /// The engine stores exactly one word per arc; the `Copy` bound is what
 /// makes delivery a raw word move.
-pub trait PackedMsg: MsgBits + Copy + Send + Sync + 'static {
+pub trait PackedMsg: Copy + Send + Sync + 'static {
     /// Slab storage type — smallest of `u64`/`u128` that fits `WIDTH`.
     type Word: MsgWord;
-    /// Fixed encoding width in bits (`≤ Word::BITS`). This is the wire
-    /// budget the type claims; [`MsgBits::bits`] of any value must not
-    /// exceed it.
+    /// Fixed encoding width in bits (`≤ Word::BITS`): the wire budget of
+    /// every value of the type, and what [`crate::RunStats`] reports.
     const WIDTH: u32;
 
     fn pack(self) -> Self::Word;
     fn unpack(word: Self::Word) -> Self;
-}
-
-impl MsgBits for () {
-    fn bits(&self) -> usize {
-        0
-    }
 }
 
 impl PackedMsg for () {
@@ -102,12 +87,6 @@ impl PackedMsg for () {
     }
     #[inline]
     fn unpack(_: u64) {}
-}
-
-impl MsgBits for u32 {
-    fn bits(&self) -> usize {
-        32
-    }
 }
 
 impl PackedMsg for u32 {
@@ -123,12 +102,6 @@ impl PackedMsg for u32 {
     }
 }
 
-impl MsgBits for u64 {
-    fn bits(&self) -> usize {
-        64
-    }
-}
-
 impl PackedMsg for u64 {
     type Word = u64;
     const WIDTH: u32 = 64;
@@ -139,12 +112,6 @@ impl PackedMsg for u64 {
     #[inline]
     fn unpack(word: u64) -> u64 {
         word
-    }
-}
-
-impl<A: MsgBits, B: MsgBits> MsgBits for (A, B) {
-    fn bits(&self) -> usize {
-        self.0.bits() + self.1.bits()
     }
 }
 
@@ -177,42 +144,39 @@ where
     }
 }
 
-impl<T: MsgBits> MsgBits for Option<T> {
-    fn bits(&self) -> usize {
-        1 + self.as_ref().map_or(0, MsgBits::bits)
-    }
+/// A message tagged with the index of the concurrent algorithm it belongs
+/// to: a sub-protocol of [`crate::sched::Multiplexed`], or one partition
+/// class's pipeline in Theorem 1's parallel routing (`congest_core`'s
+/// `ParallelPipeline`, whose classes are edge-disjoint, so there the tag
+/// only selects the receiving class's state).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Tagged<M> {
+    pub algo: u32,
+    pub msg: M,
 }
 
-/// `Option<T>` packs as a presence bit above `T`'s encoding. It always
-/// occupies a `u128` word (the presence bit may not fit `T`'s own word),
-/// so `T` itself must leave room: `T::WIDTH < 128`, enforced at compile
-/// time (a 128-bit `T` would make the presence-bit shift overflow).
-impl<T> PackedMsg for Option<T>
-where
-    T: PackedMsg,
-{
+/// The tag rides in the 16 bits above the inner encoding (`algo < 2¹⁶`,
+/// a generous constant for every algorithm count here). The combined
+/// width must fit a `u128` word — enforced at compile time (a
+/// post-monomorphization error when `M::WIDTH > 112`).
+impl<M: PackedMsg> PackedMsg for Tagged<M> {
     type Word = u128;
-    // Post-monomorphization error if there is no room for the presence
-    // bit; `pack`/`unpack` force the evaluation.
     const WIDTH: u32 = {
-        assert!(T::WIDTH < 128, "Option<T> needs a presence bit above T");
-        1 + T::WIDTH
+        assert!(M::WIDTH + 16 <= 128, "tagged message exceeds 128 bits");
+        16 + M::WIDTH
     };
     #[inline]
     fn pack(self) -> u128 {
         let _guard = Self::WIDTH;
-        match self {
-            None => 0,
-            Some(v) => (1u128 << T::WIDTH) | v.pack().to_u128(),
-        }
+        debug_assert!(self.algo < 1 << 16);
+        self.msg.pack().to_u128() | ((self.algo as u128) << M::WIDTH)
     }
     #[inline]
     fn unpack(word: u128) -> Self {
         let _guard = Self::WIDTH;
-        if word >> T::WIDTH & 1 == 0 {
-            None
-        } else {
-            Some(T::unpack(MsgWord::from_u128(word & low_mask(T::WIDTH))))
+        Tagged {
+            algo: (word >> M::WIDTH) as u32 & 0xFFFF,
+            msg: M::unpack(MsgWord::from_u128(word & low_mask(M::WIDTH))),
         }
     }
 }
@@ -231,20 +195,9 @@ pub const fn low_mask(width: u32) -> u128 {
 mod tests {
     use super::*;
 
-    #[test]
-    fn primitive_sizes() {
-        assert_eq!(().bits(), 0);
-        assert_eq!(7u32.bits(), 32);
-        assert_eq!(7u64.bits(), 64);
-        assert_eq!((1u32, 2u32).bits(), 64);
-        assert_eq!(Some(3u32).bits(), 33);
-        assert_eq!(None::<u32>.bits(), 1);
-    }
-
     fn roundtrip<M: PackedMsg + PartialEq + std::fmt::Debug>(m: M) {
         assert_eq!(M::unpack(m.pack()), m);
         assert!(M::WIDTH <= <M::Word as MsgWord>::BITS);
-        assert!(m.bits() as u32 <= M::WIDTH, "bits() exceeds claimed WIDTH");
     }
 
     #[test]
@@ -255,9 +208,6 @@ mod tests {
         roundtrip(u64::MAX);
         roundtrip((u32::MAX, 7u32));
         roundtrip((u64::MAX, u32::MAX));
-        roundtrip(Some(u32::MAX));
-        roundtrip(None::<u32>);
-        roundtrip(Some(u64::MAX));
     }
 
     #[test]

@@ -502,7 +502,9 @@ pub struct TenantMeter {
     pub dropped: u64,
     /// Worst per-edge congestion any of the tenant's jobs caused.
     pub max_edge_congestion: u64,
-    /// Largest message any of the tenant's jobs put on a wire, in bits.
+    /// Widest message any of the tenant's jobs put on a wire, in bits: the
+    /// maximum of their [`RunStats::max_message_bits`], so a job's wire
+    /// type's `PackedMsg::WIDTH` if it sent anything.
     pub max_message_bits: usize,
 }
 

@@ -381,9 +381,6 @@ pub struct NodeCtx<'a, M: PackedMsg> {
     pub(crate) bcast_staged: bool,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) done: &'a mut bool,
-    /// Largest `MsgBits::bits()` this node has sent over the whole run
-    /// (folded into [`crate::RunStats::max_message_bits`]).
-    pub(crate) max_bits: &'a mut usize,
 }
 
 impl<'a, M: PackedMsg> NodeCtx<'a, M> {
@@ -484,10 +481,6 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
     /// of one message per edge-direction per round.
     #[inline]
     pub fn send(&mut self, port: Port, msg: M) {
-        let bits = msg.bits();
-        if bits > *self.max_bits {
-            *self.max_bits = bits;
-        }
         let word = msg.pack();
         let plane = self.outbox;
         assert!(
@@ -533,10 +526,6 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         let lo = self.inbox.bit0;
         let deg = self.degree();
         let plane = self.outbox;
-        let bits = msg.bits();
-        if bits > *self.max_bits {
-            *self.max_bits = bits;
-        }
         let word = msg.pack();
         if let Some(b) = plane.bcast {
             let node = self.node as usize;

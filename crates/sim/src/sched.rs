@@ -61,52 +61,12 @@
 //! Theorem 13) runs Lemma 1 pipelined broadcasts, which are message-driven
 //! too.
 
-use crate::message::{low_mask, MsgBits, MsgWord, PackedMsg};
+use crate::message::{PackedMsg, Tagged};
 use crate::protocol::{InSlot, NodeCtx, Protocol, ScatterPlane};
 use crate::rng::mix64;
 use crate::slab;
 use congest_par::RacyCells;
 use std::cell::Cell;
-
-/// A message tagged with the index of the sub-algorithm it belongs to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Tagged<M> {
-    pub algo: u32,
-    pub msg: M,
-}
-
-impl<M: MsgBits> MsgBits for Tagged<M> {
-    fn bits(&self) -> usize {
-        // The tag addresses one of the multiplexed algorithms; 16 bits is a
-        // generous constant for any experiment here.
-        16 + self.msg.bits()
-    }
-}
-
-/// The tag rides in the 16 bits above the inner encoding. The combined
-/// width must fit a `u128` word — enforced at compile time (a
-/// post-monomorphization error when `M::WIDTH > 112`).
-impl<M: PackedMsg> PackedMsg for Tagged<M> {
-    type Word = u128;
-    const WIDTH: u32 = {
-        assert!(M::WIDTH + 16 <= 128, "tagged message exceeds 128 bits");
-        16 + M::WIDTH
-    };
-    #[inline]
-    fn pack(self) -> u128 {
-        let _guard = Self::WIDTH;
-        debug_assert!(self.algo < 1 << 16);
-        self.msg.pack().to_u128() | ((self.algo as u128) << M::WIDTH)
-    }
-    #[inline]
-    fn unpack(word: u128) -> Self {
-        let _guard = Self::WIDTH;
-        Tagged {
-            algo: (word >> M::WIDTH) as u32 & 0xFFFF,
-            msg: M::unpack(MsgWord::from_u128(word & low_mask(M::WIDTH))),
-        }
-    }
-}
 
 /// Inline slots per port in the two-tier ring: 4 × `u128` = exactly one
 /// 64-byte cache line, so a hot port's whole working set is one line.
@@ -436,7 +396,6 @@ impl<P: Protocol> Protocol for Multiplexed<P> {
                     bcast_staged: false,
                     rng: ctx.rng,
                     done: &mut sub.done,
-                    max_bits: ctx.max_bits,
                 };
                 sub.proto.round(&mut sub_ctx);
                 plane.staged.get()

@@ -308,8 +308,6 @@ struct NodeCell<P> {
     state: P,
     rng: SmallRng,
     done: bool,
-    /// Largest message (in bits) this node sent over the whole run.
-    max_bits: usize,
 }
 
 impl<P> NodeCell<P> {
@@ -319,7 +317,6 @@ impl<P> NodeCell<P> {
             state,
             rng: node_rng(seed, v),
             done: false,
-            max_bits: 0,
         }
     }
 }
@@ -1041,7 +1038,6 @@ impl SessionState {
                             bcast_staged: false,
                             rng: &mut cell.rng,
                             done: &mut cell.done,
-                            max_bits: &mut cell.max_bits,
                         };
                         cell.state.round(&mut ctx);
                         all_done &= cell.done;
@@ -1279,12 +1275,10 @@ impl SessionState {
             }
         }
         trace_buf.truncate(stats.rounds as usize);
-        stats.max_message_bits = cells
-            .as_slice()
-            .iter()
-            .map(|c| c.max_bits)
-            .max()
-            .unwrap_or(0);
+        // Every message of a phase has its type's fixed width.
+        if stats.total_messages + stats.dropped_messages > 0 {
+            stats.max_message_bits = P::Msg::WIDTH as usize;
+        }
 
         // A phase that never folded the plane left `node_traffic` all zero.
         let node_traffic = if plane_folded { node_traffic } else { &mut [] };

@@ -130,6 +130,8 @@ fastbcast — fast broadcast in highly connected networks (SPAA 2024 reproductio
   fastbcast params    <family>
   fastbcast broadcast <family> [--k K] [--seed S]
   fastbcast packing   <family> [--trees T] [--exact] [--seed S]
+                      (T defaults to λ' = max(1, ⌊λ/(2 ln n)⌋), the Theorem 2
+                      partition's count, or to ⌊λ/2⌋ with --exact)
   fastbcast apsp      <family> [--seed S]
   fastbcast cuts      <family> [--eps E] [--seed S]
   fastbcast serve     [--graphs F1+F2+..] [--jobs N] [--tenants T] [--queue Q]
@@ -384,7 +386,16 @@ fn cmd_packing(args: &[String]) -> Result<(), Failure> {
     let spec = args.first().ok_or("packing needs a <family>")?;
     let g = parse_family(spec)?;
     let lambda = fast_broadcast::graph::algo::edge_connectivity(&g);
-    let trees = opt(args, "--trees", (lambda / 2).max(1))?;
+    let exact = flag(args, "--exact");
+    // Each construction's default is the count it reaches: Nash-Williams
+    // packs ⌊λ/2⌋ trees; Theorem 2's partition spans w.h.p. at
+    // λ′ = max(1, ⌊λ/(C ln n)⌋) classes.
+    let default_trees = if exact {
+        (lambda / 2).max(1)
+    } else {
+        PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C).num_subgraphs
+    };
+    let trees = opt(args, "--trees", default_trees)?;
     if trees == 0 {
         return Err("--trees must be at least 1".into());
     }
@@ -394,7 +405,7 @@ fn cmd_packing(args: &[String]) -> Result<(), Failure> {
         g.n(),
         g.m()
     );
-    let packing = if flag(args, "--exact") {
+    let packing = if exact {
         say!("construction: exact matroid union (Nash-Williams optimal)");
         exact_tree_packing(&g, trees, 0).ok_or(format!(
             "no edge-disjoint packing of {trees} spanning trees exists"

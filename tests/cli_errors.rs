@@ -194,6 +194,12 @@ fn good_invocations_still_succeed() {
         &["params", "complete:1"],
         &["help"],
         &["serve", "--jobs", "8", "--graphs", "harary:4,32"],
+        // Each subcommand at its own defaults; `packing` without `--exact`
+        // asks for the Theorem 2 partition's λ′ trees.
+        &["packing", "harary:16,128"],
+        &["packing", "complete:64"],
+        &["apsp", "harary:12,96"],
+        &["cuts", "harary:16,64"],
     ] {
         let out = fastbcast(args);
         assert!(

@@ -1,9 +1,10 @@
 //! The CONGEST O(log n)-bit message discipline, checked rather than
 //! assumed: every protocol in the workspace must ship messages of a small
 //! constant number of machine words — never growing with k, n, or the
-//! number of subgraphs. The engine meters the largest message of every
-//! run ([`fast_broadcast::sim::RunStats::max_message_bits`]); these tests
-//! pin the ceilings.
+//! number of subgraphs. Every phase that sends reports its protocol's
+//! fixed wire width, `PackedMsg::WIDTH`, as
+//! [`fast_broadcast::sim::RunStats::max_message_bits`]; these tests pin
+//! the ceilings.
 
 use fast_broadcast::core::broadcast::{
     partition_broadcast_retrying, BroadcastConfig, BroadcastInput,
