@@ -35,7 +35,10 @@ impl<P: Protocol> Protocol for Eager<P> {
 /// per-edge congestion or final `state_hash` — at shard counts 1, 4 and 6
 /// pinned on a two-thread pool (so the forked passes run) × the sparse
 /// path forced off, forced on and on its heuristic. `base` supplies the
-/// seed, the fault plan and the round limit.
+/// seed, the fault plan and the round limit. The forced-off wing
+/// (`sparse_threshold = Some(0)`) makes every delivering round a full
+/// sweep, so there `P`'s listed rounds are the ones that follow a sweep,
+/// whose receivers each shard lists by probing its occupancy words.
 pub fn check_quiescent<P, F>(graph: &Graph, make: F, base: &EngineConfig) -> Result<(), String>
 where
     P: Protocol,
@@ -98,4 +101,46 @@ where
         }
         Ok(())
     })
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use congest_graph::generators::harary;
+
+    /// A flood that breaks the promise: in round 3 every node sends (on
+    /// port 0, or on every port if it forwards) whether or not it has
+    /// mail, yet it declares `QUIESCENT`.
+    struct Liar {
+        heard: bool,
+    }
+
+    impl Protocol for Liar {
+        type Msg = u32;
+        type Output = bool;
+        const QUIESCENT: bool = true;
+
+        fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
+            if !self.heard && (ctx.inbox_len() > 0 || (ctx.round == 0 && ctx.node == 0)) {
+                self.heard = true;
+                for p in 0..ctx.degree() as u32 {
+                    ctx.send(p, 0);
+                }
+            } else if ctx.round == 3 {
+                ctx.send(0, 1);
+            }
+            ctx.set_done(true);
+        }
+
+        fn finish(self) -> bool {
+            self.heard
+        }
+    }
+
+    #[test]
+    fn the_oracle_catches_a_done_node_that_sends_on_an_empty_inbox() {
+        let g = harary(4, 32);
+        let found = check_quiescent(&g, |_, _| Liar { heard: false }, &EngineConfig::default());
+        assert!(found.is_err(), "a broken QUIESCENT promise went unnoticed");
+    }
 }

@@ -44,8 +44,13 @@ pub struct EngineConfig {
     /// arc count; `Some(0)` disables the fast path and `Some(usize::MAX)`
     /// forces it for every scattering round but one in which the fault
     /// adversary demoted a broadcaster, which takes the full sweep (the
-    /// differential tests pin both extremes). Results are identical at
-    /// every value — this is purely a performance policy.
+    /// differential tests pin both extremes). The threshold picks the
+    /// merge only, not who steps: a [`crate::Protocol::QUIESCENT`]
+    /// protocol's next round lists the receivers either way (the sparse
+    /// merge as it delivers, each shard's probe of its occupancy words
+    /// after a full sweep), so the stepped nodes are the same at every
+    /// value. Results are identical at every value — this is purely a
+    /// performance policy.
     pub sparse_threshold: Option<usize>,
     /// Record per-round traffic (messages delivered per round) — the
     /// "traffic profile" figures of the experiment harness.

@@ -83,7 +83,7 @@
 //!   shard folds its nodes' `done` flags, counts what it staged, and lists
 //!   the staged arcs in its worklist region (capped at `min(threshold,
 //!   out_arc_bound(s))`; past the cap only the count goes on). Which nodes
-//!   a shard steps is one of two choices, **full** or **listed** — see
+//!   a shard steps is one of two choices, **all** or **listed** — see
 //!   "The active-node list" below.
 //! * **Adversary** — under a [`crate::FaultPlan`], one serial pass over the
 //!   round's blocked edges. It **demotes** each endpoint that staged a
@@ -118,21 +118,27 @@
 //! declares [`Protocol::QUIESCENT`] has promised that stepping such a node
 //! changes nothing. For those protocols a round costs its frontier: one
 //! byte per node (`active`) is rewritten to `!done` by every step of that
-//! node and set for the receiver of every message the sparse merge
-//! delivers, and a **listed** round steps only the nodes whose byte is
-//! set, walking the bytes eight to a compare. A round is listed iff the
-//! previous deliver took the skip or the sparse path and folded no
-//! broadcast plane — the same staged-count decision, so the same at every
-//! pool width and shard count. Round 0, a round after a full sweep or a
-//! plane fold (their deliveries list nobody), and every round of a
-//! protocol without the promise step every node, which rewrites every
-//! byte: the list is rebuilt before it is next trusted, so it needs no
-//! scrub after a failed phase, no `state_hash` tag and no snapshot field.
-//! An unlisted node is done, so `all done` folds over the stepped nodes
-//! only. A listed pass stays on the calling thread for the reason the
-//! sparse merge does — its work is O(frontier). Debug builds check the
-//! invariant in full before every listed round (an unlisted node is done
-//! and has no occupancy bit in its arc range), and
+//! node and set for every receiver of the round's mail, and a **listed**
+//! round steps only the nodes whose byte is set, walking the bytes eight
+//! to a compare. Every round of such a protocol is listed except round 0
+//! and a round after a plane fold (the plane's receivers are not listed),
+//! which step every node and so rewrite every byte: the list is rebuilt
+//! before it is next trusted, so it needs no scrub after a failed phase,
+//! no `state_hash` tag and no snapshot field. Who lists a receiver
+//! follows the deliver path that brought its mail. The sparse merge sets
+//! the byte as it delivers, and the listed pass then stays on the
+//! calling thread, for the reason the merge does: its work is
+//! O(frontier). After a full sweep, each shard's step task first
+//! **probes**: it walks the occupancy words over its own nodes' arc range
+//! with a forward node cursor and sets the byte of each node owning a set
+//! bit, then walks the list; that pass forks as the sweep did. The probe
+//! reads only `in_occ`, which the sweep has joined, and writes only the
+//! shard's own bytes. So `EngineConfig::sparse_threshold` picks the
+//! merge, not who steps: the stepped set is the same at every threshold,
+//! pool width and shard count. An unlisted node is done, so `all done`
+//! folds over the stepped nodes only. Debug builds check the invariant
+//! over every shard of every listed round, after its probe (an unlisted
+//! node is done and has no occupancy bit in its arc range), and
 //! [`crate::eager::check_quiescent`] holds every protocol that makes the
 //! promise to it.
 //!
@@ -191,6 +197,22 @@ use rand::rngs::SmallRng;
 /// The staging byte-mask value for "this arc carries a message".
 const STAGED: u8 = 1;
 
+/// Which nodes a round's step pass steps (module docs, "The active-node
+/// list").
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum StepSet {
+    /// Every node, which rewrites the whole list: round 0, a round after a
+    /// plane fold, and every round of a protocol without
+    /// [`Protocol::QUIESCENT`].
+    All,
+    /// The nodes `active` lists, after a skip or a sparse deliver (whose
+    /// merge listed its receivers), on the calling thread.
+    Listed,
+    /// The same, after a full sweep: each shard first lists its own
+    /// receivers from their occupancy bits, across the shards.
+    Probed,
+}
+
 /// An unpinned phase shards from this many arcs up (DESIGN.md §10's sharded
 /// / serial table: below it a round is less work than the fork-join that
 /// would shard it). A policy of wall clock only — results are identical on
@@ -220,6 +242,37 @@ fn each_shard(shards: usize, task: impl Fn(usize) + Sync) {
         task(0);
     } else {
         congest_par::run(shards, task);
+    }
+}
+
+/// The probe of a round after a full sweep: set `active[i]` for each node
+/// `v_lo + i` with an occupancy bit in its arc range. One pass over the
+/// words of the nodes' arcs with a forward node cursor: list the node that
+/// owns a set bit, then drop the rest of that node's bits in the word.
+fn list_receivers(graph: &Graph, in_occ: &[u64], v_lo: usize, active: &mut [u8]) {
+    let end = |v: usize| graph.arc_offset((v + 1) as Node);
+    let a_lo = graph.arc_offset(v_lo as Node);
+    let a_hi = graph.arc_offset((v_lo + active.len()) as Node);
+    let (w_lo, w_hi) = (a_lo / 64, a_hi.div_ceil(64));
+    let mut v = v_lo;
+    for (w, &word) in (w_lo..w_hi).zip(&in_occ[w_lo..w_hi]) {
+        let base = w * 64;
+        let mut bits = word;
+        if base < a_lo {
+            bits &= !0u64 << (a_lo - base);
+        }
+        if a_hi - base < 64 {
+            bits &= (1u64 << (a_hi - base)) - 1;
+        }
+        while bits != 0 {
+            let arc = base + bits.trailing_zeros() as usize;
+            while end(v) <= arc {
+                v += 1;
+            }
+            active[v - v_lo] = 1;
+            let past = end(v) - base;
+            bits &= if past >= 64 { 0 } else { !0u64 << past };
+        }
     }
 }
 
@@ -913,10 +966,10 @@ impl SessionState {
         // What zeroing the inbox occupancy bitset needs before new bits
         // land. The previous phase's exit leaves the bitset all-zero.
         let mut occ_state = OccState::Clean;
-        // Whether this round steps only the nodes `active` lists (see the
-        // module docs): never in round 0, never for a protocol that has
-        // not promised `QUIESCENT`.
-        let mut listed = false;
+        // Which nodes this round steps (see the module docs): everyone in
+        // round 0 and in every round of a protocol that has not promised
+        // `QUIESCENT`.
+        let mut step_set = StepSet::All;
         loop {
             if round >= config.max_rounds {
                 // The cells drop here; the session stays marked dirty and
@@ -925,19 +978,10 @@ impl SessionState {
                     limit: config.max_rounds,
                 });
             }
-            // The list's invariant, checked in full in debug builds: a node
-            // a listed round will not step is done and has an empty inbox.
-            #[cfg(debug_assertions)]
-            if listed {
-                debug_assert!(!bcast_any, "a listed round follows no plane fold");
-                for (v, cell) in cells.as_slice().iter().enumerate() {
-                    let (lo, deg) = (graph.arc_offset(v as Node), graph.degree(v as Node));
-                    debug_assert!(
-                        active[v] != 0 || (cell.done && slab::popcount_range(in_occ, lo, deg) == 0),
-                        "round {round}: node {v} is unlisted but not done or has mail"
-                    );
-                }
-            }
+            debug_assert!(
+                step_set == StepSet::All || !bcast_any,
+                "a listed round follows no plane fold"
+            );
             // --- Step phase: each shard steps its own nodes; sends
             // scatter into the staging slab's destination slots.
             let use_plane = 4 * last_delivered >= arcs as u64;
@@ -983,20 +1027,40 @@ impl SessionState {
                     // SAFETY: one byte per node, and shard `s` is the only
                     // task of this pass that touches the bytes of its own
                     // nodes `v_lo..v_hi` (a node's byte is written by that
-                    // node's step alone; the sparse merge, the other writer,
-                    // runs between step passes on the calling thread). Bytes,
-                    // not bits: two shards never share a word. Invariant at
-                    // the start of a listed round, for every node `v`:
+                    // node's step and by its own shard's probe alone; the
+                    // sparse merge, the other writer, runs between step
+                    // passes on the calling thread). Bytes, not bits: two
+                    // shards never share a word. Invariant once a listed
+                    // round has listed its receivers, for every node `v`:
                     // `active[v] == 0` implies `v` is done and no occupancy
                     // bit is set in its arc range — the last step of `v`
                     // wrote `!done`, no later step un-did it, and every
                     // delivery since went through the sparse merge, which
-                    // sets the receiver's byte (a full sweep or a plane fold
+                    // sets the receiver's byte, or through the full sweep,
+                    // whose receivers the probe below lists (a plane fold
                     // makes the next round step everyone instead).
                     let active_s = unsafe { racy_active.slice_mut(v_lo, v_hi) };
                     // Equal lengths, said once so the loop's index into
                     // `active_s` needs no bounds check of its own.
                     assert_eq!(active_s.len(), cells_s.len());
+                    if step_set == StepSet::Probed {
+                        list_receivers(graph, in_occ, v_lo, active_s);
+                    }
+                    // The list's invariant, checked in full over the shard
+                    // in debug builds: a node a listed round will not step
+                    // is done and has an empty inbox.
+                    #[cfg(debug_assertions)]
+                    if step_set != StepSet::All {
+                        for (i, cell) in cells_s.iter().enumerate() {
+                            let v = (v_lo + i) as Node;
+                            let (lo, deg) = (graph.arc_offset(v), graph.degree(v));
+                            debug_assert!(
+                                active_s[i] != 0
+                                    || (cell.done && slab::popcount_range(in_occ, lo, deg) == 0),
+                                "round {round}: node {v} is unlisted but not done or has mail"
+                            );
+                        }
+                    }
                     // One scatter-plane descriptor per shard per round;
                     // node contexts carry a pointer to it instead of its
                     // fields.
@@ -1015,6 +1079,7 @@ impl SessionState {
                     // An unlisted node is done (the invariant above), so
                     // the fold over the stepped nodes is the fold over all.
                     let mut all_done = true;
+                    let listed = step_set != StepSet::All;
                     let mut i = 0;
                     while i < cells_s.len() {
                         if listed && active_s[i] == 0 {
@@ -1050,9 +1115,11 @@ impl SessionState {
                     meter.staged = plane.staged.get();
                     meter.bcast_used = plane.bcast_used.get();
                 };
-                // A listed pass is O(frontier) work, like the sparse
-                // merge that listed it: it stays on the calling thread.
-                if listed {
+                // A pass listed by the sparse merge is O(frontier) work,
+                // like the merge: it stays on the calling thread. A probed
+                // pass reads its shard's occupancy words, as the sweep
+                // before it wrote them, and forks as the sweep did.
+                if step_set == StepSet::Listed {
                     (0..s_count).for_each(step_shard);
                 } else {
                     each_shard(s_count, step_shard);
@@ -1249,10 +1316,17 @@ impl SessionState {
             if run_full_sweep {
                 occ_state = OccState::Unknown;
             }
-            // Mail that arrived by the full sweep or the broadcast plane
-            // listed nobody: the next round steps everyone, and thereby
-            // rewrites the whole list.
-            listed = P::QUIESCENT && !run_full_sweep && !fold_bcast;
+            // Mail that arrived by the broadcast plane listed nobody: the
+            // next round steps everyone, and thereby rewrites the whole
+            // list. Mail that arrived by the full sweep is listed by the
+            // next round's probe, the sparse merge's by the merge itself.
+            step_set = if !P::QUIESCENT || fold_bcast {
+                StepSet::All
+            } else if run_full_sweep {
+                StepSet::Probed
+            } else {
+                StepSet::Listed
+            };
             // --- Combine the shard meter blocks (sum / and / or: the
             // order of the fold cannot reach a result).
             let delivered = sparse_delivered + meters.iter().map(|m| m.delivered).sum::<u64>();
@@ -1462,6 +1536,7 @@ impl<'g> Session<'g> {
 mod tests {
     use super::*;
     use crate::rng::mix64;
+    use crate::FaultPlan;
     use congest_graph::generators::{
         barbell, clique_chain, clique_ring, cycle, gk13_lower_bound, gnp, harary, path,
         random_regular, theorem9_instance, thick_path, torus2d,
@@ -1599,6 +1674,59 @@ mod tests {
         }
         assert_eq!(restored.state.warm_bytes(), fresh.state.warm_bytes());
         assert_eq!(restored.state.warm_bytes(), original.state.warm_bytes());
+    }
+
+    /// Who steps does not hang on the deliver path: with every delivering
+    /// round a full sweep (`sparse_threshold(0)`) or every scattering
+    /// round sparse (`usize::MAX`), a `QUIESCENT` flood-max steps as many
+    /// nodes — the probe after a sweep lists the receivers the sparse
+    /// merge would have listed — unfaulted and faulted.
+    #[test]
+    fn a_quiescent_flood_steps_as_many_nodes_at_every_sparse_threshold() {
+        use crate::leader::{FloodMax, LeaderInfo};
+        thread_local! {
+            static STEPS: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+        }
+        /// `FloodMax`, counting its steps.
+        struct Counted(FloodMax);
+        impl Protocol for Counted {
+            type Msg = u32;
+            type Output = LeaderInfo;
+            const QUIESCENT: bool = true;
+            fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
+                STEPS.with(|s| s.set(s.get() + 1));
+                self.0.round(ctx);
+            }
+            fn finish(self) -> LeaderInfo {
+                self.0.finish()
+            }
+        }
+        let steps = |g: &Graph, config: EngineConfig| {
+            STEPS.with(|s| s.set(0));
+            let stats = Session::new(g)
+                .run(|v, _| Counted(FloodMax::new(v)), config)
+                .unwrap()
+                .stats;
+            (STEPS.with(|s| s.get()), stats)
+        };
+        // One lane: every shard steps on this thread, where `STEPS` lives.
+        congest_par::with_threads(1, || {
+            for g in [
+                harary(16, 1024),
+                torus2d(32, 32),
+                random_regular(1024, 6, 42),
+            ] {
+                for faults in [None, Some(FaultPlan::new(2, 7))] {
+                    let config = EngineConfig {
+                        faults,
+                        ..EngineConfig::default()
+                    };
+                    let swept = steps(&g, config.clone().sparse_threshold(0));
+                    let merged = steps(&g, config.sparse_threshold(usize::MAX));
+                    assert_eq!(swept, merged, "n = {}, faults = {faults:?}", g.n());
+                }
+            }
+        });
     }
 
     #[test]
