@@ -15,7 +15,7 @@
 //! `Gc`-neighborhoods in `O(#clusters)` rounds).
 
 use congest_graph::{Graph, Node};
-use congest_sim::{EngineConfig, EngineError, NodeCtx, PackedMsg, Protocol, RunStats};
+use congest_sim::{EngineConfig, EngineError, NodeCtx, PackedMsg, Protocol, RunStats, Session};
 use rand::Rng;
 
 /// Per-node clustering output.
@@ -156,81 +156,73 @@ impl std::fmt::Display for UncoveredNode {
 
 impl std::error::Error for UncoveredNode {}
 
-/// Run the clustering protocol and assemble the cluster graph.
+/// Run the clustering protocol on the caller's session and assemble the
+/// cluster graph. A node with no neighboring center (the w.h.p. failure
+/// event) resamples with a fresh seed, up to `attempts` runs.
 ///
 /// `c` is the sampling constant in `p = c·ln n/δ` (paper: sufficiently
 /// large; c = 2 keeps the failure probability ≤ n⁻¹ while `Õ(n/δ)`
 /// clusters remain).
 pub fn build_clustering(
-    g: &Graph,
+    host: &mut Session<'_>,
     c: f64,
     seed: u64,
-) -> Result<(ClusterGraph, RunStats), ClusteringError> {
-    let mut host = congest_sim::Session::new(g);
-    build_clustering_hosted(&mut host, c, seed)
-}
-
-/// [`build_clustering`] on a caller-provided engine host, so the APSP
-/// pipeline's clustering phase shares the engine its broadcast phases
-/// run on.
-pub fn build_clustering_hosted(
-    host: &mut congest_sim::Session<'_>,
-    c: f64,
-    seed: u64,
+    attempts: usize,
 ) -> Result<(ClusterGraph, RunStats), ClusteringError> {
     let g = host.graph();
     let n = g.n();
     let delta = g.min_degree().max(1);
     let p = (c * (n.max(2) as f64).ln() / delta as f64).min(1.0);
-    let run = host.run(
-        |v, _| ClusterProtocol::new(v, p),
-        EngineConfig::with_seed(seed),
-    )?;
-    let stats = run.stats;
-    let outputs = run.take_outputs();
-    // Coverage check (w.h.p. event).
-    for (v, info) in outputs.iter().enumerate() {
-        if info.s.is_none() {
-            return Err(ClusteringError::Uncovered(UncoveredNode(v as Node)));
+    let mut uncovered = UncoveredNode(0);
+    for a in 0..attempts.max(1) {
+        let run = host.run(
+            |v, _| ClusterProtocol::new(v, p),
+            EngineConfig::with_seed(seed.wrapping_add(a as u64 * 0xC11)),
+        )?;
+        let stats = run.stats;
+        let outputs = run.take_outputs();
+        // Coverage check (w.h.p. event).
+        if let Some(v) = outputs.iter().position(|info| info.s.is_none()) {
+            uncovered = UncoveredNode(v as Node);
+            continue;
         }
-    }
-    // Dense renumbering of centers.
-    let mut centers: Vec<Node> = outputs
-        .iter()
-        .enumerate()
-        .filter(|(_, i)| i.is_center)
-        .map(|(v, _)| v as Node)
-        .collect();
-    centers.sort_unstable();
-    let center_index =
-        |c: Node| -> u32 { centers.binary_search(&c).expect("s(v) must be a center") as u32 };
-    let cluster_of: Vec<u32> = outputs
-        .iter()
-        .map(|i| center_index(i.s.expect("covered")))
-        .collect();
-    // Cluster-graph edges from witnessed pairs (and the direct check on
-    // every G-edge via endpoint clusters, equivalent by construction).
-    let mut edges: Vec<(u32, u32)> = Vec::new();
-    for (_, u, v) in g.edge_list() {
-        let (cu, cv) = (cluster_of[u as usize], cluster_of[v as usize]);
-        if cu != cv {
-            edges.push((cu.min(cv), cu.max(cv)));
+        // Dense renumbering of centers.
+        let mut centers: Vec<Node> = outputs
+            .iter()
+            .enumerate()
+            .filter(|(_, i)| i.is_center)
+            .map(|(v, _)| v as Node)
+            .collect();
+        centers.sort_unstable();
+        let center_index =
+            |c: Node| -> u32 { centers.binary_search(&c).expect("s(v) must be a center") as u32 };
+        let cluster_of: Vec<u32> = outputs
+            .iter()
+            .map(|i| center_index(i.s.expect("covered")))
+            .collect();
+        // Cluster-graph edges from witnessed pairs (and the direct check on
+        // every G-edge via endpoint clusters, equivalent by construction).
+        let mut edges: Vec<(u32, u32)> = Vec::new();
+        for (_, u, v) in g.edge_list() {
+            let (cu, cv) = (cluster_of[u as usize], cluster_of[v as usize]);
+            if cu != cv {
+                edges.push((cu.min(cv), cu.max(cv)));
+            }
         }
-    }
-    edges.sort_unstable();
-    edges.dedup();
-    let graph = congest_graph::GraphBuilder::new(centers.len())
-        .edges(edges)
-        .build()
-        .expect("deduped cluster edges are simple");
-    Ok((
-        ClusterGraph {
+        edges.sort_unstable();
+        edges.dedup();
+        let graph = congest_graph::GraphBuilder::new(centers.len())
+            .edges(edges)
+            .build()
+            .expect("deduped cluster edges are simple");
+        let cg = ClusterGraph {
             centers,
             cluster_of,
             graph,
-        },
-        stats,
-    ))
+        };
+        return Ok((cg, stats));
+    }
+    Err(ClusteringError::Uncovered(uncovered))
 }
 
 /// Clustering failures.
@@ -257,35 +249,6 @@ impl std::fmt::Display for ClusteringError {
 
 impl std::error::Error for ClusteringError {}
 
-/// Retry wrapper over the w.h.p. coverage event.
-pub fn build_clustering_retrying(
-    g: &Graph,
-    c: f64,
-    seed: u64,
-    attempts: usize,
-) -> Result<(ClusterGraph, RunStats), ClusteringError> {
-    let mut host = congest_sim::Session::new(g);
-    build_clustering_retrying_hosted(&mut host, c, seed, attempts)
-}
-
-/// [`build_clustering_retrying`] on a caller-provided engine host.
-pub fn build_clustering_retrying_hosted(
-    host: &mut congest_sim::Session<'_>,
-    c: f64,
-    seed: u64,
-    attempts: usize,
-) -> Result<(ClusterGraph, RunStats), ClusteringError> {
-    let mut last = None;
-    for a in 0..attempts.max(1) {
-        match build_clustering_hosted(host, c, seed.wrapping_add(a as u64 * 0xC11)) {
-            Ok(ok) => return Ok(ok),
-            Err(e @ ClusteringError::Uncovered(_)) => last = Some(e),
-            Err(e) => return Err(e),
-        }
-    }
-    Err(last.expect("at least one attempt"))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -295,7 +258,7 @@ mod tests {
     #[test]
     fn every_node_clustered_and_adjacent_to_center() {
         let g = harary(10, 60);
-        let (cg, stats) = build_clustering_retrying(&g, 2.0, 5, 10).unwrap();
+        let (cg, stats) = build_clustering(&mut Session::new(&g), 2.0, 5, 10).unwrap();
         assert!(stats.rounds <= 3, "clustering is a 3-round protocol");
         assert!(!cg.centers.is_empty());
         for v in 0..g.n() as Node {
@@ -312,7 +275,7 @@ mod tests {
     fn cluster_graph_distance_lower_bounds_g_distance() {
         // Lemma 7: d_Gc(s(u), s(v)) ≤ d_G(u, v).
         let g = torus2d(5, 6);
-        let (cg, _) = build_clustering_retrying(&g, 2.0, 9, 10).unwrap();
+        let (cg, _) = build_clustering(&mut Session::new(&g), 2.0, 9, 10).unwrap();
         let dg = apsp_unweighted(&g);
         let dc = apsp_unweighted(&cg.graph);
         #[allow(clippy::needless_range_loop)]
@@ -332,7 +295,7 @@ mod tests {
     #[test]
     fn cluster_count_scales_as_n_log_n_over_delta() {
         let g = complete(200); // δ = 199 ⇒ expect ~c·ln n ≈ 10.6 centers
-        let (cg, _) = build_clustering_retrying(&g, 2.0, 3, 10).unwrap();
+        let (cg, _) = build_clustering(&mut Session::new(&g), 2.0, 3, 10).unwrap();
         let expected = 2.0 * (200f64).ln();
         assert!(
             (cg.centers.len() as f64) < 5.0 * expected,
@@ -344,7 +307,7 @@ mod tests {
     #[test]
     fn centers_cluster_to_themselves() {
         let g = harary(8, 40);
-        let (cg, _) = build_clustering_retrying(&g, 2.0, 1, 10).unwrap();
+        let (cg, _) = build_clustering(&mut Session::new(&g), 2.0, 1, 10).unwrap();
         for (i, &c) in cg.centers.iter().enumerate() {
             assert_eq!(cg.cluster_of[c as usize] as usize, i);
         }

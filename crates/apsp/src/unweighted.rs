@@ -14,7 +14,7 @@
 //! 5. everyone evaluates `d̃(u,v) = 3·d_Gc(s(u), s(v)) + 2` locally
 //!    (Lemma 7 proves `d ≤ d̃ ≤ 3d + 2`).
 
-use crate::clustering::{build_clustering_retrying_hosted, ClusterGraph, ClusteringError};
+use crate::clustering::{build_clustering, ClusterGraph, ClusteringError};
 use crate::prt12::prt12_apsp;
 use congest_core::broadcast::{
     partition_broadcast_retrying_hosted, BroadcastConfig, BroadcastError, BroadcastInput,
@@ -70,8 +70,8 @@ pub fn unweighted_apsp_approx(
     let mut phases = PhaseLog::new();
 
     // 1. Clustering (3 measured rounds).
-    let (cg, cluster_stats) = build_clustering_retrying_hosted(&mut host, 2.0, seed, 20)
-        .map_err(ApspError::Clustering)?;
+    let (cg, cluster_stats) =
+        build_clustering(&mut host, 2.0, seed, 20).map_err(ApspError::Clustering)?;
     phases.record("clustering", cluster_stats);
 
     // 2. PRT12 on the cluster graph (charged per Lemma 6).

@@ -88,8 +88,8 @@ fn main() {
     }
     t2.print();
 
-    // --- Table 3: Theorem 13 tension on the GK13-style family (greedy
-    // edge-disjoint extraction — λ here is deliberately below the random
+    // --- Table 3: Theorem 13 tension on the GK13-style family (exact
+    // matroid-union extraction — λ here is deliberately below the random
     // partition's log n regime).
     println!("\npaper claim (Thm 13/GK13): graph diameter O(log n) but packing diameter Ω(n/λ), with ≤ O(log n) short trees");
     let mut t3 = Table::new(

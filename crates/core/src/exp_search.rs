@@ -122,7 +122,7 @@ pub fn exp_search_broadcast(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::generators::{clique_chain, complete, harary};
+    use congest_graph::generators::{clique_chain, complete, harary, hypercube, path, torus2d};
 
     #[test]
     fn finds_valid_partition_without_lambda() {
@@ -160,5 +160,35 @@ mod tests {
             exp_search_broadcast(&g, &input, &BroadcastConfig::with_seed(2)).unwrap();
         assert!(out.all_delivered());
         assert_eq!(report.tried.len(), 1, "K_40 should validate at λ̃ = δ");
+    }
+
+    #[test]
+    fn learned_delta_matches_min_degree() {
+        for g in [
+            harary(5, 20),
+            torus2d(4, 5),
+            clique_chain(3, 6, 2),
+            hypercube(4),
+        ] {
+            let input = BroadcastInput::one_per_node(&g);
+            let (_, report) =
+                exp_search_broadcast(&g, &input, &BroadcastConfig::with_seed(1)).unwrap();
+            assert_eq!(report.delta, g.min_degree());
+        }
+    }
+
+    #[test]
+    fn learning_delta_takes_order_d_rounds() {
+        let g = path(20); // D = 19
+        let input = BroadcastInput::one_per_node(&g);
+        let (out, report) =
+            exp_search_broadcast(&g, &input, &BroadcastConfig::with_seed(2)).unwrap();
+        assert_eq!(report.delta, 1);
+        // Leader election, BFS and the min-convergecast: 3 phases of O(D).
+        let learning: u64 = ["leader-election", "bfs", "learn-delta"]
+            .iter()
+            .map(|name| out.phases.rounds_of(name).unwrap())
+            .sum();
+        assert!(learning <= 6 * 19 + 12, "{learning} rounds");
     }
 }

@@ -13,8 +13,7 @@
 //! | textbook | [`textbook`] | the `O(D + k)` baseline: BFS tree + pipelined broadcast |
 //! | Theorem 2 | [`partition`] | the communication-free random edge partition into `λ′` edge-disjoint spanning subgraphs |
 //! | Theorem 1 | [`broadcast`] | the `O((n log n)/δ + (k log n)/λ)` k-broadcast: the six-phase composition, written once as stages and spelled by every driver of the family |
-//! | Remark §1.1 | [`exp_search`] | broadcast **without knowing λ** via exponential search |
-//! | Lemma 4 | [`knowledge`] | learning δ in `O(D)` rounds (λ-learning substituted per DESIGN.md §2) |
+//! | Remark §1.1, Lemma 4 | [`exp_search`] | broadcast **without knowing λ** via exponential search, after learning δ in `O(D)` rounds (its `learn-delta` phase; λ-learning substituted per DESIGN.md §2) |
 //! | Theorems 3 & 8 | [`lower_bounds`] | information-theoretic universal lower-bound calculators |
 //! | §1.2 | [`congested_clique`] | simulating rounds of the broadcast congested clique \[DKO14\] |
 //! | §1.2 / \[FP23\] | [`resilient`] | replicated broadcast surviving a mobile edge adversary |
@@ -38,7 +37,6 @@ pub mod broadcast;
 pub mod congested_clique;
 pub mod convergecast;
 pub mod exp_search;
-pub mod knowledge;
 pub mod leader;
 pub mod lower_bounds;
 pub mod partition;

@@ -48,15 +48,6 @@ pub fn textbook_broadcast(
     seed: u64,
 ) -> Result<TextbookOutcome, EngineError> {
     let cfg = BroadcastConfig::with_seed(seed);
-    textbook_broadcast_with(g, input, &cfg)
-}
-
-/// Baseline with explicit configuration.
-pub fn textbook_broadcast_with(
-    g: &Graph,
-    input: &BroadcastInput,
-    cfg: &BroadcastConfig,
-) -> Result<TextbookOutcome, EngineError> {
     let k = input.k() as u64;
     let mut host = Session::new(g);
     let mut comp = Composition::new(&mut host, input, |phase| cfg.engine(0x7B00 + phase));

@@ -19,7 +19,6 @@ pub mod components;
 pub mod connectivity;
 pub mod dfs;
 pub mod diameter;
-pub mod karger;
 pub mod maxflow;
 pub mod paths;
 pub mod stoer_wagner;
@@ -31,7 +30,6 @@ pub use components::{connected_components, is_connected, UnionFind};
 pub use connectivity::edge_connectivity;
 pub use dfs::dfs_walk_first_visit;
 pub use diameter::{diameter_exact, eccentricity, two_sweep_lower_bound};
-pub use karger::{karger_min_cut, karger_whp_repetitions};
 pub use maxflow::UnitFlow;
 pub use paths::greedy_disjoint_paths;
 pub use stoer_wagner::stoer_wagner_min_cut;

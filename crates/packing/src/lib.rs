@@ -24,7 +24,6 @@
 //!   graph diameter is `O(log n)` (Theorem 13's tension).
 
 pub mod fractional;
-pub mod greedy;
 pub mod kd_connectivity;
 pub mod lower_bound_family;
 pub mod matroid;

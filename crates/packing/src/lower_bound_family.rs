@@ -32,7 +32,7 @@ pub struct LowerBoundReport {
     pub layout: Gk13Layout,
     /// Exact diameter of the graph itself — should be O(log n).
     pub graph_diameter: u32,
-    /// Stats of the greedy edge-disjoint packing on it.
+    /// Stats of the exact edge-disjoint packing on it.
     pub packing: PackingStats,
     /// The forced scale `n/λ`.
     pub n_over_lambda: f64,

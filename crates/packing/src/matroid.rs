@@ -285,9 +285,9 @@ mod tests {
 
     #[test]
     fn nash_williams_bound_on_harary() {
-        // λ = 8 ⇒ exactly ⌊λ/2⌋ = 4 spanning trees; the greedy methods
-        // fail this instance (m = 160 leaves only 4 spare edges), the
-        // exact algorithm must not.
+        // λ = 8 ⇒ exactly ⌊λ/2⌋ = 4 spanning trees; greedy extraction
+        // falls short on this instance (m = 160 leaves only 4 spare
+        // edges), the exact algorithm must not.
         let g = harary(8, 40);
         let packing = exact_tree_packing(&g, 4, 0).expect("Nash-Williams guarantees 4 trees");
         packing.validate(&g).unwrap();

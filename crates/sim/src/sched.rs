@@ -12,25 +12,20 @@
 //! index and queued per port (FIFO); each real round, every port transmits
 //! at most one queued message — preserving the global CONGEST discipline.
 //!
-//! ## Two-tier packed port queues
+//! ## Packed port queues
 //!
-//! The port FIFOs are **two-tier fixed-capacity rings** ([`PortRings`]):
-//! a 4-slot **inline head** carved per-port from one `u128` slab (one
-//! cache line per port) plus a shared **spill arena** whose per-port
-//! blocks are claimed by a cursor bump the first time a port overflows.
-//! The logical capacity is the caller's per-edge congestion bound —
-//! exactly the quantity Theorem 12 is parameterized by (for `k` one-shot
-//! broadcasts, `k`; for a shared tree packing, the packing's congestion ×
-//! messages per tree). Push and pop are index arithmetic, spill claims
-//! are cursor bumps into the pre-sized arena, so a multiplexed node
-//! performs **zero heap allocation per round**: the multiplexer is
-//! engine-hostable on the hot path, composable with the fault adversary,
-//! and covered by `tests/zero_alloc.rs` like any other protocol. Ports
-//! that stay at depth ≤ 4 never touch the arena, so at large
-//! `n × capacity` the resident footprint is one line per port, not the
-//! whole slab. Exceeding the declared capacity panics with the observed
-//! port — an honest signal that the congestion bound fed to the scheduler
-//! was wrong.
+//! The port FIFOs are **fixed-capacity rings** ([`PortRings`]), one per
+//! port, carved from one `degree × capacity` `u128` slab. The capacity is
+//! the caller's per-edge congestion bound — exactly the quantity
+//! Theorem 12 is parameterized by (for `k` one-shot broadcasts, `k`; for
+//! a shared tree packing, the packing's congestion × messages per tree).
+//! Push and pop are index arithmetic into the slab sized at
+//! construction, so a multiplexed node performs **zero heap allocation
+//! per round**: the multiplexer is engine-hostable on the hot path,
+//! composable with the fault adversary, and covered by
+//! `tests/zero_alloc.rs` like any other protocol. Exceeding the declared
+//! capacity panics with the observed port — an honest signal that the
+//! congestion bound fed to the scheduler was wrong.
 //!
 //! Sub-protocols run against node-local **packed** buffers in the engine's
 //! shape: each its own inbox of port-indexed words + occupancy bits, and
@@ -68,72 +63,22 @@ use crate::slab;
 use congest_par::RacyCells;
 use std::cell::Cell;
 
-/// Inline slots per port in the two-tier ring: 4 × `u128` = exactly one
-/// 64-byte cache line, so a hot port's whole working set is one line.
-pub const INLINE_CAP: u32 = 4;
-
-/// One port's inline tier, forced to cache-line alignment so the
-/// "one line per port" layout holds regardless of where the allocator
-/// puts the slab (a plain `Vec<u128>` is only 16-byte aligned and could
-/// make every port straddle two lines).
-#[repr(align(64))]
-#[derive(Clone, Copy)]
-struct InlineLine([u128; INLINE_CAP as usize]);
-
-/// Sentinel for "this port never overflowed its inline tier".
-const SPILL_UNCLAIMED: u32 = u32::MAX;
-
-/// Per-port **two-tier FIFO queues**: a small inline head carved per-port
-/// from one `u128` slab, plus a shared **spill arena** claimed on
-/// overflow.
+/// Per-port **FIFO queues**: port `p` owns the ring
+/// `slab[p·cap..(p+1)·cap]` of one pre-sized `u128` slab.
 ///
-/// * **Inline tier** — the front [`INLINE_CAP`] (= 4) elements of every
-///   port's queue live in `inline[p·4..(p+1)·4]`: one cache line per
-///   port, so ports whose depth never exceeds 4 (the common case — a
-///   well-scheduled Theorem-12 execution drains one message per round)
-///   touch nothing else. Pops always read the inline head.
-/// * **Spill tier** — elements beyond the inline head live in a per-port
-///   block of the shared arena, claimed by a cursor bump the first time
-///   the port overflows and kept for the queue's lifetime. The arena is
-///   pre-sized for the worst case (`degree` blocks), so a claim is never
-///   a heap allocation — but blocks of never-overflowing ports are never
-///   *touched*, so at large `n × capacity` the resident footprint is one
-///   cache line per port plus the genuinely hot blocks, not the whole
-///   `degree × capacity` slab the single-tier layout swept cold.
-///
-/// Every pop refills the vacated inline slot from the spill front, so
-/// FIFO order holds across the tiers and pops stay O(1) with at most one
-/// arena read. A word-packed nonempty bitset over ports lets the
-/// serve-one-per-port scan skip idle ports wholesale.
-///
-/// The logical capacity is **exactly the declared bound**: exceeding it
-/// panics with the observed port — an honest signal that the congestion
-/// bound fed to the scheduler (Theorem 12's parameter) was wrong — even
-/// when the physical tiers (the fixed inline line, the spill block
-/// rounded to a power of two so ring wrap-around is a mask, never a
-/// division) could have absorbed more.
+/// The capacity is **exactly the declared bound**: exceeding it panics
+/// with the observed port — an honest signal that the congestion bound
+/// fed to the scheduler (Theorem 12's parameter) was wrong. A ring wraps
+/// by one compare, never a division, and a word-packed nonempty bitset
+/// over ports lets the serve-one-per-port scan skip idle ports wholesale.
 pub struct PortRings {
-    /// Inline tier: one cache-line-aligned block of `INLINE_CAP` slots
-    /// per port.
-    inline: Vec<InlineLine>,
-    /// Spill arena: `spill_cap` slots per block, `degree` blocks.
-    arena: Vec<u128>,
-    /// Per-port claimed arena block base (`SPILL_UNCLAIMED` until the
-    /// port first overflows).
-    spill_base: Vec<u32>,
-    /// Next unclaimed arena slot.
-    arena_next: u32,
-    /// Inline ring head per port (index of the oldest queued word,
-    /// modulo `INLINE_CAP`).
-    head: Vec<u8>,
-    /// Spill ring head per port (modulo `spill_cap`).
-    spill_head: Vec<u32>,
-    /// Queue length per port (both tiers).
+    /// `cap` slots per port, port after port.
+    slab: Vec<u128>,
+    /// Ring head per port (slot of the oldest queued word, `< cap`).
+    head: Vec<u32>,
+    /// Queue length per port.
     len: Vec<u32>,
-    /// Spill block size (power of two, or 0 when the requested capacity
-    /// fits the inline tier). Physical: may exceed the logical bound.
-    spill_cap: u32,
-    /// Logical capacity per port — the declared Theorem-12 bound.
+    /// Capacity per port — the declared Theorem-12 bound.
     cap: u32,
     /// Word-packed bitset of ports with a nonempty queue.
     nonempty: Vec<u64>,
@@ -144,30 +89,22 @@ pub struct PortRings {
 }
 
 impl PortRings {
-    /// Build queues for `degree` ports, each with logical capacity
-    /// exactly `cap` (the per-edge congestion bound of the multiplexed
-    /// collection).
+    /// Build queues for `degree` ports, each with capacity exactly `cap`
+    /// (the per-edge congestion bound of the multiplexed collection).
     pub fn new(degree: usize, cap: usize) -> Self {
-        let cap = cap.max(1) as u32;
-        let spill_cap =
-            cap.saturating_sub(INLINE_CAP).next_power_of_two() * u32::from(cap > INLINE_CAP);
+        let cap = cap.max(1);
         PortRings {
-            inline: vec![InlineLine([0; INLINE_CAP as usize]); degree],
-            arena: vec![0; degree * spill_cap as usize],
-            spill_base: vec![SPILL_UNCLAIMED; degree],
-            arena_next: 0,
+            slab: vec![0; degree * cap],
             head: vec![0; degree],
-            spill_head: vec![0; degree],
             len: vec![0; degree],
-            spill_cap,
-            cap,
-            nonempty: vec![0; crate::slab::words_for(degree)],
+            cap: cap as u32,
+            nonempty: vec![0; slab::words_for(degree)],
             queued: 0,
             peak: 0,
         }
     }
 
-    /// Logical capacity per port — the declared bound, exactly.
+    /// Capacity per port — the declared bound, exactly.
     #[inline]
     pub fn capacity(&self) -> usize {
         self.cap as usize
@@ -191,14 +128,6 @@ impl PortRings {
         self.peak
     }
 
-    /// Number of ports that have claimed a spill block.
-    pub fn spilled_ports(&self) -> usize {
-        self.spill_base
-            .iter()
-            .filter(|&&b| b != SPILL_UNCLAIMED)
-            .count()
-    }
-
     /// Append `word` to `port`'s queue. Panics past the capacity bound.
     #[inline]
     pub fn push(&mut self, port: usize, word: u128) {
@@ -210,26 +139,13 @@ impl PortRings {
              (Theorem 12) of the multiplexed collection",
             self.cap
         );
-        if len < INLINE_CAP {
-            let slot = (self.head[port] as u32 + len) & (INLINE_CAP - 1);
-            self.inline[port].0[slot as usize] = word;
-            if len == 0 {
-                self.nonempty[port >> 6] |= 1u64 << (port & 63);
-            }
-        } else {
-            // Overflow: claim this port's spill block on first use (a
-            // cursor bump into the pre-sized arena — never a heap
-            // allocation) and append at the spill tail.
-            let base = if self.spill_base[port] == SPILL_UNCLAIMED {
-                let base = self.arena_next;
-                self.spill_base[port] = base;
-                self.arena_next += self.spill_cap;
-                base
-            } else {
-                self.spill_base[port]
-            };
-            let slot = (self.spill_head[port] + (len - INLINE_CAP)) & (self.spill_cap - 1);
-            self.arena[(base + slot) as usize] = word;
+        let mut slot = self.head[port] + len;
+        if slot >= self.cap {
+            slot -= self.cap;
+        }
+        self.slab[port * self.cap as usize + slot as usize] = word;
+        if len == 0 {
+            self.nonempty[port >> 6] |= 1u64 << (port & 63);
         }
         self.len[port] = len + 1;
         self.queued += 1;
@@ -245,17 +161,9 @@ impl PortRings {
         if len == 0 {
             return None;
         }
-        let h = self.head[port] as u32;
-        let word = self.inline[port].0[h as usize];
-        if len > INLINE_CAP {
-            // Keep the inline tier the queue's front window: the vacated
-            // slot (which becomes the new inline tail position) takes the
-            // spill front. FIFO order across tiers is preserved.
-            let sh = self.spill_head[port];
-            self.inline[port].0[h as usize] = self.arena[(self.spill_base[port] + sh) as usize];
-            self.spill_head[port] = (sh + 1) & (self.spill_cap - 1);
-        }
-        self.head[port] = ((h + 1) & (INLINE_CAP - 1)) as u8;
+        let h = self.head[port];
+        let word = self.slab[port * self.cap as usize + h as usize];
+        self.head[port] = if h + 1 == self.cap { 0 } else { h + 1 };
         self.len[port] = len - 1;
         self.queued -= 1;
         if len == 1 {
@@ -506,25 +414,24 @@ mod tests {
         assert_eq!(rings.queued(), 3);
         assert_eq!(rings.peak(), 2);
         assert_eq!(rings.pop(0), Some(10));
-        rings.push(0, 12); // wraps around the inline ring
+        rings.push(0, 12); // wraps around port 0's ring
         assert_eq!(rings.pop(0), Some(11));
         assert_eq!(rings.pop(0), Some(12));
         assert_eq!(rings.pop(0), None);
         assert_eq!(rings.pop(1), None);
         assert_eq!(rings.pop(2), Some(30));
         assert_eq!(rings.queued(), 0);
-        assert_eq!(rings.spilled_ports(), 0, "depth ≤ inline ⇒ no claims");
     }
 
     #[test]
-    fn rings_spill_preserves_fifo_across_tiers() {
+    fn rings_wrap_preserves_fifo() {
         let mut rings = PortRings::new(2, 12);
         for i in 0..12u128 {
             rings.push(1, 100 + i);
         }
-        assert_eq!(rings.spilled_ports(), 1, "only the hot port claims");
+        assert_eq!(rings.len(0), 0, "port 0's ring is untouched");
         assert_eq!(rings.peak(), 12);
-        // Interleave pops and pushes across the spill boundary.
+        // Interleave pops and pushes across the ring's wrap point.
         for i in 0..6u128 {
             assert_eq!(rings.pop(1), Some(100 + i));
             rings.push(1, 200 + i);

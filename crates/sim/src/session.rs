@@ -1163,10 +1163,19 @@ impl SessionState {
             let staged_total = demoted + meters.iter().map(|m| m.staged as u64).sum::<u64>();
             let fold_bcast = use_plane && meters.iter().any(|m| m.bcast_used);
             plane_folded |= fold_bcast;
+            // A shard stages at most its out-degree, at most
+            // `out_arc_bound(s)`, so overflowing its worklist slice
+            // (`min(threshold, out_arc_bound(s))`) means the round staged
+            // more than `threshold` in all: the round kind is a function
+            // of the staged total and `demoted` alone, the same at every
+            // shard count. `wl_overflow` stays only to catch a
+            // release-mode double scatter `send_all`, whose check runs in
+            // debug builds only.
             let wl_overflow = meters
                 .iter()
                 .enumerate()
                 .any(|(s, m)| m.staged as usize > wl_starts[s + 1] - wl_starts[s]);
+            debug_assert!(!wl_overflow || staged_total > threshold as u64);
             // No worklist lists a demoted arc: only the full sweep finds it.
             let sparse_round = demoted == 0
                 && staged_total > 0

@@ -1,9 +1,9 @@
-//! Property-based tests for the two-tier multiplexer port rings: random
+//! Property-based tests for the multiplexer port rings: random
 //! push/pop/serve interleavings checked against a plain `VecDeque` model,
-//! including inline-ring wraparound, spill-arena claims, drain orders,
-//! and capacities sitting exactly at the Theorem-12 congestion bound.
+//! including ring wraparound, drain orders, and capacities sitting
+//! exactly at the Theorem-12 congestion bound.
 
-use congest_sim::sched::{PortRings, INLINE_CAP};
+use congest_sim::sched::PortRings;
 use proptest::prelude::*;
 use std::collections::VecDeque;
 
@@ -69,7 +69,7 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// Random interleavings over random shapes: every push/pop/serve/
-    /// wraparound/spill/drain order the model can express.
+    /// wraparound/drain order the model can express.
     #[test]
     fn rings_match_vecdeque_model(
         degree in 1usize..9,
@@ -80,7 +80,7 @@ proptest! {
     }
 
     /// Capacity exactly at the Theorem-12 bound: fill every port to the
-    /// brim (deep into the spill tier), then drain in FIFO order — the
+    /// brim, then drain in FIFO order — the
     /// boundary the congestion theorem parameterizes the scheduler by.
     #[test]
     fn exact_capacity_fill_and_drain(
@@ -90,17 +90,12 @@ proptest! {
     ) {
         let mut rings = PortRings::new(degree, cap);
         let total = rings.capacity();
-        prop_assert!(total >= cap, "logical capacity covers the declared bound");
+        prop_assert_eq!(total, cap, "the capacity is the declared bound");
         for p in 0..degree {
             for i in 0..total {
                 rings.push(p, (p * 1000 + i) as u128);
             }
             prop_assert_eq!(rings.len(p), total);
-        }
-        if cap > INLINE_CAP as usize {
-            prop_assert_eq!(rings.spilled_ports(), degree, "every port claimed a block");
-        } else {
-            prop_assert_eq!(rings.spilled_ports(), 0, "inline-only fills never claim");
         }
         if interleave {
             // One pop frees exactly one slot at the bound; push refills it.
@@ -127,10 +122,10 @@ proptest! {
     }
 }
 
-/// One past the bound must panic with the congestion hint, for shapes on
-/// both sides of the inline/spill boundary.
+/// One past the bound must panic with the congestion hint, at small and
+/// large capacities alike.
 #[test]
-fn overflow_panics_at_every_tier_shape() {
+fn overflow_panics_at_every_capacity() {
     for cap in [1usize, 3, 4, 5, 7, 12] {
         let result = std::panic::catch_unwind(|| {
             let mut rings = PortRings::new(2, cap);

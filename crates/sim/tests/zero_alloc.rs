@@ -131,8 +131,7 @@ impl Protocol for SparseTrickle {
 }
 
 /// Bursting multiplexed chatter: every sub floods every port during the
-/// burst window, so port queues build depth ≫ the inline tier and every
-/// port claims a spill block from the preallocated arena — while the
+/// burst window, so port queues build deep into their rings — while the
 /// round loop must still allocate nothing.
 struct BurstChatter {
     burst: u64,
@@ -402,11 +401,11 @@ fn sparse_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfig) -
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
 
-/// Spill-arena coverage: deep burst queues must claim spill blocks from
-/// the preallocated arena, never the heap. The burst length is fixed, so
-/// spills happen identically at every horizon and any extra allocation
+/// Deep-queue coverage: burst queues fill their rings, which are sized
+/// at construction, never grown. The burst length is fixed, so the
+/// queues build identically at every horizon and any extra allocation
 /// would show as a rounds-dependent count.
-fn spill_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfig) -> u64 {
+fn deep_queue_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfig) -> u64 {
     let k = 8usize;
     let delays = vec![0; k];
     let burst = 6u64;
@@ -428,10 +427,10 @@ fn spill_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfig) ->
         cfg,
     )
     .unwrap();
-    // Queues must genuinely have spilled past the inline tier.
+    // Queues must genuinely run deep, not one or two words.
     assert!(
         out.outputs.iter().all(|(_, peak)| *peak > 4),
-        "burst must drive queues past the inline tier"
+        "burst must drive queues past depth 4"
     );
     ALLOCATIONS.load(Ordering::Relaxed) - before
 }
@@ -503,14 +502,14 @@ fn round_loop_allocates_nothing_after_setup() {
         "sparse fast-path round loop allocated: {short} for 40 rounds vs {long} for 400"
     );
 
-    // Spill-arena path: queues build past the inline tier and claim spill
-    // blocks — cursor bumps into the preallocated arena, not the heap.
-    let _warm = spill_allocs_for(&g, 20, EngineConfig::default());
-    let short = min_allocs(|| spill_allocs_for(&g, 40, EngineConfig::default()));
-    let long = min_allocs(|| spill_allocs_for(&g, 400, EngineConfig::default()));
+    // Deep-queue path: queues build past depth 4 inside their
+    // preallocated rings, not the heap.
+    let _warm = deep_queue_allocs_for(&g, 20, EngineConfig::default());
+    let short = min_allocs(|| deep_queue_allocs_for(&g, 40, EngineConfig::default()));
+    let long = min_allocs(|| deep_queue_allocs_for(&g, 400, EngineConfig::default()));
     assert_eq!(
         long, short,
-        "spill-arena round loop allocated: {short} for 40 rounds vs {long} for 400"
+        "deep-queue round loop allocated: {short} for 40 rounds vs {long} for 400"
     );
 
     // --- Phase-resident sessions: a full multi-phase Theorem-1-shaped

@@ -33,7 +33,6 @@ use fast_broadcast::core::textbook::textbook_broadcast;
 use fast_broadcast::graph::algo::apsp::{apsp_unweighted, measure_stretch_unweighted};
 use fast_broadcast::graph::algo::bridges::bridges;
 use fast_broadcast::graph::algo::eccentricity;
-use fast_broadcast::graph::algo::karger::{karger_min_cut, karger_whp_repetitions};
 use fast_broadcast::graph::generators as gen;
 use fast_broadcast::graph::metrics::GraphParams;
 use fast_broadcast::graph::{Graph, WeightedGraph};
@@ -305,11 +304,6 @@ fn cmd_params(args: &[String]) -> Result<(), Failure> {
     say!("m           : {}", p.m);
     say!("min degree δ: {}", p.delta);
     say!("edge conn λ : {} (exact, max-flow)", p.lambda);
-    // Karger contracts down to two super-nodes, so it needs two to start.
-    if (2..=64).contains(&g.n()) {
-        let (mc, _) = karger_min_cut(&g, karger_whp_repetitions(g.n()).min(20_000), 7);
-        say!("  karger λ̂  : {mc} (Monte-Carlo cross-check)");
-    }
     match p.diameter {
         Some(d) => say!("diameter D  : {d}"),
         None => say!("diameter D  : ∞ (disconnected)"),

@@ -190,7 +190,7 @@ fn good_invocations_still_succeed() {
         &["params", "harary:4,16"][..],
         &["params", "torus:4x8"],
         &["params", "torus:4,8"],
-        // One node: measured without the Karger cross-check (it needs two).
+        // One node, no edge: λ = 0 and D = 0.
         &["params", "complete:1"],
         &["help"],
         &["serve", "--jobs", "8", "--graphs", "harary:4,32"],
