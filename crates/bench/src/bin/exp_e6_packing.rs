@@ -93,7 +93,7 @@ fn main() {
     // partition's log n regime).
     println!("\npaper claim (Thm 13/GK13): graph diameter O(log n) but packing diameter Ω(n/λ), with ≤ O(log n) short trees");
     let mut t3 = Table::new(
-        "GK13-style lower-bound family (2 greedy edge-disjoint trees)",
+        "GK13-style lower-bound family (2 edge-disjoint trees, exact matroid-union packing)",
         &[
             "columns",
             "λ",

@@ -21,6 +21,7 @@ use crate::slab;
 use congest_graph::{Graph, Node, Port};
 use congest_par::RacyCells;
 use rand::rngs::SmallRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// One node's program. The engine drives every node's `round` once per
 /// CONGEST round; messages written via [`NodeCtx::send`] are delivered at
@@ -69,11 +70,18 @@ pub(crate) struct BcastIn<'a, M: PackedMsg> {
     pub(crate) adj: &'a [Node],
 }
 
-/// Sender view of the broadcast plane: the node's own broadcast slot and
-/// staging byte (single writer per slot — the owning node).
+/// Sender view of the broadcast plane: the node's own broadcast slot
+/// (single writer — the owning node) and its bit of the staged-presence
+/// set. A presence word covers 64 nodes, and a step shard's nodes need not
+/// start at a multiple of 64, so two shards stepping at once may share a
+/// word: then the bit is set by an atomic OR. A pass that steps every
+/// shard on the calling thread (`one_task`) has no second writer, and
+/// sets it by a plain read-modify-write, which costs a send what a byte
+/// store does.
 pub(crate) struct BcastOut<'a, M: PackedMsg> {
     pub(crate) words: &'a RacyCells<'a, M::Word>,
-    pub(crate) stage: &'a RacyCells<'a, u8>,
+    pub(crate) stage: &'a [AtomicU64],
+    pub(crate) one_task: bool,
 }
 
 /// This node's received messages: a port-indexed word slice plus the
@@ -93,8 +101,9 @@ pub(crate) struct InSlot<'a, M: PackedMsg> {
 /// `rev[bit0..bit0 + deg]` are exactly this node's destinations (the
 /// context's inbox range doubles as its outbox range), so every staging
 /// byte has one writer, a plain store, and delivery is a buffer swap.
-/// `send_all` stores one word and one stage byte in the broadcast plane
-/// when `bcast` is set, and scatters like `deg` sends otherwise.
+/// `send_all` stores one word and one presence bit in the broadcast plane
+/// when `bcast` is set (always, in the round loop), and scatters like
+/// `deg` sends otherwise.
 ///
 /// The round loop builds one **per shard per round** over the graph's
 /// arcs (`rev` = [`Graph::reverse_arcs`]) and shares it by reference
@@ -121,7 +130,7 @@ pub(crate) struct ScatterPlane<'a, M: PackedMsg> {
     pub(crate) wl_lo: usize,
     pub(crate) wl_cap: usize,
     /// Count of messages this shard staged through the per-arc mask this
-    /// round (per-port `send`, or `send_all`'s scatter fallback). Zero
+    /// round (per-port `send`, or a node-local plane's `send_all`). Zero
     /// lets the deliver sweep skip the arc plane entirely; a small
     /// global total takes the sparse worklist fast path.
     pub(crate) staged: std::cell::Cell<u32>,
@@ -374,10 +383,10 @@ pub struct NodeCtx<'a, M: PackedMsg> {
     pub(crate) inbox: InSlot<'a, M>,
     pub(crate) outbox: &'a ScatterPlane<'a, M>,
     /// Whether this node already staged a broadcast-plane word this
-    /// round. Mirrors the node's own `bcast_stage` byte (which the
+    /// round. Mirrors the node's own staged-presence bit (which the
     /// deliver fold always zeroes before the next step), so the send hot
     /// path tests a context-local flag instead of re-reading the shared
-    /// staging slab per send.
+    /// presence word per send.
     pub(crate) bcast_staged: bool,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) done: &'a mut bool,
@@ -512,14 +521,14 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         );
     }
 
-    /// Send a copy of `msg` to every neighbor. When the round loop hands
-    /// out the broadcast plane this is **O(1)**: the message is stored once
-    /// in the sender's broadcast slot and receivers read it through the
-    /// plane — no per-arc scatter, no per-arc delivery work. Otherwise (a
-    /// round after sparse traffic, or a sub-protocol's node-local plane) it
-    /// scatters through `rev`: one packed word, `deg` plain stores. Under
-    /// a fault plan the adversary moves the plane word of a node behind a
-    /// blocked edge onto those same per-arc slots before it drops anything
+    /// Send a copy of `msg` to every neighbor. In the round loop this is
+    /// **O(1)**: the message is stored once in the sender's broadcast slot,
+    /// its presence bit is set, and receivers read it through the plane —
+    /// no per-arc scatter, no per-arc delivery work. A sub-protocol's
+    /// node-local plane has no broadcast plane, and there it scatters
+    /// through `rev`: one packed word, `deg` plain stores. Under a fault
+    /// plan the adversary moves the plane word of a node behind a blocked
+    /// edge onto per-arc slots the same way before it drops anything
     /// ([`crate::session`]), so the receivers see the same messages either
     /// way.
     pub fn send_all(&mut self, msg: M) {
@@ -534,7 +543,7 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
                 "CONGEST violation: node {} broadcast twice in round {}",
                 self.node, self.round
             );
-            // SAFETY: slot `node < n` of the n-slot broadcast staging pair
+            // SAFETY: slot `node < n` of the n-slot broadcast staging slab
             // is written by `node`'s own step alone (the fold and the
             // adversary read it after the pass joins); the mask reads in
             // the debug check are of this node's own destination slots
@@ -550,22 +559,27 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
                     self.node,
                     self.round
                 );
-                b.stage.write(node, 1);
                 b.words.write(node, word);
+            }
+            let (staged, bit) = (&b.stage[node >> 6], 1 << (node & 63));
+            if b.one_task {
+                staged.store(staged.load(Ordering::Relaxed) | bit, Ordering::Relaxed);
+            } else {
+                staged.fetch_or(bit, Ordering::Relaxed);
             }
             self.bcast_staged = true;
             plane.bcast_used.set(true);
             return;
         }
-        let k0 = plane.staged.get() as usize;
-        for (j, &dest) in plane.rev[lo..lo + deg].iter().enumerate() {
+        // Only a node-local plane has no broadcast plane, and it keeps no
+        // worklist: its host collects the sends from the mask bytes.
+        debug_assert_eq!(plane.wl_cap, 0, "a scattering send_all lists nothing");
+        for &dest in &plane.rev[lo..lo + deg] {
             let dest = dest as usize;
             // SAFETY: `rev[lo..lo + deg]` are this node's own destination
-            // slots (see `send`), and `k0 + j < wl_cap` keeps the worklist
-            // write inside this shard's slice (see `record`). The
-            // double-send probe is debug-only on this bulk path — one
-            // load+branch per arc is measurable at 10^6 arcs; `send` keeps
-            // the full check for per-port traffic.
+            // slots (see `send`). The double-send probe is debug-only on
+            // this bulk path; `send` keeps the full check for per-port
+            // traffic.
             unsafe {
                 debug_assert!(
                     plane.mask.read(dest) == 0,
@@ -573,14 +587,11 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
                     self.node,
                     self.round
                 );
-                if k0 + j < plane.wl_cap {
-                    plane.wl.write(plane.wl_lo + k0 + j, dest as u32);
-                }
                 plane.mask.write(dest, 1);
                 plane.words.write(dest, word);
             }
         }
-        plane.staged.set((k0 + deg) as u32);
+        plane.staged.set(plane.staged.get() + deg as u32);
     }
 
     /// Whether this node already wrote to `port` this round.

@@ -361,7 +361,7 @@ pub fn random_delays(k: usize, max_delay: u64, seed: u64) -> Vec<u64> {
 mod tests {
     use super::*;
     use crate::engine::{run_protocol, EngineConfig};
-    use congest_graph::generators::cycle;
+    use congest_graph::generators::{cycle, path};
     use congest_graph::{Graph, Node};
 
     /// Message-driven flood from a designated source (tolerates delays).
@@ -552,27 +552,30 @@ mod tests {
                 self.informed
             }
         }
-        let g = cycle(8);
-        let k = 2;
-        let delays = vec![0, 1];
-        let outcome = run_protocol(
-            &g,
-            |_, gr: &Graph| {
-                let instances: Vec<Stubborn> =
-                    (0..k).map(|_| Stubborn { informed: false }).collect();
-                Multiplexed::new(instances, &delays, gr.degree(0), 64)
-            },
-            EngineConfig::default()
-                .max_rounds(500)
-                .with_faults(FaultPlan::new(1, 11)),
-        )
-        .unwrap();
-        assert!(outcome.stats.dropped_messages > 0, "adversary acted");
-        for (flags, _) in &outcome.outputs {
-            assert!(
-                flags.iter().all(|&x| x),
-                "floods must survive the adversary"
-            );
+        // The path is irregular: node 0 has one port and its neighbour
+        // two, so a ring sized by the wrong node's degree fails here.
+        for g in [cycle(8), path(8)] {
+            let k = 2;
+            let delays = vec![0, 1];
+            let outcome = run_protocol(
+                &g,
+                |v, gr: &Graph| {
+                    let instances: Vec<Stubborn> =
+                        (0..k).map(|_| Stubborn { informed: false }).collect();
+                    Multiplexed::new(instances, &delays, gr.degree(v), 64)
+                },
+                EngineConfig::default()
+                    .max_rounds(500)
+                    .with_faults(FaultPlan::new(1, 11)),
+            )
+            .unwrap();
+            assert!(outcome.stats.dropped_messages > 0, "adversary acted");
+            for (flags, _) in &outcome.outputs {
+                assert!(
+                    flags.iter().all(|&x| x),
+                    "floods must survive the adversary"
+                );
+            }
         }
     }
 

@@ -27,13 +27,14 @@
 //!   zeroed buffer instead of copying and zero-filling the old one: its
 //!   pages stay unmapped until a phase first writes them.
 //! * **Zeroed by breadcrumb.** The round loop's own termination
-//!   discipline leaves the occupancy bitsets, staging masks, and
-//!   broadcast stage bytes all-zero when a run completes (sparse rounds
-//!   zero by set-word breadcrumbs, full sweeps rebuild every word, the
-//!   final silent iteration clears the rest), and the end-of-run per-edge
-//!   congestion fold drains the arc/node traffic counters back to zero
-//!   as it reads them. The next phase starts on clean state without any
-//!   O(arcs) scrub. Only a phase that *failed* (round-limit error or a
+//!   discipline leaves the occupancy bitsets, staging masks, and the
+//!   broadcast plane's staged-presence words all-zero when a run
+//!   completes (sparse rounds zero by set-word breadcrumbs, full sweeps
+//!   rebuild every word, every plane fold takes the staged words it
+//!   reads, the final silent iteration clears the rest), and the
+//!   end-of-run per-edge congestion fold zeroes the arc/node traffic
+//!   counters once it has read them. The next phase starts on clean
+//!   state without any O(arcs) scrub. Only a phase that *failed* (round-limit error or a
 //!   panic inside a node program) marks the session dirty and pays one
 //!   full scrub on the next run; debug builds assert, where a clean state
 //!   skips that scrub, that the five buffers (`in_occ`, `out_mask`,
@@ -88,26 +89,28 @@
 //! * **Adversary** — under a [`crate::FaultPlan`], one serial pass over the
 //!   round's blocked edges. It **demotes** each endpoint that staged a
 //!   broadcast-plane word — the word goes to the node's per-arc staging
-//!   slots through `reverse_arc`, its stage byte is cleared, its degree
-//!   joins the staged count, and the round takes the full sweep (no
-//!   worklist lists those arcs) — then clears what is staged on the
-//!   blocked arcs and counts it dropped: what an all-scatter round drops.
+//!   slots through `reverse_arc`, its staged-presence bit is cleared, and
+//!   its arcs join its shard's staged count and worklist, as its own
+//!   per-port sends would (so a thin faulted round still takes the sparse
+//!   merge) — then clears what is staged on the blocked arcs and counts it
+//!   dropped: what an all-scatter round drops.
 //! * **Deliver** — the staging slab *becomes* the inbox slab (a swap), and
 //!   what was staged is folded into the occupancy bitset, counted and
 //!   metered by one of three paths, chosen from the staged counts alone
 //!   (the same at every pool width and shard count) and bit-identical in
 //!   what they leave. **Skip**: nothing went through the arc mask, so only
 //!   the previous round's occupancy residue is zeroed. **Sparse**: the
-//!   staged total is within [`EngineConfig::sparse_threshold`], no
-//!   worklist overflowed, and nobody was demoted. One serial pass over the
-//!   shards' worklists: an entry whose mask byte the adversary cleared
-//!   drops out; for the rest, zero the mask byte, set the occupancy bit,
-//!   bump the arc's counter, and note each word that went nonzero in
-//!   `set_words`, the breadcrumb by which the next round zeroes O(traffic)
-//!   words, not the bitset (the pass is random-access and O(traffic), so
-//!   it never forks). **Full**: each shard sweeps its word range — 64
-//!   mask bytes pack into one occupancy word, the mask is re-zeroed, the
-//!   set bits counted and their arcs' counters bumped.
+//!   staged total is within [`EngineConfig::sparse_threshold`] (then no
+//!   shard's worklist overflowed: a shard stages each port at most once).
+//!   One serial pass over the shards' worklists: an entry whose mask byte
+//!   the adversary cleared drops out; for the rest, zero the mask byte,
+//!   set the occupancy bit, bump the arc's counter, and note each word
+//!   that went nonzero in `set_words`, the breadcrumb by which the next
+//!   round zeroes O(traffic) words, not the bitset (the pass is
+//!   random-access and O(traffic), so it never forks). **Full**: each
+//!   shard sweeps its word range — 64 mask bytes pack into one occupancy
+//!   word, the mask is re-zeroed, the set bits counted and their arcs'
+//!   counters bumped.
 //!
 //! Each shard writes one private `ShardMeter`; the round's totals
 //! (delivered, all done, staged) are a serial fold over them — sums and an
@@ -121,14 +124,22 @@
 //! node and set for every receiver of the round's mail, and a **listed**
 //! round steps only the nodes whose byte is set, walking the bytes eight
 //! to a compare. Every round of such a protocol is listed except round 0
-//! and a round after a plane fold (the plane's receivers are not listed),
-//! which step every node and so rewrite every byte: the list is rebuilt
-//! before it is next trusted, so it needs no scrub after a failed phase,
-//! no `state_hash` tag and no snapshot field. Who lists a receiver
-//! follows the deliver path that brought its mail. The sparse merge sets
-//! the byte as it delivers, and the listed pass then stays on the
-//! calling thread, for the reason the merge does: its work is
-//! O(frontier). After a full sweep, each shard's step task first
+//! and a round after a large plane fold, which step every node and so
+//! rewrite every byte: the list is rebuilt before it is next trusted, so
+//! it needs no scrub after a failed phase, no `state_hash` tag and no
+//! snapshot field. Who lists a receiver follows the path that brought its
+//! mail. The sparse merge sets the byte as it delivers, and the listed
+//! pass then stays on the calling thread, for the reason the merge does:
+//! its work is O(frontier). A **small plane fold** — one whose senders
+//! reach fewer than a quarter of the arcs, the degree sum of the presence
+//! bits it folded — lists its receivers itself: after the fold, one
+//! serial walk over the presence words visits each sender's neighbour
+//! list and sets the bytes, so a rumor's lone source in round 0 makes
+//! round 1 step its neighbours, not the graph. The gate reads the fold's
+//! reach and the arc count only, never `sparse_threshold`, the pool width
+//! or the shard count. After a large fold the walk would cost what
+//! stepping everyone costs, and the next round steps everyone. After a
+//! full sweep, each shard's step task first
 //! **probes**: it walks the occupancy words over its own nodes' arc range
 //! with a forward node cursor and sets the byte of each node owning a set
 //! bit, then walks the list; that pass forks as the sweep did. The probe
@@ -138,33 +149,38 @@
 //! pool width and shard count. An unlisted node is done, so `all done`
 //! folds over the stepped nodes only. Debug builds check the invariant
 //! over every shard of every listed round, after its probe (an unlisted
-//! node is done and has no occupancy bit in its arc range), and
+//! node is done, has no occupancy bit in its arc range and has no
+//! neighbour whose presence bit the plane carries), and
 //! [`crate::eager::check_quiescent`] holds every protocol that makes the
 //! promise to it.
 //!
 //! **The broadcast plane.** Through it a `send_all` stores one word in
-//! the sender's slot of a per-node slab plus one stage byte, and receivers
-//! resolve it through their neighbour lists — a win when most arcs carry
-//! a message, a wasted neighbour scan when few do. So `send_all` takes
-//! the plane in a round iff the *previous* round delivered on at least a
-//! quarter of the arcs (round 0 is optimistic), with or without a fault
-//! plan (the adversary demotes what it must drop from, above); otherwise
-//! it scatters like `deg(v)` sends, and the receiver reads the same inbox
-//! either way. Deliver **folds** the plane only in rounds where a shard
-//! staged through it: 64 stage bytes pack into one presence word, and each
-//! set bit adds the sender's degree to the delivered count and one to the
-//! sender's counter. Receivers are handed the plane only in the round
-//! after a fold (a fold whose every sender was demoted finds none, and
-//! its receivers probe an empty plane once), so sparse rounds probe
-//! nothing. In such a round a receiver reads its inbox in **one pass over
-//! its neighbour list**, whichever way it iterates ([`NodeCtx::inbox`]):
-//! per port, the slab word if the port's occupancy bit is set (a per-port
-//! `send` of the same round), else the neighbour's plane word if the
-//! neighbour's presence bit is. No presence word is gathered ahead of
-//! that pass — until PR 24 one was, for the node's first occupancy word,
-//! and the messages behind it were then found by a second read of the
-//! same neighbours; with degrees up to 64 that was most of every inbox
-//! (DESIGN.md §6 has what it cost).
+//! the sender's slot of a per-node slab and sets the sender's bit in a
+//! staged-presence bitset, in every round, with or without a fault plan
+//! (the adversary demotes what it must drop from, above). So a `send_all`
+//! never scatters `deg` words through `reverse_arc` in the round loop, a
+//! cache miss per message on graphs whose neighbours are far apart in
+//! memory; only [`crate::sched::Multiplexed`]'s node-local plane, which
+//! has no broadcast plane, does. A presence word covers 64 nodes and the
+//! step shards are balanced by arcs, so two shards may share a word: a
+//! forked step pass sets the bit by an atomic OR, a pass on the calling
+//! thread by a plain read-modify-write. Deliver **folds** the plane only in
+//! rounds where a shard staged through it: each shard takes its own
+//! staged words whole — n / 64 words, not n stage bytes — as the presence
+//! words receivers read, leaves them zero, and each set bit adds the
+//! sender's degree to the delivered count (and to the fold's reach) and
+//! one to the sender's counter. Receivers are handed the plane only in the
+//! round after a fold (a fold whose every sender was demoted finds none,
+//! and its receivers probe an empty plane once), so rounds with no
+//! broadcast probe nothing. In such a round a receiver reads its inbox in
+//! **one pass over its neighbour list**, whichever way it iterates
+//! ([`NodeCtx::inbox`]): per port, the slab word if the port's occupancy
+//! bit is set (a per-port `send` of the same round), else the neighbour's
+//! plane word if the neighbour's presence bit is. No presence word is
+//! gathered ahead of that pass — until PR 24 one was, for the node's first
+//! occupancy word, and the messages behind it were then found by a second
+//! read of the same neighbours; with degrees up to 64 that was most of
+//! every inbox (DESIGN.md §6 has what it cost).
 //!
 //! **The congestion meter.** Per-edge congestion is what Lemma 1 and
 //! Theorem 1 bound, so every delivery is metered, by a plain `u32` bumped
@@ -173,10 +189,10 @@
 //! bump per delivery on each of `v`'s out-arcs). A counter is at most the
 //! phase's rounds, which `begin_phase` holds to `u32::MAX`. Phase exit
 //! (`drain_traffic`) folds the counters into the per-edge row behind
-//! [`PhaseOutcome::edge_congestion`] and leaves them zero, in one pass
-//! that visits each edge once from its lower arc; it reads the per-node
-//! counters only if some round folded the plane. The reference
-//! interpreter's `u64` per-edge counters pin the totals.
+//! [`PhaseOutcome::edge_congestion`] in one arc-ordered pass — each arc
+//! adds its own counter and its owner's plane counter to its edge — then
+//! zeroes both counter arrays wholesale and takes the row's maximum. The
+//! reference interpreter's `u64` per-edge counters pin the totals.
 //!
 //! **Allocation and determinism.** The loop allocates nothing after setup
 //! (`tests/zero_alloc.rs`; `collect_trace` appends one `u64` per round).
@@ -193,6 +209,7 @@ use crate::slab;
 use congest_graph::{Edge, Graph, Node, ShardPlan};
 use congest_par::RacyCells;
 use rand::rngs::SmallRng;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The staging byte-mask value for "this arc carries a message".
 const STAGED: u8 = 1;
@@ -202,11 +219,12 @@ const STAGED: u8 = 1;
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum StepSet {
     /// Every node, which rewrites the whole list: round 0, a round after a
-    /// plane fold, and every round of a protocol without
+    /// large plane fold, and every round of a protocol without
     /// [`Protocol::QUIESCENT`].
     All,
     /// The nodes `active` lists, after a skip or a sparse deliver (whose
-    /// merge listed its receivers), on the calling thread.
+    /// merge listed its receivers; a small plane fold lists its own), on
+    /// the calling thread.
     Listed,
     /// The same, after a full sweep: each shard first lists its own
     /// receivers from their occupancy bits, across the shards.
@@ -317,42 +335,31 @@ const MAX_AUTO_SHARDS: usize = 64;
 
 /// The phase-exit fold: drain the per-arc delivery counters into
 /// `edge_row`, both directions of an edge summed, and return the row's
-/// maximum. `node_traffic[u]` is what `u` sent through the broadcast
-/// plane, one delivery on every arc out of `u`; it is empty when the phase
-/// folded no plane, and then it is all zero and is not read. One pass:
-/// each edge is visited once, from its lower arc, which writes its row
-/// entry (so the row needs no clearing) and folds the maximum. Every
-/// counter read is left zero: the "zeroed by breadcrumb" exit contract,
-/// so the next phase pays nothing.
+/// maximum. `traffic[a]` counts the deliveries into arc `a`'s slot, which
+/// came over `a`'s edge, and `node_traffic[v]` what `v` sent through the
+/// broadcast plane, one delivery over every edge of `v`. So one pass in
+/// arc order adds `traffic[a] + node_traffic[v]` to the edge of each arc
+/// `a` of each node `v`: both arcs of an edge together carry its two
+/// directions. Then both counter arrays are zeroed wholesale — the
+/// "zeroed by breadcrumb" exit contract, so the next phase pays nothing —
+/// and the maximum is one scan of the row.
 fn drain_traffic(
     graph: &Graph,
     traffic: &mut [u32],
     node_traffic: &mut [u32],
     edge_row: &mut [u64],
 ) -> u64 {
-    let rev = graph.reverse_arcs();
-    let plane = !node_traffic.is_empty();
-    let mut max = 0;
-    for v in 0..graph.n() as Node {
-        let lo = graph.arc_offset(v);
-        let sent_v = if plane { node_traffic[v as usize] } else { 0 };
-        let ports = graph.neighbors(v).iter().zip(graph.incident_edges(v));
-        for (i, (&u, &e)) in ports.enumerate() {
-            let (a, r) = (lo + i, rev[lo + i] as usize);
-            if a > r {
-                continue;
-            }
-            let mut t = std::mem::take(&mut traffic[a]) as u64;
-            t += std::mem::take(&mut traffic[r]) as u64;
-            if plane {
-                t += sent_v as u64 + node_traffic[u as usize] as u64;
-            }
-            edge_row[e as usize] = t;
-            max = max.max(t);
+    edge_row.fill(0);
+    for (v, &sent) in node_traffic.iter().enumerate() {
+        let lo = graph.arc_offset(v as Node);
+        let edges = graph.incident_edges(v as Node);
+        for (&e, &t) in edges.iter().zip(&traffic[lo..lo + edges.len()]) {
+            edge_row[e as usize] += t as u64 + sent as u64;
         }
     }
+    traffic.fill(0);
     node_traffic.fill(0);
-    max
+    edge_row.iter().copied().max().unwrap_or(0)
 }
 
 /// Per-node hot state, kept together so one cache line serves one node's
@@ -384,13 +391,16 @@ struct ShardMeter {
     /// Whether every node of this shard reported `done` this round.
     all_done: bool,
     /// Messages this shard's nodes staged through the per-arc mask this
-    /// round (per-port sends plus scatter-fallback broadcasts). Zero lets
-    /// the deliver phase skip the arc plane; a small global total takes
-    /// the sparse worklist path.
+    /// round (per-port sends, and the arcs of its demoted broadcasters).
+    /// Zero lets the deliver phase skip the arc plane; a small global
+    /// total takes the sparse worklist path.
     staged: u32,
     /// Whether any node of this shard staged a broadcast-plane word this
     /// round (gates the per-node plane fold).
     bcast_used: bool,
+    /// Arcs this shard's plane senders reached this round (their degree
+    /// sum, part of `delivered`): a small total lists their receivers.
+    reach: u64,
 }
 
 /// Does the inbox occupancy bitset need zeroing before this round's bits
@@ -623,16 +633,16 @@ pub(crate) struct SessionState {
     /// The congestion meter: deliveries per arc this phase, drained into
     /// `per_edge` at phase exit.
     arc_traffic: Vec<u32>,
-    /// Broadcast-plane staging bytes / presence bits / per-node send
-    /// counts (the plane's share of the meter).
-    bcast_stage: Vec<u8>,
+    /// Broadcast-plane staged-presence bits / delivered-presence bits /
+    /// per-node send counts (the plane's share of the meter).
+    bcast_stage: Vec<AtomicU64>,
     bcast_occ: Vec<u64>,
     node_traffic: Vec<u32>,
     /// The active-node list of a [`Protocol::QUIESCENT`] phase, one byte per
     /// node: nonzero iff the node must be stepped next round (it is not
-    /// done, or the sparse merge delivered it mail). Round 0 of every phase
-    /// rewrites all of it, so it crosses no phase boundary: no scrub, no
-    /// hash tag, no snapshot field.
+    /// done, or it was delivered mail). Round 0 of every phase rewrites
+    /// all of it, so it crosses no phase boundary: no scrub, no hash tag,
+    /// no snapshot field.
     active: Vec<u8>,
     /// Fault-adversary scratch (the round's drawn edge ids).
     blocked: Vec<Edge>,
@@ -715,7 +725,7 @@ impl SessionState {
         self.in_occ.fill(0);
         self.out_mask.fill(0);
         self.arc_traffic.fill(0);
-        self.bcast_stage.fill(0);
+        self.bcast_stage.iter_mut().for_each(|w| *w.get_mut() = 0);
         self.node_traffic.fill(0);
         // `bcast_occ` needs no scrub: receivers are handed it only in the
         // round after a fold, and every fold rebuilds all presence words.
@@ -730,7 +740,10 @@ impl SessionState {
         zero(&self.in_occ)
             && zero(&self.out_mask)
             && zero(&self.arc_traffic)
-            && zero(&self.bcast_stage)
+            && self
+                .bcast_stage
+                .iter()
+                .all(|w| w.load(Ordering::Relaxed) == 0)
             && zero(&self.node_traffic)
     }
 
@@ -788,7 +801,7 @@ impl SessionState {
             + self.in_occ.capacity() * 8
             + self.out_mask.capacity()
             + self.arc_traffic.capacity() * 4
-            + self.bcast_stage.capacity()
+            + self.bcast_stage.capacity() * 8
             + self.bcast_occ.capacity() * 8
             + self.node_traffic.capacity() * 4
             + self.active.capacity()
@@ -799,8 +812,9 @@ impl SessionState {
     /// Size the broadcast plane's bookkeeping for `n` nodes: once per
     /// session, by its first phase.
     fn size_plane(&mut self, n: usize) {
-        if self.bcast_stage.len() < n {
-            self.bcast_stage.resize(n, 0);
+        if self.node_traffic.len() < n {
+            self.bcast_stage
+                .resize_with(n.div_ceil(64), AtomicU64::default);
             self.bcast_occ.resize(n.div_ceil(64), 0);
             self.node_traffic.resize(n, 0);
         }
@@ -930,7 +944,7 @@ impl SessionState {
         let in_occ: &mut [u64] = in_occ;
         let out_mask: &mut [u8] = out_mask;
         let arc_traffic: &mut [u32] = arc_traffic;
-        let bcast_stage: &mut [u8] = &mut bcast_stage[..n];
+        let bcast_stage: &mut [AtomicU64] = &mut bcast_stage[..node_words];
         let bcast_occ: &mut [u64] = &mut bcast_occ[..node_words];
         let node_traffic: &mut [u32] = &mut node_traffic[..n];
         let active: &mut [u8] = active;
@@ -952,13 +966,6 @@ impl SessionState {
         // Whether the last round folded the broadcast plane: receivers are
         // handed the plane only then.
         let mut bcast_any = false;
-        // Whether any round folded the broadcast plane (and so may have
-        // left `node_traffic` nonzero for the exit fold).
-        let mut plane_folded = false;
-        // Adaptive plane choice: `send_all` goes through the broadcast
-        // plane only in rounds following *dense* traffic (see the module
-        // docs); round 0 starts optimistic.
-        let mut last_delivered: u64 = arcs as u64;
 
         let (arc_targets, rev) = (graph.arc_targets(), graph.reverse_arcs());
         let mut stats = RunStats::default();
@@ -978,19 +985,13 @@ impl SessionState {
                     limit: config.max_rounds,
                 });
             }
-            debug_assert!(
-                step_set == StepSet::All || !bcast_any,
-                "a listed round follows no plane fold"
-            );
             // --- Step phase: each shard steps its own nodes; sends
             // scatter into the staging slab's destination slots.
-            let use_plane = 4 * last_delivered >= arcs as u64;
             {
                 let racy_cells = RacyCells::new(cells.as_mut_slice());
                 let racy_out = RacyCells::new(&mut *out_words);
                 let racy_mask = RacyCells::new(&mut *out_mask);
                 let racy_bcast_out = RacyCells::new(&mut *bcast_out_words);
-                let racy_bcast_stage = RacyCells::new(&mut *bcast_stage);
                 let racy_meters = RacyCells::new(&mut *meters);
                 let racy_wl = RacyCells::new(&mut *worklist);
                 let racy_active = RacyCells::new(&mut *active);
@@ -1005,11 +1006,17 @@ impl SessionState {
                     adj: graph.arc_targets(),
                 };
                 let bcast_in = bcast_any.then_some(&bcast_in);
+                // A pass listed by the sparse merge or a small fold is
+                // O(frontier) work, like the listing: it stays on the
+                // calling thread. A probed pass reads its shard's occupancy
+                // words, as the sweep before it wrote them, and forks as
+                // the sweep did.
+                let one_task = s_count == 1 || step_set == StepSet::Listed;
                 let bcast_out = BcastOut {
                     words: &racy_bcast_out,
-                    stage: &racy_bcast_stage,
+                    stage: &*bcast_stage,
+                    one_task,
                 };
-                let bcast_out = use_plane.then_some(&bcast_out);
                 let wl_starts = &wl_starts[..];
                 let step_shard = |s: usize| {
                     let nodes = plan.nodes(s);
@@ -1028,17 +1035,20 @@ impl SessionState {
                     // task of this pass that touches the bytes of its own
                     // nodes `v_lo..v_hi` (a node's byte is written by that
                     // node's step and by its own shard's probe alone; the
-                    // sparse merge, the other writer, runs between step
-                    // passes on the calling thread). Bytes, not bits: two
-                    // shards never share a word. Invariant once a listed
-                    // round has listed its receivers, for every node `v`:
-                    // `active[v] == 0` implies `v` is done and no occupancy
-                    // bit is set in its arc range — the last step of `v`
-                    // wrote `!done`, no later step un-did it, and every
-                    // delivery since went through the sparse merge, which
-                    // sets the receiver's byte, or through the full sweep,
-                    // whose receivers the probe below lists (a plane fold
-                    // makes the next round step everyone instead).
+                    // sparse merge and the small-fold listing, the other
+                    // writers, run between step passes on the calling
+                    // thread). Bytes, not bits: two shards never share a
+                    // word. Invariant once a listed round has listed its
+                    // receivers, for every node `v`: `active[v] == 0`
+                    // implies `v` is done, no occupancy bit is set in its
+                    // arc range and no neighbour of `v` broadcast — the
+                    // last step of `v` wrote `!done`, no later step un-did
+                    // it, and every delivery since went through the sparse
+                    // merge, which sets the receiver's byte, through the
+                    // full sweep, whose receivers the probe below lists, or
+                    // through a small plane fold, which lists its senders'
+                    // neighbours (a large fold makes the next round step
+                    // everyone instead).
                     let active_s = unsafe { racy_active.slice_mut(v_lo, v_hi) };
                     // Equal lengths, said once so the loop's index into
                     // `active_s` needs no bounds check of its own.
@@ -1048,15 +1058,21 @@ impl SessionState {
                     }
                     // The list's invariant, checked in full over the shard
                     // in debug builds: a node a listed round will not step
-                    // is done and has an empty inbox.
+                    // is done and has an empty inbox, on the slab and on
+                    // the plane.
                     #[cfg(debug_assertions)]
                     if step_set != StepSet::All {
+                        let broadcast = |u: Node| {
+                            bcast_in.is_some_and(|b| b.occ[u as usize >> 6] >> (u & 63) & 1 == 1)
+                        };
                         for (i, cell) in cells_s.iter().enumerate() {
                             let v = (v_lo + i) as Node;
                             let (lo, deg) = (graph.arc_offset(v), graph.degree(v));
                             debug_assert!(
                                 active_s[i] != 0
-                                    || (cell.done && slab::popcount_range(in_occ, lo, deg) == 0),
+                                    || (cell.done
+                                        && slab::popcount_range(in_occ, lo, deg) == 0
+                                        && !graph.neighbors(v).iter().any(|&u| broadcast(u))),
                                 "round {round}: node {v} is unlisted but not done or has mail"
                             );
                         }
@@ -1069,7 +1085,7 @@ impl SessionState {
                         words: &racy_out,
                         mask: &racy_mask,
                         rev: graph.reverse_arcs(),
-                        bcast: bcast_out,
+                        bcast: Some(&bcast_out),
                         wl: &racy_wl,
                         wl_lo: wl_starts[s],
                         wl_cap: wl_starts[s + 1] - wl_starts[s],
@@ -1115,11 +1131,7 @@ impl SessionState {
                     meter.staged = plane.staged.get();
                     meter.bcast_used = plane.bcast_used.get();
                 };
-                // A pass listed by the sparse merge is O(frontier) work,
-                // like the merge: it stays on the calling thread. A probed
-                // pass reads its shard's occupancy words, as the sweep
-                // before it wrote them, and forks as the sweep did.
-                if step_set == StepSet::Listed {
+                if one_task {
                     (0..s_count).for_each(step_shard);
                 } else {
                     each_shard(s_count, step_shard);
@@ -1128,7 +1140,6 @@ impl SessionState {
             // --- Adversary phase: on each direction `from → to` of each
             // blocked edge, demote `from`'s plane word to per-arc staging,
             // then destroy what is staged on the arc (see the module docs).
-            let mut demoted: u64 = 0;
             if let Some(fault_plan) = &config.faults {
                 fault_plan.blocked_edges_into(round, graph.m(), blocked);
                 for &e in blocked.iter() {
@@ -1136,13 +1147,26 @@ impl SessionState {
                     for (from, to) in [(u, v), (v, u)] {
                         let lo = graph.arc_offset(from);
                         let deg = graph.degree(from);
-                        if bcast_stage[from as usize] == STAGED {
-                            bcast_stage[from as usize] = 0;
-                            for &d in &rev[lo..lo + deg] {
+                        let bit = 1u64 << (from & 63);
+                        let stage = bcast_stage[from as usize >> 6].get_mut();
+                        if *stage & bit != 0 {
+                            *stage &= !bit;
+                            // The demoted arcs join the sender's shard's
+                            // staged count and worklist, as its own sends
+                            // would have.
+                            let s = (0..s_count)
+                                .rfind(|&s| plan.nodes(s).start <= from)
+                                .expect("shard 0 starts at node 0");
+                            let (base, cap) = (wl_starts[s], wl_starts[s + 1] - wl_starts[s]);
+                            let k = meters[s].staged as usize;
+                            for (j, &d) in rev[lo..lo + deg].iter().enumerate() {
                                 out_words[d as usize] = bcast_out_words[from as usize];
                                 out_mask[d as usize] = STAGED;
+                                if k + j < cap {
+                                    worklist[base + k + j] = d;
+                                }
                             }
-                            demoted += deg as u64;
+                            meters[s].staged += deg as u32;
                         }
                         let port = graph
                             .port_to(from, to)
@@ -1160,30 +1184,26 @@ impl SessionState {
             // invariants.
             std::mem::swap(&mut in_words, &mut out_words);
             std::mem::swap(&mut bcast_in_words, &mut bcast_out_words);
-            let staged_total = demoted + meters.iter().map(|m| m.staged as u64).sum::<u64>();
-            let fold_bcast = use_plane && meters.iter().any(|m| m.bcast_used);
-            plane_folded |= fold_bcast;
-            // A shard stages at most its out-degree, at most
-            // `out_arc_bound(s)`, so overflowing its worklist slice
+            let staged_total = meters.iter().map(|m| m.staged as u64).sum::<u64>();
+            let fold_bcast = meters.iter().any(|m| m.bcast_used);
+            // A shard stages each of its ports at most once (`send`
+            // asserts it, a `send_all` stages nothing on the mask, and a
+            // demoted one only ports its sender did not send on), so at
+            // most `out_arc_bound(s)`: overflowing its worklist slice
             // (`min(threshold, out_arc_bound(s))`) means the round staged
-            // more than `threshold` in all: the round kind is a function
-            // of the staged total and `demoted` alone, the same at every
-            // shard count. `wl_overflow` stays only to catch a
-            // release-mode double scatter `send_all`, whose check runs in
-            // debug builds only.
-            let wl_overflow = meters
-                .iter()
-                .enumerate()
-                .any(|(s, m)| m.staged as usize > wl_starts[s + 1] - wl_starts[s]);
-            debug_assert!(!wl_overflow || staged_total > threshold as u64);
-            // No worklist lists a demoted arc: only the full sweep finds it.
-            let sparse_round = demoted == 0
-                && staged_total > 0
-                && staged_total <= threshold as u64
-                && !wl_overflow;
+            // more than `threshold` in all. The round kind is a function
+            // of the staged total alone, the same at every shard count.
+            let sparse_round = staged_total > 0 && staged_total <= threshold as u64;
+            debug_assert!(
+                !sparse_round
+                    || (meters.iter().enumerate())
+                        .all(|(s, m)| m.staged as usize <= wl_starts[s + 1] - wl_starts[s]),
+                "round {round}: a sparse round overflowed a shard's worklist"
+            );
             let run_full_sweep = staged_total > 0 && !sparse_round;
             for m in meters.iter_mut() {
                 m.delivered = 0;
+                m.reach = 0;
             }
             let mut sparse_delivered: u64 = 0;
             if !run_full_sweep {
@@ -1236,7 +1256,7 @@ impl SessionState {
                 let racy_mask = RacyCells::new(&mut *out_mask);
                 let racy_occ = RacyCells::new(&mut *in_occ);
                 let racy_traffic = RacyCells::new(&mut *arc_traffic);
-                let racy_bcast_stage = RacyCells::new(&mut *bcast_stage);
+                let bcast_stage = &*bcast_stage;
                 let racy_bcast_occ = RacyCells::new(&mut *bcast_occ);
                 let racy_node_traffic = RacyCells::new(&mut *node_traffic);
                 let racy_meters = RacyCells::new(&mut *meters);
@@ -1285,38 +1305,41 @@ impl SessionState {
                     if fold_bcast {
                         let nw = plan.node_words(s);
                         let nodes_cov = plan.node_word_nodes(s);
-                        let (b_lo, b_hi) = (nodes_cov.start, nodes_cov.end);
+                        let b_lo = nodes_cov.start;
                         // SAFETY: `plan.node_words(..)` partitions the
                         // presence words and `plan.node_word_nodes(s)` is
                         // exactly the nodes of shard `s`'s words (`b_lo ==
-                        // 64 * nw.start`), so no two shards share a stage
-                        // byte, a presence word or a send counter
+                        // 64 * nw.start`), so no two shards share a
+                        // presence word or a send counter
                         // (`check_shard_regions`); their writers — the
                         // step pass — have joined.
-                        let (stage_s, bocc_s, sent_s) = unsafe {
+                        let (bocc_s, sent_s) = unsafe {
                             (
-                                racy_bcast_stage.slice_mut(b_lo, b_hi),
                                 racy_bcast_occ.slice_mut(nw.start, nw.end),
-                                racy_node_traffic.slice_mut(b_lo, b_hi),
+                                racy_node_traffic.slice_mut(b_lo, nodes_cov.end),
                             )
                         };
-                        for (i, occ_word) in bocc_s.iter_mut().enumerate() {
-                            let lo = nw.start * 64 + i * 64;
-                            let hi = (lo + 64).min(b_hi);
-                            let bytes = &mut stage_s[lo - b_lo..hi - b_lo];
-                            let bits = slab::pack_bytes(bytes);
+                        let stage_s = &bcast_stage[nw.start..nw.end];
+                        let mut reach = 0u64;
+                        for (i, (occ_word, staged)) in bocc_s.iter_mut().zip(stage_s).enumerate() {
+                            // Shard `s` alone reads and clears these staged
+                            // words in this pass.
+                            let bits = staged.load(Ordering::Relaxed);
                             *occ_word = bits;
                             if bits != 0 {
-                                bytes.fill(0);
+                                staged.store(0, Ordering::Relaxed);
+                                let lo = nw.start * 64 + i * 64;
                                 let mut b = bits;
                                 while b != 0 {
                                     let v = lo + b.trailing_zeros() as usize;
                                     b &= b - 1;
-                                    delivered += graph.degree(v as Node) as u64;
+                                    reach += graph.degree(v as Node) as u64;
                                     sent_s[v - b_lo] += 1;
                                 }
                             }
                         }
+                        delivered += reach;
+                        meter.reach = reach;
                     }
                     meter.delivered = delivered;
                 };
@@ -1325,11 +1348,27 @@ impl SessionState {
             if run_full_sweep {
                 occ_state = OccState::Unknown;
             }
-            // Mail that arrived by the broadcast plane listed nobody: the
-            // next round steps everyone, and thereby rewrites the whole
-            // list. Mail that arrived by the full sweep is listed by the
-            // next round's probe, the sparse merge's by the merge itself.
-            step_set = if !P::QUIESCENT || fold_bcast {
+            // A fold whose senders reach fewer than a quarter of the arcs
+            // lists their receivers from their neighbour lists, serially;
+            // after a larger one the next round steps everyone, and thereby
+            // rewrites the whole list. Mail that arrived by the full sweep
+            // is listed by the next round's probe, the sparse merge's by
+            // the merge itself.
+            let reach: u64 = meters.iter().map(|m| m.reach).sum();
+            let list_plane = P::QUIESCENT && fold_bcast && 4 * reach < arcs as u64;
+            if list_plane {
+                for (w, &word) in bcast_occ.iter().enumerate() {
+                    let mut b = word;
+                    while b != 0 {
+                        let v = (w * 64 + b.trailing_zeros() as usize) as Node;
+                        b &= b - 1;
+                        for &u in graph.neighbors(v) {
+                            active[u as usize] = 1;
+                        }
+                    }
+                }
+            }
+            step_set = if !P::QUIESCENT || (fold_bcast && !list_plane) {
                 StepSet::All
             } else if run_full_sweep {
                 StepSet::Probed
@@ -1343,7 +1382,6 @@ impl SessionState {
             // A fold whose every sender the adversary demoted leaves the
             // presence words zero: receivers probe an empty plane, once.
             bcast_any = fold_bcast;
-            last_delivered = delivered;
             stats.total_messages += delivered;
             if config.collect_trace {
                 trace_buf.push(delivered);
@@ -1363,8 +1401,6 @@ impl SessionState {
             stats.max_message_bits = P::Msg::WIDTH as usize;
         }
 
-        // A phase that never folded the plane left `node_traffic` all zero.
-        let node_traffic = if plane_folded { node_traffic } else { &mut [] };
         stats.max_edge_congestion = drain_traffic(graph, arc_traffic, node_traffic, per_edge);
 
         // Consume the cells into arena-resident outputs.
@@ -1547,7 +1583,7 @@ mod tests {
     use crate::rng::mix64;
     use crate::FaultPlan;
     use congest_graph::generators::{
-        barbell, clique_chain, clique_ring, cycle, gk13_lower_bound, gnp, harary, path,
+        barbell, clique_chain, clique_ring, cycle, gk13_lower_bound, gnp, harary, hypercube, path,
         random_regular, theorem9_instance, thick_path, torus2d,
     };
     use congest_graph::GraphBuilder;
@@ -1589,56 +1625,71 @@ mod tests {
         })
     }
 
-    /// The fold `drain_traffic` replaced: clear the row, add every arc's
+    /// A reference for `drain_traffic`: clear the row, add every arc's
     /// counter and its sender's plane counter to the arc's edge, then scan
-    /// the row for its maximum.
+    /// the row for its maximum. The sender behind arc `a` of `v` is the
+    /// neighbour `a` points at, so this reads the plane counters through
+    /// the neighbour lists, where the one pass reads them by owner.
     fn two_pass_fold(graph: &Graph, traffic: &[u32], node_traffic: &[u32]) -> (Vec<u64>, u64) {
         let mut row = vec![0u64; graph.m()];
         for v in 0..graph.n() as Node {
             let lo = graph.arc_offset(v);
             let neighbors = graph.neighbors(v);
             for (i, &e) in graph.incident_edges(v).iter().enumerate() {
-                let mut t = traffic[lo + i] as u64;
-                if !node_traffic.is_empty() {
-                    t += node_traffic[neighbors[i] as usize] as u64;
-                }
-                row[e as usize] += t;
+                row[e as usize] +=
+                    traffic[lo + i] as u64 + node_traffic[neighbors[i] as usize] as u64;
             }
         }
         let max = row.iter().copied().max().unwrap_or(0);
         (row, max)
     }
 
+    /// Drain counters drawn from `seed` over a stale row and compare with
+    /// the two-pass fold: `mode` 0 fills the arc counters only, 1 both, 2
+    /// the plane's only (a phase whose every send was a `send_all`).
+    fn check_drain(g: &Graph, seed: u64, mode: u8) {
+        // Zero a quarter of the time, else anywhere in u32's range.
+        let counter = |i: u64| {
+            let c = mix64(seed ^ i);
+            if c.is_multiple_of(4) {
+                0
+            } else {
+                (c >> 32) as u32 >> (c % 32)
+            }
+        };
+        let (arcs, plane) = (mode < 2, mode > 0);
+        let mut traffic: Vec<u32> = (0..g.num_arcs() as u64)
+            .map(|a| if arcs { counter(a) } else { 0 })
+            .collect();
+        let mut node_traffic: Vec<u32> = (0..g.n() as u64)
+            .map(|v| if plane { counter(!v) } else { 0 })
+            .collect();
+        let (want_row, want_max) = two_pass_fold(g, &traffic, &node_traffic);
+        let mut row = vec![u64::MAX; g.m()];
+        let max = drain_traffic(g, &mut traffic, &mut node_traffic, &mut row);
+        prop_assert_eq!(row, want_row);
+        prop_assert_eq!(max, want_max);
+        prop_assert!(traffic.iter().all(|&t| t == 0));
+        prop_assert!(node_traffic.iter().all(|&t| t == 0));
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// One pass from each edge's lower arc writes the row and the
-        /// maximum the two-pass fold computes, over a stale row, with and
-        /// without a plane, and leaves every counter it read at zero.
+        /// One arc-ordered pass writes the row and the maximum the
+        /// two-pass fold computes, over a stale row, with arc counters, plane
+        /// counters or both, and leaves every counter it read at zero — on
+        /// every family, and on a random-regular graph numbered as its
+        /// generator numbers it, whose edge ids are not contiguous per node.
         #[test]
         fn drain_traffic_matches_the_two_pass_fold(
             g in arb_family(),
             seed in any::<u64>(),
-            plane in any::<bool>(),
+            mode in 0u8..3,
         ) {
-            // Zero a quarter of the time, else anywhere in u32's range.
-            let counter = |i: u64| {
-                let c = mix64(seed ^ i);
-                if c.is_multiple_of(4) { 0 } else { (c >> 32) as u32 >> (c % 32) }
-            };
-            let mut traffic: Vec<u32> = (0..g.num_arcs() as u64).map(counter).collect();
-            let mut node_traffic: Vec<u32> = if plane {
-                (0..g.n() as u64).map(|v| counter(!v)).collect()
-            } else {
-                Vec::new()
-            };
-            let (want_row, want_max) = two_pass_fold(&g, &traffic, &node_traffic);
-            let mut row = vec![u64::MAX; g.m()];
-            let max = drain_traffic(&g, &mut traffic, &mut node_traffic, &mut row);
-            prop_assert_eq!(row, want_row);
-            prop_assert_eq!(max, want_max);
-            prop_assert!(traffic.iter().all(|&t| t == 0));
-            prop_assert!(node_traffic.iter().all(|&t| t == 0));
+            check_drain(&g, seed, mode);
+            let size = 2 * (8 + seed % 24) as usize;
+            check_drain(&random_regular(size, 5, seed), seed, mode);
         }
     }
 
@@ -1733,6 +1784,55 @@ mod tests {
                     let swept = steps(&g, config.clone().sparse_threshold(0));
                     let merged = steps(&g, config.sparse_threshold(usize::MAX));
                     assert_eq!(swept, merged, "n = {}, faults = {faults:?}", g.n());
+                }
+            }
+        });
+    }
+
+    /// A small plane fold lists its receivers: after one source's round-0
+    /// `send_all`, round 1 steps exactly the source's neighbours, not every
+    /// node — unfaulted and faulted (a demoted source's receivers are
+    /// listed by the sparse merge instead).
+    #[test]
+    fn a_lone_broadcast_steps_only_its_receivers() {
+        use std::cell::RefCell;
+        thread_local! {
+            static ROUND1: RefCell<Vec<Node>> = const { RefCell::new(Vec::new()) };
+        }
+        /// Node 0 broadcasts once; everyone records stepping in round 1.
+        struct Lone;
+        impl Protocol for Lone {
+            type Msg = u32;
+            type Output = ();
+            const QUIESCENT: bool = true;
+            fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
+                if ctx.round == 1 {
+                    ROUND1.with(|r| r.borrow_mut().push(ctx.node));
+                }
+                if ctx.round == 0 && ctx.node == 0 {
+                    ctx.send_all(7);
+                }
+                ctx.set_done(true);
+            }
+            fn finish(self) {}
+        }
+        // One lane: every shard steps on this thread, where `ROUND1` lives.
+        congest_par::with_threads(1, || {
+            for g in [harary(16, 1024), hypercube(10), random_regular(1024, 6, 42)] {
+                for faults in [None, Some(FaultPlan::new(2, 7))] {
+                    ROUND1.with(|r| r.borrow_mut().clear());
+                    let config = EngineConfig {
+                        faults,
+                        ..EngineConfig::default()
+                    };
+                    Session::new(&g).run(|_, _| Lone, config).unwrap();
+                    let stepped = ROUND1.with(|r| r.take());
+                    assert_eq!(
+                        stepped,
+                        g.neighbors(0),
+                        "n = {}, faults = {faults:?}",
+                        g.n()
+                    );
                 }
             }
         });

@@ -121,8 +121,8 @@ impl MixedChatter {
         match self.profile {
             PROFILE_SPARSE => {
                 // Mostly silence; occasional thin port masks; rare
-                // broadcasts (which in sparse rounds take the engine's
-                // scatter fallback).
+                // broadcasts (small plane folds, which list their
+                // receivers).
                 if a == 0 {
                     self.sent += degree as u64;
                     MixedAction::Broadcast(m)
@@ -901,8 +901,8 @@ proptest! {
     }
 
     /// The faulted wing of the harness: the same profiles under a mobile
-    /// edge adversary (which disables the broadcast plane, so every
-    /// `send_all` takes the scatter fallback), against the reference
+    /// edge adversary (which demotes a plane broadcaster behind a blocked
+    /// edge to per-arc staging), against the reference
     /// interpreter under the same plan — identical drops and per-edge
     /// meters with the fast path forced both ways, serial and parallel.
     #[test]

@@ -1,7 +1,6 @@
-//! Property-based tests for the fault adversary's edge-drawing stream,
-//! the regression tests for the adversary's interaction with the broadcast
-//! plane's adaptive scatter fallback in sparse rounds, and the adversary's
-//! demotion of plane broadcasters in dense rounds.
+//! Property-based tests for the fault adversary's edge-drawing stream, and
+//! the regression tests for the adversary's demotion of plane broadcasters
+//! to per-arc staging, in sparse rounds and in dense ones.
 
 use congest_graph::generators::harary;
 use congest_graph::{Graph, Node};
@@ -54,10 +53,10 @@ proptest! {
     }
 }
 
-/// A deliberately sparse broadcaster: after a few silent rounds (which
-/// drive the engine's adaptive plane signal to "sparse"), a single node
-/// re-broadcasts every round. With and without faults this exercises
-/// `send_all`'s scatter fallback in sparse rounds.
+/// A deliberately sparse broadcaster: after a few silent rounds a single
+/// node re-broadcasts every round. With and without faults this exercises
+/// a lone plane sender — a small fold, which lists its receivers — and,
+/// under faults, its demotion in sparse rounds.
 struct SparseBeacon {
     node: u32,
     until: u64,
@@ -104,9 +103,9 @@ impl BaselineProtocol for SparseBeacon {
     }
 }
 
-/// Regression: a round that is **sparse and faulted** must take the
-/// scatter fallback (the density rule keeps it off the broadcast plane)
-/// and still meter blocked arcs correctly — dropped messages are counted but
+/// Regression: a round that is **sparse and faulted** demotes the lone
+/// broadcaster behind a blocked edge to per-arc staging (it scatters as
+/// `deg` sends would) and still meters blocked arcs correctly — dropped messages are counted but
 /// never metered as traffic, identically to the reference interpreter
 /// under the same plan, with the sparse fast path forced on, forced off,
 /// and on its heuristic.

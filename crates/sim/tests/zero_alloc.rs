@@ -412,7 +412,7 @@ fn deep_queue_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfi
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = run_protocol(
         g,
-        |_, gr: &congest_graph::Graph| {
+        |v, gr: &congest_graph::Graph| {
             let subs: Vec<BurstChatter> = (0..k)
                 .map(|_| BurstChatter {
                     burst,
@@ -422,7 +422,7 @@ fn deep_queue_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfi
                 .collect();
             // Worst case queue depth: k subs push per burst round while
             // one message drains per port per round.
-            Multiplexed::new(subs, &delays, gr.degree(0), k * burst as usize)
+            Multiplexed::new(subs, &delays, gr.degree(v), k * burst as usize)
         },
         cfg,
     )
@@ -441,7 +441,7 @@ fn mux_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfig) -> u
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let out = run_protocol(
         g,
-        |_, gr: &congest_graph::Graph| {
+        |v, gr: &congest_graph::Graph| {
             let subs: Vec<RotChatter> = (0..k as u64)
                 .map(|i| RotChatter {
                     k: k as u64,
@@ -452,7 +452,7 @@ fn mux_allocs_for(g: &congest_graph::Graph, rounds: u64, cfg: EngineConfig) -> u
                 .collect();
             // Capacity: ≤ 2 subs can share a phase (delays ≤ 3 over
             // period 4), plus slack for the delay skew.
-            Multiplexed::new(subs, &delays, gr.degree(0), 2 * k + 4)
+            Multiplexed::new(subs, &delays, gr.degree(v), 2 * k + 4)
         },
         cfg,
     )

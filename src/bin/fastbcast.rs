@@ -312,8 +312,11 @@ fn cmd_params(args: &[String]) -> Result<(), Failure> {
         say!("D·δ/n       : {r:.3} (Observation 1: ≤ 3)");
     }
     let br = bridges(&g);
-    if br.is_empty() {
+    if br.is_empty() && p.lambda >= 2 {
         say!("bridges     : none (2-edge-connected)");
+    } else if br.is_empty() {
+        // λ 0 without a bridge: one node, or components without bridges.
+        say!("bridges     : none");
     } else {
         say!(
             "bridges     : {} — λ = 1 regime; broadcast is Ω(k) here (paper §1)",

@@ -208,6 +208,21 @@ fn good_invocations_still_succeed() {
             String::from_utf8_lossy(&out.stderr)
         );
     }
+    // A graph without a bridge is 2-edge-connected only at λ ≥ 2: one
+    // node has no bridge and λ 0.
+    let params = fastbcast(&["params", "complete:1"]);
+    let stdout = String::from_utf8_lossy(&params.stdout);
+    let tail: Vec<&str> = stdout.lines().skip(4).collect();
+    assert_eq!(
+        tail,
+        [
+            "edge conn λ : 0 (exact, max-flow)",
+            "diameter D  : 0",
+            "D·δ/n       : 0.000 (Observation 1: ≤ 3)",
+            "bridges     : none",
+        ],
+        "params complete:1: {stdout}"
+    );
     let serve = fastbcast(&["serve", "--jobs", "8", "--graphs", "harary:4,32"]);
     let stdout = String::from_utf8_lossy(&serve.stdout);
     assert!(stdout.contains("jobs/sec"), "serve output: {stdout}");
