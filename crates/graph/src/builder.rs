@@ -13,7 +13,8 @@ pub enum BuildError {
     SelfLoop(Node),
     /// The same undirected edge was supplied twice.
     DuplicateEdge(Node, Node),
-    /// More than `u32::MAX` edges.
+    /// More than `u32::MAX / 2` edges: an arc position `0..2m` must fit
+    /// the `u32` entries of the CSR offsets and the reverse-arc table.
     TooManyEdges,
 }
 
@@ -27,7 +28,7 @@ impl fmt::Display for BuildError {
             BuildError::DuplicateEdge(u, v) => {
                 write!(f, "duplicate edge ({u}, {v}) (graph must be simple)")
             }
-            BuildError::TooManyEdges => write!(f, "more than u32::MAX edges"),
+            BuildError::TooManyEdges => write!(f, "more than u32::MAX / 2 edges"),
         }
     }
 }
@@ -35,12 +36,20 @@ impl fmt::Display for BuildError {
 impl std::error::Error for BuildError {}
 
 /// Builder for [`Graph`]. Collects undirected edges, validates simplicity,
-/// and assembles the CSR arrays in two passes (count, fill) with no
-/// intermediate per-node `Vec`s.
+/// and assembles the CSR arrays in linear passes (count, counting sort,
+/// fill) with no intermediate per-node `Vec`s.
 #[derive(Debug, Clone)]
 pub struct GraphBuilder {
     n: usize,
     edges: Vec<(Node, Node)>,
+}
+
+/// The arc count `2m` of a graph with `m` edges, if every arc position
+/// fits the `u32` entries of `offsets` and `reverse_arc`.
+fn arc_count(m: usize) -> Result<usize, BuildError> {
+    m.checked_mul(2)
+        .filter(|&arcs| arcs <= u32::MAX as usize)
+        .ok_or(BuildError::TooManyEdges)
 }
 
 impl GraphBuilder {
@@ -69,108 +78,93 @@ impl GraphBuilder {
         self.edges.push((u, v));
     }
 
-    /// Validate and build the CSR graph.
+    /// Validate and build the CSR graph in `O(n + m)`.
     ///
     /// Edge ids are assigned in sorted canonical order `(min, max)` so that
     /// the same edge set always yields the same ids regardless of insertion
-    /// order — crucial for deterministic replay across the workspace.
+    /// order — crucial for deterministic replay across the workspace. The
+    /// first invalid edge in input order is reported, else the first
+    /// duplicate in canonical order.
     pub fn build(self) -> Result<Graph, BuildError> {
         let n = self.n;
-        let mut canon: Vec<(Node, Node)> = Vec::with_capacity(self.edges.len());
-        for &(u, v) in &self.edges {
+        let mut edges = self.edges;
+        let arcs = arc_count(edges.len())?;
+        // Validate and canonicalise in place, counting each node's edges
+        // as the smaller and as the larger endpoint: the two buckets of
+        // the counting sort below, and together its degree.
+        let mut as_lo = vec![0u32; n + 1];
+        let mut as_hi = vec![0u32; n + 1];
+        for edge in edges.iter_mut() {
+            let (u, v) = *edge;
             if u as usize >= n || v as usize >= n {
                 return Err(BuildError::NodeOutOfRange { edge: (u, v), n });
             }
             if u == v {
                 return Err(BuildError::SelfLoop(u));
             }
-            canon.push(if u < v { (u, v) } else { (v, u) });
+            let (lo, hi) = (u.min(v), u.max(v));
+            *edge = (lo, hi);
+            as_lo[lo as usize + 1] += 1;
+            as_hi[hi as usize + 1] += 1;
         }
-        canon.sort_unstable();
-        if let Some(w) = canon.windows(2).find(|w| w[0] == w[1]) {
-            return Err(BuildError::DuplicateEdge(w[0].0, w[0].1));
-        }
-        if canon.len() > u32::MAX as usize {
-            return Err(BuildError::TooManyEdges);
-        }
-
-        let m = canon.len();
-        // Pass 1: degree counts.
-        let mut offsets = vec![0u32; n + 1];
-        for &(u, v) in &canon {
-            offsets[u as usize + 1] += 1;
-            offsets[v as usize + 1] += 1;
-        }
+        let mut offsets: Vec<u32> = as_lo.iter().zip(&as_hi).map(|(a, b)| a + b).collect();
         for i in 0..n {
             offsets[i + 1] += offsets[i];
+            as_lo[i + 1] += as_lo[i];
+            as_hi[i + 1] += as_hi[i];
         }
-        // Pass 2: fill adjacency. Because `canon` is sorted by (u, v) and we
-        // scan it once inserting both arc directions, each node's neighbor
-        // list ends up... NOT sorted for the v-side inserts. We fill with a
-        // cursor then sort each node's slice by neighbor id, carrying edge
-        // ids along.
-        let mut cursor: Vec<u32> = offsets[..n].to_vec();
-        let mut adj_node = vec![0 as Node; 2 * m];
-        let mut adj_edge = vec![0 as Edge; 2 * m];
+        // A stable counting sort by the larger endpoint, then by the
+        // smaller, puts the edges in (min, max) order: edge ids. The
+        // first pass only needs to keep the smaller endpoints, bucketed
+        // by the larger; `as_hi[x]` then ends x's bucket.
+        let mut lows = vec![0 as Node; edges.len()];
+        for &(lo, hi) in &edges {
+            let at = &mut as_hi[hi as usize];
+            lows[*at as usize] = lo;
+            *at += 1;
+        }
+        let mut canon = vec![(0, 0); edges.len()];
+        let mut start = 0;
+        for (hi, &end) in as_hi[..n].iter().enumerate() {
+            for &lo in &lows[start as usize..end as usize] {
+                let at = &mut as_lo[lo as usize];
+                canon[*at as usize] = (lo, hi as Node);
+                *at += 1;
+            }
+            start = end;
+        }
+        drop((lows, as_lo));
+
+        // One fill in edge-id order leaves every adjacency list sorted:
+        // node x's lower neighbours all arrive, ascending, while the
+        // edges of smaller nodes are scanned, and only then does x's own
+        // run of edges append its higher neighbours, also ascending. Both
+        // arc positions of an edge are known as it is filled, so each is
+        // the other's reverse arc.
+        let mut cursor = as_hi;
+        cursor.copy_from_slice(&offsets);
+        let mut adj_node = vec![0 as Node; arcs];
+        let mut adj_edge = vec![0 as Edge; arcs];
+        let mut reverse_arc = vec![0u32; arcs];
+        let mut prev = None;
         for (e, &(u, v)) in canon.iter().enumerate() {
-            let cu = cursor[u as usize] as usize;
-            adj_node[cu] = v;
-            adj_edge[cu] = e as Edge;
+            if prev == Some((u, v)) {
+                return Err(BuildError::DuplicateEdge(u, v));
+            }
+            prev = Some((u, v));
+            let cu = cursor[u as usize];
+            let cv = cursor[v as usize];
             cursor[u as usize] += 1;
-            let cv = cursor[v as usize] as usize;
-            adj_node[cv] = u;
-            adj_edge[cv] = e as Edge;
             cursor[v as usize] += 1;
-        }
-        // Sort each adjacency slice by neighbor id (stable co-sort of the two
-        // parallel arrays via index permutation per node).
-        let mut scratch: Vec<(Node, Edge)> = Vec::new();
-        for v in 0..n {
-            let lo = offsets[v] as usize;
-            let hi = offsets[v + 1] as usize;
-            if hi - lo <= 1 {
-                continue;
-            }
-            scratch.clear();
-            scratch.extend(
-                adj_node[lo..hi]
-                    .iter()
-                    .copied()
-                    .zip(adj_edge[lo..hi].iter().copied()),
-            );
-            scratch.sort_unstable();
-            for (i, &(nb, e)) in scratch.iter().enumerate() {
-                adj_node[lo + i] = nb;
-                adj_edge[lo + i] = e;
-            }
+            adj_node[cu as usize] = v;
+            adj_edge[cu as usize] = e as Edge;
+            reverse_arc[cu as usize] = cv;
+            adj_node[cv as usize] = u;
+            adj_edge[cv as usize] = e as Edge;
+            reverse_arc[cv as usize] = cu;
         }
 
-        // Reverse-arc table: for arc position i representing (v → u) over
-        // edge e, find the arc position of (u → v) over e. Since each edge
-        // appears exactly once in each endpoint's slice, we can binary-search
-        // u's slice for v.
-        let mut reverse_arc = vec![0u32; 2 * m];
-        for v in 0..n as Node {
-            let lo = offsets[v as usize] as usize;
-            let hi = offsets[v as usize + 1] as usize;
-            for i in lo..hi {
-                let u = adj_node[i];
-                let ulo = offsets[u as usize] as usize;
-                let uhi = offsets[u as usize + 1] as usize;
-                let pos = adj_node[ulo..uhi]
-                    .binary_search(&v)
-                    .expect("reverse arc must exist");
-                reverse_arc[i] = (ulo + pos) as u32;
-            }
-        }
-
-        Ok(Graph {
-            offsets,
-            adj_node,
-            adj_edge,
-            endpoints: canon,
-            reverse_arc,
-        })
+        Ok(Graph::new(offsets, adj_node, adj_edge, canon, reverse_arc))
     }
 }
 
@@ -211,6 +205,18 @@ mod tests {
             .build()
             .unwrap();
         assert_eq!(g1, g2);
+    }
+
+    /// Arc positions `0..2m` are `u32`s, so the edge bound is
+    /// `u32::MAX / 2`, not `u32::MAX` (checked without allocating).
+    #[test]
+    fn too_many_edges_counts_arcs() {
+        let most = u32::MAX as usize / 2;
+        assert_eq!(arc_count(0), Ok(0));
+        assert_eq!(arc_count(most), Ok(u32::MAX as usize - 1));
+        assert_eq!(arc_count(most + 1), Err(BuildError::TooManyEdges));
+        assert_eq!(arc_count(u32::MAX as usize), Err(BuildError::TooManyEdges));
+        assert_eq!(arc_count(usize::MAX), Err(BuildError::TooManyEdges));
     }
 
     #[test]

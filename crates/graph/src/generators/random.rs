@@ -4,6 +4,8 @@ use crate::builder::GraphBuilder;
 use crate::graph::{Graph, Node};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
+use std::collections::HashSet;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Erdős–Rényi `G(n, p)`: each of the `C(n,2)` pairs is an edge
 /// independently with probability `p`. For `p ≥ c·ln n / n` the graph is
@@ -122,7 +124,7 @@ pub fn try_random_regular(n: usize, d: usize, seed: u64) -> Option<Graph> {
             .collect();
         // Classify: the first occurrence of each simple edge is good; loops
         // and repeats are bad and go on the repair stack.
-        let mut good = std::collections::HashSet::with_capacity(m);
+        let mut good = EdgeSet::with_capacity_and_hasher(m, Default::default());
         let mut bad: Vec<usize> = Vec::new();
         for (i, &(a, b)) in edges.iter().enumerate() {
             if a == b || !good.insert((a, b)) {
@@ -175,6 +177,33 @@ pub fn try_random_regular(n: usize, d: usize, seed: u64) -> Option<Graph> {
         );
     }
     None
+}
+
+/// The repair's set of simple edges. It is only probed, never iterated,
+/// so its hasher cannot change the graph; a multiply-shift over the packed
+/// pair replaces SipHash, whose keyed rounds cost more than the probe.
+type EdgeSet = HashSet<(Node, Node), BuildHasherDefault<EdgeHasher>>;
+
+/// Packs the two `u32` endpoints an edge hashes as into one word, and
+/// spreads it with one multiply at `finish`.
+#[derive(Default)]
+struct EdgeHasher(u64);
+
+impl Hasher for EdgeHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.0 = self.0 << 8 | b as u64;
+        }
+    }
+
+    fn write_u32(&mut self, x: u32) {
+        self.0 = self.0 << 32 | x as u64;
+    }
+
+    fn finish(&self) -> u64 {
+        let z = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        z ^ z >> 32
+    }
 }
 
 /// Canonical edge unless it would be a self-loop.

@@ -44,9 +44,54 @@ pub struct Graph {
     /// arc position of the reverse arc. Lets the simulator deliver a message
     /// sent on port `p` of `u` straight into the right inbox slot of `v`.
     pub(crate) reverse_arc: Vec<u32>,
+    /// [`Graph::fingerprint`], digested once by [`Graph::new`].
+    fingerprint: u64,
 }
 
 impl Graph {
+    /// Assemble a graph from CSR arrays that already satisfy the type's
+    /// invariants (debug builds check them), and digest its fingerprint.
+    pub(crate) fn new(
+        offsets: Vec<u32>,
+        adj_node: Vec<Node>,
+        adj_edge: Vec<Edge>,
+        endpoints: Vec<(Node, Node)>,
+        reverse_arc: Vec<u32>,
+    ) -> Graph {
+        let mut g = Graph {
+            offsets,
+            adj_node,
+            adj_edge,
+            endpoints,
+            reverse_arc,
+            fingerprint: 0,
+        };
+        g.debug_check();
+        g.fingerprint = g.digest();
+        g
+    }
+
+    /// Debug builds check the invariants the builder's fill promises:
+    /// every adjacency list strictly ascends, edge ids ascend in
+    /// canonical `(min, max)` order, and each arc's reverse arc points
+    /// back at it over the same edge.
+    fn debug_check(&self) {
+        if !cfg!(debug_assertions) {
+            return;
+        }
+        for v in 0..self.n() as Node {
+            let ns = self.neighbors(v);
+            debug_assert!(ns.windows(2).all(|w| w[0] < w[1]), "node {v} unsorted");
+        }
+        debug_assert!(self.endpoints.iter().all(|&(u, v)| u < v));
+        debug_assert!(self.endpoints.windows(2).all(|w| w[0] < w[1]));
+        for (a, &r) in self.reverse_arc.iter().enumerate() {
+            let r = r as usize;
+            debug_assert!(r != a && self.reverse_arc[r] as usize == a, "arc {a}");
+            debug_assert_eq!(self.adj_edge[r], self.adj_edge[a], "arc {a}");
+        }
+    }
+
     /// Number of nodes.
     #[inline]
     pub fn n(&self) -> usize {
@@ -225,8 +270,16 @@ impl Graph {
     /// the same node count and edge multiset (in any insertion order)
     /// hash equal, and any difference in adjacency, edge numbering, or
     /// port order changes the digest with full avalanche. Session pools
-    /// key warm engine state by this value.
+    /// key warm engine state by this value. It is digested once, when the
+    /// graph is built, and stored: reading it costs nothing.
+    #[inline]
     pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The digest [`Graph::fingerprint`] stores: splitmix64 chained over
+    /// n, m, the offsets and every `(neighbor, edge)` arc.
+    fn digest(&self) -> u64 {
         #[inline]
         fn mix(x: u64) -> u64 {
             // splitmix64 finalizer.

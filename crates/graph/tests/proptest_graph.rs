@@ -7,11 +7,12 @@ use congest_graph::algo::connectivity::{dominating_set, edge_connectivity, min_e
 use congest_graph::algo::diameter::{diameter_exact, two_sweep_lower_bound};
 use congest_graph::algo::stoer_wagner::stoer_wagner_min_cut;
 use congest_graph::algo::UnitFlow;
+use congest_graph::builder::BuildError;
 use congest_graph::generators::{
     barbell, clique_chain, clique_ring, gk13_lower_bound, gnp, random_regular, theorem9_instance,
     thick_path,
 };
-use congest_graph::{Graph, GraphBuilder, WeightedGraph};
+use congest_graph::{Graph, GraphBuilder, Node, WeightedGraph};
 use proptest::prelude::*;
 
 /// Arbitrary simple graph from a random edge mask.
@@ -86,6 +87,187 @@ mod congest_sim_free_mix {
         z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^ (z >> 31)
+    }
+}
+
+/// A graph's CSR arrays, read through the public accessors: offsets,
+/// arc targets, arc edge ids, canonical endpoints, reverse arcs.
+type Csr = (Vec<u32>, Vec<Node>, Vec<u32>, Vec<(Node, Node)>, Vec<u32>);
+
+fn csr_of(g: &Graph) -> Csr {
+    let n = g.n() as Node;
+    (
+        (0..=n).map(|v| g.arc_offset(v) as u32).collect(),
+        g.arc_targets().to_vec(),
+        (0..n).flat_map(|v| g.incident_edges(v).to_vec()).collect(),
+        g.edge_list().map(|(_, u, v)| (u, v)).collect(),
+        g.reverse_arcs().to_vec(),
+    )
+}
+
+/// The sort-based build `GraphBuilder::build` replaced, kept as its
+/// oracle: sort the canonical edge list, fill, sort every adjacency list,
+/// binary-search every reverse arc.
+fn reference_build(n: usize, edges: &[(Node, Node)]) -> Result<Csr, BuildError> {
+    let mut canon: Vec<(Node, Node)> = Vec::with_capacity(edges.len());
+    for &(u, v) in edges {
+        if u as usize >= n || v as usize >= n {
+            return Err(BuildError::NodeOutOfRange { edge: (u, v), n });
+        }
+        if u == v {
+            return Err(BuildError::SelfLoop(u));
+        }
+        canon.push(if u < v { (u, v) } else { (v, u) });
+    }
+    canon.sort_unstable();
+    if let Some(w) = canon.windows(2).find(|w| w[0] == w[1]) {
+        return Err(BuildError::DuplicateEdge(w[0].0, w[0].1));
+    }
+    if canon.len() > u32::MAX as usize {
+        return Err(BuildError::TooManyEdges);
+    }
+
+    let m = canon.len();
+    let mut offsets = vec![0u32; n + 1];
+    for &(u, v) in &canon {
+        offsets[u as usize + 1] += 1;
+        offsets[v as usize + 1] += 1;
+    }
+    for i in 0..n {
+        offsets[i + 1] += offsets[i];
+    }
+    let mut cursor: Vec<u32> = offsets[..n].to_vec();
+    let mut adj_node = vec![0 as Node; 2 * m];
+    let mut adj_edge = vec![0u32; 2 * m];
+    for (e, &(u, v)) in canon.iter().enumerate() {
+        let cu = cursor[u as usize] as usize;
+        adj_node[cu] = v;
+        adj_edge[cu] = e as u32;
+        cursor[u as usize] += 1;
+        let cv = cursor[v as usize] as usize;
+        adj_node[cv] = u;
+        adj_edge[cv] = e as u32;
+        cursor[v as usize] += 1;
+    }
+    let mut scratch: Vec<(Node, u32)> = Vec::new();
+    for v in 0..n {
+        let lo = offsets[v] as usize;
+        let hi = offsets[v + 1] as usize;
+        if hi - lo <= 1 {
+            continue;
+        }
+        scratch.clear();
+        scratch.extend(
+            adj_node[lo..hi]
+                .iter()
+                .copied()
+                .zip(adj_edge[lo..hi].iter().copied()),
+        );
+        scratch.sort_unstable();
+        for (i, &(nb, e)) in scratch.iter().enumerate() {
+            adj_node[lo + i] = nb;
+            adj_edge[lo + i] = e;
+        }
+    }
+
+    let mut reverse_arc = vec![0u32; 2 * m];
+    for v in 0..n as Node {
+        let lo = offsets[v as usize] as usize;
+        let hi = offsets[v as usize + 1] as usize;
+        for i in lo..hi {
+            let u = adj_node[i];
+            let ulo = offsets[u as usize] as usize;
+            let uhi = offsets[u as usize + 1] as usize;
+            let pos = adj_node[ulo..uhi]
+                .binary_search(&v)
+                .expect("reverse arc must exist");
+            reverse_arc[i] = (ulo + pos) as u32;
+        }
+    }
+    Ok((offsets, adj_node, adj_edge, canon, reverse_arc))
+}
+
+/// The fingerprint's digest recomputed from the public accessors:
+/// splitmix64 chained over n, m, the offsets and every arc's
+/// `(neighbor, edge)` pair.
+fn recomputed_fingerprint(g: &Graph) -> u64 {
+    use congest_sim_free_mix::mix64;
+    let (offsets, targets, edges, _, _) = csr_of(g);
+    let mut h = mix64(0xF1_9927 ^ g.n() as u64) ^ mix64(0x9127_0C5A ^ g.m() as u64);
+    for o in offsets {
+        h = mix64(h ^ o as u64);
+    }
+    for (v, e) in targets.into_iter().zip(edges) {
+        h = mix64(h ^ ((v as u64) << 32 | e as u64));
+    }
+    h
+}
+
+/// An edge list as a caller might hand it over: a simple graph's edges in
+/// scrambled order and orientation, then `faults` offenders (a repeated
+/// edge in either orientation, a self-loop, an id `>= n`) spliced in at
+/// random positions — so some lists build and some fail, on any rule.
+fn arb_edge_list() -> impl Strategy<Value = (usize, Vec<(Node, Node)>)> {
+    (0usize..24, any::<u64>(), 0u32..100, 0u32..8).prop_map(|(n, seed, density, faults)| {
+        use congest_sim_free_mix::mix64;
+        let mut list = Vec::new();
+        for u in 0..n as Node {
+            for v in (u + 1)..n as Node {
+                let h = mix64(seed ^ mix64(((u as u64) << 32) | v as u64));
+                if h % 100 < density as u64 {
+                    list.push(if h & 1 << 40 == 0 { (u, v) } else { (v, u) });
+                }
+            }
+        }
+        for i in (1..list.len()).rev() {
+            list.swap(i, (mix64(seed ^ !(i as u64)) % (i as u64 + 1)) as usize);
+        }
+        // Faults 4..8 read as none, so most lists stay valid.
+        for f in 0..if faults < 4 { faults } else { 0 } {
+            let h = mix64(seed ^ 0xFA17 ^ f as u64);
+            let at = (h >> 8) as usize % (list.len() + 1);
+            let nn = n.max(1) as u64;
+            let (a, b) = ((h >> 24) % nn, (h >> 40) % nn);
+            let offender = match h % 4 {
+                0 | 1 if !list.is_empty() => {
+                    let (u, v) = list[(h >> 16) as usize % list.len()];
+                    if h & 1 == 0 {
+                        (u, v)
+                    } else {
+                        (v, u)
+                    }
+                }
+                2 => (a as Node, a as Node),
+                _ if h & 1 << 60 == 0 => (a as Node, (n as u64 + b) as Node),
+                _ => ((n as u64 + b) as Node, a as Node),
+            };
+            list.insert(at, offender);
+        }
+        (n, list)
+    })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// The linear build returns what the sort-based one returns on any
+    /// edge list: the same CSR arrays, or the same error with the same
+    /// payload — the first invalid edge in input order, else the first
+    /// duplicate in canonical order.
+    #[test]
+    fn build_matches_the_sort_based_reference((n, list) in arb_edge_list()) {
+        let built = GraphBuilder::new(n).edges(list.iter().copied()).build();
+        prop_assert_eq!(built.as_ref().map(csr_of).map_err(Clone::clone), reference_build(n, &list));
+        if let Ok(g) = built {
+            prop_assert_eq!(g.fingerprint(), recomputed_fingerprint(&g));
+        }
+    }
+
+    /// The stored fingerprint is the digest of the graph's arrays on every
+    /// family, numbered by its generator or shuffled.
+    #[test]
+    fn fingerprint_is_the_digest_of_the_arrays(f in arb_family()) {
+        prop_assert_eq!(f.fingerprint(), recomputed_fingerprint(&f));
     }
 }
 

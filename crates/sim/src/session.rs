@@ -340,9 +340,11 @@ const MAX_AUTO_SHARDS: usize = 64;
 /// broadcast plane, one delivery over every edge of `v`. So one pass in
 /// arc order adds `traffic[a] + node_traffic[v]` to the edge of each arc
 /// `a` of each node `v`: both arcs of an edge together carry its two
-/// directions. Then both counter arrays are zeroed wholesale — the
-/// "zeroed by breadcrumb" exit contract, so the next phase pays nothing —
-/// and the maximum is one scan of the row.
+/// directions. The maximum is folded into the same pass: an entry only
+/// grows, so each partial sum is at most the edge's final one, and the
+/// largest value written is the row's maximum. Then both counter arrays
+/// are zeroed wholesale — the "zeroed by breadcrumb" exit contract, so the
+/// next phase pays nothing.
 fn drain_traffic(
     graph: &Graph,
     traffic: &mut [u32],
@@ -350,16 +352,19 @@ fn drain_traffic(
     edge_row: &mut [u64],
 ) -> u64 {
     edge_row.fill(0);
+    let mut max = 0;
     for (v, &sent) in node_traffic.iter().enumerate() {
         let lo = graph.arc_offset(v as Node);
         let edges = graph.incident_edges(v as Node);
         for (&e, &t) in edges.iter().zip(&traffic[lo..lo + edges.len()]) {
-            edge_row[e as usize] += t as u64 + sent as u64;
+            let entry = &mut edge_row[e as usize];
+            *entry += t as u64 + sent as u64;
+            max = max.max(*entry);
         }
     }
     traffic.fill(0);
     node_traffic.fill(0);
-    edge_row.iter().copied().max().unwrap_or(0)
+    max
 }
 
 /// Per-node hot state, kept together so one cache line serves one node's
