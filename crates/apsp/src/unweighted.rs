@@ -16,10 +16,7 @@
 
 use crate::clustering::{build_clustering, ClusterGraph, ClusteringError};
 use crate::prt12::prt12_apsp;
-use congest_core::broadcast::{
-    partition_broadcast_retrying_hosted, BroadcastConfig, BroadcastError, BroadcastInput,
-};
-use congest_core::partition::PartitionParams;
+use congest_core::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
 use congest_graph::{Graph, Node};
 use congest_sim::{PhaseLog, RunStats};
 
@@ -76,10 +73,16 @@ pub fn unweighted_apsp_approx(
 
     // 2. PRT12 on the cluster graph (charged per Lemma 6).
     let prt = prt12_apsp(&cg.graph);
-    phases.record("prt12-on-Gc (charged)", charged(prt.charged_g_rounds));
+    phases.record(
+        "prt12-on-Gc (charged)",
+        RunStats::charged(prt.charged_g_rounds),
+    );
 
     // 3. Centers → members distance vectors (charged: one hop, pipelined).
-    phases.record("center-vectors (charged)", charged(cg.centers.len() as u64));
+    phases.record(
+        "center-vectors (charged)",
+        RunStats::charged(cg.centers.len() as u64),
+    );
 
     // 4. Broadcast s(v) for all v with the real Theorem 1 broadcast.
     //    Payload packs (v, cluster_of(v)).
@@ -88,20 +91,9 @@ pub fn unweighted_apsp_approx(
             .map(|v| (v, ((v as u64) << 32) | cg.cluster_of[v as usize] as u64))
             .collect(),
     };
-    let params =
-        PartitionParams::from_lambda(n, lambda, congest_core::broadcast::DEFAULT_PARTITION_C);
-    let (bc, _) = partition_broadcast_retrying_hosted(
-        &mut host,
-        &input,
-        params,
-        &BroadcastConfig::with_seed(seed ^ 0xB0),
-        20,
-    )
-    .map_err(ApspError::Broadcast)?;
-    debug_assert!(bc.all_delivered());
-    for (name, st) in bc.phases.phases() {
-        phases.record(format!("broadcast-s(v): {name}"), *st);
-    }
+    let bc = partition_broadcast_at(&mut host, &input, lambda, seed ^ 0xB0)
+        .map_err(ApspError::Broadcast)?;
+    phases.append("broadcast-s(v): ", bc.phases);
 
     // 5. Local evaluation of the (3,2) estimates.
     let mut estimate = vec![vec![0u32; n]; n];
@@ -123,15 +115,6 @@ pub fn unweighted_apsp_approx(
         phases,
         total_rounds,
     })
-}
-
-/// A stats record carrying only a charged round count.
-fn charged(rounds: u64) -> RunStats {
-    RunStats {
-        rounds,
-        iterations: rounds,
-        ..Default::default()
-    }
 }
 
 #[cfg(test)]

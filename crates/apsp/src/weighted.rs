@@ -12,12 +12,9 @@
 //! `O(log n)`-bit words, as the paper assumes.
 
 use crate::baswana_sen::{baswana_sen_spanner, corollary1_k, SpannerResult};
-use congest_core::broadcast::{
-    partition_broadcast_retrying, BroadcastConfig, BroadcastError, BroadcastInput,
-};
-use congest_core::partition::PartitionParams;
+use congest_core::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
 use congest_graph::{Node, WeightedGraph};
-use congest_sim::{PhaseLog, RunStats};
+use congest_sim::{PhaseLog, RunStats, Session};
 
 /// Outcome of the full Theorem 5 pipeline.
 #[derive(Debug, Clone)]
@@ -59,18 +56,13 @@ pub fn weighted_apsp_approx(
     lambda: usize,
     seed: u64,
 ) -> Result<WeightedApspOutcome, BroadcastError> {
-    let n = g.n();
     let mut phases = PhaseLog::new();
 
     // 1. Spanner construction (charged O(k²) rounds per [BS07]).
     let spanner: SpannerResult = baswana_sen_spanner(g, k, seed);
     phases.record(
         "baswana-sen (charged)",
-        RunStats {
-            rounds: spanner.charged_rounds,
-            iterations: spanner.charged_rounds,
-            ..Default::default()
-        },
+        RunStats::charged(spanner.charged_rounds),
     );
 
     // 2. Broadcast the spanner: one message per spanner edge, held by the
@@ -85,21 +77,10 @@ pub fn weighted_apsp_approx(
             })
             .collect(),
     };
-    let params =
-        PartitionParams::from_lambda(n, lambda, congest_core::broadcast::DEFAULT_PARTITION_C);
     // The broadcast (and its retries) runs all six Theorem 1 phases on
     // one resident engine session.
-    let (bc, _) = partition_broadcast_retrying(
-        g.graph(),
-        &input,
-        params,
-        &BroadcastConfig::with_seed(seed ^ 0x5A),
-        20,
-    )?;
-    debug_assert!(bc.all_delivered());
-    for (name, st) in bc.phases.phases() {
-        phases.record(format!("broadcast-spanner: {name}"), *st);
-    }
+    let bc = partition_broadcast_at(&mut Session::new(g.graph()), &input, lambda, seed ^ 0x5A)?;
+    phases.append("broadcast-spanner: ", bc.phases);
 
     // 3. Local APSP on the received spanner (every node would run this on
     //    its local copy; we compute it once).

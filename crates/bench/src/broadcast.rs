@@ -4,8 +4,8 @@
 
 use crate::{Claim, Row};
 use congest_core::broadcast::{
-    partition_broadcast, partition_broadcast_retrying, BroadcastConfig, BroadcastError,
-    BroadcastInput, BroadcastOutcome, DEFAULT_PARTITION_C,
+    partition_broadcast, partition_broadcast_at, BroadcastConfig, BroadcastError, BroadcastInput,
+    BroadcastOutcome,
 };
 use congest_core::lower_bounds::theorem3_broadcast_lb;
 use congest_core::partition::PartitionParams;
@@ -15,19 +15,10 @@ use congest_graph::generators::{clique_chain, complete, harary};
 use congest_graph::Graph;
 use congest_sim::{FaultPlan, PhaseLog, Session};
 
-/// Theorem 1 at the default `C`, retried on `NotSpanning`; every node
-/// must receive every message.
-fn theorem1(
-    g: &Graph,
-    input: &BroadcastInput,
-    lambda: usize,
-    seed: u64,
-    attempts: usize,
-) -> BroadcastOutcome {
-    let params = PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C);
-    let cfg = BroadcastConfig::with_seed(seed);
-    let (out, _) =
-        partition_broadcast_retrying(g, input, params, &cfg, attempts).expect("broadcast");
+/// Theorem 1 as the applications call it ([`partition_broadcast_at`]);
+/// every node must receive every message.
+fn theorem1(g: &Graph, input: &BroadcastInput, lambda: usize, seed: u64) -> BroadcastOutcome {
+    let out = partition_broadcast_at(&mut Session::new(g), input, lambda, seed).expect("broadcast");
     assert!(out.all_delivered());
     out
 }
@@ -53,7 +44,7 @@ pub fn e3_broadcast() -> Vec<Row> {
         for mult in [1usize, 2, 4, 8] {
             let k = g.n() * mult;
             let input = BroadcastInput::random_spread(&g, k, 0xE3);
-            let out = theorem1(&g, &input, lambda, 0xE3, 20);
+            let out = theorem1(&g, &input, lambda, 0xE3);
             let tb = textbook_broadcast(&g, &input, 0xE3).expect("textbook");
             assert!(tb.all_delivered());
             c.on(name, &format!("k={k}, λ'={}", out.num_subgraphs));
@@ -77,7 +68,7 @@ pub fn theorem1_envelope() -> Vec<Row> {
         let g = harary(lambda, n);
         for k in [n, 4 * n] {
             let input = BroadcastInput::random_spread(&g, k, 2);
-            let out = theorem1(&g, &input, lambda, 3, 30);
+            let out = theorem1(&g, &input, lambda, 3);
             c.on(
                 &format!("harary({lambda}, {n})"),
                 &format!("k={k}, λ'={}", out.num_subgraphs),
@@ -101,7 +92,7 @@ pub fn e4_crossover() -> Vec<Row> {
         let mut k = n / 4;
         while k <= 16 * n {
             let input = BroadcastInput::random_spread(&g, k, 0xE4);
-            let out = theorem1(&g, &input, lambda, 0xE4, 20);
+            let out = theorem1(&g, &input, lambda, 0xE4);
             let tb = textbook_broadcast(&g, &input, 0xE4).expect("textbook");
             if out.total_rounds < tb.total_rounds && crossover.is_none() {
                 crossover = Some(k);
@@ -138,7 +129,7 @@ pub fn e5_optimality() -> Vec<Row> {
     ] {
         let k = 2 * g.n();
         let input = BroadcastInput::random_spread(&g, k, 0xE5);
-        let rounds = theorem1(&g, &input, lambda, 0xE5, 20).total_rounds as f64;
+        let rounds = theorem1(&g, &input, lambda, 0xE5).total_rounds as f64;
         let lb = theorem3_broadcast_lb(k as u64, lambda as u64);
         c.on(name, &format!("n={}, k={k}", g.n()));
         c.row("rounds ÷ Theorem 3 floor", rounds, Some(lb))
@@ -158,7 +149,7 @@ pub fn theorem3_floor() -> Vec<Row> {
     let (lambda, g) = (16, harary(16, 96));
     let k = 4 * g.n();
     let input = BroadcastInput::random_spread(&g, k, 8);
-    let rounds = theorem1(&g, &input, lambda, 9, 30).total_rounds as f64;
+    let rounds = theorem1(&g, &input, lambda, 9).total_rounds as f64;
     let lb = theorem3_broadcast_lb(k as u64, lambda as u64);
     c.on("harary(16, 96)", &format!("k={k}"));
     c.row("rounds ÷ Theorem 3 floor", rounds, Some(lb))

@@ -43,6 +43,13 @@
 //! (README, "Seed sweeps"; held to fresh sessions by this module's
 //! `seed_sweep_on_one_warm_session_matches_fresh_sessions`).
 //!
+//! **One way up.** Every application the paper derives from Theorem 1
+//! broadcasts `k` items at the graph's λ: a broadcast-congested-clique
+//! round (§1.2, [`crate::congested_clique`]), the APSP pipelines and the
+//! all-cuts sparsifier (§4). They all call [`partition_broadcast_at`],
+//! which owns the λ → λ′ choice, the attempt budget and the delivery
+//! check.
+//!
 //! Surface rule: only [`partition_broadcast`] and
 //! [`partition_broadcast_retrying`] take a `&Graph`; each is
 //! [`Session::new`] plus its hosted twin. Every other driver of the family
@@ -313,6 +320,29 @@ pub fn partition_broadcast_retrying_hosted(
             result => return result.map(|out| (out, ran)),
         }
     }
+}
+
+/// How many partitions [`partition_broadcast_at`] draws before a
+/// `NotSpanning` stands.
+const APPLICATION_ATTEMPTS: usize = 20;
+
+/// Theorem 1 as the applications call it: `input` at the graph's
+/// `lambda` on the caller's session. λ′ is
+/// `PartitionParams::from_lambda(n, λ, DEFAULT_PARTITION_C)`, up to 20
+/// attempts of [`partition_broadcast_retrying_hosted`] start at `seed`,
+/// and every node receives every message (debug-asserted).
+pub fn partition_broadcast_at(
+    host: &mut Session<'_>,
+    input: &BroadcastInput,
+    lambda: usize,
+    seed: u64,
+) -> Result<BroadcastOutcome, BroadcastError> {
+    let params = PartitionParams::from_lambda(host.graph().n(), lambda, DEFAULT_PARTITION_C);
+    let cfg = BroadcastConfig::with_seed(seed);
+    let (out, _) =
+        partition_broadcast_retrying_hosted(host, input, params, &cfg, APPLICATION_ATTEMPTS)?;
+    debug_assert!(out.all_delivered());
+    Ok(out)
 }
 
 /// λ′ pipelined broadcasts running concurrently, one per partition class,

@@ -13,10 +13,7 @@
 //! value may depend on everything heard so far — which is exactly the BCC
 //! computational model.
 
-use crate::broadcast::{
-    partition_broadcast_retrying_hosted, BroadcastConfig, BroadcastError, BroadcastInput,
-};
-use crate::partition::PartitionParams;
+use crate::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
 use congest_graph::{Graph, Node};
 use congest_sim::{PhaseLog, Session};
 
@@ -48,13 +45,12 @@ pub fn simulate_bcc_round(
     lambda: usize,
     seed: u64,
 ) -> Result<(BccView, u64, PhaseLog), BroadcastError> {
-    let mut host = Session::new(g);
-    simulate_bcc_round_hosted(&mut host, values, lambda, seed)
+    bcc_round(&mut Session::new(g), values, lambda, seed)
 }
 
-/// [`simulate_bcc_round`] on a caller-provided engine host, so chained
-/// BCC rounds reuse one preallocated engine.
-pub fn simulate_bcc_round_hosted(
+/// [`simulate_bcc_round`] on the caller's session, so chained BCC rounds
+/// reuse one preallocated engine.
+fn bcc_round(
     host: &mut Session<'_>,
     values: &[u32],
     lambda: usize,
@@ -67,26 +63,11 @@ pub fn simulate_bcc_round_hosted(
             .map(|v| (v, ((v as u64) << 32) | values[v as usize] as u64))
             .collect(),
     };
-    let params = PartitionParams::from_lambda(n, lambda, crate::broadcast::DEFAULT_PARTITION_C);
-    let (out, _) = partition_broadcast_retrying_hosted(
-        host,
-        &input,
-        params,
-        &BroadcastConfig::with_seed(seed),
-        20,
-    )?;
-    debug_assert!(out.all_delivered());
-    // Reconstruct the view every node now holds (identical everywhere by
-    // the delivery guarantee, so computed once from the input).
-    let mut view = vec![0u64; n];
-    for &(v, payload) in &input.messages {
-        view[v as usize] = payload & 0xFFFF_FFFF;
-    }
-    let mut phases = PhaseLog::new();
-    for (name, st) in out.phases.phases() {
-        phases.record(name.to_string(), *st);
-    }
-    Ok((view, out.total_rounds, phases))
+    let out = partition_broadcast_at(host, &input, lambda, seed)?;
+    // Every node now holds every `(v, value)` by the delivery guarantee,
+    // so the view is the values themselves.
+    let view = values.iter().map(|&x| x as u64).collect();
+    Ok((view, out.total_rounds, out.phases))
 }
 
 /// Simulate `T` rounds of a BCC algorithm: `step(v, round, view)` returns
@@ -111,7 +92,7 @@ where
     let mut per_round = Vec::with_capacity(rounds);
     let mut view: BccView = initial.iter().map(|&x| x as u64).collect();
     for t in 0..rounds {
-        let (new_view, cost, round_phases) = simulate_bcc_round_hosted(
+        let (new_view, cost, round_phases) = bcc_round(
             &mut host,
             &values,
             lambda,
@@ -119,9 +100,7 @@ where
         )?;
         view = new_view;
         per_round.push(cost);
-        for (name, st) in round_phases.phases() {
-            phases.record(format!("bcc[{t}] {name}"), *st);
-        }
+        phases.append(&format!("bcc[{t}] "), round_phases);
         values = (0..n as Node).map(|v| step(v, t, &view)).collect();
     }
     Ok(BccOutcome {

@@ -11,10 +11,12 @@
 //! idea: **replicate every message across `r` of the λ′ partition trees**
 //! and deduplicate by message id at every node. An adversary must block
 //! all `r` edge-disjoint routes of a message to suppress it, so delivery
-//! survives fault rates that grow with `r` — experimentally charted in
-//! `exp_resilience`. (Our adversary is oblivious-random rather than
-//! adaptive, and the control phases — BFS, numbering, partition — run
-//! protected; both substitutions documented in DESIGN.md §2.)
+//! survives fault rates that grow with `r` — experimentally charted by
+//! E13 (`e13_resilience` in `crates/bench/src/broadcast.rs`, whose rows
+//! are in `REPRODUCTION.json`). (Our adversary is oblivious-random
+//! rather than adaptive, and the control phases — BFS, numbering,
+//! partition — run protected; both substitutions documented in DESIGN.md
+//! §2.)
 //!
 //! [`resilient_broadcast_hosted`] is Theorem 1's composition
 //! ([`crate::broadcast`]) with `r` copies per message in the routing stage

@@ -1,39 +1,9 @@
-//! Graph-level metrics used across experiments: cut sizes, conductance,
-//! and the paper's headline parameter summary (n, m, δ, λ, D).
+//! Graph-level metrics used across experiments: the paper's headline
+//! parameter summary (n, m, δ, λ, D).
 
 use crate::algo::connectivity::edge_connectivity;
 use crate::algo::diameter::diameter_exact;
-use crate::graph::{Graph, Node};
-
-/// Number of edges crossing the cut `(S, V∖S)` given a membership mask.
-pub fn cut_size(g: &Graph, in_s: &[bool]) -> usize {
-    assert_eq!(in_s.len(), g.n());
-    g.edge_list()
-        .filter(|&(_, u, v)| in_s[u as usize] != in_s[v as usize])
-        .count()
-}
-
-/// Volume of `S`: sum of degrees of nodes in `S`.
-pub fn volume(g: &Graph, in_s: &[bool]) -> usize {
-    (0..g.n() as Node)
-        .filter(|&v| in_s[v as usize])
-        .map(|v| g.degree(v))
-        .sum()
-}
-
-/// Conductance of the cut: `cut / min(vol(S), vol(V∖S))`.
-/// Returns `None` if either side has zero volume.
-pub fn conductance(g: &Graph, in_s: &[bool]) -> Option<f64> {
-    let cut = cut_size(g, in_s);
-    let vol_s = volume(g, in_s);
-    let vol_rest = 2 * g.m() - vol_s;
-    let denom = vol_s.min(vol_rest);
-    if denom == 0 {
-        None
-    } else {
-        Some(cut as f64 / denom as f64)
-    }
-}
+use crate::graph::Graph;
 
 /// The paper's parameter tuple for a graph, computed exactly.
 /// Intended for experiment headers; costs `O(n·m)` (diameter) +
@@ -76,22 +46,6 @@ impl GraphParams {
 mod tests {
     use super::*;
     use crate::generators::{clique_chain, complete, cycle, harary};
-
-    #[test]
-    fn cut_and_volume_on_cycle() {
-        let g = cycle(6);
-        let in_s = vec![true, true, true, false, false, false];
-        assert_eq!(cut_size(&g, &in_s), 2);
-        assert_eq!(volume(&g, &in_s), 6);
-        let phi = conductance(&g, &in_s).unwrap();
-        assert!((phi - 2.0 / 6.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_side_conductance_none() {
-        let g = cycle(4);
-        assert_eq!(conductance(&g, &[false; 4]), None);
-    }
 
     #[test]
     fn params_of_harary() {

@@ -138,6 +138,16 @@ pub struct RunStats {
 }
 
 impl RunStats {
+    /// A phase charged by the paper's accounting rather than simulated:
+    /// `rounds` rounds (and as many iterations), nothing sent.
+    pub fn charged(rounds: u64) -> RunStats {
+        RunStats {
+            rounds,
+            iterations: rounds,
+            ..Default::default()
+        }
+    }
+
     /// Combine sequentially-composed phases: rounds add, congestion adds
     /// (worst case: the same edge is hot in both phases), bits take max.
     pub fn then(self, later: RunStats) -> RunStats {

@@ -37,6 +37,18 @@ impl PhaseLog {
         self.entries.push((name.into(), stats, Some(hash)));
     }
 
+    /// Append every phase of `later`, in order, each name prefixed by
+    /// `prefix` and each state hash kept: how a composition files a
+    /// sub-run's log (a Theorem 1 broadcast inside an application).
+    pub fn append(&mut self, prefix: &str, later: PhaseLog) {
+        self.entries.extend(
+            later
+                .entries
+                .into_iter()
+                .map(|(name, stats, hash)| (format!("{prefix}{name}"), stats, hash)),
+        );
+    }
+
     /// Iterate `(name, stats)` in execution order.
     pub fn phases(&self) -> impl Iterator<Item = (&str, &RunStats)> {
         self.entries.iter().map(|(n, s, _)| (n.as_str(), s))
@@ -77,23 +89,27 @@ impl PhaseLog {
             .map(|(_, s, _)| s.rounds)
     }
 
-    /// Human-readable multi-line breakdown.
+    /// Human-readable multi-line breakdown; the name column is as wide
+    /// as the longest name, and at least 28 characters.
     pub fn breakdown(&self) -> String {
         use std::fmt::Write;
+        let width = self
+            .entries
+            .iter()
+            .map(|(name, _, _)| name.chars().count())
+            .fold(28, usize::max);
         let mut s = String::new();
-        for (name, st, _) in &self.entries {
+        let rows = self
+            .entries
+            .iter()
+            .map(|(name, st, _)| (name.as_str(), *st));
+        for (name, st) in rows.chain([("TOTAL", self.total())]) {
             let _ = writeln!(
                 s,
-                "  {name:<28} {:>8} rounds  {:>10} msgs  congestion {:>6}",
+                "  {name:<width$} {:>8} rounds  {:>10} msgs  congestion {:>6}",
                 st.rounds, st.total_messages, st.max_edge_congestion
             );
         }
-        let t = self.total();
-        let _ = writeln!(
-            s,
-            "  {:<28} {:>8} rounds  {:>10} msgs  congestion {:>6}",
-            "TOTAL", t.rounds, t.total_messages, t.max_edge_congestion
-        );
         s
     }
 }
@@ -134,6 +150,31 @@ mod tests {
         assert!(text.contains("alpha"));
         assert!(text.contains("beta"));
         assert!(text.contains("TOTAL"));
+    }
+
+    #[test]
+    fn breakdown_widens_its_name_column_to_the_longest_name() {
+        let mut log = PhaseLog::new();
+        log.record("short", stats(1, 2));
+        log.record("a-phase-name-longer-than-28-chars", stats(30, 400));
+        let text = log.breakdown();
+        let starts: Vec<usize> = text.lines().map(|l| l.find("rounds").unwrap()).collect();
+        assert!(starts.windows(2).all(|w| w[0] == w[1]), "{text}");
+    }
+
+    #[test]
+    fn append_prefixes_names_and_keeps_hashes() {
+        let mut inner = PhaseLog::new();
+        inner.record_hashed("bfs", stats(7, 100), 0xAB);
+        inner.record("route", stats(20, 400));
+        let mut log = PhaseLog::new();
+        log.record("setup", stats(1, 1));
+        log.append("b: ", inner);
+        let names: Vec<&str> = log.phases().map(|(n, _)| n).collect();
+        assert_eq!(names, ["setup", "b: bfs", "b: route"]);
+        let hashes: Vec<Option<u64>> = log.hashes().map(|(_, h)| h).collect();
+        assert_eq!(hashes, [None, Some(0xAB), None]);
+        assert_eq!(log.total_rounds(), 28);
     }
 
     #[test]

@@ -7,14 +7,11 @@
 //! cuts, and the global min cut (Stoer–Wagner on both graphs).
 
 use crate::koutis_xu::{koutis_xu_sparsifier, SparsifierResult};
-use congest_core::broadcast::{
-    partition_broadcast_retrying, BroadcastConfig, BroadcastError, BroadcastInput,
-};
-use congest_core::partition::PartitionParams;
+use congest_core::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
 use congest_graph::algo::stoer_wagner::stoer_wagner_min_cut;
 use congest_graph::{Node, WeightedGraph};
 use congest_sim::rng::mix64;
-use congest_sim::PhaseLog;
+use congest_sim::{PhaseLog, RunStats, Session};
 
 /// How well the sparsifier preserves cuts.
 #[derive(Debug, Clone)]
@@ -131,20 +128,13 @@ pub fn theorem7_all_cuts(
     lambda: usize,
     seed: u64,
 ) -> Result<AllCutsOutcome, BroadcastError> {
-    let n = g.n();
     let mut phases = PhaseLog::new();
 
     // 1. Sparsifier (local computation in KX16's distributed version is
     //    Õ(1/ε²) rounds of spanner constructions; charged here).
     let sp = koutis_xu_sparsifier(g, eps, seed);
-    phases.record(
-        "koutis-xu (charged)",
-        congest_sim::RunStats {
-            rounds: (sp.t * sp.iterations.max(1)) as u64,
-            iterations: (sp.t * sp.iterations.max(1)) as u64,
-            ..Default::default()
-        },
-    );
+    let charged = (sp.t * sp.iterations.max(1)) as u64;
+    phases.record("koutis-xu (charged)", RunStats::charged(charged));
 
     // 2. Broadcast every sparsifier edge: payload (u:20, v:20, j:4, base).
     let input = BroadcastInput {
@@ -157,21 +147,10 @@ pub fn theorem7_all_cuts(
             })
             .collect(),
     };
-    let params =
-        PartitionParams::from_lambda(n, lambda, congest_core::broadcast::DEFAULT_PARTITION_C);
     // The broadcast (and its retries) runs all six Theorem 1 phases on
     // one resident engine session.
-    let (bc, _) = partition_broadcast_retrying(
-        g.graph(),
-        &input,
-        params,
-        &BroadcastConfig::with_seed(seed ^ 0xC7),
-        20,
-    )?;
-    debug_assert!(bc.all_delivered());
-    for (name, st) in bc.phases.phases() {
-        phases.record(format!("broadcast-sparsifier: {name}"), *st);
-    }
+    let bc = partition_broadcast_at(&mut Session::new(g.graph()), &input, lambda, seed ^ 0xC7)?;
+    phases.append("broadcast-sparsifier: ", bc.phases);
 
     // 3. Quality measurement (what every node could now do locally).
     let quality = evaluate_cuts(g, &sp, 64, seed ^ EVAL_SEED);
