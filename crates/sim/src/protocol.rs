@@ -75,13 +75,13 @@ pub(crate) struct BcastIn<'a, M: PackedMsg> {
 /// set. A presence word covers 64 nodes, and a step shard's nodes need not
 /// start at a multiple of 64, so two shards stepping at once may share a
 /// word: then the bit is set by an atomic OR. A pass that steps every
-/// shard on the calling thread (`one_task`) has no second writer, and
-/// sets it by a plain read-modify-write, which costs a send what a byte
-/// store does.
+/// shard on the calling thread (`serial`, as the round's plan says) has
+/// no second writer, and sets it by a plain read-modify-write, which costs
+/// a send what a byte store does.
 pub(crate) struct BcastOut<'a, M: PackedMsg> {
     pub(crate) words: &'a RacyCells<'a, M::Word>,
     pub(crate) stage: &'a [AtomicU64],
-    pub(crate) one_task: bool,
+    pub(crate) serial: bool,
 }
 
 /// This node's received messages: a port-indexed word slice plus the
@@ -137,6 +137,9 @@ pub(crate) struct ScatterPlane<'a, M: PackedMsg> {
     /// Whether this shard staged anything through the broadcast plane
     /// this round (gates the per-node plane fold).
     pub(crate) bcast_used: std::cell::Cell<bool>,
+    /// The degree sum of this shard's broadcast-plane senders this round:
+    /// the arcs their words reach.
+    pub(crate) reach: std::cell::Cell<u64>,
 }
 
 impl<'a, M: PackedMsg> ScatterPlane<'a, M> {
@@ -147,8 +150,9 @@ impl<'a, M: PackedMsg> ScatterPlane<'a, M> {
         if k < self.wl_cap {
             // SAFETY: `wl_lo..wl_lo + wl_cap` is this shard's slice of the
             // worklist (the slices of two shards are disjoint and inside
-            // the slab: `wl_starts` in `run_phase`), `k < wl_cap`, and the
-            // plane is touched by its shard's task alone.
+            // the slab, as `SessionState::begin_phase` lays them out),
+            // `k < wl_cap`, and the plane is touched by its shard's task
+            // alone.
             unsafe { self.wl.write(self.wl_lo + k, dest as u32) };
         }
         self.staged.set(k as u32 + 1);
@@ -368,6 +372,16 @@ impl<'a, M: PackedMsg> InboxIter<'a, M> {
     }
 }
 
+/// What a node has sent so far this round. `send` and `send_all` read it
+/// before they write, so either one after a `send_all`, and a `send_all`
+/// after a `send`, panics in O(1), on every plane.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Sent {
+    Nothing,
+    PerPort,
+    Broadcast,
+}
+
 /// Everything one node may legitimately touch during one round.
 ///
 /// Kept deliberately small: contexts are rebuilt for every node every
@@ -382,12 +396,10 @@ pub struct NodeCtx<'a, M: PackedMsg> {
     pub round: u64,
     pub(crate) inbox: InSlot<'a, M>,
     pub(crate) outbox: &'a ScatterPlane<'a, M>,
-    /// Whether this node already staged a broadcast-plane word this
-    /// round. Mirrors the node's own staged-presence bit (which the
-    /// deliver fold always zeroes before the next step), so the send hot
-    /// path tests a context-local flag instead of re-reading the shared
-    /// presence word per send.
-    pub(crate) bcast_staged: bool,
+    /// What this node sent so far this round: a context-local byte, so
+    /// the send paths test it instead of re-reading the shared presence
+    /// word or scanning the node's mask bytes.
+    pub(crate) sent: Sent,
     pub(crate) rng: &'a mut SmallRng,
     pub(crate) done: &'a mut bool,
 }
@@ -498,15 +510,15 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         );
         let dest = plane.rev[self.inbox.bit0 + port as usize] as usize;
         // A prior `send_all` this round already claimed every port
-        // (tracked context-locally — the staging byte it mirrors is always
-        // zero at context construction).
+        // (tracked context-locally — the staging bytes are always zero at
+        // context construction).
         // SAFETY (this read and the two writes below): `rev` is a
         // bijection on the plane's slots and `bit0 + port` is one of this
         // node's own positions (`port < deg`, asserted above), so staging
         // slot `dest` is written and read by this (node, port) alone
         // during the step pass; the adversary and the deliver pass touch
         // it only after the pass joins.
-        let already = self.bcast_staged || unsafe { plane.mask.read(dest) } != 0;
+        let already = self.sent == Sent::Broadcast || unsafe { plane.mask.read(dest) } != 0;
         if !already {
             plane.record(dest);
             unsafe {
@@ -519,6 +531,7 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
             "CONGEST violation: node {} sent twice on port {} in round {}",
             self.node, port, self.round
         );
+        self.sent = Sent::PerPort;
     }
 
     /// Send a copy of `msg` to every neighbor. In the round loop this is
@@ -530,45 +543,38 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
     /// plan the adversary moves the plane word of a node behind a blocked
     /// edge onto per-arc slots the same way before it drops anything
     /// ([`crate::session`]), so the receivers see the same messages either
-    /// way.
+    /// way. Panics if this node already sent or broadcast this round: it
+    /// would put a second message on an edge direction.
     pub fn send_all(&mut self, msg: M) {
+        if self.sent != Sent::Nothing {
+            let what = match self.sent {
+                Sent::Broadcast => "twice",
+                _ => "after sending",
+            };
+            panic!(
+                "CONGEST violation: node {} broadcast {what} in round {}",
+                self.node, self.round
+            );
+        }
+        self.sent = Sent::Broadcast;
         let lo = self.inbox.bit0;
         let deg = self.degree();
         let plane = self.outbox;
         let word = msg.pack();
         if let Some(b) = plane.bcast {
             let node = self.node as usize;
-            assert!(
-                !self.bcast_staged,
-                "CONGEST violation: node {} broadcast twice in round {}",
-                self.node, self.round
-            );
             // SAFETY: slot `node < n` of the n-slot broadcast staging slab
             // is written by `node`'s own step alone (the fold and the
-            // adversary read it after the pass joins); the mask reads in
-            // the debug check are of this node's own destination slots
-            // (see `send`).
-            unsafe {
-                // Debug-only: `send_all` after a per-port `send` would
-                // double-book that port.
-                debug_assert!(
-                    plane.rev[lo..lo + deg]
-                        .iter()
-                        .all(|&d| plane.mask.read(d as usize) == 0),
-                    "CONGEST violation: node {} broadcast after sending in round {}",
-                    self.node,
-                    self.round
-                );
-                b.words.write(node, word);
-            }
+            // adversary read it after the pass joins).
+            unsafe { b.words.write(node, word) };
             let (staged, bit) = (&b.stage[node >> 6], 1 << (node & 63));
-            if b.one_task {
+            if b.serial {
                 staged.store(staged.load(Ordering::Relaxed) | bit, Ordering::Relaxed);
             } else {
                 staged.fetch_or(bit, Ordering::Relaxed);
             }
-            self.bcast_staged = true;
             plane.bcast_used.set(true);
+            plane.reach.set(plane.reach.get() + deg as u64);
             return;
         }
         // Only a node-local plane has no broadcast plane, and it keeps no
@@ -577,16 +583,8 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         for &dest in &plane.rev[lo..lo + deg] {
             let dest = dest as usize;
             // SAFETY: `rev[lo..lo + deg]` are this node's own destination
-            // slots (see `send`). The double-send probe is debug-only on
-            // this bulk path; `send` keeps the full check for per-port
-            // traffic.
+            // slots (see `send`), all zero: this node sent nothing yet.
             unsafe {
-                debug_assert!(
-                    plane.mask.read(dest) == 0,
-                    "CONGEST violation: node {} double-sent in round {}",
-                    self.node,
-                    self.round
-                );
                 plane.mask.write(dest, 1);
                 plane.words.write(dest, word);
             }
@@ -604,7 +602,7 @@ impl<'a, M: PackedMsg> NodeCtx<'a, M> {
         );
         // SAFETY: `port < deg` (just asserted), so this reads this node's
         // own destination slot (see `send`).
-        self.bcast_staged
+        self.sent == Sent::Broadcast
             || unsafe {
                 plane
                     .mask

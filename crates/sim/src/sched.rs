@@ -57,7 +57,7 @@
 //! too.
 
 use crate::message::{PackedMsg, Tagged};
-use crate::protocol::{InSlot, NodeCtx, Protocol, ScatterPlane};
+use crate::protocol::{InSlot, NodeCtx, Protocol, ScatterPlane, Sent};
 use crate::rng::mix64;
 use crate::slab;
 use congest_par::RacyCells;
@@ -290,6 +290,7 @@ impl<P: Protocol> Protocol for Multiplexed<P> {
                     wl_cap: 0,
                     staged: Cell::new(0),
                     bcast_used: Cell::new(false),
+                    reach: Cell::new(0),
                 };
                 let mut sub_ctx = NodeCtx {
                     node: ctx.node,
@@ -301,7 +302,7 @@ impl<P: Protocol> Protocol for Multiplexed<P> {
                         bcast: None,
                     },
                     outbox: &plane,
-                    bcast_staged: false,
+                    sent: Sent::Nothing,
                     rng: ctx.rng,
                     done: &mut sub.done,
                 };

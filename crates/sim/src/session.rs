@@ -59,7 +59,9 @@
 //!
 //! # The round loop
 //!
-//! [`Session::run`]'s loop (`run_phase` below).
+//! [`Session::run`]'s loop is `SessionState::run_phase`: a short loop over
+//! the stage methods of a `PhaseView` (the session's buffers, the message
+//! slabs typed at the phase's word), steered by one `RoundPlan` a round.
 //!
 //! Messages live in **dense arc-indexed slabs** of packed words
 //! ([`crate::message::PackedMsg`]): arc `i` is position `i` in the graph's
@@ -69,52 +71,51 @@
 //! one writer each) on the staging side, not per-slot `Option`s. The loop
 //! runs on a [`congest_graph::ShardPlan`] — contiguous node shards
 //! balanced by arc count, each owning a disjoint range of occupancy words
-//! (64 arcs each) — and a round is three phases, the first and last a
-//! pass over the shards, across the `congest-par` pool. The pool width is
-//! the one switch, and the phase's shard count its one fork decision
+//! (64 arcs each) — across the `congest-par` pool. The pool width is the
+//! one switch, and the phase's shard count its one fork decision
 //! (`phase_shards`, once per phase: a pinned count, else four per lane
 //! from `FORK_MIN_ARCS` arcs up on a pool wider than one lane, else one).
 //! One shard runs on the calling thread, and a one-lane pool runs any
-//! count there in shard order, so a serial run is a one-lane run:
+//! count there in shard order, so a serial run is a one-lane run. A round:
 //!
-//! * **Step** — shard `s` steps its own nodes; a send is scattered
-//!   straight into the *destination* arc slot of the staging slab through
-//!   the `reverse_arc` permutation (a bijection: one writer per slot), the
-//!   one write path ([`crate::protocol`]). The
-//!   shard folds its nodes' `done` flags, counts what it staged, and lists
-//!   the staged arcs in its worklist region (capped at `min(threshold,
-//!   out_arc_bound(s))`; past the cap only the count goes on). Which nodes
-//!   a shard steps is one of two choices, **all** or **listed** — see
-//!   "The active-node list" below.
-//! * **Adversary** — under a [`crate::FaultPlan`], one serial pass over the
-//!   round's blocked edges. It **demotes** each endpoint that staged a
-//!   broadcast-plane word — the word goes to the node's per-arc staging
-//!   slots through `reverse_arc`, its staged-presence bit is cleared, and
-//!   its arcs join its shard's staged count and worklist, as its own
-//!   per-port sends would (so a thin faulted round still takes the sparse
-//!   merge) — then clears what is staged on the blocked arcs and counts it
-//!   dropped: what an all-scatter round drops.
-//! * **Deliver** — the staging slab *becomes* the inbox slab (a swap), and
-//!   what was staged is folded into the occupancy bitset, counted and
-//!   metered by one of three paths, chosen from the staged counts alone
-//!   (the same at every pool width and shard count) and bit-identical in
-//!   what they leave. **Skip**: nothing went through the arc mask, so only
-//!   the previous round's occupancy residue is zeroed. **Sparse**: the
-//!   staged total is within [`EngineConfig::sparse_threshold`] (then no
-//!   shard's worklist overflowed: a shard stages each port at most once).
-//!   One serial pass over the shards' worklists: an entry whose mask byte
-//!   the adversary cleared drops out; for the rest, zero the mask byte,
-//!   set the occupancy bit, bump the arc's counter, and note each word
-//!   that went nonzero in `set_words`, the breadcrumb by which the next
-//!   round zeroes O(traffic) words, not the bitset (the pass is
-//!   random-access and O(traffic), so it never forks). **Full**: each
-//!   shard sweeps its word range — 64 mask bytes pack into one occupancy
-//!   word, the mask is re-zeroed, the set bits counted and their arcs'
-//!   counters bumped.
+//! * **Step** (`step_pass`) — each shard steps the nodes the previous
+//!   round's plan names, **all** or **listed** ("The active-node list"
+//!   below). A send lands straight in the *destination* arc slot of the
+//!   staging slab through the `reverse_arc` permutation (a bijection: one
+//!   writer per slot), the one write path ([`crate::protocol`]); a
+//!   `send_all` lands in the broadcast plane. The shard's meter gets its
+//!   `done` fold, what it staged — listed in its worklist region up to
+//!   `min(threshold, out_arc_bound(s))`, past the cap only counted —
+//!   whether it broadcast, and its broadcasters' degree sum (their reach).
+//! * **Adversary** (`block`) — under a [`crate::FaultPlan`], one serial
+//!   pass over the round's blocked edges. It **demotes** each endpoint
+//!   that staged a plane word to per-arc staging (its arcs join its
+//!   shard's staged count and worklist, as its own sends would, so a thin
+//!   faulted round still takes the sparse merge), then drops what is
+//!   staged on the blocked arcs: what an all-scatter round drops.
+//! * **Plan** (`RoundPlan::new`) — the one place the round kind is
+//!   decided, a pure function of the meters' totals, the arc count, the
+//!   threshold and `QUIESCENT`: the deliver path, whether the plane is
+//!   folded and its receivers listed, and how the next round steps. It
+//!   reads no pool width and no shard count.
+//! * **Deliver** (`deliver`) — the staging slabs *become* the inbox slabs
+//!   (a swap), and the plan's path moves what the mask staged into the
+//!   occupancy bitset, counted and metered, bit-identical whichever it is.
+//!   **Skip**: nothing staged, so only the previous round's residue is
+//!   cleared. **Sparse**: the staged total is within
+//!   [`EngineConfig::sparse_threshold`]; one serial merge over the
+//!   worklists notes each word it sets in `set_words`, the breadcrumb by
+//!   which the next round clears O(traffic) words, not the bitset (the
+//!   merge is random-access and O(traffic), so it never forks). **Full**:
+//!   each shard sweeps its word range from the mask bytes. A plane fold
+//!   rides the sweep's forked pass.
+//! * **List** (`list_plane`) — after a small fold, one serial walk lists
+//!   the fold's receivers.
 //!
-//! Each shard writes one private `ShardMeter`; the round's totals
-//! (delivered, all done, staged) are a serial fold over them — sums and an
-//! and, so the order cannot reach a result.
+//! Each shard writes one private `ShardMeter`; the round's totals are
+//! serial folds over them — sums, an and and an or, so the order cannot
+//! reach a result. DESIGN.md §6 has a table of the stages: what selects
+//! each, what it reads, what a shard writes, and whether it forks.
 //!
 //! **The active-node list.** Broadcast traffic is a thin frontier: most
 //! nodes of most rounds are done and get no mail, and a protocol that
@@ -131,8 +132,9 @@
 //! mail. The sparse merge sets the byte as it delivers, and the listed
 //! pass then stays on the calling thread, for the reason the merge does:
 //! its work is O(frontier). A **small plane fold** — one whose senders
-//! reach fewer than a quarter of the arcs, the degree sum of the presence
-//! bits it folded — lists its receivers itself: after the fold, one
+//! reach fewer than a quarter of the arcs, their degree sum, which
+//! `send_all` counts as it stages and the adversary takes back from a
+//! demoted sender — lists its receivers itself: after the fold, one
 //! serial walk over the presence words visits each sender's neighbour
 //! list and sets the bytes, so a rumor's lone source in round 0 makes
 //! round 1 step its neighbours, not the graph. The gate reads the fold's
@@ -167,9 +169,9 @@
 //! thread by a plain read-modify-write. Deliver **folds** the plane only in
 //! rounds where a shard staged through it: each shard takes its own
 //! staged words whole — n / 64 words, not n stage bytes — as the presence
-//! words receivers read, leaves them zero, and each set bit adds the
-//! sender's degree to the delivered count (and to the fold's reach) and
-//! one to the sender's counter. Receivers are handed the plane only in the
+//! words receivers read, leaves them zero, and each set bit adds one to
+//! the sender's counter; what the fold delivers is its senders' reach.
+//! Receivers are handed the plane only in the
 //! round after a fold (a fold whose every sender was demoted finds none,
 //! and its receivers probe an empty plane once), so rounds with no
 //! broadcast probe nothing. In such a round a receiver reads its inbox in
@@ -202,13 +204,15 @@
 //! bit-identical (`tests/proptest_engine.rs`).
 
 use crate::engine::{EngineConfig, EngineError, RunOutcome, RunStats};
+use crate::fault::FaultPlan;
 use crate::message::{MsgWord, PackedMsg};
-use crate::protocol::{BcastIn, BcastOut, InSlot, NodeCtx, Protocol, ScatterPlane};
+use crate::protocol::{BcastIn, BcastOut, InSlot, NodeCtx, Protocol, ScatterPlane, Sent};
 use crate::rng::node_rng;
 use crate::slab;
 use congest_graph::{Edge, Graph, Node, ShardPlan};
 use congest_par::RacyCells;
 use rand::rngs::SmallRng;
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// The staging byte-mask value for "this arc carries a message".
@@ -216,11 +220,12 @@ const STAGED: u8 = 1;
 
 /// Which nodes a round's step pass steps (module docs, "The active-node
 /// list").
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 enum StepSet {
     /// Every node, which rewrites the whole list: round 0, a round after a
     /// large plane fold, and every round of a protocol without
     /// [`Protocol::QUIESCENT`].
+    #[default]
     All,
     /// The nodes `active` lists, after a skip or a sparse deliver (whose
     /// merge listed its receivers; a small plane fold lists its own), on
@@ -229,6 +234,89 @@ enum StepSet {
     /// The same, after a full sweep: each shard first lists its own
     /// receivers from their occupancy bits, across the shards.
     Probed,
+}
+
+/// How a round's mail reaches the occupancy bitset (module docs,
+/// "Deliver"), and so which residue the next round clears before its own
+/// bits land.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+enum Deliver {
+    /// Nothing went through the arc mask. Leaves no residue.
+    #[default]
+    Skip,
+    /// The serial worklist merge. Leaves bits only in the words
+    /// `set_words` lists, so the next clear is O(traffic).
+    Sparse,
+    /// Each shard sweeps its words from the mask. Leaves any word set, so
+    /// the next clear is a whole-bitset fill.
+    Full,
+}
+
+/// What a round does from its deliver on, and how the next round steps:
+/// the one place the round kind is decided. The default is the plan
+/// before round 0: step every node; no residue, no plane.
+#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
+struct RoundPlan {
+    /// This round's deliver path; the next round clears what it leaves.
+    deliver: Deliver,
+    /// Whether this round folds the broadcast plane, and so whether the
+    /// next round's receivers are handed it.
+    fold: bool,
+    /// Whether the fold is small enough for `list_plane` to list its
+    /// receivers.
+    list_plane: bool,
+    /// Which nodes the next round steps.
+    next: StepSet,
+}
+
+impl RoundPlan {
+    /// The plan of a round whose step pass and adversary left `meters`, on
+    /// a graph of `arcs` arcs at sparse threshold `threshold`, for a
+    /// protocol that does or does not promise [`Protocol::QUIESCENT`] — a
+    /// function of the meters' totals alone (what they staged through the
+    /// arc mask, whether any node broadcast, and the arcs the broadcasts
+    /// reach), the same at every pool width and shard count.
+    ///
+    /// The merge takes at most `threshold` messages. A shard stages each
+    /// of its ports at most once (`send` asserts it, a `send_all` stages
+    /// nothing on the mask, and a demoted one only ports its sender did
+    /// not send on), so at most `out_arc_bound(s)`: a merged round
+    /// overflowed no shard's worklist slice. A fold whose senders reach
+    /// fewer than a quarter of the arcs lists their receivers; after a
+    /// larger one the next round steps everyone, and so rewrites the whole
+    /// list. Mail that arrived by the sweep is listed by the next round's
+    /// probe, the merge's by the merge itself.
+    fn new(meters: &[ShardMeter], arcs: usize, threshold: usize, quiescent: bool) -> RoundPlan {
+        let deliver = match meters.iter().map(|m| m.staged as u64).sum() {
+            0 => Deliver::Skip,
+            t if t <= threshold as u64 => Deliver::Sparse,
+            _ => Deliver::Full,
+        };
+        let fold = meters.iter().any(|m| m.bcast_used);
+        let reach: u64 = meters.iter().map(|m| m.reach).sum();
+        let list_plane = quiescent && fold && 4 * reach < arcs as u64;
+        let next = if !quiescent || (fold && !list_plane) {
+            StepSet::All
+        } else if deliver == Deliver::Full {
+            StepSet::Probed
+        } else {
+            StepSet::Listed
+        };
+        RoundPlan {
+            deliver,
+            fold,
+            list_plane,
+            next,
+        }
+    }
+
+    /// Whether the next round's step pass runs its shards on the calling
+    /// thread: a pass listed by the merge or a small fold is O(frontier)
+    /// work, like the listing. A probed pass reads its shard's occupancy
+    /// words as the sweep before it wrote them, and forks as the sweep did.
+    fn serial_step(&self) -> bool {
+        self.next == StepSet::Listed
+    }
 }
 
 /// An unpinned phase shards from this many arcs up (DESIGN.md §10's sharded
@@ -251,13 +339,14 @@ fn phase_shards(graph: &Graph, config: &EngineConfig) -> usize {
     config.shards.unwrap_or(auto).clamp(1, graph.n().max(1))
 }
 
-/// Run `task(0..shards)`: one shard on the calling thread, more across the
-/// pool (which runs them in order on the calling thread at width 1). Tasks
-/// own disjoint regions, so every width leaves the same bytes.
+/// Run `task(0..shards)`: in shard order on the calling thread if
+/// `serial` or for one shard, else across the pool (which runs them in
+/// order on the calling thread at width 1). Tasks own disjoint regions, so
+/// every width leaves the same bytes.
 #[inline]
-fn each_shard(shards: usize, task: impl Fn(usize) + Sync) {
-    if shards == 1 {
-        task(0);
+fn each_shard(shards: usize, serial: bool, task: impl Fn(usize) + Sync) {
+    if serial || shards == 1 {
+        (0..shards).for_each(task);
     } else {
         congest_par::run(shards, task);
     }
@@ -330,6 +419,37 @@ fn check_shard_regions(plan: &ShardPlan, graph: &Graph, wl_starts: &[usize]) {
     });
 }
 
+/// The active-node list's invariant over one shard of a listed round,
+/// after its probe: a node the round will not step (`active[i] == 0`) is
+/// done and has an empty inbox, on the slab and on the plane. It holds
+/// because the last step of a node wrote `!done`, no later step undid it,
+/// and every delivery since was listed — by the merge, by the probe after
+/// a sweep, or by a small fold's walk (a large fold makes the next round
+/// step everyone instead).
+#[cfg(debug_assertions)]
+fn check_listed<P, M: PackedMsg>(
+    graph: &Graph,
+    cells: &[NodeCell<P>],
+    active: &[u8],
+    v_lo: usize,
+    in_occ: &[u64],
+    plane: Option<&BcastIn<'_, M>>,
+    round: u64,
+) {
+    let broadcast = |u: Node| plane.is_some_and(|b| b.occ[u as usize >> 6] >> (u & 63) & 1 == 1);
+    for (i, cell) in cells.iter().enumerate() {
+        let v = (v_lo + i) as Node;
+        let (lo, deg) = (graph.arc_offset(v), graph.degree(v));
+        assert!(
+            active[i] != 0
+                || (cell.done
+                    && slab::popcount_range(in_occ, lo, deg) == 0
+                    && !graph.neighbors(v).iter().any(|&u| broadcast(u))),
+            "round {round}: node {v} is unlisted but not done or has mail"
+        );
+    }
+}
+
 /// Cap on auto-derived shard counts (explicit configs may exceed it).
 const MAX_AUTO_SHARDS: usize = 64;
 
@@ -375,23 +495,12 @@ struct NodeCell<P> {
     done: bool,
 }
 
-impl<P> NodeCell<P> {
-    /// Node `v`'s cell at the start of a run seeded `seed`.
-    fn new(state: P, seed: u64, v: Node) -> Self {
-        NodeCell {
-            state,
-            rng: node_rng(seed, v),
-            done: false,
-        }
-    }
-}
-
 /// One shard's private meter block, written only by the shard that owns it
 /// during a phase and read only between phases, by the round's fold.
 #[derive(Debug, Clone, Copy, Default)]
 struct ShardMeter {
-    /// Messages delivered into this shard's arcs (and out of its
-    /// broadcasting nodes) this round.
+    /// Messages the full sweep delivered into this shard's arcs this
+    /// round.
     delivered: u64,
     /// Whether every node of this shard reported `done` this round.
     all_done: bool,
@@ -403,24 +512,10 @@ struct ShardMeter {
     /// Whether any node of this shard staged a broadcast-plane word this
     /// round (gates the per-node plane fold).
     bcast_used: bool,
-    /// Arcs this shard's plane senders reached this round (their degree
-    /// sum, part of `delivered`): a small total lists their receivers.
+    /// Arcs this shard's plane senders reach this round: their degree sum,
+    /// counted by `send_all`, less the demoted ones' (the plane's share of
+    /// the round's deliveries; a small total lists their receivers).
     reach: u64,
-}
-
-/// Does the inbox occupancy bitset need zeroing before this round's bits
-/// land, and how cheaply can that be done?
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum OccState {
-    /// All-zero (nothing to do).
-    Clean,
-    /// Nonzero only at the words listed in the engine's `set_words`
-    /// scratch (sparse rounds leave this breadcrumb so the next round
-    /// zeroes O(traffic) words, not O(arcs/64)).
-    Tracked,
-    /// Arbitrary (a full-sweep round rebuilt every word; zeroing takes a
-    /// whole-bitset fill).
-    Unknown,
 }
 
 /// Raw 16-byte-aligned storage that grows to the high-water demand, keyed
@@ -535,24 +630,16 @@ impl<T> ArenaRow<T> {
         unsafe { std::slice::from_raw_parts_mut(self.ptr, self.n) }
     }
 
-    /// Move the values into `dst` (cleared first), allocating only if
-    /// `dst`'s retained capacity is too small.
-    fn move_into(self, dst: &mut Vec<T>) {
-        dst.clear();
-        dst.reserve(self.n);
+    /// The values in a `Vec` of their own.
+    fn into_vec(self) -> Vec<T> {
+        let mut out = Vec::with_capacity(self.n);
         // SAFETY: every slot is moved exactly once into reserved
         // capacity; forgetting `self` keeps `Drop` off the moved values.
         unsafe {
-            std::ptr::copy_nonoverlapping(self.ptr, dst.as_mut_ptr(), self.n);
-            dst.set_len(self.n);
+            std::ptr::copy_nonoverlapping(self.ptr, out.as_mut_ptr(), self.n);
+            out.set_len(self.n);
         }
         std::mem::forget(self);
-    }
-
-    /// The values in a `Vec` of their own.
-    fn into_vec(self) -> Vec<T> {
-        let mut out = Vec::new();
-        self.move_into(&mut out);
         out
     }
 }
@@ -607,14 +694,11 @@ impl<'s, O> PhaseOutcome<'s, O> {
 
     /// Convert into the owned [`RunOutcome`] shape `run_protocol` returns.
     pub fn into_owned(self) -> RunOutcome<O> {
-        let stats = self.stats;
-        let trace = self.trace.map(|t| t.to_vec());
-        let edge_congestion = self.edge_congestion.to_vec();
         RunOutcome {
+            stats: self.stats,
+            trace: self.trace.map(<[u64]>::to_vec),
+            edge_congestion: self.edge_congestion.to_vec(),
             outputs: self.take_outputs(),
-            stats,
-            trace,
-            edge_congestion,
         }
     }
 }
@@ -631,6 +715,20 @@ pub(crate) struct SessionState {
     /// Per-node broadcast-plane message slabs (inbox / staging).
     bcast_slab_a: Arena,
     bcast_slab_b: Arena,
+    /// Every other buffer: untyped, or typed per phase by its own type.
+    bufs: RoundBufs,
+    /// Shard plan cache, keyed by the clamped requested shard count.
+    plan: Option<(usize, ShardPlan)>,
+    /// Whether the previous phase completed cleanly (breadcrumb-zeroed
+    /// state). A failed or panicked phase clears this and the next run
+    /// pays one full scrub.
+    pub(crate) clean: bool,
+}
+
+/// The buffers of a [`SessionState`] but its message slabs: the same
+/// type at every message width.
+#[derive(Default)]
+struct RoundBufs {
     /// Word-packed inbox occupancy bitset (one bit per arc).
     in_occ: Vec<u64>,
     /// Staging byte-mask (one byte per arc).
@@ -651,8 +749,6 @@ pub(crate) struct SessionState {
     active: Vec<u8>,
     /// Fault-adversary scratch (the round's drawn edge ids).
     blocked: Vec<Edge>,
-    /// Shard plan cache, keyed by the clamped requested shard count.
-    plan: Option<(usize, ShardPlan)>,
     meters: Vec<ShardMeter>,
     wl_starts: Vec<usize>,
     worklist: Vec<u32>,
@@ -664,10 +760,48 @@ pub(crate) struct SessionState {
     /// Node-cell and output arenas.
     cell_arena: Arena,
     out_arena: Arena,
-    /// Whether the previous phase completed cleanly (breadcrumb-zeroed
-    /// state). A failed or panicked phase clears this and the next run
-    /// pays one full scrub.
-    pub(crate) clean: bool,
+}
+
+impl RoundBufs {
+    /// Full scrub of every buffer a failed phase may have left dirty.
+    /// Only runs after an error or a panic escaped a phase; clean phases
+    /// re-zero everything they touched on their way out.
+    fn scrub(&mut self) {
+        self.in_occ.fill(0);
+        self.out_mask.fill(0);
+        self.arc_traffic.fill(0);
+        self.bcast_stage.iter_mut().for_each(|w| *w.get_mut() = 0);
+        self.node_traffic.fill(0);
+        // `bcast_occ` needs no scrub: receivers are handed it only in the
+        // round after a fold, and every fold rebuilds all presence words.
+    }
+
+    /// Whether the buffers [`RoundBufs::scrub`] zeroes are zero: what
+    /// a completed phase leaves ("Zeroed by breadcrumb").
+    fn scrubbed(&self) -> bool {
+        fn zero<W: Copy + Into<u64>>(words: &[W]) -> bool {
+            words.iter().all(|&w| w.into() == 0)
+        }
+        zero(&self.in_occ)
+            && zero(&self.out_mask)
+            && zero(&self.arc_traffic)
+            && self
+                .bcast_stage
+                .iter()
+                .all(|w| w.load(Ordering::Relaxed) == 0)
+            && zero(&self.node_traffic)
+    }
+
+    /// Size the broadcast plane's bookkeeping for `n` nodes: once per
+    /// session, by its first phase.
+    fn size_plane(&mut self, n: usize) {
+        if self.node_traffic.len() < n {
+            self.bcast_stage
+                .resize_with(n.div_ceil(64), AtomicU64::default);
+            self.bcast_occ.resize(n.div_ceil(64), 0);
+            self.node_traffic.resize(n, 0);
+        }
+    }
 }
 
 /// A graph-keyed engine instance owning all round-loop state for a whole
@@ -686,70 +820,28 @@ impl SessionState {
     /// Freshly sized state for `graph` — what [`Session::new`] allocates.
     pub(crate) fn new(graph: &Graph) -> SessionState {
         let arcs = graph.num_arcs();
-        let occ_words = arcs.div_ceil(64);
         SessionState {
-            slab_a: Arena::default(),
-            slab_b: Arena::default(),
-            bcast_slab_a: Arena::default(),
-            bcast_slab_b: Arena::default(),
-            in_occ: vec![0; occ_words],
-            out_mask: vec![0; arcs],
-            arc_traffic: vec![0; arcs],
             // Broadcast-plane bookkeeping is sized lazily by the first
-            // phase.
-            bcast_stage: Vec::new(),
-            bcast_occ: Vec::new(),
-            node_traffic: Vec::new(),
-            active: vec![0; graph.n()],
-            blocked: Vec::new(),
-            plan: None,
-            meters: Vec::new(),
-            wl_starts: Vec::new(),
-            worklist: Vec::new(),
-            set_words: Vec::new(),
-            per_edge: vec![0; graph.m()],
-            trace_buf: Vec::new(),
-            cell_arena: Arena::default(),
-            out_arena: Arena::default(),
+            // phase, the slabs and arenas by the first that needs them.
+            bufs: RoundBufs {
+                in_occ: vec![0; arcs.div_ceil(64)],
+                out_mask: vec![0; arcs],
+                arc_traffic: vec![0; arcs],
+                active: vec![0; graph.n()],
+                per_edge: vec![0; graph.m()],
+                ..RoundBufs::default()
+            },
             clean: true,
+            ..SessionState::default()
         }
     }
 
     /// Whether this state's graph-sized buffers match `graph` (checked in
     /// debug builds wherever a state is married to a graph).
     fn fits(&self, graph: &Graph) -> bool {
-        self.out_mask.len() == graph.num_arcs()
-            && self.per_edge.len() == graph.m()
-            && self.active.len() == graph.n()
-    }
-
-    /// Full scrub of every buffer a failed phase may have left dirty.
-    /// Only runs after an error or a panic escaped a phase; clean phases
-    /// re-zero everything they touched on their way out.
-    fn scrub(&mut self) {
-        self.in_occ.fill(0);
-        self.out_mask.fill(0);
-        self.arc_traffic.fill(0);
-        self.bcast_stage.iter_mut().for_each(|w| *w.get_mut() = 0);
-        self.node_traffic.fill(0);
-        // `bcast_occ` needs no scrub: receivers are handed it only in the
-        // round after a fold, and every fold rebuilds all presence words.
-    }
-
-    /// Whether the buffers [`SessionState::scrub`] zeroes are zero: what
-    /// a completed phase leaves ("Zeroed by breadcrumb").
-    fn scrubbed(&self) -> bool {
-        fn zero<W: Copy + Into<u64>>(words: &[W]) -> bool {
-            words.iter().all(|&w| w.into() == 0)
-        }
-        zero(&self.in_occ)
-            && zero(&self.out_mask)
-            && zero(&self.arc_traffic)
-            && self
-                .bcast_stage
-                .iter()
-                .all(|w| w.load(Ordering::Relaxed) == 0)
-            && zero(&self.node_traffic)
+        self.bufs.out_mask.len() == graph.num_arcs()
+            && self.bufs.per_edge.len() == graph.m()
+            && self.bufs.active.len() == graph.n()
     }
 
     /// Splitmix64-folded hash of what a continuation starts from: the
@@ -775,13 +867,13 @@ impl SessionState {
             }
             h
         }
-        let h = mix64(0x5348_0001 ^ self.out_mask.len() as u64)
-            ^ mix64(0x5348_0002 ^ self.per_edge.len() as u64)
+        let h = mix64(0x5348_0001 ^ self.bufs.out_mask.len() as u64)
+            ^ mix64(0x5348_0002 ^ self.bufs.per_edge.len() as u64)
             ^ mix64(0x5348_0003 ^ self.clean as u64);
         // Tags 8 and 9 are the ones these buffers have always had: every
         // clean-state hash recorded so far keeps its value.
-        let h = fold(h, 8, &self.per_edge);
-        mix64(fold(h, 9, &self.trace_buf))
+        let h = fold(h, 8, &self.bufs.per_edge);
+        mix64(fold(h, 9, &self.bufs.trace_buf))
     }
 
     /// Estimated resident heap footprint of this state's retained
@@ -797,32 +889,21 @@ impl SessionState {
             &self.slab_b,
             &self.bcast_slab_a,
             &self.bcast_slab_b,
-            &self.cell_arena,
-            &self.out_arena,
+            &self.bufs.cell_arena,
+            &self.bufs.out_arena,
         ]
         .iter()
         .map(|a| a.byte_capacity())
         .sum::<usize>()
-            + self.in_occ.capacity() * 8
-            + self.out_mask.capacity()
-            + self.arc_traffic.capacity() * 4
-            + self.bcast_stage.capacity() * 8
-            + self.bcast_occ.capacity() * 8
-            + self.node_traffic.capacity() * 4
-            + self.active.capacity()
-            + self.per_edge.capacity() * 8
-            + self.trace_buf.capacity() * 8
-    }
-
-    /// Size the broadcast plane's bookkeeping for `n` nodes: once per
-    /// session, by its first phase.
-    fn size_plane(&mut self, n: usize) {
-        if self.node_traffic.len() < n {
-            self.bcast_stage
-                .resize_with(n.div_ceil(64), AtomicU64::default);
-            self.bcast_occ.resize(n.div_ceil(64), 0);
-            self.node_traffic.resize(n, 0);
-        }
+            + self.bufs.in_occ.capacity() * 8
+            + self.bufs.out_mask.capacity()
+            + self.bufs.arc_traffic.capacity() * 4
+            + self.bufs.bcast_stage.capacity() * 8
+            + self.bufs.bcast_occ.capacity() * 8
+            + self.bufs.node_traffic.capacity() * 4
+            + self.bufs.active.capacity()
+            + self.bufs.per_edge.capacity() * 8
+            + self.bufs.trace_buf.capacity() * 8
     }
 
     /// Append the two buffers [`SessionState::state_hash`] signs to `out`
@@ -832,16 +913,19 @@ impl SessionState {
     /// Appends only — steady-state encoding into a warm buffer allocates
     /// nothing.
     fn encode_payload(&self, out: &mut Vec<u8>) {
-        crate::snapshot::put_u64s(out, &self.per_edge);
-        crate::snapshot::put_u64s(out, &self.trace_buf);
+        crate::snapshot::put_u64s(out, &self.bufs.per_edge);
+        crate::snapshot::put_u64s(out, &self.bufs.trace_buf);
     }
 
     /// What a phase does first: scrub what a failed phase left behind,
     /// mark the state dirty until this phase completes (any early exit,
     /// error or panic, leaves partially-built state; only a completed
-    /// phase restores the breadcrumb-zero invariant), and make the cached
-    /// shard plan the one [`phase_shards`] picks.
-    fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) {
+    /// phase restores the breadcrumb-zero invariant), make the cached
+    /// shard plan the one [`phase_shards`] picks, and lay out the phase's
+    /// bookkeeping: the broadcast plane's, one meter block per shard, and
+    /// per-shard worklist slices of `min(threshold, out_arc_bound(s))`.
+    /// Returns the phase's sparse threshold.
+    fn begin_phase(&mut self, graph: &Graph, config: &EngineConfig) -> usize {
         debug_assert!(self.fits(graph), "state sized for a different graph");
         assert!(
             config.max_rounds <= u32::MAX as u64,
@@ -849,22 +933,51 @@ impl SessionState {
             config.max_rounds
         );
         if !self.clean {
-            self.scrub();
+            self.bufs.scrub();
         }
-        debug_assert!(self.scrubbed(), "a completed phase left a live buffer");
+        debug_assert!(self.bufs.scrubbed(), "a completed phase left a live buffer");
         self.clean = false;
         let shards = phase_shards(graph, config);
         if self.plan.as_ref().map(|(k, _)| *k) != Some(shards) {
             self.plan = Some((shards, graph.shard_plan(shards)));
         }
+        let (plan, b) = (&self.plan.as_ref().expect("cached above").1, &mut self.bufs);
+        b.size_plane(graph.n());
+        if let Some(fp) = &config.faults {
+            b.blocked.reserve(fp.edges_per_round);
+        }
+        let arcs = graph.num_arcs();
+        let threshold = config
+            .sparse_threshold
+            .unwrap_or_else(|| (arcs / 32).clamp(64, 1 << 20))
+            .min(arcs);
+        b.meters.clear();
+        b.meters.resize(shards, ShardMeter::default());
+        b.wl_starts.clear();
+        b.wl_starts.push(0);
+        for s in 0..shards {
+            b.wl_starts
+                .push(b.wl_starts[s] + threshold.min(plan.out_arc_bound(s)));
+        }
+        if b.worklist.len() < b.wl_starts[shards] {
+            b.worklist.resize(b.wl_starts[shards], 0);
+        }
+        #[cfg(debug_assertions)]
+        check_shard_regions(plan, graph, &b.wl_starts);
+        b.set_words.clear();
+        b.set_words.reserve(threshold.min(arcs.div_ceil(64)));
+        self.bufs.trace_buf.clear();
+        threshold
     }
 
     /// The round loop: run one protocol instance per node on `graph`
     /// until global termination or the round limit. [`Session::run`] is
-    /// the public face.
+    /// the public face. Each round runs the stages of a [`PhaseView`] in
+    /// order, steered by the previous round's [`RoundPlan`] up to its
+    /// adversary and by its own from its deliver on.
     fn run_phase<'s, P, F>(
         &'s mut self,
-        graph: &Graph,
+        graph: &'s Graph,
         mut factory: F,
         config: EngineConfig,
     ) -> Result<PhaseOutcome<'s, P::Output>, EngineError>
@@ -876,558 +989,457 @@ impl SessionState {
             P::Msg::WIDTH <= <<P::Msg as PackedMsg>::Word as MsgWord>::BITS,
             "message WIDTH exceeds its storage word"
         );
-        self.begin_phase(graph, &config);
-
-        let n = graph.n();
-        let arcs = graph.num_arcs();
-        let occ_words = arcs.div_ceil(64);
-        let node_words = n.div_ceil(64);
-        self.size_plane(n);
-
-        if let Some(fp) = &config.faults {
-            self.blocked.reserve(fp.edges_per_round);
-        }
-
-        // --- Sparse fast-path worklist layout for this phase's threshold.
-        let threshold = config
-            .sparse_threshold
-            .unwrap_or_else(|| (arcs / 32).clamp(64, 1 << 20))
-            .min(arcs);
-
-        // --- Split the state into independently borrowed buffers.
-        let SessionState {
-            slab_a,
-            slab_b,
-            bcast_slab_a,
-            bcast_slab_b,
-            in_occ,
-            out_mask,
-            arc_traffic,
-            bcast_stage,
-            bcast_occ,
-            node_traffic,
-            active,
-            blocked,
-            plan,
-            meters,
-            wl_starts,
-            worklist,
-            set_words,
-            per_edge,
-            trace_buf,
-            cell_arena,
-            out_arena,
-            clean,
-        } = self;
-        let plan: &ShardPlan = &plan.as_ref().expect("plan built above").1;
-        let s_count = plan.num_shards();
-
-        meters.clear();
-        meters.resize(s_count, ShardMeter::default());
-        wl_starts.clear();
-        wl_starts.push(0);
-        for s in 0..s_count {
-            let cap = threshold.min(plan.out_arc_bound(s));
-            wl_starts.push(wl_starts[s] + cap);
-        }
-        if worklist.len() < wl_starts[s_count] {
-            worklist.resize(wl_starts[s_count], 0);
-        }
-        #[cfg(debug_assertions)]
-        check_shard_regions(plan, graph, wl_starts);
-        set_words.clear();
-        set_words.reserve(threshold.min(occ_words));
-        trace_buf.clear();
-
-        // --- Message slabs for this phase's word width (byte-capacity
-        // keyed: a u64 phase reuses a u128 phase's slab).
-        let mut in_words: &mut [<P::Msg as PackedMsg>::Word] = slab_a.view(arcs);
-        let mut out_words: &mut [<P::Msg as PackedMsg>::Word] = slab_b.view(arcs);
-        let mut bcast_in_words: &mut [<P::Msg as PackedMsg>::Word] = bcast_slab_a.view(n);
-        let mut bcast_out_words: &mut [<P::Msg as PackedMsg>::Word] = bcast_slab_b.view(n);
-
-        let in_occ: &mut [u64] = in_occ;
-        let out_mask: &mut [u8] = out_mask;
-        let arc_traffic: &mut [u32] = arc_traffic;
-        let bcast_stage: &mut [AtomicU64] = &mut bcast_stage[..node_words];
-        let bcast_occ: &mut [u64] = &mut bcast_occ[..node_words];
-        let node_traffic: &mut [u32] = &mut node_traffic[..n];
-        let active: &mut [u8] = active;
-        let meters: &mut [ShardMeter] = meters;
-        let worklist: &mut [u32] = &mut worklist[..wl_starts[s_count]];
-
-        // --- Node cells in the bump arena.
-        // SAFETY: the arena sized the region for `n` cells and hands it to
-        // nobody else during this phase; a panic in `factory` leaks the
-        // written prefix (the session stays dirty, and the arena is plain
-        // bytes to later phases).
-        let mut cells: ArenaRow<NodeCell<P>> = unsafe {
-            ArenaRow::fill(cell_arena.alloc(n), n, |v| {
-                let v = v as Node;
-                NodeCell::new(factory(v, graph), config.seed, v)
-            })
-        };
-
-        // Whether the last round folded the broadcast plane: receivers are
-        // handed the plane only then.
-        let mut bcast_any = false;
-
-        let (arc_targets, rev) = (graph.arc_targets(), graph.reverse_arcs());
+        let (arcs, threshold) = (graph.num_arcs(), self.begin_phase(graph, &config));
+        let mut phase = PhaseView::new(self, graph, |v| NodeCell {
+            state: factory(v as Node, graph),
+            rng: node_rng(config.seed, v as Node),
+            done: false,
+        });
         let mut stats = RunStats::default();
-        let mut round: u64 = 0;
-        // What zeroing the inbox occupancy bitset needs before new bits
-        // land. The previous phase's exit leaves the bitset all-zero.
-        let mut occ_state = OccState::Clean;
-        // Which nodes this round steps (see the module docs): everyone in
-        // round 0 and in every round of a protocol that has not promised
-        // `QUIESCENT`.
-        let mut step_set = StepSet::All;
-        loop {
-            if round >= config.max_rounds {
-                // The cells drop here; the session stays marked dirty and
-                // scrubs on the next run.
-                return Err(EngineError::RoundLimitExceeded {
-                    limit: config.max_rounds,
-                });
+        let mut prev = RoundPlan::default();
+        for round in 0..config.max_rounds {
+            phase.step_pass(&prev, round);
+            if let Some(faults) = &config.faults {
+                stats.dropped_messages += phase.block(faults, round);
             }
-            // --- Step phase: each shard steps its own nodes; sends
-            // scatter into the staging slab's destination slots.
-            {
-                let racy_cells = RacyCells::new(cells.as_mut_slice());
-                let racy_out = RacyCells::new(&mut *out_words);
-                let racy_mask = RacyCells::new(&mut *out_mask);
-                let racy_bcast_out = RacyCells::new(&mut *bcast_out_words);
-                let racy_meters = RacyCells::new(&mut *meters);
-                let racy_wl = RacyCells::new(&mut *worklist);
-                let racy_active = RacyCells::new(&mut *active);
-                let in_words = &in_words[..];
-                let in_occ = &in_occ[..];
-                // One broadcast descriptor per round, shared by every
-                // node's context; rounds after which nobody broadcast
-                // hand receivers `None` outright.
-                let bcast_in = BcastIn {
-                    words: &bcast_in_words[..],
-                    occ: &bcast_occ[..],
-                    adj: graph.arc_targets(),
-                };
-                let bcast_in = bcast_any.then_some(&bcast_in);
-                // A pass listed by the sparse merge or a small fold is
-                // O(frontier) work, like the listing: it stays on the
-                // calling thread. A probed pass reads its shard's occupancy
-                // words, as the sweep before it wrote them, and forks as
-                // the sweep did.
-                let one_task = s_count == 1 || step_set == StepSet::Listed;
-                let bcast_out = BcastOut {
-                    words: &racy_bcast_out,
-                    stage: &*bcast_stage,
-                    one_task,
-                };
-                let wl_starts = &wl_starts[..];
-                let step_shard = |s: usize| {
-                    let nodes = plan.nodes(s);
-                    let (v_lo, v_hi) = (nodes.start as usize, nodes.end as usize);
-                    // SAFETY: `plan.nodes(..)` partitions `0..n` (checked
-                    // per phase in debug builds, `check_shard_regions`), so
-                    // shard `s` is the only task of this pass that touches
-                    // cells `v_lo..v_hi`; nothing else reads the cells until
-                    // the pass has joined.
-                    let cells_s = unsafe { racy_cells.slice_mut(v_lo, v_hi) };
-                    // SAFETY: one meter block per shard, and task `s` is the
-                    // only one that touches block `s`; the round's fold
-                    // reads them after the join.
-                    let meter = unsafe { &mut racy_meters.slice_mut(s, s + 1)[0] };
-                    // SAFETY: one byte per node, and shard `s` is the only
-                    // task of this pass that touches the bytes of its own
-                    // nodes `v_lo..v_hi` (a node's byte is written by that
-                    // node's step and by its own shard's probe alone; the
-                    // sparse merge and the small-fold listing, the other
-                    // writers, run between step passes on the calling
-                    // thread). Bytes, not bits: two shards never share a
-                    // word. Invariant once a listed round has listed its
-                    // receivers, for every node `v`: `active[v] == 0`
-                    // implies `v` is done, no occupancy bit is set in its
-                    // arc range and no neighbour of `v` broadcast — the
-                    // last step of `v` wrote `!done`, no later step un-did
-                    // it, and every delivery since went through the sparse
-                    // merge, which sets the receiver's byte, through the
-                    // full sweep, whose receivers the probe below lists, or
-                    // through a small plane fold, which lists its senders'
-                    // neighbours (a large fold makes the next round step
-                    // everyone instead).
-                    let active_s = unsafe { racy_active.slice_mut(v_lo, v_hi) };
-                    // Equal lengths, said once so the loop's index into
-                    // `active_s` needs no bounds check of its own.
-                    assert_eq!(active_s.len(), cells_s.len());
-                    if step_set == StepSet::Probed {
-                        list_receivers(graph, in_occ, v_lo, active_s);
-                    }
-                    // The list's invariant, checked in full over the shard
-                    // in debug builds: a node a listed round will not step
-                    // is done and has an empty inbox, on the slab and on
-                    // the plane.
-                    #[cfg(debug_assertions)]
-                    if step_set != StepSet::All {
-                        let broadcast = |u: Node| {
-                            bcast_in.is_some_and(|b| b.occ[u as usize >> 6] >> (u & 63) & 1 == 1)
-                        };
-                        for (i, cell) in cells_s.iter().enumerate() {
-                            let v = (v_lo + i) as Node;
-                            let (lo, deg) = (graph.arc_offset(v), graph.degree(v));
-                            debug_assert!(
-                                active_s[i] != 0
-                                    || (cell.done
-                                        && slab::popcount_range(in_occ, lo, deg) == 0
-                                        && !graph.neighbors(v).iter().any(|&u| broadcast(u))),
-                                "round {round}: node {v} is unlisted but not done or has mail"
-                            );
-                        }
-                    }
-                    // One scatter-plane descriptor per shard per round;
-                    // node contexts carry a pointer to it instead of its
-                    // fields.
-                    let plane = ScatterPlane {
-                        graph,
-                        words: &racy_out,
-                        mask: &racy_mask,
-                        rev: graph.reverse_arcs(),
-                        bcast: Some(&bcast_out),
-                        wl: &racy_wl,
-                        wl_lo: wl_starts[s],
-                        wl_cap: wl_starts[s + 1] - wl_starts[s],
-                        staged: std::cell::Cell::new(0),
-                        bcast_used: std::cell::Cell::new(false),
-                    };
-                    // An unlisted node is done (the invariant above), so
-                    // the fold over the stepped nodes is the fold over all.
-                    let mut all_done = true;
-                    let listed = step_set != StepSet::All;
-                    let mut i = 0;
-                    while i < cells_s.len() {
-                        if listed && active_s[i] == 0 {
-                            i = slab::next_nonzero(active_s, i);
-                            continue;
-                        }
-                        let cell = &mut cells_s[i];
-                        let v = (v_lo + i) as Node;
-                        let lo = graph.arc_offset(v);
-                        let deg = graph.degree(v);
-                        let mut ctx = NodeCtx {
-                            node: v,
-                            round,
-                            inbox: InSlot {
-                                words: &in_words[lo..lo + deg],
-                                occ: in_occ,
-                                bit0: lo,
-                                bcast: bcast_in,
-                            },
-                            outbox: &plane,
-                            bcast_staged: false,
-                            rng: &mut cell.rng,
-                            done: &mut cell.done,
-                        };
-                        cell.state.round(&mut ctx);
-                        all_done &= cell.done;
-                        if P::QUIESCENT {
-                            active_s[i] = !cell.done as u8;
-                        }
-                        i += 1;
-                    }
-                    meter.all_done = all_done;
-                    meter.staged = plane.staged.get();
-                    meter.bcast_used = plane.bcast_used.get();
-                };
-                if one_task {
-                    (0..s_count).for_each(step_shard);
-                } else {
-                    each_shard(s_count, step_shard);
-                }
+            let plan = RoundPlan::new(&phase.bufs.meters, arcs, threshold, P::QUIESCENT);
+            let delivered = phase.deliver(&plan, prev.deliver);
+            if plan.list_plane {
+                phase.list_plane();
             }
-            // --- Adversary phase: on each direction `from → to` of each
-            // blocked edge, demote `from`'s plane word to per-arc staging,
-            // then destroy what is staged on the arc (see the module docs).
-            if let Some(fault_plan) = &config.faults {
-                fault_plan.blocked_edges_into(round, graph.m(), blocked);
-                for &e in blocked.iter() {
-                    let (u, v) = graph.endpoints(e);
-                    for (from, to) in [(u, v), (v, u)] {
-                        let lo = graph.arc_offset(from);
-                        let deg = graph.degree(from);
-                        let bit = 1u64 << (from & 63);
-                        let stage = bcast_stage[from as usize >> 6].get_mut();
-                        if *stage & bit != 0 {
-                            *stage &= !bit;
-                            // The demoted arcs join the sender's shard's
-                            // staged count and worklist, as its own sends
-                            // would have.
-                            let s = (0..s_count)
-                                .rfind(|&s| plan.nodes(s).start <= from)
-                                .expect("shard 0 starts at node 0");
-                            let (base, cap) = (wl_starts[s], wl_starts[s + 1] - wl_starts[s]);
-                            let k = meters[s].staged as usize;
-                            for (j, &d) in rev[lo..lo + deg].iter().enumerate() {
-                                out_words[d as usize] = bcast_out_words[from as usize];
-                                out_mask[d as usize] = STAGED;
-                                if k + j < cap {
-                                    worklist[base + k + j] = d;
-                                }
-                            }
-                            meters[s].staged += deg as u32;
-                        }
-                        let port = graph
-                            .port_to(from, to)
-                            .expect("edge endpoints are adjacent");
-                        let dest = rev[lo + port as usize] as usize;
-                        if out_mask[dest] == STAGED {
-                            out_mask[dest] = 0;
-                            stats.dropped_messages += 1;
-                        }
-                    }
-                }
-            }
-            // --- Deliver phase: skip / sparse worklist / full sweep, chosen
-            // from the staged counts alone; see the module docs for the
-            // invariants.
-            std::mem::swap(&mut in_words, &mut out_words);
-            std::mem::swap(&mut bcast_in_words, &mut bcast_out_words);
-            let staged_total = meters.iter().map(|m| m.staged as u64).sum::<u64>();
-            let fold_bcast = meters.iter().any(|m| m.bcast_used);
-            // A shard stages each of its ports at most once (`send`
-            // asserts it, a `send_all` stages nothing on the mask, and a
-            // demoted one only ports its sender did not send on), so at
-            // most `out_arc_bound(s)`: overflowing its worklist slice
-            // (`min(threshold, out_arc_bound(s))`) means the round staged
-            // more than `threshold` in all. The round kind is a function
-            // of the staged total alone, the same at every shard count.
-            let sparse_round = staged_total > 0 && staged_total <= threshold as u64;
-            debug_assert!(
-                !sparse_round
-                    || (meters.iter().enumerate())
-                        .all(|(s, m)| m.staged as usize <= wl_starts[s + 1] - wl_starts[s]),
-                "round {round}: a sparse round overflowed a shard's worklist"
-            );
-            let run_full_sweep = staged_total > 0 && !sparse_round;
-            for m in meters.iter_mut() {
-                m.delivered = 0;
-                m.reach = 0;
-            }
-            let mut sparse_delivered: u64 = 0;
-            if !run_full_sweep {
-                match occ_state {
-                    OccState::Clean => {}
-                    OccState::Tracked => {
-                        for &w in set_words.iter() {
-                            in_occ[w as usize] = 0;
-                        }
-                        set_words.clear();
-                    }
-                    OccState::Unknown => {
-                        in_occ.fill(0);
-                        set_words.clear();
-                    }
-                }
-                occ_state = OccState::Clean;
-            }
-            if sparse_round {
-                // One serial pass over the per-shard worklists: an entry
-                // whose mask byte the adversary cleared drops out, the rest
-                // are delivered (see the module docs).
-                for (s, m) in meters.iter().enumerate() {
-                    let base = wl_starts[s];
-                    for &dest in &worklist[base..base + m.staged as usize] {
-                        let dest = dest as usize;
-                        if out_mask[dest] == 0 {
-                            continue;
-                        }
-                        out_mask[dest] = 0;
-                        let w = dest >> 6;
-                        if in_occ[w] == 0 {
-                            set_words.push(w as u32);
-                        }
-                        in_occ[w] |= 1u64 << (dest & 63);
-                        sparse_delivered += 1;
-                        arc_traffic[dest] += 1;
-                        if P::QUIESCENT {
-                            // List the receiver: `dest` is its in-arc, so
-                            // the reverse arc points back at it.
-                            active[arc_targets[rev[dest] as usize] as usize] = 1;
-                        }
-                    }
-                }
-                if !set_words.is_empty() {
-                    occ_state = OccState::Tracked;
-                }
-            }
-            if run_full_sweep || fold_bcast {
-                let racy_mask = RacyCells::new(&mut *out_mask);
-                let racy_occ = RacyCells::new(&mut *in_occ);
-                let racy_traffic = RacyCells::new(&mut *arc_traffic);
-                let bcast_stage = &*bcast_stage;
-                let racy_bcast_occ = RacyCells::new(&mut *bcast_occ);
-                let racy_node_traffic = RacyCells::new(&mut *node_traffic);
-                let racy_meters = RacyCells::new(&mut *meters);
-                let deliver_shard = |s: usize| {
-                    let words = plan.words(s);
-                    let arcs_range = plan.arcs_of(s);
-                    let (w_lo, w_hi) = (words.start, words.end);
-                    let (a_lo, a_hi) = (arcs_range.start, arcs_range.end);
-                    // SAFETY: `plan.words(..)` partitions the occupancy
-                    // words and `plan.arcs_of(s)` is exactly the arcs of
-                    // shard `s`'s words (`a_lo == 64 * w_lo`), so the mask,
-                    // occupancy and counter regions of two shards never
-                    // overlap (`check_shard_regions` in debug builds); meter
-                    // block `s` is task `s`'s alone. The step pass that
-                    // wrote the mask has joined, and nothing reads these
-                    // buffers before this pass does.
-                    let (mask_s, occ_s, traffic_s, meter) = unsafe {
-                        (
-                            racy_mask.slice_mut(a_lo, a_hi),
-                            racy_occ.slice_mut(w_lo, w_hi),
-                            racy_traffic.slice_mut(a_lo, a_hi),
-                            &mut racy_meters.slice_mut(s, s + 1)[0],
-                        )
-                    };
-                    let mut delivered = 0u64;
-                    if run_full_sweep {
-                        for (i, occ_word) in occ_s.iter_mut().enumerate() {
-                            let lo = w_lo * 64 + i * 64;
-                            let hi = (lo + 64).min(a_hi);
-                            let mask = &mut mask_s[lo - a_lo..hi - a_lo];
-                            let bits = slab::pack_bytes(mask);
-                            *occ_word = bits;
-                            if bits != 0 {
-                                mask.fill(0);
-                                delivered += bits.count_ones() as u64;
-                                let traffic = &mut traffic_s[lo - a_lo..hi - a_lo];
-                                let mut b = bits;
-                                while b != 0 {
-                                    traffic[b.trailing_zeros() as usize] += 1;
-                                    b &= b - 1;
-                                }
-                            }
-                        }
-                    }
-                    // --- Broadcast fold (see the module docs).
-                    if fold_bcast {
-                        let nw = plan.node_words(s);
-                        let nodes_cov = plan.node_word_nodes(s);
-                        let b_lo = nodes_cov.start;
-                        // SAFETY: `plan.node_words(..)` partitions the
-                        // presence words and `plan.node_word_nodes(s)` is
-                        // exactly the nodes of shard `s`'s words (`b_lo ==
-                        // 64 * nw.start`), so no two shards share a
-                        // presence word or a send counter
-                        // (`check_shard_regions`); their writers — the
-                        // step pass — have joined.
-                        let (bocc_s, sent_s) = unsafe {
-                            (
-                                racy_bcast_occ.slice_mut(nw.start, nw.end),
-                                racy_node_traffic.slice_mut(b_lo, nodes_cov.end),
-                            )
-                        };
-                        let stage_s = &bcast_stage[nw.start..nw.end];
-                        let mut reach = 0u64;
-                        for (i, (occ_word, staged)) in bocc_s.iter_mut().zip(stage_s).enumerate() {
-                            // Shard `s` alone reads and clears these staged
-                            // words in this pass.
-                            let bits = staged.load(Ordering::Relaxed);
-                            *occ_word = bits;
-                            if bits != 0 {
-                                staged.store(0, Ordering::Relaxed);
-                                let lo = nw.start * 64 + i * 64;
-                                let mut b = bits;
-                                while b != 0 {
-                                    let v = lo + b.trailing_zeros() as usize;
-                                    b &= b - 1;
-                                    reach += graph.degree(v as Node) as u64;
-                                    sent_s[v - b_lo] += 1;
-                                }
-                            }
-                        }
-                        delivered += reach;
-                        meter.reach = reach;
-                    }
-                    meter.delivered = delivered;
-                };
-                each_shard(s_count, deliver_shard);
-            }
-            if run_full_sweep {
-                occ_state = OccState::Unknown;
-            }
-            // A fold whose senders reach fewer than a quarter of the arcs
-            // lists their receivers from their neighbour lists, serially;
-            // after a larger one the next round steps everyone, and thereby
-            // rewrites the whole list. Mail that arrived by the full sweep
-            // is listed by the next round's probe, the sparse merge's by
-            // the merge itself.
-            let reach: u64 = meters.iter().map(|m| m.reach).sum();
-            let list_plane = P::QUIESCENT && fold_bcast && 4 * reach < arcs as u64;
-            if list_plane {
-                for (w, &word) in bcast_occ.iter().enumerate() {
-                    let mut b = word;
-                    while b != 0 {
-                        let v = (w * 64 + b.trailing_zeros() as usize) as Node;
-                        b &= b - 1;
-                        for &u in graph.neighbors(v) {
-                            active[u as usize] = 1;
-                        }
-                    }
-                }
-            }
-            step_set = if !P::QUIESCENT || (fold_bcast && !list_plane) {
-                StepSet::All
-            } else if run_full_sweep {
-                StepSet::Probed
-            } else {
-                StepSet::Listed
-            };
-            // --- Combine the shard meter blocks (sum / and / or: the
-            // order of the fold cannot reach a result).
-            let delivered = sparse_delivered + meters.iter().map(|m| m.delivered).sum::<u64>();
-            let all_done = meters.iter().all(|m| m.all_done);
-            // A fold whose every sender the adversary demoted leaves the
-            // presence words zero: receivers probe an empty plane, once.
-            bcast_any = fold_bcast;
             stats.total_messages += delivered;
             if config.collect_trace {
-                trace_buf.push(delivered);
+                phase.bufs.trace_buf.push(delivered);
             }
-            round += 1;
             if delivered > 0 {
-                stats.rounds = round;
+                stats.rounds = round + 1;
             }
-            if delivered == 0 && all_done {
-                stats.iterations = round;
-                break;
+            if delivered == 0 && phase.bufs.meters.iter().all(|m| m.all_done) {
+                stats.iterations = round + 1;
+                return Ok(phase.finish(stats, config.collect_trace));
+            }
+            prev = plan;
+        }
+        // The cells drop with the view; the session stays marked dirty and
+        // scrubs on the next run.
+        Err(EngineError::RoundLimitExceeded {
+            limit: config.max_rounds,
+        })
+    }
+}
+
+/// A message word of `P`'s.
+type Word<P> = <<P as Protocol>::Msg as PackedMsg>::Word;
+
+/// One phase's view of a [`SessionState`]: the message slabs typed at
+/// `P`'s word, `P`'s node cells, and the rest of the state as
+/// `begin_phase` laid it out for the graph. The round loop's stages are
+/// its methods — `step_pass`, `block`, `deliver` and `list_plane` — and
+/// each carves the shard regions it hands out itself.
+struct PhaseView<'s, P: Protocol> {
+    graph: &'s Graph,
+    plan: &'s ShardPlan,
+    cells: ArenaRow<NodeCell<P>>,
+    /// Arc message slabs and the broadcast plane's words, inbox and
+    /// staging: every deliver swaps each pair.
+    in_words: &'s mut [Word<P>],
+    out_words: &'s mut [Word<P>],
+    bcast_in_words: &'s mut [Word<P>],
+    bcast_out_words: &'s mut [Word<P>],
+    bufs: &'s mut RoundBufs,
+    clean: &'s mut bool,
+}
+
+impl<'s, P: Protocol> PhaseView<'s, P> {
+    /// The view of `state` on `graph`, with cells `cell(0), …, cell(n −
+    /// 1)` in its cell arena.
+    fn new(
+        state: &'s mut SessionState,
+        graph: &'s Graph,
+        cell: impl FnMut(usize) -> NodeCell<P>,
+    ) -> Self {
+        let (n, arcs) = (graph.n(), graph.num_arcs());
+        // SAFETY: the arena sized the region for `n` cells and hands it to
+        // nobody else during this phase; a panic in `cell` leaks the
+        // written prefix (the session stays dirty, and the arena is plain
+        // bytes to later phases).
+        let cells = unsafe { ArenaRow::fill(state.bufs.cell_arena.alloc(n), n, cell) };
+        PhaseView {
+            graph,
+            plan: &state.plan.as_ref().expect("begin_phase caches the plan").1,
+            cells,
+            in_words: state.slab_a.view(arcs),
+            out_words: state.slab_b.view(arcs),
+            bcast_in_words: state.bcast_slab_a.view(n),
+            bcast_out_words: state.bcast_slab_b.view(n),
+            bufs: &mut state.bufs,
+            clean: &mut state.clean,
+        }
+    }
+
+    /// Step (module docs, "Step"): each shard steps the nodes `prev.next`
+    /// names — after a sweep, probing its own receivers first — and its
+    /// nodes' sends land in the staging slabs; its meter block gets what
+    /// it staged and whether its nodes are done. Receivers are handed the
+    /// plane if `prev` folded it.
+    fn step_pass(&mut self, prev: &RoundPlan, round: u64) {
+        let (graph, plan, wl_starts) = (self.graph, self.plan, &self.bufs.wl_starts);
+        let (step, serial) = (prev.next, prev.serial_step() || plan.num_shards() == 1);
+        let cells = RacyCells::new(self.cells.as_mut_slice());
+        let active = RacyCells::new(&mut self.bufs.active);
+        let meters = RacyCells::new(&mut self.bufs.meters);
+        let words = RacyCells::new(&mut *self.out_words);
+        let mask = RacyCells::new(&mut self.bufs.out_mask);
+        let wl = RacyCells::new(&mut self.bufs.worklist);
+        let bcast_words = RacyCells::new(&mut *self.bcast_out_words);
+        let bcast_out = BcastOut {
+            words: &bcast_words,
+            stage: &self.bufs.bcast_stage,
+            serial,
+        };
+        // One broadcast descriptor per round, shared by every node's
+        // context; rounds after which nobody broadcast hand receivers
+        // `None` outright.
+        let bcast_in = BcastIn {
+            words: &*self.bcast_in_words,
+            occ: &self.bufs.bcast_occ,
+            adj: graph.arc_targets(),
+        };
+        let bcast_in = prev.fold.then_some(&bcast_in);
+        let (in_words, in_occ) = (&*self.in_words, &*self.bufs.in_occ);
+        each_shard(plan.num_shards(), serial, |s| {
+            let nodes = plan.nodes(s);
+            let (v_lo, v_hi) = (nodes.start as usize, nodes.end as usize);
+            // SAFETY: `plan.nodes(..)` partitions `0..n` (checked per phase
+            // in debug builds, `check_shard_regions`), so shard `s` is the
+            // only task of this pass that touches cells and active bytes
+            // `v_lo..v_hi`, and meter block `s`; nothing else reads them
+            // until the pass has joined. A node's byte is written by its
+            // own step and its own shard's probe alone (the merge and the
+            // small-fold walk, the other writers, run between step passes
+            // on the calling thread); bytes, not bits, so two shards never
+            // share a word.
+            let (cells_s, active_s, meter) = unsafe {
+                (
+                    cells.slice_mut(v_lo, v_hi),
+                    active.slice_mut(v_lo, v_hi),
+                    &mut meters.slice_mut(s, s + 1)[0],
+                )
+            };
+            // Equal lengths, said once so the loop's index into `active_s`
+            // needs no bounds check of its own.
+            assert_eq!(active_s.len(), cells_s.len());
+            if step == StepSet::Probed {
+                list_receivers(graph, in_occ, v_lo, active_s);
+            }
+            #[cfg(debug_assertions)]
+            if step != StepSet::All {
+                check_listed(graph, cells_s, active_s, v_lo, in_occ, bcast_in, round);
+            }
+            // One scatter-plane descriptor per shard per round; node
+            // contexts carry a pointer to it instead of its fields.
+            let out = ScatterPlane {
+                graph,
+                words: &words,
+                mask: &mask,
+                rev: graph.reverse_arcs(),
+                bcast: Some(&bcast_out),
+                wl: &wl,
+                wl_lo: wl_starts[s],
+                wl_cap: wl_starts[s + 1] - wl_starts[s],
+                staged: Cell::new(0),
+                bcast_used: Cell::new(false),
+                reach: Cell::new(0),
+            };
+            // An unlisted node is done (`check_listed`), so the fold over
+            // the stepped nodes is the fold over all.
+            let mut all_done = true;
+            let listed = step != StepSet::All;
+            let mut i = 0;
+            while i < cells_s.len() {
+                if listed && active_s[i] == 0 {
+                    i = slab::next_nonzero(active_s, i);
+                    continue;
+                }
+                let cell = &mut cells_s[i];
+                let v = (v_lo + i) as Node;
+                let (lo, deg) = (graph.arc_offset(v), graph.degree(v));
+                let mut ctx = NodeCtx {
+                    node: v,
+                    round,
+                    inbox: InSlot {
+                        words: &in_words[lo..lo + deg],
+                        occ: in_occ,
+                        bit0: lo,
+                        bcast: bcast_in,
+                    },
+                    outbox: &out,
+                    sent: Sent::Nothing,
+                    rng: &mut cell.rng,
+                    done: &mut cell.done,
+                };
+                cell.state.round(&mut ctx);
+                all_done &= cell.done;
+                if P::QUIESCENT {
+                    active_s[i] = !cell.done as u8;
+                }
+                i += 1;
+            }
+            meter.all_done = all_done;
+            meter.staged = out.staged.get();
+            meter.bcast_used = out.bcast_used.get();
+            meter.reach = out.reach.get();
+        });
+    }
+
+    /// Adversary (module docs, "Adversary"): on each direction `from → to`
+    /// of each of the round's blocked edges, demote `from`'s plane word to
+    /// per-arc staging — its arcs join its shard's staged count and
+    /// worklist, as its own sends would, and leave its reach — then drop
+    /// what is staged on the arc. Returns the messages dropped.
+    fn block(&mut self, faults: &FaultPlan, round: u64) -> u64 {
+        let (graph, plan) = (self.graph, self.plan);
+        let rev = graph.reverse_arcs();
+        faults.blocked_edges_into(round, graph.m(), &mut self.bufs.blocked);
+        let mut dropped = 0;
+        for &e in self.bufs.blocked.iter() {
+            let (u, v) = graph.endpoints(e);
+            for (from, to) in [(u, v), (v, u)] {
+                let (lo, deg) = (graph.arc_offset(from), graph.degree(from));
+                let bit = 1u64 << (from & 63);
+                let stage = self.bufs.bcast_stage[from as usize >> 6].get_mut();
+                if *stage & bit != 0 {
+                    *stage &= !bit;
+                    let s = (0..plan.num_shards())
+                        .rfind(|&s| plan.nodes(s).start <= from)
+                        .expect("shard 0 starts at node 0");
+                    let meter = &mut self.bufs.meters[s];
+                    let at = self.bufs.wl_starts[s] + meter.staged as usize;
+                    for (j, &d) in rev[lo..lo + deg].iter().enumerate() {
+                        self.out_words[d as usize] = self.bcast_out_words[from as usize];
+                        self.bufs.out_mask[d as usize] = STAGED;
+                        if at + j < self.bufs.wl_starts[s + 1] {
+                            self.bufs.worklist[at + j] = d;
+                        }
+                    }
+                    meter.staged += deg as u32;
+                    meter.reach -= deg as u64;
+                }
+                let port = graph
+                    .port_to(from, to)
+                    .expect("edge endpoints are adjacent");
+                let dest = rev[lo + port as usize] as usize;
+                if self.bufs.out_mask[dest] == STAGED {
+                    self.bufs.out_mask[dest] = 0;
+                    dropped += 1;
+                }
             }
         }
-        trace_buf.truncate(stats.rounds as usize);
+        dropped
+    }
+
+    /// Deliver (module docs, "Deliver"): the staging slabs become the
+    /// inbox slabs, and `plan.deliver` moves what the arc mask staged into
+    /// the occupancy bitset, counted and metered. A skip and a merge first
+    /// clear the bits the round before left — the words `set_words` lists,
+    /// and every word if `residue` says it swept; a sweep rewrites every
+    /// word itself. A fold rides the sweep's pass. Returns the messages
+    /// delivered.
+    fn deliver(&mut self, plan: &RoundPlan, residue: Deliver) -> u64 {
+        std::mem::swap(&mut self.in_words, &mut self.out_words);
+        std::mem::swap(&mut self.bcast_in_words, &mut self.bcast_out_words);
+        let (in_occ, set_words) = (&mut self.bufs.in_occ[..], &mut self.bufs.set_words);
+        if plan.deliver != Deliver::Full {
+            if residue == Deliver::Full {
+                in_occ.fill(0);
+            }
+            set_words.drain(..).for_each(|w| in_occ[w as usize] = 0);
+        }
+        let mut delivered = 0;
+        if plan.deliver == Deliver::Sparse {
+            delivered += self.merge();
+        }
+        if plan.deliver == Deliver::Full || plan.fold {
+            delivered += self.sweep(plan.deliver == Deliver::Full, plan.fold);
+        }
+        delivered
+    }
+
+    /// The sparse merge: one serial pass over the shards' worklists. An
+    /// entry whose mask byte the adversary cleared drops out; for the
+    /// rest, zero the byte, set the occupancy bit, bump the arc's counter,
+    /// list the receiver, and note each word that went nonzero in
+    /// `set_words`. Returns the messages it delivered.
+    fn merge(&mut self) -> u64 {
+        let b = &mut *self.bufs;
+        debug_assert!(
+            (b.meters.iter().enumerate())
+                .all(|(s, m)| m.staged as usize <= b.wl_starts[s + 1] - b.wl_starts[s]),
+            "a sparse round overflowed a shard's worklist"
+        );
+        let (targets, rev) = (self.graph.arc_targets(), self.graph.reverse_arcs());
+        let (in_occ, mask, active) = (&mut b.in_occ[..], &mut b.out_mask[..], &mut b.active[..]);
+        let traffic = &mut b.arc_traffic[..];
+        let mut merged = 0;
+        for (s, m) in b.meters.iter().enumerate() {
+            let base = b.wl_starts[s];
+            for &dest in &b.worklist[base..base + m.staged as usize] {
+                let dest = dest as usize;
+                if mask[dest] == 0 {
+                    continue;
+                }
+                mask[dest] = 0;
+                let w = dest >> 6;
+                if in_occ[w] == 0 {
+                    b.set_words.push(w as u32);
+                }
+                in_occ[w] |= 1u64 << (dest & 63);
+                merged += 1;
+                traffic[dest] += 1;
+                if P::QUIESCENT {
+                    // `dest` is the receiver's in-arc, so the reverse arc
+                    // points back at it.
+                    active[targets[rev[dest] as usize] as usize] = 1;
+                }
+            }
+        }
+        merged
+    }
+
+    /// The forked half of deliver: each shard sweeps its occupancy words
+    /// from the mask bytes if `sweep` — 64 bytes pack into a word, the
+    /// bytes are re-zeroed, the set bits counted and their arcs' counters
+    /// bumped — and, if `fold`, takes its staged presence words whole as
+    /// the ones receivers read, leaves them zero, and bumps each sender's
+    /// counter. Returns what the pass delivered: the sweep's bits, and
+    /// the fold's senders' reach.
+    fn sweep(&mut self, sweep: bool, fold: bool) -> u64 {
+        let plan = self.plan;
+        let mask = RacyCells::new(&mut self.bufs.out_mask);
+        let occ = RacyCells::new(&mut self.bufs.in_occ);
+        let traffic = RacyCells::new(&mut self.bufs.arc_traffic);
+        let bcast_occ = RacyCells::new(&mut self.bufs.bcast_occ);
+        let sent = RacyCells::new(&mut self.bufs.node_traffic);
+        let meters = RacyCells::new(&mut self.bufs.meters);
+        let stage = &*self.bufs.bcast_stage;
+        each_shard(plan.num_shards(), false, |s| {
+            let (words, arcs) = (plan.words(s), plan.arcs_of(s));
+            let (nw, nodes) = (plan.node_words(s), plan.node_word_nodes(s));
+            let (a_lo, b_lo) = (arcs.start, nodes.start);
+            // SAFETY: `plan.words(..)` partitions the occupancy words and
+            // `plan.arcs_of(s)` is exactly the arcs of shard `s`'s words
+            // (`a_lo == 64 * words.start`); `plan.node_words(..)` partitions
+            // the presence words and `plan.node_word_nodes(s)` is exactly
+            // their nodes (`b_lo == 64 * nw.start`). So no two shards share
+            // a mask byte, occupancy word, arc counter, presence word or
+            // send counter (`check_shard_regions` in debug builds), and
+            // meter block `s` is task `s`'s alone. The step pass that wrote
+            // the mask and the staged words has joined, and nothing reads
+            // these buffers before this pass does.
+            let (mask_s, occ_s, traffic_s, bocc_s, sent_s, meter) = unsafe {
+                (
+                    mask.slice_mut(a_lo, arcs.end),
+                    occ.slice_mut(words.start, words.end),
+                    traffic.slice_mut(a_lo, arcs.end),
+                    bcast_occ.slice_mut(nw.start, nw.end),
+                    sent.slice_mut(b_lo, nodes.end),
+                    &mut meters.slice_mut(s, s + 1)[0],
+                )
+            };
+            let mut delivered = 0u64;
+            if sweep {
+                for (i, occ_word) in occ_s.iter_mut().enumerate() {
+                    let lo = words.start * 64 + i * 64;
+                    let hi = (lo + 64).min(arcs.end);
+                    let mask = &mut mask_s[lo - a_lo..hi - a_lo];
+                    let bits = slab::pack_bytes(mask);
+                    *occ_word = bits;
+                    if bits != 0 {
+                        mask.fill(0);
+                        delivered += bits.count_ones() as u64;
+                        let traffic = &mut traffic_s[lo - a_lo..hi - a_lo];
+                        let mut b = bits;
+                        while b != 0 {
+                            traffic[b.trailing_zeros() as usize] += 1;
+                            b &= b - 1;
+                        }
+                    }
+                }
+            }
+            if fold {
+                // The plane's deliveries: shard `s`'s senders' reach, as its
+                // step pass counted it (the sum over the shards is the
+                // fold's, whichever nodes each one folds).
+                delivered += meter.reach;
+                let stage_s = &stage[nw.start..nw.end];
+                for (i, (occ_word, staged)) in bocc_s.iter_mut().zip(stage_s).enumerate() {
+                    // Shard `s` alone reads and clears these staged words
+                    // in this pass.
+                    let bits = staged.load(Ordering::Relaxed);
+                    *occ_word = bits;
+                    if bits != 0 {
+                        staged.store(0, Ordering::Relaxed);
+                        let lo = nw.start * 64 + i * 64;
+                        let mut b = bits;
+                        while b != 0 {
+                            sent_s[lo + b.trailing_zeros() as usize - b_lo] += 1;
+                            b &= b - 1;
+                        }
+                    }
+                }
+            }
+            meter.delivered = delivered;
+        });
+        self.bufs.meters.iter().map(|m| m.delivered).sum()
+    }
+
+    /// A small fold's receiver listing: one serial walk over the presence
+    /// words sets the active byte of each sender's neighbours, so the next
+    /// round steps them and not the graph.
+    fn list_plane(&mut self) {
+        let (graph, active) = (self.graph, &mut self.bufs.active[..]);
+        for (w, &word) in self.bufs.bcast_occ.iter().enumerate() {
+            let mut b = word;
+            while b != 0 {
+                let v = (w * 64 + b.trailing_zeros() as usize) as Node;
+                b &= b - 1;
+                for &u in graph.neighbors(v) {
+                    active[u as usize] = 1;
+                }
+            }
+        }
+    }
+
+    /// Phase exit: trim the trace to the last delivering round, fold the
+    /// congestion counters into the per-edge row (`drain_traffic`), turn
+    /// the cells into arena-resident outputs and mark the state clean.
+    fn finish(self, mut stats: RunStats, collect_trace: bool) -> PhaseOutcome<'s, P::Output> {
+        let (graph, b) = (self.graph, self.bufs);
+        b.trace_buf.truncate(stats.rounds as usize);
         // Every message of a phase has its type's fixed width.
         if stats.total_messages + stats.dropped_messages > 0 {
             stats.max_message_bits = P::Msg::WIDTH as usize;
         }
-
-        stats.max_edge_congestion = drain_traffic(graph, arc_traffic, node_traffic, per_edge);
-
-        // Consume the cells into arena-resident outputs.
+        stats.max_edge_congestion = drain_traffic(
+            graph,
+            &mut b.arc_traffic,
+            &mut b.node_traffic,
+            &mut b.per_edge,
+        );
         // SAFETY: the output arena sized the region for `n` outputs, the
         // previous phase's outcome (its last user) is gone, and the two
         // arenas never overlap; a panic in `finish` leaks the tail, which
         // the dirty flag covers.
-        let outputs = unsafe { cells.map_into(out_arena.alloc(n), |cell| cell.state.finish()) };
-
-        *clean = true;
-        let trace: Option<&'s [u64]> = if config.collect_trace {
-            Some(&trace_buf[..])
-        } else {
-            None
-        };
-        Ok(PhaseOutcome {
+        let outputs =
+            unsafe { (self.cells).map_into(b.out_arena.alloc(graph.n()), |c| c.state.finish()) };
+        *self.clean = true;
+        PhaseOutcome {
             outputs,
             stats,
-            trace,
-            edge_congestion: &per_edge[..],
+            trace: collect_trace.then_some(&b.trace_buf[..]),
+            edge_congestion: &b.per_edge,
             _borrow: std::marker::PhantomData,
-        })
+        }
     }
 }
 
@@ -1521,11 +1533,11 @@ impl<'g> Session<'g> {
             return Err(SnapshotError::SizeMismatch("graph shape"));
         }
         let mut state = SessionState::new(graph);
-        state.per_edge = r.u64s()?;
-        if state.per_edge.len() != graph.m() {
+        state.bufs.per_edge = r.u64s()?;
+        if state.bufs.per_edge.len() != graph.m() {
             return Err(SnapshotError::SizeMismatch("per_edge"));
         }
-        state.trace_buf = r.u64s()?;
+        state.bufs.trace_buf = r.u64s()?;
         if !r.at_end() {
             return Err(SnapshotError::SizeMismatch("frame length"));
         }
@@ -1843,6 +1855,73 @@ mod tests {
         });
     }
 
+    /// `RoundPlan::new` at every boundary of its inputs: a staged total of
+    /// 0, 1, the threshold and one past it; a fold or none, with `4 ·
+    /// reach` just under and at the arc count; the `QUIESCENT` promise made
+    /// or not. Each row is split over two shard meters, whose totals are
+    /// what the plan reads, and pins the deliver path (and so the residue
+    /// the next round clears), whether the next round's receivers are
+    /// handed the plane, whether the fold lists them, which nodes the next
+    /// round steps, and whether its step pass stays on the calling thread.
+    #[test]
+    fn a_round_plan_is_fixed_by_its_meter_totals() {
+        use Deliver::{Full, Skip, Sparse};
+        use StepSet::{All, Listed, Probed};
+        let (arcs, t) = (1024, 32);
+        // 4 · 255 < 1024 = 4 · 256.
+        let (under, at) = (255, 256);
+        #[rustfmt::skip]
+        let rows = [
+            // staged, fold, reach, quiescent → deliver, lists, next, serial
+            (0,     false, 0,     false, Skip,   false, All,    false),
+            (1,     false, 0,     false, Sparse, false, All,    false),
+            (t,     false, 0,     false, Sparse, false, All,    false),
+            (t + 1, false, 0,     false, Full,   false, All,    false),
+            (0,     false, 0,     true,  Skip,   false, Listed, true),
+            (1,     false, 0,     true,  Sparse, false, Listed, true),
+            (t,     false, 0,     true,  Sparse, false, Listed, true),
+            (t + 1, false, 0,     true,  Full,   false, Probed, false),
+            (0,     true,  under, true,  Skip,   true,  Listed, true),
+            (0,     true,  at,    true,  Skip,   false, All,    false),
+            (1,     true,  under, true,  Sparse, true,  Listed, true),
+            (t,     true,  at,    true,  Sparse, false, All,    false),
+            (t + 1, true,  under, true,  Full,   true,  Probed, false),
+            (t + 1, true,  at,    true,  Full,   false, All,    false),
+            (0,     true,  under, false, Skip,   false, All,    false),
+            (t + 1, true,  at,    false, Full,   false, All,    false),
+            // Every sender demoted: the fold finds nothing, and lists it.
+            (1,     true,  0,     true,  Sparse, true,  Listed, true),
+        ];
+        for (staged, fold, reach, quiescent, deliver, list_plane, next, serial) in rows {
+            let row = (staged, fold, reach, quiescent);
+            let meters = [
+                ShardMeter {
+                    staged: staged / 2,
+                    reach: reach / 2,
+                    ..ShardMeter::default()
+                },
+                ShardMeter {
+                    staged: staged - staged / 2,
+                    bcast_used: fold,
+                    reach: reach - reach / 2,
+                    ..ShardMeter::default()
+                },
+            ];
+            let plan = RoundPlan::new(&meters, arcs, t as usize, quiescent);
+            let expected = RoundPlan {
+                deliver,
+                fold,
+                list_plane,
+                next,
+            };
+            assert_eq!(plan, expected, "{row:?}");
+            assert_eq!(plan.serial_step(), serial, "{row:?}");
+        }
+        // Round 0 steps every node, clears nothing and reads no plane.
+        let first = RoundPlan::default();
+        assert_eq!((first.deliver, first.fold, first.next), (Skip, false, All));
+    }
+
     #[test]
     fn a_phase_forks_from_fork_min_arcs_up_or_on_a_pinned_shard_count() {
         let below = harary(126, 1024);
@@ -1864,7 +1943,7 @@ mod tests {
             assert_eq!(phase_shards(&small, &pinned), 3);
             let order = std::sync::Mutex::new(Vec::new());
             let caller = std::thread::current().id();
-            each_shard(3, |s| {
+            each_shard(3, false, |s| {
                 assert_eq!(std::thread::current().id(), caller);
                 order.lock().unwrap().push(s);
             });

@@ -980,3 +980,40 @@ proptest! {
         }
     }
 }
+
+/// Node 0 sends on port 0 and then broadcasts, in one round.
+struct SendThenBroadcast;
+
+impl Protocol for SendThenBroadcast {
+    type Msg = u32;
+    type Output = ();
+    fn round(&mut self, ctx: &mut NodeCtx<'_, u32>) {
+        if ctx.round == 0 && ctx.node == 0 {
+            ctx.send(0, 1);
+            ctx.send_all(2);
+        }
+        ctx.set_done(true);
+    }
+    fn finish(self) {}
+}
+
+/// A `send_all` after a `send` would book port 0 twice in one round; it
+/// panics in every build, as the reverse order does.
+#[test]
+#[should_panic(expected = "broadcast after sending")]
+fn a_broadcast_after_a_send_panics() {
+    let g = congest_graph::generators::cycle(8);
+    let _ = run_protocol(&g, |_, _| SendThenBroadcast, EngineConfig::default());
+}
+
+/// The same on a multiplexed node's own plane, where `send_all` scatters.
+#[test]
+#[should_panic(expected = "broadcast after sending")]
+fn a_multiplexed_broadcast_after_a_send_panics() {
+    let g = congest_graph::generators::cycle(8);
+    let _ = run_protocol(
+        &g,
+        |_, gr| Multiplexed::new(vec![SendThenBroadcast], &[0], gr.degree(0), 4),
+        EngineConfig::default(),
+    );
+}
