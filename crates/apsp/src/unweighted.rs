@@ -16,7 +16,7 @@
 
 use crate::clustering::{build_clustering, ClusterGraph, ClusteringError};
 use crate::prt12::prt12_apsp;
-use congest_core::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
+use congest_core::broadcast::{partition_broadcast, BroadcastError, BroadcastInput};
 use congest_graph::{Graph, Node};
 use congest_sim::{PhaseLog, RunStats};
 
@@ -91,7 +91,7 @@ pub fn unweighted_apsp_approx(
             .map(|v| (v, ((v as u64) << 32) | cg.cluster_of[v as usize] as u64))
             .collect(),
     };
-    let bc = partition_broadcast_at(&mut host, &input, lambda, seed ^ 0xB0)
+    let bc = partition_broadcast(&mut host, &input, lambda, seed ^ 0xB0)
         .map_err(ApspError::Broadcast)?;
     phases.append("broadcast-s(v): ", bc.phases);
 

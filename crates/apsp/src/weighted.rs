@@ -12,7 +12,7 @@
 //! `O(log n)`-bit words, as the paper assumes.
 
 use crate::baswana_sen::{baswana_sen_spanner, corollary1_k, SpannerResult};
-use congest_core::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
+use congest_core::broadcast::{partition_broadcast, BroadcastError, BroadcastInput};
 use congest_graph::{Node, WeightedGraph};
 use congest_sim::{PhaseLog, RunStats, Session};
 
@@ -79,7 +79,7 @@ pub fn weighted_apsp_approx(
     };
     // The broadcast (and its retries) runs all six Theorem 1 phases on
     // one resident engine session.
-    let bc = partition_broadcast_at(&mut Session::new(g.graph()), &input, lambda, seed ^ 0x5A)?;
+    let bc = partition_broadcast(&mut Session::new(g.graph()), &input, lambda, seed ^ 0x5A)?;
     phases.append("broadcast-spanner: ", bc.phases);
 
     // 3. Local APSP on the received spanner (every node would run this on

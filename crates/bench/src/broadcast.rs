@@ -4,8 +4,7 @@
 
 use crate::{Claim, Row};
 use congest_core::broadcast::{
-    partition_broadcast, partition_broadcast_at, BroadcastConfig, BroadcastError, BroadcastInput,
-    BroadcastOutcome,
+    partition_broadcast, retry_spanning, BroadcastConfig, BroadcastInput, BroadcastOutcome,
 };
 use congest_core::lower_bounds::theorem3_broadcast_lb;
 use congest_core::partition::PartitionParams;
@@ -15,10 +14,10 @@ use congest_graph::generators::{clique_chain, complete, harary};
 use congest_graph::Graph;
 use congest_sim::{FaultPlan, PhaseLog, Session};
 
-/// Theorem 1 as the applications call it ([`partition_broadcast_at`]);
+/// Theorem 1 as the applications call it ([`partition_broadcast`]);
 /// every node must receive every message.
 fn theorem1(g: &Graph, input: &BroadcastInput, lambda: usize, seed: u64) -> BroadcastOutcome {
-    let out = partition_broadcast_at(&mut Session::new(g), input, lambda, seed).expect("broadcast");
+    let out = partition_broadcast(&mut Session::new(g), input, lambda, seed).expect("broadcast");
     assert!(out.all_delivered());
     out
 }
@@ -166,7 +165,7 @@ pub fn e12_profile() -> Vec<Row> {
     let g = harary(lambda, n);
     let k = 4 * n;
     let input = BroadcastInput::random_spread(&g, k, 0xE12);
-    let out = partition_broadcast(&g, &input, lambda, 0xE12).expect("broadcast");
+    let out = partition_broadcast(&mut Session::new(&g), &input, lambda, 0xE12).expect("broadcast");
     let tb = textbook_broadcast(&g, &input, 0xE12).expect("textbook");
     assert!(out.all_delivered() && tb.all_delivered());
     c.on(
@@ -227,9 +226,10 @@ pub fn e13_resilience() -> Vec<Row> {
     c.rows
 }
 
-/// One resilient run, re-seeded on Theorem 2's `NotSpanning` only (20
-/// attempts, as `partition_broadcast_retrying_hosted` retries): any other
-/// error ends the run.
+/// One resilient run through [`retry_spanning`], 20 attempts, attempt `a`
+/// at seed `seed + a·0x9E37`: the driver's own step (`a·0x9E37_79B9`)
+/// draws other partitions and moves 7 of the 16 rows, so E13 keeps its
+/// step.
 fn resilient(
     host: &mut Session<'_>,
     input: &BroadcastInput,
@@ -238,12 +238,9 @@ fn resilient(
     faults: Option<FaultPlan>,
     seed: u64,
 ) -> ResilientOutcome {
-    let mut attempt = 0u64;
-    loop {
-        let cfg = BroadcastConfig::with_seed(seed.wrapping_add(attempt * 0x9E37));
-        match resilient_broadcast_hosted(host, input, params, r, faults, &cfg) {
-            Err(BroadcastError::NotSpanning { .. }) if attempt < 19 => attempt += 1,
-            result => return result.expect("resilient broadcast"),
-        }
-    }
+    let attempt = |a: u64| {
+        let cfg = BroadcastConfig::with_seed(seed.wrapping_add(a * 0x9E37));
+        resilient_broadcast_hosted(host, input, params, r, faults, &cfg)
+    };
+    retry_spanning(20, attempt).expect("resilient broadcast").0
 }

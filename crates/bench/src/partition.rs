@@ -1,12 +1,16 @@
 //! Sampling and partitioning: Observation 1, Lemma 5 (E1) and Theorem 2 (E2).
 
 use crate::{num, Claim, Row};
-use congest_core::partition::{sample_edges, EdgePartition, PartitionParams};
+use congest_core::bfs::SubgraphBfs;
+use congest_core::partition::{
+    sample_edges, EdgePartition, EdgePartitionProtocol, PartitionParams,
+};
 use congest_graph::algo::components::is_spanning_connected;
 use congest_graph::algo::diameter::diameter_exact_restricted;
 use congest_graph::generators::{clique_chain, complete, harary, thick_path};
 use congest_graph::metrics::GraphParams;
-use congest_packing::random_partition::partition_packing_distributed;
+use congest_graph::Graph;
+use congest_sim::{EngineConfig, Session};
 
 /// E1 — Lemma 5: sampling every edge with `p = C·ln n/λ` leaves a spanning
 /// subgraph of diameter `O(C·n·ln n/δ)` w.h.p. Ten seeds per (family, C).
@@ -142,9 +146,7 @@ pub fn e2_partition() -> Vec<Row> {
                     );
                 }
                 if s == 0 {
-                    if let Ok((_, phases)) = partition_packing_distributed(&g, lp, 0, 0xE2 ^ s) {
-                        bfs_rounds = phases.rounds_of("subgraph-bfs").unwrap_or(0);
-                    }
+                    bfs_rounds = class_bfs_rounds(&g, lp, 0xE2 ^ s).unwrap_or(0);
                 }
             }
             c.on(name, &format!("C={}, λ'={lp}, {seeds} seeds", num(cc)));
@@ -163,6 +165,32 @@ pub fn e2_partition() -> Vec<Row> {
         }
     }
     c.rows
+}
+
+/// Theorem 1's stage c on a session of its own: the one-round partition
+/// protocol under `seed`, then the per-class BFS from node 0. Its
+/// `subgraph-bfs` rounds when every class reached every node, else `None`.
+fn class_bfs_rounds(g: &Graph, lp: usize, seed: u64) -> Option<u64> {
+    let mut host = Session::new(g);
+    let colors = host
+        .run(
+            |v, g| EdgePartitionProtocol::new(v, seed, lp, g.degree(v)),
+            EngineConfig::with_seed(seed ^ 0x9a),
+        )
+        .ok()?
+        .take_outputs();
+    let bfs = host
+        .run(
+            |v, _| SubgraphBfs::new(0, v, colors[v as usize].clone(), lp),
+            EngineConfig::with_seed(seed ^ 0x9b),
+        )
+        .ok()?;
+    let rounds = bfs.stats.rounds;
+    let spans = bfs
+        .take_outputs()
+        .iter()
+        .all(|v| v.iter().all(|c| c.reached));
+    spans.then_some(rounds)
 }
 
 /// Theorem 2's envelope at one size: at C = 2 every class of five seeds

@@ -31,29 +31,36 @@
 //! crate-private `stages` module: (a) leader + BFS, (b) numbering — the
 //! only control phase that depends on who holds the messages —,
 //! (c) partition + per-class BFS + the spanning check, (d) routing,
-//! (e) checksums and outcome. [`partition_broadcast_hosted`] is one
-//! attempt of it; [`crate::resilient`] and [`crate::exp_search`] run the
+//! (e) checksums and outcome. [`partition_broadcast_hosted`] runs
+//! attempts of it; [`crate::resilient`] and [`crate::exp_search`] run the
 //! same stages under their own seeds. A graph that stage a did not span
-//! ends every driver with [`BroadcastError::Disconnected`]. The family has
-//! one retry loop, [`partition_broadcast_retrying_hosted`]: fresh seeds on
-//! `NotSpanning`, nothing else. Every phase is one [`Session::run`] on the
-//! caller's [`Session`], the one engine host, and a failed attempt leaves
-//! the session as clean as a completed one: a sweep over partition seeds
-//! is a loop of [`partition_broadcast_hosted`] calls on one warm session
-//! (README, "Seed sweeps"; held to fresh sessions by this module's
+//! ends every driver with [`BroadcastError::Disconnected`]. Every phase is
+//! one [`Session::run`] on the caller's [`Session`], the one engine host,
+//! and a failed attempt leaves the session as clean as a completed one: a
+//! sweep over partition seeds is a loop of one-attempt
+//! [`partition_broadcast_hosted`] calls on one warm session (README, "Seed
+//! sweeps"; held to fresh sessions by this module's
 //! `seed_sweep_on_one_warm_session_matches_fresh_sessions`).
+//!
+//! **One retry loop.** Theorem 2's failure event, a class that left a node
+//! unreached, is [`BroadcastError::NotSpanning`] wherever it is checked,
+//! and [`retry_spanning`] is the one loop that retries it: fresh seeds on
+//! `NotSpanning`, nothing else. Each caller keeps its own seed per attempt
+//! (DESIGN.md §3 lists them): the driver, the packing of
+//! `congest_packing::random_partition` and the scoreboard's replicated
+//! runs.
 //!
 //! **One way up.** Every application the paper derives from Theorem 1
 //! broadcasts `k` items at the graph's λ: a broadcast-congested-clique
 //! round (§1.2, [`crate::congested_clique`]), the APSP pipelines and the
-//! all-cuts sparsifier (§4). They all call [`partition_broadcast_at`],
-//! which owns the λ → λ′ choice, the attempt budget and the delivery
-//! check.
+//! all-cuts sparsifier (§4). They all call [`partition_broadcast`], which
+//! owns the λ → λ′ choice, the attempt budget and the delivery check.
 //!
-//! Surface rule: only [`partition_broadcast`] and
-//! [`partition_broadcast_retrying`] take a `&Graph`; each is
-//! [`Session::new`] plus its hosted twin. Every other driver of the family
-//! takes the caller's session.
+//! Surface rule: Theorem 1's two calls take the caller's session —
+//! [`partition_broadcast`] at the graph's λ, [`partition_broadcast_hosted`]
+//! with explicit parameters and an attempt budget. The one `&Graph`-taking
+//! call, [`partition_broadcast_retrying`], is [`Session::new`] plus the
+//! hosted call, kept for `benchmark/`.
 
 use crate::partition::PartitionParams;
 use crate::pipeline::{PipeCore, PipeMsg, PipeResult};
@@ -162,10 +169,11 @@ impl BroadcastConfig {
 pub enum BroadcastError {
     /// Partition class `subgraph` left `unreached` nodes out of its BFS
     /// tree although `G` is connected: Theorem 2's low-probability failure
-    /// event, checked after stage c. Another seed may span, and
-    /// [`partition_broadcast_retrying_hosted`] tries one; a λ′ above what
-    /// the graph supports fails at every seed (without λ, the paper's
-    /// answer is [`crate::exp_search`]).
+    /// event, checked after stage c (and by the centralized packing of
+    /// `congest_packing::random_partition`). Another seed may span, and
+    /// [`retry_spanning`] tries one; a λ′ above what the graph supports
+    /// fails at every seed (without λ, the paper's answer is
+    /// [`crate::exp_search`]).
     NotSpanning {
         subgraph: u32,
         unreached: usize,
@@ -240,98 +248,16 @@ impl BroadcastOutcome {
 /// `C = Ω(1)` regime, with failure probability decaying as `n^{-Ω(C)}`.
 pub const DEFAULT_PARTITION_C: f64 = 2.0;
 
-/// Theorem 1 with the paper's parameter choice `λ′ = max(1, ⌊λ/(C·ln n)⌋)`
-/// at the default `C` ([`DEFAULT_PARTITION_C`]): one attempt on a host of
-/// its own.
-pub fn partition_broadcast(
-    g: &Graph,
-    input: &BroadcastInput,
-    lambda: usize,
-    seed: u64,
-) -> Result<BroadcastOutcome, BroadcastError> {
-    let params = PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C);
-    let mut host = Session::new(g);
-    partition_broadcast_hosted(&mut host, input, params, &BroadcastConfig::with_seed(seed))
-}
-
-/// Theorem 1, one attempt with explicit parameters on the caller's
-/// session: the six phases of the module docs under `cfg.seed`. Drivers
-/// that compose several broadcasts (the BCC simulation, APSP, the
-/// sparsifier pipeline, a sweep over seeds) pass one session so every
-/// broadcast — and every phase inside it — reuses the same preallocated
-/// engine. Every phase is logged with the host's post-phase state hash
-/// (the snapshot/replay checkpoint signal). A disconnected graph is
-/// `Err(Disconnected)` after phase 2, a partition that fails to span
-/// `Err(NotSpanning)` after phase 5; either leaves the session as clean
-/// as a completed broadcast does.
-pub fn partition_broadcast_hosted(
-    host: &mut Session<'_>,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-) -> Result<BroadcastOutcome, BroadcastError> {
-    let mut comp = Composition::new(host, input, |phase| cfg.engine(phase));
-    comp.tree()?;
-    comp.connected()?;
-    comp.number(3)?;
-    comp.class_trees(CLASS_PHASES, params.num_subgraphs, cfg.seed)?;
-    comp.spanning()?;
-    let per_node = comp.route(
-        (6, "parallel-routing"),
-        1,
-        cfg.record_payloads,
-        |cores, _| ParallelPipeline::new(cores),
-    )?;
-    Ok(comp.outcome(per_node))
-}
-
-/// [`partition_broadcast_retrying_hosted`] on a session of its own.
-pub fn partition_broadcast_retrying(
-    g: &Graph,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-    attempts: usize,
-) -> Result<(BroadcastOutcome, usize), BroadcastError> {
-    partition_broadcast_retrying_hosted(&mut Session::new(g), input, params, cfg, attempts)
-}
-
-/// The family's one retry loop. Theorem 2 spans w.h.p., so on the rare
-/// `NotSpanning` it re-randomizes: attempt `a` is one
-/// [`partition_broadcast_hosted`] on the caller's session at seed
-/// `cfg.seed + a·⌊2³²/φ⌋`, for `a < attempts.max(1)`. Any other error ends
-/// the loop at once; when the attempts run out, the last attempt's error is
-/// returned. On success, also returns how many attempts ran.
-pub fn partition_broadcast_retrying_hosted(
-    host: &mut Session<'_>,
-    input: &BroadcastInput,
-    params: PartitionParams,
-    cfg: &BroadcastConfig,
-    attempts: usize,
-) -> Result<(BroadcastOutcome, usize), BroadcastError> {
-    let mut cfg = cfg.clone();
-    let base = cfg.seed;
-    let mut ran = 0;
-    loop {
-        cfg.seed = base.wrapping_add(ran as u64 * 0x9E37_79B9);
-        ran += 1;
-        match partition_broadcast_hosted(host, input, params, &cfg) {
-            Err(BroadcastError::NotSpanning { .. }) if ran < attempts => {}
-            result => return result.map(|out| (out, ran)),
-        }
-    }
-}
-
-/// How many partitions [`partition_broadcast_at`] draws before a
+/// How many partitions [`partition_broadcast`] draws before a
 /// `NotSpanning` stands.
 const APPLICATION_ATTEMPTS: usize = 20;
 
-/// Theorem 1 as the applications call it: `input` at the graph's
-/// `lambda` on the caller's session. λ′ is
-/// `PartitionParams::from_lambda(n, λ, DEFAULT_PARTITION_C)`, up to 20
-/// attempts of [`partition_broadcast_retrying_hosted`] start at `seed`,
+/// Theorem 1 with the paper's parameter choice, as the applications call
+/// it: `input` at the graph's `lambda` on the caller's session. λ′ is
+/// `max(1, ⌊λ/(C·ln n)⌋)` at the default `C` ([`DEFAULT_PARTITION_C`]),
+/// up to 20 attempts of [`partition_broadcast_hosted`] start at `seed`,
 /// and every node receives every message (debug-asserted).
-pub fn partition_broadcast_at(
+pub fn partition_broadcast(
     host: &mut Session<'_>,
     input: &BroadcastInput,
     lambda: usize,
@@ -339,10 +265,83 @@ pub fn partition_broadcast_at(
 ) -> Result<BroadcastOutcome, BroadcastError> {
     let params = PartitionParams::from_lambda(host.graph().n(), lambda, DEFAULT_PARTITION_C);
     let cfg = BroadcastConfig::with_seed(seed);
-    let (out, _) =
-        partition_broadcast_retrying_hosted(host, input, params, &cfg, APPLICATION_ATTEMPTS)?;
+    let (out, _) = partition_broadcast_hosted(host, input, params, &cfg, APPLICATION_ATTEMPTS)?;
     debug_assert!(out.all_delivered());
     Ok(out)
+}
+
+/// Theorem 1 with explicit parameters on the caller's session, through
+/// [`retry_spanning`]: attempt `a` runs the six phases of the module docs
+/// under seed `cfg.seed + a·⌊2³²/φ⌋`, for `a < attempts.max(1)`, so one
+/// attempt runs them under `cfg.seed`. Drivers that compose several
+/// broadcasts (the BCC simulation, APSP, the sparsifier pipeline, a sweep
+/// over seeds) pass one session so every broadcast — and every phase
+/// inside it — reuses the same preallocated engine. Every phase is logged
+/// with the host's post-phase state hash (the snapshot/replay checkpoint
+/// signal). A disconnected graph is `Err(Disconnected)` after phase 2, a
+/// partition that fails to span `Err(NotSpanning)` after phase 5; either
+/// leaves the session as clean as a completed broadcast does. On success,
+/// also returns how many attempts ran.
+pub fn partition_broadcast_hosted(
+    host: &mut Session<'_>,
+    input: &BroadcastInput,
+    params: PartitionParams,
+    cfg: &BroadcastConfig,
+    attempts: usize,
+) -> Result<(BroadcastOutcome, usize), BroadcastError> {
+    retry_spanning(attempts, |a| {
+        let cfg = BroadcastConfig {
+            seed: cfg.seed.wrapping_add(a * 0x9E37_79B9),
+            ..cfg.clone()
+        };
+        let mut comp = Composition::new(host, input, |phase| cfg.engine(phase));
+        comp.tree()?;
+        comp.connected()?;
+        comp.number(3)?;
+        comp.class_trees(CLASS_PHASES, params.num_subgraphs, cfg.seed)?;
+        comp.spanning()?;
+        let per_node = comp.route(
+            (6, "parallel-routing"),
+            1,
+            cfg.record_payloads,
+            |cores, _| ParallelPipeline::new(cores),
+        )?;
+        Ok(comp.outcome(per_node))
+    })
+}
+
+/// [`partition_broadcast_hosted`] on a session of its own. Kept callable
+/// because `benchmark/` calls it; the CLI, the tests and the examples
+/// call [`partition_broadcast`] or [`partition_broadcast_hosted`].
+pub fn partition_broadcast_retrying(
+    g: &Graph,
+    input: &BroadcastInput,
+    params: PartitionParams,
+    cfg: &BroadcastConfig,
+    attempts: usize,
+) -> Result<(BroadcastOutcome, usize), BroadcastError> {
+    partition_broadcast_hosted(&mut Session::new(g), input, params, cfg, attempts)
+}
+
+/// The one retry loop of Theorem 2's failure event. Theorem 2 spans
+/// w.h.p., so on the rare `NotSpanning` the caller re-randomizes:
+/// `attempt(a)` runs for `a = 0, 1, …` below `attempts.max(1)`, each under
+/// the caller's own seed for `a`. Any other error ends the loop at once;
+/// when the attempts run out, the last attempt's error is returned. On
+/// success, also returns how many attempts ran.
+pub fn retry_spanning<T>(
+    attempts: usize,
+    mut attempt: impl FnMut(u64) -> Result<T, BroadcastError>,
+) -> Result<(T, usize), BroadcastError> {
+    let mut ran = 0;
+    loop {
+        let result = attempt(ran as u64);
+        ran += 1;
+        match result {
+            Err(BroadcastError::NotSpanning { .. }) if ran < attempts => {}
+            result => return result.map(|out| (out, ran)),
+        }
+    }
 }
 
 /// λ′ pipelined broadcasts running concurrently, one per partition class,
@@ -430,11 +429,22 @@ mod tests {
     use super::*;
     use congest_graph::generators::{clique_chain, complete, harary, hypercube};
 
+    /// One attempt of [`partition_broadcast_hosted`]: the six phases under
+    /// `cfg.seed`.
+    fn once(
+        host: &mut Session<'_>,
+        input: &BroadcastInput,
+        params: PartitionParams,
+        cfg: &BroadcastConfig,
+    ) -> Result<BroadcastOutcome, BroadcastError> {
+        partition_broadcast_hosted(host, input, params, cfg, 1).map(|(out, _)| out)
+    }
+
     #[test]
     fn broadcast_on_harary_all_delivered() {
         let g = harary(16, 48);
         let input = BroadcastInput::random_spread(&g, 96, 5);
-        let out = partition_broadcast(&g, &input, 16, 17).unwrap();
+        let out = partition_broadcast(&mut Session::new(&g), &input, 16, 17).unwrap();
         assert!(out.all_delivered());
         assert_eq!(out.k, 96);
         assert!(out.num_subgraphs >= 2, "λ = 16 must yield parallelism");
@@ -445,7 +455,7 @@ mod tests {
     fn broadcast_single_source() {
         let g = complete(32);
         let input = BroadcastInput::at_single_node(&g, 7, 50);
-        let out = partition_broadcast(&g, &input, 31, 3).unwrap();
+        let out = partition_broadcast(&mut Session::new(&g), &input, 31, 3).unwrap();
         assert!(out.all_delivered());
         // λ' = ⌊31/(2·ln 32)⌋ = 4 classes on K_32.
         assert_eq!(out.num_subgraphs, 4);
@@ -456,7 +466,7 @@ mod tests {
         let g = hypercube(5); // n = 32, λ = 5
         let input = BroadcastInput::one_per_node(&g);
         // λ = 5, ln 32 ≈ 3.47 ⇒ λ' = 1 (degenerate single tree), still valid.
-        let out = partition_broadcast(&g, &input, 5, 9).unwrap();
+        let out = partition_broadcast(&mut Session::new(&g), &input, 5, 9).unwrap();
         assert!(out.all_delivered());
         assert_eq!(out.num_subgraphs, 1);
     }
@@ -467,8 +477,8 @@ mod tests {
         // retry wrapper absorbs the residual failure probability.
         let g = harary(16, 48);
         let input = BroadcastInput::random_spread(&g, 80, 1);
-        let (out, _) = partition_broadcast_retrying(
-            &g,
+        let (out, _) = partition_broadcast_hosted(
+            &mut Session::new(&g),
             &input,
             PartitionParams::explicit(3),
             &BroadcastConfig::with_seed(2),
@@ -486,7 +496,7 @@ mod tests {
         // span; must report NotSpanning (never silently mis-deliver).
         let g = congest_graph::generators::cycle(16);
         let input = BroadcastInput::random_spread(&g, 8, 0);
-        let err = partition_broadcast_hosted(
+        let err = once(
             &mut Session::new(&g),
             &input,
             PartitionParams::explicit(16),
@@ -507,13 +517,14 @@ mod tests {
         let cfg = BroadcastConfig::with_seed(0);
         let attempt = |a: u64| {
             let cfg = BroadcastConfig::with_seed(cfg.seed.wrapping_add(a * 0x9E37_79B9));
-            partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg).unwrap_err()
+            once(&mut Session::new(&g), &input, params, &cfg).unwrap_err()
         };
         let (first, last) = (attempt(0), attempt(2));
         assert!(matches!(last, BroadcastError::NotSpanning { .. }));
         assert_ne!(first, last, "the two attempts must be told apart");
         let retried = |attempts| {
-            partition_broadcast_retrying(&g, &input, params, &cfg, attempts).unwrap_err()
+            partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg, attempts)
+                .unwrap_err()
         };
         assert_eq!(retried(3), last);
         assert_eq!(retried(0), first);
@@ -538,9 +549,9 @@ mod tests {
         let (g, input) = disconnected();
         let params = PartitionParams::explicit(1);
         let cfg = BroadcastConfig::with_seed(1);
-        let plain = partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg);
+        let plain = once(&mut Session::new(&g), &input, params, &cfg);
         assert_eq!(plain.unwrap_err(), BroadcastError::Disconnected);
-        let retried = partition_broadcast_retrying(&g, &input, params, &cfg, 30);
+        let retried = partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg, 30);
         assert_eq!(retried.unwrap_err(), BroadcastError::Disconnected);
     }
 
@@ -570,7 +581,8 @@ mod tests {
         // `77 + a·0x9E37_79B9` family fails to span under its own seed
         // and spans under the next one, so the retry path really runs.
         let cfg = BroadcastConfig::with_seed(77 + 3 * 0x9E37_79B9);
-        let (out, attempts) = partition_broadcast_retrying(&g, &input, params, &cfg, 20).unwrap();
+        let (out, attempts) =
+            partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg, 20).unwrap();
         assert!(out.all_delivered());
         assert_eq!(attempts, 2);
         // Attempt `a` of the loop is one plain broadcast at seed
@@ -578,7 +590,7 @@ mod tests {
         let mut host = Session::new(&g);
         let attempt = |host: &mut Session<'_>, a: u64| {
             let seed = cfg.seed.wrapping_add(a * 0x9E37_79B9);
-            partition_broadcast_hosted(host, &input, params, &BroadcastConfig::with_seed(seed))
+            once(host, &input, params, &BroadcastConfig::with_seed(seed))
         };
         let first = attempt(&mut host, 0).unwrap_err();
         assert!(matches!(first, BroadcastError::NotSpanning { .. }));
@@ -592,8 +604,7 @@ mod tests {
         let mut cfg = BroadcastConfig::with_seed(8);
         cfg.record_payloads = true;
         let mut host = Session::new(&g);
-        let out = partition_broadcast_hosted(&mut host, &input, PartitionParams::explicit(2), &cfg)
-            .unwrap();
+        let out = once(&mut host, &input, PartitionParams::explicit(2), &cfg).unwrap();
         assert!(out.all_delivered());
         for r in &out.per_node {
             let rec = r.recorded.as_ref().unwrap();
@@ -622,11 +633,9 @@ mod tests {
         // A different broadcast first (other placement, seed and k), so
         // every buffer the second call touches has been written before.
         let warmup = BroadcastInput::random_spread(&g, 40, 9);
-        partition_broadcast_hosted(&mut used, &warmup, params, &BroadcastConfig::with_seed(3))
-            .unwrap();
-        let second = partition_broadcast_hosted(&mut used, &input, params, &cfg).unwrap();
-        let fresh =
-            partition_broadcast_hosted(&mut Session::new(&g), &input, params, &cfg).unwrap();
+        once(&mut used, &warmup, params, &BroadcastConfig::with_seed(3)).unwrap();
+        let second = once(&mut used, &input, params, &cfg).unwrap();
+        let fresh = once(&mut Session::new(&g), &input, params, &cfg).unwrap();
         assert_eq!(second.phases.len(), 6);
         assert_same_run(&second, &fresh, true, "second vs fresh");
     }
@@ -668,9 +677,9 @@ mod tests {
         let mut verdicts = Vec::new();
         for a in 0..12u64 {
             let cfg = BroadcastConfig::with_seed(77u64.wrapping_add(a * 0x9E37_79B9));
-            let swept = partition_broadcast_hosted(&mut warm, &input, params, &cfg);
+            let swept = once(&mut warm, &input, params, &cfg);
             let mut fresh_host = Session::new(&g);
-            let fresh = partition_broadcast_hosted(&mut fresh_host, &input, params, &cfg);
+            let fresh = once(&mut fresh_host, &input, params, &cfg);
             assert_eq!(warm.state_hash(), fresh_host.state_hash(), "seed {a}");
             match (&swept, &fresh) {
                 (Ok(s), Ok(f)) => {
@@ -697,7 +706,7 @@ mod tests {
         let input = BroadcastInput {
             messages: Vec::new(),
         };
-        let out = partition_broadcast(&g, &input, 15, 1).unwrap();
+        let out = partition_broadcast(&mut Session::new(&g), &input, 15, 1).unwrap();
         assert!(out.all_delivered());
         assert_eq!(out.k, 0);
     }

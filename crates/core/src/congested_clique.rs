@@ -13,7 +13,7 @@
 //! value may depend on everything heard so far — which is exactly the BCC
 //! computational model.
 
-use crate::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
+use crate::broadcast::{partition_broadcast, BroadcastError, BroadcastInput};
 use congest_graph::{Graph, Node};
 use congest_sim::{PhaseLog, Session};
 
@@ -63,7 +63,7 @@ fn bcc_round(
             .map(|v| (v, ((v as u64) << 32) | values[v as usize] as u64))
             .collect(),
     };
-    let out = partition_broadcast_at(host, &input, lambda, seed)?;
+    let out = partition_broadcast(host, &input, lambda, seed)?;
     // Every node now holds every `(v, value)` by the delivery guarantee,
     // so the view is the values themselves.
     let view = values.iter().map(|&x| x as u64).collect();

@@ -18,13 +18,16 @@
 //! | §1.2 | [`congested_clique`] | simulating rounds of the broadcast congested clique \[DKO14\] |
 //! | §1.2 / \[FP23\] | [`resilient`] | replicated broadcast surviving a mobile edge adversary |
 //!
-//! Surface rule for the Theorem 1 family: [`partition_broadcast`] and
-//! [`broadcast::partition_broadcast_retrying`] take a `&Graph` and build
-//! their own [`congest_sim::Session`]; every other driver takes the
-//! caller's — the one engine host — so a sweep over seeds or sources is a
-//! loop of [`broadcast::partition_broadcast_hosted`] on one warm session,
-//! and the family's one retry loop is
-//! [`broadcast::partition_broadcast_retrying_hosted`].
+//! Surface rule for the Theorem 1 family: every driver takes the caller's
+//! [`congest_sim::Session`] — the one engine host — so a sweep over seeds
+//! or sources is a loop on one warm session. Theorem 1 itself is two
+//! calls: [`partition_broadcast`] at the graph's λ, and
+//! [`broadcast::partition_broadcast_hosted`] with explicit parameters and
+//! an attempt budget. Theorem 2's failure event is one error,
+//! [`broadcast::BroadcastError::NotSpanning`], and
+//! [`broadcast::retry_spanning`] is the one loop that retries it.
+//! (`broadcast::partition_broadcast_retrying`, the hosted call on a
+//! session of its own, is kept for `benchmark/`.)
 //!
 //! All protocols are *message-driven* (progress on arrival rather than on
 //! round counting), which makes them tolerant of the random-delay

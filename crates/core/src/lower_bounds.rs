@@ -120,7 +120,7 @@ mod tests {
         let g = congest_graph::generators::harary(8, 48);
         let k = 96; // k = 2n: the universal-optimality regime
         let input = BroadcastInput::random_spread(&g, k, 7);
-        let out = partition_broadcast(&g, &input, 8, 13).unwrap();
+        let out = partition_broadcast(&mut congest_sim::Session::new(&g), &input, 8, 13).unwrap();
         assert!(out.all_delivered());
         let ecc = congest_graph::algo::eccentricity(&g, input.messages[0].0).unwrap();
         let ratio = optimality_ratio(out.total_rounds, k as u64, 8, ecc as u64);
@@ -141,7 +141,7 @@ mod tests {
         let g = congest_graph::generators::harary(4, 64);
         let k = 4;
         let input = BroadcastInput::random_spread(&g, k, 3);
-        let out = partition_broadcast(&g, &input, 4, 5).unwrap();
+        let out = partition_broadcast(&mut congest_sim::Session::new(&g), &input, 4, 5).unwrap();
         assert!(out.all_delivered());
         let ecc = congest_graph::algo::eccentricity(&g, input.messages[0].0).unwrap() as u64;
         assert!(theorem3_broadcast_lb(k as u64, 4) < 1.0);

@@ -32,8 +32,8 @@
 //! re-captured: none of them depends on the root.
 
 use congest_core::broadcast::{
-    partition_broadcast_hosted, partition_broadcast_retrying, BroadcastConfig, BroadcastInput,
-    BroadcastOutcome, DEFAULT_PARTITION_C,
+    partition_broadcast_hosted, BroadcastConfig, BroadcastInput, BroadcastOutcome,
+    DEFAULT_PARTITION_C,
 };
 use congest_core::exp_search::exp_search_broadcast;
 use congest_core::partition::PartitionParams;
@@ -138,9 +138,14 @@ fn dedup_summary(out: &ResilientOutcome) -> (u64, u64, Vec<usize>) {
 #[test]
 fn retrying_first_attempt() {
     let (g, input, params) = dense();
-    let (out, attempts) =
-        partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(17), 5)
-            .unwrap();
+    let (out, attempts) = partition_broadcast_hosted(
+        &mut Session::new(&g),
+        &input,
+        params,
+        &BroadcastConfig::with_seed(17),
+        5,
+    )
+    .unwrap();
     assert_eq!(attempts, 1);
     assert_phases("retrying/dense", &out.phases, true, DENSE_SEED_17);
     assert_outcome("retrying/dense", &out, 2, &[4, 4], DENSE_CHECKSUMS);
@@ -149,8 +154,8 @@ fn retrying_first_attempt() {
 #[test]
 fn retrying_second_attempt() {
     let (g, input, params) = borderline();
-    let (out, attempts) = partition_broadcast_retrying(
-        &g,
+    let (out, attempts) = partition_broadcast_hosted(
+        &mut Session::new(&g),
         &input,
         params,
         &BroadcastConfig::with_seed(FAILS_FIRST),
@@ -191,8 +196,10 @@ fn degrading_ladder() {
         &input,
         PartitionParams::explicit(1),
         &BroadcastConfig::with_seed(attempt_seed(FAILS_FIRST, 1)),
+        1,
     )
-    .unwrap();
+    .unwrap()
+    .0;
     assert_phases(
         "degrading/borderline",
         &out.phases,

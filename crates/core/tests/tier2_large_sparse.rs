@@ -7,7 +7,7 @@
 
 use congest_core::broadcast::{partition_broadcast, BroadcastInput};
 use congest_graph::generators::large_sparse;
-use congest_sim::{run_protocol, EngineConfig, NodeCtx, Protocol};
+use congest_sim::{run_protocol, EngineConfig, NodeCtx, Protocol, Session};
 
 /// Message-driven flood from node 0.
 struct Flood {
@@ -69,6 +69,7 @@ fn flood_broadcast_covers_a_million_node_large_sparse() {
 fn partition_broadcast_over_large_sparse() {
     let g = large_sparse(200_000);
     let input = BroadcastInput::at_single_node(&g, 0, 8);
-    let out = partition_broadcast(&g, &input, 6, 42).expect("broadcast completes");
+    let out =
+        partition_broadcast(&mut Session::new(&g), &input, 6, 42).expect("broadcast completes");
     assert!(out.all_delivered(), "all 8 messages at every node");
 }

@@ -10,8 +10,10 @@
 //!
 //! * [`packing`] — the [`packing::TreePacking`] container with validators
 //!   (spanning? edge-disjoint? congestion? exact per-tree diameters).
-//! * [`random_partition`] — packings from the Theorem 2 partition, both
-//!   centralized and via the real distributed protocols.
+//! * [`random_partition`] — packings from the Theorem 2 partition, built
+//!   centrally; the distributed construction is Theorem 1's stage c, and
+//!   a class that misses a node is Theorem 1's own
+//!   `BroadcastError::NotSpanning`.
 //! * [`sampled`] — the congestion-`O(log n)` variant with **λ** trees
 //!   (the Theorem 10 / Appendix A parameter point), obtained by λ
 //!   independent Lemma 5 samplings.
@@ -30,9 +32,7 @@ pub mod matroid;
 pub mod packing;
 pub mod random_partition;
 pub mod sampled;
-pub mod scheduled_broadcast;
 
 pub use packing::{PackingStats, TreePacking};
-pub use random_partition::{partition_packing, partition_packing_distributed};
+pub use random_partition::partition_packing;
 pub use sampled::sampled_packing;
-pub use scheduled_broadcast::scheduled_packing_broadcast;

@@ -5,41 +5,21 @@
 //! may obtain a tree packing of Ω(λ/log n) edge-disjoint spanning trees
 //! with diameter O((n log n)/δ)."*
 //!
-//! Both routes are provided:
-//! * [`partition_packing`] — centralized (partition + restricted BFS),
-//!   used by the measurement-heavy experiments;
-//! * [`partition_packing_distributed`] — the real thing: the one-round
-//!   partition protocol plus the simultaneous per-class BFS protocol, with
-//!   round costs reported. Tests assert both routes produce identical
-//!   trees (the partition is a shared pure function of the seed, and BFS
-//!   tie-breaking matches).
+//! [`partition_packing`] builds that packing centrally: the partition (a
+//! pure function of the seed, so the one Theorem 1's phase 4 computes) and
+//! a BFS from `root` inside every class. Its trees have the per-class
+//! depths Theorem 1's phase 5 ([`congest_core::bfs::SubgraphBfs`]) reaches
+//! by message passing; the rounds that costs are read from Theorem 1's own
+//! `subgraph-bfs` phase. A class that misses a node is Theorem 2's failure
+//! event, [`BroadcastError::NotSpanning`], and
+//! [`partition_packing_retrying`] retries it through Theorem 1's one loop,
+//! [`retry_spanning`].
 
 use crate::packing::TreePacking;
-use congest_core::bfs::SubgraphBfs;
-use congest_core::partition::{EdgePartition, EdgePartitionProtocol, PartitionParams};
-use congest_graph::algo::bfs::{bfs_tree_restricted, BfsTree};
-use congest_graph::{Graph, Node, INVALID_NODE};
-use congest_sim::{EngineConfig, EngineError, PhaseLog};
-
-/// Failure: some partition class did not span (retry with another seed or
-/// fewer classes).
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct NotSpanning {
-    pub subgraph: u32,
-    pub unreached: usize,
-}
-
-impl std::fmt::Display for NotSpanning {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "partition class {} left {} nodes unreached",
-            self.subgraph, self.unreached
-        )
-    }
-}
-
-impl std::error::Error for NotSpanning {}
+use congest_core::broadcast::{retry_spanning, BroadcastError};
+use congest_core::partition::{EdgePartition, PartitionParams};
+use congest_graph::algo::bfs::bfs_tree_restricted;
+use congest_graph::{Graph, Node};
 
 /// Centralized Theorem 2 packing: partition edges into `num_subgraphs`
 /// classes with `seed`, BFS each class from `root`.
@@ -48,13 +28,13 @@ pub fn partition_packing(
     num_subgraphs: usize,
     root: Node,
     seed: u64,
-) -> Result<(TreePacking, EdgePartition), NotSpanning> {
+) -> Result<(TreePacking, EdgePartition), BroadcastError> {
     let part = EdgePartition::compute(g, PartitionParams::explicit(num_subgraphs), seed);
     let mut trees = Vec::with_capacity(num_subgraphs);
     for c in 0..num_subgraphs as u32 {
         let t = bfs_tree_restricted(g, root, |e| part.color(e) == c);
         if !t.is_spanning() {
-            return Err(NotSpanning {
+            return Err(BroadcastError::NotSpanning {
                 subgraph: c,
                 unreached: g.n() - t.reached(),
             });
@@ -64,114 +44,29 @@ pub fn partition_packing(
     Ok((TreePacking::new(trees), part))
 }
 
-/// Retry wrapper for the w.h.p. guarantee.
+/// [`partition_packing`] through [`retry_spanning`] for the w.h.p.
+/// guarantee: attempt `a` at seed `seed + a·0x9E37`, at most
+/// `attempts.max(1)` attempts. On success, also returns how many ran.
 pub fn partition_packing_retrying(
     g: &Graph,
     num_subgraphs: usize,
     root: Node,
     seed: u64,
     attempts: usize,
-) -> Result<(TreePacking, EdgePartition, usize), NotSpanning> {
-    let mut last = None;
-    for a in 0..attempts.max(1) {
-        match partition_packing(g, num_subgraphs, root, seed.wrapping_add(a as u64 * 0x9E37)) {
-            Ok((p, part)) => return Ok((p, part, a + 1)),
-            Err(e) => last = Some(e),
-        }
-    }
-    Err(last.expect("at least one attempt"))
+) -> Result<(TreePacking, EdgePartition, usize), BroadcastError> {
+    let ((packing, part), ran) = retry_spanning(attempts, |a| {
+        partition_packing(g, num_subgraphs, root, seed.wrapping_add(a * 0x9E37))
+    })?;
+    Ok((packing, part, ran))
 }
-
-/// Distributed Theorem 2 packing: one partition round + simultaneous
-/// per-class BFS, exactly the protocols the broadcast uses. Returns the
-/// packing, the phase log (for round accounting), or the failure.
-pub fn partition_packing_distributed(
-    g: &Graph,
-    num_subgraphs: usize,
-    root: Node,
-    seed: u64,
-) -> Result<(TreePacking, PhaseLog), DistPackingError> {
-    // Both phases share one resident engine session.
-    let mut session = congest_sim::Session::new(g);
-    let mut phases = PhaseLog::new();
-    let part_run = session.run(
-        |v, gr| EdgePartitionProtocol::new(v, seed, num_subgraphs, gr.degree(v)),
-        EngineConfig::with_seed(seed ^ 0x9a),
-    )?;
-    phases.record("edge-partition", part_run.stats);
-    let port_colors = part_run.take_outputs();
-
-    let bfs_phase = session.run(
-        |v, _| SubgraphBfs::new(root, v, port_colors[v as usize].clone(), num_subgraphs),
-        EngineConfig::with_seed(seed ^ 0x9b),
-    )?;
-    phases.record("subgraph-bfs", bfs_phase.stats);
-    let bfs_outputs = bfs_phase.take_outputs();
-
-    // Reassemble BfsTree structures from per-node protocol outputs.
-    let n = g.n();
-    let mut trees = Vec::with_capacity(num_subgraphs);
-    for c in 0..num_subgraphs {
-        let mut parent = vec![INVALID_NODE; n];
-        let mut parent_edge = vec![u32::MAX; n];
-        let mut depth = vec![u32::MAX; n];
-        let mut unreached = 0usize;
-        for (v, infos) in bfs_outputs.iter().enumerate() {
-            let info = &infos[c];
-            if !info.reached {
-                unreached += 1;
-                continue;
-            }
-            depth[v] = info.depth;
-            if let Some(pp) = info.parent_port {
-                parent[v] = g.neighbor_at(v as Node, pp);
-                parent_edge[v] = g.edge_at(v as Node, pp);
-            }
-        }
-        if unreached > 0 {
-            return Err(DistPackingError::NotSpanning(NotSpanning {
-                subgraph: c as u32,
-                unreached,
-            }));
-        }
-        trees.push(BfsTree {
-            root,
-            parent,
-            parent_edge,
-            depth,
-        });
-    }
-    Ok((TreePacking::new(trees), phases))
-}
-
-/// Errors from the distributed construction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum DistPackingError {
-    NotSpanning(NotSpanning),
-    Engine(EngineError),
-}
-
-impl From<EngineError> for DistPackingError {
-    fn from(e: EngineError) -> Self {
-        DistPackingError::Engine(e)
-    }
-}
-
-impl std::fmt::Display for DistPackingError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            DistPackingError::NotSpanning(ns) => ns.fmt(f),
-            DistPackingError::Engine(e) => e.fmt(f),
-        }
-    }
-}
-
-impl std::error::Error for DistPackingError {}
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use congest_graph::generators::{complete, harary, thick_path};
+    use congest_core::bfs::SubgraphBfs;
+    use congest_core::partition::EdgePartitionProtocol;
+    use congest_graph::generators::{complete, cycle, harary, hypercube, thick_path};
+    use congest_sim::{EngineConfig, Session};
 
     #[test]
     fn centralized_packing_is_valid_and_disjoint() {
@@ -184,20 +79,38 @@ mod tests {
         assert!(part.all_spanning(&g));
     }
 
+    /// The centralized packing is the one Theorem 1's stage c builds by
+    /// message passing: its partition protocol (one round) and its
+    /// per-class BFS reach every node at the depth the centralized tree
+    /// gives it. Parent *choices* may differ (both resolve equal-distance
+    /// ties, but by different deterministic rules), so this compares
+    /// depths — the quantity Theorem 2 bounds — not shapes.
     #[test]
     fn distributed_matches_centralized_depths() {
         let g = harary(12, 36);
-        let seed = 7;
-        let (central, _) = partition_packing(&g, 2, 0, seed).unwrap();
-        let (dist, phases) = partition_packing_distributed(&g, 2, 0, seed).unwrap();
-        dist.validate(&g).unwrap();
-        assert_eq!(phases.rounds_of("edge-partition"), Some(1));
-        // Same partition (a shared pure function of the seed) ⇒ identical
-        // per-class distances. Parent *choices* may differ (both resolve
-        // equal-distance ties, but by different deterministic rules), so we
-        // compare depths — the quantity Theorem 2 bounds — not shapes.
-        for (tc, td) in central.trees.iter().zip(dist.trees.iter()) {
-            assert_eq!(tc.depth, td.depth);
+        let (seed, lp) = (7, 2);
+        let (central, _) = partition_packing(&g, lp, 0, seed).unwrap();
+        let mut host = Session::new(&g);
+        let colors = host
+            .run(
+                |v, g| EdgePartitionProtocol::new(v, seed, lp, g.degree(v)),
+                EngineConfig::with_seed(seed),
+            )
+            .unwrap();
+        assert_eq!(colors.stats.rounds, 1);
+        let colors = colors.take_outputs();
+        let infos = host
+            .run(
+                |v, _| SubgraphBfs::new(0, v, colors[v as usize].clone(), lp),
+                EngineConfig::with_seed(seed),
+            )
+            .unwrap()
+            .take_outputs();
+        for (c, tree) in central.trees.iter().enumerate() {
+            for (v, info) in infos.iter().enumerate() {
+                assert!(info[c].reached, "class {c} reaches node {v}");
+                assert_eq!(info[c].depth, tree.depth[v], "class {c}, node {v}");
+            }
         }
     }
 
@@ -224,11 +137,9 @@ mod tests {
     #[test]
     fn failure_reported_not_hidden() {
         // cycle has λ = 2; 8 classes cannot all span.
-        let g = congest_graph::generators::cycle(12);
+        let g = cycle(12);
         let err = partition_packing(&g, 8, 0, 1).unwrap_err();
-        assert!(err.unreached > 0);
-        let err2 = partition_packing_distributed(&g, 8, 0, 1).unwrap_err();
-        assert!(matches!(err2, DistPackingError::NotSpanning(_)));
+        assert!(matches!(err, BroadcastError::NotSpanning { unreached, .. } if unreached > 0));
     }
 
     #[test]
@@ -245,5 +156,25 @@ mod tests {
             "K_64 class tree diameter {} should be tiny",
             stats.max_diameter
         );
+    }
+
+    /// The packing retries through Theorem 1's one loop: attempt `a` at
+    /// seed `seed + a·0x9E37`; when every attempt fails, the last one's
+    /// `NotSpanning` stands, and zero attempts is one.
+    #[test]
+    fn retrying_goes_through_the_one_loop() {
+        let g = cycle(12);
+        let attempt = |a: u64| partition_packing(&g, 8, 0, a * 0x9E37).unwrap_err();
+        let (first, last) = (attempt(0), attempt(1));
+        assert!(matches!(last, BroadcastError::NotSpanning { .. }));
+        assert_ne!(first, last, "the two attempts must be told apart");
+        let retried = |attempts| partition_packing_retrying(&g, 8, 0, 0, attempts).unwrap_err();
+        assert_eq!(retried(2), last);
+        assert_eq!(retried(0), first);
+        // `fastbcast packing hypercube:6 --trees 2` (its golden): the
+        // eleventh seed is the first whose two classes both span.
+        let (packing, _, ran) = partition_packing_retrying(&hypercube(6), 2, 0, 7, 30).unwrap();
+        assert_eq!(ran, 11);
+        assert_eq!(packing.trees.len(), 2);
     }
 }

@@ -7,7 +7,7 @@
 //! cuts, and the global min cut (Stoer–Wagner on both graphs).
 
 use crate::koutis_xu::{koutis_xu_sparsifier, SparsifierResult};
-use congest_core::broadcast::{partition_broadcast_at, BroadcastError, BroadcastInput};
+use congest_core::broadcast::{partition_broadcast, BroadcastError, BroadcastInput};
 use congest_graph::algo::stoer_wagner::stoer_wagner_min_cut;
 use congest_graph::{Node, WeightedGraph};
 use congest_sim::rng::mix64;
@@ -149,7 +149,7 @@ pub fn theorem7_all_cuts(
     };
     // The broadcast (and its retries) runs all six Theorem 1 phases on
     // one resident engine session.
-    let bc = partition_broadcast_at(&mut Session::new(g.graph()), &input, lambda, seed ^ 0xC7)?;
+    let bc = partition_broadcast(&mut Session::new(g.graph()), &input, lambda, seed ^ 0xC7)?;
     phases.append("broadcast-sparsifier: ", bc.phases);
 
     // 3. Quality measurement (what every node could now do locally).

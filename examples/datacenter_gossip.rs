@@ -16,6 +16,7 @@ use fast_broadcast::core::exp_search::exp_search_broadcast;
 use fast_broadcast::core::textbook::textbook_broadcast;
 use fast_broadcast::graph::generators::{clique_chain, harary, random_regular, torus2d};
 use fast_broadcast::graph::Graph;
+use fast_broadcast::sim::Session;
 
 fn main() {
     println!("datacenter gossip: every node broadcasts one value (k = n)\n");
@@ -36,7 +37,8 @@ fn main() {
     );
     for (name, g, lambda) in &fabrics {
         let input = BroadcastInput::one_per_node(g);
-        let out = partition_broadcast(g, &input, *lambda, 99).expect("broadcast");
+        let out =
+            partition_broadcast(&mut Session::new(g), &input, *lambda, 99).expect("broadcast");
         assert!(out.all_delivered());
         let tb = textbook_broadcast(g, &input, 99).expect("textbook");
         println!(

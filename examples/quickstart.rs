@@ -11,6 +11,7 @@ use fast_broadcast::core::textbook::textbook_broadcast;
 use fast_broadcast::graph::algo::eccentricity;
 use fast_broadcast::graph::generators::harary;
 use fast_broadcast::graph::metrics::GraphParams;
+use fast_broadcast::sim::Session;
 
 fn main() {
     // A λ=16-edge-connected circulant network on 128 nodes.
@@ -28,7 +29,8 @@ fn main() {
     println!("broadcasting k = {k} messages…");
 
     // Theorem 1: partition broadcast.
-    let outcome = partition_broadcast(&g, &input, lambda, 0xC0FFEE).expect("partition broadcast");
+    let outcome = partition_broadcast(&mut Session::new(&g), &input, lambda, 0xC0FFEE)
+        .expect("partition broadcast");
     assert!(outcome.all_delivered());
     println!(
         "\n== Theorem 1 (partition broadcast): {} rounds over {} edge-disjoint trees",

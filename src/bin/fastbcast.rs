@@ -24,7 +24,7 @@
 
 use fast_broadcast::apsp::unweighted_apsp_approx;
 use fast_broadcast::core::broadcast::{
-    partition_broadcast_retrying, BroadcastConfig, BroadcastInput, DEFAULT_PARTITION_C,
+    partition_broadcast_hosted, BroadcastConfig, BroadcastInput, DEFAULT_PARTITION_C,
 };
 use fast_broadcast::core::leader::rank;
 use fast_broadcast::core::lower_bounds::{optimality_ratio, theorem3_broadcast_lb};
@@ -343,9 +343,9 @@ fn cmd_broadcast(args: &[String]) -> Result<(), Failure> {
     }
     let input = BroadcastInput::random_spread(&g, k, seed);
     let params = PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C);
-    let (out, attempts) =
-        partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(seed), 30)
-            .map_err(|e| e.to_string())?;
+    let (mut host, cfg) = (Session::new(&g), BroadcastConfig::with_seed(seed));
+    let (out, attempts) = partition_broadcast_hosted(&mut host, &input, params, &cfg, 30)
+        .map_err(|e| e.to_string())?;
     assert!(out.all_delivered());
     say!(
         "family {spec}: n = {}, λ = {lambda}, k = {k}, λ' = {}, root = {} (rank {:#010x})",

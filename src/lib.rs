@@ -25,12 +25,15 @@
 //! ```
 //! use fast_broadcast::graph::generators::harary;
 //! use fast_broadcast::core::broadcast::{partition_broadcast, BroadcastInput};
+//! use fast_broadcast::sim::Session;
 //!
 //! // A 16-edge-connected network of 64 nodes.
 //! let g = harary(16, 64);
 //! // 128 messages, all initially at node 0.
 //! let input = BroadcastInput::at_single_node(&g, 0, 128);
-//! let outcome = partition_broadcast(&g, &input, 16, 0xC0FFEE).unwrap();
+//! // Theorem 1 at λ = 16 on an engine session, reusable for the next one.
+//! let mut host = Session::new(&g);
+//! let outcome = partition_broadcast(&mut host, &input, 16, 0xC0FFEE).unwrap();
 //! assert!(outcome.all_delivered());
 //! println!("broadcast finished in {} rounds", outcome.total_rounds);
 //! ```

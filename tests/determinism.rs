@@ -6,14 +6,14 @@ use fast_broadcast::core::bfs::BfsProtocol;
 use fast_broadcast::core::broadcast::{partition_broadcast, BroadcastInput};
 use fast_broadcast::core::partition::{EdgePartition, PartitionParams};
 use fast_broadcast::graph::generators::{harary, torus2d};
-use fast_broadcast::sim::{run_protocol, EngineConfig};
+use fast_broadcast::sim::{run_protocol, EngineConfig, Session};
 
 #[test]
 fn same_seed_same_broadcast_outcome() {
     let g = harary(16, 64);
     let input = BroadcastInput::random_spread(&g, 100, 5);
-    let a = partition_broadcast(&g, &input, 16, 42).unwrap();
-    let b = partition_broadcast(&g, &input, 16, 42).unwrap();
+    let a = partition_broadcast(&mut Session::new(&g), &input, 16, 42).unwrap();
+    let b = partition_broadcast(&mut Session::new(&g), &input, 16, 42).unwrap();
     assert_eq!(a.total_rounds, b.total_rounds);
     assert_eq!(a.subgraph_heights, b.subgraph_heights);
     assert_eq!(a.expected, b.expected);

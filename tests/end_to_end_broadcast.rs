@@ -2,7 +2,7 @@
 //! and parameter regimes — the headline integration test.
 
 use fast_broadcast::core::broadcast::{
-    partition_broadcast, partition_broadcast_retrying, BroadcastConfig, BroadcastInput,
+    partition_broadcast, partition_broadcast_hosted, BroadcastConfig, BroadcastInput,
     DEFAULT_PARTITION_C,
 };
 use fast_broadcast::core::exp_search::exp_search_broadcast;
@@ -12,6 +12,7 @@ use fast_broadcast::graph::generators::{
     clique_chain, complete, harary, hypercube, random_regular, thick_path, torus2d,
 };
 use fast_broadcast::graph::Graph;
+use fast_broadcast::sim::Session;
 
 fn families() -> Vec<(String, Graph, usize)> {
     vec![
@@ -32,9 +33,14 @@ fn theorem1_delivers_on_every_family() {
         let k = 2 * g.n();
         let input = BroadcastInput::random_spread(&g, k, 11);
         let params = PartitionParams::from_lambda(g.n(), lambda, DEFAULT_PARTITION_C);
-        let (out, attempts) =
-            partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(17), 30)
-                .unwrap_or_else(|e| panic!("{name}: {e}"));
+        let (out, attempts) = partition_broadcast_hosted(
+            &mut Session::new(&g),
+            &input,
+            params,
+            &BroadcastConfig::with_seed(17),
+            30,
+        )
+        .unwrap_or_else(|e| panic!("{name}: {e}"));
         assert!(out.all_delivered(), "{name}: delivery failed");
         assert!(
             attempts <= 5,
@@ -53,7 +59,7 @@ fn theorem1_delivers_on_every_family() {
 fn theorem1_and_textbook_agree_on_checksums() {
     let g = harary(16, 80);
     let input = BroadcastInput::random_spread(&g, 120, 3);
-    let p = partition_broadcast(&g, &input, 16, 5).unwrap();
+    let p = partition_broadcast(&mut Session::new(&g), &input, 16, 5).unwrap();
     let t = textbook_broadcast(&g, &input, 5).unwrap();
     assert!(p.all_delivered());
     assert!(t.all_delivered());
@@ -78,7 +84,7 @@ fn single_source_and_adversarial_placements() {
         },
     ];
     for (i, input) in placements.iter().enumerate() {
-        let out = partition_broadcast(&g, input, 16, 23 + i as u64).unwrap();
+        let out = partition_broadcast(&mut Session::new(&g), input, 16, 23 + i as u64).unwrap();
         assert!(out.all_delivered(), "placement {i}");
     }
 }
@@ -93,9 +99,14 @@ fn rounds_scale_inverse_with_lambda() {
         let g = harary(lambda, n);
         let input = BroadcastInput::random_spread(&g, k, 7);
         let params = PartitionParams::from_lambda(n, lambda, DEFAULT_PARTITION_C);
-        let (out, _) =
-            partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(29), 30)
-                .unwrap();
+        let (out, _) = partition_broadcast_hosted(
+            &mut Session::new(&g),
+            &input,
+            params,
+            &BroadcastConfig::with_seed(29),
+            30,
+        )
+        .unwrap();
         assert!(out.all_delivered());
         assert!(
             out.total_rounds < prev_rounds,
@@ -110,7 +121,7 @@ fn rounds_scale_inverse_with_lambda() {
 fn exp_search_matches_known_lambda_performance() {
     let g = harary(24, 96);
     let input = BroadcastInput::one_per_node(&g);
-    let known = partition_broadcast(&g, &input, 24, 31).unwrap();
+    let known = partition_broadcast(&mut Session::new(&g), &input, 24, 31).unwrap();
     let (unknown, report) =
         exp_search_broadcast(&g, &input, &BroadcastConfig::with_seed(31)).unwrap();
     assert!(known.all_delivered());
@@ -130,7 +141,7 @@ fn exp_search_matches_known_lambda_performance() {
 fn k_smaller_than_subgraph_count_still_works() {
     let g = complete(64);
     let input = BroadcastInput::random_spread(&g, 3, 1); // k = 3 ≪ λ'
-    let out = partition_broadcast(&g, &input, 63, 2).unwrap();
+    let out = partition_broadcast(&mut Session::new(&g), &input, 63, 2).unwrap();
     assert!(out.all_delivered());
 }
 

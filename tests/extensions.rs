@@ -1,7 +1,6 @@
 //! Integration tests for the extension modules: resilient broadcast under
-//! injected faults, the congested-clique simulation, scheduled broadcast
-//! over shared packings, and the Theorem 9 decode pipeline — each crossing
-//! at least two crates.
+//! injected faults, the congested-clique simulation and the Theorem 9
+//! decode pipeline — each crossing at least two crates.
 
 use fast_broadcast::apsp::weighted_apsp_approx;
 use fast_broadcast::core::broadcast::{BroadcastConfig, BroadcastInput};
@@ -9,8 +8,6 @@ use fast_broadcast::core::congested_clique::{simulate_bcc, simulate_bcc_round};
 use fast_broadcast::core::partition::PartitionParams;
 use fast_broadcast::core::resilient::resilient_broadcast_hosted;
 use fast_broadcast::graph::generators::{decode_theorem9, harary, theorem9_instance};
-use fast_broadcast::packing::matroid::exact_tree_packing;
-use fast_broadcast::packing::scheduled_broadcast::scheduled_packing_broadcast;
 use fast_broadcast::sim::{FaultPlan, Session};
 
 #[test]
@@ -80,23 +77,6 @@ fn bcc_round_cost_is_sublinear_in_k_over_lambda_regime() {
     assert!(
         (cost as f64) < envelope,
         "BCC round cost {cost} outside Õ(n/λ) envelope {envelope:.0}"
-    );
-}
-
-#[test]
-fn scheduled_broadcast_over_exact_matroid_packing() {
-    // End-to-end: exact Nash-Williams packing + Theorem 12 scheduling.
-    let g = harary(8, 48);
-    let packing = exact_tree_packing(&g, 4, 0).expect("⌊8/2⌋ = 4 trees");
-    let input = BroadcastInput::random_spread(&g, 96, 2);
-    let out = scheduled_packing_broadcast(&g, &packing, &input, 6, 11).unwrap();
-    assert!(out.all_delivered());
-    // 4 trees ⇒ per-tree share is k/4; rounds should sit well below the
-    // single-tree cost of k + depth.
-    assert!(
-        out.stats.rounds < 96 + 40,
-        "rounds {} suggest no parallelism",
-        out.stats.rounds
     );
 }
 

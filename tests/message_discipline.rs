@@ -7,11 +7,12 @@
 //! the ceilings.
 
 use fast_broadcast::core::broadcast::{
-    partition_broadcast_retrying, BroadcastConfig, BroadcastInput,
+    partition_broadcast_hosted, BroadcastConfig, BroadcastInput,
 };
 use fast_broadcast::core::partition::PartitionParams;
 use fast_broadcast::core::textbook::textbook_broadcast;
 use fast_broadcast::graph::generators::harary;
+use fast_broadcast::sim::Session;
 
 /// A generous constant ceiling: three 64-bit words. Every wire format in
 /// the workspace (ids + payload + tags) fits; anything larger would mean
@@ -24,9 +25,14 @@ fn theorem1_messages_fit_constant_words() {
     for k in [24usize, 96, 384] {
         let input = BroadcastInput::random_spread(&g, k, 1);
         let params = PartitionParams::from_lambda(96, 16, 2.0);
-        let (out, _) =
-            partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(5), 30)
-                .unwrap();
+        let (out, _) = partition_broadcast_hosted(
+            &mut Session::new(&g),
+            &input,
+            params,
+            &BroadcastConfig::with_seed(5),
+            30,
+        )
+        .unwrap();
         assert!(out.all_delivered());
         assert!(
             out.stats.max_message_bits <= CEILING_BITS,
@@ -45,9 +51,14 @@ fn message_size_does_not_grow_with_k() {
     let size_at = |k: usize| {
         let input = BroadcastInput::random_spread(&g, k, 2);
         let params = PartitionParams::from_lambda(96, 16, 2.0);
-        let (out, _) =
-            partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(7), 30)
-                .unwrap();
+        let (out, _) = partition_broadcast_hosted(
+            &mut Session::new(&g),
+            &input,
+            params,
+            &BroadcastConfig::with_seed(7),
+            30,
+        )
+        .unwrap();
         out.stats.max_message_bits
     };
     assert_eq!(size_at(48), size_at(192));
@@ -71,9 +82,14 @@ fn congestion_accounting_matches_lemma1_claim() {
     let input = BroadcastInput::random_spread(&g, k, 4);
     let tb = textbook_broadcast(&g, &input, 11).unwrap();
     let params = PartitionParams::from_lambda(96, 32, 2.0);
-    let (pt, _) =
-        partition_broadcast_retrying(&g, &input, params, &BroadcastConfig::with_seed(11), 30)
-            .unwrap();
+    let (pt, _) = partition_broadcast_hosted(
+        &mut Session::new(&g),
+        &input,
+        params,
+        &BroadcastConfig::with_seed(11),
+        30,
+    )
+    .unwrap();
     let tb_routing = tb
         .phases
         .phases()

@@ -3,7 +3,7 @@
 //! experiments use.
 
 use fast_broadcast::core::broadcast::{
-    partition_broadcast_retrying, BroadcastConfig, BroadcastInput,
+    partition_broadcast_hosted, BroadcastConfig, BroadcastInput,
 };
 use fast_broadcast::core::partition::{edge_color, EdgePartition, PartitionParams};
 use fast_broadcast::core::pipeline::expected_checksums;
@@ -11,6 +11,7 @@ use fast_broadcast::graph::algo::apsp::apsp_unweighted;
 use fast_broadcast::graph::algo::connectivity::edge_connectivity;
 use fast_broadcast::graph::generators::{gnp_connected, harary};
 use fast_broadcast::graph::{Graph, GraphBuilder};
+use fast_broadcast::sim::Session;
 use proptest::prelude::*;
 
 /// Arbitrary connected simple graph: a random spanning tree plus extra
@@ -106,8 +107,8 @@ proptest! {
         let g = harary(16, 64);
         let input = BroadcastInput { messages: placements };
         let params = PartitionParams::from_lambda(64, 16, 2.0);
-        let (out, _) = partition_broadcast_retrying(
-            &g, &input, params, &BroadcastConfig::with_seed(seed), 30,
+        let (out, _) = partition_broadcast_hosted(
+            &mut Session::new(&g), &input, params, &BroadcastConfig::with_seed(seed), 30,
         ).unwrap();
         prop_assert!(out.all_delivered());
     }
@@ -121,8 +122,8 @@ proptest! {
         prop_assume!(lambda >= 2);
         let input = BroadcastInput::one_per_node(&g);
         let params = PartitionParams::from_lambda(72, lambda, 2.0);
-        let (out, _) = partition_broadcast_retrying(
-            &g, &input, params, &BroadcastConfig::with_seed(seed ^ 0xF00), 30,
+        let (out, _) = partition_broadcast_hosted(
+            &mut Session::new(&g), &input, params, &BroadcastConfig::with_seed(seed ^ 0xF00), 30,
         ).unwrap();
         prop_assert!(out.all_delivered());
     }
